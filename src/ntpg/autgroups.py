@@ -7,9 +7,17 @@ sigma (products of one coordinate from each block of a decomposition of
 sigma); that is precisely weight preservation for 0/1 multi-weights.  The
 finite-field enumeration of all such maps is the brute-force oracle for the
 n-tuple principal structure of these groups.
+
+With 0/1 weights and no base coordinates every such map is multilinear, so
+over F_p it is fixed by its values on the cube {0,1}^m.  The enumeration
+therefore evaluates each map once on all points of F_p^m and builds the
+group table from these point permutations, keyed by cube values, instead
+of composing polynomials; symbolic composition stays the test oracle.
 """
 
 from itertools import product
+from math import prod
+from operator import itemgetter
 
 from .errors import (EnumerationCapExceeded, IllegalMonomial,
                      InternalInconsistency, InvalidInput)
@@ -131,16 +139,22 @@ def gi_membership(a, i):
 
 
 class AutGroupHandle:
-    """An enumerated automorphism group with its index dictionary."""
+    """An enumerated automorphism group with its index dictionary.
 
-    __slots__ = ("sig", "field", "group", "elements", "index")
+    ``perms[k]`` is element k evaluated on every point of F_p^m, as a
+    permutation of point codes: the point (x_0, ..., x_{m-1}) has code
+    sum x_i p^(m-1-i), its position in ``product(range(p), repeat=m)``.
+    """
 
-    def __init__(self, sig, field, group, elements, index):
+    __slots__ = ("sig", "field", "group", "elements", "index", "perms")
+
+    def __init__(self, sig, field, group, elements, index, perms):
         self.sig = sig
         self.field = field
         self.group = group
         self.elements = elements
         self.index = index
+        self.perms = perms
 
     def index_of(self, aut):
         return self.index[aut.key()]
@@ -169,20 +183,30 @@ def _slot_list(sig):
 def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     """Enumerate every automorphism of the model over F_p.
 
-    Fills the full coefficient grid, filters by invertibility of the linear
-    blocks (sufficient, by triangularity), asserts closure under
-    composition, and returns the group table through the validating group
-    builder.  Inverse maps are read off the group table.
+    Fills the full coefficient grid and filters by invertibility of the
+    linear blocks (sufficient, by triangularity).  Each kept map is
+    evaluated once on all p^m points of F_p^m (p^m is at most the grid,
+    since every coordinate has a linear slot) and stored as a point
+    permutation.  The group table is read off these permutations: the
+    composite i after j sends the cube {0,1}^m to perm_i applied to j's
+    cube image, and that image is looked up among the cube images of the
+    enumerated maps.  This is exact: the model has no base coordinates and
+    0/1 weights, so every weight-preserving map, composites included, is
+    multilinear, and a multilinear map over F_p is fixed by its values on
+    the cube (Moebius inversion).  A composite whose cube image is not
+    found, or two maps with one cube image, raise InternalInconsistency.
+    The table goes through the validating group builder, and inverse maps
+    are read off it.
     """
     _require_model_signature(sig)
     if field.char == 0:
         raise InvalidInput("enumeration needs a finite field")
     slots = _slot_list(sig)
-    grid = field.char ** len(slots)
+    p, m = field.char, sig.ncoords
+    grid = p ** len(slots)
     if grid > cap:
         raise EnumerationCapExceeded("coefficient grid exceeds cap",
                                      grid=grid, cap=cap)
-    scalars = field.elements()
     block_coords = {w: sig.block_coords(w) for w, _ in sig.blocks}
     linear_pos = {}
     for k, (c, exps, linear) in enumerate(slots):
@@ -190,9 +214,17 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
             b = next(i for i, e in enumerate(exps) if e)
             linear_pos[(c, b)] = k
 
+    # each slot's monomial on every point, points in code order
+    points = list(product(range(p), repeat=m))
+    monomials = [[prod(x ** e for x, e in zip(pt, exps)) for pt in points]
+                 for _, exps, _ in slots]
+    slots_of = [[k for k, (c, _, _) in enumerate(slots) if c == t]
+                for t in range(m)]
+
     maps = []
+    perms = []
     index = {}
-    for values in product(scalars, repeat=len(slots)):
+    for values in product(range(p), repeat=len(slots)):
         singular = False
         for w, coords in block_coords.items():
             mat = [[values[linear_pos[(c, b)]] for b in coords]
@@ -202,26 +234,46 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
                 break
         if singular:
             continue
-        terms = [(c, exps, v) for (c, exps, _), v in zip(slots, values)
-                 if v != field.zero]
+        terms = [(c, exps, v) for (c, exps, _), v in zip(slots, values) if v]
         pm = PolyMap.from_terms(sig, sig, field, terms)
         index[pm.key()] = len(maps)
         maps.append(pm)
+        perm = [0] * len(points)
+        for t in range(m):
+            col = [0] * len(points)
+            for k in slots_of[t]:
+                v = values[k]
+                if v:
+                    col = [a + v * b for a, b in zip(col, monomials[k])]
+            place = p ** (m - 1 - t)
+            perm = [q + a % p * place for q, a in zip(perm, col)]
+        perms.append(tuple(perm))
 
+    cube = [sum(b * p ** (m - 1 - i) for i, b in enumerate(bits))
+            for bits in product((0, 1), repeat=m)]
+    on_cube = itemgetter(*cube)
+    by_cube = {}
+    for j, perm in enumerate(perms):
+        prev = by_cube.setdefault(on_cube(perm), j)
+        if prev != j:
+            raise InternalInconsistency(
+                "cube values fail to separate the enumerated maps",
+                pair=(prev, j))
     n = len(maps)
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k = index.get(compose(maps[i], maps[j]).key())
-            if k is None:
-                raise InternalInconsistency(
-                    "composition left the enumerated shape", pair=(i, j))
-            table[i][j] = k
+    after = [itemgetter(*on_cube(perm)) for perm in perms]
+    table = []
+    for i, perm in enumerate(perms):
+        row = [by_cube.get(f(perm)) for f in after]
+        if None in row:
+            raise InternalInconsistency(
+                "composition left the enumerated shape",
+                pair=(i, row.index(None)))
+        table.append(row)
     group = make_group(table)
     elements = [NVectAutomorphism(sig, field, maps[i],
                                   maps[group.inverse[i]])
                 for i in range(n)]
-    return AutGroupHandle(sig, field, group, elements, index)
+    return AutGroupHandle(sig, field, group, elements, index, perms)
 
 
 class P54Report:

@@ -3,7 +3,9 @@
 Exit codes: 0 = verified pass, 1 = verified fail (report carries at least
 one witness), 2 = input or usage error.  A theory-assertion failure (a
 consequence of the theory that must always hold) also exits 2, with the
-report marking it as a library bug rather than an input verdict.
+report marking it as a library bug rather than an input verdict; so does
+any other exception escaping a handler, reported in one stderr line
+without a traceback.
 
 The NTPG_WORKERS environment variable is accepted for compatibility with
 parallel runners; it never changes results (the current implementation is
@@ -71,6 +73,15 @@ def _input_subgroups(ctx, data, G):
     return [load_subgroup(G, s) for s in data["subgroups"]]
 
 
+def _subgroup_pair(ctx, data, G):
+    """The first two input subgroups; fewer than two is an input error."""
+    subs = _input_subgroups(ctx, data, G)
+    if len(subs) < 2:
+        raise InvalidInput("a double principal group needs two subgroups",
+                           given=len(subs))
+    return subs[0], subs[1]
+
+
 # -- command handlers: return (verdict, details, witnesses) -------------------
 
 def cmd_group_validate(ctx, data):
@@ -83,7 +94,7 @@ def cmd_group_validate(ctx, data):
 
 def cmd_dpg_verify(ctx, data):
     G = load_group(data["gamma"] if "gamma" in data else data, rng=ctx.rng)
-    g1, g2 = _input_subgroups(ctx, data, G)[:2]
+    g1, g2 = _subgroup_pair(ctx, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
         return "fail", {"gamma_order": G.order}, res.failures
@@ -99,7 +110,7 @@ def cmd_dpg_verify(ctx, data):
 
 def cmd_dpg_dressing(ctx, data):
     G = load_group(data["gamma"] if "gamma" in data else data, rng=ctx.rng)
-    g1, g2 = _input_subgroups(ctx, data, G)[:2]
+    g1, g2 = _subgroup_pair(ctx, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
         return "fail", {}, res.failures
@@ -424,6 +435,16 @@ def main(argv=None):
     ctx = _Ctx(args)
     started = time.monotonic()
     command = [args.command, getattr(args, "action", None)]
+
+    def error(details, message, **flags):
+        report = {"command": command, "verdict": "error", **flags,
+                  "details": details, "witnesses": [],
+                  "timing_ms": round(1000 * (time.monotonic() - started), 3)}
+        write_report(report, args.out)
+        print("ERROR %s: %s" % (" ".join(filter(None, command)), message),
+              file=sys.stderr)
+        return 2
+
     try:
         if args.needs_file:
             data = read_json(args.file)
@@ -431,22 +452,21 @@ def main(argv=None):
         else:
             verdict, details, witnesses = args.handler(ctx, args)
     except InternalInconsistency as e:
-        report = {"command": command, "verdict": "error",
-                  "theory_failure": True, "details": e.report(),
-                  "witnesses": [],
-                  "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-        write_report(report, args.out)
-        print("ERROR %s: theory assertion failed; this is a library bug: %s"
-              % (" ".join(filter(None, command)), e), file=sys.stderr)
-        return 2
+        return error(e.report(), "theory assertion failed; this is a library "
+                     "bug: %s" % e, theory_failure=True)
     except AlgebraError as e:
-        report = {"command": command, "verdict": "error",
-                  "details": e.report(), "witnesses": [],
-                  "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-        write_report(report, args.out)
-        print("ERROR %s: %s" % (" ".join(filter(None, command)), e),
-              file=sys.stderr)
-        return 2
+        return error(e.report(), e)
+    except Exception as e:
+        # last resort: an escaped exception is a library bug, never rc 1;
+        # the report names the innermost frame in place of a traceback
+        import traceback
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        where = "%s:%d in %s" % (os.path.basename(frame.filename),
+                                 frame.lineno, frame.name)
+        return error({"error": type(e).__name__, "message": str(e),
+                      "details": {"where": where}},
+                     "unexpected exception at %s; this is a library bug: %r"
+                     % (where, e), library_bug=True)
     report = {"command": command, "verdict": verdict, "details": details,
               "witnesses": witnesses,
               "timing_ms": round(1000 * (time.monotonic() - started), 3)}

@@ -373,15 +373,16 @@ def frame_cocycle(dvb, handle):
 
 def standard_fibered_space(handle):
     """The model fiber of an enumerated double-space automorphism group:
-    all coordinate tuples over F_p, with the y and y' projections."""
+    all coordinate tuples over F_p, with the y and y' projections.
+
+    The action is the handle's point permutations, which the enumeration
+    computed by evaluating every element on every point; points are
+    numbered in ``product(range(p), repeat=m)`` order, as there.
+    """
     sig, field = handle.sig, handle.field
     if sig.n != 2:
         raise InvalidInput("standard model needs a double grading")
-    scalars = field.elements()
-    points = list(product(scalars, repeat=sig.ncoords))
-    index = {p: i for i, p in enumerate(points)}
-    perms = [tuple(index[a.map.eval(p)] for p in points)
-             for a in handle.elements]
+    points = list(product(range(field.char), repeat=sig.ncoords))
 
     y_coords = sig.block_coords((1, 0))
     yp_coords = sig.block_coords((0, 1))
@@ -398,7 +399,7 @@ def standard_fibered_space(handle):
 
     return FiberedSpace(handle.group,
                         handle.gi_subgroup(1), handle.gi_subgroup(2),
-                        len(points), perms,
+                        len(points), handle.perms,
                         classes(y_coords), classes(yp_coords),
                         transforms=handle.elements,
                         value_ops=AutOps(sig, field, handle))

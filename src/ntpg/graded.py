@@ -47,6 +47,9 @@ class GradedSignature:
                                        sigma=list(s))
         else:
             raise InvalidInput("unknown signature mode", mode=mode)
+        for s, d in blocks:
+            if d < 0:
+                raise InvalidInput("negative block dimension", weight=s)
         blocks = [(s, d) for s, d in blocks if d > 0]
         # ascending total weight; within a level, earlier gradings first,
         # so the (d, d', d0) double space orders as y, y', z
@@ -56,8 +59,6 @@ class GradedSignature:
             if s in seen:
                 raise InvalidInput("duplicate weight block", weight=s)
             seen.add(s)
-            if d < 0:
-                raise InvalidInput("negative block dimension", weight=s)
         self.blocks = tuple(blocks)
         weights = []
         for s, d in self.blocks:

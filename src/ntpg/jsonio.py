@@ -187,9 +187,21 @@ def load_group_cocycle(obj, group=None, rng=None):
         group = load_group(_need(obj, "group", "cocycle"), rng=rng)
     values = {}
     for v in _need(obj, "values", "cocycle"):
-        i, j = _need(v, "pair", "cocycle value")
-        values[(i, j)] = _need(v, "element", "cocycle value")
+        pair = _need(v, "pair", "cocycle value")
+        element = _need(v, "element", "cocycle value")
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_is_index(x, nerve.n) for x in pair)):
+            raise InvalidInput("cocycle pair must be two chart indices",
+                               pair=pair, charts=nerve.n)
+        if not _is_index(element, group.order):
+            raise InvalidInput("cocycle value outside the group",
+                               element=element, order=group.order)
+        values[tuple(pair)] = element
     return Cocycle(nerve, FiniteGroupOps(group), values), group
+
+
+def _is_index(x, n):
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def load_aut_cocycle(obj, handle):

@@ -97,14 +97,17 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise InvalidInput("negative power")
-        result = Poly.const(self.field, self.nvars, self.field.one)
+        if k == 0:
+            return Poly.const(self.field, self.nvars, self.field.one)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- structure ------------------------------------------------------------
 
@@ -153,14 +156,15 @@ class Poly:
         out = Poly.zero(self.field, tgt)
         powers = [{} for _ in range(self.nvars)]
         for e, c in self.terms.items():
-            m = Poly.const(self.field, tgt, c)
+            m = None
             for i, k in enumerate(e):
                 if k == 0:
                     continue
                 if k not in powers[i]:
                     powers[i][k] = values[i] ** k
-                m = m * powers[i][k]
-            out = out + m
+                m = powers[i][k] if m is None else m * powers[i][k]
+            out = out + (Poly.const(self.field, tgt, c) if m is None
+                         else m.scale(c))
         return out
 
     def eval(self, point):

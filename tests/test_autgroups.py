@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ntpg.autgroups import (affine_compose, affine_identity,
@@ -6,6 +8,7 @@ from ntpg.autgroups import (affine_compose, affine_identity,
                             identity_automorphism, is_statomorphism,
                             make_affine_automorphism, make_automorphism,
                             verify_p54)
+from ntpg.cocycles import standard_fibered_space
 from ntpg.errors import (EnumerationCapExceeded, IllegalMonomial,
                          NotInvertible)
 from ntpg.fields import GF
@@ -103,6 +106,35 @@ def test_statomorphism_subgroup_order_p3():
 def test_enumeration_count_p5():
     handle = enumerate_aut(SIG, GF(5))
     assert handle.group.order == 5 * (5 - 1) ** 3 == 320
+
+
+K3_SIX = GradedSignature.multi(3, {
+    (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+    (1, 1, 0): 1, (0, 1, 1): 1, (1, 1, 1): 1})
+
+
+@pytest.mark.parametrize("sig, field, order", [
+    (SIG, F3, 24), (SIG, F2, 2), (K3_SIX, F2, 32)],
+    ids=["D111-F3", "D111-F2", "k3-six-F2"])
+def test_table_matches_symbolic_composition(sig, field, order):
+    # oracle: the table built from point evaluations agrees with symbolic
+    # composition on every pair
+    handle = enumerate_aut(sig, field)
+    assert handle.group.order == order
+    maps = [a.map for a in handle.elements]
+    for i in range(order):
+        for j in range(order):
+            assert handle.group.table[i][j] == \
+                handle.index[compose(maps[i], maps[j]).key()], (i, j)
+
+
+def test_fibered_action_matches_map_evaluation():
+    handle = enumerate_aut(SIG, F3)
+    points = list(product(F3.elements(), repeat=SIG.ncoords))
+    code = {pt: k for k, pt in enumerate(points)}
+    fibered = standard_fibered_space(handle)
+    for a, perm in zip(handle.elements, fibered.perms):
+        assert perm == tuple(code[a.map.eval(pt)] for pt in points)
 
 
 def test_enumeration_cap():

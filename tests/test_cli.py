@@ -289,3 +289,61 @@ def test_reports_are_deterministic(tmp_path):
     r1.pop("timing_ms")
     r2.pop("timing_ms")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def _assert_error_report(code, out, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert read_report(out)["verdict"] == "error"
+    assert "Traceback" not in err
+    return err
+
+
+def test_dpg_verify_one_subgroup_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "q8.json",
+              {"gamma": q8_json(), "subgroups": [[0, 1, 2, 3]]})
+    out = str(tmp_path / "rep.json")
+    _assert_error_report(run(["dpg", "verify", f, "--out", out]), out, capsys)
+
+
+def test_cocycle_check_element_out_of_range_exits_2(tmp_path, capsys):
+    z2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    f = write(tmp_path, "c.json", {"charts": 2, "overlaps": [[0, 1]],
+                                   "group": z2,
+                                   "values": [{"pair": [0, 1],
+                                               "element": 7}]})
+    out = str(tmp_path / "rep.json")
+    _assert_error_report(run(["cocycle", "check", f, "--out", out]), out,
+                        capsys)
+
+
+def test_negative_block_dimension_exits_2(tmp_path, capsys):
+    sig = {"mode": "multi", "n": 2,
+           "blocks": [{"sigma": [1, 0], "dim": 1},
+                      {"sigma": [0, 1], "dim": -1}]}
+    sig_file = write(tmp_path, "sig.json", sig)
+    out = str(tmp_path / "rep.json")
+    code = run(["aut", "enumerate", "--sig", sig_file, "--field", "Fp:3",
+                "--out", out])
+    _assert_error_report(code, out, capsys)
+    assert read_report(out)["details"]["message"] == \
+        "negative block dimension"
+
+
+def test_escaped_exception_is_reported_as_library_bug(tmp_path, capsys,
+                                                      monkeypatch):
+    import ntpg.cli
+
+    def broken(ctx, data):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ntpg.cli, "cmd_group_validate", broken)
+    f = write(tmp_path, "trivial.json", {"order": 1, "table": [[0]]})
+    out = str(tmp_path / "rep.json")
+    err = _assert_error_report(run(["group", "validate", f, "--out", out]),
+                              out, capsys)
+    assert len(err.splitlines()) == 1 and "library bug" in err
+    rep = read_report(out)
+    assert rep["library_bug"] is True
+    assert rep["details"]["error"] == "RuntimeError"
+    assert rep["details"]["details"]["where"].startswith("test_cli.py:")
