@@ -207,7 +207,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     if grid > cap:
         raise EnumerationCapExceeded("coefficient grid exceeds cap",
                                      grid=grid, cap=cap)
-    block_coords = {w: sig.block_coords(w) for w, _ in sig.blocks}
+    block_coords = [sig.block_coords(w) for w, _ in sig.blocks]
     linear_pos = {}
     for k, (c, exps, linear) in enumerate(slots):
         if linear:
@@ -221,15 +221,20 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     slots_of = [[k for k, (c, _, _) in enumerate(slots) if c == t]
                 for t in range(m)]
 
+    # linear block -> invertible?  The grid repeats the same few blocks.
+    invertible = {}
     maps = []
     perms = []
     index = {}
     for values in product(range(p), repeat=len(slots)):
         singular = False
-        for w, coords in block_coords.items():
-            mat = [[values[linear_pos[(c, b)]] for b in coords]
-                   for c in coords]
-            if mat_inv(field, mat) is None:
+        for coords in block_coords:
+            mat = tuple(tuple(values[linear_pos[(c, b)]] for b in coords)
+                        for c in coords)
+            ok = invertible.get(mat)
+            if ok is None:
+                ok = invertible[mat] = mat_inv(field, mat) is not None
+            if not ok:
                 singular = True
                 break
         if singular:

@@ -14,7 +14,6 @@ sequential).
 
 import argparse
 import os
-import random
 import sys
 import time
 
@@ -43,7 +42,6 @@ _VERDICT_ERRORS = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse,
 class _Ctx:
     def __init__(self, args):
         self.args = args
-        self.rng = random.Random(args.seed)
         self.max_order = args.max_order
         self.max_candidates = args.max_candidates
 
@@ -86,14 +84,14 @@ def _subgroup_pair(ctx, data, G):
 
 def cmd_group_validate(ctx, data):
     try:
-        G = load_group(data, rng=ctx.rng, cap=ctx.max_order)
+        G = load_group(data, cap=ctx.max_order)
     except _VERDICT_ERRORS as e:
         return "fail", {}, [e.report()]
     return "pass", {"fingerprint": G.fingerprint()}, []
 
 
 def cmd_dpg_verify(ctx, data):
-    G = load_group(data["gamma"] if "gamma" in data else data, rng=ctx.rng)
+    G = load_group(data["gamma"] if "gamma" in data else data)
     g1, g2 = _subgroup_pair(ctx, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -109,7 +107,7 @@ def cmd_dpg_verify(ctx, data):
 
 
 def cmd_dpg_dressing(ctx, data):
-    G = load_group(data["gamma"] if "gamma" in data else data, rng=ctx.rng)
+    G = load_group(data["gamma"] if "gamma" in data else data)
     g1, g2 = _subgroup_pair(ctx, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -122,8 +120,8 @@ def cmd_dpg_dressing(ctx, data):
 
 
 def cmd_dpg_pipeline(ctx, data):
-    rho = load_action(data["rho"], rng=ctx.rng)
-    rho_prime = load_action(data["rho_prime"], rng=ctx.rng)
+    rho = load_action(data["rho"])
+    rho_prime = load_action(data["rho_prime"])
     points = data.get("points", rho.set_size)
     try:
         res = principal.gamma_from_actions(points, rho, rho_prime)
@@ -135,7 +133,7 @@ def cmd_dpg_pipeline(ctx, data):
 
 
 def cmd_ntuple_verify(ctx, data):
-    G = load_group(data["gamma"] if "gamma" in data else data, rng=ctx.rng)
+    G = load_group(data["gamma"] if "gamma" in data else data)
     subs = _input_subgroups(ctx, data, G)
     w = principal.verify_ntuple(G, subs)
     details = {"gamma_order": G.order, "n": len(subs),
@@ -156,7 +154,7 @@ def _collect_trace_failures(node, acc=None):
 
 
 def cmd_groupoid_gauge(ctx, data):
-    action = load_action(data["action"], rng=ctx.rng)
+    action = load_action(data["action"])
     points = data.get("points", action.set_size)
     try:
         gpd, labels = groupoids.gauge_groupoid(points, action)
@@ -168,7 +166,7 @@ def cmd_groupoid_gauge(ctx, data):
 
 
 def cmd_groupoid_quotient(ctx, data):
-    ga = load_groupoid_action(data, rng=ctx.rng)
+    ga = load_groupoid_action(data)
     try:
         q = groupoids.quotient_groupoid(ga)
     except (NotCompatible, NotFree) as e:
@@ -180,7 +178,7 @@ def cmd_groupoid_quotient(ctx, data):
 
 
 def cmd_groupoid_split(ctx, data):
-    ga = load_groupoid_action(data, rng=ctx.rng)
+    ga = load_groupoid_action(data)
     try:
         sp = groupoids.split(ga)
     except (NotCompatible, NotFree, SplitFailure) as e:
@@ -192,7 +190,7 @@ def cmd_groupoid_split(ctx, data):
 
 
 def cmd_groupoid_multfunction(ctx, data):
-    ga = load_groupoid_action(data, rng=ctx.rng)
+    ga = load_groupoid_action(data)
     try:
         sp = groupoids.split(ga)
         mf = groupoids.multiplicative_function(sp)
@@ -272,7 +270,7 @@ def cmd_aut_verify_p54(ctx, args):
 
 
 def cmd_cocycle_check(ctx, data):
-    c, _ = load_group_cocycle(data, rng=ctx.rng)
+    c, _ = load_group_cocycle(data)
     ok, witness = cocycles.check_cocycle(c)
     if not ok:
         return "fail", {}, [witness]
@@ -325,7 +323,7 @@ def cmd_cocycle_frame(ctx, data):
 
 
 def cmd_cocycle_cohomologous(ctx, data):
-    G = load_group(data["group"], rng=ctx.rng)
+    G = load_group(data["group"])
     base = {"charts": data["charts"], "overlaps": data.get("overlaps", []),
             "triples": data.get("triples", [])}
     c1, _ = load_group_cocycle({**base, "values": data["c1"]}, group=G)
@@ -358,7 +356,8 @@ def _add_io_args(p, needs_file=True):
         p.add_argument("file", help="JSON input file")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sampling (large-table checks)")
+                   help="accepted for compatibility; has no effect "
+                        "(every check is exhaustive)")
     p.add_argument("--max-order", type=int, default=10_000,
                    help="cap for permutation closures")
     p.add_argument("--max-candidates", type=int, default=10 ** 6,
@@ -435,14 +434,24 @@ def main(argv=None):
     ctx = _Ctx(args)
     started = time.monotonic()
     command = [args.command, getattr(args, "action", None)]
+    name = " ".join(filter(None, command))
+
+    def emit(report):
+        """Write the report; an unwritable --out path is a usage error."""
+        try:
+            write_report(report, args.out)
+        except OSError as e:
+            print("ERROR %s: cannot write the report: %s" % (name, e),
+                  file=sys.stderr)
+            return False
+        return True
 
     def error(details, message, **flags):
         report = {"command": command, "verdict": "error", **flags,
                   "details": details, "witnesses": [],
                   "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-        write_report(report, args.out)
-        print("ERROR %s: %s" % (" ".join(filter(None, command)), message),
-              file=sys.stderr)
+        emit(report)
+        print("ERROR %s: %s" % (name, message), file=sys.stderr)
         return 2
 
     try:
@@ -470,9 +479,10 @@ def main(argv=None):
     report = {"command": command, "verdict": verdict, "details": details,
               "witnesses": witnesses,
               "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-    write_report(report, args.out)
+    if not emit(report):
+        return 2
     if args.out not in (None, "-"):
-        line = "%s %s" % (verdict.upper(), " ".join(filter(None, command)))
+        line = "%s %s" % (verdict.upper(), name)
         if witnesses:
             line += " (witnesses: %d)" % len(witnesses)
         print(line)

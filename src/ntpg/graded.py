@@ -19,6 +19,13 @@ MAX_GRADINGS = 4
 MAX_WEIGHT = 6
 
 
+def _integer(x, what):
+    """x itself if it is an integer; strings, floats and bools are input errors."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInput("%s must be an integer" % what, value=x)
+    return x
+
+
 class GradedSignature:
     """Coordinate weights, either simple (integers) or multi (0/1 vectors).
 
@@ -36,11 +43,12 @@ class GradedSignature:
         self.mode = mode
         self.n = n
         if mode == "simple":
-            blocks = [(int(w), int(d)) for w, d in blocks]
+            blocks = [(w, _integer(d, "block dimension")) for w, d in blocks]
         elif mode == "multi":
             if not 1 <= n <= MAX_GRADINGS:
                 raise InvalidInput("number of gradings out of range", n=n)
-            blocks = [(tuple(int(x) for x in s), int(d)) for s, d in blocks]
+            blocks = [(tuple(_integer(x, "weight") for x in s),
+                       _integer(d, "block dimension")) for s, d in blocks]
             for s, _ in blocks:
                 if len(s) != n or any(x not in (0, 1) for x in s):
                     raise InvalidInput("multi weights must be 0/1 vectors",
@@ -93,6 +101,7 @@ class GradedSignature:
 
     @classmethod
     def multi(cls, n, block_dims, base=0, max_coords=MAX_COORDS):
+        n = _integer(n, "number of gradings")
         blocks = [((0,) * n, base)] + list(block_dims.items())
         return cls("multi", blocks, n=n, max_coords=max_coords)
 

@@ -24,7 +24,7 @@ def _need(obj, key, where):
     return obj[key]
 
 
-def load_group(obj, rng=None, cap=DEFAULT_CLOSURE_CAP):
+def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
     """{"order": n, "table": [[...]]} or {"permutations": [...], "degree": m}."""
     if not isinstance(obj, dict):
         raise InvalidInput("group must be a JSON object")
@@ -32,7 +32,7 @@ def load_group(obj, rng=None, cap=DEFAULT_CLOSURE_CAP):
         table = obj["table"]
         if "order" in obj and obj["order"] != len(table):
             raise InvalidInput("declared order disagrees with the table")
-        return make_group(table, rng=rng)
+        return make_group(table)
     if "permutations" in obj:
         perms = obj["permutations"]
         degree = obj.get("degree")
@@ -56,10 +56,10 @@ def load_subgroup(G, obj):
     return Subgroup(G, obj)
 
 
-def load_action(obj, group=None, rng=None):
+def load_action(obj, group=None):
     """{"group": <group>, "points": m, "act": [[...]], "side": "right"}."""
     if group is None:
-        group = load_group(_need(obj, "group", "action"), rng=rng)
+        group = load_group(_need(obj, "group", "action"))
     return FiniteAction(group, _need(obj, "points", "action"),
                         _need(obj, "act", "action"),
                         side=obj.get("side", "right"))
@@ -87,9 +87,9 @@ def dump_groupoid(gpd):
             "mul": sorted([g, h, gh] for (g, h), gh in gpd.mul.items())}
 
 
-def load_groupoid_action(obj, rng=None):
+def load_groupoid_action(obj):
     gpd = load_groupoid(_need(obj, "groupoid", "groupoid action"))
-    group = load_group(_need(obj, "group", "groupoid action"), rng=rng)
+    group = load_group(_need(obj, "group", "groupoid action"))
     return GroupoidAction(gpd, group, _need(obj, "act", "groupoid action"))
 
 
@@ -180,11 +180,11 @@ def load_nerve(obj):
                       obj.get("triples", []))
 
 
-def load_group_cocycle(obj, group=None, rng=None):
+def load_group_cocycle(obj, group=None):
     """A cocycle valued in a finite group given inline."""
     nerve = load_nerve(obj)
     if group is None:
-        group = load_group(_need(obj, "group", "cocycle"), rng=rng)
+        group = load_group(_need(obj, "group", "cocycle"))
     values = {}
     for v in _need(obj, "values", "cocycle"):
         pair = _need(v, "pair", "cocycle value")

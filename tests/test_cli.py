@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import ntpg
 from ntpg.cli import main
 from ntpg.named import quaternion_group
 
@@ -284,7 +288,8 @@ def test_reports_are_deterministic(tmp_path):
     out1 = str(tmp_path / "rep1.json")
     out2 = str(tmp_path / "rep2.json")
     assert run(["dpg", "verify", f, "--out", out1]) == 0
-    assert run(["dpg", "verify", f, "--out", out2]) == 0
+    # --seed is kept for old command lines and changes nothing
+    assert run(["dpg", "verify", f, "--out", out2, "--seed", "7"]) == 0
     r1, r2 = read_report(out1), read_report(out2)
     r1.pop("timing_ms")
     r2.pop("timing_ms")
@@ -347,3 +352,38 @@ def test_escaped_exception_is_reported_as_library_bug(tmp_path, capsys,
     assert rep["library_bug"] is True
     assert rep["details"]["error"] == "RuntimeError"
     assert rep["details"]["details"]["where"].startswith("test_cli.py:")
+
+
+def test_out_in_missing_directory_exits_2_without_traceback(tmp_path,
+                                                           capsys):
+    f = write(tmp_path, "q8.json", {"gamma": q8_json(),
+                                    "subgroups": [[0, 1, 2, 3],
+                                                  [0, 1, 4, 5]]})
+    out = str(tmp_path / "no" / "such" / "dir" / "rep.json")
+    assert run(["dpg", "verify", f, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "cannot write the report" in err
+    assert "Traceback" not in err
+
+
+def test_string_block_dimension_exits_2(tmp_path, capsys):
+    sig = {"mode": "multi", "n": 2,
+           "blocks": [{"sigma": [1, 0], "dim": 1},
+                      {"sigma": [0, 1], "dim": "1"}]}
+    sig_file = write(tmp_path, "sig.json", sig)
+    out = str(tmp_path / "rep.json")
+    code = run(["aut", "enumerate", "--sig", sig_file, "--field", "Fp:3",
+                "--out", out])
+    _assert_error_report(code, out, capsys)
+    assert read_report(out)["details"]["message"] == \
+        "block dimension must be an integer"
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ntpg.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

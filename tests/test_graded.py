@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ntpg.errors import NotInvertible, SignatureMismatch
+from ntpg.errors import InvalidInput, NotInvertible, SignatureMismatch
 from ntpg.fields import GF, QQ
 from ntpg.graded import (GradedSignature, PolyMap,
                          check_compatible_structures, compose,
@@ -83,6 +83,15 @@ def test_compose_stays_weight_preserving_over_f3():
             for exps in comp.terms:
                 assert SIG111.monomial_weight(exps) == SIG111.weights[tgt]
         assert is_graded_morphism(c)
+
+
+@pytest.mark.parametrize("mode, args", [
+    ("simple", (["1"],)), ("simple", ([1.0],)), ("simple", ([1], True)),
+    ("multi", (2, {(1, 0): "1"})), ("multi", (2, {("1", 0): 1})),
+    ("multi", ("2", {(1, 0): 1}))])
+def test_signature_rejects_non_integers(mode, args):
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        getattr(GradedSignature, mode)(*args)
 
 
 def test_signature_mismatch():

@@ -5,13 +5,14 @@ from ntpg import named
 from ntpg.errors import (InvalidInput, NoIdentity, NoInverse, NonAssociative,
                          NotAnAction, NotLatinSquare, NotNormal,
                          ParentMismatch)
-from ntpg.groups import (FiniteAction, GroupHom, Subgroup, action_check,
-                         generates, intersect, is_normal, make_group,
-                         make_group_from_permutations, quotient,
+from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
+                         action_check, generates, intersect, is_normal,
+                         make_group, make_group_from_permutations, quotient,
                          regular_action, right_translation_action,
                          subgroup_as_group, subgroup_closure, trivial_action)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
-                        dihedral, klein_four, quaternion_group, symmetric)
+                        dihedral, direct_product, klein_four,
+                        quaternion_group, symmetric)
 
 
 # -- oracle: quaternions as integer 4-vectors under the Hamilton product ----
@@ -100,6 +101,153 @@ def test_non_associative():
 def test_entry_out_of_range():
     with pytest.raises(InvalidInput):
         make_group([[0, 1], [1, 7]])
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None, [1], -1, 2])
+def test_non_integer_or_out_of_range_entry_is_named(bad):
+    with pytest.raises(InvalidInput) as e:
+        make_group([[0, 1], [bad, 0]])
+    assert e.value.details == {"row": 1, "value": bad}
+
+
+def test_int_subclass_entries_are_accepted_as_ints():
+    G = make_group([[False, True], [True, False]])
+    assert G.table == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in G.table for x in row)
+
+
+# -- associativity: Light's test against a brute-force oracle ------------------
+
+def _first_non_associative(table):
+    """Oracle: the first (a, b, c) in index order with (ab)c != a(bc)."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def _light_verdict(table, e):
+    try:
+        _check_associative(tuple(map(tuple, table)), len(table), e)
+    except NonAssociative as err:
+        return err.details["triple"]
+    return None
+
+
+def _latin_squares_with_identity(n, e):
+    """Every n x n Latin square whose row e and column e are the identity."""
+    grid = [[None] * n for _ in range(n)]
+    for x in range(n):
+        grid[e][x] = grid[x][e] = x
+    cells = [(i, j) for i in range(n) for j in range(n) if i != e and j != e]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in grid]
+            return
+        i, j = cells[k]
+        used = set(grid[i]) | {grid[r][j] for r in range(n)}
+        for x in range(n):
+            if x not in used:
+                grid[i][j] = x
+                yield from fill(k + 1)
+                grid[i][j] = None
+    return fill(0)
+
+
+def test_light_matches_oracle_on_every_small_latin_square_with_identity():
+    checked = failures = 0
+    for n in range(1, 6):
+        for e in range(n):
+            for table in _latin_squares_with_identity(n, e):
+                expected = _first_non_associative(table)
+                assert _light_verdict(table, e) == expected, (table, e)
+                checked += 1
+                failures += expected is not None
+    # 56 reduced Latin squares of order 5, of which 6 are groups (Z5)
+    assert checked == 1 + 2 + 3 + 4 * 4 + 5 * 56
+    assert failures == 5 * 50
+
+
+def _intercalates(table, e):
+    """(a, b, c, d): rows a, b and columns c, d hold x, y / y, x, off row
+    and column e, so swapping x and y keeps a Latin square with identity e."""
+    n = len(table)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                for d in range(c + 1, n):
+                    if e in (a, b, c, d):
+                        continue
+                    if table[a][c] == table[b][d] and \
+                            table[a][d] == table[b][c]:
+                        yield a, b, c, d
+
+
+def _swap(table, a, b, c, d):
+    t = [list(row) for row in table]
+    t[a][c], t[a][d] = t[a][d], t[a][c]
+    t[b][c], t[b][d] = t[b][d], t[b][c]
+    return t
+
+
+def _elementary_abelian(k):
+    return make_group([[a ^ b for b in range(2 ** k)] for a in range(2 ** k)])
+
+
+_SMALL_GROUPS = {
+    "Z2^2": lambda: _elementary_abelian(2),
+    "Z2^3": lambda: _elementary_abelian(3),
+    "Z2^4": lambda: _elementary_abelian(4),
+    "Z8": lambda: cyclic(8),
+    "D4": lambda: dihedral(4),
+    "Q8": quaternion_group,
+    "Z4xZ2": lambda: direct_product(cyclic(4), cyclic(2)),
+    "D8": lambda: dihedral(8),
+    "Q8xZ2": lambda: direct_product(quaternion_group(), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
+def test_light_matches_oracle_on_intercalate_swapped_groups(name):
+    G = _SMALL_GROUPS[name]()
+    assert _light_verdict(G.table, G.identity) is None
+    swaps = list(_intercalates(G.table, G.identity))
+    assert swaps
+    verdicts = []
+    for a, b, c, d in swaps[::max(1, len(swaps) // 40)]:
+        table = _swap(G.table, a, b, c, d)
+        expected = _first_non_associative(table)
+        assert _light_verdict(table, G.identity) == expected
+        verdicts.append(expected)
+    # every loop of order 4 is a group; from order 8 on swaps break it
+    assert any(verdicts) == (G.order > 4)
+
+
+def test_non_associative_above_old_sampling_limit_is_caught():
+    # Z2^9 with one intercalate swapped: a loop of order 512 whose only
+    # defects sit in rows 1, 3 and columns 4, 6
+    n = 512
+    table = _swap([[a ^ b for b in range(n)] for a in range(n)], 1, 3, 4, 6)
+    with pytest.raises(NonAssociative) as e:
+        make_group(table)
+    assert e.value.details["triple"] == _first_non_associative(table) \
+        == (1, 1, 4)
+
+
+@pytest.mark.parametrize("build, abelian", [
+    (named.trivial_group, True), (klein_four, True), (lambda: cyclic(6), True),
+    (lambda: _elementary_abelian(4), True), (quaternion_group, False),
+    (lambda: symmetric(3), False), (lambda: dihedral(4), False)])
+def test_is_abelian(build, abelian):
+    G = build()
+    t = G.table
+    assert all(t[a][b] == t[b][a] for a in range(G.order)
+               for b in range(G.order)) == abelian
+    assert G.is_abelian() is abelian
 
 
 def test_permutation_input_builds_regular_group():
