@@ -13,11 +13,17 @@ over F_p it is fixed by its values on the cube {0,1}^m.  The enumeration
 therefore evaluates each map once on all points of F_p^m and builds the
 group table from these point permutations, keyed by cube values, instead
 of composing polynomials; symbolic composition stays the test oracle.
+
+One class, ``Automorphism``, holds both shapes: model automorphisms
+(weight exactly sigma) and the automorphisms of the trivial double affine
+space from ``make_affine_automorphism`` (weight <= sigma componentwise).
+Composition and inversion check that the result keeps every shape its
+operands share.
 """
 
 from itertools import product
 from math import prod
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .errors import (EnumerationCapExceeded, IllegalMonomial,
                      InternalInconsistency, InvalidInput)
@@ -38,8 +44,14 @@ def _require_model_signature(sig):
         raise InvalidInput("model signature must have no base coordinates")
 
 
-class NVectAutomorphism:
-    """A validated automorphism of a multi-graded vector space model."""
+class Automorphism:
+    """A validated automorphism of a graded model space.
+
+    Two shapes share this class: model automorphisms, whose components of
+    degree sigma carry only monomials of weight exactly sigma, and double
+    affine automorphisms, whose monomials have weight <= sigma
+    componentwise.  The shape is read off the map, never stored.
+    """
 
     __slots__ = ("sig", "field", "map", "inverse")
 
@@ -53,13 +65,33 @@ class NVectAutomorphism:
         return self.map.key()
 
     def __eq__(self, other):
-        return isinstance(other, NVectAutomorphism) and self.map == other.map
+        return isinstance(other, Automorphism) and self.map == other.map
 
     def __hash__(self):
         return hash(self.map)
 
     def __repr__(self):
-        return "NVectAutomorphism(%r)" % (self.map,)
+        return "Automorphism(%r)" % (self.map,)
+
+
+def _weight_le(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _validated(sig, field, terms, legal, message):
+    """Check every slot against legal(monomial weight, target degree), then
+    build the map and its triangular inverse."""
+    terms = list(terms)
+    for tgt, exps, _ in terms:
+        if not 0 <= tgt < sig.ncoords:
+            raise InvalidInput("target coordinate out of range", target=tgt)
+        if len(exps) != sig.ncoords:
+            raise InvalidInput("exponent tuple has wrong length",
+                               target=tgt, exponents=list(exps))
+        if not legal(sig.monomial_weight(exps), sig.weights[tgt]):
+            raise IllegalMonomial(message, target=tgt, exponents=tuple(exps))
+    pm = PolyMap.from_terms(sig, sig, field, terms)
+    return Automorphism(sig, field, pm, triangular_inverse(pm))
 
 
 def make_automorphism(sig, field, terms):
@@ -70,40 +102,60 @@ def make_automorphism(sig, field, terms):
     degree raises IllegalMonomial, a singular linear block NotInvertible.
     """
     _require_model_signature(sig)
-    terms = list(terms)
-    for tgt, exps, _ in terms:
-        if not 0 <= tgt < sig.ncoords:
-            raise InvalidInput("target coordinate out of range", target=tgt)
-        if sig.monomial_weight(exps) != sig.weights[tgt]:
-            raise IllegalMonomial("slot violates the degree decomposition",
-                                  target=tgt, exponents=tuple(exps))
-    pm = PolyMap.from_terms(sig, sig, field, terms)
-    inverse = triangular_inverse(pm)
-    return NVectAutomorphism(sig, field, pm, inverse)
+    return _validated(sig, field, terms, eq,
+                      "slot violates the degree decomposition")
+
+
+def make_affine_automorphism(dims, field, terms):
+    """Build a double affine automorphism for dims = (d, d', d0).
+
+    ``terms`` as in make_automorphism; legal slots for a target of degree
+    sigma are the monomials of weight <= sigma componentwise.
+    """
+    d, dp, d0 = dims
+    sig = GradedSignature.double_vector(d, dp, d0)
+    return _validated(sig, field, terms, _weight_le,
+                      "slot outside the affine shape")
 
 
 def aut_from_polymap(sig, field, pm):
     if not is_graded_morphism(pm):
         raise IllegalMonomial("map is not weight-preserving")
-    return NVectAutomorphism(sig, field, pm, triangular_inverse(pm))
+    return Automorphism(sig, field, pm, triangular_inverse(pm))
+
+
+def _left_shape(pm, *operands):
+    """Closure oracle: does pm lose a shape that all operands have?
+
+    Weight <= degree always holds; weight-exactness holds when every
+    operand is weight-exact.
+    """
+    if is_graded_morphism(pm):
+        return False
+    if all(is_graded_morphism(o) for o in operands):
+        return True
+    sig = pm.sig_in
+    return not all(_weight_le(sig.monomial_weight(exps), pm.sig_out.weights[c])
+                   for c, f in enumerate(pm.components) for exps in f.terms)
 
 
 def aut_compose(a, b):
-    """a after b; the composite stays in the automorphism shape."""
+    """a after b; the composite keeps every shape both operands have."""
     pm = compose(a.map, b.map)
-    if not is_graded_morphism(pm):
+    if _left_shape(pm, a.map, b.map):
         raise InternalInconsistency("composite left the automorphism shape")
-    return NVectAutomorphism(a.sig, a.field, pm,
-                             compose(b.inverse, a.inverse))
+    return Automorphism(a.sig, a.field, pm, compose(b.inverse, a.inverse))
 
 
 def aut_invert(a):
-    return NVectAutomorphism(a.sig, a.field, a.inverse, a.map)
+    if _left_shape(a.inverse, a.map):
+        raise InternalInconsistency("inverse left the automorphism shape")
+    return Automorphism(a.sig, a.field, a.inverse, a.map)
 
 
 def identity_automorphism(sig, field):
     ident = PolyMap.identity(sig, field)
-    return NVectAutomorphism(sig, field, ident, ident)
+    return Automorphism(sig, field, ident, ident)
 
 
 def is_statomorphism(a):
@@ -275,8 +327,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
                 pair=(i, row.index(None)))
         table.append(row)
     group = make_group(table)
-    elements = [NVectAutomorphism(sig, field, maps[i],
-                                  maps[group.inverse[i]])
+    elements = [Automorphism(sig, field, maps[i], maps[group.inverse[i]])
                 for i in range(n)]
     return AutGroupHandle(sig, field, group, elements, index, perms)
 
@@ -306,79 +357,6 @@ def verify_p54(sig, field, cap=DEFAULT_ENUM_CAP):
             orders["intersections"]["%d,%d" % (i + 1, j + 1)] = \
                 len(intersect(subs[i], subs[j]))
     return P54Report(handle, witness, orders)
-
-
-# -- double affine automorphisms ----------------------------------------------
-
-class AffineAutomorphism:
-    """An automorphism of the trivial double affine space.
-
-    Components follow the double affine shape: the two side blocks are
-    affine in their own coordinates, the core block is affine-bilinear
-    (constant, y, y', yy' and z terms).
-    """
-
-    __slots__ = ("sig", "field", "map", "inverse")
-
-    def __init__(self, sig, field, pmap, inverse):
-        self.sig = sig
-        self.field = field
-        self.map = pmap
-        self.inverse = inverse
-
-    def key(self):
-        return self.map.key()
-
-    def __eq__(self, other):
-        return isinstance(other, AffineAutomorphism) and self.map == other.map
-
-    def __hash__(self):
-        return hash(self.map)
-
-
-def _weight_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _check_affine_shape(sig, pm):
-    for c, f in enumerate(pm.components):
-        target = sig.weights[c]
-        for exps in f.terms:
-            if not _weight_le(sig.monomial_weight(exps), target):
-                raise IllegalMonomial("slot outside the affine shape",
-                                      target=c, exponents=exps)
-
-
-def make_affine_automorphism(dims, field, terms):
-    """Build a double affine automorphism for dims = (d, d', d0).
-
-    ``terms`` as in make_automorphism; legal slots for a target of degree
-    sigma are the monomials of weight <= sigma componentwise.
-    """
-    d, dp, d0 = dims
-    sig = GradedSignature.double_vector(d, dp, d0)
-    pm = PolyMap.from_terms(sig, sig, field, terms)
-    _check_affine_shape(sig, pm)
-    inverse = triangular_inverse(pm)
-    return AffineAutomorphism(sig, field, pm, inverse)
-
-
-def affine_identity(dims, field):
-    d, dp, d0 = dims
-    sig = GradedSignature.double_vector(d, dp, d0)
-    ident = PolyMap.identity(sig, field)
-    return AffineAutomorphism(sig, field, ident, ident)
-
-
-def affine_compose(a, b):
-    pm = compose(a.map, b.map)
-    _check_affine_shape(a.sig, pm)   # closure of the shape, a theory fact
-    return AffineAutomorphism(a.sig, a.field, pm, compose(b.inverse, a.inverse))
-
-
-def affine_invert(a):
-    _check_affine_shape(a.sig, a.inverse)
-    return AffineAutomorphism(a.sig, a.field, a.inverse, a.map)
 
 
 def forget_linear(a):

@@ -39,13 +39,6 @@ _VERDICT_ERRORS = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse,
                    NotInvertible, NotInvertibleChart)
 
 
-class _Ctx:
-    def __init__(self, args):
-        self.args = args
-        self.max_order = args.max_order
-        self.max_candidates = args.max_candidates
-
-
 def _parse_field(text):
     if text == "Q":
         return field_from_json("Q")
@@ -63,36 +56,39 @@ def _parse_subgroup_spec(G, spec):
     return subs
 
 
-def _input_subgroups(ctx, data, G):
-    if ctx.args.subgroups:
-        return _parse_subgroup_spec(G, ctx.args.subgroups)
+def _input_subgroups(args, data, G):
+    if args.subgroups:
+        return _parse_subgroup_spec(G, args.subgroups)
     if "subgroups" not in data:
         raise InvalidInput("no subgroups given (file field or --subgroups)")
+    if not isinstance(data["subgroups"], list):
+        raise InvalidInput("subgroups must be a list")
     return [load_subgroup(G, s) for s in data["subgroups"]]
 
 
-def _subgroup_pair(ctx, data, G):
+def _subgroup_pair(args, data, G):
     """The first two input subgroups; fewer than two is an input error."""
-    subs = _input_subgroups(ctx, data, G)
+    subs = _input_subgroups(args, data, G)
     if len(subs) < 2:
         raise InvalidInput("a double principal group needs two subgroups",
                            given=len(subs))
     return subs[0], subs[1]
 
 
-# -- command handlers: return (verdict, details, witnesses) -------------------
+# -- command handlers: (args, data) -> (verdict, details, witnesses), where
+# data is the parsed input file (None for the aut commands) -------------------
 
-def cmd_group_validate(ctx, data):
+def cmd_group_validate(args, data):
     try:
-        G = load_group(data, cap=ctx.max_order)
+        G = load_group(data, cap=args.max_order)
     except _VERDICT_ERRORS as e:
         return "fail", {}, [e.report()]
     return "pass", {"fingerprint": G.fingerprint()}, []
 
 
-def cmd_dpg_verify(ctx, data):
+def cmd_dpg_verify(args, data):
     G = load_group(data["gamma"] if "gamma" in data else data)
-    g1, g2 = _subgroup_pair(ctx, data, G)
+    g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
         return "fail", {"gamma_order": G.order}, res.failures
@@ -106,9 +102,9 @@ def cmd_dpg_verify(ctx, data):
     return "pass", details, []
 
 
-def cmd_dpg_dressing(ctx, data):
+def cmd_dpg_dressing(args, data):
     G = load_group(data["gamma"] if "gamma" in data else data)
-    g1, g2 = _subgroup_pair(ctx, data, G)
+    g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
         return "fail", {}, res.failures
@@ -119,7 +115,7 @@ def cmd_dpg_dressing(ctx, data):
     return "pass", details, []
 
 
-def cmd_dpg_pipeline(ctx, data):
+def cmd_dpg_pipeline(args, data):
     rho = load_action(data["rho"])
     rho_prime = load_action(data["rho_prime"])
     points = data.get("points", rho.set_size)
@@ -132,9 +128,9 @@ def cmd_dpg_pipeline(ctx, data):
     return "pass", details, []
 
 
-def cmd_ntuple_verify(ctx, data):
+def cmd_ntuple_verify(args, data):
     G = load_group(data["gamma"] if "gamma" in data else data)
-    subs = _input_subgroups(ctx, data, G)
+    subs = _input_subgroups(args, data, G)
     w = principal.verify_ntuple(G, subs)
     details = {"gamma_order": G.order, "n": len(subs),
                "subgroup_orders": [len(s) for s in subs],
@@ -153,7 +149,7 @@ def _collect_trace_failures(node, acc=None):
     return acc
 
 
-def cmd_groupoid_gauge(ctx, data):
+def cmd_groupoid_gauge(args, data):
     action = load_action(data["action"])
     points = data.get("points", action.set_size)
     try:
@@ -165,7 +161,7 @@ def cmd_groupoid_gauge(ctx, data):
     return "pass", details, []
 
 
-def cmd_groupoid_quotient(ctx, data):
+def cmd_groupoid_quotient(args, data):
     ga = load_groupoid_action(data)
     try:
         q = groupoids.quotient_groupoid(ga)
@@ -177,7 +173,7 @@ def cmd_groupoid_quotient(ctx, data):
     return "pass", details, []
 
 
-def cmd_groupoid_split(ctx, data):
+def cmd_groupoid_split(args, data):
     ga = load_groupoid_action(data)
     try:
         sp = groupoids.split(ga)
@@ -189,7 +185,7 @@ def cmd_groupoid_split(ctx, data):
     return "pass", details, []
 
 
-def cmd_groupoid_multfunction(ctx, data):
+def cmd_groupoid_multfunction(args, data):
     ga = load_groupoid_action(data)
     try:
         sp = groupoids.split(ga)
@@ -205,7 +201,7 @@ def cmd_groupoid_multfunction(ctx, data):
     return "pass", details, []
 
 
-def cmd_graded_check_morphism(ctx, data):
+def cmd_graded_check_morphism(args, data):
     pm, _ = load_polymap(data)
     if graded.is_graded_morphism(pm):
         return "pass", {"weight_preserving": True}, []
@@ -214,7 +210,7 @@ def cmd_graded_check_morphism(ctx, data):
         [{"target": c, "exponents": list(exps)}]
 
 
-def cmd_graded_check_compat(ctx, data):
+def cmd_graded_check_compat(args, data):
     field = field_from_json(data.get("field", "Q"))
     structures = []
     for s in data["structures"]:
@@ -235,7 +231,7 @@ def cmd_graded_check_compat(ctx, data):
     return "pass", details, []
 
 
-def cmd_graded_weights(ctx, data):
+def cmd_graded_weights(args, data):
     f, sig, field = load_polynomial(data)
     comps = graded.weight_components(f, sig)
     out = {}
@@ -248,10 +244,10 @@ def cmd_graded_weights(ctx, data):
                     "homogeneous": len(comps) <= 1}, []
 
 
-def cmd_aut_enumerate(ctx, args):
+def cmd_aut_enumerate(args, data):
     sig = load_signature(read_json(args.sig))
     field = _parse_field(args.field)
-    handle = autgroups.enumerate_aut(sig, field, cap=ctx.max_candidates)
+    handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
     details = {"order": handle.group.order,
                "gi_orders": [len(handle.gi_subgroup(i))
                              for i in range(1, sig.n + 1)],
@@ -259,17 +255,17 @@ def cmd_aut_enumerate(ctx, args):
     return "pass", details, []
 
 
-def cmd_aut_verify_p54(ctx, args):
+def cmd_aut_verify_p54(args, data):
     sig = load_signature(read_json(args.sig))
     field = _parse_field(args.field)
-    rep = autgroups.verify_p54(sig, field, cap=ctx.max_candidates)
+    rep = autgroups.verify_p54(sig, field, cap=args.max_candidates)
     details = {"orders": rep.orders, "trace": rep.witness.trace}
     if not rep.witness.verdict:
         return "fail", details, _collect_trace_failures(rep.witness.trace)
     return "pass", details, []
 
 
-def cmd_cocycle_check(ctx, data):
+def cmd_cocycle_check(args, data):
     c, _ = load_group_cocycle(data)
     ok, witness = cocycles.check_cocycle(c)
     if not ok:
@@ -278,11 +274,11 @@ def cmd_cocycle_check(ctx, data):
                     "pairs": sorted(sorted(p) for p in c.nerve.pairs)}, []
 
 
-def cmd_cocycle_associate(ctx, data):
+def cmd_cocycle_associate(args, data):
     model = data["model"]
     sig = load_signature(model["sig"])
     field = field_from_json(model.get("field", {"Fp": 3}))
-    handle = autgroups.enumerate_aut(sig, field, cap=ctx.max_candidates)
+    handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
     c, _ = load_group_cocycle(data["cocycle"], group=handle.group)
     fibered = cocycles.standard_fibered_space(handle)
     assoc = cocycles.associated_cocycle(c, fibered)
@@ -302,11 +298,11 @@ def cmd_cocycle_associate(ctx, data):
     return "pass", details, []
 
 
-def cmd_cocycle_frame(ctx, data):
+def cmd_cocycle_frame(args, data):
     model = data["model"]
     sig = load_signature(model["sig"])
     field = field_from_json(model.get("field", {"Fp": 3}))
-    handle = autgroups.enumerate_aut(sig, field, cap=ctx.max_candidates)
+    handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
     dvb = load_aut_cocycle(data["cocycle"], handle)
     principal_c = cocycles.frame_cocycle(dvb, handle)
     fibered = cocycles.standard_fibered_space(handle)
@@ -322,13 +318,13 @@ def cmd_cocycle_frame(ctx, data):
     return "pass", details, []
 
 
-def cmd_cocycle_cohomologous(ctx, data):
+def cmd_cocycle_cohomologous(args, data):
     G = load_group(data["group"])
     base = {"charts": data["charts"], "overlaps": data.get("overlaps", []),
             "triples": data.get("triples", [])}
     c1, _ = load_group_cocycle({**base, "values": data["c1"]}, group=G)
     c2, _ = load_group_cocycle({**base, "values": data["c2"]}, group=G)
-    res = cocycles.are_cohomologous(c1, c2, cap=ctx.max_candidates)
+    res = cocycles.are_cohomologous(c1, c2, cap=args.max_candidates)
     details = {"searched": res.searched}
     if res.cohomologous:
         details["lambda"] = res.witness
@@ -337,7 +333,7 @@ def cmd_cocycle_cohomologous(ctx, data):
                               "searched": res.searched}]
 
 
-def cmd_cocycle_t2(ctx, data):
+def cmd_cocycle_t2(args, data):
     chart, _ = load_polymap(data["chart"] if "chart" in data else data)
     try:
         out = cocycles.t2_transition(chart)
@@ -431,7 +427,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    ctx = _Ctx(args)
     started = time.monotonic()
     command = [args.command, getattr(args, "action", None)]
     name = " ".join(filter(None, command))
@@ -455,11 +450,8 @@ def main(argv=None):
         return 2
 
     try:
-        if args.needs_file:
-            data = read_json(args.file)
-            verdict, details, witnesses = args.handler(ctx, data)
-        else:
-            verdict, details, witnesses = args.handler(ctx, args)
+        data = read_json(args.file) if args.needs_file else None
+        verdict, details, witnesses = args.handler(args, data)
     except InternalInconsistency as e:
         return error(e.report(), "theory assertion failed; this is a library "
                      "bug: %s" % e, theory_failure=True)

@@ -45,8 +45,6 @@ class GradedSignature:
         if mode == "simple":
             blocks = [(w, _integer(d, "block dimension")) for w, d in blocks]
         elif mode == "multi":
-            if not 1 <= n <= MAX_GRADINGS:
-                raise InvalidInput("number of gradings out of range", n=n)
             blocks = [(tuple(_integer(x, "weight") for x in s),
                        _integer(d, "block dimension")) for s, d in blocks]
             for s, _ in blocks:
@@ -68,16 +66,14 @@ class GradedSignature:
                 raise InvalidInput("duplicate weight block", weight=s)
             seen.add(s)
         self.blocks = tuple(blocks)
-        weights = []
-        for s, d in self.blocks:
-            weights.extend([s] * d)
-        self.weights = tuple(weights)
-        self.ncoords = len(weights)
+        # capped before the weights are spelled out, one per coordinate
+        self.ncoords = sum(d for _, d in blocks)
         if self.ncoords == 0:
             raise InvalidInput("signature has no coordinates")
         if self.ncoords > max_coords:
             raise InvalidInput("too many coordinates", ncoords=self.ncoords,
                                cap=max_coords)
+        self.weights = tuple(s for s, d in blocks for _ in range(d))
         if mode == "simple" and \
                 max(self._total(w) for w in self.weights) > max_weight:
             raise InvalidInput("weight exceeds cap", cap=max_weight)
@@ -102,6 +98,8 @@ class GradedSignature:
     @classmethod
     def multi(cls, n, block_dims, base=0, max_coords=MAX_COORDS):
         n = _integer(n, "number of gradings")
+        if not 1 <= n <= MAX_GRADINGS:
+            raise InvalidInput("number of gradings out of range", n=n)
         blocks = [((0,) * n, base)] + list(block_dims.items())
         return cls("multi", blocks, n=n, max_coords=max_coords)
 
@@ -477,10 +475,6 @@ def weight_vector_field(sig, field, axis=0):
         w = sig.grading_weight(i, axis)
         coeffs.append(Poly.var(field, sig.ncoords, i, field.of(w)))
     return Derivation(field, sig.ncoords, coeffs)
-
-
-def apply_derivation(d, f):
-    return d.apply(f)
 
 
 # -- dilations as formal families ---------------------------------------------

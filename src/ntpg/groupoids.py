@@ -10,8 +10,8 @@ verifications.
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative,
                      NotTrivialized, SplitFailure)
-from .groups import (FiniteAction, Subgroup, action_check, make_group,
-                     quotient)
+from .groups import (FiniteAction, action_check, make_group, quotient,
+                     transporter)
 
 
 class FiniteGroupoid:
@@ -168,12 +168,7 @@ def gauge_groupoid(set_size, action):
     id_ = [pair_to_arrow[(r, r)] for r in object_rep]
     inv = [pair_to_arrow[(q, p)] for (p, q) in arrow_rep]
 
-    # transporter of the point action: (x, y) -> g with x.g = y (free)
-    transport = {}
-    for x in range(set_size):
-        for g in range(G.order):
-            transport[(x, action.act[g][x])] = g
-
+    transport = transporter(action)
     mul = {}
     for a, (p, q) in enumerate(arrow_rep):
         for b, (q2, r) in enumerate(arrow_rep):
@@ -256,18 +251,16 @@ def check_compatible(ga):
         obj_rows.append(omap)
     object_action = FiniteAction(G, gpd.n_objects, obj_rows)
 
-    ident = tuple(range(gpd.n_arrows))
-    kernel = Subgroup(G, [g for g in range(G.order) if ga.act[g] == ident],
-                      check=False)
-    reduced = reduced_action(ga, kernel)
-    pre_principal = action_check(reduced.arrow_action).is_free
-    object_action_free = action_check(
-        _reduce_plain_action(object_action, kernel)).is_free
+    kernel = action_check(ga.arrow_action).kernel
+    pre_principal = action_check(_reduce(ga.arrow_action, kernel)).is_free
+    object_action_free = action_check(_reduce(object_action, kernel)).is_free
     return CompatReport(True, None, kernel, pre_principal, object_action,
                         object_action_free)
 
 
-def _reduce_plain_action(a, kernel):
+def _reduce(a, kernel):
+    """The action of G/kernel induced by a FiniteAction; kernel must act
+    trivially."""
     Q, proj = quotient(a.group, kernel)
     rows = [None] * Q.order
     for g in range(a.group.order):
@@ -278,25 +271,19 @@ def _reduce_plain_action(a, kernel):
 def reduced_action(ga, kernel=None):
     """The induced GroupoidAction of G/kernel (default: the action kernel)."""
     if kernel is None:
-        ident = tuple(range(ga.groupoid.n_arrows))
-        kernel = Subgroup(ga.group,
-                          [g for g in range(ga.group.order)
-                           if ga.act[g] == ident],
-                          check=False)
-    Q, proj = quotient(ga.group, kernel)
-    rows = [None] * Q.order
-    for g in range(ga.group.order):
-        rows[proj(g)] = ga.act[g]
-    return GroupoidAction(ga.groupoid, Q, rows)
+        kernel = action_check(ga.arrow_action).kernel
+    reduced = _reduce(ga.arrow_action, kernel)
+    return GroupoidAction(ga.groupoid, reduced.group, reduced.act)
 
 
 class QuotientResult:
-    __slots__ = ("groupoid", "arrow_map", "object_map")
+    __slots__ = ("groupoid", "arrow_map", "object_map", "object_action")
 
-    def __init__(self, groupoid, arrow_map, object_map):
+    def __init__(self, groupoid, arrow_map, object_map, object_action):
         self.groupoid = groupoid
         self.arrow_map = arrow_map
         self.object_map = object_map
+        self.object_action = object_action
 
 
 def quotient_groupoid(ga):
@@ -304,7 +291,8 @@ def quotient_groupoid(ga):
 
     Arrows and objects of the result are the G-orbits; the returned maps
     (arrow_map, object_map) form the projection morphism, verified to
-    intertwine src, tgt, units, inverses and products.
+    intertwine src, tgt, units, inverses and products.  The induced action
+    on objects comes with them.
     """
     report = check_compatible(ga)
     if not report.compatible:
@@ -317,7 +305,7 @@ def quotient_groupoid(ga):
                  and any(ga.act[g][a] == a for a in range(ga.groupoid.n_arrows)))
         raise NotFree("arrow action is not free", element=g)
 
-    gpd, G = ga.groupoid, ga.group
+    gpd = ga.groupoid
     orep = action_check(report.object_action)
     arrow_map, object_map = arep.orbit_of, orep.orbit_of
     arrow_reps = [min(o) for o in arep.orbits]
@@ -328,11 +316,7 @@ def quotient_groupoid(ga):
     id0 = [arrow_map[gpd.id[x]] for x in object_reps]
     inv0 = [arrow_map[gpd.inv[a]] for a in arrow_reps]
 
-    obj_transport = {}
-    for x in range(gpd.n_objects):
-        for g in range(G.order):
-            obj_transport[(x, report.object_action.act[g][x])] = g
-
+    obj_transport = transporter(report.object_action)
     mul0 = {}
     for A, a in enumerate(arrow_reps):
         for B, b in enumerate(arrow_reps):
@@ -356,7 +340,7 @@ def quotient_groupoid(ga):
         if gpd0.mul[(arrow_map[a], arrow_map[b])] != arrow_map[ab]:
             raise InternalInconsistency("projection breaks products",
                                         pair=(a, b))
-    return QuotientResult(gpd0, arrow_map, object_map)
+    return QuotientResult(gpd0, arrow_map, object_map, report.object_action)
 
 
 class SplitPresentation:
@@ -387,8 +371,7 @@ def split(ga):
     """
     q = quotient_groupoid(ga)
     gpd, G = ga.groupoid, ga.group
-    report = check_compatible(ga)
-    unit_action = report.object_action
+    unit_action = q.object_action
     base = q.groupoid
 
     fiber = [(y0, x) for y0 in range(base.n_arrows)

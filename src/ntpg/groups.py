@@ -312,17 +312,13 @@ def _require_same_parent(*subs):
 
 def is_normal(G, H):
     """gHg^-1 == H as a set, for every g."""
-    if H.parent is not G:
-        raise ParentMismatch("subgroup does not belong to this group")
-    for g in range(G.order):
-        for h in H.members:
-            if G.conjugate(g, h) not in H:
-                return False
-    return True
+    return normality_witness(G, H) is None
 
 
 def normality_witness(G, H):
     """First (g, h) with g h g^-1 outside H, or None."""
+    if H.parent is not G:
+        raise ParentMismatch("subgroup does not belong to this group")
     for g in range(G.order):
         for h in H.members:
             if G.conjugate(g, h) not in H:
@@ -393,8 +389,6 @@ def quotient(G, N):
     Cosets are labeled by their least element index; returns the quotient
     group together with the projection homomorphism.
     """
-    if N.parent is not G:
-        raise ParentMismatch("subgroup does not belong to this group")
     w = normality_witness(G, N)
     if w is not None:
         raise NotNormal("subgroup is not normal", witness=w)
@@ -481,6 +475,18 @@ class FiniteAction:
 
     def permutation(self, g):
         return self.act[g]
+
+
+def transporter(a):
+    """The division map (x, x.g) -> g of an action.
+
+    For a free action g is unique; otherwise the last g in index order wins.
+    """
+    t = {}
+    for x in range(a.set_size):
+        for g in range(a.group.order):
+            t[(x, a.act[g][x])] = g
+    return t
 
 
 class ActionReport:

@@ -17,6 +17,11 @@ from .groups import (DEFAULT_CLOSURE_CAP, FiniteAction, Subgroup, make_group,
                      make_group_from_permutations)
 from .poly import Poly
 
+# Input caps: Poly.eval multiplies once per unit of an exponent, and the
+# cocycle checks loop over every chart.
+MAX_EXPONENT = 1000
+MAX_CHARTS = 10_000
+
 
 def _need(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
@@ -24,17 +29,35 @@ def _need(obj, key, where):
     return obj[key]
 
 
+def _array(value, what):
+    """value, unless a JSON number, boolean or null stands where an array
+    belongs.  Strings and objects pass on to the checks on their entries,
+    which reject them with messages naming the bad entry."""
+    if value is None or isinstance(value, (int, float)):
+        raise InvalidInput("%s must be a list" % what, value=value)
+    return value
+
+
+def _is_ints(obj):
+    """A list of integers (int and its subclasses)?"""
+    return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+
+
 def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
     """{"order": n, "table": [[...]]} or {"permutations": [...], "degree": m}."""
     if not isinstance(obj, dict):
         raise InvalidInput("group must be a JSON object")
     if "table" in obj:
-        table = obj["table"]
+        table = _array(obj["table"], "table")
+        for row in table:
+            _array(row, "table row")
         if "order" in obj and obj["order"] != len(table):
             raise InvalidInput("declared order disagrees with the table")
         return make_group(table)
     if "permutations" in obj:
-        perms = obj["permutations"]
+        perms = _array(obj["permutations"], "permutations")
+        if not all(_is_ints(p) for p in perms):
+            raise InvalidInput("permutations must be lists of integers")
         degree = obj.get("degree")
         if degree is not None:
             for p in perms:
@@ -53,6 +76,9 @@ def load_subgroup(G, obj):
     """{"members": [...]} or a bare list of members."""
     if isinstance(obj, dict):
         obj = _need(obj, "members", "subgroup")
+    if not _is_ints(obj):
+        raise InvalidInput("subgroup members must be a list of integers",
+                           members=obj)
     return Subgroup(G, obj)
 
 
@@ -96,12 +122,16 @@ def load_groupoid_action(obj):
 def load_signature(obj):
     mode = _need(obj, "mode", "signature")
     if mode == "simple":
-        return GradedSignature.simple(obj.get("dims", []),
+        return GradedSignature.simple(_array(obj.get("dims", []), "dims"),
                                       base=obj.get("base", 0))
     if mode == "multi":
         blocks = {}
-        for b in _need(obj, "blocks", "signature"):
-            blocks[tuple(_need(b, "sigma", "block"))] = _need(b, "dim", "block")
+        for b in _array(_need(obj, "blocks", "signature"), "blocks"):
+            sigma = _array(_need(b, "sigma", "block"), "sigma")
+            if any(isinstance(x, (list, dict)) for x in sigma):
+                raise InvalidInput("sigma entries must be integers",
+                                   sigma=sigma)
+            blocks[tuple(sigma)] = _need(b, "dim", "block")
         return GradedSignature.multi(_need(obj, "n", "signature"), blocks,
                                      base=obj.get("base", 0))
     raise InvalidInput("unknown signature mode", mode=mode)
@@ -125,15 +155,38 @@ def dump_signature(sig):
                        if s != sig.zero_weight()]}
 
 
+def _exponents(entry, nvars):
+    """The term's exponent tuple: nvars integers in 0..MAX_EXPONENT."""
+    exps = _array(_need(entry, "exponents", "term"), "exponents")
+    if len(exps) != nvars:
+        raise InvalidInput("exponent tuple has wrong length",
+                           exponents=list(exps))
+    if not all(isinstance(k, int) and 0 <= k <= MAX_EXPONENT for k in exps):
+        raise InvalidInput("exponents must be integers in 0..%d"
+                           % MAX_EXPONENT, exponents=list(exps))
+    return tuple(exps)
+
+
+def _coefficient(field, entry):
+    """The term's num/den, each an integer or an integer string."""
+    num, den = _need(entry, "num", "term"), entry.get("den", "1")
+    if isinstance(num, (int, str)) and isinstance(den, (int, str)):
+        try:
+            return field.parse(num, den)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInput("coefficient must be a ratio of integers",
+                       num=num, den=den)
+
+
 def load_terms(field, entries, nvars):
     out = []
-    for e in entries:
-        exps = _need(e, "exponents", "term")
-        if len(exps) != nvars:
-            raise InvalidInput("exponent tuple has wrong length",
-                               exponents=list(exps))
-        c = field.parse(_need(e, "num", "term"), e.get("den", "1"))
-        out.append((e.get("target", 0), tuple(exps), c))
+    for e in _array(entries, "terms"):
+        exps = _exponents(e, nvars)
+        target = e.get("target", 0)
+        if not isinstance(target, int):
+            raise InvalidInput("term target must be an integer", target=target)
+        out.append((target, exps, _coefficient(field, e)))
     return out
 
 
@@ -167,17 +220,25 @@ def load_polynomial(obj):
     field = field_from_json(obj.get("field", "Q"))
     sig = load_signature(_need(obj, "sig", "polynomial"))
     terms = {}
-    for e in _need(obj, "terms", "polynomial"):
-        exps = tuple(_need(e, "exponents", "term"))
-        c = field.parse(_need(e, "num", "term"), e.get("den", "1"))
-        terms[exps] = field.of(terms.get(exps, field.zero)) + c
+    for e in _array(_need(obj, "terms", "polynomial"), "terms"):
+        exps = _exponents(e, sig.ncoords)
+        terms[exps] = field.of(terms.get(exps, field.zero)) + \
+            _coefficient(field, e)
     return Poly(field, sig.ncoords, terms), sig, field
 
 
 def load_nerve(obj):
-    return CoverNerve(_need(obj, "charts", "cocycle"),
-                      obj.get("overlaps", []),
-                      obj.get("triples", []))
+    charts = _need(obj, "charts", "cocycle")
+    if not isinstance(charts, int) or not 0 <= charts <= MAX_CHARTS:
+        raise InvalidInput("charts must be an integer in 0..%d" % MAX_CHARTS,
+                           charts=charts)
+    overlaps = _array(obj.get("overlaps", []), "overlaps")
+    if not all(_is_ints(p) and len(p) == 2 for p in overlaps):
+        raise InvalidInput("overlaps must be pairs of chart indices")
+    triples = _array(obj.get("triples", []), "triples")
+    if not all(_is_ints(t) for t in triples):
+        raise InvalidInput("triples must be lists of chart indices")
+    return CoverNerve(charts, overlaps, triples)
 
 
 def load_group_cocycle(obj, group=None):
@@ -186,7 +247,7 @@ def load_group_cocycle(obj, group=None):
     if group is None:
         group = load_group(_need(obj, "group", "cocycle"))
     values = {}
-    for v in _need(obj, "values", "cocycle"):
+    for v in _array(_need(obj, "values", "cocycle"), "values"):
         pair = _need(v, "pair", "cocycle value")
         element = _need(v, "element", "cocycle value")
         if not (isinstance(pair, list) and len(pair) == 2

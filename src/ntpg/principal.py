@@ -19,7 +19,7 @@ from .errors import (DiagramFailure, InternalInconsistency, NotAnAction,
 from .groupoids import GroupoidAction, check_compatible, gauge_groupoid
 from .groups import (FiniteAction, Subgroup, action_check, generates,
                      intersect, make_group, normality_witness, quotient,
-                     subgroup_as_group, subgroup_closure)
+                     subgroup_as_group, subgroup_closure, transporter)
 
 
 class DoublePrincipalGroup:
@@ -61,6 +61,22 @@ def _quotient_of_subgroup(H, core):
     return Q
 
 
+def _failures(gamma, labelled):
+    """NotNormal for each (label, subgroup) in order, then NotGenerating if
+    the union falls short of gamma, each with its least witness."""
+    failures = []
+    for label, H in labelled:
+        w = normality_witness(gamma, H)
+        if w is not None:
+            failures.append({"kind": "NotNormal", "subgroup": label,
+                             "witness": {"conjugator": w[0], "element": w[1]}})
+    gen = subgroup_closure(gamma, set().union(*(H.members for _, H in labelled)))
+    if len(gen) != gamma.order:
+        missing = min(set(range(gamma.order)) - set(gen.members))
+        failures.append({"kind": "NotGenerating", "missing": missing})
+    return failures
+
+
 def verify_double(gamma, g1, g2):
     """Check (Γ; G, G'): normality of both and generation by the union.
 
@@ -70,16 +86,7 @@ def verify_double(gamma, g1, g2):
     """
     if g1.parent is not gamma or g2.parent is not gamma:
         raise ParentMismatch("subgroups of a different parent group")
-    failures = []
-    for name, H in (("g1", g1), ("g2", g2)):
-        w = normality_witness(gamma, H)
-        if w is not None:
-            failures.append({"kind": "NotNormal", "subgroup": name,
-                             "witness": {"conjugator": w[0], "element": w[1]}})
-    if not generates(gamma, [g1, g2]):
-        gen = subgroup_closure(gamma, set(g1.members) | set(g2.members))
-        missing = min(set(range(gamma.order)) - set(gen.members))
-        failures.append({"kind": "NotGenerating", "missing": missing})
+    failures = _failures(gamma, [("g1", g1), ("g2", g2)])
     if failures:
         return VerifyResult(False, None, failures)
     core = intersect(g1, g2)
@@ -105,24 +112,9 @@ def _verify_ntuple_level(gamma, subgroups, path):
     node = {"path": list(path),
             "group_order": gamma.order,
             "subgroup_orders": [len(H) for H in subgroups],
-            "failures": [],
+            "failures": _failures(gamma, list(enumerate(subgroups))),
             "children": []}
-    ok = True
-    for i, H in enumerate(subgroups):
-        w = normality_witness(gamma, H)
-        if w is not None:
-            node["failures"].append(
-                {"kind": "NotNormal", "subgroup": i,
-                 "witness": {"conjugator": w[0], "element": w[1]}})
-            ok = False
-    if not generates(gamma, subgroups):
-        members = set()
-        for H in subgroups:
-            members |= set(H.members)
-        gen = subgroup_closure(gamma, members)
-        missing = min(set(range(gamma.order)) - set(gen.members))
-        node["failures"].append({"kind": "NotGenerating", "missing": missing})
-        ok = False
+    ok = not node["failures"]
     n = len(subgroups)
     if ok and n >= 3:
         # recurse into each intersected sub-system at level n-1
@@ -149,7 +141,8 @@ def verify_ntuple(gamma, subgroups):
     the whole group); n = 2 coincides with `verify_double`; n >= 3 recurses
     into every intersected sub-system.  When the verdict is true, the
     consequence that every pair (Γ; G^i, G^j) is a double principal group
-    is asserted as a theory oracle.
+    is asserted as a theory oracle, once per unordered pair since the
+    verdict is symmetric in the two subgroups.
     """
     for H in subgroups:
         if H.parent is not gamma:
@@ -157,9 +150,8 @@ def verify_ntuple(gamma, subgroups):
     ok, trace = _verify_ntuple_level(gamma, list(subgroups), [])
     if ok and len(subgroups) >= 2:
         for i in range(len(subgroups)):
-            for j in range(len(subgroups)):
-                if i != j and not verify_double(gamma, subgroups[i],
-                                                subgroups[j]).ok:
+            for j in range(i + 1, len(subgroups)):
+                if not verify_double(gamma, subgroups[i], subgroups[j]).ok:
                     raise InternalInconsistency(
                         "pair is not double principal despite n-tuple verdict",
                         pair=(i, j))
@@ -377,15 +369,6 @@ class PipelineResult:
                 "m0_size": self.m0_size}
 
 
-def _transporter(action):
-    """(x, x.g) -> g for a free action (unique by freeness)."""
-    t = {}
-    for x in range(action.set_size):
-        for g in range(action.group.order):
-            t[(x, action.act[g][x])] = g
-    return t
-
-
 def derive_twist(set_size, rho, rho_prime):
     """Solve pgg' = pg'g_{g'} for g_{g'}, a single candidate per (g, g').
 
@@ -394,7 +377,7 @@ def derive_twist(set_size, rho, rho_prime):
     """
     if set_size == 0:
         raise NotAnAction("empty point set")
-    transport = _transporter(rho)
+    transport = transporter(rho)
     twist = {}
     for g in range(rho.group.order):
         for gp in range(rho_prime.group.order):

@@ -2,8 +2,7 @@ from itertools import product
 
 import pytest
 
-from ntpg.autgroups import (affine_compose, affine_identity,
-                            affine_invert, aut_compose, enumerate_aut,
+from ntpg.autgroups import (aut_compose, aut_invert, enumerate_aut,
                             forget_linear, gi_membership,
                             identity_automorphism, is_statomorphism,
                             make_affine_automorphism, make_automorphism,
@@ -193,8 +192,8 @@ def test_p54_k3_p2():
 # -- double affine automorphisms --------------------------------------------------
 
 def test_affine_identity():
-    a = affine_identity((1, 1, 1), F3)
-    assert affine_invert(a) == a
+    a = identity_automorphism(GradedSignature.double_vector(1, 1, 1), F3)
+    assert aut_invert(a) == a
 
 
 def test_pure_translation_inverts_to_negation():
@@ -202,7 +201,7 @@ def test_pure_translation_inverts_to_negation():
     a = make_affine_automorphism((1, 1, 1), F3,
                                  [(0, Y, 1), (0, CONST, 1),
                                   (1, YP, 1), (2, Z, 1)])
-    inv = affine_invert(a)
+    inv = aut_invert(a)
     # the inverse translates by -1 = 2
     assert inv.map.components[0].terms[CONST].v == 2
 
@@ -215,9 +214,10 @@ def test_affine_with_mixed_terms_and_forgetful_hom():
     b = make_affine_automorphism((1, 1, 1), F3,
                                  [(0, Y, 2), (0, CONST, 1),
                                   (1, YP, 1), (2, YYP, 1), (2, Z, 1)])
-    ab = affine_compose(a, b)
+    ab = aut_compose(a, b)
     # oracle: compose with the candidate inverse gives the identity
-    assert affine_compose(ab, affine_invert(ab)) == affine_identity((1, 1, 1), F3)
+    assert aut_compose(ab, aut_invert(ab)) == \
+        identity_automorphism(GradedSignature.double_vector(1, 1, 1), F3)
     # forgetting constants lands in the vector automorphism group, and the
     # assignment is a homomorphism
     fa, fb, fab = forget_linear(a), forget_linear(b), forget_linear(ab)
@@ -244,7 +244,7 @@ def test_forgetful_is_homomorphism_exhaustively_small():
                     auts.append(make_affine_automorphism((1, 1, 1), F2, terms))
     for x in auts:
         for y in auts:
-            assert forget_linear(affine_compose(x, y)) == \
+            assert forget_linear(aut_compose(x, y)) == \
                 aut_compose(forget_linear(x), forget_linear(y))
 
 
@@ -278,3 +278,19 @@ def test_symbolic_mode_over_q():
             if gi_membership(a, i):
                 conj = aut_compose(aut_compose(b, a), aut_invert(b))
                 assert gi_membership(conj, i)
+
+
+def test_leaving_every_shape_is_a_theory_failure():
+    from ntpg.autgroups import Automorphism
+    from ntpg.errors import InternalInconsistency
+    CONST = (0, 0, 0)
+    a = make_affine_automorphism((1, 1, 1), F3,
+                                 [(0, Y, 1), (0, CONST, 1),
+                                  (1, YP, 1), (2, Z, 1)])
+    # unvalidated: a y y' term in the y slot has weight (1,1) > (1,0)
+    bad = PolyMap.from_terms(SIG, SIG, F3, [(0, Y, 1), (0, YYP, 1),
+                                            (1, YP, 1), (2, Z, 1)])
+    with pytest.raises(InternalInconsistency):
+        aut_compose(Automorphism(SIG, F3, bad, None), a)
+    with pytest.raises(InternalInconsistency):
+        aut_invert(Automorphism(SIG, F3, a.map, bad))

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ntpg
 from ntpg.cli import main
 from ntpg.named import quaternion_group
@@ -387,3 +389,86 @@ def test_cli_import_does_not_load_numpy():
          "import ntpg.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _assert_input_error(code, out, capsys):
+    err = _assert_error_report(code, out, capsys)
+    assert len(err.splitlines()) == 1
+    assert "library_bug" not in read_report(out)
+
+
+def test_subgroups_not_a_list_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "q8.json", {"gamma": q8_json(), "subgroups": 5})
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["dpg", "verify", f, "--out", out]), out, capsys)
+
+
+def test_nested_subgroup_member_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "q8.json", {"gamma": q8_json(),
+                                    "subgroups": [[[0], 1, 2, 3],
+                                                  [0, 1, 4, 5]]})
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["dpg", "verify", f, "--out", out]), out, capsys)
+
+
+def test_nested_exponent_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "t2.json", {
+        "field": "Q",
+        "sig_in": {"mode": "simple", "dims": [], "base": 1},
+        "sig_out": {"mode": "simple", "dims": [], "base": 1},
+        "terms": [{"target": 0, "exponents": [[1]], "num": "1"}]})
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["cocycle", "t2", f, "--out", out]), out, capsys)
+
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "docs", "examples")
+
+# (example, path to the mutated node, new value): one per loader check that
+# a mutation of the shipped examples once escaped as an exception or hang
+# (oversized signatures: test_graded.py)
+_MALFORMED = [
+    ("q8_dpg.json", ["gamma", "table"], 1),
+    ("q8_dpg.json", ["gamma", "table", 0], 1),
+    ("d111_sig.json", ["blocks"], 1),
+    ("d111_sig.json", ["blocks", 0, "sigma"], [[1, 0]]),
+    ("t2_chart.json", ["sig_in", "dims"], 1),
+    ("t2_chart.json", ["terms"], 1),
+    ("t2_chart.json", ["terms", 0, "target"], "1"),
+    ("t2_chart.json", ["terms", 0, "num"], None),
+    ("t2_chart.json", ["terms", 0, "num"], "1.5"),
+    ("t2_chart.json", ["terms", 0, "exponents", 0], 1001),
+    ("z3_cocycle.json", ["charts"], "1"),
+    ("z3_cocycle.json", ["charts"], 10_001),
+    ("z3_cocycle.json", ["overlaps"], 1),
+    ("z3_cocycle.json", ["overlaps"], [[[0, 1], [1, 2], [0, 2]]]),
+    ("z3_cocycle.json", ["triples"], [[[0, 1, 2]]]),
+    ("z3_cocycle.json", ["values"], 1),
+]
+_COMMANDS = {"q8_dpg.json": ["dpg", "verify"],
+             "z3_cocycle.json": ["cocycle", "check"],
+             "t2_chart.json": ["cocycle", "t2"]}
+
+
+@pytest.mark.parametrize("name,path,value", _MALFORMED)
+def test_malformed_example_exits_2(tmp_path, capsys, name, path, value):
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        obj = json.load(fh)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    f = write(tmp_path, name, obj)
+    out = str(tmp_path / "rep.json")
+    if name == "d111_sig.json":
+        argv = ["aut", "enumerate", "--sig", f, "--field", "Fp:2"]
+    else:
+        argv = _COMMANDS[name] + [f]
+    _assert_input_error(run(argv + ["--out", out]), out, capsys)
+
+
+def test_permutation_entries_must_be_integers(tmp_path, capsys):
+    f = write(tmp_path, "g.json", {"permutations": [[[1], 0]]})
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["group", "validate", f, "--out", out]), out,
+                        capsys)

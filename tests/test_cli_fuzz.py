@@ -1,0 +1,120 @@
+"""Mutation fuzz of the CLI exit-code contract on the docs/examples inputs.
+
+Each draw mutates one node of one example (drop a key, swap a type, push an
+integer out of range, truncate an array, nest wrongly) and runs the
+example's command in process through ``ntpg.cli.main``, twice.  Whatever
+the mutation, the exit code is 0, 1 or 2, no traceback reaches stderr, a
+failure carries witnesses, an error carries verdict "error" and is never a
+library bug, and both runs give the same report apart from ``timing_ms``.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ntpg.cli import main
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "docs", "examples")
+
+# example file -> command line, "{}" standing for the input path
+COMMANDS = {
+    "q8_dpg.json": ["dpg", "verify", "{}"],
+    "z3_cocycle.json": ["cocycle", "check", "{}"],
+    "t2_chart.json": ["cocycle", "t2", "{}"],
+    "d111_sig.json": ["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
+}
+
+# one value of each JSON type; a swap picks one of a different type
+SWAPS = ["1", 1, 1.5, True, None, [], {}]
+OUT_OF_RANGE = [-1, -9, 9, 100, 10 ** 9]
+
+
+def _load(name):
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        return json.load(fh)
+
+
+def _paths(node, path=()):
+    """Every non-root node, as the key/index path from the root."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _ops(node):
+    ops = ["drop", "swap", "nest"]
+    if isinstance(node, int) and not isinstance(node, bool):
+        ops.append("range")
+    if isinstance(node, list) and node:
+        ops.append("truncate")
+    return ops
+
+
+@st.composite
+def mutations(draw):
+    """(example name, mutated JSON object)."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    obj = copy.deepcopy(_load(name))
+    path = draw(st.sampled_from(list(_paths(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    node = parent[key]
+    op = draw(st.sampled_from(_ops(node)))
+    if op == "drop":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = draw(st.sampled_from(
+            [v for v in SWAPS if type(v) is not type(node)]))
+    elif op == "range":
+        parent[key] = draw(st.sampled_from(OUT_OF_RANGE))
+    elif op == "truncate":
+        parent[key] = node[:draw(st.integers(0, len(node) - 1))]
+    else:
+        parent[key] = [node]
+    return name, obj
+
+
+def _run(argv, out):
+    if os.path.exists(out):
+        os.remove(out)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out", out])
+    with open(out) as fh:
+        report = json.load(fh)
+    return rc, report, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations())
+def test_mutated_examples_keep_the_exit_code_contract(tmp_path, case):
+    name, obj = case
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    argv = [str(path) if a == "{}" else a for a in COMMANDS[name]]
+    out = str(tmp_path / "report.json")
+    rc, report, err = _run(argv, out)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert report["witnesses"]
+    if rc == 2:
+        assert report["verdict"] == "error"
+    # malformed input is an input error, never an escaped exception
+    assert "library_bug" not in report
+    rc2, report2, _ = _run(argv, out)
+    report.pop("timing_ms")
+    report2.pop("timing_ms")
+    assert (rc2, report2) == (rc, report)

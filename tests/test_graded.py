@@ -353,3 +353,18 @@ def test_monomial_enumeration():
     assert set(monos) == {(0, 1), (2, 0)}
     monos3 = monomials_of_weight(SIG111, 3)
     assert set(monos3) == {(3, 0, 0), (1, 1, 0), (0, 0, 1)}
+
+
+def test_oversized_signature_is_rejected_before_allocating():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        for build in (lambda: GradedSignature.multi(2, {(1, 0): 10 ** 7}),
+                      lambda: GradedSignature.multi(10 ** 7, {}),
+                      lambda: GradedSignature.simple([], base=10 ** 7)):
+            with pytest.raises(InvalidInput):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6

@@ -192,6 +192,23 @@ def test_split_q8_gauge():
     assert len(sp.s_map) == 16
 
 
+def test_split_checks_compatibility_once(monkeypatch):
+    import ntpg.groupoids
+    G, H, action, gpd, labels = q8_gauge()
+    Hj = subgroup_closure(G, {Q8_J})
+    ga = reduced_action(diagonal_translation_action(G, labels, gpd, Hj.members))
+    calls = []
+
+    def counting(ga):
+        calls.append(ga)
+        return check_compatible(ga)
+
+    monkeypatch.setattr(ntpg.groupoids, "check_compatible", counting)
+    split(ga)
+    split(ga)
+    assert len(calls) == 2
+
+
 def test_split_with_trivial_group_gives_target_map():
     gpd = pair_groupoid(3)
     T = trivial_group()

@@ -7,8 +7,8 @@ from ntpg.errors import (InvalidInput, NoIdentity, NoInverse, NonAssociative,
                          ParentMismatch)
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
                          action_check, generates, intersect, is_normal,
-                         make_group, make_group_from_permutations, quotient,
-                         regular_action, right_translation_action,
+                         make_group, make_group_from_permutations,
+                         normality_witness, quotient, regular_action, right_translation_action,
                          subgroup_as_group, subgroup_closure, trivial_action)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
                         dihedral, direct_product, klein_four,
@@ -309,6 +309,9 @@ def test_span_i_is_normal_in_q8():
     # oracle: conjugation table scan
     assert all(G.conjugate(g, h) in H for g in range(8) for h in H.members)
     assert is_normal(G, H)
+    # a subgroup of another copy of Q8 is foreign to G
+    with pytest.raises(ParentMismatch):
+        normality_witness(quaternion_group(), H)
 
 
 def test_intersection_of_i_and_j_spans():

@@ -1,7 +1,7 @@
 import pytest
 
 from ntpg.errors import NotFree
-from ntpg.groups import (FiniteAction, GroupHom, Subgroup, quotient,
+from ntpg.groups import (FiniteAction, GroupHom, Subgroup, make_group, quotient,
                          regular_action, restrict_action,
                          right_translation_action, subgroup_closure)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_I, Q8_MINUS_ONE, Q8_ONE,
@@ -57,6 +57,25 @@ def test_q8_triple_fails_with_named_trace():
     assert child["group_order"] == 4
     assert child["subgroup_orders"] == [2, 2]
     assert any(f["kind"] == "NotGenerating" for f in child["failures"])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
+    import ntpg.principal
+    # Z2^k with the k coordinate hyperplanes is k-tuple principal
+    n = 2 ** k
+    G = make_group([[a ^ b for b in range(n)] for a in range(n)])
+    subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
+            for i in range(k)]
+    calls = []
+
+    def counting(gamma, g1, g2):
+        calls.append((g1, g2))
+        return verify_double(gamma, g1, g2)
+
+    monkeypatch.setattr(ntpg.principal, "verify_double", counting)
+    assert verify_ntuple(G, subs).verdict
+    assert len(calls) == k * (k - 1) // 2
 
 
 def test_single_full_subgroup_is_1_tuple():
