@@ -43,7 +43,12 @@ def _parse_field(text):
     if text == "Q":
         return field_from_json("Q")
     if text.startswith("Fp:"):
-        return field_from_json({"Fp": int(text.split(":", 1)[1])})
+        p = text[3:]
+        try:
+            p = int(p)
+        except ValueError:
+            pass  # field_from_json rejects the non-integer
+        return field_from_json({"Fp": p})
     raise InvalidInput("field must be 'Q' or 'Fp:<p>'", field=text)
 
 

@@ -1,16 +1,18 @@
 """Exact scalar fields: the rationals and prime fields F_p.
 
-Rational scalars are plain ``fractions.Fraction`` values; prime-field scalars
-are ``FpElement`` instances.  Both support +, -, *, == and hashing, which is
-all the polynomial layer needs; division goes through ``Field.inv`` so that
-the zero-divisor check lives in one place.
+Scalars are plain Python numbers: ``fractions.Fraction`` values over Q and
+ints in 0..p-1 over F_p.  Callers add, subtract and multiply them with the
+operators and pass every result through ``Field.norm``, which reduces mod p
+over F_p and is the identity over Q; this module is the only place that
+knows how.  ``Field.of`` checks and converts an input scalar, and division
+goes through ``Field.inv`` so that the zero-divisor check lives in one place.
 """
 
 from fractions import Fraction
 
 from .errors import InvalidInput, NotInvertible
 
-DEFAULT_PRIME_CAP = 97
+PRIME_CAP = 97
 
 
 def _is_prime(n):
@@ -24,71 +26,11 @@ def _is_prime(n):
     return True
 
 
-class FpElement:
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise InvalidInput("mixed prime fields", p1=self.p, p2=other.p)
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v + other.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v - other.v, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v * other.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return "Fp(%d,%d)" % (self.v, self.p)
-
-
 class RationalField:
     char = 0
     name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -97,13 +39,11 @@ class RationalField:
             return Fraction(x)
         raise InvalidInput("not a rational scalar", value=repr(x))
 
-    @property
-    def zero(self):
-        return Fraction(0)
+    def norm(self, a):
+        return a
 
-    @property
-    def one(self):
-        return Fraction(1)
+    def pow(self, a, k):
+        return a ** k
 
     def inv(self, a):
         if a == 0:
@@ -116,15 +56,6 @@ class RationalField:
     def unparse(self, a):
         return (str(a.numerator), str(a.denominator))
 
-    def random(self, rng, span=3):
-        return Fraction(rng.randint(-span, span), rng.randint(1, span))
-
-    def random_nonzero(self, rng, span=3):
-        while True:
-            a = self.random(rng, span)
-            if a != 0:
-                return a
-
     def __repr__(self):
         return "QQ"
 
@@ -136,56 +67,44 @@ class RationalField:
 
 
 class PrimeField:
-    def __init__(self, p, cap=DEFAULT_PRIME_CAP):
+    zero = 0
+    one = 1
+
+    def __init__(self, p):
         if not _is_prime(p):
             raise InvalidInput("characteristic must be prime", p=p)
-        if p > cap:
-            raise InvalidInput("prime exceeds configured cap", p=p, cap=cap)
+        if p > PRIME_CAP:
+            raise InvalidInput("prime exceeds configured cap", p=p,
+                               cap=PRIME_CAP)
         self.p = p
         self.char = p
         self.name = "F%d" % p
 
     def of(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise InvalidInput("mixed prime fields", p1=self.p, p2=x.p)
-            return x
         if isinstance(x, int):
-            return FpElement(x, self.p)
+            return x % self.p
         raise InvalidInput("not an F_p scalar", value=repr(x))
 
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
+    def norm(self, a):
+        return a % self.p
 
-    @property
-    def one(self):
-        return FpElement(1, self.p)
+    def pow(self, a, k):
+        return pow(a, k, self.p)
 
     def inv(self, a):
-        a = self.of(a)
-        if a.v == 0:
+        a %= self.p
+        if a == 0:
             raise NotInvertible("division by zero in %s" % self.name)
-        return FpElement(pow(a.v, self.p - 2, self.p), self.p)
+        return pow(a, self.p - 2, self.p)
 
     def parse(self, num, den="1"):
-        d = self.of(int(den))
-        return self.of(int(num)) * self.inv(d)
+        return int(num) * self.inv(int(den)) % self.p
 
     def unparse(self, a):
-        return (str(self.of(a).v), "1")
+        return (str(a), "1")
 
     def elements(self):
-        return [FpElement(v, self.p) for v in range(self.p)]
-
-    def units(self):
-        return [FpElement(v, self.p) for v in range(1, self.p)]
-
-    def random(self, rng, span=None):
-        return FpElement(rng.randrange(self.p), self.p)
-
-    def random_nonzero(self, rng, span=None):
-        return FpElement(rng.randrange(1, self.p), self.p)
+        return list(range(self.p))
 
     def __repr__(self):
         return "GF(%d)" % self.p
@@ -202,21 +121,25 @@ QQ = RationalField()
 _gf_cache = {}
 
 
-def GF(p, cap=DEFAULT_PRIME_CAP):
-    key = (p, cap)
-    if key not in _gf_cache:
-        _gf_cache[key] = PrimeField(p, cap)
-    return _gf_cache[key]
+def GF(p):
+    if p not in _gf_cache:
+        _gf_cache[p] = PrimeField(p)
+    return _gf_cache[p]
 
 
 def field_from_json(spec):
-    """{"field": "Q"} or {"field": {"Fp": 3}} (the inner value also accepted)."""
+    """{"field": "Q"} or {"field": {"Fp": p}} (the inner value also accepted);
+    p must be an integer."""
     if isinstance(spec, dict) and "field" in spec:
         spec = spec["field"]
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and "Fp" in spec:
-        return GF(int(spec["Fp"]))
+        p = spec["Fp"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InvalidInput("field characteristic must be an integer",
+                               p=p)
+        return GF(p)
     raise InvalidInput("unrecognized field spec", spec=repr(spec))
 
 
@@ -234,32 +157,23 @@ def mat_inv(field, rows):
     Returns the inverse as a list of rows, or None if singular.
     """
     n = len(rows)
+    norm = field.norm
     aug = [[field.of(x) for x in row] + [field.one if i == j else field.zero
                                          for j in range(n)]
            for i, row in enumerate(rows)]
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if aug[r][col] != field.zero:
+            if aug[r][col]:
                 pivot = r
                 break
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         scale = field.inv(aug[col][col])
-        aug[col] = [scale * x for x in aug[col]]
+        aug[col] = [norm(scale * x) for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != field.zero:
+            if r != col and aug[r][col]:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+                aug[r] = [norm(a - f * b) for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_mul_vec(rows, vec, field):
-    out = []
-    for row in rows:
-        acc = field.zero
-        for a, b in zip(row, vec):
-            acc = acc + a * b
-        out.append(acc)
-    return out

@@ -234,7 +234,7 @@ class PolyMap:
             if len(exps) != sig_in.ncoords:
                 raise InvalidInput("exponent tuple has wrong length",
                                    target=tgt, exponents=list(exps))
-            data[tgt][exps] = field.of(data[tgt].get(exps, field.zero)) + field.of(c)
+            data[tgt][exps] = data[tgt].get(exps, 0) + field.of(c)
         comps = [Poly(field, sig_in.ncoords, d) for d in data]
         return cls(sig_in, sig_out, field, comps)
 
@@ -473,7 +473,7 @@ def weight_vector_field(sig, field, axis=0):
     coeffs = []
     for i in range(sig.ncoords):
         w = sig.grading_weight(i, axis)
-        coeffs.append(Poly.var(field, sig.ncoords, i, field.of(w)))
+        coeffs.append(Poly.var(field, sig.ncoords, i, w))
     return Derivation(field, sig.ncoords, coeffs)
 
 

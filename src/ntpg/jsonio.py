@@ -17,8 +17,9 @@ from .groups import (DEFAULT_CLOSURE_CAP, FiniteAction, Subgroup, make_group,
                      make_group_from_permutations)
 from .poly import Poly
 
-# Input caps: Poly.eval multiplies once per unit of an exponent, and the
-# cocycle checks loop over every chart.
+# Input caps: Poly.subs raises polynomials to the exponents of the map it
+# substitutes into, and the coboundary search forms |G|^charts before it
+# compares that with its own cap.
 MAX_EXPONENT = 1000
 MAX_CHARTS = 10_000
 
@@ -41,6 +42,13 @@ def _array(value, what):
 def _is_ints(obj):
     """A list of integers (int and its subclasses)?"""
     return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+
+
+def _int_rows(value, what):
+    """value, if it is a list of integer lists; otherwise an input error."""
+    if not all(_is_ints(row) for row in _array(value, what)):
+        raise InvalidInput("%s must be lists of integers" % what)
+    return value
 
 
 def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
@@ -86,21 +94,28 @@ def load_action(obj, group=None):
     """{"group": <group>, "points": m, "act": [[...]], "side": "right"}."""
     if group is None:
         group = load_group(_need(obj, "group", "action"))
-    return FiniteAction(group, _need(obj, "points", "action"),
-                        _need(obj, "act", "action"),
+    points = _need(obj, "points", "action")
+    if not isinstance(points, int):
+        raise InvalidInput("action points must be an integer", points=points)
+    return FiniteAction(group, points,
+                        _int_rows(_need(obj, "act", "action"), "action rows"),
                         side=obj.get("side", "right"))
 
 
 def load_groupoid(obj):
     mul = {}
-    for entry in _need(obj, "mul", "groupoid"):
+    for entry in _int_rows(_need(obj, "mul", "groupoid"), "mul entries"):
+        if len(entry) != 3:
+            raise InvalidInput("mul entries must be [g, h, gh]", entry=entry)
         g, h, gh = entry
         mul[(g, h)] = gh
-    gpd = FiniteGroupoid(_need(obj, "objects", "groupoid"),
-                         _need(obj, "src", "groupoid"),
-                         _need(obj, "tgt", "groupoid"),
-                         _need(obj, "id", "groupoid"),
-                         _need(obj, "inv", "groupoid"), mul)
+    objects = _need(obj, "objects", "groupoid")
+    arrays = [_need(obj, key, "groupoid")
+              for key in ("src", "tgt", "id", "inv")]
+    if not (isinstance(objects, int) and all(_is_ints(a) for a in arrays)):
+        raise InvalidInput("groupoid objects, src, tgt, id and inv must be "
+                           "integers and integer lists")
+    gpd = FiniteGroupoid(objects, *arrays, mul)
     if "arrows" in obj and obj["arrows"] != gpd.n_arrows:
         raise InvalidInput("declared arrow count disagrees with src array")
     return gpd
@@ -116,7 +131,8 @@ def dump_groupoid(gpd):
 def load_groupoid_action(obj):
     gpd = load_groupoid(_need(obj, "groupoid", "groupoid action"))
     group = load_group(_need(obj, "group", "groupoid action"))
-    return GroupoidAction(gpd, group, _need(obj, "act", "groupoid action"))
+    return GroupoidAction(gpd, group, _int_rows(
+        _need(obj, "act", "groupoid action"), "action rows"))
 
 
 def load_signature(obj):
@@ -222,8 +238,7 @@ def load_polynomial(obj):
     terms = {}
     for e in _array(_need(obj, "terms", "polynomial"), "terms"):
         exps = _exponents(e, sig.ncoords)
-        terms[exps] = field.of(terms.get(exps, field.zero)) + \
-            _coefficient(field, e)
+        terms[exps] = terms.get(exps, 0) + _coefficient(field, e)
     return Poly(field, sig.ncoords, terms), sig, field
 
 
@@ -248,21 +263,27 @@ def load_group_cocycle(obj, group=None):
         group = load_group(_need(obj, "group", "cocycle"))
     values = {}
     for v in _array(_need(obj, "values", "cocycle"), "values"):
-        pair = _need(v, "pair", "cocycle value")
+        pair = _pair(v, nerve)
         element = _need(v, "element", "cocycle value")
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(_is_index(x, nerve.n) for x in pair)):
-            raise InvalidInput("cocycle pair must be two chart indices",
-                               pair=pair, charts=nerve.n)
         if not _is_index(element, group.order):
             raise InvalidInput("cocycle value outside the group",
                                element=element, order=group.order)
-        values[tuple(pair)] = element
+        values[pair] = element
     return Cocycle(nerve, FiniteGroupOps(group), values), group
 
 
 def _is_index(x, n):
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
+def _pair(value, nerve):
+    """The value's chart pair (i, j), each an index below the chart count."""
+    pair = _need(value, "pair", "cocycle value")
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(_is_index(x, nerve.n) for x in pair)):
+        raise InvalidInput("cocycle pair must be two chart indices",
+                           pair=pair, charts=nerve.n)
+    return tuple(pair)
 
 
 def load_aut_cocycle(obj, handle):
@@ -271,11 +292,11 @@ def load_aut_cocycle(obj, handle):
     nerve = load_nerve(obj)
     sig, field = handle.sig, handle.field
     values = {}
-    for v in _need(obj, "values", "cocycle"):
-        i, j = _need(v, "pair", "cocycle value")
+    for v in _array(_need(obj, "values", "cocycle"), "values"):
+        pair = _pair(v, nerve)
         terms = load_terms(field, _need(v, "terms", "cocycle value"),
                            sig.ncoords)
-        values[(i, j)] = make_automorphism(sig, field, terms)
+        values[pair] = make_automorphism(sig, field, terms)
     return Cocycle(nerve, AutOps(sig, field, handle), values)
 
 

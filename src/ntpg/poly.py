@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over an exact field.
 
-Terms live in a dict keyed by exponent tuples; zero coefficients are never
-stored, so equality of dicts is equality of polynomials.  Variables are
-indices 0..nvars-1; formal parameters (the t, s of dilation identities) are
+Terms live in a dict keyed by exponent tuples; coefficients are the field's
+scalars, each reduced by ``field.norm`` and never zero, so equality of
+fields and dicts is equality of polynomials.  Variables are indices
+0..nvars-1; formal parameters (the t, s of dilation identities) are
 ordinary extra variables, never sampled.
 """
 
@@ -19,7 +20,7 @@ class Poly:
         if terms:
             for exps, c in terms.items():
                 c = field.of(c)
-                if c != field.zero:
+                if c:
                     if len(exps) != nvars:
                         raise InvalidInput("exponent tuple has wrong length",
                                            exponents=list(exps))
@@ -33,7 +34,7 @@ class Poly:
 
     @classmethod
     def const(cls, field, nvars, c):
-        return cls(field, nvars, {(0,) * nvars: field.of(c)})
+        return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, field, nvars, i, coeff=None):
@@ -45,6 +46,9 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.field, self.nvars, other)
+        elif other.field is not self.field and other.field != self.field:
+            raise InvalidInput("polynomials over different fields",
+                               fields=[self.field.name, other.field.name])
         if other.nvars != self.nvars:
             raise InvalidInput("polynomials over different variable sets")
         return other
@@ -52,10 +56,10 @@ class Poly:
     def __add__(self, other):
         other = self._check(other)
         terms = dict(self.terms)
-        zero = self.field.zero
+        norm = self.field.norm
         for e, c in other.terms.items():
-            acc = terms.get(e, zero) + c
-            if acc == zero:
+            acc = norm(terms.get(e, 0) + c)
+            if not acc:
                 terms.pop(e, None)
             else:
                 terms[e] = acc
@@ -65,7 +69,8 @@ class Poly:
 
     def __neg__(self):
         out = Poly(self.field, self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
+        norm = self.field.norm
+        out.terms = {e: norm(-c) for e, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
@@ -73,13 +78,13 @@ class Poly:
 
     def __mul__(self, other):
         other = self._check(other)
-        zero = self.field.zero
+        norm = self.field.norm
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, zero) + c1 * c2
-                if acc == zero:
+                acc = norm(terms.get(e, 0) + c1 * c2)
+                if not acc:
                     terms.pop(e, None)
                 else:
                     terms[e] = acc
@@ -89,9 +94,10 @@ class Poly:
 
     def scale(self, c):
         c = self.field.of(c)
+        norm = self.field.norm
         out = Poly(self.field, self.nvars)
-        if c != self.field.zero:
-            out.terms = {e: c * v for e, v in self.terms.items()}
+        if c:
+            out.terms = {e: norm(c * v) for e, v in self.terms.items()}
         return out
 
     def __pow__(self, k):
@@ -117,7 +123,8 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.terms == other.terms
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -131,13 +138,13 @@ class Poly:
     def diff(self, i):
         """Partial derivative with respect to variable i."""
         terms = {}
-        zero = self.field.zero
+        norm = self.field.norm
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             ne = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            acc = terms.get(ne, zero) + c * self.field.of(e[i])
-            if acc == zero:
+            acc = norm(terms.get(ne, 0) + c * e[i])
+            if not acc:
                 terms.pop(ne, None)
             else:
                 terms[ne] = acc
@@ -168,14 +175,16 @@ class Poly:
         return out
 
     def eval(self, point):
-        """Evaluate at a tuple of field scalars."""
-        acc = self.field.zero
+        """Evaluate at a tuple of field scalars; powers go through
+        ``field.pow``, so the cost is logarithmic in the degree."""
+        field = self.field
+        acc = field.zero
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
-                for _ in range(k):
-                    v = v * point[i]
-            acc = acc + v
+                if k:
+                    v = field.norm(v * field.pow(point[i], k))
+            acc = field.norm(acc + v)
         return acc
 
     def lift(self, nvars):

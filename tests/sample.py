@@ -4,14 +4,24 @@ Used by the property suites; all sampling goes through an explicit
 random.Random instance so runs are reproducible from one seed.
 """
 
-from .fields import mat_inv
-from .graded import PolyMap, monomials_of_weight
-from .poly import Poly
+from fractions import Fraction
+
+from ntpg.fields import mat_inv
+from ntpg.graded import PolyMap, monomials_of_weight
+from ntpg.poly import Poly
+
+
+def random_scalar(rng, field):
+    """A uniform element of F_p, or a rational a/b with -3 <= a <= 3 and
+    1 <= b <= 3 over Q."""
+    if field.char:
+        return rng.randrange(field.char)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def random_invertible_matrix(rng, field, n):
     while True:
-        rows = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+        rows = [[random_scalar(rng, field) for _ in range(n)] for _ in range(n)]
         if mat_inv(field, rows) is not None:
             return rows
 
@@ -22,7 +32,7 @@ def random_polynomial(rng, field, nvars, max_degree=3, n_terms=4):
         exps = tuple(rng.randint(0, max_degree) for _ in range(nvars))
         if sum(exps) > max_degree:
             continue
-        terms[exps] = field.random(rng)
+        terms[exps] = random_scalar(rng, field)
     return Poly(field, nvars, terms)
 
 
@@ -32,7 +42,7 @@ def random_homogeneous(rng, field, sig, w, n_terms=3):
     for _ in range(n_terms):
         if not monos:
             break
-        terms[monos[rng.randrange(len(monos))]] = field.random(rng)
+        terms[monos[rng.randrange(len(monos))]] = random_scalar(rng, field)
     return Poly(field, sig.ncoords, terms)
 
 
@@ -44,7 +54,7 @@ def random_weight_preserving_map(rng, field, sig, density=0.6):
         terms = {}
         for exps in monomials_of_weight(sig, w):
             if rng.random() < density:
-                terms[exps] = field.random(rng)
+                terms[exps] = random_scalar(rng, field)
         comps.append(Poly(field, sig.ncoords, terms))
     return PolyMap(sig, sig, field, comps)
 
@@ -66,6 +76,6 @@ def random_graded_automorphism(rng, field, sig, density=0.5):
                         exps[b] for b in coords):
                     continue  # linear slot handled by the block matrix
                 if rng.random() < density:
-                    data[c][exps] = field.random(rng)
+                    data[c][exps] = random_scalar(rng, field)
     comps = [Poly(field, nv, d) for d in data]
     return PolyMap(sig, sig, field, comps)

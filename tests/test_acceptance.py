@@ -31,8 +31,8 @@ from ntpg.poly import Poly
 from ntpg.principal import (dressing, exact_sequence_check,
                             gamma_from_actions, vacancy, verify_double,
                             verify_ntuple)
-from ntpg.sample import (random_graded_automorphism, random_polynomial,
-                         random_weight_preserving_map)
+from sample import (random_graded_automorphism, random_polynomial,
+                    random_scalar, random_weight_preserving_map)
 
 F3 = GF(3)
 SIG111 = GradedSignature.simple([1, 1, 1])
@@ -267,7 +267,7 @@ def test_criterion_09_compat_agreement():
             # non-graded linear conjugation with an explicit exact inverse
             nv = sig.ncoords
             lower = [[QQ.one if i == j else
-                      (QQ.random(rng) if i > j else QQ.zero)
+                      (random_scalar(rng, QQ) if i > j else QQ.zero)
                       for j in range(nv)] for i in range(nv)]
             from ntpg.fields import mat_inv
             inv_rows = mat_inv(QQ, lower)

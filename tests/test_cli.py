@@ -472,3 +472,90 @@ def test_permutation_entries_must_be_integers(tmp_path, capsys):
     out = str(tmp_path / "rep.json")
     _assert_input_error(run(["group", "validate", f, "--out", out]), out,
                         capsys)
+
+
+Z2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+GAUGE = {"points": 4, "action": {"group": Z2, "points": 4,
+                                 "act": [[0, 1, 2, 3], [1, 0, 3, 2]]}}
+# the Z2-groupoid built from the pair groupoid on 2 objects by
+# b(x, y) = c(x) - c(y), as in test_groupoid_split_and_multfunction
+GROUPOID_ACTION = {
+    "groupoid": {"objects": 4, "src": [0, 1, 2, 3, 0, 1, 2, 3],
+                 "tgt": [0, 1, 1, 0, 3, 2, 2, 3], "id": [0, 1, 6, 7],
+                 "inv": [0, 1, 5, 4, 3, 2, 6, 7],
+                 "mul": [[0, 0, 0], [0, 3, 3], [1, 1, 1], [1, 2, 2],
+                         [2, 5, 1], [2, 6, 2], [3, 4, 0], [3, 7, 3],
+                         [4, 0, 4], [4, 3, 7], [5, 1, 5], [5, 2, 6],
+                         [6, 5, 5], [6, 6, 6], [7, 4, 4], [7, 7, 7]]},
+    "group": Z2,
+    "act": [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6]]}
+
+
+def _mutated(base, path, value):
+    obj = json.loads(json.dumps(base))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+def test_unmutated_loader_inputs_pass(tmp_path):
+    out = str(tmp_path / "rep.json")
+    assert run(["groupoid", "gauge", write(tmp_path, "g.json", GAUGE),
+                "--out", out]) == 0
+    assert run(["groupoid", "split",
+                write(tmp_path, "s.json", GROUPOID_ACTION),
+                "--out", out]) == 0
+
+
+# (command, base input, path to the mutated node, new value): inputs that
+# once ended as library bugs or were accepted with rc 0
+_LOADER_CASES = [
+    ("gauge", GAUGE, ["action", "act", 0, 0], [0]),
+    ("gauge", GAUGE, ["action", "points"], "4"),
+    ("split", GROUPOID_ACTION, ["groupoid", "mul", 0], [0, 0]),
+    ("split", GROUPOID_ACTION, ["groupoid", "src", 0], [0]),
+    ("split", GROUPOID_ACTION, ["act", 1, 0], "1"),
+]
+
+
+@pytest.mark.parametrize("command,base,path,value", _LOADER_CASES)
+def test_malformed_loader_input_exits_2(tmp_path, capsys, command, base,
+                                        path, value):
+    f = write(tmp_path, "in.json", _mutated(base, path, value))
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["groupoid", command, f, "--out", out]), out,
+                        capsys)
+
+
+def test_aut_cocycle_pair_of_three_charts_exits_2(tmp_path, capsys):
+    data = {"model": {"sig": D111, "field": {"Fp": 3}},
+            "cocycle": {"charts": 3, "overlaps": [[0, 1]],
+                        "values": [{"pair": [0, 1, 2], "terms": [
+                            {"target": c, "exponents": e, "num": "1"}
+                            for c, e in enumerate([[1, 0, 0], [0, 1, 0],
+                                                   [0, 0, 1]])]}]}}
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["cocycle", "frame",
+                             write(tmp_path, "frame.json", data),
+                             "--out", out]), out, capsys)
+
+
+@pytest.mark.parametrize("spec", ["x", "3.0", ""])
+def test_non_integer_characteristic_on_the_command_line_exits_2(
+        tmp_path, capsys, spec):
+    out = str(tmp_path / "rep.json")
+    code = run(["aut", "enumerate", "--sig", write(tmp_path, "s.json", D111),
+                "--field", "Fp:" + spec, "--out", out])
+    _assert_input_error(code, out, capsys)
+
+
+@pytest.mark.parametrize("p", ["x", "3", 3.0, True, None, [3]])
+def test_non_integer_characteristic_in_a_file_exits_2(tmp_path, capsys, p):
+    chart = json.load(open(os.path.join(EXAMPLES, "t2_chart.json")))
+    chart["field"] = {"Fp": p}
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["cocycle", "t2",
+                             write(tmp_path, "t2.json", chart),
+                             "--out", out]), out, capsys)

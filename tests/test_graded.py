@@ -11,8 +11,9 @@ from ntpg.graded import (GradedSignature, PolyMap,
                          monomials_of_weight, weight_components,
                          weight_vector_field)
 from ntpg.poly import Poly
-from ntpg.sample import (random_graded_automorphism, random_homogeneous,
-                         random_polynomial, random_weight_preserving_map)
+from sample import (random_graded_automorphism, random_homogeneous,
+                    random_polynomial, random_scalar,
+                    random_weight_preserving_map)
 
 SIG12 = GradedSignature.simple([1, 1])        # weights (1, 2)
 SIG111 = GradedSignature.simple([1, 1, 1])    # weights (1, 2, 3)
@@ -228,7 +229,8 @@ def test_linear_maps_between_degree_one_signatures_are_graded():
     sig = GradedSignature.simple([2])
     rng = random.Random(5)
     for _ in range(10):
-        comps = [Poly(QQ, 2, {(1, 0): QQ.random(rng), (0, 1): QQ.random(rng)})
+        comps = [Poly(QQ, 2, {(1, 0): random_scalar(rng, QQ),
+                              (0, 1): random_scalar(rng, QQ)})
                  for _ in range(2)]
         assert is_graded_morphism(pmap(sig, QQ, comps))
 
