@@ -22,20 +22,20 @@ from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
                      InvalidInput, NoIdentity, NoInverse, NonAssociative,
                      NotAnAction, NotCompatible, NotFree, NotInvertible,
                      NotInvertibleChart, NotLatinSquare, NotMultiplicative,
-                     NotTrivialized, SplitFailure)
+                     SplitFailure)
 from .fields import field_from_json
 from .graded import conjugate_structure, dilation
 from .groups import subgroup_closure
-from .jsonio import (dump_group, dump_groupoid, dump_polymap, dump_terms,
-                     load_action, load_aut_cocycle, load_group,
-                     load_group_cocycle, load_groupoid_action, load_polymap,
-                     load_polynomial, load_signature, load_subgroup,
-                     read_json, write_report)
+from .jsonio import (_array, _need, _object, dump_group, dump_groupoid,
+                     dump_polymap, dump_terms, load_action, load_aut_cocycle,
+                     load_group, load_group_cocycle, load_groupoid_action,
+                     load_polymap, load_polynomial, load_signature,
+                     load_subgroup, read_json, write_report)
 
 # exceptions that mean "the checked property verifiably fails", not bad input
 _VERDICT_ERRORS = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse,
                    NotAnAction, ActionNotFree, NotCompatible, NotFree,
-                   SplitFailure, NotTrivialized, NotMultiplicative,
+                   SplitFailure, NotMultiplicative,
                    NotInvertible, NotInvertibleChart)
 
 
@@ -59,6 +59,11 @@ def _parse_subgroup_spec(G, spec):
         gens = [int(x) for x in part.split(",") if x.strip() != ""]
         subs.append(subgroup_closure(G, gens))
     return subs
+
+
+def _nested(data, key):
+    """data[key] when the input nests the object under key, else data."""
+    return data[key] if isinstance(data, dict) and key in data else data
 
 
 def _input_subgroups(args, data, G):
@@ -92,7 +97,7 @@ def cmd_group_validate(args, data):
 
 
 def cmd_dpg_verify(args, data):
-    G = load_group(data["gamma"] if "gamma" in data else data)
+    G = load_group(_nested(data, "gamma"))
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -108,7 +113,7 @@ def cmd_dpg_verify(args, data):
 
 
 def cmd_dpg_dressing(args, data):
-    G = load_group(data["gamma"] if "gamma" in data else data)
+    G = load_group(_nested(data, "gamma"))
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -121,8 +126,8 @@ def cmd_dpg_dressing(args, data):
 
 
 def cmd_dpg_pipeline(args, data):
-    rho = load_action(data["rho"])
-    rho_prime = load_action(data["rho_prime"])
+    rho = load_action(_need(data, "rho", "pipeline"))
+    rho_prime = load_action(_need(data, "rho_prime", "pipeline"))
     points = data.get("points", rho.set_size)
     try:
         res = principal.gamma_from_actions(points, rho, rho_prime)
@@ -134,7 +139,7 @@ def cmd_dpg_pipeline(args, data):
 
 
 def cmd_ntuple_verify(args, data):
-    G = load_group(data["gamma"] if "gamma" in data else data)
+    G = load_group(_nested(data, "gamma"))
     subs = _input_subgroups(args, data, G)
     w = principal.verify_ntuple(G, subs)
     details = {"gamma_order": G.order, "n": len(subs),
@@ -155,7 +160,7 @@ def _collect_trace_failures(node, acc=None):
 
 
 def cmd_groupoid_gauge(args, data):
-    action = load_action(data["action"])
+    action = load_action(_need(data, "action", "gauge"))
     points = data.get("points", action.set_size)
     try:
         gpd, labels = groupoids.gauge_groupoid(points, action)
@@ -196,8 +201,7 @@ def cmd_groupoid_multfunction(args, data):
         sp = groupoids.split(ga)
         mf = groupoids.multiplicative_function(sp)
         groupoids.reconstruct_and_check(mf)
-    except (NotCompatible, NotFree, SplitFailure, NotTrivialized,
-            NotMultiplicative) as e:
+    except (NotCompatible, NotFree, SplitFailure, NotMultiplicative) as e:
         return "fail", {}, [e.report()]
     details = {"b": list(mf.b),
                "base": dump_groupoid(sp.base),
@@ -216,15 +220,17 @@ def cmd_graded_check_morphism(args, data):
 
 
 def cmd_graded_check_compat(args, data):
-    field = field_from_json(data.get("field", "Q"))
+    field_spec = _object(data, "structures input").get("field", "Q")
+    field = field_from_json(field_spec)
     structures = []
-    for s in data["structures"]:
-        sig = load_signature(s["sig"])
+    for s in _array(_need(data, "structures", "structures input"),
+                    "structures"):
+        sig = load_signature(_need(s, "sig", "structure"))
         h = dilation(sig, field, axis=s.get("axis", 0))
         if s.get("kind", "diagonal") == "conjugated":
-            phi, _ = load_polymap({"field": data.get("field", "Q"),
+            phi, _ = load_polymap({"field": field_spec,
                                    "sig_in": s["sig"], "sig_out": s["sig"],
-                                   "terms": s["phi"]})
+                                   "terms": _need(s, "phi", "structure")})
             h = conjugate_structure(h, phi)
         structures.append(h)
     rep = graded.check_compatible_structures(structures)
@@ -279,12 +285,19 @@ def cmd_cocycle_check(args, data):
                     "pairs": sorted(sorted(p) for p in c.nerve.pairs)}, []
 
 
-def cmd_cocycle_associate(args, data):
-    model = data["model"]
-    sig = load_signature(model["sig"])
+def _model(args, data):
+    """The enumerated automorphism group of the input's model."""
+    model = _need(data, "model", "cocycle input")
+    sig = load_signature(_need(model, "sig", "model"))
     field = field_from_json(model.get("field", {"Fp": 3}))
-    handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
-    c, _ = load_group_cocycle(data["cocycle"], group=handle.group)
+    return autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
+
+
+def cmd_cocycle_associate(args, data):
+    handle = _model(args, data)
+    field = handle.field
+    c, _ = load_group_cocycle(_need(data, "cocycle", "cocycle input"),
+                              group=handle.group)
     fibered = cocycles.standard_fibered_space(handle)
     assoc = cocycles.associated_cocycle(c, fibered)
     pairs = c.nerve.ordered_pairs()
@@ -304,11 +317,8 @@ def cmd_cocycle_associate(args, data):
 
 
 def cmd_cocycle_frame(args, data):
-    model = data["model"]
-    sig = load_signature(model["sig"])
-    field = field_from_json(model.get("field", {"Fp": 3}))
-    handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
-    dvb = load_aut_cocycle(data["cocycle"], handle)
+    handle = _model(args, data)
+    dvb = load_aut_cocycle(_need(data, "cocycle", "cocycle input"), handle)
     principal_c = cocycles.frame_cocycle(dvb, handle)
     fibered = cocycles.standard_fibered_space(handle)
     back = cocycles.associated_cocycle(principal_c, fibered)
@@ -324,11 +334,14 @@ def cmd_cocycle_frame(args, data):
 
 
 def cmd_cocycle_cohomologous(args, data):
-    G = load_group(data["group"])
-    base = {"charts": data["charts"], "overlaps": data.get("overlaps", []),
+    G = load_group(_need(data, "group", "cohomologous input"))
+    base = {"charts": _need(data, "charts", "cohomologous input"),
+            "overlaps": data.get("overlaps", []),
             "triples": data.get("triples", [])}
-    c1, _ = load_group_cocycle({**base, "values": data["c1"]}, group=G)
-    c2, _ = load_group_cocycle({**base, "values": data["c2"]}, group=G)
+    c1, _ = load_group_cocycle(
+        {**base, "values": _need(data, "c1", "cohomologous input")}, group=G)
+    c2, _ = load_group_cocycle(
+        {**base, "values": _need(data, "c2", "cohomologous input")}, group=G)
     res = cocycles.are_cohomologous(c1, c2, cap=args.max_candidates)
     details = {"searched": res.searched}
     if res.cohomologous:
@@ -339,7 +352,7 @@ def cmd_cocycle_cohomologous(args, data):
 
 
 def cmd_cocycle_t2(args, data):
-    chart, _ = load_polymap(data["chart"] if "chart" in data else data)
+    chart, _ = load_polymap(_nested(data, "chart"))
     try:
         out = cocycles.t2_transition(chart)
     except NotInvertibleChart as e:

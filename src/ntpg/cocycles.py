@@ -94,9 +94,6 @@ class FiniteGroupOps:
     def elements(self):
         return list(range(self.group.order))
 
-    def describe(self, a):
-        return int(a)
-
 
 class AutOps:
     """Cocycle values are graded-space automorphisms (exact coefficients)."""
@@ -124,15 +121,6 @@ class AutOps:
             raise InvalidInput("automorphism group was not enumerated")
         return list(self.handle.elements)
 
-    def describe(self, a):
-        out = []
-        for c, f in enumerate(a.map.components):
-            for exps in sorted(f.terms):
-                num, den = self.field.unparse(f.terms[exps])
-                out.append({"target": c, "exponents": list(exps),
-                            "num": num, "den": den})
-        return out
-
 
 class PermOps:
     """Cocycle values are permutations of a finite fiber, as image tuples."""
@@ -156,9 +144,6 @@ class PermOps:
 
     def key(self, a):
         return a
-
-    def describe(self, a):
-        return list(a)
 
 
 class Cocycle:
@@ -228,10 +213,11 @@ class FiberedSpace:
 
     ``perms[g]`` is the left-action permutation of the fiber points;
     ``transforms[g]`` is a richer representative of the same transformation
-    (for the standard graded model, the automorphism itself) used as the
-    transition value of associated bundles.  The two projections rho and
-    rho_prime are class maps; the distinguished subgroups must act inside
-    their fibers and every group element must descend along both.
+    (for the standard graded model, the automorphism itself), a value of
+    ``value_ops``, used as the transition value of associated bundles.  The
+    two projections rho and rho_prime are class maps; the distinguished
+    subgroups must act inside their fibers and every group element must
+    descend along both.
     """
 
     __slots__ = ("gamma", "g1", "g2", "npoints", "perms", "transforms",
@@ -239,7 +225,7 @@ class FiberedSpace:
                  "rho_prime_classes")
 
     def __init__(self, gamma, g1, g2, npoints, perms, rho, rho_prime,
-                 transforms=None, value_ops=None):
+                 transforms, value_ops):
         self.gamma = gamma
         self.g1 = g1
         self.g2 = g2
@@ -247,9 +233,6 @@ class FiberedSpace:
         self.perms = [tuple(p) for p in perms]
         self.rho = tuple(rho)
         self.rho_prime = tuple(rho_prime)
-        if transforms is None:
-            transforms = self.perms
-            value_ops = PermOps(npoints)
         self.transforms = transforms
         self.value_ops = value_ops
         self.rho_classes = max(rho) + 1
@@ -307,31 +290,24 @@ class AssociatedBundle:
         self.rho_prime_cocycle = rho_prime_cocycle
 
 
-def associated_cocycle(c, fibered, tau=None):
+def associated_cocycle(c, fibered):
     """Turn a principal cocycle into fiber transition data.
 
-    ``c`` is valued in element indices of a finite group; ``tau`` (optional)
-    maps that group into the structure group of the fibered model.  The
-    result carries the full fiber cocycle plus the two quotient cocycles of
-    the double fibration, each re-verified, and the fiber transitions are
-    checked to cover both quotient transitions.
+    ``c`` is valued in element indices of the structure group of the
+    fibered model itself.  The result carries the full fiber cocycle plus
+    the two quotient cocycles of the double fibration, each re-verified,
+    and the fiber transitions are checked to cover both quotient
+    transitions.
     """
     require_cocycle(c)
-    gamma = fibered.gamma
-
-    def to_gamma(v):
-        if tau is not None:
-            v = tau(v)
-        if not 0 <= v < gamma.order:
-            raise InvalidInput("transition value outside the structure group",
-                               value=v)
-        return v
-
     fiber_vals = {}
     rho_vals = {}
     rho_prime_vals = {}
     for (i, j) in c.nerve.ordered_pairs():
-        g = to_gamma(c.value(i, j))
+        g = c.value(i, j)
+        if not 0 <= g < fibered.gamma.order:
+            raise InvalidInput("transition value outside the structure group",
+                               value=g)
         fiber_vals[(i, j)] = fibered.transforms[g]
         rho_vals[(i, j)] = fibered.descend(g, fibered.rho)
         rho_prime_vals[(i, j)] = fibered.descend(g, fibered.rho_prime)
@@ -428,6 +404,10 @@ def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):
     n = c1.nerve.n
     space = len(els) ** n
     if space > cap:
+        try:
+            str(space)
+        except ValueError:  # more digits than the interpreter will print
+            space = "%d**%d" % (len(els), n)
         raise SearchCapExceeded("coboundary search space exceeds cap",
                                 space=space, cap=cap)
     pairs = c1.nerve.ordered_pairs()

@@ -75,10 +75,6 @@ class SplitFailure(AlgebraError):
     pass
 
 
-class NotTrivialized(AlgebraError):
-    pass
-
-
 class NotMultiplicative(AlgebraError):
     pass
 

@@ -38,8 +38,7 @@ class GradedSignature:
 
     __slots__ = ("mode", "n", "blocks", "weights", "ncoords")
 
-    def __init__(self, mode, blocks, n=1, max_coords=MAX_COORDS,
-                 max_weight=MAX_WEIGHT):
+    def __init__(self, mode, blocks, n=1):
         self.mode = mode
         self.n = n
         if mode == "simple":
@@ -70,13 +69,13 @@ class GradedSignature:
         self.ncoords = sum(d for _, d in blocks)
         if self.ncoords == 0:
             raise InvalidInput("signature has no coordinates")
-        if self.ncoords > max_coords:
+        if self.ncoords > MAX_COORDS:
             raise InvalidInput("too many coordinates", ncoords=self.ncoords,
-                               cap=max_coords)
+                               cap=MAX_COORDS)
         self.weights = tuple(s for s, d in blocks for _ in range(d))
         if mode == "simple" and \
-                max(self._total(w) for w in self.weights) > max_weight:
-            raise InvalidInput("weight exceeds cap", cap=max_weight)
+                max(self._total(w) for w in self.weights) > MAX_WEIGHT:
+            raise InvalidInput("weight exceeds cap", cap=MAX_WEIGHT)
 
     @staticmethod
     def _total(w):
@@ -89,19 +88,17 @@ class GradedSignature:
         return tuple(-x for x in w)
 
     @classmethod
-    def simple(cls, dims, base=0, max_coords=MAX_COORDS,
-               max_weight=MAX_WEIGHT):
+    def simple(cls, dims, base=0):
         blocks = [(0, base)] + [(w + 1, d) for w, d in enumerate(dims)]
-        return cls("simple", blocks, max_coords=max_coords,
-                   max_weight=max_weight)
+        return cls("simple", blocks)
 
     @classmethod
-    def multi(cls, n, block_dims, base=0, max_coords=MAX_COORDS):
+    def multi(cls, n, block_dims, base=0):
         n = _integer(n, "number of gradings")
         if not 1 <= n <= MAX_GRADINGS:
             raise InvalidInput("number of gradings out of range", n=n)
         blocks = [((0,) * n, base)] + list(block_dims.items())
-        return cls("multi", blocks, n=n, max_coords=max_coords)
+        return cls("multi", blocks, n=n)
 
     @classmethod
     def double_vector(cls, d, d_prime, d_core):
@@ -131,9 +128,6 @@ class GradedSignature:
     def block_coords(self, w):
         return [i for i, wi in enumerate(self.weights) if wi == w]
 
-    def weight_keys(self):
-        return [s for s, _ in self.blocks]
-
     def grading_weight(self, i, axis):
         """Weight of coordinate i along one grading axis."""
         w = self.weights[i]
@@ -150,12 +144,12 @@ class GradedSignature:
         return "GradedSignature(%s, %s)" % (self.mode, list(self.blocks))
 
 
-def monomials_of_weight(sig, target, max_base_degree=0):
+def monomials_of_weight(sig, target):
     """All exponent tuples of the given total weight.
 
-    Weight-0 coordinates make the set infinite, so their total degree is
-    capped by max_base_degree (0 excludes them entirely except for the
-    zero-weight target, where they are capped as well).
+    Weight-0 coordinates would make the set infinite, so they are left out:
+    their exponent is always 0, and the zero target gives only the
+    constant monomial.
     """
     zero = sig.zero_weight()
     out = []
@@ -165,30 +159,24 @@ def monomials_of_weight(sig, target, max_base_degree=0):
             return w <= t
         return all(a <= b for a, b in zip(w, t))
 
-    def rec(i, remaining, base_budget, exps):
+    def rec(i, remaining, exps):
         if i == sig.ncoords:
             if remaining == zero:
                 out.append(tuple(exps))
             return
         w = sig.weights[i]
-        if w == zero:
-            for e in range(base_budget + 1):
-                exps.append(e)
-                rec(i + 1, remaining, base_budget - e, exps)
-                exps.pop()
-            return
         e = 0
         cur = remaining
         while True:
             exps.append(e)
-            rec(i + 1, cur, base_budget, exps)
+            rec(i + 1, cur, exps)
             exps.pop()
-            if not le(w, cur):
+            if w == zero or not le(w, cur):
                 break
             cur = _weight_sub(sig, cur, w)
             e += 1
 
-    rec(0, target, max_base_degree, [])
+    rec(0, target, [])
     return out
 
 
@@ -288,23 +276,6 @@ def graded_violation(pm):
             if pm.sig_in.monomial_weight(exps) != target:
                 return (c, exps)
     return None
-
-
-def linear_block(pm, wkey):
-    """The coefficient matrix of bare degree-1 terms within one weight block,
-    plus the target and source coordinate indices of that block."""
-    rows_idx = pm.sig_out.block_coords(wkey)
-    cols_idx = pm.sig_in.block_coords(wkey)
-    field = pm.field
-    mat = []
-    for c in rows_idx:
-        f = pm.components[c]
-        row = []
-        for b in cols_idx:
-            unit = tuple(1 if j == b else 0 for j in range(pm.sig_in.ncoords))
-            row.append(f.terms.get(unit, field.zero))
-        mat.append(row)
-    return mat, rows_idx, cols_idx
 
 
 def triangular_inverse(pm):
@@ -489,7 +460,7 @@ class HomogeneityStructure:
 
     __slots__ = ("ncoords", "field", "components")
 
-    def __init__(self, ncoords, field, components, check=True):
+    def __init__(self, ncoords, field, components):
         if len(components) != ncoords:
             raise InvalidInput("wrong number of components")
         for f in components:
@@ -498,8 +469,7 @@ class HomogeneityStructure:
         self.ncoords = ncoords
         self.field = field
         self.components = tuple(components)
-        if check:
-            self._check_laws()
+        self._check_laws()
 
     @classmethod
     def diagonal(cls, sig, field, axis=0):
@@ -568,6 +538,7 @@ def dilation(sig, field, axis=0):
     """The diagonal dilation family of a signature: coordinate of weight w
     scales by t^w (for multi signatures, by t^(sigma_axis) in family
     ``axis``)."""
+    _integer(axis, "grading axis")
     if sig.mode == "simple" and axis != 0:
         raise InvalidInput("simple signatures have a single grading")
     if sig.mode == "multi" and not 0 <= axis < sig.n:

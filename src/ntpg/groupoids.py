@@ -9,7 +9,7 @@ verifications.
 
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative,
-                     NotTrivialized, SplitFailure)
+                     SplitFailure)
 from .groups import (FiniteAction, action_check, make_group, quotient,
                      transporter)
 
@@ -19,7 +19,7 @@ class FiniteGroupoid:
 
     __slots__ = ("n_objects", "n_arrows", "src", "tgt", "id", "inv", "mul")
 
-    def __init__(self, n_objects, src, tgt, id_, inv, mul, check=True):
+    def __init__(self, n_objects, src, tgt, id_, inv, mul):
         self.n_objects = int(n_objects)
         self.src = tuple(int(x) for x in src)
         self.tgt = tuple(int(x) for x in tgt)
@@ -27,17 +27,7 @@ class FiniteGroupoid:
         self.id = tuple(int(x) for x in id_)
         self.inv = tuple(int(x) for x in inv)
         self.mul = {(int(g), int(h)): int(gh) for (g, h), gh in mul.items()}
-        if check:
-            self._validate()
-
-    def compose(self, g, h):
-        return self.mul[(g, h)]
-
-    def is_composable(self, g, h):
-        return (g, h) in self.mul
-
-    def composable_pairs(self):
-        return self.mul.keys()
+        self._validate()
 
     def _validate(self):
         n, m = self.n_objects, self.n_arrows
@@ -222,6 +212,29 @@ def _induced_object_map(ga, g):
     return out, None
 
 
+def _morphism_failure(source, target, arrow_map, object_map):
+    """The first way the two maps fail to form a groupoid morphism, or None.
+
+    Checked in this order: endpoints and inverses arrow by arrow, units
+    object by object, then products pair by pair.  Returns ("endpoints", a),
+    ("inverse", a), ("unit", x) or ("product", (a, b)).
+    """
+    for a in range(source.n_arrows):
+        fa = arrow_map[a]
+        if target.src[fa] != object_map[source.src[a]] or \
+                target.tgt[fa] != object_map[source.tgt[a]]:
+            return "endpoints", a
+        if target.inv[fa] != arrow_map[source.inv[a]]:
+            return "inverse", a
+    for x in range(source.n_objects):
+        if target.id[object_map[x]] != arrow_map[source.id[x]]:
+            return "unit", x
+    for (a, b), ab in source.mul.items():
+        if target.mul[(arrow_map[a], arrow_map[b])] != arrow_map[ab]:
+            return "product", (a, b)
+    return None
+
+
 def check_compatible(ga):
     """Is each act(., g) a groupoid automorphism covering an object map?
 
@@ -235,19 +248,11 @@ def check_compatible(ga):
         omap, w = _induced_object_map(ga, g)
         if omap is None:
             return CompatReport(False, w, None, False, None, False)
-        row = ga.act[g]
-        for a in range(gpd.n_arrows):
-            if gpd.src[row[a]] != omap[gpd.src[a]] or \
-                    gpd.tgt[row[a]] != omap[gpd.tgt[a]]:
-                return CompatReport(False, ("endpoints", g, a), None, False,
-                                    None, False)
-            if row[gpd.inv[a]] != gpd.inv[row[a]]:
-                return CompatReport(False, ("inverse", g, a), None, False,
-                                    None, False)
-        for (a, b), ab in gpd.mul.items():
-            if gpd.mul[(row[a], row[b])] != row[ab]:
-                return CompatReport(False, ("product", g, (a, b)), None, False,
-                                    None, False)
+        failure = _morphism_failure(gpd, gpd, ga.act[g], omap)
+        if failure is not None:
+            kind, where = failure
+            return CompatReport(False, (kind, g, where), None, False, None,
+                                False)
         obj_rows.append(omap)
     object_action = FiniteAction(G, gpd.n_objects, obj_rows)
 
@@ -268,11 +273,10 @@ def _reduce(a, kernel):
     return FiniteAction(Q, a.set_size, rows)
 
 
-def reduced_action(ga, kernel=None):
-    """The induced GroupoidAction of G/kernel (default: the action kernel)."""
-    if kernel is None:
-        kernel = action_check(ga.arrow_action).kernel
-    reduced = _reduce(ga.arrow_action, kernel)
+def reduced_action(ga):
+    """The induced GroupoidAction of G/K, where K is the kernel of the arrow
+    action (the elements that fix every arrow)."""
+    reduced = _reduce(ga.arrow_action, action_check(ga.arrow_action).kernel)
     return GroupoidAction(ga.groupoid, reduced.group, reduced.act)
 
 
@@ -327,19 +331,10 @@ def quotient_groupoid(ga):
     gpd0 = FiniteGroupoid(len(object_reps), src0, tgt0, id0, inv0, mul0)
 
     # the projection must be a groupoid morphism (theory oracle)
-    for a in range(gpd.n_arrows):
-        if gpd0.src[arrow_map[a]] != object_map[gpd.src[a]] or \
-                gpd0.tgt[arrow_map[a]] != object_map[gpd.tgt[a]]:
-            raise InternalInconsistency("projection breaks endpoints", arrow=a)
-        if gpd0.inv[arrow_map[a]] != arrow_map[gpd.inv[a]]:
-            raise InternalInconsistency("projection breaks inverses", arrow=a)
-    for x in range(gpd.n_objects):
-        if gpd0.id[object_map[x]] != arrow_map[gpd.id[x]]:
-            raise InternalInconsistency("projection breaks units", object=x)
-    for (a, b), ab in gpd.mul.items():
-        if gpd0.mul[(arrow_map[a], arrow_map[b])] != arrow_map[ab]:
-            raise InternalInconsistency("projection breaks products",
-                                        pair=(a, b))
+    failure = _morphism_failure(gpd, gpd0, arrow_map, object_map)
+    if failure is not None:
+        raise InternalInconsistency("projection is not a groupoid morphism",
+                                    witness=failure)
     return QuotientResult(gpd0, arrow_map, object_map, report.object_action)
 
 
@@ -420,48 +415,24 @@ class MultiplicativeFunction:
         self.trivialization = trivialization
 
 
-def _default_trivialization(split_):
-    """Trivialize the unit bundle by its least-index orbit section."""
-    ua = split_.unit_action
-    G = ua.group
-    triv = [None] * ua.set_size
-    for X in range(split_.base.n_objects):
-        base_pt = min(x for x in range(ua.set_size)
-                      if split_.object_map[x] == X)
-        for g in range(G.order):
-            triv[ua.act[g][base_pt]] = (X, g)
-    return triv
+def multiplicative_function(split_):
+    """Extract the multiplicative function b of the trivialized unit bundle.
 
-
-def multiplicative_function(split_, trivialization=None):
-    """Extract the multiplicative function b of a trivialized unit bundle.
-
-    With units identified with M0 x G, the t-action must take the form
-    (y0, (sigma(y0), g)) -> (tau(y0), b(y0) g); b is read off at the
+    The units are identified with M0 x G through the least-index point of
+    each orbit, x.g -> (orbit of x, g).  The t-action must then take the
+    form (y0, (sigma(y0), g)) -> (tau(y0), b(y0) g); b is read off at the
     section points and the multiplicative law b(y0)b(y0') = b(y0 y0') is
     asserted on all composable pairs.
     """
     ua = split_.unit_action
     G = ua.group
     base = split_.base
-    if trivialization is None:
-        trivialization = _default_trivialization(split_)
-    else:
-        seen = set()
-        for x, lab in enumerate(trivialization):
-            if lab in seen:
-                raise NotTrivialized("trivialization not injective", point=x)
-            seen.add(lab)
-            X, g = lab
-            if split_.object_map[x] != X:
-                raise NotTrivialized("trivialization breaks the orbit map",
-                                     point=x)
-        for x, (X, g) in enumerate(trivialization):
-            for h in range(G.order):
-                xh = ua.act[h][x]
-                if trivialization[xh] != (X, G.table[g][h]):
-                    raise NotTrivialized("trivialization not equivariant",
-                                         point=x, element=h)
+    trivialization = [None] * ua.set_size
+    for X in range(base.n_objects):
+        base_pt = min(x for x in range(ua.set_size)
+                      if split_.object_map[x] == X)
+        for g in range(G.order):
+            trivialization[ua.act[g][base_pt]] = (X, g)
     inverse_triv = {lab: x for x, lab in enumerate(trivialization)}
 
     b = [None] * base.n_arrows
@@ -557,19 +528,11 @@ def reconstruct_and_check(mf):
     images = [psi(y) for y in range(gpd.n_arrows)]
     if sorted(images) != list(range(built.action.groupoid.n_arrows)):
         raise InternalInconsistency("round trip is not a bijection")
-    bg = built.action.groupoid
-    for y in range(gpd.n_arrows):
-        xs = triv[gpd.src[y]]
-        xt = triv[gpd.tgt[y]]
-        if bg.src[images[y]] != xs[0] * n + xs[1] or \
-                bg.tgt[images[y]] != xt[0] * n + xt[1]:
-            raise InternalInconsistency("round trip breaks endpoints", arrow=y)
-        if images[gpd.inv[y]] != bg.inv[images[y]]:
-            raise InternalInconsistency("round trip breaks inverses", arrow=y)
-    for (a, b_), ab in gpd.mul.items():
-        if bg.mul[(images[a], images[b_])] != images[ab]:
-            raise InternalInconsistency("round trip breaks products",
-                                        pair=(a, b_))
+    failure = _morphism_failure(gpd, built.action.groupoid, images,
+                                [X * n + g for X, g in triv])
+    if failure is not None:
+        raise InternalInconsistency("round trip is not a groupoid morphism",
+                                    witness=failure)
     for g in range(n):
         for y in range(gpd.n_arrows):
             if images[split_.ga.act[g][y]] != built.action.act[g][images[y]]:

@@ -38,10 +38,6 @@ class FiniteGroup:
     def inv(self, a):
         return self.inverse[a]
 
-    @property
-    def e(self):
-        return self.identity
-
     def elements(self):
         return range(self.order)
 
@@ -346,12 +342,11 @@ class GroupHom:
 
     __slots__ = ("source", "target", "map")
 
-    def __init__(self, source, target, images, check=True):
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.map = tuple(int(x) for x in images)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if len(self.map) != self.source.order:
@@ -369,9 +364,6 @@ class GroupHom:
 
     def __call__(self, a):
         return self.map[a]
-
-    def image(self):
-        return subgroup_closure(self.target, set(self.map))
 
     def kernel(self):
         e = self.target.identity
@@ -434,24 +426,24 @@ class FiniteAction:
 
     __slots__ = ("group", "set_size", "act", "side")
 
-    def __init__(self, group, set_size, act, side="right", check=True):
+    def __init__(self, group, set_size, act, side="right"):
         if side not in ("right", "left"):
             raise InvalidInput("side must be 'right' or 'left'", side=side)
         self.group = group
         self.set_size = int(set_size)
         rows = [tuple(int(x) for x in row) for row in act]
+        # counted before a left action is relabelled through the inverses
+        if len(rows) != group.order:
+            raise NotAnAction("action table has %d rows, group has order %d"
+                              % (len(rows), group.order))
         if side == "left":
             rows = [rows[group.inverse[g]] for g in range(group.order)]
         self.act = tuple(rows)
         self.side = side
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         G = self.group
-        if len(self.act) != G.order:
-            raise NotAnAction("action table has %d rows, group has order %d"
-                              % (len(self.act), G.order))
         for g, row in enumerate(self.act):
             if len(row) != self.set_size:
                 raise NotAnAction("row %d has wrong length" % g, element=g)
@@ -472,9 +464,6 @@ class FiniteAction:
     def apply(self, x, g):
         """x.g in the internal (right) convention."""
         return self.act[g][x]
-
-    def permutation(self, g):
-        return self.act[g]
 
 
 def transporter(a):
@@ -548,14 +537,6 @@ def action_check(a):
         orbits[roots[r]].append(x)
     return ActionReport(is_free, kernel, [tuple(o) for o in orbits],
                         tuple(orbit_of))
-
-
-def fixed_point(a, g):
-    """A point fixed by g, or None."""
-    for x in range(a.set_size):
-        if a.act[g][x] == x:
-            return x
-    return None
 
 
 def right_translation_action(G, H):

@@ -24,6 +24,13 @@ MAX_EXPONENT = 1000
 MAX_CHARTS = 10_000
 
 
+def _object(obj, what):
+    """obj, if it is a JSON object; otherwise an input error."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("%s must be a JSON object" % what)
+    return obj
+
+
 def _need(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
         raise InvalidInput("missing field '%s' in %s" % (key, where))
@@ -53,8 +60,7 @@ def _int_rows(value, what):
 
 def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
     """{"order": n, "table": [[...]]} or {"permutations": [...], "degree": m}."""
-    if not isinstance(obj, dict):
-        raise InvalidInput("group must be a JSON object")
+    _object(obj, "group")
     if "table" in obj:
         table = _array(obj["table"], "table")
         for row in table:
@@ -217,7 +223,7 @@ def dump_terms(field, pm):
 
 
 def load_polymap(obj):
-    field = field_from_json(obj.get("field", "Q"))
+    field = field_from_json(_object(obj, "polymap").get("field", "Q"))
     sig_in = load_signature(_need(obj, "sig_in", "polymap"))
     sig_out = load_signature(_need(obj, "sig_out", "polymap"))
     terms = load_terms(field, _need(obj, "terms", "polymap"), sig_in.ncoords)
@@ -233,7 +239,7 @@ def dump_polymap(pm):
 
 def load_polynomial(obj):
     """{"sig": ..., "field": ..., "terms": [{exponents, num, den}...]}."""
-    field = field_from_json(obj.get("field", "Q"))
+    field = field_from_json(_object(obj, "polynomial").get("field", "Q"))
     sig = load_signature(_need(obj, "sig", "polynomial"))
     terms = {}
     for e in _array(_need(obj, "terms", "polynomial"), "terms"):

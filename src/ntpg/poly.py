@@ -132,9 +132,6 @@ class Poly:
     def key(self):
         return frozenset(self.terms.items())
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def diff(self, i):
         """Partial derivative with respect to variable i."""
         terms = {}

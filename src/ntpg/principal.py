@@ -272,9 +272,6 @@ class SemidirectProduct:
         self.embed_gprime = embed_gprime    # g' -> pair index
         self.embed_g = embed_g              # g  -> pair index
 
-    def pair_index(self, gp, g):
-        return gp * self.g.order + g
-
     def unpair(self, idx):
         return divmod(idx, self.g.order)
 

@@ -559,3 +559,50 @@ def test_non_integer_characteristic_in_a_file_exits_2(tmp_path, capsys, p):
     _assert_input_error(run(["cocycle", "t2",
                              write(tmp_path, "t2.json", chart),
                              "--out", out]), out, capsys)
+
+
+Z3 = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+_MULTI_COMPAT = {"structures": [{"sig": D111, "axis": 0},
+                                {"sig": D111, "axis": 1}]}
+
+# (command, input): inputs a handler once read without checking its shape,
+# each ending as a library bug
+_UNCHECKED_HANDLER_INPUTS = [
+    ("groupoid gauge", {"nope": 1}),
+    ("groupoid gauge", {"action": {"group": Z2, "points": 2, "act": [[0, 1]],
+                                   "side": "left"}}),
+    ("cocycle associate", {"model": 5}),
+    ("cocycle frame", {"model": 5}),
+    ("dpg gamma-from-actions", {"rho_prime": GAUGE["action"]}),
+    ("cocycle cohomologous", {"charts": 2, "overlaps": [[0, 1]],
+                              "c1": [], "c2": []}),
+    ("graded check-compat", {"field": "Q"}),
+    ("graded check-compat", _mutated(_MULTI_COMPAT, ["structures", 1, "axis"],
+                                     "x")),
+    ("cocycle t2", [1, 2]),
+    ("graded weights", [1, 2]),
+]
+
+
+def test_multi_signature_compat_input_passes(tmp_path):
+    out = str(tmp_path / "rep.json")
+    assert run(["graded", "check-compat",
+                write(tmp_path, "in.json", _MULTI_COMPAT),
+                "--out", out]) == 0
+
+
+@pytest.mark.parametrize("command,data", _UNCHECKED_HANDLER_INPUTS)
+def test_unchecked_handler_input_exits_2(tmp_path, capsys, command, data):
+    f = write(tmp_path, "in.json", data)
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(command.split() + [f, "--out", out]), out, capsys)
+
+
+def test_unprintable_search_space_exits_2(tmp_path, capsys):
+    # |G|**charts = 3**10000 has more digits than json.dumps prints
+    data = {"group": Z3, "charts": 10_000, "overlaps": [], "c1": [], "c2": []}
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["cocycle", "cohomologous",
+                             write(tmp_path, "coh.json", data),
+                             "--out", out]), out, capsys)
+    assert read_report(out)["details"]["error"] == "SearchCapExceeded"

@@ -9,7 +9,6 @@ from ntpg.cocycles import (AutOps, Cocycle, CoverNerve, FiniteGroupOps,
 from ntpg.errors import InvalidInput, NotInvertibleChart, SearchCapExceeded
 from ntpg.fields import GF, QQ
 from ntpg.graded import GradedSignature, PolyMap, is_graded_morphism
-from ntpg.groups import GroupHom
 from ntpg.named import cyclic, quaternion_group, symmetric
 from ntpg.poly import Poly
 
@@ -95,19 +94,6 @@ def test_associated_transition_is_the_acting_map(f3_handle, f3_model):
     assert assoc.rho_cocycle.value(0, 1) == (0, 2, 1)
     # y' is untouched
     assert assoc.rho_prime_cocycle.value(0, 1) == (0, 1, 2)
-
-
-def test_identity_tau_reproduces_direct_construction(f3_handle, f3_model):
-    G = f3_handle.group
-    a = example_aut()
-    c = Cocycle(TWO_CHARTS, FiniteGroupOps(G),
-                {(0, 1): f3_handle.index_of(a)})
-    tau = GroupHom(G, G, list(range(G.order)))
-    direct = associated_cocycle(c, f3_model)
-    via_tau = associated_cocycle(c, f3_model, tau=tau)
-    for (i, j) in TWO_CHARTS.ordered_pairs():
-        assert direct.fiber_cocycle.value(i, j) == \
-            via_tau.fiber_cocycle.value(i, j)
 
 
 # -- frame bundle round trip ----------------------------------------------------------

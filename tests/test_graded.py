@@ -357,6 +357,27 @@ def test_monomial_enumeration():
     assert set(monos3) == {(3, 0, 0), (1, 1, 0), (0, 0, 1)}
 
 
+def test_monomials_leave_base_coordinates_out():
+    # weight-0 coordinates only ever carry exponent 0, the zero target too
+    simple = GradedSignature.simple([1, 1], base=2)      # weights 0, 0, 1, 2
+    assert [monomials_of_weight(simple, t) for t in range(5)] == [
+        [(0, 0, 0, 0)],
+        [(0, 0, 1, 0)],
+        [(0, 0, 0, 1), (0, 0, 2, 0)],
+        [(0, 0, 1, 1), (0, 0, 3, 0)],
+        [(0, 0, 0, 2), (0, 0, 2, 1), (0, 0, 4, 0)]]
+    multi = GradedSignature.multi(2, {(1, 0): 1, (0, 1): 2, (1, 1): 1},
+                                  base=1)
+    assert multi.weights == ((0, 0), (1, 0), (0, 1), (0, 1), (1, 1))
+    assert [monomials_of_weight(multi, t)
+            for t in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]] == [
+        [(0, 0, 0, 0, 0)],
+        [(0, 1, 0, 0, 0)],
+        [(0, 0, 0, 1, 0), (0, 0, 1, 0, 0)],
+        [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (0, 1, 1, 0, 0)],
+        [(0, 0, 0, 2, 0), (0, 0, 1, 1, 0), (0, 0, 2, 0, 0)]]
+
+
 def test_oversized_signature_is_rejected_before_allocating():
     import tracemalloc
     tracemalloc.start()

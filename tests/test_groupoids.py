@@ -1,7 +1,8 @@
 import pytest
 
 from ntpg.errors import ActionNotFree, NotFree, NotMultiplicative
-from ntpg.groupoids import (GroupoidAction, build_from_morphism,
+from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
+                            build_from_morphism,
                             check_compatible, gauge_groupoid,
                             multiplicative_function, pair_groupoid,
                             quotient_groupoid, reconstruct_and_check,
@@ -110,6 +111,40 @@ def test_trivial_action_on_groupoid_is_compatible_kernel_everything():
     assert rep.compatible
     assert len(rep.kernel) == 4
     assert rep.pre_principal  # quotient by the kernel is the trivial group
+
+
+def one_object_groupoid(G):
+    """The group G as a groupoid with a single object."""
+    return FiniteGroupoid(1, [0] * G.order, [0] * G.order, [G.identity],
+                          G.inverse, {(a, b): G.table[a][b]
+                                      for a in range(G.order)
+                                      for b in range(G.order)})
+
+
+def _swaps(n, *pairs):
+    row = list(range(n))
+    for a, b in pairs:
+        row[a], row[b] = b, a
+    return row
+
+
+# (groupoid, the non-identity row of a Z2 action, first witness): one case
+# per kind of failure, each arrow or pair before the witness passing
+_INCOMPATIBLE = [
+    (pair_groupoid(2), _swaps(4, (0, 1), (2, 3)), ("unit", 1, 0)),
+    (pair_groupoid(2), _swaps(4, (1, 2)), ("endpoints", 1, 1)),
+    (one_object_groupoid(cyclic(4)), _swaps(4, (1, 2)), ("inverse", 1, 1)),
+    (one_object_groupoid(cyclic(5)), _swaps(5, (1, 2), (3, 4)),
+     ("product", 1, (1, 1))),
+]
+
+
+@pytest.mark.parametrize("gpd,row,witness", _INCOMPATIBLE)
+def test_check_compatible_names_the_first_failure(gpd, row, witness):
+    ga = GroupoidAction(gpd, cyclic(2), [list(range(gpd.n_arrows)), row])
+    rep = check_compatible(ga)
+    assert not rep.compatible
+    assert rep.witness == witness
 
 
 def test_swap_action_on_pair_groupoid_is_free():

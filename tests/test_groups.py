@@ -410,6 +410,13 @@ def test_not_an_action_names_pair():
     assert e.value.details.get("pair") == (1, 1)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_row_count_is_checked_on_both_sides(side):
+    with pytest.raises(NotAnAction) as e:
+        FiniteAction(cyclic(2), 2, [[0, 1]], side=side)
+    assert str(e.value) == "action table has 1 rows, group has order 2"
+
+
 def test_left_action_is_converted():
     G = symmetric(3)
     # left action x.g := g*x on the group itself
