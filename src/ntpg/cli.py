@@ -56,7 +56,11 @@ def _parse_subgroup_spec(G, spec):
     """'2,3;4' -> subgroups generated by {2,3} and by {4}."""
     subs = []
     for part in spec.split(";"):
-        gens = [int(x) for x in part.split(",") if x.strip() != ""]
+        try:
+            gens = [int(x) for x in part.split(",") if x.strip() != ""]
+        except ValueError:
+            raise InvalidInput("--subgroups entries must be integers",
+                               subgroups=spec) from None
         subs.append(subgroup_closure(G, gens))
     return subs
 

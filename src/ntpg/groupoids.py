@@ -5,13 +5,19 @@ order: mul(g, h) is defined when src(g) == tgt(h) and the product runs
 src(h) -> tgt(g).  The partial multiplication is stored as a dict keyed by
 composable pairs, so composability queries are O(1) during the exhaustive
 verifications.
+
+Validation is exhaustive at every size without touching every triple:
+composability is counted per object, and associativity is proved by
+Light's test on a product-generating set of arrows, as for groups and
+actions in ``groups``.  A failure still names the first witness a scan
+over all pairs or triples would find.
 """
 
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative,
                      SplitFailure)
-from .groups import (FiniteAction, action_check, make_group, quotient,
-                     transporter)
+from .groups import (FiniteAction, _light_test, _product_generators,
+                     action_check, make_group, quotient, transporter)
 
 
 class FiniteGroupoid:
@@ -30,50 +36,93 @@ class FiniteGroupoid:
         self._validate()
 
     def _validate(self):
+        """Check every groupoid law, exhaustively, at every size.
+
+        In order: array lengths and ranges, units, the ``mul`` keys, that
+        the products are defined exactly on the composable pairs, their
+        ranges and endpoints, the unit and inverse laws, then associativity.
+        Composability is counted object by object.  Associativity is Light's
+        test with the middle factor h taken from a product-generating set
+        built from the units: the h with (gh)k = g(hk) for all composable g, k
+        hold the units and are closed under products.  Each failure names
+        its first witness (pair, arrow or triple) in the order of a plain
+        scan over all arrows.
+        """
         n, m = self.n_objects, self.n_arrows
-        if len(self.tgt) != m or len(self.inv) != m or len(self.id) != n:
+        src, tgt, mul = self.src, self.tgt, self.mul
+        if len(tgt) != m or len(self.inv) != m or len(self.id) != n:
             raise InvalidInput("groupoid arrays have inconsistent lengths")
         for a in range(m):
-            if not (0 <= self.src[a] < n and 0 <= self.tgt[a] < n):
+            if not (0 <= src[a] < n and 0 <= tgt[a] < n):
                 raise InvalidInput("src/tgt out of range", arrow=a)
             if not 0 <= self.inv[a] < m:
                 raise InvalidInput("inv out of range", arrow=a)
         for x in range(n):
             u = self.id[x]
-            if not 0 <= u < m or self.src[u] != x or self.tgt[u] != x:
+            if not 0 <= u < m or src[u] != x or tgt[u] != x:
                 raise InvalidInput("id[x] is not an arrow at x", object=x)
-        # multiplication defined exactly on composable pairs
-        for g in range(m):
-            for h in range(m):
-                if self.src[g] == self.tgt[h]:
-                    if (g, h) not in self.mul:
-                        raise InvalidInput("missing product of composable pair",
-                                           pair=(g, h))
-                elif (g, h) in self.mul:
-                    raise InvalidInput("product defined on non-composable pair",
-                                       pair=(g, h))
-        for (g, h), gh in self.mul.items():
+        for g, h in mul:
+            if not (0 <= g < m and 0 <= h < m):
+                raise InvalidInput("mul key out of range", pair=(g, h))
+        # multiplication defined exactly on composable pairs: row g lists
+        # g*k for the arrows k ending at src[g], pos[k] is k's place there
+        ending = [[] for _ in range(n)]
+        for k in range(m):
+            ending[tgt[k]].append(k)
+        pos = [0] * m
+        for arrows in ending:
+            for i, k in enumerate(arrows):
+                pos[k] = i
+        try:
+            rows = [tuple([mul[g, k] for k in ending[src[g]]])
+                    for g in range(m)]
+        except KeyError:
+            rows = None
+        if rows is None or len(mul) != sum(map(len, rows)):
+            self._raise_composability()
+        for (g, h), gh in mul.items():
             if not 0 <= gh < m:
                 raise InvalidInput("product out of range", pair=(g, h))
-            if self.src[gh] != self.src[h] or self.tgt[gh] != self.tgt[g]:
+            if src[gh] != src[h] or tgt[gh] != tgt[g]:
                 raise InvalidInput("product has wrong endpoints", pair=(g, h))
         for g in range(m):
-            if self.mul[(g, self.id[self.src[g]])] != g or \
-                    self.mul[(self.id[self.tgt[g]], g)] != g:
+            if mul[(g, self.id[src[g]])] != g or \
+                    mul[(self.id[tgt[g]], g)] != g:
                 raise InvalidInput("units are not two-sided", arrow=g)
             gi = self.inv[g]
-            if self.src[gi] != self.tgt[g] or self.tgt[gi] != self.src[g]:
+            if src[gi] != tgt[g] or tgt[gi] != src[g]:
                 raise InvalidInput("inverse has wrong endpoints", arrow=g)
-            if self.mul[(g, gi)] != self.id[self.tgt[g]] or \
-                    self.mul[(gi, g)] != self.id[self.src[g]]:
+            if mul[(g, gi)] != self.id[tgt[g]] or \
+                    mul[(gi, g)] != self.id[src[g]]:
                 raise InvalidInput("inverse law fails", arrow=g)
-        for (g, h) in self.mul:
-            gh = self.mul[(g, h)]
-            for k in range(m):
-                if self.src[h] == self.tgt[k]:
-                    if self.mul[(gh, k)] != self.mul[(g, self.mul[(h, k)])]:
-                        raise InvalidInput("associativity fails",
-                                           triple=(g, h, k))
+        leaving = [[] for _ in range(n)]
+        for g in range(m):
+            leaving[src[g]].append(rows[g])
+        gens = _product_generators(rows, pos, self.id, src, tgt)
+        if _light_test(rows, pos, leaving, tgt, gens):
+            return
+        for (g, h), gh in mul.items():
+            for k in ending[src[h]]:
+                if mul[(gh, k)] != mul[(g, mul[(h, k)])]:
+                    raise InvalidInput("associativity fails",
+                                       triple=(g, h, k))
+        raise InternalInconsistency("Light's test failed on an associative "
+                                    "groupoid")
+
+    def _raise_composability(self):
+        """Name the first pair, in index order, where ``mul`` is missing a
+        composable product or defines a non-composable one."""
+        src, tgt, mul = self.src, self.tgt, self.mul
+        for g in range(self.n_arrows):
+            for h in range(self.n_arrows):
+                if src[g] == tgt[h]:
+                    if (g, h) not in mul:
+                        raise InvalidInput("missing product of composable "
+                                           "pair", pair=(g, h))
+                elif (g, h) in mul:
+                    raise InvalidInput("product defined on non-composable "
+                                       "pair", pair=(g, h))
+        raise InternalInconsistency("composable pairs miscounted")
 
     def vertex_group(self, x):
         """The group of arrows x -> x, as (FiniteGroup, arrow list)."""

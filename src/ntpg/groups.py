@@ -4,9 +4,11 @@ Elements of a group of order n are the indices 0..n-1.  The identity is
 discovered from the table, never assumed to sit at index 0.  All validation
 is exhaustive at every order: a ``FiniteGroup`` that exists has had its
 Latin-square, identity, inverse and associativity axioms checked, the last
-by Light's test over a generating set.
+by Light's test over a generating set.  A ``FiniteAction`` has its
+composition law proved the same way, on the group's product generators.
 """
 
+from collections import defaultdict
 from operator import itemgetter
 
 from .errors import (ClosureCapExceeded, InternalInconsistency, InvalidInput,
@@ -21,16 +23,18 @@ class FiniteGroup:
 
     Immutable after construction; build through :func:`make_group` (or the
     other constructors in this module) so the axioms are actually verified.
-    ``table`` is a tuple of int tuples.
+    ``table`` is a tuple of int tuples; ``generators`` is the
+    product-generating set the associativity check ran over.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse")
+    __slots__ = ("order", "table", "identity", "inverse", "generators")
 
-    def __init__(self, table, identity, inverse):
+    def __init__(self, table, identity, inverse, generators):
         self.order = len(table)
         self.table = table
         self.identity = identity
         self.inverse = tuple(inverse)
+        self.generators = tuple(generators)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -120,49 +124,81 @@ def _find_inverses(table, e):
     return inverse
 
 
-def _product_generators(table, n, e):
-    """Elements whose products, with the identity e, reach every element.
+def _reader(keys):
+    """row -> tuple(row[k] for k in keys), through itemgetter where it
+    returns a tuple (two or more keys)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda row: tuple(row[k] for k in keys)
+
+
+# A partial product in row form: rows[x][pos[s]] is x*s for every s with
+# tgt[s] == src[x], where pos[s] is the index of s among the elements with
+# target tgt[s], in index order.  A groupoid's arrows take this form; a group
+# is the one-object case, with its table as rows, pos the identity map and
+# src = tgt = 0 throughout.
+
+def _product_generators(rows, pos, units, src, tgt):
+    """Elements whose products, with the units, reach every element.
 
     Greedy: each new generator is the least element not yet reached by
     right-multiplying reached elements by generators.  Only products are
-    used, never inverses, so this holds for any loop, associative or not.
+    used, never inverses, so this holds for any loop or partial loop,
+    associative or not.
     """
-    gens, reached = [], {e}
-    for g in range(n):
+    gens, reached = [], set(units)
+    leaving = defaultdict(list)     # object -> reached elements with that src
+    ending = defaultdict(list)      # object -> generators with that tgt
+    for u in units:
+        leaving[src[u]].append(u)
+    for g in range(len(rows)):
         if g in reached:
             continue
         gens.append(g)
-        # elements reached earlier still need the new generator
-        frontier = [g, *reached]
-        reached.add(g)
+        ending[tgt[g]].append(g)
+        # elements reached earlier need only the new generator
+        pg = pos[g]
+        frontier = [g, *(rows[x][pg] for x in leaving[tgt[g]])]
         while frontier:
             nxt = []
-            for x in frontier:
-                row = table[x]
-                for s in gens:
-                    y = row[s]
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.append(y)
+            for y in frontier:
+                if y in reached:
+                    continue
+                reached.add(y)
+                leaving[src[y]].append(y)
+                row = rows[y]
+                nxt.extend(row[pos[s]] for s in ending[src[y]])
             frontier = nxt
     return gens
+
+
+def _light_test(rows, pos, leaving, tgt, gens):
+    """Light's associativity test on a partial product in row form.
+
+    The set of h with (g*h)*k = g*(h*k) for all composable g, k holds the
+    units (by the unit law) and is closed under products, so it is
+    everything once it holds a product-generating set.  leaving[x] lists
+    the rows of the elements with source x.  Row g*h is k -> (g*h)*k; row g
+    read through row h is k -> g*(h*k).  True when every generator passes.
+    """
+    for h in gens:
+        ph = pos[h]
+        through_h = _reader([pos[y] for y in rows[h]])
+        if any(rows[row[ph]] != through_h(row) for row in leaving[tgt[h]]):
+            return False
+    return True
 
 
 def _check_associative(table, n, e):
     """Light's associativity test, exhaustive at every order.
 
-    The set of g with (x*g)*y = x*(g*y) for all x, y contains e and is
-    closed under products, so checking it for a product-generating set
-    checks all triples.  Row x*g of the table is y -> (x*g)*y; row x read
-    through row g is y -> x*(g*y).  On failure the table is rescanned for
-    the first violating triple in index order.
+    Returns the product-generating set it checked.  On failure the table is
+    rescanned for the first violating triple in index order.
     """
-    for g in _product_generators(table, n, e):
-        through_g = itemgetter(*table[g])
-        if any(table[row[g]] != through_g(row) for row in table):
-            break
-    else:
-        return
+    zeros = [0] * n
+    gens = _product_generators(table, range(n), [e], zeros, zeros)
+    if _light_test(table, range(n), [table], zeros, gens):
+        return gens
     through = [itemgetter(*row) for row in table]
     for a, row in enumerate(table):
         for b, ab in enumerate(row):
@@ -186,8 +222,8 @@ def make_group(table):
     _check_latin(table, n)
     e = _find_identity(table, n)
     inverse = _find_inverses(table, e)
-    _check_associative(table, n, e)
-    return FiniteGroup(table, e, inverse)
+    gens = _check_associative(table, n, e)
+    return FiniteGroup(table, e, inverse, gens)
 
 
 def _compose_perm(p, q):
@@ -422,6 +458,13 @@ class FiniteAction:
     ``act[g][x]`` is x.g.  A left action is accepted with side="left" and
     converted internally through g -> g^-1, so composition always satisfies
     x.(ab) = (x.a).b.
+
+    Validation is exhaustive: every row must be a permutation, the identity
+    must act trivially, and the composition law is proved on the group's
+    product generators b, which suffices because the b with
+    x.(ab) = (x.a).b for all a and x hold the identity and are closed under
+    products.  On failure the first violating pair and point in index order
+    is reported, as by a scan of every (a, b, x).
     """
 
     __slots__ = ("group", "set_size", "act", "side")
@@ -443,23 +486,30 @@ class FiniteAction:
         self._validate()
 
     def _validate(self):
-        G = self.group
-        for g, row in enumerate(self.act):
+        G, act = self.group, self.act
+        for g, row in enumerate(act):
             if len(row) != self.set_size:
                 raise NotAnAction("row %d has wrong length" % g, element=g)
             if sorted(row) != list(range(self.set_size)):
                 raise NotAnAction("element %d does not act bijectively" % g,
                                   element=g)
         ident = tuple(range(self.set_size))
-        if self.act[G.identity] != ident:
+        if act[G.identity] != ident:
             raise NotAnAction("identity does not act as the identity")
-        for a in range(G.order):
-            for b in range(G.order):
-                ab = G.table[a][b]
-                for x in range(self.set_size):
-                    if self.act[ab][x] != self.act[b][self.act[a][x]]:
-                        raise NotAnAction("composition law fails",
-                                          pair=(a, b), point=x)
+        # row b read through row a is x -> (x.a).b
+        through = [_reader(row) for row in act]
+        if all(act[row[b]] == through_a(act[b])
+               for row, through_a in zip(G.table, through)
+               for b in G.generators):
+            return
+        for a, row in enumerate(G.table):
+            for b, ab in enumerate(row):
+                left, right = act[ab], through[a](act[b])
+                if left != right:
+                    x = next(x for x in ident if left[x] != right[x])
+                    raise NotAnAction("composition law fails",
+                                      pair=(a, b), point=x)
+        raise InternalInconsistency("Light's test failed on an action")
 
     def apply(self, x, g):
         """x.g in the internal (right) convention."""
@@ -507,8 +557,11 @@ class _UnionFind:
 def action_check(a):
     """Kernel, freeness and orbits of a validated action.
 
-    Free means no g other than the identity fixes any point.  Orbits come
-    out sorted with deterministic indices (ordered by least member).
+    Free means no g other than the identity fixes any point; kernel and
+    freeness look at every g.  Orbits are joined over the group's product
+    generators only: in a finite group their products reach every element,
+    so the classes are the same.  Orbits come out sorted with deterministic
+    indices (ordered by least member).
     """
     G = a.group
     ident = tuple(range(a.set_size))
@@ -522,7 +575,7 @@ def action_check(a):
             is_free = False
             break
     uf = _UnionFind(a.set_size)
-    for g in range(G.order):
+    for g in G.generators:
         for x in range(a.set_size):
             uf.union(x, a.act[g][x])
     roots = {}

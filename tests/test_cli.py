@@ -500,6 +500,13 @@ def _mutated(base, path, value):
     return obj
 
 
+# a one-arrow groupoid whose mul has a second key outside the arrows: 5 once
+# ended as an IndexError, -1 wrapped around and was accepted with rc 0
+_ONE_ARROW = {"groupoid": {"objects": 1, "src": [0], "tgt": [0], "id": [0],
+                           "inv": [0], "mul": [[0, 0, 0]]},
+              "group": {"table": [[0]]}, "act": [[0]]}
+
+
 def test_unmutated_loader_inputs_pass(tmp_path):
     out = str(tmp_path / "rep.json")
     assert run(["groupoid", "gauge", write(tmp_path, "g.json", GAUGE),
@@ -507,6 +514,8 @@ def test_unmutated_loader_inputs_pass(tmp_path):
     assert run(["groupoid", "split",
                 write(tmp_path, "s.json", GROUPOID_ACTION),
                 "--out", out]) == 0
+    assert run(["groupoid", "quotient",
+                write(tmp_path, "q.json", _ONE_ARROW), "--out", out]) == 0
 
 
 # (command, base input, path to the mutated node, new value): inputs that
@@ -527,6 +536,27 @@ def test_malformed_loader_input_exits_2(tmp_path, capsys, command, base,
     out = str(tmp_path / "rep.json")
     _assert_input_error(run(["groupoid", command, f, "--out", out]), out,
                         capsys)
+
+
+@pytest.mark.parametrize("entry", [[5, 0, 0], [-1, 0, 0], [0, -1, 0]])
+def test_mul_key_outside_the_arrows_exits_2(tmp_path, capsys, entry):
+    data = _mutated(_ONE_ARROW, ["groupoid", "mul"], [[0, 0, 0], entry])
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["groupoid", "quotient",
+                             write(tmp_path, "in.json", data),
+                             "--out", out]), out, capsys)
+    details = read_report(out)["details"]
+    assert details["message"] == "mul key out of range"
+    assert details["details"]["pair"] == entry[:2]
+
+
+@pytest.mark.parametrize("spec", ["a;1", "2,x", "1.5"])
+def test_non_integer_subgroup_generator_exits_2(tmp_path, capsys, spec):
+    out = str(tmp_path / "rep.json")
+    code = run(["dpg", "verify", os.path.join(EXAMPLES, "q8_dpg.json"),
+                "--subgroups", spec, "--out", out])
+    _assert_input_error(code, out, capsys)
+    assert read_report(out)["details"]["details"] == {"subgroups": spec}
 
 
 def test_aut_cocycle_pair_of_three_charts_exits_2(tmp_path, capsys):

@@ -3,8 +3,12 @@ match the file under tests/golden/ byte for byte.
 
 The cases cover the docs/examples command lines, reports carrying F_p
 coefficients (``cocycle associate``/``frame``, ``graded weights`` and
-``cocycle t2`` over F_5), one with Q coefficients (``cocycle t2``) and the
-field-spec errors.  Regenerate the files only for an intended change of
+``cocycle t2`` over F_5), one with Q coefficients (``cocycle t2``), the
+field-spec errors, and the commands that validate actions and groupoids
+(``groupoid gauge``/``quotient``/``split``/``mult-function`` and ``dpg
+gamma-from-actions`` on S3 shapes), with the first failing witness of a
+broken action and of a groupoid with a swapped, a missing and an extra
+product.  Regenerate the files only for an intended change of
 report content:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +21,7 @@ import sys
 import pytest
 
 from ntpg.cli import main
+from ntpg.named import cyclic, symmetric
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(ROOT, "docs", "examples")
@@ -27,6 +32,92 @@ D111 = {"mode": "multi", "n": 2,
                    {"sigma": [0, 1], "dim": 1},
                    {"sigma": [1, 1], "dim": 1}]}
 LINE = {"mode": "simple", "dims": [], "base": 1}
+S3 = [list(row) for row in symmetric(3).table]
+Z2 = [list(row) for row in cyclic(2).table]
+
+
+def _group(table):
+    return {"order": len(table), "table": table}
+
+
+def _free_action(t, copies):
+    """t acting on copies of itself by right multiplication."""
+    n = len(t)
+    return {"group": _group(t), "points": n * copies,
+            "act": [[i * n + t[x][h] for i in range(copies) for x in range(n)]
+                    for h in range(n)]}
+
+
+def _built_groupoid(t, k, c):
+    """The pair groupoid on k objects times^b the group t, with
+    b(p, q) = c[p] c[q]^-1 and t acting on the second factor.  Base arrow
+    (p, q) runs q -> p; arrow (y0, g) is coded y0 * n + g."""
+    n = len(t)
+    inv = [row.index(t.index(list(range(n)))) for row in t]
+    base = [(p, q) for p in range(k) for q in range(k)]
+    b = [t[c[p]][inv[c[q]]] for p, q in base]
+    src = [q * n + g for p, q in base for g in range(n)]
+    tgt = [p * n + t[b[y0]][g] for y0, (p, q) in enumerate(base)
+           for g in range(n)]
+    inv_arrow = [(q * k + p) * n + t[b[y0]][g]
+                 for y0, (p, q) in enumerate(base) for g in range(n)]
+    ids = [(x * k + x) * n + g for x in range(k) for g in range(n)]
+    mul = [[y0 * n + t[b[q * k + r]][g2], (q * k + r) * n + g2,
+            (p * k + r) * n + g2]
+           for y0, (p, q) in enumerate(base) for r in range(k)
+           for g2 in range(n)]
+    return {"groupoid": {"objects": k * n, "src": src, "tgt": tgt,
+                         "id": ids, "inv": inv_arrow, "mul": mul},
+            "group": _group(t),
+            "act": [[(a // n) * n + t[a % n][h] for a in range(k * k * n)]
+                    for h in range(n)]}
+
+
+def _group_pair_groupoid(t, k):
+    """The pair groupoid on k objects times the group t, under the trivial
+    group: arrow (p, q, g) runs q -> p, is coded (p * k + q) * n + g and
+    (p, q, g)(q, r, h) = (p, r, gh)."""
+    n = len(t)
+    e = t.index(list(range(n)))
+    inv = [row.index(e) for row in t]
+    arrows = [(p, q, g) for p in range(k) for q in range(k) for g in range(n)]
+    mul = [[(p * k + q) * n + g, (q * k + r) * n + h,
+            (p * k + r) * n + t[g][h]]
+           for p, q, g in arrows for r in range(k) for h in range(n)]
+    return {"groupoid": {"objects": k,
+                         "src": [q for p, q, g in arrows],
+                         "tgt": [p for p, q, g in arrows],
+                         "id": [(x * k + x) * n + e for x in range(k)],
+                         "inv": [(q * k + p) * n + inv[g]
+                                 for p, q, g in arrows],
+                         "mul": mul},
+            "group": _group([[0]]),
+            "act": [list(range(k * k * n))]}
+
+
+def _broken_groupoid(kind):
+    """An S3 groupoid with one product swapped, dropped or added."""
+    if kind == "swapped":
+        # products 145 and 146 share their endpoints and neither is a unit
+        # or inverse law, so only associativity fails
+        obj = _group_pair_groupoid(S3, 2)
+        mul = obj["groupoid"]["mul"]
+        mul[145][2], mul[146][2] = mul[146][2], mul[145][2]
+        return obj
+    obj = _built_groupoid(S3, 2, [0, 4])
+    mul = obj["groupoid"]["mul"]
+    if kind == "missing":
+        del mul[30]
+    else:
+        mul.append([0, 6, 0])
+    return obj
+
+
+def _broken_action():
+    obj = _free_action(S3, 2)
+    row = obj["act"][3]
+    row[1], row[2] = row[2], row[1]
+    return {"action": obj}
 
 
 def _example(name):
@@ -78,6 +169,32 @@ CASES = {
                   {"exponents": [0, 1], "num": "4"},
                   {"exponents": [1, 0], "num": "-1"},
                   {"exponents": [1, 0], "num": "6"}]}}),
+    "groupoid_gauge_s3": (["groupoid", "gauge", "{gauge}"], {
+        "gauge": {"action": _free_action(S3, 2)}}),
+    "groupoid_gauge_not_an_action": (["groupoid", "gauge", "{gauge}"], {
+        "gauge": _broken_action()}),
+    "groupoid_quotient_s3": (["groupoid", "quotient", "{ga}"], {
+        "ga": _built_groupoid(S3, 2, [0, 4])}),
+    "groupoid_split_s3": (["groupoid", "split", "{ga}"], {
+        "ga": _built_groupoid(S3, 3, [1, 0, 5])}),
+    "groupoid_mult_function_s3": (["groupoid", "mult-function", "{ga}"], {
+        "ga": _built_groupoid(S3, 3, [1, 0, 5])}),
+    "groupoid_quotient_swapped_product": (["groupoid", "quotient", "{ga}"], {
+        "ga": _broken_groupoid("swapped")}),
+    "groupoid_quotient_missing_product": (["groupoid", "quotient", "{ga}"], {
+        "ga": _broken_groupoid("missing")}),
+    "groupoid_quotient_extra_product": (["groupoid", "quotient", "{ga}"], {
+        "ga": _broken_groupoid("extra")}),
+    "dpg_gamma_from_actions_s3xz2": (["dpg", "gamma-from-actions", "{pair}"], {
+        "pair": {"points": 12,
+                 # S3 x 1 and 1 x Z2 acting on S3 x Z2, coded a * 2 + b
+                 "rho": {"group": _group(S3), "points": 12,
+                         "act": [[S3[x // 2][a] * 2 + x % 2
+                                  for x in range(12)] for a in range(6)]},
+                 "rho_prime": {"group": _group(Z2), "points": 12,
+                               "act": [[x // 2 * 2 + Z2[x % 2][b]
+                                        for x in range(12)]
+                                       for b in range(2)]}}}),
 }
 
 
