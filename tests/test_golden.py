@@ -8,8 +8,10 @@ field-spec errors, and the commands that validate actions and groupoids
 (``groupoid gauge``/``quotient``/``split``/``mult-function`` and ``dpg
 gamma-from-actions`` on S3 shapes), with the first failing witness of a
 broken action and of a groupoid with a swapped, a missing and an extra
-product.  Regenerate the files only for an intended change of
-report content:
+product, and the coboundary search of ``cocycle cohomologous`` (a late
+witness, an exhausted search, a cap overflow, an isolated chart and a full
+nerve with triple overlaps).  Regenerate the files only for an intended
+change of report content:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,7 +23,7 @@ import sys
 import pytest
 
 from ntpg.cli import main
-from ntpg.named import cyclic, symmetric
+from ntpg.named import cyclic, quaternion_group, symmetric
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(ROOT, "docs", "examples")
@@ -34,6 +36,8 @@ D111 = {"mode": "multi", "n": 2,
 LINE = {"mode": "simple", "dims": [], "base": 1}
 S3 = [list(row) for row in symmetric(3).table]
 Z2 = [list(row) for row in cyclic(2).table]
+S4 = [list(row) for row in symmetric(4).table]
+Q8 = [list(row) for row in quaternion_group().table]
 
 
 def _group(table):
@@ -120,6 +124,29 @@ def _broken_action():
     return {"action": obj}
 
 
+def _cohomologous(t, overlaps, c1, lam=None, c2=None, charts=None,
+                  triples=()):
+    """A ``cocycle cohomologous`` input with c1 and c2 given on the overlaps
+    in order; unless c2 is given it is c1 twisted by the family lam,
+    c2_ij = lam_i c1_ij lam_j^-1."""
+    if c2 is None:
+        e = t.index(list(range(len(t))))
+        c2 = [t[t[lam[i]][v]][t[lam[j]].index(e)]
+              for (i, j), v in zip(overlaps, c1)]
+    return {"group": _group(t),
+            "charts": len(lam) if charts is None else charts,
+            "overlaps": overlaps, "triples": list(triples),
+            "c1": [{"pair": p, "element": v} for p, v in zip(overlaps, c1)],
+            "c2": [{"pair": p, "element": v} for p, v in zip(overlaps, c2)]}
+
+
+CIRCLE4 = [[0, 1], [1, 2], [2, 3], [0, 3]]
+TRIANGLE = [[0, 1], [1, 2], [0, 2]]
+# S3 on three charts without triple overlaps: holonomy 1 against holonomy
+# of order 2, so no family exists
+UNTWISTED = _cohomologous(S3, TRIANGLE, [0, 0, 0], c2=[1, 0, 0], charts=3)
+
+
 def _example(name):
     return os.path.join(EXAMPLES, name)
 
@@ -195,6 +222,21 @@ CASES = {
                                "act": [[x // 2 * 2 + Z2[x % 2][b]
                                         for x in range(12)]
                                        for b in range(2)]}}}),
+    "cocycle_cohomologous_late_s4": (["cocycle", "cohomologous", "{coh}"], {
+        "coh": _cohomologous(S4, CIRCLE4, [5, 11, 17, 11],
+                             lam=[23, 13, 7, 3])}),
+    "cocycle_cohomologous_exhausted_s3": (
+        ["cocycle", "cohomologous", "{coh}"], {"coh": UNTWISTED}),
+    "cocycle_cohomologous_over_cap": (
+        ["cocycle", "cohomologous", "{coh}", "--max-candidates", "10"],
+        {"coh": UNTWISTED}),
+    "cocycle_cohomologous_isolated_chart_s3": (
+        ["cocycle", "cohomologous", "{coh}"], {
+            "coh": _cohomologous(S3, [[0, 1]], [3], lam=[2, 5, 4])}),
+    "cocycle_cohomologous_full_q8": (["cocycle", "cohomologous", "{coh}"], {
+        # c1 = (a, b, ab) on (01, 12, 02)
+        "coh": _cohomologous(Q8, TRIANGLE, [2, 4, Q8[2][4]], lam=[6, 3, 5],
+                             triples=[[0, 1, 2]])}),
 }
 
 
