@@ -390,10 +390,14 @@ class CohomologyResult:
 
 
 def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):
-    """Exhaustive search for a family (λ_i) with g'_ij = λ_i g_ij λ_j^-1.
+    """Search for a family (λ_i) with g'_ij = λ_i g_ij λ_j^-1.
 
-    Returns the witness family or the exhaustion verdict; the search space
-    |G|^charts is capped.
+    As λ_j = g'_ji λ_i g_ij (g'_ji = g'_ij^-1), λ at the least chart of a
+    nerve component fixes the rest, so the search tries |G| roots per
+    component, in element order.  The least working roots form the first
+    family in ``product`` order: the witness, with ``searched`` its 1-based
+    rank, or |G|^charts when a component has none.  The cap still bounds
+    |G|^charts, so the grid's refusals stand.
     """
     if c1.nerve.pairs != c2.nerve.pairs or c1.nerve.n != c2.nerve.n:
         raise InvalidInput("cocycles over different nerves")
@@ -410,15 +414,36 @@ def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):
             space = "%d**%d" % (len(els), n)
         raise SearchCapExceeded("coboundary search space exceeds cap",
                                 space=space, cap=cap)
-    pairs = c1.nerve.ordered_pairs()
-    searched = 0
-    for lam in product(els, repeat=n):
-        searched += 1
-        if all(_eq(ops, ops.mul(ops.mul(lam[i], c1.value(i, j)),
-                                ops.inv(lam[j])),
-                   c2.value(i, j)) for (i, j) in pairs):
-            return CohomologyResult(True, list(lam), searched)
-    return CohomologyResult(False, None, searched)
+    index = {ops.key(x): k for k, x in enumerate(els)}
+    nbrs = [[] for _ in range(n)]
+    for (i, j) in c1.nerve.ordered_pairs():
+        nbrs[i].append(j)
+
+    def family(root, k):
+        """λ on the root's component as element indices, from λ_root = k by
+        BFS; None if an ordered pair fails or a value is off the grid."""
+        vals, comp = {root: k}, [root]
+        for i in comp:
+            for j in nbrs[i]:
+                v = index.get(ops.key(ops.mul(ops.mul(
+                    c2.value(j, i), els[vals[i]]), c1.value(i, j))))
+                if j not in vals:
+                    comp.append(j)
+                if v is None or vals.setdefault(j, v) != v:
+                    return None
+        return vals
+
+    lam = {}
+    for root in range(n):
+        if root in lam:
+            continue
+        tries = (family(root, k) for k in range(len(els)))
+        vals = next((v for v in tries if v is not None), None)
+        if vals is None:
+            return CohomologyResult(False, None, space)
+        lam.update(vals)
+    rank = sum(lam[i] * len(els) ** (n - 1 - i) for i in range(n))
+    return CohomologyResult(True, [els[lam[i]] for i in range(n)], rank + 1)
 
 
 def t2_transition(chart):

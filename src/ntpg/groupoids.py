@@ -236,16 +236,17 @@ class GroupoidAction:
 
 class CompatReport:
     __slots__ = ("compatible", "witness", "kernel", "pre_principal",
-                 "object_action", "object_action_free")
+                 "object_action", "object_action_free", "arrow_report")
 
     def __init__(self, compatible, witness, kernel, pre_principal,
-                 object_action, object_action_free):
+                 object_action, object_action_free, arrow_report=None):
         self.compatible = compatible
         self.witness = witness
         self.kernel = kernel
         self.pre_principal = pre_principal
         self.object_action = object_action
         self.object_action_free = object_action_free
+        self.arrow_report = arrow_report    # action_check of the arrows
 
 
 def _induced_object_map(ga, g):
@@ -305,11 +306,12 @@ def check_compatible(ga):
         obj_rows.append(omap)
     object_action = FiniteAction(G, gpd.n_objects, obj_rows)
 
-    kernel = action_check(ga.arrow_action).kernel
+    arrow_report = action_check(ga.arrow_action)
+    kernel = arrow_report.kernel
     pre_principal = action_check(_reduce(ga.arrow_action, kernel)).is_free
     object_action_free = action_check(_reduce(object_action, kernel)).is_free
     return CompatReport(True, None, kernel, pre_principal, object_action,
-                        object_action_free)
+                        object_action_free, arrow_report)
 
 
 def _reduce(a, kernel):
@@ -351,7 +353,7 @@ def quotient_groupoid(ga):
     if not report.compatible:
         raise NotCompatible("action is not by groupoid automorphisms",
                             witness=report.witness)
-    arep = action_check(ga.arrow_action)
+    arep = report.arrow_report
     if not arep.is_free:
         g = next(g for g in range(ga.group.order)
                  if g != ga.group.identity

@@ -399,10 +399,12 @@ def gamma_from_actions(set_size, rho, rho_prime):
     G0 = {(g', g) : rho'_{g'} rho_g = id}, quotients, and verifies that the
     induced Γ-action is free and that the four orbit maps commute.
     """
+    reports = []
     for name, a in (("rho", rho), ("rho_prime", rho_prime)):
         if a.set_size != set_size:
             raise NotAnAction("action on wrong point set", action=name)
-        if not action_check(a).is_free:
+        reports.append(action_check(a))
+        if not reports[-1].is_free:
             raise NotFree("action is not free", action=name)
 
     twist = derive_twist(set_size, rho, rho_prime)
@@ -429,12 +431,12 @@ def gamma_from_actions(set_size, rho, rho_prime):
         elif rows[proj(i)] != perms[i]:
             raise InternalInconsistency("kernel cosets act inconsistently")
     gamma_action = FiniteAction(gamma, set_size, rows)
-    if not action_check(gamma_action).is_free:
+    gamma_report = action_check(gamma_action)
+    if not gamma_report.is_free:
         raise NotFree("induced gamma action is not free")
 
-    pi = action_check(rho).orbit_of
-    pi_prime = action_check(rho_prime).orbit_of
-    pi_zero = action_check(gamma_action).orbit_of
+    pi, pi_prime = (r.orbit_of for r in reports)
+    pi_zero = gamma_report.orbit_of
     m_size = len(set(pi))
     m_prime_size = len(set(pi_prime))
     m0_size = len(set(pi_zero))

@@ -27,6 +27,7 @@ COMMANDS = {
     "q8_dpg.json": ["dpg", "verify", "{}"],
     "z3_cocycle.json": ["cocycle", "check", "{}"],
     "t2_chart.json": ["cocycle", "t2", "{}"],
+    "s3_coh.json": ["cocycle", "cohomologous", "{}"],
     "d111_sig.json": ["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
 }
 

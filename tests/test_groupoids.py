@@ -244,6 +244,25 @@ def test_split_checks_compatibility_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_quotient_checks_each_action_once(monkeypatch):
+    import ntpg.groupoids
+    G, H, action, gpd, labels = q8_gauge()
+    Hj = subgroup_closure(G, {Q8_J})
+    ga = reduced_action(diagonal_translation_action(G, labels, gpd, Hj.members))
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return action_check(a)
+
+    monkeypatch.setattr(ntpg.groupoids, "action_check", counting)
+    q = quotient_groupoid(ga)
+    # the arrow action, its reduction, the reduced and the plain object
+    # action: one call each
+    assert len({id(a) for a in calls}) == len(calls) == 4
+    assert calls[0] is ga.arrow_action and calls[-1] is q.object_action
+
+
 def test_split_with_trivial_group_gives_target_map():
     gpd = pair_groupoid(3)
     T = trivial_group()

@@ -195,6 +195,22 @@ def test_pipeline_on_q8():
     assert gamma_perms == translations
 
 
+def test_pipeline_checks_each_action_once(monkeypatch):
+    import ntpg.principal
+    from ntpg.groups import action_check
+    G, rho, rho_prime = q8_translation_actions()
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return action_check(a)
+
+    monkeypatch.setattr(ntpg.principal, "action_check", counting)
+    res = gamma_from_actions(8, rho, rho_prime)
+    # rho, rho_prime and the induced gamma action, once each
+    assert calls == [rho, rho_prime, res.gamma_action]
+
+
 def test_pipeline_on_product_of_independent_translations():
     A, B = cyclic(2), cyclic(3)
     from ntpg.named import direct_product, product_factor_members

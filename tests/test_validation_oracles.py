@@ -1,18 +1,27 @@
-"""The generator-based validators of actions and groupoids against the
-brute-force scans they replaced.
+"""The generator-based validators of actions and groupoids, and the
+propagation search for coboundaries, against the brute-force scans they
+replaced.
 
 ``FiniteAction`` proves the composition law on product generators and
 ``FiniteGroupoid`` counts composable pairs per object and runs Light's
 test; the oracles below check every (a, b, x) and every composable triple
 in index order.  Both must raise the same exception class with the same
-message and witness, or both accept.
+message and witness, or both accept.  ``are_cohomologous`` tries |G| roots
+per nerve component; its oracle walks the whole |G|^charts grid in
+``product`` order, and both must give the same verdict, witness and count.
 """
 
 from itertools import combinations, product, permutations
+from types import SimpleNamespace
 
 import pytest
 
+from ntpg.autgroups import enumerate_aut
+from ntpg.cocycles import (AutOps, Cocycle, CoverNerve, FiniteGroupOps,
+                           are_cohomologous)
 from ntpg.errors import AlgebraError, InvalidInput, NotAnAction
+from ntpg.fields import GF
+from ntpg.graded import GradedSignature
 from ntpg.groupoids import (FiniteGroupoid, build_from_morphism,
                             gauge_groupoid, pair_groupoid)
 from ntpg.groups import FiniteAction, subgroup_closure
@@ -228,3 +237,87 @@ def test_groupoids_with_a_product_swapped_dropped_or_added(name):
         assert "product defined on non-composable pair" in messages
     if name in ("gauge-S3", "built-S3"):
         assert "associativity fails" in messages
+
+
+# -- coboundary search -------------------------------------------------------
+
+def grid_cohomologous(c1, c2):
+    """Every family (λ_i) in ``product`` order until g'_ij = λ_i g_ij λ_j^-1
+    holds on every ordered pair: (verdict, witness, families searched)."""
+    ops = c1.ops
+    pairs = c1.nerve.ordered_pairs()
+    searched = 0
+    for lam in product(ops.elements(), repeat=c1.nerve.n):
+        searched += 1
+        if all(ops.key(ops.mul(ops.mul(lam[i], c1.value(i, j)),
+                               ops.inv(lam[j]))) == ops.key(c2.value(i, j))
+               for (i, j) in pairs):
+            return True, list(lam), searched
+    return False, None, searched
+
+
+def assert_same_search(c1, c2):
+    expected = grid_cohomologous(c1, c2)
+    res = are_cohomologous(c1, c2)
+    assert (res.cohomologous, res.witness, res.searched) == expected
+    return expected[0]
+
+
+def _cocycles(G, nerve):
+    """Every G-valued cocycle on the nerve, from free values on the pairs
+    (i, j), i < j, filtered by the cocycle laws."""
+    ops = FiniteGroupOps(G)
+    pairs = sorted(tuple(sorted(p)) for p in nerve.pairs)
+    out = []
+    for values in product(range(G.order), repeat=len(pairs)):
+        c = Cocycle(nerve, ops, dict(zip(pairs, values)))
+        if all(G.table[c.value(i, j)][c.value(j, k)] == c.value(i, k)
+               for (i, j, k) in nerve.ordered_triples()):
+            out.append(c)
+    return out
+
+
+_NERVES = {"two": CoverNerve(2, [(0, 1)]),
+           "path": CoverNerve(3, [(0, 1), (1, 2)]),
+           "full": CoverNerve.full(3),
+           "isolated": CoverNerve(3, [(0, 2)]),
+           # a circle: no triple overlap, so holonomy can obstruct
+           "circle": CoverNerve(3, [(0, 1), (1, 2), (0, 2)])}
+
+
+@pytest.mark.parametrize("group,nerve", [
+    ("Z3", "two"), ("S3", "two"), ("Q8", "two"),
+    ("Z3", "path"), ("Z3", "full"), ("Z3", "isolated"), ("Z3", "circle"),
+    ("S3", "path"), ("S3", "full"), ("S3", "isolated")])
+def test_every_pair_of_cocycles_matches_the_grid(group, nerve):
+    G = {"Z3": cyclic(3), "S3": symmetric(3), "Q8": quaternion_group()}[group]
+    cs = _cocycles(G, _NERVES[nerve])
+    verdicts = {assert_same_search(c1, c2) for c1 in cs for c2 in cs}
+    assert verdicts == ({True, False} if nerve == "circle" else {True})
+
+
+@pytest.mark.parametrize("group,nerve,fixed", [("S3", "circle", 4),
+                                               ("Q8", "full", 8)])
+def test_every_cocycle_against_fixed_ones_matches_the_grid(group, nerve,
+                                                           fixed):
+    G = {"S3": symmetric(3), "Q8": quaternion_group()}[group]
+    cs = _cocycles(G, _NERVES[nerve])
+    verdicts = {assert_same_search(c1, c2)
+                for c1 in cs for c2 in _spread(cs, fixed)[:fixed]}
+    assert verdicts == ({True, False} if nerve == "circle" else {True})
+
+
+def test_automorphism_cocycles_match_the_grid():
+    sig = GradedSignature.double_vector(1, 1, 1)
+    handle = enumerate_aut(sig, GF(2))
+    ops = AutOps(sig, GF(2), handle)
+    for a, b in product(handle.elements, repeat=2):
+        assert assert_same_search(Cocycle(_NERVES["two"], ops, {(0, 1): a}),
+                                  Cocycle(_NERVES["two"], ops, {(0, 1): b}))
+    # a handle listing the identity alone: propagating to the other element
+    # leaves the list, which fails the root, as the grid never tries it
+    one = AutOps(sig, GF(2), SimpleNamespace(elements=[ops.one]))
+    a = next(x for x in handle.elements if x.key() != ops.one.key())
+    c1 = Cocycle(_NERVES["two"], one, {(0, 1): ops.one})
+    assert not assert_same_search(c1, Cocycle(_NERVES["two"], one,
+                                              {(0, 1): a}))
