@@ -18,7 +18,7 @@ import pytest
 
 from ntpg.autgroups import enumerate_aut
 from ntpg.cocycles import (AutOps, Cocycle, CoverNerve, FiniteGroupOps,
-                           are_cohomologous)
+                           are_cohomologous, check_cocycle)
 from ntpg.errors import AlgebraError, InvalidInput, NotAnAction
 from ntpg.fields import GF
 from ntpg.graded import GradedSignature
@@ -266,15 +266,10 @@ def assert_same_search(c1, c2):
 def _cocycles(G, nerve):
     """Every G-valued cocycle on the nerve, from free values on the pairs
     (i, j), i < j, filtered by the cocycle laws."""
-    ops = FiniteGroupOps(G)
     pairs = sorted(tuple(sorted(p)) for p in nerve.pairs)
-    out = []
-    for values in product(range(G.order), repeat=len(pairs)):
-        c = Cocycle(nerve, ops, dict(zip(pairs, values)))
-        if all(G.table[c.value(i, j)][c.value(j, k)] == c.value(i, k)
-               for (i, j, k) in nerve.ordered_triples()):
-            out.append(c)
-    return out
+    cs = [Cocycle(nerve, FiniteGroupOps(G), dict(zip(pairs, values)))
+          for values in product(range(G.order), repeat=len(pairs))]
+    return [c for c in cs if check_cocycle(c)[0]]
 
 
 _NERVES = {"two": CoverNerve(2, [(0, 1)]),
@@ -283,6 +278,8 @@ _NERVES = {"two": CoverNerve(2, [(0, 1)]),
            "isolated": CoverNerve(3, [(0, 2)]),
            # a circle: no triple overlap, so holonomy can obstruct
            "circle": CoverNerve(3, [(0, 1), (1, 2), (0, 2)])}
+_COH_GROUPS = {"Z3": lambda: cyclic(3), "S3": lambda: symmetric(3),
+               "Q8": quaternion_group}
 
 
 @pytest.mark.parametrize("group,nerve", [
@@ -290,8 +287,7 @@ _NERVES = {"two": CoverNerve(2, [(0, 1)]),
     ("Z3", "path"), ("Z3", "full"), ("Z3", "isolated"), ("Z3", "circle"),
     ("S3", "path"), ("S3", "full"), ("S3", "isolated")])
 def test_every_pair_of_cocycles_matches_the_grid(group, nerve):
-    G = {"Z3": cyclic(3), "S3": symmetric(3), "Q8": quaternion_group()}[group]
-    cs = _cocycles(G, _NERVES[nerve])
+    cs = _cocycles(_COH_GROUPS[group](), _NERVES[nerve])
     verdicts = {assert_same_search(c1, c2) for c1 in cs for c2 in cs}
     assert verdicts == ({True, False} if nerve == "circle" else {True})
 
@@ -300,8 +296,7 @@ def test_every_pair_of_cocycles_matches_the_grid(group, nerve):
                                                ("Q8", "full", 8)])
 def test_every_cocycle_against_fixed_ones_matches_the_grid(group, nerve,
                                                            fixed):
-    G = {"S3": symmetric(3), "Q8": quaternion_group()}[group]
-    cs = _cocycles(G, _NERVES[nerve])
+    cs = _cocycles(_COH_GROUPS[group](), _NERVES[nerve])
     verdicts = {assert_same_search(c1, c2)
                 for c1 in cs for c2 in _spread(cs, fixed)[:fixed]}
     assert verdicts == ({True, False} if nerve == "circle" else {True})
