@@ -25,7 +25,7 @@ from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
                      SplitFailure)
 from .fields import field_from_json
 from .graded import conjugate_structure, dilation
-from .groups import subgroup_closure
+from .groups import DEFAULT_CLOSURE_CAP, subgroup_closure
 from .jsonio import (_array, _need, _object, dump_group, dump_groupoid,
                      dump_polymap, dump_terms, load_action, load_aut_cocycle,
                      load_group, load_group_cocycle, load_groupoid_action,
@@ -80,6 +80,14 @@ def _input_subgroups(args, data, G):
     return [load_subgroup(G, s) for s in data["subgroups"]]
 
 
+def _points(data, action):
+    """The input's point count, the action's when the input gives none."""
+    points = data.get("points", action.set_size)
+    if not isinstance(points, int):
+        raise InvalidInput("points must be an integer", points=points)
+    return points
+
+
 def _subgroup_pair(args, data, G):
     """The first two input subgroups; fewer than two is an input error."""
     subs = _input_subgroups(args, data, G)
@@ -101,7 +109,7 @@ def cmd_group_validate(args, data):
 
 
 def cmd_dpg_verify(args, data):
-    G = load_group(_nested(data, "gamma"))
+    G = load_group(_nested(data, "gamma"), cap=args.max_order)
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -117,7 +125,7 @@ def cmd_dpg_verify(args, data):
 
 
 def cmd_dpg_dressing(args, data):
-    G = load_group(_nested(data, "gamma"))
+    G = load_group(_nested(data, "gamma"), cap=args.max_order)
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -130,9 +138,10 @@ def cmd_dpg_dressing(args, data):
 
 
 def cmd_dpg_pipeline(args, data):
-    rho = load_action(_need(data, "rho", "pipeline"))
-    rho_prime = load_action(_need(data, "rho_prime", "pipeline"))
-    points = data.get("points", rho.set_size)
+    rho = load_action(_need(data, "rho", "pipeline"), cap=args.max_order)
+    rho_prime = load_action(_need(data, "rho_prime", "pipeline"),
+                            cap=args.max_order)
+    points = _points(data, rho)
     try:
         res = principal.gamma_from_actions(points, rho, rho_prime)
     except (NotCompatible, NotFree) as e:
@@ -143,7 +152,7 @@ def cmd_dpg_pipeline(args, data):
 
 
 def cmd_ntuple_verify(args, data):
-    G = load_group(_nested(data, "gamma"))
+    G = load_group(_nested(data, "gamma"), cap=args.max_order)
     subs = _input_subgroups(args, data, G)
     w = principal.verify_ntuple(G, subs)
     details = {"gamma_order": G.order, "n": len(subs),
@@ -164,8 +173,8 @@ def _collect_trace_failures(node, acc=None):
 
 
 def cmd_groupoid_gauge(args, data):
-    action = load_action(_need(data, "action", "gauge"))
-    points = data.get("points", action.set_size)
+    action = load_action(_need(data, "action", "gauge"), cap=args.max_order)
+    points = _points(data, action)
     try:
         gpd, labels = groupoids.gauge_groupoid(points, action)
     except ActionNotFree as e:
@@ -176,7 +185,7 @@ def cmd_groupoid_gauge(args, data):
 
 
 def cmd_groupoid_quotient(args, data):
-    ga = load_groupoid_action(data)
+    ga = load_groupoid_action(data, cap=args.max_order)
     try:
         q = groupoids.quotient_groupoid(ga)
     except (NotCompatible, NotFree) as e:
@@ -188,7 +197,7 @@ def cmd_groupoid_quotient(args, data):
 
 
 def cmd_groupoid_split(args, data):
-    ga = load_groupoid_action(data)
+    ga = load_groupoid_action(data, cap=args.max_order)
     try:
         sp = groupoids.split(ga)
     except (NotCompatible, NotFree, SplitFailure) as e:
@@ -200,7 +209,7 @@ def cmd_groupoid_split(args, data):
 
 
 def cmd_groupoid_multfunction(args, data):
-    ga = load_groupoid_action(data)
+    ga = load_groupoid_action(data, cap=args.max_order)
     try:
         sp = groupoids.split(ga)
         mf = groupoids.multiplicative_function(sp)
@@ -281,7 +290,7 @@ def cmd_aut_verify_p54(args, data):
 
 
 def cmd_cocycle_check(args, data):
-    c, _ = load_group_cocycle(data)
+    c, _ = load_group_cocycle(data, cap=args.max_order)
     ok, witness = cocycles.check_cocycle(c)
     if not ok:
         return "fail", {}, [witness]
@@ -338,7 +347,8 @@ def cmd_cocycle_frame(args, data):
 
 
 def cmd_cocycle_cohomologous(args, data):
-    G = load_group(_need(data, "group", "cohomologous input"))
+    G = load_group(_need(data, "group", "cohomologous input"),
+                   cap=args.max_order)
     base = {"charts": _need(data, "charts", "cohomologous input"),
             "overlaps": data.get("overlaps", []),
             "triples": data.get("triples", [])}
@@ -376,8 +386,8 @@ def _add_io_args(p, needs_file=True):
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; has no effect "
                         "(every check is exhaustive)")
-    p.add_argument("--max-order", type=int, default=10_000,
-                   help="cap for permutation closures")
+    p.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
+                   help="cap for permutation closures of every input group")
     p.add_argument("--max-candidates", type=int, default=10 ** 6,
                    help="cap for enumeration and coboundary search grids")
     p.add_argument("--subgroups", default=None,

@@ -13,6 +13,7 @@ from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
                      InvalidInput, NotInvertibleChart, SearchCapExceeded)
 from .fields import mat_inv
 from .graded import GradedSignature, PolyMap, is_graded_morphism
+from .groups import FiniteAction, descend
 from .poly import Poly
 
 DEFAULT_SEARCH_CAP = 10 ** 6
@@ -240,44 +241,23 @@ class FiberedSpace:
         self._validate()
 
     def _validate(self):
-        G = self.gamma
-        if len(self.perms) != G.order:
-            raise InvalidInput("one permutation per group element required")
-        ident = tuple(range(self.npoints))
-        if self.perms[G.identity] != ident:
-            raise InvalidInput("identity must act trivially")
-        for a in range(G.order):
-            if sorted(self.perms[a]) != list(range(self.npoints)):
-                raise InvalidInput("element does not act bijectively",
-                                   element=a)
-            for b in range(G.order):
-                ab = G.table[a][b]
+        FiniteAction(self.gamma, self.npoints, self.perms, side="left")
+        for which, H, classes in (("first", self.g1, self.rho),
+                                  ("second", self.g2, self.rho_prime)):
+            for g in H.members:
                 for x in range(self.npoints):
-                    if self.perms[ab][x] != self.perms[a][self.perms[b][x]]:
-                        raise InvalidInput("left action law fails",
-                                           pair=(a, b), point=x)
-        for g in self.g1.members:
-            for x in range(self.npoints):
-                if self.rho[self.perms[g][x]] != self.rho[x]:
-                    raise ActionIncompatibleWithFibration(
-                        "first subgroup leaves its fibers", element=g, point=x)
-        for g in self.g2.members:
-            for x in range(self.npoints):
-                if self.rho_prime[self.perms[g][x]] != self.rho_prime[x]:
-                    raise ActionIncompatibleWithFibration(
-                        "second subgroup leaves its fibers", element=g, point=x)
+                    if classes[self.perms[g][x]] != classes[x]:
+                        raise ActionIncompatibleWithFibration(
+                            "%s subgroup leaves its fibers" % which,
+                            element=g, point=x)
 
     def descend(self, g, classes):
         """The induced map on rho-classes (or rho_prime), checked."""
-        out = [None] * (max(classes) + 1)
-        for x in range(self.npoints):
-            c = classes[x]
-            img = classes[self.perms[g][x]]
-            if out[c] is None:
-                out[c] = img
-            elif out[c] != img:
-                raise ActionIncompatibleWithFibration(
-                    "element does not descend to the quotient", element=g)
+        out, _ = descend(classes, [classes[y] for y in self.perms[g]],
+                         max(classes) + 1)
+        if out is None:
+            raise ActionIncompatibleWithFibration(
+                "element does not descend to the quotient", element=g)
         return tuple(out)
 
 

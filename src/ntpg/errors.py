@@ -81,10 +81,6 @@ class NotMultiplicative(AlgebraError):
 
 # -- principal structures --------------------------------------------------
 
-class NotAnActionByAutomorphisms(AlgebraError):
-    pass
-
-
 class DiagramFailure(AlgebraError):
     pass
 

@@ -17,7 +17,7 @@ from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative,
                      SplitFailure)
 from .groups import (FiniteAction, _light_test, _product_generators,
-                     action_check, make_group, quotient, transporter)
+                     action_check, make_group, reduce_action, transporter)
 
 
 class FiniteGroupoid:
@@ -179,13 +179,9 @@ def gauge_groupoid(set_size, action):
     G = action.group
     rep = action_check(action)
     if not rep.is_free:
-        for g in range(G.order):
-            if g == G.identity:
-                continue
-            for x in range(set_size):
-                if action.act[g][x] == x:
-                    raise ActionNotFree("point fixed by a non-identity element",
-                                        element=g, point=x)
+        g, x = rep.fixed
+        raise ActionNotFree("point fixed by a non-identity element",
+                            element=g, point=x)
     point_orbit = rep.orbit_of
     object_rep = [min(o) for o in rep.orbits]
 
@@ -308,26 +304,18 @@ def check_compatible(ga):
 
     arrow_report = action_check(ga.arrow_action)
     kernel = arrow_report.kernel
-    pre_principal = action_check(_reduce(ga.arrow_action, kernel)).is_free
-    object_action_free = action_check(_reduce(object_action, kernel)).is_free
+    pre_principal, object_action_free = (
+        action_check(reduce_action(a, kernel)).is_free
+        for a in (ga.arrow_action, object_action))
     return CompatReport(True, None, kernel, pre_principal, object_action,
                         object_action_free, arrow_report)
-
-
-def _reduce(a, kernel):
-    """The action of G/kernel induced by a FiniteAction; kernel must act
-    trivially."""
-    Q, proj = quotient(a.group, kernel)
-    rows = [None] * Q.order
-    for g in range(a.group.order):
-        rows[proj(g)] = a.act[g]
-    return FiniteAction(Q, a.set_size, rows)
 
 
 def reduced_action(ga):
     """The induced GroupoidAction of G/K, where K is the kernel of the arrow
     action (the elements that fix every arrow)."""
-    reduced = _reduce(ga.arrow_action, action_check(ga.arrow_action).kernel)
+    reduced = reduce_action(ga.arrow_action,
+                            action_check(ga.arrow_action).kernel)
     return GroupoidAction(ga.groupoid, reduced.group, reduced.act)
 
 
@@ -355,10 +343,7 @@ def quotient_groupoid(ga):
                             witness=report.witness)
     arep = report.arrow_report
     if not arep.is_free:
-        g = next(g for g in range(ga.group.order)
-                 if g != ga.group.identity
-                 and any(ga.act[g][a] == a for a in range(ga.groupoid.n_arrows)))
-        raise NotFree("arrow action is not free", element=g)
+        raise NotFree("arrow action is not free", element=arep.fixed[0])
 
     gpd = ga.groupoid
     orep = action_check(report.object_action)

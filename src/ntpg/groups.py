@@ -4,8 +4,14 @@ Elements of a group of order n are the indices 0..n-1.  The identity is
 discovered from the table, never assumed to sit at index 0.  All validation
 is exhaustive at every order: a ``FiniteGroup`` that exists has had its
 Latin-square, identity, inverse and associativity axioms checked, the last
-by Light's test over a generating set.  A ``FiniteAction`` has its
-composition law proved the same way, on the group's product generators.
+by Light's test over a generating set.
+
+This is also the one action toolkit.  ``FiniteAction`` is the only check
+of the action law, proved the same way on the group's product generators;
+``action_check`` gives the kernel, the orbits and the first fixed point;
+``descend`` gives the map a function induces on classes, or the first point
+where it does not pass to them; ``reduce_action`` is the action of the
+quotient by a subgroup of the kernel.
 """
 
 from collections import defaultdict
@@ -529,13 +535,17 @@ def transporter(a):
 
 
 class ActionReport:
-    __slots__ = ("is_free", "kernel", "orbits", "orbit_of")
+    __slots__ = ("fixed", "kernel", "orbits", "orbit_of")
 
-    def __init__(self, is_free, kernel, orbits, orbit_of):
-        self.is_free = is_free
+    def __init__(self, fixed, kernel, orbits, orbit_of):
+        self.fixed = fixed
         self.kernel = kernel
         self.orbits = orbits
         self.orbit_of = orbit_of
+
+    @property
+    def is_free(self):
+        return self.fixed is None
 
 
 class _UnionFind:
@@ -555,25 +565,21 @@ class _UnionFind:
 
 
 def action_check(a):
-    """Kernel, freeness and orbits of a validated action.
+    """Kernel, first fixed point and orbits of a validated action.
 
-    Free means no g other than the identity fixes any point; kernel and
-    freeness look at every g.  Orbits are joined over the group's product
-    generators only: in a finite group their products reach every element,
-    so the classes are the same.  Orbits come out sorted with deterministic
-    indices (ordered by least member).
+    ``fixed`` is the first (g, x) in index order with g not the identity
+    and x.g = x, or None: free means None.  Kernel and freeness look at
+    every g.  Orbits are joined over the group's product generators only:
+    in a finite group their products reach every element, so the classes
+    are the same.  Orbits come out sorted with deterministic indices
+    (ordered by least member).
     """
     G = a.group
     ident = tuple(range(a.set_size))
     kernel = Subgroup(G, [g for g in range(G.order) if a.act[g] == ident],
                       check=False)
-    is_free = True
-    for g in range(G.order):
-        if g == G.identity:
-            continue
-        if any(a.act[g][x] == x for x in range(a.set_size)):
-            is_free = False
-            break
+    fixed = next(((g, x) for g, row in enumerate(a.act) if g != G.identity
+                  for x in ident if row[x] == x), None)
     uf = _UnionFind(a.set_size)
     for g in G.generators:
         for x in range(a.set_size):
@@ -588,8 +594,31 @@ def action_check(a):
             orbits.append([])
         orbit_of[x] = roots[r]
         orbits[roots[r]].append(x)
-    return ActionReport(is_free, kernel, [tuple(o) for o in orbits],
+    return ActionReport(fixed, kernel, [tuple(o) for o in orbits],
                         tuple(orbit_of))
+
+
+def descend(classes, values, n):
+    """The map on n classes sending classes[k] to values[k]: (out, None),
+    or (None, k) for the first k whose value disagrees within its class."""
+    out = [None] * n
+    for k, (c, v) in enumerate(zip(classes, values)):
+        if out[c] is None:
+            out[c] = v
+        elif out[c] != v:
+            return None, k
+    return out, None
+
+
+def reduce_action(a, kernel):
+    """The action of G/kernel induced by a FiniteAction; kernel must act
+    trivially, so a coset acting by two rows is a library bug."""
+    Q, proj = quotient(a.group, kernel)
+    rows, g = descend(proj.map, a.act, Q.order)
+    if rows is None:
+        raise InternalInconsistency("kernel cosets act inconsistently",
+                                    element=g)
+    return FiniteAction(Q, a.set_size, rows)
 
 
 def right_translation_action(G, H):

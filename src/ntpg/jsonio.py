@@ -96,10 +96,9 @@ def load_subgroup(G, obj):
     return Subgroup(G, obj)
 
 
-def load_action(obj, group=None):
+def load_action(obj, cap=DEFAULT_CLOSURE_CAP):
     """{"group": <group>, "points": m, "act": [[...]], "side": "right"}."""
-    if group is None:
-        group = load_group(_need(obj, "group", "action"))
+    group = load_group(_need(obj, "group", "action"), cap=cap)
     points = _need(obj, "points", "action")
     if not isinstance(points, int):
         raise InvalidInput("action points must be an integer", points=points)
@@ -134,9 +133,9 @@ def dump_groupoid(gpd):
             "mul": sorted([g, h, gh] for (g, h), gh in gpd.mul.items())}
 
 
-def load_groupoid_action(obj):
+def load_groupoid_action(obj, cap=DEFAULT_CLOSURE_CAP):
     gpd = load_groupoid(_need(obj, "groupoid", "groupoid action"))
-    group = load_group(_need(obj, "group", "groupoid action"))
+    group = load_group(_need(obj, "group", "groupoid action"), cap=cap)
     return GroupoidAction(gpd, group, _int_rows(
         _need(obj, "act", "groupoid action"), "action rows"))
 
@@ -262,11 +261,11 @@ def load_nerve(obj):
     return CoverNerve(charts, overlaps, triples)
 
 
-def load_group_cocycle(obj, group=None):
-    """A cocycle valued in a finite group given inline."""
+def load_group_cocycle(obj, group=None, cap=DEFAULT_CLOSURE_CAP):
+    """A cocycle valued in a finite group, given inline unless ``group`` is."""
     nerve = load_nerve(obj)
     if group is None:
-        group = load_group(_need(obj, "group", "cocycle"))
+        group = load_group(_need(obj, "group", "cocycle"), cap=cap)
     values = {}
     for v in _array(_need(obj, "values", "cocycle"), "values"):
         pair = _pair(v, nerve)

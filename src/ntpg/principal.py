@@ -14,12 +14,12 @@ kernel and checks the commuting square of orbit maps.
 """
 
 from .errors import (DiagramFailure, InternalInconsistency, NotAnAction,
-                     NotAnActionByAutomorphisms, NotCompatible, NotFree,
-                     ParentMismatch)
+                     NotCompatible, NotFree, ParentMismatch)
 from .groupoids import GroupoidAction, check_compatible, gauge_groupoid
-from .groups import (FiniteAction, Subgroup, action_check, generates,
-                     intersect, make_group, normality_witness, quotient,
-                     subgroup_as_group, subgroup_closure, transporter)
+from .groups import (FiniteAction, GroupHom, Subgroup, action_check, descend,
+                     generates, intersect, make_group, normality_witness,
+                     quotient, subgroup_as_group, subgroup_closure,
+                     transporter)
 
 
 class DoublePrincipalGroup:
@@ -279,32 +279,17 @@ class SemidirectProduct:
 def semidirect(gprime, g, act):
     """G' ⋉ G for a right action of G' on G by automorphisms.
 
-    ``act[g'][x]`` is x twisted by g'.  Multiplication follows
+    ``act[g'][x]`` is x twisted by g'.  FiniteAction checks the action law
+    and GroupHom the twist of each product generator; automorphisms compose,
+    so every twist is one.  Multiplication follows
     (g', g)(g1', g1) = (g'g1', g_{g1'} g1); the stated inverse formula
     ((g')^-1, (g^-1)_{(g')^-1}) is verified, G embeds normally and G'
     embeds as a subgroup.
     """
     np_, n = gprime.order, g.order
-    for gp in range(np_):
-        row = act[gp]
-        if sorted(row) != list(range(n)):
-            raise NotAnActionByAutomorphisms("twist by %d is not bijective" % gp,
-                                             element=gp)
-        for a in range(n):
-            for b in range(n):
-                if act[gp][g.table[a][b]] != g.table[act[gp][a]][act[gp][b]]:
-                    raise NotAnActionByAutomorphisms(
-                        "twist is not an automorphism",
-                        element=gp, witness=(a, b))
-    if tuple(act[gprime.identity]) != tuple(range(n)):
-        raise NotAnActionByAutomorphisms("identity twist is not trivial")
-    for a in range(np_):
-        for b in range(np_):
-            ab = gprime.table[a][b]
-            for x in range(n):
-                if act[ab][x] != act[b][act[a][x]]:
-                    raise NotAnActionByAutomorphisms("action law fails",
-                                                     witness=(a, b, x))
+    FiniteAction(gprime, n, act)
+    for h in gprime.generators:
+        GroupHom(g, g, act[h])
 
     size = np_ * n
     table = [[0] * size for _ in range(size)]
@@ -424,12 +409,9 @@ def gamma_from_actions(set_size, rho, rho_prime):
     if normality_witness(S, kernel) is not None:
         raise InternalInconsistency("joint kernel is not normal")
     gamma, proj = quotient(S, kernel)
-    rows = [None] * gamma.order
-    for i in range(S.order):
-        if rows[proj(i)] is None:
-            rows[proj(i)] = perms[i]
-        elif rows[proj(i)] != perms[i]:
-            raise InternalInconsistency("kernel cosets act inconsistently")
+    rows, _ = descend(proj.map, perms, gamma.order)
+    if rows is None:
+        raise InternalInconsistency("kernel cosets act inconsistently")
     gamma_action = FiniteAction(gamma, set_size, rows)
     gamma_report = action_check(gamma_action)
     if not gamma_report.is_free:
@@ -442,18 +424,12 @@ def gamma_from_actions(set_size, rho, rho_prime):
     m0_size = len(set(pi_zero))
 
     # [pi'] : M -> M0 and [pi] : M' -> M0 well-defined, square commutes
-    bracket_pi_prime = [None] * m_size
-    for p in range(set_size):
-        if bracket_pi_prime[pi[p]] is None:
-            bracket_pi_prime[pi[p]] = pi_zero[p]
-        elif bracket_pi_prime[pi[p]] != pi_zero[p]:
-            raise DiagramFailure("pi' does not descend to M", point=p)
-    bracket_pi = [None] * m_prime_size
-    for p in range(set_size):
-        if bracket_pi[pi_prime[p]] is None:
-            bracket_pi[pi_prime[p]] = pi_zero[p]
-        elif bracket_pi[pi_prime[p]] != pi_zero[p]:
-            raise DiagramFailure("pi does not descend to M'", point=p)
+    bracket_pi_prime, p = descend(pi, pi_zero, m_size)
+    if bracket_pi_prime is None:
+        raise DiagramFailure("pi' does not descend to M", point=p)
+    bracket_pi, p = descend(pi_prime, pi_zero, m_prime_size)
+    if bracket_pi is None:
+        raise DiagramFailure("pi does not descend to M'", point=p)
     for p in range(set_size):
         if bracket_pi_prime[pi[p]] != bracket_pi[pi_prime[p]]:
             raise DiagramFailure("square does not commute", point=p)
@@ -495,17 +471,15 @@ def _one_direction(set_size, rho, rho_prime):
     groupoid of rho?  Returns (ok, details)."""
     gpd, labels = gauge_groupoid(set_size, rho)
     Gp = rho_prime.group
+    pairs = labels.pair_to_arrow
+    arrows = list(pairs.values())
     rows = []
-    for gp in range(Gp.order):
-        row = [None] * gpd.n_arrows
-        for (p, q), a in labels.pair_to_arrow.items():
-            img = labels.pair_to_arrow[(rho_prime.act[gp][p],
-                                        rho_prime.act[gp][q])]
-            if row[a] is None:
-                row[a] = img
-            elif row[a] != img:
-                return False, {"reason": "action not well-defined on orbits",
-                               "element": gp, "arrow": a}
+    for gp, act in enumerate(rho_prime.act):
+        row, k = descend(arrows, [pairs[(act[p], act[q])] for p, q in pairs],
+                         gpd.n_arrows)
+        if row is None:
+            return False, {"reason": "action not well-defined on orbits",
+                           "element": gp, "arrow": arrows[k]}
         rows.append(row)
     try:
         ga = GroupoidAction(gpd, Gp, rows)

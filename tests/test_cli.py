@@ -538,6 +538,19 @@ def test_malformed_loader_input_exits_2(tmp_path, capsys, command, base,
                         capsys)
 
 
+@pytest.mark.parametrize("command,name", [
+    ("groupoid gauge", "z3_gauge.json"),
+    ("dpg gamma-from-actions", "z2z3_pipeline.json")])
+def test_non_integer_point_count_exits_2(tmp_path, capsys, command, name):
+    # 6.0 == 6 passed the set-size check and ended as a TypeError
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        data = json.load(fh)
+    data["points"] = 6.0
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(command.split() + [
+        write(tmp_path, "in.json", data), "--out", out]), out, capsys)
+
+
 @pytest.mark.parametrize("entry", [[5, 0, 0], [-1, 0, 0], [0, -1, 0]])
 def test_mul_key_outside_the_arrows_exits_2(tmp_path, capsys, entry):
     data = _mutated(_ONE_ARROW, ["groupoid", "mul"], [[0, 0, 0], entry])
@@ -636,3 +649,35 @@ def test_unprintable_search_space_exits_2(tmp_path, capsys):
                              write(tmp_path, "coh.json", data),
                              "--out", out]), out, capsys)
     assert read_report(out)["details"]["error"] == "SearchCapExceeded"
+
+
+# the dihedral group of order 8, closed from a rotation and a reflection
+D4_PERMS = {"permutations": [[1, 2, 3, 0], [3, 2, 1, 0]], "degree": 4}
+_CAPPED = [
+    ("dpg verify", {"gamma": D4_PERMS, "subgroups": [[0], [0]]}),
+    ("dpg dressing", {"gamma": D4_PERMS, "subgroups": [[0], [0]]}),
+    ("ntuple verify", {"gamma": D4_PERMS, "subgroups": [[0]]}),
+    ("dpg gamma-from-actions", {"rho": {"group": D4_PERMS, "points": 1,
+                                        "act": [[0]] * 8},
+                                "rho_prime": {"group": Z2, "points": 1,
+                                              "act": [[0], [0]]}}),
+    ("groupoid gauge", {"action": {"group": D4_PERMS, "points": 1,
+                                   "act": [[0]] * 8}}),
+    ("groupoid quotient", {**_ONE_ARROW, "group": D4_PERMS,
+                           "act": [[0]] * 8}),
+    ("cocycle check", {"charts": 2, "overlaps": [[0, 1]], "group": D4_PERMS,
+                       "values": [{"pair": [0, 1], "element": 1}]}),
+    ("cocycle cohomologous", {"group": D4_PERMS, "charts": 1, "c1": [],
+                              "c2": []}),
+]
+
+
+@pytest.mark.parametrize("command,data", _CAPPED)
+def test_max_order_caps_every_input_group(tmp_path, capsys, command, data):
+    f = write(tmp_path, "in.json", data)
+    out = str(tmp_path / "rep.json")
+    argv = command.split() + [f, "--out", out]
+    _assert_input_error(run(argv + ["--max-order", "4"]), out, capsys)
+    assert read_report(out)["details"]["error"] == "ClosureCapExceeded"
+    run(argv + ["--max-order", "8"])
+    assert read_report(out)["details"].get("error") != "ClosureCapExceeded"

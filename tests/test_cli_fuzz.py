@@ -28,6 +28,8 @@ COMMANDS = {
     "z3_cocycle.json": ["cocycle", "check", "{}"],
     "t2_chart.json": ["cocycle", "t2", "{}"],
     "s3_coh.json": ["cocycle", "cohomologous", "{}"],
+    "z3_gauge.json": ["groupoid", "gauge", "{}"],
+    "z2z3_pipeline.json": ["dpg", "gamma-from-actions", "{}"],
     "d111_sig.json": ["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
 }
 

@@ -1,12 +1,14 @@
 import pytest
 
 from ntpg.autgroups import aut_compose, enumerate_aut, make_automorphism
-from ntpg.cocycles import (AutOps, Cocycle, CoverNerve, FiniteGroupOps,
-                           are_cohomologous, associated_cocycle,
-                           check_cocycle, frame_cocycle,
+from ntpg.cocycles import (AutOps, Cocycle, CoverNerve, FiberedSpace,
+                           FiniteGroupOps, PermOps, are_cohomologous,
+                           associated_cocycle, check_cocycle, frame_cocycle,
                            standard_fibered_space, t2_has_quadratic_term,
                            t2_transition)
-from ntpg.errors import InvalidInput, NotInvertibleChart, SearchCapExceeded
+from ntpg.errors import (ActionIncompatibleWithFibration, InvalidInput,
+                         NotInvertibleChart, SearchCapExceeded)
+from ntpg.groups import Subgroup
 from ntpg.fields import GF, QQ
 from ntpg.graded import GradedSignature, PolyMap, is_graded_morphism
 from ntpg.named import cyclic, quaternion_group, symmetric
@@ -94,6 +96,33 @@ def test_associated_transition_is_the_acting_map(f3_handle, f3_model):
     assert assoc.rho_cocycle.value(0, 1) == (0, 2, 1)
     # y' is untouched
     assert assoc.rho_prime_cocycle.value(0, 1) == (0, 1, 2)
+
+
+def z2_fibered(g1, g2, rho, rho_prime):
+    """Z2 on four points, its involution swapping 1 and 2."""
+    G = cyclic(2)
+    perms = [(0, 1, 2, 3), (0, 2, 1, 3)]
+    return FiberedSpace(G, Subgroup(G, g1), Subgroup(G, g2), 4, perms,
+                        rho, rho_prime, transforms=perms, value_ops=PermOps(4))
+
+
+@pytest.mark.parametrize("g1, g2, which", [([0, 1], [0], "first"),
+                                           ([0], [0, 1], "second")])
+def test_subgroup_leaving_its_fibers_is_named(g1, g2, which):
+    # point 1 lies over class 0, its image 2 over class 1
+    with pytest.raises(ActionIncompatibleWithFibration) as e:
+        z2_fibered(g1, g2, [0, 0, 1, 1], [0, 0, 1, 1])
+    assert str(e.value) == "%s subgroup leaves its fibers" % which
+    assert e.value.details == {"element": 1, "point": 1}
+
+
+def test_element_that_does_not_descend_is_named():
+    fibered = z2_fibered([0], [0], [0, 0, 1, 1], [0, 1, 2, 3])
+    assert fibered.descend(1, fibered.rho_prime) == (0, 2, 1, 3)
+    with pytest.raises(ActionIncompatibleWithFibration) as e:
+        fibered.descend(1, fibered.rho)
+    assert str(e.value) == "element does not descend to the quotient"
+    assert e.value.details == {"element": 1}
 
 
 # -- frame bundle round trip ----------------------------------------------------------

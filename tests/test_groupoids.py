@@ -67,6 +67,30 @@ def test_gauge_requires_free_action():
     assert "point" in e.value.details
 
 
+def z4_with_a_swapped_pair():
+    """Z4 rotating points 0..3 and swapping 4 and 5: only 2 fixes points."""
+    G = cyclic(4)
+    rows = [[(x + g) % 4 for x in range(4)] + ([4, 5], [5, 4])[g % 2]
+            for g in range(4)]
+    return G, rows
+
+
+def test_gauge_names_the_first_fixed_point():
+    G, rows = z4_with_a_swapped_pair()
+    with pytest.raises(ActionNotFree) as e:
+        gauge_groupoid(6, FiniteAction(G, 6, rows))
+    assert e.value.details == {"element": 2, "point": 4}
+
+
+def test_quotient_names_the_first_element_fixing_an_arrow():
+    G, rows = z4_with_a_swapped_pair()
+    arrows = [[r[p] * 6 + r[q] for p in range(6) for q in range(6)]
+              for r in rows]
+    with pytest.raises(NotFree) as e:
+        quotient_groupoid(GroupoidAction(pair_groupoid(6), G, arrows))
+    assert e.value.details == {"element": 2}
+
+
 def test_q8_gauge_counts():
     _, _, _, gpd, _ = q8_gauge()
     assert gpd.n_arrows == 16

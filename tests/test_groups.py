@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntpg import named
-from ntpg.errors import (InvalidInput, NoIdentity, NoInverse, NonAssociative,
-                         NotAnAction, NotLatinSquare, NotNormal,
-                         ParentMismatch)
+from ntpg.errors import (InternalInconsistency, InvalidInput, NoIdentity,
+                         NoInverse, NonAssociative, NotAnAction,
+                         NotLatinSquare, NotNormal, ParentMismatch)
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
-                         action_check, generates, intersect, is_normal,
-                         make_group, make_group_from_permutations,
-                         normality_witness, quotient, regular_action, right_translation_action,
+                         action_check, descend, generates, intersect,
+                         is_normal, make_group, make_group_from_permutations,
+                         normality_witness, quotient, reduce_action,
+                         regular_action, right_translation_action,
                          subgroup_as_group, subgroup_closure, trivial_action)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
                         dihedral, direct_product, klein_four,
@@ -424,6 +425,26 @@ def test_left_action_is_converted():
     a = FiniteAction(G, 6, act, side="left")
     # after conversion the right law holds; freeness as for translations
     assert action_check(a).is_free
+
+
+def test_action_check_names_the_first_fixed_point():
+    # Z4 on 4 points through Z4 -> Z2: 2 fixes everything, 1 and 3 swap
+    a = FiniteAction(cyclic(4), 4, [[0, 1, 2, 3], [1, 0, 3, 2]] * 2)
+    rep = action_check(a)
+    assert rep.fixed == (2, 0) and not rep.is_free
+    assert action_check(regular_action(cyclic(4))).fixed is None
+
+
+def test_descend_builds_the_class_map_or_names_the_first_conflict():
+    assert descend([0, 0, 1, 1], [5, 5, 7, 7], 2) == ([5, 7], None)
+    assert descend([0, 1, 0, 1], [5, 7, 5, 8], 2) == (None, 3)
+
+
+def test_reduce_action_outside_the_kernel_is_a_library_bug():
+    G = cyclic(2)
+    with pytest.raises(InternalInconsistency) as e:
+        reduce_action(regular_action(G), Subgroup(G, [0, 1]))
+    assert e.value.details == {"element": 1}
 
 
 # -- property tests ------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from ntpg.errors import NotFree
+from ntpg.errors import InvalidInput, NotAnAction, NotFree
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, make_group, quotient,
                          regular_action, restrict_action,
                          right_translation_action, subgroup_closure)
@@ -166,6 +166,22 @@ def test_inversion_action_gives_s3():
     assert not sd.group.is_abelian()
 
 
+def test_twists_breaking_the_action_law_are_not_an_action():
+    # each twist of Z3 by Z3 is an automorphism, but 1 inverts and 2 = 1*1
+    # acts trivially, so x.(1*2) = x differs from (x.1).2 = -x
+    with pytest.raises(NotAnAction):
+        semidirect(cyclic(3), cyclic(3), [[0, 1, 2], [0, 2, 1], [0, 1, 2]])
+
+
+def test_twist_that_is_not_an_automorphism_is_invalid():
+    # swapping 1 and 2 of Z4 is an involution fixing 0, but 2 = 1+1 maps to
+    # 1 while 1+1 maps to 2+2 = 0
+    with pytest.raises(InvalidInput) as e:
+        semidirect(cyclic(2), cyclic(4), [[0, 1, 2, 3], [0, 2, 1, 3]])
+    assert str(e.value) == "map is not a homomorphism"
+    assert e.value.details == {"pair": (1, 1)}
+
+
 def test_semidirect_from_q8_dressing_has_order_16():
     _, dpg = q8_dpg()
     sd = semidirect_from_dressing(dpg)
@@ -270,6 +286,17 @@ def test_incompatible_actions_report_direction():
     rho_prime = right_translation_action(G, h2)
     res = check_compatibility(6, rho, rho_prime)
     assert not res.ok
+
+
+def test_action_not_well_defined_on_orbits_names_element_and_arrow():
+    # the swap (0 1)(2 3) normalises the rotations, but a rotation moves
+    # (0, 0) and (1, 1), one arrow of the swap's gauge groupoid, to two
+    rho = regular_action(cyclic(4))
+    swap = FiniteAction(cyclic(2), 4, [[0, 1, 2, 3], [1, 0, 3, 2]])
+    res = check_compatibility(4, rho, swap)
+    assert not res.ok
+    assert res.backward == {"reason": "action not well-defined on orbits",
+                            "element": 1, "arrow": 0}
 
 
 # -- morphisms, exactness ------------------------------------------------------------------
