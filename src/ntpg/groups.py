@@ -27,10 +27,13 @@ DEFAULT_CLOSURE_CAP = 10_000
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    Immutable after construction; build through :func:`make_group` (or the
-    other constructors in this module) so the axioms are actually verified.
-    ``table`` is a tuple of int tuples; ``generators`` is the
-    product-generating set the associativity check ran over.
+    Immutable after construction; only :func:`make_group` constructs one
+    (the other constructors in this module go through it), so the axioms
+    are actually verified and ``generators`` is always set.  ``table`` is a
+    tuple of int tuples; ``generators`` is the product-generating set the
+    associativity check ran over: every element is a product of them, so
+    an element commutes with the whole group exactly when it commutes with
+    each generator, which is how ``is_abelian`` and ``center`` test it.
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "generators")
@@ -63,12 +66,13 @@ class FiniteGroup:
         return k
 
     def is_abelian(self):
-        return self.table == tuple(zip(*self.table))
+        t, gens = self.table, self.generators
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
     def center(self):
+        t, gens = self.table, self.generators
         members = [a for a in range(self.order)
-                   if all(self.table[a][b] == self.table[b][a]
-                          for b in range(self.order))]
+                   if all(t[a][g] == t[g][a] for g in gens)]
         return Subgroup(self, members)
 
     def fingerprint(self):
@@ -244,6 +248,13 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
     tuple of group element i; elements are sorted lexicographically, which
     puts the identity at index 0.  Multiplication is composition in the
     left-to-right order: (p*q)(x) = q(p(x)).
+
+    Cost: the closure composes each element with each generator once,
+    |G|*|gens| compositions, and those products are all the table needs.
+    Column a*g is generator g's right translation read through column a,
+    since x*(a*g) = (x*a)*g, which is |G|^2 index lookups.  ``make_group``
+    then validates the table; at large orders that check, not the build,
+    is what bounds a useful ``cap``.
     """
     if not perms:
         raise InvalidInput("need at least one permutation")
@@ -254,25 +265,38 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
         if sorted(t) != list(range(degree)):
             raise InvalidInput("not a permutation of 0..degree-1", perm=list(p))
         gens.append(t)
-    ident = tuple(range(degree))
-    els = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = _compose_perm(a, g)
-                if c not in els:
-                    els.add(c)
-                    nxt.append(c)
-                    if len(els) > cap:
-                        raise ClosureCapExceeded("permutation closure exceeds cap",
-                                                 cap=cap)
-        frontier = nxt
-    elements = sorted(els)
+    # found lists the elements in order of discovery, and the loop also
+    # visits those it appends; products[i][k] = found[i] * gens[k], and
+    # via[c] = (a, k) for the first product a * gens[k] equal to c
+    found = [tuple(range(degree))]
+    via = {found[0]: None}
+    products = []
+    for a in found:
+        row = [_compose_perm(a, g) for g in gens]
+        products.append(row)
+        for k, c in enumerate(row):
+            if c not in via:
+                via[c] = (a, k)
+                found.append(c)
+                if len(found) > cap:
+                    raise ClosureCapExceeded("permutation closure exceeds cap",
+                                             cap=cap)
+    elements = sorted(found)
     index = {p: i for i, p in enumerate(elements)}
-    table = [[index[_compose_perm(a, b)] for b in elements] for a in elements]
-    return make_group(table), elements
+    n = len(elements)
+    # right[k][x] = x * gens[k], on sorted indices
+    right = [[0] * n for _ in gens]
+    for a, row in zip(found, products):
+        x = index[a]
+        for r, c in zip(right, row):
+            r[x] = index[c]
+    # cols[b][x] = x * b; found[0] is the identity, elements[0]
+    cols = [None] * n
+    cols[0] = tuple(range(n))
+    for c in found[1:]:
+        a, k = via[c]
+        cols[index[c]] = _reader(cols[index[a]])(right[k])
+    return make_group(tuple(zip(*cols))), elements
 
 
 class Subgroup:

@@ -30,6 +30,7 @@ COMMANDS = {
     "s3_coh.json": ["cocycle", "cohomologous", "{}"],
     "z3_gauge.json": ["groupoid", "gauge", "{}"],
     "z2z3_pipeline.json": ["dpg", "gamma-from-actions", "{}"],
+    "s4_perms.json": ["group", "validate", "{}"],
     "d111_sig.json": ["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
 }
 

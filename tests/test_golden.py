@@ -10,7 +10,9 @@ gamma-from-actions`` on S3 shapes), with the first failing witness of a
 broken action and of a groupoid with a swapped, a missing and an extra
 product, and the coboundary search of ``cocycle cohomologous`` (a late
 witness, an exhausted search, a cap overflow, an isolated chart and a full
-nerve with triple overlaps).  Regenerate the files only for an intended
+nerve with triple overlaps), and ``group validate`` on a table, on
+permutation inputs (S5, and an abelian set that is not transitive) and on a
+closure over ``--max-order``.  Regenerate the files only for an intended
 change of report content:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -38,6 +40,11 @@ S3 = [list(row) for row in symmetric(3).table]
 Z2 = [list(row) for row in cyclic(2).table]
 S4 = [list(row) for row in symmetric(4).table]
 Q8 = [list(row) for row in quaternion_group().table]
+# S5 from a 5-cycle and a transposition
+S5_PERMS = {"permutations": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}
+# Z2^3 by three disjoint transpositions: abelian, with three orbits
+Z2CUBED_PERMS = {"permutations": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5],
+                                  [0, 1, 2, 3, 5, 4]]}
 
 
 def _group(table):
@@ -154,6 +161,15 @@ def _example(name):
 # name -> (argv, {placeholder: input object}); "{x}" in argv stands for the
 # path of input x, written to a temporary file
 CASES = {
+    "group_validate_q8": (["group", "validate", "{grp}"], {
+        "grp": _group(Q8)}),
+    "group_validate_s5_perms": (["group", "validate", "{grp}"], {
+        "grp": S5_PERMS}),
+    "group_validate_z2cubed_perms": (["group", "validate", "{grp}"], {
+        "grp": Z2CUBED_PERMS}),
+    "group_validate_s5_over_max_order": (
+        ["group", "validate", "{grp}", "--max-order", "119"], {
+            "grp": S5_PERMS}),
     "dpg_verify_q8": (["dpg", "verify", _example("q8_dpg.json")], {}),
     "ntuple_verify_q8": (["ntuple", "verify", _example("q8_dpg.json"),
                           "--subgroups", "2;4;6"], {}),

@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntpg import named
-from ntpg.errors import (InternalInconsistency, InvalidInput, NoIdentity,
-                         NoInverse, NonAssociative, NotAnAction,
-                         NotLatinSquare, NotNormal, ParentMismatch)
+from ntpg import groups, named
+from ntpg.errors import (ClosureCapExceeded, InternalInconsistency,
+                         InvalidInput, NoIdentity, NoInverse, NonAssociative,
+                         NotAnAction, NotLatinSquare, NotNormal,
+                         ParentMismatch)
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
-                         action_check, descend, generates, intersect,
-                         is_normal, make_group, make_group_from_permutations,
+                         _compose_perm, action_check, descend, generates,
+                         intersect, is_normal, make_group,
+                         make_group_from_permutations,
                          normality_witness, quotient, reduce_action,
                          regular_action, right_translation_action,
                          subgroup_as_group, subgroup_closure, trivial_action)
@@ -239,16 +241,30 @@ def test_non_associative_above_old_sampling_limit_is_caught():
         == (1, 1, 4)
 
 
+# Z2^3 by three disjoint transpositions: abelian, with three orbits
+_NON_TRANSITIVE = [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]
+_S4_PERMS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+_S5_PERMS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+
+
 @pytest.mark.parametrize("build, abelian", [
     (named.trivial_group, True), (klein_four, True), (lambda: cyclic(6), True),
     (lambda: _elementary_abelian(4), True), (quaternion_group, False),
-    (lambda: symmetric(3), False), (lambda: dihedral(4), False)])
+    (lambda: symmetric(3), False), (lambda: dihedral(4), False),
+    (lambda: symmetric(4), False),
+    (lambda: direct_product(dihedral(4), cyclic(2)), False),
+    (lambda: make_group_from_permutations(_S5_PERMS)[0], False),
+    (lambda: make_group_from_permutations(_NON_TRANSITIVE)[0], True)])
 def test_is_abelian(build, abelian):
     G = build()
     t = G.table
     assert all(t[a][b] == t[b][a] for a in range(G.order)
                for b in range(G.order)) == abelian
     assert G.is_abelian() is abelian
+    # oracle: the centre by the n^2 loop over every pair
+    assert G.center().members == tuple(
+        a for a in range(G.order)
+        if all(t[a][b] == t[b][a] for b in range(G.order)))
 
 
 def test_permutation_input_builds_regular_group():
@@ -256,13 +272,73 @@ def test_permutation_input_builds_regular_group():
     G, els = make_group_from_permutations([[1, 2, 3, 0]])
     assert G.order == 4
     assert els[0] == (0, 1, 2, 3)
-    assert not G.is_abelian() or G.order == 4
+    assert G.is_abelian()
 
 
 def test_s3_from_permutations_is_nonabelian_order_6():
     G = symmetric(3)
     assert G.order == 6
     assert not G.is_abelian()
+
+
+# -- make_group_from_permutations against the per-cell construction ----------
+
+def _per_cell(perms):
+    """Oracle: close by breadth-first search, sort, then compose every pair
+    of elements, one composition per table cell."""
+    gens = [tuple(p) for p in perms]
+    ident = tuple(range(len(gens[0])))
+    els, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = _compose_perm(a, g)
+                if c not in els:
+                    els.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    elements = sorted(els)
+    index = {p: i for i, p in enumerate(elements)}
+    table = tuple(tuple(index[_compose_perm(a, b)] for b in elements)
+                  for a in elements)
+    return table, elements
+
+
+@pytest.mark.parametrize("perms", [
+    _S4_PERMS, _S5_PERMS, _NON_TRANSITIVE,
+    [(1, 2, 0, 4, 3)],                          # one generator, order 6
+    [(1, 2, 3, 0), (1, 2, 3, 0), (1, 0, 2, 3)],  # a repeated generator
+    [(0, 1, 2), (1, 2, 0)],                     # the identity as a generator
+    [(0, 1, 2)], [()], [(0,)]],                 # trivial, degree 0 and 1
+    ids=["S4", "S5", "non-transitive", "single", "repeated", "identity",
+         "trivial", "degree-0", "degree-1"])
+def test_permutation_table_matches_per_cell_construction(perms):
+    G, elements = make_group_from_permutations([list(p) for p in perms])
+    assert (G.table, elements) == _per_cell(perms)
+
+
+@pytest.mark.parametrize("perms", [
+    _S5_PERMS, _NON_TRANSITIVE, [(1, 2, 3, 0), (1, 2, 3, 0), (1, 0, 2, 3)]],
+    ids=["S5", "non-transitive", "repeated"])
+def test_permutation_closure_composes_each_element_with_each_generator_once(
+        monkeypatch, perms):
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return _compose_perm(p, q)
+
+    monkeypatch.setattr(groups, "_compose_perm", counted)
+    G, _ = make_group_from_permutations([list(p) for p in perms])
+    assert len(calls) == G.order * len(perms)
+
+
+def test_permutation_closure_cap_boundary():
+    with pytest.raises(ClosureCapExceeded) as e:
+        make_group_from_permutations(_S5_PERMS, cap=119)
+    assert e.value.details == {"cap": 119}
+    assert make_group_from_permutations(_S5_PERMS, cap=120)[0].order == 120
 
 
 # -- subgroup_closure --------------------------------------------------------
