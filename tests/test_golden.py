@@ -10,9 +10,13 @@ gamma-from-actions`` on S3 shapes), with the first failing witness of a
 broken action and of a groupoid with a swapped, a missing and an extra
 product, and the coboundary search of ``cocycle cohomologous`` (a late
 witness, an exhausted search, a cap overflow, an isolated chart and a full
-nerve with triple overlaps), and ``group validate`` on a table, on
+nerve with triple overlaps), ``group validate`` on a table, on
 permutation inputs (S5, and an abelian set that is not transitive) and on a
-closure over ``--max-order``.  Regenerate the files only for an intended
+closure over ``--max-order``, ``dpg dressing`` (Q8, and two non-normal S4
+subgroups that do not generate, naming the first conjugator and the least
+missing element), and ``graded check-morphism``/``check-compat`` (a
+passing and a failing map, a shear-conjugated and a multi-signature pair of
+structures).  Regenerate the files only for an intended
 change of report content:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -152,6 +156,19 @@ TRIANGLE = [[0, 1], [1, 2], [0, 2]]
 # S3 on three charts without triple overlaps: holonomy 1 against holonomy
 # of order 2, so no family exists
 UNTWISTED = _cohomologous(S3, TRIANGLE, [0, 0, 0], c2=[1, 0, 0], charts=3)
+SIMPLE_11 = {"mode": "simple", "dims": [1, 1]}
+
+
+def _map(terms):
+    """A ``graded`` polymap over Q on (x, y) of weights (1, 2); each term is
+    (target, exponents)."""
+    return {"field": "Q", "sig_in": SIMPLE_11, "sig_out": SIMPLE_11,
+            "terms": [{"target": t, "exponents": e, "num": "1"}
+                      for t, e in terms]}
+
+
+# (x, y) -> (x, y + x^2)
+SHEAR = [(0, [1, 0]), (1, [0, 1]), (1, [2, 0])]
 
 
 def _example(name):
@@ -171,6 +188,11 @@ CASES = {
         ["group", "validate", "{grp}", "--max-order", "119"], {
             "grp": S5_PERMS}),
     "dpg_verify_q8": (["dpg", "verify", _example("q8_dpg.json")], {}),
+    "dpg_dressing_q8": (["dpg", "dressing", _example("q8_dpg.json")], {}),
+    # S4 in lexicographic order: 1 and 2 are the transpositions (2 3) and
+    # (1 2), which generate the S3 on {1, 2, 3}
+    "dpg_dressing_not_normal_s4": (["dpg", "dressing", "{dpg}", "--subgroups",
+                                    "1;2"], {"dpg": {"gamma": _group(S4)}}),
     "ntuple_verify_q8": (["ntuple", "verify", _example("q8_dpg.json"),
                           "--subgroups", "2;4;6"], {}),
     "aut_verify_p54_d111_f3": (["aut", "verify-p54", "--sig",
@@ -212,6 +234,18 @@ CASES = {
                   {"exponents": [0, 1], "num": "4"},
                   {"exponents": [1, 0], "num": "-1"},
                   {"exponents": [1, 0], "num": "6"}]}}),
+    "graded_check_morphism_shear_q": (["graded", "check-morphism", "{map}"], {
+        "map": _map(SHEAR)}),
+    "graded_check_morphism_swap_q": (["graded", "check-morphism", "{map}"], {
+        "map": _map([(0, [0, 1]), (1, [1, 0])])}),
+    "graded_check_compat_shear_q": (["graded", "check-compat", "{st}"], {
+        "st": {"field": "Q", "structures": [
+            {"kind": "diagonal", "sig": SIMPLE_11},
+            {"kind": "conjugated", "sig": SIMPLE_11,
+             "phi": _map(SHEAR)["terms"]}]}}),
+    "graded_check_compat_d111_f3": (["graded", "check-compat", "{st}"], {
+        "st": {"field": {"Fp": 3}, "structures": [
+            {"sig": D111, "axis": 0}, {"sig": D111, "axis": 1}]}}),
     "groupoid_gauge_s3": (["groupoid", "gauge", "{gauge}"], {
         "gauge": {"action": _free_action(S3, 2)}}),
     "groupoid_gauge_not_an_action": (["groupoid", "gauge", "{gauge}"], {
