@@ -98,7 +98,7 @@ class FiniteGroupoid:
         leaving = [[] for _ in range(n)]
         for g in range(m):
             leaving[src[g]].append(rows[g])
-        gens = _product_generators(rows, pos, self.id, src, tgt)
+        gens, _ = _product_generators(rows, pos, self.id, src, tgt, range(m))
         if _light_test(rows, pos, leaving, tgt, gens):
             return
         for (g, h), gh in mul.items():

@@ -31,9 +31,13 @@ class FiniteGroup:
     (the other constructors in this module go through it), so the axioms
     are actually verified and ``generators`` is always set.  ``table`` is a
     tuple of int tuples; ``generators`` is the product-generating set the
-    associativity check ran over: every element is a product of them, so
-    an element commutes with the whole group exactly when it commutes with
-    each generator, which is how ``is_abelian`` and ``center`` test it.
+    associativity check ran over, ascending, each the least element that
+    products of the earlier ones miss.  A property closed under products
+    holds for the group once it holds for each generator.  These run over
+    ``generators``: Light's associativity test, ``is_abelian`` and
+    ``center``, ``normality_witness``, ``GroupHom`` validation, the
+    ``FiniteAction`` law, the orbits of ``action_check``, and
+    ``semidirect``'s twist check.
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "generators")
@@ -148,20 +152,21 @@ def _reader(keys):
 # is the one-object case, with its table as rows, pos the identity map and
 # src = tgt = 0 throughout.
 
-def _product_generators(rows, pos, units, src, tgt):
-    """Elements whose products, with the units, reach every element.
+def _product_generators(rows, pos, units, src, tgt, candidates):
+    """(gens, reached): the elements the units and gens reach by products.
 
-    Greedy: each new generator is the least element not yet reached by
-    right-multiplying reached elements by generators.  Only products are
-    used, never inverses, so this holds for any loop or partial loop,
-    associative or not.
+    Greedy: each candidate, in the given order, that products of the units
+    and the earlier gens do not reach becomes a generator.  Only products
+    are used, never inverses, so this holds for any loop or partial loop,
+    associative or not; with every element as a candidate, reached is
+    everything.  Each reached element is multiplied by each generator once.
     """
     gens, reached = [], set(units)
     leaving = defaultdict(list)     # object -> reached elements with that src
     ending = defaultdict(list)      # object -> generators with that tgt
     for u in units:
         leaving[src[u]].append(u)
-    for g in range(len(rows)):
+    for g in candidates:
         if g in reached:
             continue
         gens.append(g)
@@ -179,7 +184,7 @@ def _product_generators(rows, pos, units, src, tgt):
                 row = rows[y]
                 nxt.extend(row[pos[s]] for s in ending[src[y]])
             frontier = nxt
-    return gens
+    return gens, reached
 
 
 def _light_test(rows, pos, leaving, tgt, gens):
@@ -206,7 +211,7 @@ def _check_associative(table, n, e):
     rescanned for the first violating triple in index order.
     """
     zeros = [0] * n
-    gens = _product_generators(table, range(n), [e], zeros, zeros)
+    gens, _ = _product_generators(table, range(n), [e], zeros, zeros, range(n))
     if _light_test(table, range(n), [table], zeros, gens):
         return gens
     through = [itemgetter(*row) for row in table]
@@ -344,24 +349,20 @@ class Subgroup:
 
 
 def subgroup_closure(G, generators):
-    """Smallest subgroup of G containing the generators."""
+    """Smallest subgroup H of G containing the generators.
+
+    Cost: |H|*|kept| lookups.  The inputs not yet reached, in index order,
+    are kept and extended by right products: in a finite group those hold
+    every inverse too.
+    """
     for g in generators:
         if not 0 <= int(g) < G.order:
             raise InvalidInput("generator out of range", generator=g)
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = sorted(set(int(g) for g in generators) | {G.identity})
-    gens = gens + [G.inverse[g] for g in gens]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = G.table[a][g]
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return Subgroup(G, seen, check=False)
+    zeros = [0] * G.order
+    _, reached = _product_generators(G.table, range(G.order), [G.identity],
+                                     zeros, zeros,
+                                     sorted(set(int(g) for g in generators)))
+    return Subgroup(G, reached, check=False)
 
 
 def _require_same_parent(*subs):
@@ -378,14 +379,18 @@ def is_normal(G, H):
 
 
 def normality_witness(G, H):
-    """First (g, h) with g h g^-1 outside H, or None."""
+    """First (g, h) in index order with g h g^-1 outside H, or None.
+
+    Cost: |gens|*|H| conjugations by G's product generators.  The g with
+    gHg^-1 inside H are closed under products, and every element below a
+    generator is a product of earlier ones, so the first g that fails is
+    the first generator that fails.
+    """
     if H.parent is not G:
         raise ParentMismatch("subgroup does not belong to this group")
-    for g in range(G.order):
-        for h in H.members:
-            if G.conjugate(g, h) not in H:
-                return (g, h)
-    return None
+    t, inv, members = G.table, G.inverse, H._set
+    return next(((g, h) for g in G.generators for h in H.members
+                 if t[t[g][h]][inv[g]] not in members), None)
 
 
 def intersect(H1, H2):
@@ -404,7 +409,13 @@ def generates(G, subgroups):
 
 
 class GroupHom:
-    """A homomorphism as an image array, validated on construction."""
+    """A homomorphism as an image array, validated on construction.
+
+    Cost: |G|*|gens| lookups, map(a*g) = map(a)*map(g) for every a and each
+    product generator g of the source: with e -> e, the b that pass for every
+    a are closed under products.  On failure every pair is rescanned in
+    index order, so the report names the first.
+    """
 
     __slots__ = ("source", "target", "map")
 
@@ -422,11 +433,13 @@ class GroupHom:
                 raise InvalidInput("image out of range", value=x)
         if self.map[self.source.identity] != self.target.identity:
             raise InvalidInput("identity not mapped to identity")
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                if self.map[self.source.table[a][b]] != \
-                        self.target.table[self.map[a]][self.map[b]]:
-                    raise InvalidInput("map is not a homomorphism", pair=(a, b))
+        m, s, t = self.map, self.source.table, self.target.table
+        if all(m[row[g]] == t[m[a]][m[g]]
+               for a, row in enumerate(s) for g in self.source.generators):
+            return
+        pair = next((a, b) for a, row in enumerate(s)
+                    for b, ab in enumerate(row) if m[ab] != t[m[a]][m[b]])
+        raise InvalidInput("map is not a homomorphism", pair=pair)
 
     def __call__(self, a):
         return self.map[a]

@@ -1,8 +1,8 @@
 """Mutation fuzz of the CLI exit-code contract on the docs/examples inputs.
 
 Each draw mutates one node of one example (drop a key, swap a type, push an
-integer out of range, truncate an array, nest wrongly) and runs the
-example's command in process through ``ntpg.cli.main``, twice.  Whatever
+integer out of range, truncate an array, nest wrongly) and runs one of the
+example's commands in process through ``ntpg.cli.main``, twice.  Whatever
 the mutation, the exit code is 0, 1 or 2, no traceback reaches stderr, a
 failure carries witnesses, an error carries verdict "error" and is never a
 library bug, and both runs give the same report apart from ``timing_ms``.
@@ -22,16 +22,20 @@ from ntpg.cli import main
 EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "docs", "examples")
 
-# example file -> command line, "{}" standing for the input path
+# example file -> the command lines that read it, "{}" standing for the
+# input path
 COMMANDS = {
-    "q8_dpg.json": ["dpg", "verify", "{}"],
-    "z3_cocycle.json": ["cocycle", "check", "{}"],
-    "t2_chart.json": ["cocycle", "t2", "{}"],
-    "s3_coh.json": ["cocycle", "cohomologous", "{}"],
-    "z3_gauge.json": ["groupoid", "gauge", "{}"],
-    "z2z3_pipeline.json": ["dpg", "gamma-from-actions", "{}"],
-    "s4_perms.json": ["group", "validate", "{}"],
-    "d111_sig.json": ["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
+    "q8_dpg.json": [["dpg", "verify", "{}"], ["dpg", "dressing", "{}"],
+                    ["ntuple", "verify", "{}"]],
+    "z3_cocycle.json": [["cocycle", "check", "{}"]],
+    "t2_chart.json": [["cocycle", "t2", "{}"]],
+    "s3_coh.json": [["cocycle", "cohomologous", "{}"]],
+    "z3_gauge.json": [["groupoid", "gauge", "{}"]],
+    "z2z3_pipeline.json": [["dpg", "gamma-from-actions", "{}"]],
+    "s4_perms.json": [["group", "validate", "{}"]],
+    "d111_sig.json": [["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
+                      ["aut", "verify-p54", "--sig", "{}", "--field",
+                       "Fp:2"]],
 }
 
 # one value of each JSON type; a swap picks one of a different type
@@ -64,8 +68,9 @@ def _ops(node):
 
 @st.composite
 def mutations(draw):
-    """(example name, mutated JSON object)."""
+    """(example name, command line, mutated JSON object)."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = draw(st.sampled_from(COMMANDS[name]))
     obj = copy.deepcopy(_load(name))
     path = draw(st.sampled_from(list(_paths(obj))))
     parent = obj
@@ -85,7 +90,7 @@ def mutations(draw):
         parent[key] = node[:draw(st.integers(0, len(node) - 1))]
     else:
         parent[key] = [node]
-    return name, obj
+    return name, command, obj
 
 
 def _run(argv, out):
@@ -104,10 +109,10 @@ def _run(argv, out):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutations())
 def test_mutated_examples_keep_the_exit_code_contract(tmp_path, case):
-    name, obj = case
+    name, command, obj = case
     path = tmp_path / name
     path.write_text(json.dumps(obj))
-    argv = [str(path) if a == "{}" else a for a in COMMANDS[name]]
+    argv = [str(path) if a == "{}" else a for a in command]
     out = str(tmp_path / "report.json")
     rc, report, err = _run(argv, out)
     assert rc in (0, 1, 2)

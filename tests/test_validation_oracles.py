@@ -1,6 +1,6 @@
-"""The generator-based validators of actions and groupoids, and the
-propagation search for coboundaries, against the brute-force scans they
-replaced.
+"""The generator-based validators of actions, groupoids, normality and
+homomorphisms, the product closure of subgroups, and the propagation search
+for coboundaries, against the brute-force scans they replaced.
 
 ``FiniteAction`` proves the composition law on product generators and
 ``FiniteGroupoid`` counts composable pairs per object and runs Light's
@@ -9,9 +9,20 @@ in index order.  Both must raise the same exception class with the same
 message and witness, or both accept.  ``are_cohomologous`` tries |G| roots
 per nerve component; its oracle walks the whole |G|^charts grid in
 ``product`` order, and both must give the same verdict, witness and count.
+``normality_witness`` conjugates by product generators alone, and
+``GroupHom`` multiplies by them and rescans in index order on failure;
+``subgroup_closure`` extends the inputs by right products only.  Their
+oracles conjugate by every element, check every pair, and search from the
+identity over every input and its inverse.  The named groups of order at
+most 12 run here; a larger order runs the same comparison from the command
+line:
+
+    PYTHONPATH=src python tests/test_validation_oracles.py 24
 """
 
-from itertools import combinations, product, permutations
+import sys
+from itertools import (combinations, combinations_with_replacement, product,
+                       permutations)
 from types import SimpleNamespace
 
 import pytest
@@ -24,9 +35,10 @@ from ntpg.fields import GF
 from ntpg.graded import GradedSignature
 from ntpg.groupoids import (FiniteGroupoid, build_from_morphism,
                             gauge_groupoid, pair_groupoid)
-from ntpg.groups import FiniteAction, subgroup_closure
-from ntpg.named import (cyclic, dihedral, klein_four, quaternion_group,
-                        symmetric, trivial_group)
+from ntpg.groups import (FiniteAction, GroupHom, Subgroup, normality_witness,
+                         quotient, subgroup_closure)
+from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
+                        quaternion_group, symmetric, trivial_group)
 
 
 def brute_force_action(G, set_size, act):
@@ -239,6 +251,154 @@ def test_groupoids_with_a_product_swapped_dropped_or_added(name):
         assert "associativity fails" in messages
 
 
+# -- normality, homomorphisms and subgroup closure --------------------------
+
+def brute_force_closure(G, gens):
+    """Members of the subgroup generated by gens: breadth-first search from
+    the identity, multiplying by every input, its inverse and the
+    identity."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    gens = sorted(set(gens) | {G.identity})
+    gens = gens + [G.inverse[g] for g in gens]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = G.table[a][g]
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def brute_force_normality(G, H):
+    """The first (g, h) in index order with g h g^-1 outside H, or None."""
+    for g in range(G.order):
+        for h in H.members:
+            if G.conjugate(g, h) not in H:
+                return (g, h)
+    return None
+
+
+def brute_force_hom(source, target, images):
+    """Length, range and identity, then map(ab) = map(a)map(b) for every
+    pair (a, b) in index order."""
+    if len(images) != source.order:
+        raise InvalidInput("image array has wrong length")
+    for x in images:
+        if not 0 <= x < target.order:
+            raise InvalidInput("image out of range", value=x)
+    if images[source.identity] != target.identity:
+        raise InvalidInput("identity not mapped to identity")
+    for a in range(source.order):
+        for b in range(source.order):
+            if images[source.table[a][b]] != \
+                    target.table[images[a]][images[b]]:
+                raise InvalidInput("map is not a homomorphism", pair=(a, b))
+
+
+_FACTORS = {"1": (1, trivial_group), "V4": (4, klein_four),
+            "Q8": (8, quaternion_group), "S3": (6, lambda: symmetric(3)),
+            "S4": (24, lambda: symmetric(4))}
+_FACTORS.update(("Z%d" % n, (n, lambda n=n: cyclic(n))) for n in range(2, 25))
+_FACTORS.update(("D%d" % n, (2 * n, lambda n=n: dihedral(n)))
+                for n in range(3, 13))
+_PRODUCTS = [("Z2", "Z4"), ("Z2", "V4"), ("Z3", "Z3"), ("Z2", "Z6"),
+             ("Z2", "S3"), ("V4", "Z3"), ("Z2", "Q8"), ("Z2", "D4"),
+             ("Z3", "S3"), ("Z4", "S3"), ("Z3", "Q8"), ("V4", "S3")]
+
+
+def named_groups(max_order):
+    """name -> builder for the named groups, and small direct products of
+    them, of order at most max_order."""
+    out = {name: build for name, (order, build) in _FACTORS.items()
+           if order <= max_order}
+    for a, b in _PRODUCTS:
+        (m, x), (n, y) = _FACTORS[a], _FACTORS[b]
+        if m * n <= max_order:
+            out[a + "x" + b] = lambda x=x, y=y: direct_product(x(), y())
+    return out
+
+
+def compare_group_checks(G):
+    """Compare closure, normality and homomorphism checks with their oracles
+    on G.  The closures: every subgroup generated by one or two elements,
+    and every union of two of them.  The homomorphisms: each quotient
+    projection, the projection with one image moved to the next element,
+    and the identity map with two images swapped.  The first conjugator
+    that moves a subgroup is always a product generator.  Returns how many
+    subgroups were not normal and how many maps were not homomorphisms."""
+    subgroups = {}
+    for gens in combinations_with_replacement(range(G.order), 2):
+        gens = set(gens)
+        H = subgroup_closure(G, gens)
+        assert H.members == brute_force_closure(G, gens), gens
+        subgroups.setdefault(H.members, H)
+    for H1, H2 in combinations(list(subgroups.values()), 2):
+        gens = set(H1.members) | set(H2.members)
+        H = subgroup_closure(G, gens)
+        assert H.members == brute_force_closure(G, gens), gens
+        subgroups.setdefault(H.members, H)
+    counts = {"not normal": 0, "not a homomorphism": 0}
+
+    def check_hom(target, images):
+        expected = outcome(brute_force_hom, G, target, images)
+        assert outcome(GroupHom, G, target, images) == expected, images
+        counts["not a homomorphism"] += expected is not None and \
+            expected[1] == "map is not a homomorphism"
+
+    for members, H in sorted(subgroups.items()):
+        w = normality_witness(G, H)
+        assert w == brute_force_normality(G, H), members
+        if w is not None:
+            counts["not normal"] += 1
+            assert w[0] in G.generators, members
+            continue
+        Q, proj = quotient(G, H)
+        check_hom(Q, proj.map)
+        for x in range(G.order):
+            moved = list(proj.map)
+            moved[x] = (moved[x] + 1) % Q.order
+            check_hom(Q, moved)
+    for x, y in combinations(range(G.order), 2):
+        swapped = list(range(G.order))
+        swapped[x], swapped[y] = y, x
+        check_hom(G, swapped)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(named_groups(12)))
+def test_group_checks_match_the_oracles(name):
+    G = named_groups(12)[name]()
+    counts = compare_group_checks(G)
+    # only the Hamiltonian Q8 is non-abelian with every subgroup normal
+    assert (counts["not normal"] > 0) == (not G.is_abelian()
+                                          and name != "Q8")
+    assert (counts["not a homomorphism"] > 0) == (G.order > 2)
+
+
+def test_first_non_normal_conjugator_is_the_oracles():
+    # S4 in lexicographic order; <1> = {(), (2 3)} is first moved by 2
+    G = symmetric(4)
+    H = subgroup_closure(G, {1})
+    assert normality_witness(G, H) == brute_force_normality(G, H) == (2, 1)
+    assert normality_witness(G, Subgroup(G, range(24))) is None
+
+
+def test_first_non_homomorphism_pair_is_the_oracles():
+    # Z4 -> Z2 with only 3 sent to 1: the generator 1 first fails at
+    # (2, 1), but the first pair in index order is (1, 2)
+    G = cyclic(4)
+    images = [0, 0, 0, 1]
+    expected = outcome(brute_force_hom, G, cyclic(2), images)
+    assert expected == ("InvalidInput", "map is not a homomorphism",
+                        {"pair": (1, 2)})
+    assert G.generators == (1,)
+    assert outcome(GroupHom, G, cyclic(2), images) == expected
+
+
 # -- coboundary search -------------------------------------------------------
 
 def grid_cohomologous(c1, c2):
@@ -316,3 +476,10 @@ def test_automorphism_cocycles_match_the_grid():
     c1 = Cocycle(_NERVES["two"], one, {(0, 1): ops.one})
     assert not assert_same_search(c1, Cocycle(_NERVES["two"], one,
                                               {(0, 1): a}))
+
+
+if __name__ == "__main__":
+    # compare the group checks with their oracles up to the given order
+    for name, build in sorted(named_groups(int(sys.argv[1])).items()):
+        G = build()
+        print(name, G.order, compare_group_checks(G), flush=True)
