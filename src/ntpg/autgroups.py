@@ -25,6 +25,7 @@ from itertools import product
 from math import prod
 from operator import eq, itemgetter
 
+from . import principal
 from .errors import (EnumerationCapExceeded, IllegalMonomial,
                      InternalInconsistency, InvalidInput)
 from .fields import mat_inv
@@ -32,7 +33,6 @@ from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
                      monomials_of_weight, triangular_inverse)
 from .groups import Subgroup, intersect, make_group
 from .poly import Poly
-from .principal import verify_ntuple
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -348,7 +348,7 @@ def verify_p54(sig, field, cap=DEFAULT_ENUM_CAP):
     handle = enumerate_aut(sig, field, cap)
     G = handle.group
     subs = [handle.gi_subgroup(i) for i in range(1, sig.n + 1)]
-    witness = verify_ntuple(G, subs)
+    witness = principal.verify_ntuple(G, subs)
     orders = {"gamma": G.order,
               "gi": [len(s) for s in subs],
               "intersections": {}}

@@ -10,22 +10,54 @@ without a traceback.
 The NTPG_WORKERS environment variable is accepted for compatibility with
 parallel runners; it never changes results (the current implementation is
 sequential).
+
+Start-up: importing this module defers the structure modules (autgroups,
+cocycles, fields, graded, groupoids, poly, principal) through
+``importlib.util.LazyLoader``, so each one runs on the first access to one
+of its names and a command loads only what it uses; ``group validate``
+loads none of them.  ``python -X importtime -m ntpg.cli ...`` shows what
+start-up still imports; a deferred module runs outside the import system
+and is not listed there.  A module imported before this one is used as it
+is, and importing any module of the library directly still loads it at
+once.
 """
 
 import argparse
+import importlib.util
 import os
 import sys
 import time
 
-from . import autgroups, cocycles, graded, groupoids, principal
 from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
                      InvalidInput, NoIdentity, NoInverse, NonAssociative,
                      NotAnAction, NotCompatible, NotFree, NotInvertible,
                      NotInvertibleChart, NotLatinSquare, NotMultiplicative,
                      SplitFailure)
-from .fields import field_from_json
-from .graded import conjugate_structure, dilation
 from .groups import DEFAULT_CLOSURE_CAP, subgroup_closure
+
+
+def _defer(name):
+    """Register ntpg.<name> to run its body on first attribute access.
+
+    A module imported already is left as it is.  A new one is bound on the
+    package too, so that ``from . import <name>`` finds it without loading
+    it."""
+    full = __package__ + "." + name
+    if full in sys.modules:
+        return
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+# before jsonio, which imports five of them
+for _name in ("autgroups", "cocycles", "fields", "graded", "groupoids",
+              "poly", "principal"):
+    _defer(_name)
+from . import autgroups, cocycles, fields, graded, groupoids, principal
 from .jsonio import (_array, _need, _object, dump_group, dump_groupoid,
                      dump_polymap, dump_terms, load_action, load_aut_cocycle,
                      load_group, load_group_cocycle, load_groupoid_action,
@@ -41,14 +73,14 @@ _VERDICT_ERRORS = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse,
 
 def _parse_field(text):
     if text == "Q":
-        return field_from_json("Q")
+        return fields.field_from_json("Q")
     if text.startswith("Fp:"):
         p = text[3:]
         try:
             p = int(p)
         except ValueError:
             pass  # field_from_json rejects the non-integer
-        return field_from_json({"Fp": p})
+        return fields.field_from_json({"Fp": p})
     raise InvalidInput("field must be 'Q' or 'Fp:<p>'", field=text)
 
 
@@ -234,17 +266,17 @@ def cmd_graded_check_morphism(args, data):
 
 def cmd_graded_check_compat(args, data):
     field_spec = _object(data, "structures input").get("field", "Q")
-    field = field_from_json(field_spec)
+    field = fields.field_from_json(field_spec)
     structures = []
     for s in _array(_need(data, "structures", "structures input"),
                     "structures"):
         sig = load_signature(_need(s, "sig", "structure"))
-        h = dilation(sig, field, axis=s.get("axis", 0))
+        h = graded.dilation(sig, field, axis=s.get("axis", 0))
         if s.get("kind", "diagonal") == "conjugated":
             phi, _ = load_polymap({"field": field_spec,
                                    "sig_in": s["sig"], "sig_out": s["sig"],
                                    "terms": _need(s, "phi", "structure")})
-            h = conjugate_structure(h, phi)
+            h = graded.conjugate_structure(h, phi)
         structures.append(h)
     rep = graded.check_compatible_structures(structures)
     details = {"commute": rep.commute,
@@ -302,7 +334,7 @@ def _model(args, data):
     """The enumerated automorphism group of the input's model."""
     model = _need(data, "model", "cocycle input")
     sig = load_signature(_need(model, "sig", "model"))
-    field = field_from_json(model.get("field", {"Fp": 3}))
+    field = fields.field_from_json(model.get("field", {"Fp": 3}))
     return autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
 
 

@@ -8,13 +8,10 @@ law is g_ij g_jk = g_ik with mul(a, b) meaning "apply b, then a".
 
 from itertools import product
 
-from .autgroups import aut_compose, aut_invert, identity_automorphism
+from . import autgroups, fields, graded, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
                      InvalidInput, NotInvertibleChart, SearchCapExceeded)
-from .fields import mat_inv
-from .graded import GradedSignature, PolyMap, is_graded_morphism
 from .groups import FiniteAction, descend
-from .poly import Poly
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -106,13 +103,13 @@ class AutOps:
 
     @property
     def one(self):
-        return identity_automorphism(self.sig, self.field)
+        return autgroups.identity_automorphism(self.sig, self.field)
 
     def mul(self, a, b):
-        return aut_compose(a, b)
+        return autgroups.aut_compose(a, b)
 
     def inv(self, a):
-        return aut_invert(a)
+        return autgroups.aut_invert(a)
 
     def key(self, a):
         return a.key()
@@ -443,34 +440,33 @@ def t2_transition(chart):
     field = chart.field
     jac0 = [[chart.components[a].diff(b).eval((field.zero,) * d)
              for b in range(d)] for a in range(d)]
-    if mat_inv(field, jac0) is None:
+    if fields.mat_inv(field, jac0) is None:
         raise NotInvertibleChart("Jacobian at the origin is singular")
 
-    sig = GradedSignature.simple([d, d], base=d)
+    sig = graded.GradedSignature.simple([d, d], base=d)
     nv = 3 * d
-    lift = [Poly.var(field, nv, b) for b in range(d)]
+    x = [poly.Poly.var(field, nv, b) for b in range(nv)]
+    lift = x[:d]
 
     comps = []
     for a in range(d):
         comps.append(chart.components[a].subs(lift))
     for a in range(d):
-        acc = Poly.zero(field, nv)
+        acc = poly.Poly.zero(field, nv)
         for b in range(d):
-            acc = acc + chart.components[a].diff(b).subs(lift) * \
-                Poly.var(field, nv, d + b)
+            acc = acc + chart.components[a].diff(b).subs(lift) * x[d + b]
         comps.append(acc)
     for a in range(d):
-        acc = Poly.zero(field, nv)
+        acc = poly.Poly.zero(field, nv)
         for b in range(d):
-            acc = acc + chart.components[a].diff(b).subs(lift) * \
-                Poly.var(field, nv, 2 * d + b)
+            acc = acc + chart.components[a].diff(b).subs(lift) * x[2 * d + b]
         for b in range(d):
             for cc in range(d):
                 acc = acc + chart.components[a].diff(b).diff(cc).subs(lift) * \
-                    Poly.var(field, nv, d + b) * Poly.var(field, nv, d + cc)
+                    x[d + b] * x[d + cc]
         comps.append(acc)
-    out = PolyMap(sig, sig, field, comps)
-    if not is_graded_morphism(out):
+    out = graded.PolyMap(sig, sig, field, comps)
+    if not graded.is_graded_morphism(out):
         raise InternalInconsistency("prolongation is not weight-graded")
     return out
 

@@ -77,7 +77,8 @@ class FiniteGroup:
         t, gens = self.table, self.generators
         members = [a for a in range(self.order)
                    if all(t[a][g] == t[g][a] for g in gens)]
-        return Subgroup(self, members)
+        # the centralizer of the generators is a subgroup by construction
+        return Subgroup(self, members, check=False)
 
     def fingerprint(self):
         """Cheap report data: order + abelianness (no isomorphism testing)."""
@@ -305,7 +306,13 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
 
 
 class Subgroup:
-    """A subgroup as a sorted member set tied to its parent group."""
+    """A subgroup as a sorted member set tied to its parent group.
+
+    Validation costs |H|*|kept| lookups: the members must equal their
+    closure under products.  Only a subset that is not a subgroup gets the
+    scan of every inverse and every pair in index order, which names the
+    first failure.
+    """
 
     __slots__ = ("parent", "members", "_set")
 
@@ -323,6 +330,10 @@ class Subgroup:
                 raise InvalidInput("subgroup member out of range", member=m)
         if G.identity not in self._set:
             raise InvalidInput("subgroup misses the identity")
+        # the closure holds the members; equal sizes mean they are closed
+        if len(subgroup_closure(G, self.members)) == len(self.members):
+            return
+        # otherwise name the first failure in index order
         for a in self.members:
             if G.inverse[a] not in self._set:
                 raise InvalidInput("subgroup not closed under inverse", element=a)

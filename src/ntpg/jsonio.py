@@ -8,14 +8,10 @@ that contract).
 
 import json
 
-from .cocycles import AutOps, Cocycle, CoverNerve, FiniteGroupOps
+from . import cocycles, fields, graded, groupoids, poly
 from .errors import InvalidInput
-from .fields import field_from_json, field_to_json
-from .graded import GradedSignature, PolyMap
-from .groupoids import FiniteGroupoid, GroupoidAction
 from .groups import (DEFAULT_CLOSURE_CAP, FiniteAction, Subgroup, make_group,
                      make_group_from_permutations)
-from .poly import Poly
 
 # Input caps: Poly.subs raises polynomials to the exponents of the map it
 # substitutes into, and the coboundary search forms |G|^charts before it
@@ -120,7 +116,7 @@ def load_groupoid(obj):
     if not (isinstance(objects, int) and all(_is_ints(a) for a in arrays)):
         raise InvalidInput("groupoid objects, src, tgt, id and inv must be "
                            "integers and integer lists")
-    gpd = FiniteGroupoid(objects, *arrays, mul)
+    gpd = groupoids.FiniteGroupoid(objects, *arrays, mul)
     if "arrows" in obj and obj["arrows"] != gpd.n_arrows:
         raise InvalidInput("declared arrow count disagrees with src array")
     return gpd
@@ -136,15 +132,15 @@ def dump_groupoid(gpd):
 def load_groupoid_action(obj, cap=DEFAULT_CLOSURE_CAP):
     gpd = load_groupoid(_need(obj, "groupoid", "groupoid action"))
     group = load_group(_need(obj, "group", "groupoid action"), cap=cap)
-    return GroupoidAction(gpd, group, _int_rows(
+    return groupoids.GroupoidAction(gpd, group, _int_rows(
         _need(obj, "act", "groupoid action"), "action rows"))
 
 
 def load_signature(obj):
     mode = _need(obj, "mode", "signature")
     if mode == "simple":
-        return GradedSignature.simple(_array(obj.get("dims", []), "dims"),
-                                      base=obj.get("base", 0))
+        return graded.GradedSignature.simple(
+            _array(obj.get("dims", []), "dims"), base=obj.get("base", 0))
     if mode == "multi":
         blocks = {}
         for b in _array(_need(obj, "blocks", "signature"), "blocks"):
@@ -153,8 +149,8 @@ def load_signature(obj):
                 raise InvalidInput("sigma entries must be integers",
                                    sigma=sigma)
             blocks[tuple(sigma)] = _need(b, "dim", "block")
-        return GradedSignature.multi(_need(obj, "n", "signature"), blocks,
-                                     base=obj.get("base", 0))
+        return graded.GradedSignature.multi(
+            _need(obj, "n", "signature"), blocks, base=obj.get("base", 0))
     raise InvalidInput("unknown signature mode", mode=mode)
 
 
@@ -222,15 +218,15 @@ def dump_terms(field, pm):
 
 
 def load_polymap(obj):
-    field = field_from_json(_object(obj, "polymap").get("field", "Q"))
+    field = fields.field_from_json(_object(obj, "polymap").get("field", "Q"))
     sig_in = load_signature(_need(obj, "sig_in", "polymap"))
     sig_out = load_signature(_need(obj, "sig_out", "polymap"))
     terms = load_terms(field, _need(obj, "terms", "polymap"), sig_in.ncoords)
-    return PolyMap.from_terms(sig_in, sig_out, field, terms), field
+    return graded.PolyMap.from_terms(sig_in, sig_out, field, terms), field
 
 
 def dump_polymap(pm):
-    return {"field": field_to_json(pm.field),
+    return {"field": fields.field_to_json(pm.field),
             "sig_in": dump_signature(pm.sig_in),
             "sig_out": dump_signature(pm.sig_out),
             "terms": dump_terms(pm.field, pm)}
@@ -238,13 +234,14 @@ def dump_polymap(pm):
 
 def load_polynomial(obj):
     """{"sig": ..., "field": ..., "terms": [{exponents, num, den}...]}."""
-    field = field_from_json(_object(obj, "polynomial").get("field", "Q"))
+    field = fields.field_from_json(
+        _object(obj, "polynomial").get("field", "Q"))
     sig = load_signature(_need(obj, "sig", "polynomial"))
     terms = {}
     for e in _array(_need(obj, "terms", "polynomial"), "terms"):
         exps = _exponents(e, sig.ncoords)
         terms[exps] = terms.get(exps, 0) + _coefficient(field, e)
-    return Poly(field, sig.ncoords, terms), sig, field
+    return poly.Poly(field, sig.ncoords, terms), sig, field
 
 
 def load_nerve(obj):
@@ -258,7 +255,7 @@ def load_nerve(obj):
     triples = _array(obj.get("triples", []), "triples")
     if not all(_is_ints(t) for t in triples):
         raise InvalidInput("triples must be lists of chart indices")
-    return CoverNerve(charts, overlaps, triples)
+    return cocycles.CoverNerve(charts, overlaps, triples)
 
 
 def load_group_cocycle(obj, group=None, cap=DEFAULT_CLOSURE_CAP):
@@ -274,7 +271,8 @@ def load_group_cocycle(obj, group=None, cap=DEFAULT_CLOSURE_CAP):
             raise InvalidInput("cocycle value outside the group",
                                element=element, order=group.order)
         values[pair] = element
-    return Cocycle(nerve, FiniteGroupOps(group), values), group
+    ops = cocycles.FiniteGroupOps(group)
+    return cocycles.Cocycle(nerve, ops, values), group
 
 
 def _is_index(x, n):
@@ -302,7 +300,7 @@ def load_aut_cocycle(obj, handle):
         terms = load_terms(field, _need(v, "terms", "cocycle value"),
                            sig.ncoords)
         values[pair] = make_automorphism(sig, field, terms)
-    return Cocycle(nerve, AutOps(sig, field, handle), values)
+    return cocycles.Cocycle(nerve, cocycles.AutOps(sig, field, handle), values)
 
 
 def read_json(path):

@@ -13,9 +13,9 @@ pgg' = pg'g_{g'}, forms the semidirect product, quotients by the joint
 kernel and checks the commuting square of orbit maps.
 """
 
+from . import groupoids
 from .errors import (DiagramFailure, InternalInconsistency, NotAnAction,
                      NotCompatible, NotFree, ParentMismatch)
-from .groupoids import GroupoidAction, check_compatible, gauge_groupoid
 from .groups import (FiniteAction, GroupHom, Subgroup, action_check, descend,
                      generates, intersect, make_group, normality_witness,
                      quotient, subgroup_as_group, subgroup_closure,
@@ -469,7 +469,7 @@ class CompatibilityResult:
 def _one_direction(set_size, rho, rho_prime):
     """Does rho_prime induce a compatible pre-principal action on the gauge
     groupoid of rho?  Returns (ok, details)."""
-    gpd, labels = gauge_groupoid(set_size, rho)
+    gpd, labels = groupoids.gauge_groupoid(set_size, rho)
     Gp = rho_prime.group
     pairs = labels.pair_to_arrow
     arrows = list(pairs.values())
@@ -482,10 +482,10 @@ def _one_direction(set_size, rho, rho_prime):
                            "element": gp, "arrow": arrows[k]}
         rows.append(row)
     try:
-        ga = GroupoidAction(gpd, Gp, rows)
+        ga = groupoids.GroupoidAction(gpd, Gp, rows)
     except NotAnAction as e:
         return False, {"reason": "not an action on arrows", **e.details}
-    rep = check_compatible(ga)
+    rep = groupoids.check_compatible(ga)
     if not rep.compatible:
         return False, {"reason": "not compatible", "witness": rep.witness}
     if not rep.pre_principal:

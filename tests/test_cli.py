@@ -6,6 +6,9 @@ import sys
 import pytest
 
 import ntpg
+# imported before ntpg.cli, which must reuse the module and not define its
+# classes a second time
+from ntpg.graded import PolyMap
 from ntpg.cli import main
 from ntpg.named import quaternion_group
 
@@ -389,6 +392,54 @@ def test_cli_import_does_not_load_numpy():
          "import ntpg.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "docs", "examples")
+
+# print the ntpg modules whose bodies ran, as opposed to those still
+# waiting for their first attribute access
+_RUN_AND_LIST_MODULES = """
+import sys, types
+from ntpg.cli import main
+rc = main(sys.argv[1:])
+print(rc, *sorted(name[5:] for name, m in sys.modules.items()
+                  if name.startswith("ntpg.") and type(m) is types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("argv,used", [
+    (["group", "validate", "s4_perms.json"], []),
+    (["dpg", "verify", "q8_dpg.json"], ["principal"]),
+    (["groupoid", "gauge", "z3_gauge.json"], ["groupoids"]),
+    (["graded", "weights", "f5_polynomial.json"], ["fields", "graded", "poly"]),
+    (["aut", "enumerate", "--sig", "d111_sig.json", "--field", "Fp:2"],
+     ["autgroups", "fields", "graded", "poly"]),
+    (["cocycle", "check", "z3_cocycle.json"], ["cocycles"]),
+    (["cocycle", "t2", "t2_chart.json"], ["cocycles", "fields", "graded",
+                                          "poly"]),
+])
+def test_cli_runs_only_the_structure_modules_a_command_uses(tmp_path, argv,
+                                                            used):
+    argv = [os.path.join(EXAMPLES, a) if a.endswith(".json") else a
+            for a in argv]
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv,
+         "--out", str(tmp_path / "rep.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, *ran = proc.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    assert ran == sorted(["cli", "errors", "groups", "jsonio", *used])
+
+
+def test_cli_reuses_structure_modules_imported_before_it():
+    import ntpg.cli
+    import ntpg.jsonio
+    assert ntpg.cli.graded is sys.modules["ntpg.graded"] is ntpg.graded
+    assert ntpg.cli.graded.PolyMap is ntpg.jsonio.graded.PolyMap is PolyMap
 
 
 def _assert_input_error(code, out, capsys):

@@ -33,6 +33,10 @@ COMMANDS = {
     "z3_gauge.json": [["groupoid", "gauge", "{}"]],
     "z2z3_pipeline.json": [["dpg", "gamma-from-actions", "{}"]],
     "s4_perms.json": [["group", "validate", "{}"]],
+    "s3_groupoid_action.json": [["groupoid", "quotient", "{}"],
+                                ["groupoid", "split", "{}"],
+                                ["groupoid", "mult-function", "{}"]],
+    "f5_polynomial.json": [["graded", "weights", "{}"]],
     "d111_sig.json": [["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
                       ["aut", "verify-p54", "--sig", "{}", "--field",
                        "Fp:2"]],

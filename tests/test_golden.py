@@ -228,12 +228,8 @@ CASES = {
                         {"target": 2, "exponents": [1, 1, 0], "num": "1"},
                         {"target": 2, "exponents": [0, 0, 1], "num": "1"},
                     ]}]}}}),
-    "graded_weights_f5": (["graded", "weights", "{poly}"], {"poly": {
-        "field": {"Fp": 5}, "sig": {"mode": "simple", "dims": [1, 1]},
-        "terms": [{"exponents": [2, 0], "num": "7", "den": "3"},
-                  {"exponents": [0, 1], "num": "4"},
-                  {"exponents": [1, 0], "num": "-1"},
-                  {"exponents": [1, 0], "num": "6"}]}}),
+    "graded_weights_f5": (["graded", "weights",
+                           _example("f5_polynomial.json")], {}),
     "graded_check_morphism_shear_q": (["graded", "check-morphism", "{map}"], {
         "map": _map(SHEAR)}),
     "graded_check_morphism_swap_q": (["graded", "check-morphism", "{map}"], {
@@ -250,8 +246,9 @@ CASES = {
         "gauge": {"action": _free_action(S3, 2)}}),
     "groupoid_gauge_not_an_action": (["groupoid", "gauge", "{gauge}"], {
         "gauge": _broken_action()}),
-    "groupoid_quotient_s3": (["groupoid", "quotient", "{ga}"], {
-        "ga": _built_groupoid(S3, 2, [0, 4])}),
+    # docs/examples/s3_groupoid_action.json is _built_groupoid(S3, 2, [0, 4])
+    "groupoid_quotient_s3": (["groupoid", "quotient",
+                              _example("s3_groupoid_action.json")], {}),
     "groupoid_split_s3": (["groupoid", "split", "{ga}"], {
         "ga": _built_groupoid(S3, 3, [1, 0, 5])}),
     "groupoid_mult_function_s3": (["groupoid", "mult-function", "{ga}"], {
@@ -317,6 +314,11 @@ def test_golden_report(tmp_path, capsys, name):
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert text == fh.read()
     assert code == RC[json.loads(text)["verdict"]]
+
+
+def test_groupoid_action_example_is_the_built_groupoid():
+    with open(_example("s3_groupoid_action.json")) as fh:
+        assert json.load(fh) == _built_groupoid(S3, 2, [0, 4])
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ per nerve component; its oracle walks the whole |G|^charts grid in
 ``product`` order, and both must give the same verdict, witness and count.
 ``normality_witness`` conjugates by product generators alone, and
 ``GroupHom`` multiplies by them and rescans in index order on failure;
-``subgroup_closure`` extends the inputs by right products only.  Their
-oracles conjugate by every element, check every pair, and search from the
-identity over every input and its inverse.  The named groups of order at
-most 12 run here; a larger order runs the same comparison from the command
-line:
+``subgroup_closure`` extends the inputs by right products only, and
+``Subgroup`` compares its members with their closure.  Their oracles
+conjugate by every element, check every pair, search from the identity over
+every input and its inverse, and scan every inverse and pair of members.
+The named groups of order at most 12 run here; a larger order runs the same
+comparison from the command line:
 
     PYTHONPATH=src python tests/test_validation_oracles.py 24
 """
@@ -273,6 +274,31 @@ def brute_force_closure(G, gens):
     return tuple(sorted(seen))
 
 
+def brute_force_subgroup(G, members):
+    """Range and identity, then every member's inverse and every pair's
+    product in index order."""
+    present = set(members)
+    members = sorted(present)
+    for m in members:
+        if not 0 <= m < G.order:
+            raise InvalidInput("subgroup member out of range", member=m)
+    if G.identity not in present:
+        raise InvalidInput("subgroup misses the identity")
+    for a in members:
+        if G.inverse[a] not in present:
+            raise InvalidInput("subgroup not closed under inverse", element=a)
+        for b in members:
+            if G.table[a][b] not in present:
+                raise InvalidInput("subgroup not closed under product",
+                                   pair=(a, b))
+
+
+def assert_same_subgroup(G, members):
+    expected = outcome(brute_force_subgroup, G, members)
+    assert outcome(Subgroup, G, members) == expected, sorted(members)
+    return expected
+
+
 def brute_force_normality(G, H):
     """The first (g, h) in index order with g h g^-1 outside H, or None."""
     for g in range(G.order):
@@ -327,21 +353,25 @@ def compare_group_checks(G):
     on G.  The closures: every subgroup generated by one or two elements,
     and every union of two of them.  The homomorphisms: each quotient
     projection, the projection with one image moved to the next element,
-    and the identity map with two images swapped.  The first conjugator
-    that moves a subgroup is always a product generator.  Returns how many
-    subgroups were not normal and how many maps were not homomorphisms."""
+    and the identity map with two images swapped.  Each union of two
+    subgroups is also validated as a subgroup.  The first conjugator that
+    moves a subgroup is always a product generator.  Returns how many
+    unions were not subgroups, how many subgroups were not normal and how
+    many maps were not homomorphisms."""
     subgroups = {}
     for gens in combinations_with_replacement(range(G.order), 2):
         gens = set(gens)
         H = subgroup_closure(G, gens)
         assert H.members == brute_force_closure(G, gens), gens
         subgroups.setdefault(H.members, H)
+    counts = {"not a subgroup": 0, "not normal": 0, "not a homomorphism": 0}
     for H1, H2 in combinations(list(subgroups.values()), 2):
         gens = set(H1.members) | set(H2.members)
         H = subgroup_closure(G, gens)
         assert H.members == brute_force_closure(G, gens), gens
         subgroups.setdefault(H.members, H)
-    counts = {"not normal": 0, "not a homomorphism": 0}
+        counts["not a subgroup"] += \
+            assert_same_subgroup(G, gens) is not None
 
     def check_hom(target, images):
         expected = outcome(brute_force_hom, G, target, images)
@@ -377,6 +407,32 @@ def test_group_checks_match_the_oracles(name):
     assert (counts["not normal"] > 0) == (not G.is_abelian()
                                           and name != "Q8")
     assert (counts["not a homomorphism"] > 0) == (G.order > 2)
+    # two subgroups, neither inside the other, never have a subgroup union
+    assert (counts["not a subgroup"] > 0) == (G.order > 1 and
+                                              not _is_cyclic_p_group(G))
+
+
+def _is_cyclic_p_group(G):
+    """Are G's subgroups a chain?  Exactly when G is a cyclic p-group."""
+    n = G.order
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1 and any(G.element_order(a) == G.order
+                          for a in range(G.order))
+
+
+def test_every_subset_with_the_identity_matches_the_oracle():
+    kinds = set()
+    for name, build in sorted(named_groups(8).items()):
+        G = build()
+        others = [a for a in range(G.order) if a != G.identity]
+        for k in range(len(others) + 1):
+            for rest in combinations(others, k):
+                verdict = assert_same_subgroup(G, (G.identity,) + rest)
+                kinds.add(verdict and verdict[1])
+    assert kinds == {None, "subgroup not closed under inverse",
+                     "subgroup not closed under product"}
 
 
 def test_first_non_normal_conjugator_is_the_oracles():
