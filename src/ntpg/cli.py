@@ -30,9 +30,8 @@ import time
 
 from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
                      InvalidInput, NoIdentity, NoInverse, NonAssociative,
-                     NotAnAction, NotCompatible, NotFree, NotInvertible,
-                     NotInvertibleChart, NotLatinSquare, NotMultiplicative,
-                     SplitFailure)
+                     NotCompatible, NotFree, NotInvertibleChart,
+                     NotLatinSquare, NotMultiplicative, SplitFailure)
 from .groups import DEFAULT_CLOSURE_CAP, subgroup_closure
 
 
@@ -63,12 +62,6 @@ from .jsonio import (_array, _need, _object, dump_group, dump_groupoid,
                      load_group, load_group_cocycle, load_groupoid_action,
                      load_polymap, load_polynomial, load_signature,
                      load_subgroup, read_json, write_report)
-
-# exceptions that mean "the checked property verifiably fails", not bad input
-_VERDICT_ERRORS = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse,
-                   NotAnAction, ActionNotFree, NotCompatible, NotFree,
-                   SplitFailure, NotMultiplicative,
-                   NotInvertible, NotInvertibleChart)
 
 
 def _parse_field(text):
@@ -130,13 +123,11 @@ def _subgroup_pair(args, data, G):
 
 
 # -- command handlers: (args, data) -> (verdict, details, witnesses), where
-# data is the parsed input file (None for the aut commands) -------------------
+# data is the parsed input file; a verdict error that a command's row in
+# build_parser names is reported as a failure with its witness ---------------
 
 def cmd_group_validate(args, data):
-    try:
-        G = load_group(data, cap=args.max_order)
-    except _VERDICT_ERRORS as e:
-        return "fail", {}, [e.report()]
+    G = load_group(data, cap=args.max_order)
     return "pass", {"fingerprint": G.fingerprint()}, []
 
 
@@ -174,10 +165,7 @@ def cmd_dpg_pipeline(args, data):
     rho_prime = load_action(_need(data, "rho_prime", "pipeline"),
                             cap=args.max_order)
     points = _points(data, rho)
-    try:
-        res = principal.gamma_from_actions(points, rho, rho_prime)
-    except (NotCompatible, NotFree) as e:
-        return "fail", {}, [e.report()]
+    res = principal.gamma_from_actions(points, rho, rho_prime)
     details = res.report()
     details["gamma"] = dump_group(res.gamma)
     return "pass", details, []
@@ -207,10 +195,7 @@ def _collect_trace_failures(node, acc=None):
 def cmd_groupoid_gauge(args, data):
     action = load_action(_need(data, "action", "gauge"), cap=args.max_order)
     points = _points(data, action)
-    try:
-        gpd, labels = groupoids.gauge_groupoid(points, action)
-    except ActionNotFree as e:
-        return "fail", {}, [e.report()]
+    gpd, labels = groupoids.gauge_groupoid(points, action)
     details = {"groupoid": dump_groupoid(gpd),
                "arrow_reps": [list(pq) for pq in labels.arrow_rep]}
     return "pass", details, []
@@ -218,10 +203,7 @@ def cmd_groupoid_gauge(args, data):
 
 def cmd_groupoid_quotient(args, data):
     ga = load_groupoid_action(data, cap=args.max_order)
-    try:
-        q = groupoids.quotient_groupoid(ga)
-    except (NotCompatible, NotFree) as e:
-        return "fail", {}, [e.report()]
+    q = groupoids.quotient_groupoid(ga)
     details = {"groupoid": dump_groupoid(q.groupoid),
                "arrow_map": list(q.arrow_map),
                "object_map": list(q.object_map)}
@@ -230,10 +212,7 @@ def cmd_groupoid_quotient(args, data):
 
 def cmd_groupoid_split(args, data):
     ga = load_groupoid_action(data, cap=args.max_order)
-    try:
-        sp = groupoids.split(ga)
-    except (NotCompatible, NotFree, SplitFailure) as e:
-        return "fail", {}, [e.report()]
+    sp = groupoids.split(ga)
     details = {"base": dump_groupoid(sp.base),
                "fiber_product_size": len(sp.fiber),
                "properties": ["bijection", "i", "ii", "iii", "iv"]}
@@ -242,12 +221,9 @@ def cmd_groupoid_split(args, data):
 
 def cmd_groupoid_multfunction(args, data):
     ga = load_groupoid_action(data, cap=args.max_order)
-    try:
-        sp = groupoids.split(ga)
-        mf = groupoids.multiplicative_function(sp)
-        groupoids.reconstruct_and_check(mf)
-    except (NotCompatible, NotFree, SplitFailure, NotMultiplicative) as e:
-        return "fail", {}, [e.report()]
+    sp = groupoids.split(ga)
+    mf = groupoids.multiplicative_function(sp)
+    groupoids.reconstruct_and_check(mf)
     details = {"b": list(mf.b),
                "base": dump_groupoid(sp.base),
                "theory_checks": {"multiplicative_law": True,
@@ -301,7 +277,7 @@ def cmd_graded_weights(args, data):
 
 
 def cmd_aut_enumerate(args, data):
-    sig = load_signature(read_json(args.sig))
+    sig = load_signature(data)
     field = _parse_field(args.field)
     handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
     details = {"order": handle.group.order,
@@ -312,7 +288,7 @@ def cmd_aut_enumerate(args, data):
 
 
 def cmd_aut_verify_p54(args, data):
-    sig = load_signature(read_json(args.sig))
+    sig = load_signature(data)
     field = _parse_field(args.field)
     rep = autgroups.verify_p54(sig, field, cap=args.max_candidates)
     details = {"orders": rep.orders, "trace": rep.witness.trace}
@@ -399,10 +375,7 @@ def cmd_cocycle_cohomologous(args, data):
 
 def cmd_cocycle_t2(args, data):
     chart, _ = load_polymap(_nested(data, "chart"))
-    try:
-        out = cocycles.t2_transition(chart)
-    except NotInvertibleChart as e:
-        return "fail", {}, [e.report()]
+    out = cocycles.t2_transition(chart)
     details = {"transition": dump_polymap(out),
                "graded": graded.is_graded_morphism(out),
                "quadratic_velocity_term": cocycles.t2_has_quadratic_term(out)}
@@ -411,73 +384,65 @@ def cmd_cocycle_t2(args, data):
 
 # -- dispatcher ----------------------------------------------------------------
 
-def _add_io_args(p, needs_file=True):
-    if needs_file:
-        p.add_argument("file", help="JSON input file")
-    p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for compatibility; has no effect "
-                        "(every check is exhaustive)")
-    p.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
-                   help="cap for permutation closures of every input group")
-    p.add_argument("--max-candidates", type=int, default=10 ** 6,
-                   help="cap for enumeration and coboundary search grids")
-    p.add_argument("--subgroups", default=None,
-                   help="generator spec 'a,b;c,...' overriding the file")
-
-
 def build_parser():
+    """The parser, built from one row per command: its group and name, its
+    handler, the verdict errors that main reports as a failure, and the
+    argument that names its input file.  The rows are read at call time, so
+    a handler rebound on this module is the one that runs."""
+    axioms = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse)
+    free = (NotCompatible, NotFree)
+    split = free + (SplitFailure,)
+    commands = [
+        ("group", "validate", cmd_group_validate, axioms, "file"),
+        ("dpg", "verify", cmd_dpg_verify, (), "file"),
+        ("dpg", "dressing", cmd_dpg_dressing, (), "file"),
+        ("dpg", "gamma-from-actions", cmd_dpg_pipeline, free, "file"),
+        ("ntuple", "verify", cmd_ntuple_verify, (), "file"),
+        ("groupoid", "gauge", cmd_groupoid_gauge, (ActionNotFree,), "file"),
+        ("groupoid", "quotient", cmd_groupoid_quotient, free, "file"),
+        ("groupoid", "split", cmd_groupoid_split, split, "file"),
+        ("groupoid", "mult-function", cmd_groupoid_multfunction,
+         split + (NotMultiplicative,), "file"),
+        ("graded", "check-morphism", cmd_graded_check_morphism, (), "file"),
+        ("graded", "check-compat", cmd_graded_check_compat, (), "file"),
+        ("graded", "weights", cmd_graded_weights, (), "file"),
+        ("aut", "enumerate", cmd_aut_enumerate, (), "sig"),
+        ("aut", "verify-p54", cmd_aut_verify_p54, (), "sig"),
+        ("cocycle", "check", cmd_cocycle_check, (), "file"),
+        ("cocycle", "associate", cmd_cocycle_associate, (), "file"),
+        ("cocycle", "frame", cmd_cocycle_frame, (), "file"),
+        ("cocycle", "cohomologous", cmd_cocycle_cohomologous, (), "file"),
+        ("cocycle", "t2", cmd_cocycle_t2, (NotInvertibleChart,), "file"),
+    ]
     ap = argparse.ArgumentParser(
         prog="ntpg",
         description="Exact finite models of multi-principal structures: "
                     "verification reports with witnesses.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(group, name, handler, needs_file=True, extra=None):
-        p = group.add_parser(name)
-        _add_io_args(p, needs_file)
-        if extra:
-            extra(p)
-        p.set_defaults(handler=handler, needs_file=needs_file)
-
-    g = sub.add_parser("group").add_subparsers(dest="action", required=True)
-    add(g, "validate", cmd_group_validate)
-
-    d = sub.add_parser("dpg").add_subparsers(dest="action", required=True)
-    add(d, "verify", cmd_dpg_verify)
-    add(d, "dressing", cmd_dpg_dressing)
-    add(d, "gamma-from-actions", cmd_dpg_pipeline)
-
-    n = sub.add_parser("ntuple").add_subparsers(dest="action", required=True)
-    add(n, "verify", cmd_ntuple_verify)
-
-    gd = sub.add_parser("groupoid").add_subparsers(dest="action", required=True)
-    add(gd, "gauge", cmd_groupoid_gauge)
-    add(gd, "quotient", cmd_groupoid_quotient)
-    add(gd, "split", cmd_groupoid_split)
-    add(gd, "mult-function", cmd_groupoid_multfunction)
-
-    gr = sub.add_parser("graded").add_subparsers(dest="action", required=True)
-    add(gr, "check-morphism", cmd_graded_check_morphism)
-    add(gr, "check-compat", cmd_graded_check_compat)
-    add(gr, "weights", cmd_graded_weights)
-
-    au = sub.add_parser("aut").add_subparsers(dest="action", required=True)
-
-    def sig_field(p):
-        p.add_argument("--sig", required=True, help="signature JSON file")
-        p.add_argument("--field", required=True, help="'Q' or 'Fp:<p>'")
-
-    add(au, "enumerate", cmd_aut_enumerate, needs_file=False, extra=sig_field)
-    add(au, "verify-p54", cmd_aut_verify_p54, needs_file=False,
-        extra=sig_field)
-
-    co = sub.add_parser("cocycle").add_subparsers(dest="action", required=True)
-    add(co, "check", cmd_cocycle_check)
-    add(co, "associate", cmd_cocycle_associate)
-    add(co, "frame", cmd_cocycle_frame)
-    add(co, "cohomologous", cmd_cocycle_cohomologous)
-    add(co, "t2", cmd_cocycle_t2)
+    groups = {}
+    for group, name, handler, verdicts, source in commands:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest="action", required=True)
+        p = groups[group].add_parser(name)
+        if source == "file":
+            p.add_argument("file", help="JSON input file")
+        p.add_argument("--out", default=None,
+                       help="write the JSON report here")
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; has no effect "
+                            "(every check is exhaustive)")
+        p.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
+                       help="cap for permutation closures of every input "
+                            "group")
+        p.add_argument("--max-candidates", type=int, default=10 ** 6,
+                       help="cap for enumeration and coboundary search grids")
+        p.add_argument("--subgroups", default=None,
+                       help="generator spec 'a,b;c,...' overriding the file")
+        if source == "sig":
+            p.add_argument("--sig", required=True, help="signature JSON file")
+            p.add_argument("--field", required=True, help="'Q' or 'Fp:<p>'")
+        p.set_defaults(handler=handler, verdicts=verdicts, source=source)
     return ap
 
 
@@ -514,8 +479,11 @@ def main(argv=None):
         return 2
 
     try:
-        data = read_json(args.file) if args.needs_file else None
-        verdict, details, witnesses = args.handler(args, data)
+        data = read_json(getattr(args, args.source))
+        try:
+            verdict, details, witnesses = args.handler(args, data)
+        except args.verdicts as e:
+            verdict, details, witnesses = "fail", {}, [e.report()]
     except InternalInconsistency as e:
         return error(e.report(), "theory assertion failed; this is a library "
                      "bug: %s" % e, theory_failure=True)

@@ -304,12 +304,18 @@ def load_aut_cocycle(obj, handle):
 
 
 def read_json(path):
+    """The parsed file; a file that cannot be read or decoded, nested too
+    deep or holding an integer too long to convert is an input error."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InvalidInput("input file not found", path=path)
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise InvalidInput("cannot read the input file", path=path,
+                           error=str(e))
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too
         raise InvalidInput("invalid JSON input", path=path, error=str(e))
 
 

@@ -448,6 +448,38 @@ def _assert_input_error(code, out, capsys):
     assert "library_bug" not in read_report(out)
 
 
+_UNDECODABLE = [
+    pytest.param(b'{"order": 1, "table": [[0]]}\xff', id="non-utf8"),
+    pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+    pytest.param(b"1" * 5000, id="5000-digit-integer",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no int-to-string digit limit")),
+]
+
+
+@pytest.mark.parametrize("content", _UNDECODABLE)
+def test_undecodable_input_exits_2(tmp_path, capsys, content):
+    f = tmp_path / "in.json"
+    f.write_bytes(content)
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["group", "validate", str(f), "--out", out]), out,
+                        capsys)
+    assert read_report(out)["details"]["message"] == "invalid JSON input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "validate", "{}"],
+    ["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"]])
+def test_directory_as_input_exits_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "rep.json")
+    code = run([str(tmp_path) if a == "{}" else a for a in argv]
+               + ["--out", out])
+    _assert_input_error(code, out, capsys)
+    assert read_report(out)["details"]["message"] == \
+        "cannot read the input file"
+
+
 def test_subgroups_not_a_list_exits_2(tmp_path, capsys):
     f = write(tmp_path, "q8.json", {"gamma": q8_json(), "subgroups": 5})
     out = str(tmp_path / "rep.json")

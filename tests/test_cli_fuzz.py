@@ -37,6 +37,8 @@ COMMANDS = {
                                 ["groupoid", "split", "{}"],
                                 ["groupoid", "mult-function", "{}"]],
     "f5_polynomial.json": [["graded", "weights", "{}"]],
+    "d111_morphism.json": [["graded", "check-morphism", "{}"]],
+    "d111_structures.json": [["graded", "check-compat", "{}"]],
     "d111_sig.json": [["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
                       ["aut", "verify-p54", "--sig", "{}", "--field",
                        "Fp:2"]],

@@ -16,19 +16,23 @@ closure over ``--max-order``, ``dpg dressing`` (Q8, and two non-normal S4
 subgroups that do not generate, naming the first conjugator and the least
 missing element), and ``graded check-morphism``/``check-compat`` (a
 passing and a failing map, a shear-conjugated and a multi-signature pair of
-structures).  Regenerate the files only for an intended
-change of report content:
+structures).  Further cases pin each verdict error a command reports as a
+failure (a non-associative table, a fixed point, two actions that are not
+compatible or not free, a singular chart), and a group-axiom error under
+``dpg verify``, which stays an input error.  Every subcommand has a case.
+Regenerate the files only for an intended change of report content:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import json
 import os
 import sys
 
 import pytest
 
-from ntpg.cli import main
+from ntpg.cli import build_parser, main
 from ntpg.named import cyclic, quaternion_group, symmetric
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,6 +175,32 @@ def _map(terms):
 SHEAR = [(0, [1, 0]), (1, [0, 1]), (1, [2, 0])]
 
 
+# the smallest loop that is not a group: a Latin square with identity 0
+# and inverses, not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def _pair_of_actions(rho, rho_prime):
+    """A ``dpg gamma-from-actions`` input: Z2 by rho and Z3 by rho_prime on
+    six points."""
+    Z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    return {"points": 6,
+            "rho": {"group": _group(Z2), "points": 6, "act": rho},
+            "rho_prime": {"group": _group(Z3), "points": 6,
+                          "act": rho_prime}}
+
+
+def _z2_on_pairs(kind):
+    """Z2 on the pair groupoid of two objects: trivially (compatible, not
+    free), or by swapping the unit 0 with the arrow 1 (not compatible)."""
+    obj = _group_pair_groupoid([[0]], 2)
+    obj["group"] = _group(Z2)
+    obj["act"] = [[0, 1, 2, 3],
+                  [0, 1, 2, 3] if kind == "not_free" else [1, 0, 2, 3]]
+    return obj
+
+
 def _example(name):
     return os.path.join(EXAMPLES, name)
 
@@ -284,6 +314,39 @@ CASES = {
         # c1 = (a, b, ab) on (01, 12, 02)
         "coh": _cohomologous(Q8, TRIANGLE, [2, 4, Q8[2][4]], lam=[6, 3, 5],
                              triples=[[0, 1, 2]])}),
+    # a verdict error raised inside a handler is a failure with its witness
+    "group_validate_nonassociative": (["group", "validate", "{grp}"], {
+        "grp": _group(LOOP5)}),
+    "groupoid_gauge_fixed_point": (["groupoid", "gauge", "{gauge}"], {
+        "gauge": {"action": {"group": _group(Z2), "points": 3,
+                             "act": [[0, 1, 2], [1, 0, 2]]}}}),
+    "dpg_gamma_from_actions_not_compatible": (
+        ["dpg", "gamma-from-actions", "{pair}"], {"pair": _pair_of_actions(
+            [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4]],
+            [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]])}),
+    "dpg_gamma_from_actions_not_free": (
+        ["dpg", "gamma-from-actions", "{pair}"], {"pair": _pair_of_actions(
+            [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 4, 5]],
+            [[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 0, 1], [4, 5, 0, 1, 2, 3]])}),
+    "cocycle_t2_singular_q": (["cocycle", "t2", "{chart}"], {"chart": {
+        "field": "Q", "sig_in": LINE, "sig_out": LINE,
+        "terms": [{"target": 0, "exponents": [2], "num": "1"}]}}),
+    # a group-axiom error outside group validate is an input error
+    "dpg_verify_not_latin": (["dpg", "verify", "{dpg}"], {
+        "dpg": {"gamma": _group([[0, 0], [1, 1]]),
+                "subgroups": [[0], [0]]}}),
+    "groupoid_quotient_not_free": (["groupoid", "quotient", "{ga}"], {
+        "ga": _z2_on_pairs("not_free")}),
+    "groupoid_split_not_compatible": (["groupoid", "split", "{ga}"], {
+        "ga": _z2_on_pairs("not_compatible")}),
+    "groupoid_split_not_free": (["groupoid", "split", "{ga}"], {
+        "ga": _z2_on_pairs("not_free")}),
+    "groupoid_mult_function_not_compatible": (
+        ["groupoid", "mult-function", "{ga}"], {
+            "ga": _z2_on_pairs("not_compatible")}),
+    "groupoid_mult_function_not_free": (
+        ["groupoid", "mult-function", "{ga}"], {
+            "ga": _z2_on_pairs("not_free")}),
 }
 
 
@@ -314,6 +377,16 @@ def test_golden_report(tmp_path, capsys, name):
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert text == fh.read()
     assert code == RC[json.loads(text)["verdict"]]
+
+
+def test_every_subcommand_has_a_golden_case():
+    def choices(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    commands = {(group, name) for group, p in choices(build_parser()).items()
+                for name in choices(p)}
+    assert len(commands) == 19
+    assert commands <= {tuple(argv[:2]) for argv, _ in CASES.values()}
 
 
 def test_groupoid_action_example_is_the_built_groupoid():
