@@ -213,11 +213,11 @@ class AutGroupHandle:
 
     def gi_subgroup(self, i):
         members = [k for k, a in enumerate(self.elements) if gi_membership(a, i)]
-        return Subgroup(self.group, members, check=False)
+        return Subgroup(self.group, members)
 
     def statomorphism_subgroup(self):
         members = [k for k, a in enumerate(self.elements) if is_statomorphism(a)]
-        return Subgroup(self.group, members, check=False)
+        return Subgroup(self.group, members)
 
 
 def _slot_list(sig):

@@ -31,7 +31,7 @@ import time
 from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
                      InvalidInput, NoIdentity, NoInverse, NonAssociative,
                      NotCompatible, NotFree, NotInvertibleChart,
-                     NotLatinSquare, NotMultiplicative, SplitFailure)
+                     NotLatinSquare)
 from .groups import DEFAULT_CLOSURE_CAP, subgroup_closure
 
 
@@ -391,7 +391,6 @@ def build_parser():
     a handler rebound on this module is the one that runs."""
     axioms = (NotLatinSquare, NonAssociative, NoIdentity, NoInverse)
     free = (NotCompatible, NotFree)
-    split = free + (SplitFailure,)
     commands = [
         ("group", "validate", cmd_group_validate, axioms, "file"),
         ("dpg", "verify", cmd_dpg_verify, (), "file"),
@@ -400,9 +399,9 @@ def build_parser():
         ("ntuple", "verify", cmd_ntuple_verify, (), "file"),
         ("groupoid", "gauge", cmd_groupoid_gauge, (ActionNotFree,), "file"),
         ("groupoid", "quotient", cmd_groupoid_quotient, free, "file"),
-        ("groupoid", "split", cmd_groupoid_split, split, "file"),
-        ("groupoid", "mult-function", cmd_groupoid_multfunction,
-         split + (NotMultiplicative,), "file"),
+        ("groupoid", "split", cmd_groupoid_split, free, "file"),
+        ("groupoid", "mult-function", cmd_groupoid_multfunction, free,
+         "file"),
         ("graded", "check-morphism", cmd_graded_check_morphism, (), "file"),
         ("graded", "check-compat", cmd_graded_check_compat, (), "file"),
         ("graded", "weights", cmd_graded_weights, (), "file"),

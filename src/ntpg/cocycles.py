@@ -94,9 +94,10 @@ class FiniteGroupOps:
 
 
 class AutOps:
-    """Cocycle values are graded-space automorphisms (exact coefficients)."""
+    """Cocycle values are graded-space automorphisms (exact coefficients),
+    drawn from the enumerated automorphism group ``handle``."""
 
-    def __init__(self, sig, field, handle=None):
+    def __init__(self, sig, field, handle):
         self.sig = sig
         self.field = field
         self.handle = handle
@@ -115,8 +116,6 @@ class AutOps:
         return a.key()
 
     def elements(self):
-        if self.handle is None:
-            raise InvalidInput("automorphism group was not enumerated")
         return list(self.handle.elements)
 
 

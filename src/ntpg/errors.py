@@ -71,17 +71,7 @@ class NotFree(AlgebraError):
     pass
 
 
-class SplitFailure(AlgebraError):
-    pass
-
-
 class NotMultiplicative(AlgebraError):
-    pass
-
-
-# -- principal structures --------------------------------------------------
-
-class DiagramFailure(AlgebraError):
     pass
 
 

@@ -252,29 +252,29 @@ def compose(f, g):
     return PolyMap(g.sig_in, f.sig_out, f.field, comps)
 
 
+def _require_same_mode(pm):
+    if pm.sig_in.mode != pm.sig_out.mode or pm.sig_in.n != pm.sig_out.n:
+        raise SignatureMismatch("mixed signature modes")
+
+
 def is_graded_morphism(pm):
     """Does pm intertwine the dilations of its two signatures?
 
     Formally equivalent to weight preservation: every monomial of component
     c has source weight equal to the weight of target coordinate c.
     """
-    if pm.sig_in.mode != pm.sig_out.mode or pm.sig_in.n != pm.sig_out.n:
-        raise SignatureMismatch("mixed signature modes")
-    for c, f in enumerate(pm.components):
-        target = pm.sig_out.weights[c]
-        for exps in f.terms:
-            if pm.sig_in.monomial_weight(exps) != target:
-                return False
-    return True
+    _require_same_mode(pm)
+    return graded_violation(pm) is None
 
 
 def graded_violation(pm):
     """First (target, exponents) pair breaking weight preservation, or None."""
     for c, f in enumerate(pm.components):
         target = pm.sig_out.weights[c]
-        for exps in sorted(f.terms):
-            if pm.sig_in.monomial_weight(exps) != target:
-                return (c, exps)
+        bad = min((exps for exps in f.terms
+                   if pm.sig_in.monomial_weight(exps) != target), default=None)
+        if bad is not None:
+            return (c, bad)
     return None
 
 
@@ -287,9 +287,8 @@ def triangular_inverse(pm):
     weight (weight-0 blocks must be affine).  The result is verified to be
     a two-sided inverse, exactly.
     """
+    _require_same_mode(pm)
     sig_in, sig_out, field = pm.sig_in, pm.sig_out, pm.field
-    if sig_in.mode != sig_out.mode or sig_in.n != sig_out.n:
-        raise SignatureMismatch("mixed signature modes")
     if [bd for bd in sig_in.blocks] != [bd for bd in sig_out.blocks]:
         raise NotInvertible("signatures have different block dimensions")
 
@@ -370,9 +369,10 @@ def invert(pm):
     a block variable with base variables are rejected).  Higher terms are
     eliminated by back-substitution of the already-inverted lower blocks.
     """
-    if not is_graded_morphism(pm):
-        raise NotInvertible("map is not weight-preserving",
-                            witness=graded_violation(pm))
+    _require_same_mode(pm)
+    w = graded_violation(pm)
+    if w is not None:
+        raise NotInvertible("map is not weight-preserving", witness=w)
     return triangular_inverse(pm)
 
 

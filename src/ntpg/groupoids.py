@@ -14,8 +14,7 @@ over all pairs or triples would find.
 """
 
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
-                     NotCompatible, NotFree, NotMultiplicative,
-                     SplitFailure)
+                     NotCompatible, NotFree, NotMultiplicative)
 from .groups import (FiniteAction, _light_test, _product_generators,
                      action_check, make_group, reduce_action, transporter)
 
@@ -196,7 +195,9 @@ def gauge_groupoid(set_size, action):
             for g in range(G.order):
                 pair_to_arrow[(action.act[g][p], action.act[g][q])] = a
     n_arrows = len(arrow_rep)
-    assert n_arrows * G.order == set_size * set_size
+    if n_arrows * G.order != set_size * set_size:
+        raise InternalInconsistency("pair orbits of a free action are not all "
+                                    "of size |G|")
 
     src = [point_orbit[q] for (p, q) in arrow_rep]
     tgt = [point_orbit[p] for (p, q) in arrow_rep]
@@ -398,7 +399,11 @@ def split(ga):
 
     Verifies that y -> (pi(y), s(y)) is a bijection onto
     {(y0, x) : p(x) = sigma(y0)}, extracts the action y0.x of the base
-    groupoid on the units, and asserts its four defining properties.
+    groupoid on the units, and asserts its four defining properties.  An
+    action that is not compatible or not free raises NotCompatible or
+    NotFree from ``quotient_groupoid``; once it has passed, the theory
+    guarantees the bijection and the properties, so their failure raises
+    InternalInconsistency, a library bug.
     """
     q = quotient_groupoid(ga)
     gpd, G = ga.groupoid, ga.group
@@ -410,31 +415,34 @@ def split(ga):
              if q.object_map[x] == base.src[y0]]
     s_map = {y: (q.arrow_map[y], gpd.src[y]) for y in range(gpd.n_arrows)}
     if len(set(s_map.values())) != gpd.n_arrows:
-        raise SplitFailure("S is not injective")
+        raise InternalInconsistency("S is not injective")
     if set(s_map.values()) != set(fiber):
-        raise SplitFailure("S is not onto the fiber product",
-                           expected=len(fiber), got=gpd.n_arrows)
+        raise InternalInconsistency("S is not onto the fiber product",
+                                    expected=len(fiber), got=gpd.n_arrows)
     s_inv = {v: y for y, v in s_map.items()}
     t_action = {pair: gpd.tgt[s_inv[pair]] for pair in fiber}
 
     for (y0, x) in fiber:
         if q.object_map[t_action[(y0, x)]] != base.tgt[y0]:
-            raise SplitFailure("property (i) fails", witness=(y0, x))
+            raise InternalInconsistency("property (i) fails",
+                                        witness=(y0, x))
     for (y0, y0p) in base.mul:
         prod = base.mul[(y0, y0p)]
         for x in range(gpd.n_objects):
             if q.object_map[x] != base.src[y0p]:
                 continue
             if t_action[(y0, t_action[(y0p, x)])] != t_action[(prod, x)]:
-                raise SplitFailure("property (ii) fails", witness=(y0, y0p, x))
+                raise InternalInconsistency("property (ii) fails",
+                                            witness=(y0, y0p, x))
     for x in range(gpd.n_objects):
         if t_action[(base.id[q.object_map[x]], x)] != x:
-            raise SplitFailure("property (iii) fails", witness=x)
+            raise InternalInconsistency("property (iii) fails", witness=x)
     for (y0, x) in fiber:
         for g in range(G.order):
             xg = unit_action.act[g][x]
             if t_action[(y0, xg)] != unit_action.act[g][t_action[(y0, x)]]:
-                raise SplitFailure("property (iv) fails", witness=(y0, x, g))
+                raise InternalInconsistency("property (iv) fails",
+                                            witness=(y0, x, g))
     return SplitPresentation(ga, base, q.arrow_map, q.object_map, unit_action,
                              fiber, s_map, t_action)
 
@@ -458,7 +466,8 @@ def multiplicative_function(split_):
     each orbit, x.g -> (orbit of x, g).  The t-action must then take the
     form (y0, (sigma(y0), g)) -> (tau(y0), b(y0) g); b is read off at the
     section points and the multiplicative law b(y0)b(y0') = b(y0 y0') is
-    asserted on all composable pairs.
+    asserted on all composable pairs.  Both follow from the split, so a
+    failure raises InternalInconsistency, a library bug.
     """
     ua = split_.unit_action
     G = ua.group
@@ -485,12 +494,12 @@ def multiplicative_function(split_):
             x = inverse_triv[(base.src[y0], g)]
             expect = inverse_triv[(base.tgt[y0], G.table[b[y0]][g])]
             if split_.t_action[(y0, x)] != expect:
-                raise NotMultiplicative("t-action is not a left translation",
-                                        witness=(y0, g))
+                raise InternalInconsistency(
+                    "t-action is not a left translation", witness=(y0, g))
     for (y0, y0p), prod in base.mul.items():
         if G.table[b[y0]][b[y0p]] != b[prod]:
-            raise NotMultiplicative("b(y0)b(y0') != b(y0 y0')",
-                                    witness=(y0, y0p))
+            raise InternalInconsistency("b(y0)b(y0') != b(y0 y0')",
+                                        witness=(y0, y0p))
     return MultiplicativeFunction(split_, G, b, trivialization)
 
 

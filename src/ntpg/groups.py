@@ -75,10 +75,8 @@ class FiniteGroup:
 
     def center(self):
         t, gens = self.table, self.generators
-        members = [a for a in range(self.order)
-                   if all(t[a][g] == t[g][a] for g in gens)]
-        # the centralizer of the generators is a subgroup by construction
-        return Subgroup(self, members, check=False)
+        return Subgroup(self, [a for a in range(self.order)
+                               if all(t[a][g] == t[g][a] for g in gens)])
 
     def fingerprint(self):
         """Cheap report data: order + abelianness (no isomorphism testing)."""
@@ -308,20 +306,19 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
 class Subgroup:
     """A subgroup as a sorted member set tied to its parent group.
 
-    Validation costs |H|*|kept| lookups: the members must equal their
-    closure under products.  Only a subset that is not a subgroup gets the
-    scan of every inverse and every pair in index order, which names the
-    first failure.
+    Every Subgroup is validated when built, by the library too, at
+    |H|*|kept| lookups: the members must equal their closure under
+    products.  Only a subset that is not a subgroup gets the scan of every
+    inverse and every pair in index order, which names the first failure.
     """
 
     __slots__ = ("parent", "members", "_set")
 
-    def __init__(self, parent, members, check=True):
+    def __init__(self, parent, members):
         self.parent = parent
         self.members = tuple(sorted(set(int(m) for m in members)))
         self._set = frozenset(self.members)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         G = self.parent
@@ -331,7 +328,7 @@ class Subgroup:
         if G.identity not in self._set:
             raise InvalidInput("subgroup misses the identity")
         # the closure holds the members; equal sizes mean they are closed
-        if len(subgroup_closure(G, self.members)) == len(self.members):
+        if len(_closure(G, self.members)) == len(self.members):
             return
         # otherwise name the first failure in index order
         for a in self.members:
@@ -359,21 +356,27 @@ class Subgroup:
         return "Subgroup(order=%d of %d)" % (len(self.members), self.parent.order)
 
 
-def subgroup_closure(G, generators):
-    """Smallest subgroup H of G containing the generators.
+def _closure(G, gens):
+    """The set of elements of G that products of the in-range ints gens
+    reach, the identity included.
 
     Cost: |H|*|kept| lookups.  The inputs not yet reached, in index order,
     are kept and extended by right products: in a finite group those hold
     every inverse too.
     """
+    zeros = [0] * G.order
+    _, reached = _product_generators(G.table, range(G.order), [G.identity],
+                                     zeros, zeros, sorted(set(gens)))
+    return reached
+
+
+def subgroup_closure(G, generators):
+    """Smallest subgroup H of G containing the generators, validated like
+    every Subgroup; a generator outside 0..|G|-1 is an input error."""
     for g in generators:
         if not 0 <= int(g) < G.order:
             raise InvalidInput("generator out of range", generator=g)
-    zeros = [0] * G.order
-    _, reached = _product_generators(G.table, range(G.order), [G.identity],
-                                     zeros, zeros,
-                                     sorted(set(int(g) for g in generators)))
-    return Subgroup(G, reached, check=False)
+    return Subgroup(G, _closure(G, map(int, generators)))
 
 
 def _require_same_parent(*subs):
@@ -406,7 +409,7 @@ def normality_witness(G, H):
 
 def intersect(H1, H2):
     parent = _require_same_parent(H1, H2)
-    return Subgroup(parent, H1._set & H2._set, check=False)
+    return Subgroup(parent, H1._set & H2._set)
 
 
 def generates(G, subgroups):
@@ -416,7 +419,7 @@ def generates(G, subgroups):
         if H.parent is not G:
             raise ParentMismatch("subgroup does not belong to this group")
         gens |= H._set
-    return len(subgroup_closure(G, gens)) == G.order
+    return len(_closure(G, gens)) == G.order
 
 
 class GroupHom:
@@ -458,8 +461,7 @@ class GroupHom:
     def kernel(self):
         e = self.target.identity
         return Subgroup(self.source,
-                        [a for a in range(self.source.order) if self.map[a] == e],
-                        check=False)
+                        [a for a in range(self.source.order) if self.map[a] == e])
 
     def is_surjective(self):
         return len(set(self.map)) == self.target.order
@@ -624,8 +626,7 @@ def action_check(a):
     """
     G = a.group
     ident = tuple(range(a.set_size))
-    kernel = Subgroup(G, [g for g in range(G.order) if a.act[g] == ident],
-                      check=False)
+    kernel = Subgroup(G, [g for g in range(G.order) if a.act[g] == ident])
     fixed = next(((g, x) for g, row in enumerate(a.act) if g != G.identity
                   for x in ident if row[x] == x), None)
     uf = _UnionFind(a.set_size)

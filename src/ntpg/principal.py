@@ -14,12 +14,12 @@ kernel and checks the commuting square of orbit maps.
 """
 
 from . import groupoids
-from .errors import (DiagramFailure, InternalInconsistency, NotAnAction,
-                     NotCompatible, NotFree, ParentMismatch)
-from .groups import (FiniteAction, GroupHom, Subgroup, action_check, descend,
-                     generates, intersect, make_group, normality_witness,
-                     quotient, subgroup_as_group, subgroup_closure,
-                     transporter)
+from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
+                     NotFree, ParentMismatch)
+from .groups import (FiniteAction, GroupHom, Subgroup, _closure, action_check,
+                     descend, generates, intersect, make_group,
+                     normality_witness, quotient, reduce_action,
+                     subgroup_as_group, transporter)
 
 
 class DoublePrincipalGroup:
@@ -55,8 +55,7 @@ class VerifyResult:
 def _quotient_of_subgroup(H, core):
     """[H] = H / (core ∩ H), both given as subgroups of the same parent."""
     Hgrp, to_parent, from_parent = subgroup_as_group(H)
-    inner = Subgroup(Hgrp, [from_parent[m] for m in core.members
-                            if m in H], check=False)
+    inner = Subgroup(Hgrp, [from_parent[m] for m in core.members if m in H])
     Q, _ = quotient(Hgrp, inner)
     return Q
 
@@ -70,9 +69,9 @@ def _failures(gamma, labelled):
         if w is not None:
             failures.append({"kind": "NotNormal", "subgroup": label,
                              "witness": {"conjugator": w[0], "element": w[1]}})
-    gen = subgroup_closure(gamma, set().union(*(H.members for _, H in labelled)))
+    gen = _closure(gamma, set().union(*(H.members for _, H in labelled)))
     if len(gen) != gamma.order:
-        missing = min(set(range(gamma.order)) - set(gen.members))
+        missing = min(set(range(gamma.order)) - gen)
         failures.append({"kind": "NotGenerating", "missing": missing})
     return failures
 
@@ -126,8 +125,7 @@ def _verify_ntuple_level(gamma, subgroups, path):
                     continue
                 inter = intersect(H, K)
                 subs.append(Subgroup(Hgrp,
-                                     [from_parent[m] for m in inter.members],
-                                     check=False))
+                                     [from_parent[m] for m in inter.members]))
             child_ok, child = _verify_ntuple_level(Hgrp, subs, path + [i])
             node["children"].append(child)
             ok = ok and child_ok
@@ -310,10 +308,8 @@ def semidirect(gprime, g, act):
             if S.inverse[idx] != expect:
                 raise InternalInconsistency("inverse formula fails", pair=(gp, x))
 
-    embed_g = Subgroup(S, [gprime.identity * n + x for x in range(n)],
-                       check=False)
-    embed_gp = Subgroup(S, [gp * n + g.identity for gp in range(np_)],
-                        check=False)
+    embed_g = Subgroup(S, [gprime.identity * n + x for x in range(n)])
+    embed_gp = Subgroup(S, [gp * n + g.identity for gp in range(np_)])
     if normality_witness(S, embed_g) is not None:
         raise InternalInconsistency("G does not embed normally")
     if not generates(S, [embed_g, embed_gp]):
@@ -380,9 +376,13 @@ def derive_twist(set_size, rho, rho_prime):
 def gamma_from_actions(set_size, rho, rho_prime):
     """Rebuild the joint structure group of two compatible free actions.
 
-    Builds G' ⋉ G from the derived twist, computes the joint kernel
-    G0 = {(g', g) : rho'_{g'} rho_g = id}, quotients, and verifies that the
-    induced Γ-action is free and that the four orbit maps commute.
+    Builds G' ⋉ G from the derived twist, lets it act jointly on the points,
+    and reduces that action through ``reduce_action`` by its kernel
+    G0 = {(g', g) : rho'_{g'} rho_g = id}, so Γ = (G' ⋉ G)/G0.  A non-free
+    rho, rho' or induced Γ-action raises NotFree, a missing twist
+    NotCompatible.  That the orbit maps descend, that the square commutes
+    and that both projections are equivariant follow from the orbit maps,
+    so a failure there raises InternalInconsistency, a library bug.
     """
     reports = []
     for name, a in (("rho", rho), ("rho_prime", rho_prime)):
@@ -404,15 +404,9 @@ def gamma_from_actions(set_size, rho, rho_prime):
 
     perms = [pair_acts(i) for i in range(S.order)]
     ident = tuple(range(set_size))
-    kernel = Subgroup(S, [i for i in range(S.order) if perms[i] == ident],
-                      check=False)
-    if normality_witness(S, kernel) is not None:
-        raise InternalInconsistency("joint kernel is not normal")
-    gamma, proj = quotient(S, kernel)
-    rows, _ = descend(proj.map, perms, gamma.order)
-    if rows is None:
-        raise InternalInconsistency("kernel cosets act inconsistently")
-    gamma_action = FiniteAction(gamma, set_size, rows)
+    kernel = Subgroup(S, [i for i in range(S.order) if perms[i] == ident])
+    gamma_action = reduce_action(FiniteAction(S, set_size, perms), kernel)
+    gamma = gamma_action.group
     gamma_report = action_check(gamma_action)
     if not gamma_report.is_free:
         raise NotFree("induced gamma action is not free")
@@ -426,24 +420,24 @@ def gamma_from_actions(set_size, rho, rho_prime):
     # [pi'] : M -> M0 and [pi] : M' -> M0 well-defined, square commutes
     bracket_pi_prime, p = descend(pi, pi_zero, m_size)
     if bracket_pi_prime is None:
-        raise DiagramFailure("pi' does not descend to M", point=p)
+        raise InternalInconsistency("pi' does not descend to M", point=p)
     bracket_pi, p = descend(pi_prime, pi_zero, m_prime_size)
     if bracket_pi is None:
-        raise DiagramFailure("pi does not descend to M'", point=p)
+        raise InternalInconsistency("pi does not descend to M'", point=p)
     for p in range(set_size):
         if bracket_pi_prime[pi[p]] != bracket_pi[pi_prime[p]]:
-            raise DiagramFailure("square does not commute", point=p)
+            raise InternalInconsistency("square does not commute", point=p)
 
     # equivariance of the projections: pi(p.[g',g]) = pi(p.g')
     for i in range(S.order):
         gp, g = sd.unpair(i)
         for p in range(set_size):
             if pi[perms[i][p]] != pi[rho_prime.act[gp][p]]:
-                raise DiagramFailure("pi is not a bundle morphism",
-                                     element=i, point=p)
+                raise InternalInconsistency("pi is not a bundle morphism",
+                                            element=i, point=p)
             if pi_prime[perms[i][p]] != pi_prime[rho.act[g][p]]:
-                raise DiagramFailure("pi' is not a bundle morphism",
-                                     element=i, point=p)
+                raise InternalInconsistency("pi' is not a bundle morphism",
+                                            element=i, point=p)
 
     expected = (G.order * Gp.order) // len(kernel)
     if gamma.order != expected:

@@ -764,3 +764,76 @@ def test_max_order_caps_every_input_group(tmp_path, capsys, command, data):
     assert read_report(out)["details"]["error"] == "ClosureCapExceeded"
     run(argv + ["--max-order", "8"])
     assert read_report(out)["details"].get("error") != "ClosureCapExceeded"
+
+
+# -- checks the theory guarantees: a failure is a library bug, exit 2 ---------
+
+def _assert_theory_failure(argv, tmp_path, capsys):
+    out = str(tmp_path / "rep.json")
+    err = _assert_error_report(run(argv + ["--out", out]), out, capsys)
+    assert "library bug" in err
+    assert read_report(out)["theory_failure"] is True
+
+
+def test_split_bijection_failure_is_a_theory_failure(tmp_path, capsys,
+                                                     monkeypatch):
+    import ntpg.groupoids
+    quotient_groupoid = ntpg.groupoids.quotient_groupoid
+
+    def collapsed(ga):
+        # every arrow projected to one base arrow: S is not injective
+        q = quotient_groupoid(ga)
+        q.arrow_map = [0] * len(q.arrow_map)
+        return q
+
+    monkeypatch.setattr(ntpg.groupoids, "quotient_groupoid", collapsed)
+    _assert_theory_failure(
+        ["groupoid", "split", os.path.join(EXAMPLES, "s3_groupoid_action.json")],
+        tmp_path, capsys)
+
+
+def test_mult_function_law_failure_is_a_theory_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    import ntpg.groupoids
+    split = ntpg.groupoids.split
+
+    def twisted(ga):
+        # move one unit off a section point within its fiber: the t-action
+        # is no longer a left translation
+        sp = split(ga)
+        ua = sp.unit_action
+        section = {min(x for x in range(ua.set_size)
+                       if sp.object_map[x] == X)
+                   for X in set(sp.object_map)}
+        pair = next(p for p in sp.fiber if p[1] not in section)
+        h = next(g for g in range(ua.group.order) if g != ua.group.identity)
+        sp.t_action[pair] = ua.act[h][sp.t_action[pair]]
+        return sp
+
+    monkeypatch.setattr(ntpg.groupoids, "split", twisted)
+    _assert_theory_failure(
+        ["groupoid", "mult-function",
+         os.path.join(EXAMPLES, "s3_groupoid_action.json")],
+        tmp_path, capsys)
+
+
+def test_pipeline_square_failure_is_a_theory_failure(tmp_path, capsys,
+                                                     monkeypatch):
+    import ntpg.principal
+    from ntpg.groups import action_check
+    calls = []
+
+    def split_gamma_orbits(a):
+        # the third check is the induced gamma action's: give every point
+        # its own orbit, so pi' no longer descends to M
+        calls.append(a)
+        rep = action_check(a)
+        if len(calls) == 3:
+            rep.orbit_of = tuple(range(a.set_size))
+        return rep
+
+    monkeypatch.setattr(ntpg.principal, "action_check", split_gamma_orbits)
+    _assert_theory_failure(
+        ["dpg", "gamma-from-actions",
+         os.path.join(EXAMPLES, "z2z3_pipeline.json")],
+        tmp_path, capsys)

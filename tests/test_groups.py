@@ -378,6 +378,35 @@ def test_closure_of_i_and_j_is_everything():
     assert len(subgroup_closure(G, {Q8_I, Q8_J})) == 8
 
 
+def test_every_subgroup_the_library_builds_is_validated(monkeypatch):
+    from inspect import signature
+    from ntpg.autgroups import enumerate_aut
+    from ntpg.fields import GF
+    from ntpg.graded import GradedSignature
+    assert list(signature(Subgroup.__init__).parameters) == \
+        ["self", "parent", "members"]
+    validated = []
+    validate = Subgroup._validate
+
+    def counting(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Subgroup, "_validate", counting)
+    G = quaternion_group()
+    H1, H2 = subgroup_closure(G, {Q8_I}), subgroup_closure(G, {Q8_J})
+    Q, proj = quotient(G, H1)
+    handle = enumerate_aut(GradedSignature.double_vector(1, 1, 1), GF(2))
+    built = {"center": G.center(),
+             "intersect": intersect(H1, H2),
+             "kernel": proj.kernel(),
+             "action kernel": action_check(trivial_action(G, 3)).kernel,
+             "closure": subgroup_closure(G, {Q8_K}),
+             "gi_subgroup": handle.gi_subgroup(1)}
+    for name, H in built.items():
+        assert any(v is H for v in validated), name
+
+
 # -- normality / intersection / generation -----------------------------------
 
 def test_span_i_is_normal_in_q8():
