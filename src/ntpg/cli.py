@@ -247,8 +247,11 @@ def cmd_graded_check_compat(args, data):
     for s in _array(_need(data, "structures", "structures input"),
                     "structures"):
         sig = load_signature(_need(s, "sig", "structure"))
+        kind = s.get("kind", "diagonal")
+        if kind not in ("diagonal", "conjugated"):
+            raise InvalidInput("unknown structure kind", kind=kind)
         h = graded.dilation(sig, field, axis=s.get("axis", 0))
-        if s.get("kind", "diagonal") == "conjugated":
+        if kind == "conjugated":
             phi, _ = load_polymap({"field": field_spec,
                                    "sig_in": s["sig"], "sig_out": s["sig"],
                                    "terms": _need(s, "phi", "structure")})

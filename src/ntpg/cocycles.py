@@ -432,7 +432,8 @@ def t2_transition(chart):
     the second derivative.
     """
     sig0 = chart.sig_in
-    if chart.sig_out != sig0 or any(w != 0 for w in sig0.weights):
+    if chart.sig_out != sig0 or sig0 != graded.GradedSignature.simple(
+            [], base=sig0.ncoords):
         raise InvalidInput("chart change must be a self-map of weight-0 "
                            "coordinates")
     d = sig0.ncoords

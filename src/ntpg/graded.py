@@ -1,12 +1,15 @@
 """Weight-graded polynomial maps, dilations and homogeneity structures.
 
-A signature assigns each coordinate a weight: a nonnegative integer in
-simple mode, a 0/1 multi-index in multi mode (n commuting gradings).  A
-polynomial map is a graded morphism exactly when every monomial of every
-component has source weight equal to its target coordinate's weight; this
-is the formal version of intertwining the dilations, and all identity
-checking here is symbolic (formal parameters are extra polynomial
-variables, never sampled, so the checks are sound over every field).
+A signature assigns each coordinate a weight in N^n, stored as an n-tuple:
+a simple signature (a graded bundle of degree k) is the case n = 1, and a
+multi signature has 0/1 entries over n commuting gradings (the double and
+n-tuple vector bundles).  The JSON spelling is unchanged: simple weights
+still read and print as integers.  A polynomial map is a graded morphism
+exactly when every monomial of every component has source weight equal to
+its target coordinate's weight; this is the formal version of intertwining
+the dilations, and all identity checking here is symbolic (formal
+parameters are extra polynomial variables, never sampled, so the checks
+are sound over every field).
 """
 
 from .errors import (InternalDisagreement, InternalInconsistency,
@@ -27,42 +30,46 @@ def _integer(x, what):
 
 
 class GradedSignature:
-    """Coordinate weights, either simple (integers) or multi (0/1 vectors).
+    """Coordinate weights in N^n, one n-tuple per coordinate.
 
-    Simple mode is built from dims=(d_1, ..., d_k) with d_w coordinates of
-    weight w, plus an optional block of weight-0 base coordinates.  Multi
-    mode lists (sigma, dim) blocks over n gradings; the zero vector is the
-    base block.  Coordinates are ordered block by block, blocks by
-    ascending total weight with earlier gradings first within a level.
+    A simple signature is the n = 1 case: dims=(d_1, ..., d_k) gives d_w
+    coordinates of weight (w,), plus an optional block of weight-(0,) base
+    coordinates, and no weight may exceed MAX_WEIGHT.  A multi signature
+    lists (sigma, dim) blocks over n gradings with 0/1 vectors sigma; the
+    zero vector is the base block.  ``mode`` records which of the two the
+    input was, for validation and for the JSON spelling (an integer weight
+    for simple signatures, a list for multi ones), which is unchanged.
+    Coordinates are ordered block by block, blocks by ascending total
+    weight with earlier gradings first within a level.
     """
 
     __slots__ = ("mode", "n", "blocks", "weights", "ncoords")
 
     def __init__(self, mode, blocks, n=1):
+        if mode not in ("simple", "multi"):
+            raise InvalidInput("unknown signature mode", mode=mode)
         self.mode = mode
         self.n = n
-        if mode == "simple":
-            blocks = [(w, _integer(d, "block dimension")) for w, d in blocks]
-        elif mode == "multi":
-            blocks = [(tuple(_integer(x, "weight") for x in s),
-                       _integer(d, "block dimension")) for s, d in blocks]
+        blocks = [(tuple(_integer(x, "weight") for x in s),
+                   _integer(d, "block dimension")) for s, d in blocks]
+        if mode == "multi":
             for s, _ in blocks:
                 if len(s) != n or any(x not in (0, 1) for x in s):
                     raise InvalidInput("multi weights must be 0/1 vectors",
                                        sigma=list(s))
-        else:
-            raise InvalidInput("unknown signature mode", mode=mode)
         for s, d in blocks:
             if d < 0:
-                raise InvalidInput("negative block dimension", weight=s)
+                raise InvalidInput("negative block dimension",
+                                   weight=self.spell_weight(s))
         blocks = [(s, d) for s, d in blocks if d > 0]
         # ascending total weight; within a level, earlier gradings first,
         # so the (d, d', d0) double space orders as y, y', z
-        blocks.sort(key=lambda bd: (self._total(bd[0]), self._level_key(bd[0])))
+        blocks.sort(key=lambda bd: (sum(bd[0]), [-x for x in bd[0]]))
         seen = set()
         for s, d in blocks:
             if s in seen:
-                raise InvalidInput("duplicate weight block", weight=s)
+                raise InvalidInput("duplicate weight block",
+                                   weight=self.spell_weight(s))
             seen.add(s)
         self.blocks = tuple(blocks)
         # capped before the weights are spelled out, one per coordinate
@@ -73,23 +80,12 @@ class GradedSignature:
             raise InvalidInput("too many coordinates", ncoords=self.ncoords,
                                cap=MAX_COORDS)
         self.weights = tuple(s for s, d in blocks for _ in range(d))
-        if mode == "simple" and \
-                max(self._total(w) for w in self.weights) > MAX_WEIGHT:
+        if mode == "simple" and max(self.weights)[0] > MAX_WEIGHT:
             raise InvalidInput("weight exceeds cap", cap=MAX_WEIGHT)
-
-    @staticmethod
-    def _total(w):
-        return w if isinstance(w, int) else sum(w)
-
-    @staticmethod
-    def _level_key(w):
-        if isinstance(w, int):
-            return w
-        return tuple(-x for x in w)
 
     @classmethod
     def simple(cls, dims, base=0):
-        blocks = [(0, base)] + [(w + 1, d) for w, d in enumerate(dims)]
+        blocks = [((0,), base)] + [((w + 1,), d) for w, d in enumerate(dims)]
         return cls("simple", blocks)
 
     @classmethod
@@ -105,33 +101,24 @@ class GradedSignature:
         """The (d, d', d0) double space signature: blocks (1,0), (0,1), (1,1)."""
         return cls.multi(2, {(1, 0): d, (0, 1): d_prime, (1, 1): d_core})
 
+    def spell_weight(self, w):
+        """A weight as the input spelled it: an integer for simple
+        signatures, the tuple (a JSON list) for multi ones."""
+        return w[0] if self.mode == "simple" else w
+
     def zero_weight(self):
-        return 0 if self.mode == "simple" else (0,) * self.n
-
-    def add_weights(self, a, b):
-        if self.mode == "simple":
-            return a + b
-        return tuple(x + y for x, y in zip(a, b))
-
-    def scale_weight(self, w, k):
-        if self.mode == "simple":
-            return w * k
-        return tuple(x * k for x in w)
+        return (0,) * self.n
 
     def monomial_weight(self, exps):
-        w = self.zero_weight()
-        for i, e in enumerate(exps):
+        w = [0] * self.n
+        for e, wi in zip(exps, self.weights):
             if e:
-                w = self.add_weights(w, self.scale_weight(self.weights[i], e))
-        return w
+                for k, x in enumerate(wi):
+                    w[k] += e * x
+        return tuple(w)
 
     def block_coords(self, w):
         return [i for i, wi in enumerate(self.weights) if wi == w]
-
-    def grading_weight(self, i, axis):
-        """Weight of coordinate i along one grading axis."""
-        w = self.weights[i]
-        return w if self.mode == "simple" else w[axis]
 
     def __eq__(self, other):
         return (isinstance(other, GradedSignature) and self.mode == other.mode
@@ -145,23 +132,17 @@ class GradedSignature:
 
 
 def monomials_of_weight(sig, target):
-    """All exponent tuples of the given total weight.
+    """All exponent tuples of the given weight, an n-tuple.
 
     Weight-0 coordinates would make the set infinite, so they are left out:
     their exponent is always 0, and the zero target gives only the
     constant monomial.
     """
-    zero = sig.zero_weight()
     out = []
-
-    def le(w, t):
-        if sig.mode == "simple":
-            return w <= t
-        return all(a <= b for a, b in zip(w, t))
 
     def rec(i, remaining, exps):
         if i == sig.ncoords:
-            if remaining == zero:
+            if not any(remaining):
                 out.append(tuple(exps))
             return
         w = sig.weights[i]
@@ -171,19 +152,15 @@ def monomials_of_weight(sig, target):
             exps.append(e)
             rec(i + 1, cur, exps)
             exps.pop()
-            if w == zero or not le(w, cur):
+            if not any(w):
                 break
-            cur = _weight_sub(sig, cur, w)
+            cur = tuple(a - b for a, b in zip(cur, w))
+            if min(cur) < 0:
+                break
             e += 1
 
     rec(0, target, [])
     return out
-
-
-def _weight_sub(sig, a, b):
-    if sig.mode == "simple":
-        return a - b
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class PolyMap:
@@ -292,8 +269,6 @@ def triangular_inverse(pm):
     if [bd for bd in sig_in.blocks] != [bd for bd in sig_out.blocks]:
         raise NotInvertible("signatures have different block dimensions")
 
-    zero_w = sig_in.zero_weight()
-    total = sig_in._total
     nv_in, nv_out = sig_in.ncoords, sig_out.ncoords
     # inverse components, indexed by source coordinate
     g_comp = [None] * nv_in
@@ -309,7 +284,7 @@ def triangular_inverse(pm):
             for exps, coeff in f.terms.items():
                 support = [i for i, e in enumerate(exps) if e]
                 block_vars = [i for i in support if i in cols_idx]
-                if wkey == zero_w:
+                if not any(wkey):
                     # base block: affine only
                     deg = sum(exps)
                     if deg == 0:
@@ -326,17 +301,16 @@ def triangular_inverse(pm):
                                             target=c, exponents=exps)
                     lin[r][cols_idx.index(block_vars[0])] = coeff
                 else:
-                    if any(total(sig_in.weights[i]) >= total(wkey)
-                           and sig_in.weights[i] != zero_w for i in support):
+                    if any(sum(sig_in.weights[i]) >= sum(wkey)
+                           and any(sig_in.weights[i]) for i in support):
                         raise NotInvertible("block is not triangular",
                                             target=c, exponents=exps)
                     rest[exps] = coeff
-            rp = Poly(field, nv_in)
-            rp.terms = dict(rest)
-            rests.append(rp)
+            rests.append(Poly._of(field, nv_in, rest))
         linv = mat_inv(field, lin)
         if linv is None:
-            raise NotInvertible("singular linear block", block=wkey)
+            raise NotInvertible("singular linear block",
+                                block=sig_in.spell_weight(wkey))
         # substitute the already-computed inverse for lower variables
         sub_list = []
         for i in range(nv_in):
@@ -386,14 +360,9 @@ def weight_components(f, sig):
         raise InvalidInput("polynomial over wrong variable count")
     comps = {}
     for exps, c in f.terms.items():
-        w = sig.monomial_weight(exps)
-        comps.setdefault(w, {})[exps] = c
-    out = {}
-    for w, terms in sorted(comps.items()):
-        p = Poly(f.field, f.nvars)
-        p.terms = terms
-        out[w] = p
-    return out
+        comps.setdefault(sum(sig.monomial_weight(exps)), {})[exps] = c
+    return {w: Poly._of(f.field, f.nvars, terms)
+            for w, terms in sorted(comps.items())}
 
 
 def is_homogeneous(f, sig, w):
@@ -443,7 +412,7 @@ def weight_vector_field(sig, field, axis=0):
     test is the characteristic-independent criterion."""
     coeffs = []
     for i in range(sig.ncoords):
-        w = sig.grading_weight(i, axis)
+        w = sig.weights[i][axis]
         coeffs.append(Poly.var(field, sig.ncoords, i, w))
     return Derivation(field, sig.ncoords, coeffs)
 
@@ -476,7 +445,7 @@ class HomogeneityStructure:
         m = sig.ncoords
         comps = []
         for i in range(m):
-            w = sig.grading_weight(i, axis)
+            w = sig.weights[i][axis]
             exps = [0] * (m + 1)
             exps[i] = 1
             exps[m] = w
@@ -539,16 +508,15 @@ def dilation(sig, field, axis=0):
     scales by t^w (for multi signatures, by t^(sigma_axis) in family
     ``axis``)."""
     _integer(axis, "grading axis")
-    if sig.mode == "simple" and axis != 0:
-        raise InvalidInput("simple signatures have a single grading")
-    if sig.mode == "multi" and not 0 <= axis < sig.n:
+    if not 0 <= axis < sig.n:
+        if sig.mode == "simple":
+            raise InvalidInput("simple signatures have a single grading")
         raise InvalidInput("grading axis out of range", axis=axis)
     return HomogeneityStructure.diagonal(sig, field, axis)
 
 
 def dilation_families(sig, field):
-    n = 1 if sig.mode == "simple" else sig.n
-    return [dilation(sig, field, axis) for axis in range(n)]
+    return [dilation(sig, field, axis) for axis in range(sig.n)]
 
 
 def conjugate_structure(h, phi, phi_inv=None):

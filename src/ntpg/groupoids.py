@@ -153,13 +153,12 @@ def pair_groupoid(n):
 class GaugeLabels:
     """Arrow labels of a gauge groupoid: pair (p, q) <-> arrow index."""
 
-    __slots__ = ("pair_to_arrow", "arrow_rep", "point_orbit", "object_rep")
+    __slots__ = ("pair_to_arrow", "arrow_rep", "point_orbit")
 
-    def __init__(self, pair_to_arrow, arrow_rep, point_orbit, object_rep):
+    def __init__(self, pair_to_arrow, arrow_rep, point_orbit):
         self.pair_to_arrow = pair_to_arrow
         self.arrow_rep = arrow_rep
         self.point_orbit = point_orbit
-        self.object_rep = object_rep
 
     def arrow(self, p, q):
         return self.pair_to_arrow[(p, q)]
@@ -213,7 +212,7 @@ def gauge_groupoid(set_size, action):
             g = transport[(q2, q)]
             mul[(a, b)] = pair_to_arrow[(p, action.act[g][r])]
     gpd = FiniteGroupoid(len(object_rep), src, tgt, id_, inv, mul)
-    return gpd, GaugeLabels(pair_to_arrow, arrow_rep, point_orbit, object_rep)
+    return gpd, GaugeLabels(pair_to_arrow, arrow_rep, point_orbit)
 
 
 class GroupoidAction:

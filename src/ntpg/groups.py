@@ -523,7 +523,7 @@ class FiniteAction:
     is reported, as by a scan of every (a, b, x).
     """
 
-    __slots__ = ("group", "set_size", "act", "side")
+    __slots__ = ("group", "set_size", "act")
 
     def __init__(self, group, set_size, act, side="right"):
         if side not in ("right", "left"):
@@ -538,7 +538,6 @@ class FiniteAction:
         if side == "left":
             rows = [rows[group.inverse[g]] for g in range(group.order)]
         self.act = tuple(rows)
-        self.side = side
         self._validate()
 
     def _validate(self):

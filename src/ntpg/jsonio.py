@@ -155,21 +155,14 @@ def load_signature(obj):
 
 
 def dump_signature(sig):
+    dims = {sig.spell_weight(w): d for w, d in sig.blocks}
+    base = dims.pop(sig.spell_weight(sig.zero_weight()), 0)
     if sig.mode == "simple":
-        base = 0
-        dims = {}
-        for w, d in sig.blocks:
-            if w == 0:
-                base = d
-            else:
-                dims[w] = d
-        top = max(dims, default=0)
         return {"mode": "simple", "base": base,
-                "dims": [dims.get(w, 0) for w in range(1, top + 1)]}
-    return {"mode": "multi", "n": sig.n,
-            "base": dict(sig.blocks).get(sig.zero_weight(), 0),
-            "blocks": [{"sigma": list(s), "dim": d} for s, d in sig.blocks
-                       if s != sig.zero_weight()]}
+                "dims": [dims.get(w, 0)
+                         for w in range(1, max(dims, default=0) + 1)]}
+    return {"mode": "multi", "n": sig.n, "base": base,
+            "blocks": [{"sigma": list(s), "dim": d} for s, d in dims.items()]}
 
 
 def _exponents(entry, nvars):

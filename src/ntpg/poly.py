@@ -10,6 +10,18 @@ ordinary extra variables, never sampled.
 from .errors import InvalidInput
 
 
+def _fold(norm, terms, pairs):
+    """Add each (exponents, coefficient) pair into ``terms`` in place,
+    keeping every coefficient reduced and nonzero; returns ``terms``."""
+    for e, c in pairs:
+        acc = norm(terms.get(e, 0) + c)
+        if acc:
+            terms[e] = acc
+        else:
+            terms.pop(e, None)
+    return terms
+
+
 class Poly:
     __slots__ = ("field", "nvars", "terms")
 
@@ -27,6 +39,15 @@ class Poly:
                     self.terms[tuple(int(e) for e in exps)] = c
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _of(cls, field, nvars, terms):
+        """Wrap a dict whose coefficients are already reduced and nonzero."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, field, nvars):
@@ -55,50 +76,30 @@ class Poly:
 
     def __add__(self, other):
         other = self._check(other)
-        terms = dict(self.terms)
-        norm = self.field.norm
-        for e, c in other.terms.items():
-            acc = norm(terms.get(e, 0) + c)
-            if not acc:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        out = Poly(self.field, self.nvars)
-        out.terms = terms
-        return out
+        return Poly._of(self.field, self.nvars, _fold(
+            self.field.norm, dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        out = Poly(self.field, self.nvars)
         norm = self.field.norm
-        out.terms = {e: norm(-c) for e, c in self.terms.items()}
-        return out
+        return Poly._of(self.field, self.nvars,
+                        {e: norm(-c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._check(other))
 
     def __mul__(self, other):
         other = self._check(other)
-        norm = self.field.norm
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = norm(terms.get(e, 0) + c1 * c2)
-                if not acc:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        out = Poly(self.field, self.nvars)
-        out.terms = terms
-        return out
+        pairs = ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                 for e1, c1 in self.terms.items()
+                 for e2, c2 in other.terms.items())
+        return Poly._of(self.field, self.nvars,
+                        _fold(self.field.norm, {}, pairs))
 
     def scale(self, c):
         c = self.field.of(c)
         norm = self.field.norm
-        out = Poly(self.field, self.nvars)
-        if c:
-            out.terms = {e: norm(c * v) for e, v in self.terms.items()}
-        return out
+        terms = {e: norm(c * v) for e, v in self.terms.items()} if c else {}
+        return Poly._of(self.field, self.nvars, terms)
 
     def __pow__(self, k):
         if k < 0:
@@ -134,20 +135,10 @@ class Poly:
 
     def diff(self, i):
         """Partial derivative with respect to variable i."""
-        terms = {}
-        norm = self.field.norm
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            acc = norm(terms.get(ne, 0) + c * e[i])
-            if not acc:
-                terms.pop(ne, None)
-            else:
-                terms[ne] = acc
-        out = Poly(self.field, self.nvars)
-        out.terms = terms
-        return out
+        pairs = ((tuple(v - 1 if j == i else v for j, v in enumerate(e)),
+                  c * e[i]) for e, c in self.terms.items() if e[i])
+        return Poly._of(self.field, self.nvars,
+                        _fold(self.field.norm, {}, pairs))
 
     def subs(self, values):
         """Substitute a Poly (over a common variable set) for each variable."""
@@ -157,7 +148,8 @@ class Poly:
             tgt = values[0].nvars if values else 0
             return Poly.zero(self.field, tgt)
         tgt = values[0].nvars
-        out = Poly.zero(self.field, tgt)
+        out = Poly._of(self.field, tgt, {})
+        norm = self.field.norm
         powers = [{} for _ in range(self.nvars)]
         for e, c in self.terms.items():
             m = None
@@ -167,8 +159,12 @@ class Poly:
                 if k not in powers[i]:
                     powers[i][k] = values[i] ** k
                 m = powers[i][k] if m is None else m * powers[i][k]
-            out = out + (Poly.const(self.field, tgt, c) if m is None
-                         else m.scale(c))
+            if m is None:
+                _fold(norm, out.terms, [((0,) * tgt, c)])
+            else:
+                # refuses a value over another field or variable set
+                _fold(norm, out.terms, ((me, c * v) for me, v
+                                        in out._check(m).terms.items()))
         return out
 
     def eval(self, point):
@@ -189,9 +185,8 @@ class Poly:
         if nvars < self.nvars:
             raise InvalidInput("cannot drop variables")
         pad = (0,) * (nvars - self.nvars)
-        out = Poly(self.field, nvars)
-        out.terms = {e + pad: c for e, c in self.terms.items()}
-        return out
+        return Poly._of(self.field, nvars,
+                        {e + pad: c for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -261,14 +261,11 @@ def dressing(dpg):
 
 
 class SemidirectProduct:
-    __slots__ = ("group", "gprime", "g", "embed_gprime", "embed_g")
+    __slots__ = ("group", "g")
 
-    def __init__(self, group, gprime, g, embed_gprime, embed_g):
+    def __init__(self, group, g):
         self.group = group
-        self.gprime = gprime
         self.g = g
-        self.embed_gprime = embed_gprime    # g' -> pair index
-        self.embed_g = embed_g              # g  -> pair index
 
     def unpair(self, idx):
         return divmod(idx, self.g.order)
@@ -314,7 +311,7 @@ def semidirect(gprime, g, act):
         raise InternalInconsistency("G does not embed normally")
     if not generates(S, [embed_g, embed_gp]):
         raise InternalInconsistency("factors do not generate")
-    return SemidirectProduct(S, gprime, g, embed_gp, embed_g)
+    return SemidirectProduct(S, g)
 
 
 def semidirect_from_dressing(dpg):
@@ -331,9 +328,8 @@ def semidirect_from_dressing(dpg):
 # -- the two-action pipeline --------------------------------------------------
 
 class PipelineResult:
-    __slots__ = ("gamma", "gamma_action", "semidirect", "kernel", "twist",
-                 "pi", "pi_prime", "pi_zero", "bracket_pi", "bracket_pi_prime",
-                 "m_size", "m_prime_size", "m0_size")
+    __slots__ = ("gamma", "gamma_action", "kernel", "m_size", "m_prime_size",
+                 "m0_size")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -443,12 +439,8 @@ def gamma_from_actions(set_size, rho, rho_prime):
     if gamma.order != expected:
         raise InternalInconsistency("order bookkeeping failed")
     return PipelineResult(gamma=gamma, gamma_action=gamma_action,
-                          semidirect=sd, kernel=kernel, twist=twist,
-                          pi=pi, pi_prime=pi_prime, pi_zero=pi_zero,
-                          bracket_pi=bracket_pi,
-                          bracket_pi_prime=bracket_pi_prime,
-                          m_size=m_size, m_prime_size=m_prime_size,
-                          m0_size=m0_size)
+                          kernel=kernel, m_size=m_size,
+                          m_prime_size=m_prime_size, m0_size=m0_size)
 
 
 class CompatibilityResult:

@@ -174,6 +174,25 @@ def test_graded_check_compat(tmp_path):
     assert rep["details"]["commute"] and rep["details"]["bracket_commute"]
 
 
+@pytest.mark.parametrize("kind", ["conjugate", "Diagonal", None, 1])
+def test_graded_check_compat_rejects_an_unknown_kind(tmp_path, capsys, kind):
+    # once read as "diagonal" with its phi ignored, so the input passed
+    sig = {"mode": "simple", "dims": [1, 1]}
+    phi = [{"target": 0, "exponents": [1, 0], "num": "1"},
+           {"target": 1, "exponents": [0, 1], "num": "1"},
+           {"target": 1, "exponents": [2, 0], "num": "1"}]
+    data = {"field": "Q",
+            "structures": [{"kind": "diagonal", "sig": sig},
+                           {"kind": kind, "sig": sig, "phi": phi}]}
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["graded", "check-compat",
+                             write(tmp_path, "compat.json", data),
+                             "--out", out]), out, capsys)
+    assert read_report(out)["details"] == {
+        "error": "InvalidInput", "message": "unknown structure kind",
+        "details": {"kind": kind}}
+
+
 def test_graded_weights(tmp_path):
     data = {"field": "Q", "sig": {"mode": "simple", "dims": [1, 1]},
             "terms": [{"exponents": [2, 0], "num": "1"},

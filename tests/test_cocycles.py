@@ -259,6 +259,15 @@ def test_t2_rejects_singular_chart():
         t2_transition(base_chart([x * x]))
 
 
+@pytest.mark.parametrize("sig", [GradedSignature.simple([1]),
+                                 GradedSignature.multi(1, {}, base=1)])
+def test_t2_needs_a_simple_chart_of_weight_0(sig):
+    # a multi base block has weight 0 too, but is no chart of the base
+    x = Poly.var(QQ, 1, 0)
+    with pytest.raises(InvalidInput, match="weight-0"):
+        t2_transition(PolyMap(sig, sig, QQ, [x]))
+
+
 def test_t2_multidimensional():
     # x0' = x0 + x1^2, x1' = x1: the cross second derivative contributes
     x0 = Poly.var(QQ, 2, 0)

@@ -16,10 +16,14 @@ closure over ``--max-order``, ``dpg dressing`` (Q8, and two non-normal S4
 subgroups that do not generate, naming the first conjugator and the least
 missing element), and ``graded check-morphism``/``check-compat`` (a
 passing and a failing map, a shear-conjugated and a multi-signature pair of
-structures).  Further cases pin each verdict error a command reports as a
-failure (a non-associative table, a fixed point, two actions that are not
-compatible or not free, a singular chart), and a group-axiom error under
-``dpg verify``, which stays an input error.  Every subcommand has a case.
+structures, and the input errors whose details spell a weight: a singular
+conjugating map, an axis beyond a simple signature, a negative and a
+duplicate block), and ``aut verify-p54`` on a one-grading model whose G^1
+does not generate.  Further cases pin each verdict error a command reports
+as a failure (a non-associative table, a fixed point, two actions that are
+not compatible or not free, a singular chart), and a group-axiom error
+under ``dpg verify``, which stays an input error.  Every subcommand has a
+case.
 Regenerate the files only for an intended change of report content:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -228,6 +232,10 @@ CASES = {
     "aut_verify_p54_d111_f3": (["aut", "verify-p54", "--sig",
                                 _example("d111_sig.json"), "--field",
                                 "Fp:3"], {}),
+    # one grading: Aut is Z2 and G^1 is trivial, so G^1 does not generate
+    "aut_verify_p54_one_grading_f3": (["aut", "verify-p54", "--sig", "{sig}",
+                                       "--field", "Fp:3"], {"sig": {
+        "mode": "multi", "n": 1, "blocks": [{"sigma": [1], "dim": 1}]}}),
     "aut_enumerate_d111_f2": (["aut", "enumerate", "--sig",
                                _example("d111_sig.json"), "--field",
                                "Fp:2"], {}),
@@ -272,6 +280,29 @@ CASES = {
     "graded_check_compat_d111_f3": (["graded", "check-compat", "{st}"], {
         "st": {"field": {"Fp": 3}, "structures": [
             {"sig": D111, "axis": 0}, {"sig": D111, "axis": 1}]}}),
+    # the error details below spell a weight the way the input did: an
+    # integer for a simple signature, a list for a multi one
+    "graded_check_compat_singular_phi_q": (
+        ["graded", "check-compat", "{st}"], {
+            "st": {"field": "Q", "structures": [
+                {"kind": "diagonal", "sig": SIMPLE_11},
+                {"kind": "conjugated", "sig": SIMPLE_11,
+                 "phi": _map([(1, [0, 1])])["terms"]}]}}),
+    "graded_check_compat_simple_axis_1": (
+        ["graded", "check-compat", "{st}"], {
+            "st": {"field": "Q", "structures": [
+                {"sig": SIMPLE_11, "axis": 1}]}}),
+    "graded_check_morphism_negative_dim": (
+        ["graded", "check-morphism", "{map}"], {
+            "map": {"field": "Q", "sig_in": {"mode": "simple",
+                                             "dims": [1, -1]},
+                    "sig_out": SIMPLE_11, "terms": []}}),
+    "graded_check_compat_duplicate_base_block": (
+        ["graded", "check-compat", "{st}"], {
+            "st": {"field": "Q", "structures": [
+                {"sig": {"mode": "multi", "n": 2, "base": 1,
+                         "blocks": [{"sigma": [0, 0], "dim": 1},
+                                    {"sigma": [1, 0], "dim": 1}]}}]}}),
     "groupoid_gauge_s3": (["groupoid", "gauge", "{gauge}"], {
         "gauge": {"action": _free_action(S3, 2)}}),
     "groupoid_gauge_not_an_action": (["groupoid", "gauge", "{gauge}"], {

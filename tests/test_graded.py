@@ -198,7 +198,7 @@ def test_nabla_eigenvalue_matches_homogeneity_over_q():
     rng = random.Random(11)
     nabla = weight_vector_field(SIG111, QQ)
     for w in (1, 2, 3, 4):
-        f = random_homogeneous(rng, QQ, SIG111, w)
+        f = random_homogeneous(rng, QQ, SIG111, (w,))
         assert nabla.apply(f) == f.scale(w)
         if not f.is_zero():
             assert is_homogeneous(f, SIG111, w)
@@ -351,16 +351,16 @@ def test_dilation_laws_for_all_small_simple_signatures():
 
 
 def test_monomial_enumeration():
-    monos = monomials_of_weight(SIG12, 2)
+    monos = monomials_of_weight(SIG12, (2,))
     assert set(monos) == {(0, 1), (2, 0)}
-    monos3 = monomials_of_weight(SIG111, 3)
+    monos3 = monomials_of_weight(SIG111, (3,))
     assert set(monos3) == {(3, 0, 0), (1, 1, 0), (0, 0, 1)}
 
 
 def test_monomials_leave_base_coordinates_out():
     # weight-0 coordinates only ever carry exponent 0, the zero target too
     simple = GradedSignature.simple([1, 1], base=2)      # weights 0, 0, 1, 2
-    assert [monomials_of_weight(simple, t) for t in range(5)] == [
+    assert [monomials_of_weight(simple, (t,)) for t in range(5)] == [
         [(0, 0, 0, 0)],
         [(0, 0, 1, 0)],
         [(0, 0, 0, 1), (0, 0, 2, 0)],
