@@ -209,7 +209,14 @@ class AutGroupHandle:
         self.perms = perms
 
     def index_of(self, aut):
-        return self.index[aut.key()]
+        """aut's element index.  The enumeration lists every map that
+        make_automorphism accepts: both fill the same slots and test the
+        same linear blocks."""
+        k = self.index.get(aut.key())
+        if k is None:
+            raise InternalInconsistency("automorphism missing from the "
+                                        "enumerated group")
+        return k
 
     def gi_subgroup(self, i):
         members = [k for k, a in enumerate(self.elements) if gi_membership(a, i)]

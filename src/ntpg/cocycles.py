@@ -2,15 +2,18 @@
 
 Covers are abstract nerves (an overlap relation plus consistent triple
 overlaps); the constructions only ever consume overlap combinatorics and
-transition values.  Transition values multiply like functions: the cocycle
-law is g_ij g_jk = g_ik with mul(a, b) meaning "apply b, then a".
+transition values.  Every cocycle is valued in one finite group, its values
+element indices multiplied through the group's table: the cocycle law is
+table[g_ij][g_jk] = g_ik.  Automorphism-valued input is read as a cocycle
+in the enumerated automorphism group, whose table[a][b] is a after b.
 """
 
 from itertools import product
 
-from . import autgroups, fields, graded, poly
+from . import fields, graded, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
-                     InvalidInput, NotInvertibleChart, SearchCapExceeded)
+                     InvalidInput, NotAnAction, NotInvertibleChart,
+                     SearchCapExceeded)
 from .groups import FiniteAction, descend
 
 DEFAULT_SEARCH_CAP = 10 ** 6
@@ -68,93 +71,19 @@ class CoverNerve:
         return cls(n, pairs, triples)
 
 
-# -- value operations ----------------------------------------------------------
-
-class FiniteGroupOps:
-    """Cocycle values are element indices of a finite group."""
-
-    def __init__(self, group):
-        self.group = group
-
-    @property
-    def one(self):
-        return self.group.identity
-
-    def mul(self, a, b):
-        return self.group.table[a][b]
-
-    def inv(self, a):
-        return self.group.inverse[a]
-
-    def key(self, a):
-        return a
-
-    def elements(self):
-        return list(range(self.group.order))
-
-
-class AutOps:
-    """Cocycle values are graded-space automorphisms (exact coefficients),
-    drawn from the enumerated automorphism group ``handle``."""
-
-    def __init__(self, sig, field, handle):
-        self.sig = sig
-        self.field = field
-        self.handle = handle
-
-    @property
-    def one(self):
-        return autgroups.identity_automorphism(self.sig, self.field)
-
-    def mul(self, a, b):
-        return autgroups.aut_compose(a, b)
-
-    def inv(self, a):
-        return autgroups.aut_invert(a)
-
-    def key(self, a):
-        return a.key()
-
-    def elements(self):
-        return list(self.handle.elements)
-
-
-class PermOps:
-    """Cocycle values are permutations of a finite fiber, as image tuples."""
-
-    def __init__(self, degree):
-        self.degree = degree
-
-    @property
-    def one(self):
-        return tuple(range(self.degree))
-
-    def mul(self, a, b):
-        # apply b, then a (function order, matching left actions)
-        return tuple(a[b[x]] for x in range(self.degree))
-
-    def inv(self, a):
-        out = [0] * self.degree
-        for x, y in enumerate(a):
-            out[y] = x
-        return tuple(out)
-
-    def key(self, a):
-        return a
-
-
 class Cocycle:
-    """Transition data over a nerve.
+    """Transition data over a nerve, valued in one finite group.
 
-    Values are stored for every ordered overlap pair; if only one
-    orientation is supplied the other defaults to the inverse.
+    Values are element indices of ``group``, stored for every ordered
+    overlap pair; if only one orientation is supplied the other is its
+    inverse in the group.
     """
 
-    __slots__ = ("nerve", "ops", "values")
+    __slots__ = ("nerve", "group", "values")
 
-    def __init__(self, nerve, ops, values):
+    def __init__(self, nerve, group, values):
         self.nerve = nerve
-        self.ops = ops
+        self.group = group
         vals = {}
         for (i, j), v in values.items():
             if i == j:
@@ -168,32 +97,27 @@ class Cocycle:
             if (i, j) not in vals:
                 if (j, i) not in vals:
                     raise InvalidInput("missing transition value", pair=(i, j))
-                vals[(i, j)] = ops.inv(vals[(j, i)])
+                vals[(i, j)] = group.inverse[vals[(j, i)]]
         self.values = vals
 
     def value(self, i, j):
         if i == j:
-            return self.ops.one
+            return self.group.identity
         return self.values[(i, j)]
 
 
 def check_cocycle(c):
     """The inverse and triple laws; returns (ok, witness naming the first
-    failure).  The identity law holds by construction: value(i, i) is
-    ops.one."""
-    ops = c.ops
+    failure).  The identity law holds by construction: value(i, i) is the
+    group's identity."""
+    table = c.group.table
     for (i, j) in c.nerve.ordered_pairs():
-        if not _eq(ops, ops.mul(c.value(i, j), c.value(j, i)), ops.one):
+        if table[c.value(i, j)][c.value(j, i)] != c.group.identity:
             return False, {"law": "inverse", "pair": (i, j)}
     for (i, j, k) in c.nerve.ordered_triples():
-        lhs = ops.mul(c.value(i, j), c.value(j, k))
-        if not _eq(ops, lhs, c.value(i, k)):
+        if table[c.value(i, j)][c.value(j, k)] != c.value(i, k):
             return False, {"law": "triple", "triple": (i, j, k)}
     return True, None
-
-
-def _eq(ops, a, b):
-    return ops.key(a) == ops.key(b)
 
 
 def require_cocycle(c):
@@ -208,118 +132,78 @@ def require_cocycle(c):
 class FiberedSpace:
     """A finite model fiber with a structure-group action and two quotients.
 
-    ``perms[g]`` is the left-action permutation of the fiber points;
-    ``transforms[g]`` is a richer representative of the same transformation
-    (for the standard graded model, the automorphism itself), a value of
-    ``value_ops``, used as the transition value of associated bundles.  The
+    ``perms[g]`` is the left-action permutation of the fiber points.  The
     two projections rho and rho_prime are class maps; the distinguished
     subgroups must act inside their fibers and every group element must
-    descend along both.
+    descend along both.  ``rho_perms[g]`` and ``rho_prime_perms[g]`` are
+    the permutations g induces on the classes, proved a left action too.
     """
 
-    __slots__ = ("gamma", "g1", "g2", "npoints", "perms", "transforms",
-                 "value_ops", "rho", "rho_prime", "rho_classes",
-                 "rho_prime_classes")
+    __slots__ = ("gamma", "perms", "rho_perms", "rho_prime_perms")
 
-    def __init__(self, gamma, g1, g2, npoints, perms, rho, rho_prime,
-                 transforms, value_ops):
+    def __init__(self, gamma, g1, g2, npoints, perms, rho, rho_prime):
         self.gamma = gamma
-        self.g1 = g1
-        self.g2 = g2
-        self.npoints = npoints
         self.perms = [tuple(p) for p in perms]
-        self.rho = tuple(rho)
-        self.rho_prime = tuple(rho_prime)
-        self.transforms = transforms
-        self.value_ops = value_ops
-        self.rho_classes = max(rho) + 1
-        self.rho_prime_classes = max(rho_prime) + 1
-        self._validate()
-
-    def _validate(self):
-        FiniteAction(self.gamma, self.npoints, self.perms, side="left")
-        for which, H, classes in (("first", self.g1, self.rho),
-                                  ("second", self.g2, self.rho_prime)):
+        FiniteAction(gamma, npoints, self.perms, side="left")
+        for which, H, classes in (("first", g1, rho),
+                                  ("second", g2, rho_prime)):
             for g in H.members:
-                for x in range(self.npoints):
+                for x in range(npoints):
                     if classes[self.perms[g][x]] != classes[x]:
                         raise ActionIncompatibleWithFibration(
                             "%s subgroup leaves its fibers" % which,
                             element=g, point=x)
+        self.rho_perms = self._descend(rho)
+        self.rho_prime_perms = self._descend(rho_prime)
 
-    def descend(self, g, classes):
-        """The induced map on rho-classes (or rho_prime), checked."""
-        out, _ = descend(classes, [classes[y] for y in self.perms[g]],
-                         max(classes) + 1)
-        if out is None:
-            raise ActionIncompatibleWithFibration(
-                "element does not descend to the quotient", element=g)
-        return tuple(out)
+    def _descend(self, classes):
+        """Every element's induced permutation of the classes, the least
+        element that does not descend named."""
+        n = max(classes) + 1
+        out = []
+        for g, perm in enumerate(self.perms):
+            row, _ = descend(classes, [classes[y] for y in perm], n)
+            if row is None:
+                raise ActionIncompatibleWithFibration(
+                    "element does not descend to the quotient", element=g)
+            out.append(tuple(row))
+        # a left action that descends induces a left action on the classes
+        try:
+            FiniteAction(self.gamma, n, out, side="left")
+        except NotAnAction as e:
+            raise InternalInconsistency(
+                "quotient maps are not a left action", error=str(e))
+        return out
 
 
 class AssociatedBundle:
-    __slots__ = ("fiber_cocycle", "rho_cocycle", "rho_prime_cocycle")
+    """The quotient transitions: each ordered pair mapped to the
+    permutation of the rho (rho_prime) classes its value induces.  The
+    fiber transitions are the principal cocycle's values themselves."""
 
-    def __init__(self, fiber_cocycle, rho_cocycle, rho_prime_cocycle):
-        self.fiber_cocycle = fiber_cocycle
-        self.rho_cocycle = rho_cocycle
-        self.rho_prime_cocycle = rho_prime_cocycle
+    __slots__ = ("rho_transitions", "rho_prime_transitions")
+
+    def __init__(self, rho_transitions, rho_prime_transitions):
+        self.rho_transitions = rho_transitions
+        self.rho_prime_transitions = rho_prime_transitions
 
 
 def associated_cocycle(c, fibered):
     """Turn a principal cocycle into fiber transition data.
 
-    ``c`` is valued in element indices of the structure group of the
-    fibered model itself.  The result carries the full fiber cocycle plus
-    the two quotient cocycles of the double fibration, each re-verified,
-    and the fiber transitions are checked to cover both quotient
-    transitions.
+    ``c`` is valued in the structure group of the fibered model itself.
+    Its value g on a pair acts on the fiber by ``perms[g]`` and on the two
+    quotients of the double fibration by the permutations g induces there.
+    Both quotient maps are left actions, proved when the fibered space was
+    built, so the quotient transitions satisfy the cocycle laws with c.
     """
+    if c.group is not fibered.gamma:
+        raise InvalidInput("cocycle is not valued in the structure group")
     require_cocycle(c)
-    fiber_vals = {}
-    rho_vals = {}
-    rho_prime_vals = {}
-    for (i, j) in c.nerve.ordered_pairs():
-        g = c.value(i, j)
-        if not 0 <= g < fibered.gamma.order:
-            raise InvalidInput("transition value outside the structure group",
-                               value=g)
-        fiber_vals[(i, j)] = fibered.transforms[g]
-        rho_vals[(i, j)] = fibered.descend(g, fibered.rho)
-        rho_prime_vals[(i, j)] = fibered.descend(g, fibered.rho_prime)
-        # the fiber transition covers both quotient transitions
-        for x in range(fibered.npoints):
-            if fibered.rho[fibered.perms[g][x]] != \
-                    rho_vals[(i, j)][fibered.rho[x]]:
-                raise InternalInconsistency("fiber map does not cover rho")
-            if fibered.rho_prime[fibered.perms[g][x]] != \
-                    rho_prime_vals[(i, j)][fibered.rho_prime[x]]:
-                raise InternalInconsistency("fiber map does not cover rho'")
-
-    fiber_c = Cocycle(c.nerve, fibered.value_ops, fiber_vals)
-    rho_c = Cocycle(c.nerve, PermOps(fibered.rho_classes), rho_vals)
-    rho_prime_c = Cocycle(c.nerve, PermOps(fibered.rho_prime_classes),
-                          rho_prime_vals)
-    for out in (fiber_c, rho_c, rho_prime_c):
-        require_cocycle(out)
-    return AssociatedBundle(fiber_c, rho_c, rho_prime_c)
-
-
-def frame_cocycle(dvb, handle):
-    """Reinterpret automorphism-valued transition data as a principal
-    cocycle in the (enumerated) abstract automorphism group."""
-    require_cocycle(dvb)
-    vals = {}
-    for (i, j) in dvb.nerve.ordered_pairs():
-        aut = dvb.value(i, j)
-        k = handle.index.get(aut.key())
-        if k is None:
-            raise InvalidInput("transition value outside the enumerated group",
-                               pair=(i, j))
-        vals[(i, j)] = k
-    out = Cocycle(dvb.nerve, FiniteGroupOps(handle.group), vals)
-    require_cocycle(out)
-    return out
+    pairs = c.nerve.ordered_pairs()
+    return AssociatedBundle(
+        {p: fibered.rho_perms[c.value(*p)] for p in pairs},
+        {p: fibered.rho_prime_perms[c.value(*p)] for p in pairs})
 
 
 def standard_fibered_space(handle):
@@ -351,9 +235,7 @@ def standard_fibered_space(handle):
     return FiberedSpace(handle.group,
                         handle.gi_subgroup(1), handle.gi_subgroup(2),
                         len(points), handle.perms,
-                        classes(y_coords), classes(yp_coords),
-                        transforms=handle.elements,
-                        value_ops=AutOps(sig, field, handle))
+                        classes(y_coords), classes(yp_coords))
 
 
 class CohomologyResult:
@@ -377,35 +259,34 @@ def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):
     """
     if c1.nerve.pairs != c2.nerve.pairs or c1.nerve.n != c2.nerve.n:
         raise InvalidInput("cocycles over different nerves")
+    if c1.group is not c2.group:
+        raise InvalidInput("cocycles valued in different groups")
     require_cocycle(c1)
     require_cocycle(c2)
-    ops = c1.ops
-    els = ops.elements()
+    table, order = c1.group.table, c1.group.order
     n = c1.nerve.n
-    space = len(els) ** n
+    space = order ** n
     if space > cap:
         try:
             str(space)
         except ValueError:  # more digits than the interpreter will print
-            space = "%d**%d" % (len(els), n)
+            space = "%d**%d" % (order, n)
         raise SearchCapExceeded("coboundary search space exceeds cap",
                                 space=space, cap=cap)
-    index = {ops.key(x): k for k, x in enumerate(els)}
     nbrs = [[] for _ in range(n)]
     for (i, j) in c1.nerve.ordered_pairs():
         nbrs[i].append(j)
 
     def family(root, k):
-        """λ on the root's component as element indices, from λ_root = k by
-        BFS; None if an ordered pair fails or a value is off the grid."""
+        """λ on the root's component, from λ_root = k by BFS; None if an
+        ordered pair fails."""
         vals, comp = {root: k}, [root]
         for i in comp:
             for j in nbrs[i]:
-                v = index.get(ops.key(ops.mul(ops.mul(
-                    c2.value(j, i), els[vals[i]]), c1.value(i, j))))
+                v = table[table[c2.value(j, i)][vals[i]]][c1.value(i, j)]
                 if j not in vals:
                     comp.append(j)
-                if v is None or vals.setdefault(j, v) != v:
+                if vals.setdefault(j, v) != v:
                     return None
         return vals
 
@@ -413,13 +294,13 @@ def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):
     for root in range(n):
         if root in lam:
             continue
-        tries = (family(root, k) for k in range(len(els)))
+        tries = (family(root, k) for k in range(order))
         vals = next((v for v in tries if v is not None), None)
         if vals is None:
             return CohomologyResult(False, None, space)
         lam.update(vals)
-    rank = sum(lam[i] * len(els) ** (n - 1 - i) for i in range(n))
-    return CohomologyResult(True, [els[lam[i]] for i in range(n)], rank + 1)
+    rank = sum(lam[i] * order ** (n - 1 - i) for i in range(n))
+    return CohomologyResult(True, [lam[i] for i in range(n)], rank + 1)
 
 
 def t2_transition(chart):

@@ -163,6 +163,12 @@ def monomials_of_weight(sig, target):
     return out
 
 
+def _require_field(field, other):
+    if other is not field and other != field:
+        raise InvalidInput("polynomials over different fields",
+                           fields=[field.name, other.name])
+
+
 class PolyMap:
     """A polynomial map between graded coordinate spaces.
 
@@ -178,6 +184,7 @@ class PolyMap:
         for f in components:
             if f.nvars != sig_in.ncoords:
                 raise InvalidInput("component over wrong variable count")
+            _require_field(field, f.field)
         self.sig_in = sig_in
         self.sig_out = sig_out
         self.field = field
@@ -225,6 +232,7 @@ def compose(f, g):
     """f after g: (f ∘ g)(x) = f(g(x)); signatures must chain."""
     if f.sig_in != g.sig_out:
         raise SignatureMismatch("signatures do not chain")
+    _require_field(f.field, g.field)
     comps = [c.subs(list(g.components)) for c in f.components]
     return PolyMap(g.sig_in, f.sig_out, f.field, comps)
 

@@ -264,8 +264,7 @@ def load_group_cocycle(obj, group=None, cap=DEFAULT_CLOSURE_CAP):
             raise InvalidInput("cocycle value outside the group",
                                element=element, order=group.order)
         values[pair] = element
-    ops = cocycles.FiniteGroupOps(group)
-    return cocycles.Cocycle(nerve, ops, values), group
+    return cocycles.Cocycle(nerve, group, values), group
 
 
 def _is_index(x, n):
@@ -283,17 +282,20 @@ def _pair(value, nerve):
 
 
 def load_aut_cocycle(obj, handle):
-    """A cocycle valued in graded automorphisms of the handle's model."""
+    """A cocycle valued in graded automorphisms of the handle's model, read
+    as elements of its enumerated group: (that cocycle, {pair: the
+    automorphism read})."""
     from .autgroups import make_automorphism
     nerve = load_nerve(obj)
     sig, field = handle.sig, handle.field
-    values = {}
+    values, auts = {}, {}
     for v in _array(_need(obj, "values", "cocycle"), "values"):
         pair = _pair(v, nerve)
         terms = load_terms(field, _need(v, "terms", "cocycle value"),
                            sig.ncoords)
-        values[pair] = make_automorphism(sig, field, terms)
-    return cocycles.Cocycle(nerve, cocycles.AutOps(sig, field, handle), values)
+        auts[pair] = make_automorphism(sig, field, terms)
+        values[pair] = handle.index_of(auts[pair])
+    return cocycles.Cocycle(nerve, handle.group, values), auts
 
 
 def read_json(path):

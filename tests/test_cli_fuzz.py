@@ -6,6 +6,13 @@ example's commands in process through ``ntpg.cli.main``, twice.  Whatever
 the mutation, the exit code is 0, 1 or 2, no traceback reaches stderr, a
 failure carries witnesses, an error carries verdict "error" and is never a
 library bug, and both runs give the same report apart from ``timing_ms``.
+
+Run as a script, it checks every single-node mutation (every path, op and
+value) of every example under every command once, each run given 10 s,
+and prints each break and the totals; it exits 1 if any run broke the
+contract or timed out:
+
+    PYTHONPATH=src python tests/test_cli_fuzz.py
 """
 
 import contextlib
@@ -13,6 +20,10 @@ import copy
 import io
 import json
 import os
+import signal
+import sys
+import tempfile
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -42,6 +53,8 @@ COMMANDS = {
     "d111_sig.json": [["aut", "enumerate", "--sig", "{}", "--field", "Fp:2"],
                       ["aut", "verify-p54", "--sig", "{}", "--field",
                        "Fp:2"]],
+    "d111_assoc.json": [["cocycle", "associate", "{}"]],
+    "d111_frame.json": [["cocycle", "frame", "{}"]],
 }
 
 # one value of each JSON type; a swap picks one of a different type
@@ -63,6 +76,12 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 def _ops(node):
     ops = ["drop", "swap", "nest"]
     if isinstance(node, int) and not isinstance(node, bool):
@@ -72,31 +91,45 @@ def _ops(node):
     return ops
 
 
+def _values(op, node):
+    """The choices of one op on node: a replacement value, or a length."""
+    if op == "swap":
+        return [v for v in SWAPS if type(v) is not type(node)]
+    if op == "range":
+        return OUT_OF_RANGE
+    if op == "truncate":
+        return list(range(len(node)))
+    return [None]
+
+
+def _mutate(obj, path, op, value):
+    """A copy of obj with the node at path mutated."""
+    obj = copy.deepcopy(obj)
+    parent = _at(obj, path[:-1])
+    key = path[-1]
+    node = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "truncate":
+        parent[key] = node[:value]
+    elif op == "nest":
+        parent[key] = [node]
+    else:
+        parent[key] = value
+    return obj
+
+
 @st.composite
 def mutations(draw):
     """(example name, command line, mutated JSON object)."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     command = draw(st.sampled_from(COMMANDS[name]))
-    obj = copy.deepcopy(_load(name))
+    obj = _load(name)
     path = draw(st.sampled_from(list(_paths(obj))))
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
-    key = path[-1]
-    node = parent[key]
+    node = _at(obj, path)
     op = draw(st.sampled_from(_ops(node)))
-    if op == "drop":
-        del parent[key]
-    elif op == "swap":
-        parent[key] = draw(st.sampled_from(
-            [v for v in SWAPS if type(v) is not type(node)]))
-    elif op == "range":
-        parent[key] = draw(st.sampled_from(OUT_OF_RANGE))
-    elif op == "truncate":
-        parent[key] = node[:draw(st.integers(0, len(node) - 1))]
-    else:
-        parent[key] = [node]
-    return name, command, obj
+    return name, command, _mutate(obj, path, op,
+                                  draw(st.sampled_from(_values(op, node))))
 
 
 def _run(argv, out):
@@ -133,3 +166,70 @@ def test_mutated_examples_keep_the_exit_code_contract(tmp_path, case):
     report.pop("timing_ms")
     report2.pop("timing_ms")
     assert (rc2, report2) == (rc, report)
+
+
+class Timeout(BaseException):
+    """Raised by the alarm; not an Exception, so main cannot catch it."""
+
+
+def _alarm(signum, frame):
+    raise Timeout()
+
+
+def _breaks(argv, out):
+    """How one run breaks the exit-code contract, or None."""
+    signal.alarm(10)
+    try:
+        rc, report, err = _run(argv, out)
+    except Timeout:
+        return "timeout"
+    except FileNotFoundError:
+        return "no report"
+    finally:
+        signal.alarm(0)
+    if rc not in (0, 1, 2):
+        return "exit code %r" % (rc,)
+    if "Traceback" in err:
+        return "traceback"
+    if rc == 1 and not report["witnesses"]:
+        return "exit 1 without witnesses"
+    if rc == 2 and report["verdict"] != "error":
+        return "exit 2 with verdict %r" % report["verdict"]
+    if "library_bug" in report:
+        return "library bug: %s" % report["details"]
+    return None
+
+
+def scan():
+    """Run every single-node mutation of every example; the number of
+    breaks."""
+    signal.signal(signal.SIGALRM, _alarm)
+    runs = broken = 0
+    slowest = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input.json"), os.path.join(tmp, "out")
+        for name in sorted(COMMANDS):
+            obj = _load(name)
+            for node_path in _paths(obj):
+                node = _at(obj, node_path)
+                for op in _ops(node):
+                    for value in _values(op, node):
+                        with open(path, "w") as fh:
+                            json.dump(_mutate(obj, node_path, op, value), fh)
+                        for command in COMMANDS[name]:
+                            argv = [path if a == "{}" else a for a in command]
+                            start = time.monotonic()
+                            why = _breaks(argv, out)
+                            slowest = max(slowest, time.monotonic() - start)
+                            runs += 1
+                            if why is not None:
+                                broken += 1
+                                print("BREAK %s %s %s %s %r: %s" % (
+                                    name, " ".join(command[:2]),
+                                    list(node_path), op, value, why))
+    print("%d runs, %d breaks, slowest run %.2f s" % (runs, broken, slowest))
+    return broken
+
+
+if __name__ == "__main__":
+    sys.exit(1 if scan() else 0)

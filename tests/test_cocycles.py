@@ -1,16 +1,19 @@
 import pytest
 
-from ntpg.autgroups import aut_compose, enumerate_aut, make_automorphism
-from ntpg.cocycles import (AutOps, Cocycle, CoverNerve, FiberedSpace,
-                           FiniteGroupOps, PermOps, are_cohomologous,
-                           associated_cocycle, check_cocycle, frame_cocycle,
+from ntpg.autgroups import (AutGroupHandle, aut_compose, aut_invert,
+                            enumerate_aut, identity_automorphism,
+                            make_automorphism)
+from ntpg.cocycles import (Cocycle, CoverNerve, FiberedSpace,
+                           are_cohomologous, associated_cocycle, check_cocycle,
                            standard_fibered_space, t2_has_quadratic_term,
                            t2_transition)
-from ntpg.errors import (ActionIncompatibleWithFibration, InvalidInput,
+from ntpg.errors import (ActionIncompatibleWithFibration,
+                         InternalInconsistency, InvalidInput,
                          NotInvertibleChart, SearchCapExceeded)
 from ntpg.groups import Subgroup
 from ntpg.fields import GF, QQ
 from ntpg.graded import GradedSignature, PolyMap, is_graded_morphism
+from ntpg.jsonio import dump_terms, load_aut_cocycle
 from ntpg.named import cyclic, quaternion_group, symmetric
 from ntpg.poly import Poly
 
@@ -31,16 +34,14 @@ def example_aut():
 # -- cocycle laws ---------------------------------------------------------------
 
 def test_trivial_cocycle_is_valid():
-    G = cyclic(4)
-    ops = FiniteGroupOps(G)
-    c = Cocycle(FULL3, ops, {(0, 1): 0, (1, 2): 0, (0, 2): 0})
+    c = Cocycle(FULL3, cyclic(4), {(0, 1): 0, (1, 2): 0, (0, 2): 0})
     ok, w = check_cocycle(c)
     assert ok and w is None
 
 
 def test_two_chart_arbitrary_value_is_valid():
     G = quaternion_group()
-    c = Cocycle(TWO_CHARTS, FiniteGroupOps(G), {(0, 1): 5})
+    c = Cocycle(TWO_CHARTS, G, {(0, 1): 5})
     ok, _ = check_cocycle(c)
     assert ok
     assert c.value(1, 0) == G.inverse[5]
@@ -48,11 +49,10 @@ def test_two_chart_arbitrary_value_is_valid():
 
 def test_three_chart_order_three_element():
     G = cyclic(3)
-    ops = FiniteGroupOps(G)
-    good = Cocycle(FULL3, ops, {(0, 1): 1, (1, 2): 1, (0, 2): 2})
+    good = Cocycle(FULL3, G, {(0, 1): 1, (1, 2): 1, (0, 2): 2})
     ok, _ = check_cocycle(good)
     assert ok
-    bad = Cocycle(FULL3, ops, {(0, 1): 1, (1, 2): 1, (0, 2): 0})
+    bad = Cocycle(FULL3, G, {(0, 1): 1, (1, 2): 1, (0, 2): 0})
     ok, w = check_cocycle(bad)
     assert not ok
     assert w["law"] == "triple"
@@ -78,24 +78,28 @@ def f3_model(f3_handle):
 
 def test_trivial_principal_cocycle_gives_product_bundle(f3_handle, f3_model):
     G = f3_handle.group
-    c = Cocycle(TWO_CHARTS, FiniteGroupOps(G), {(0, 1): G.identity})
+    c = Cocycle(TWO_CHARTS, G, {(0, 1): G.identity})
     assoc = associated_cocycle(c, f3_model)
-    ident = assoc.fiber_cocycle.ops.one
-    assert assoc.fiber_cocycle.value(0, 1) == ident
-    assert assoc.rho_cocycle.value(0, 1) == tuple(range(3))
+    assert f3_handle.elements[c.value(0, 1)] == identity_automorphism(SIG, F3)
+    assert assoc.rho_transitions[(0, 1)] == tuple(range(3))
 
 
 def test_associated_transition_is_the_acting_map(f3_handle, f3_model):
     G = f3_handle.group
     a = example_aut()
-    c = Cocycle(TWO_CHARTS, FiniteGroupOps(G),
-                {(0, 1): f3_handle.index_of(a)})
+    c = Cocycle(TWO_CHARTS, G, {(0, 1): f3_handle.index_of(a)})
     assoc = associated_cocycle(c, f3_model)
-    assert assoc.fiber_cocycle.value(0, 1) == a
+    assert f3_handle.elements[c.value(0, 1)] == a
     # the rho-quotient transition is y -> 2y, the permutation (0, 2, 1)
-    assert assoc.rho_cocycle.value(0, 1) == (0, 2, 1)
+    assert assoc.rho_transitions[(0, 1)] == (0, 2, 1)
     # y' is untouched
-    assert assoc.rho_prime_cocycle.value(0, 1) == (0, 1, 2)
+    assert assoc.rho_prime_transitions[(0, 1)] == (0, 1, 2)
+
+
+def test_cocycle_outside_the_structure_group_is_rejected(f3_model):
+    c = Cocycle(TWO_CHARTS, cyclic(24), {(0, 1): 1})
+    with pytest.raises(InvalidInput, match="structure group"):
+        associated_cocycle(c, f3_model)
 
 
 def z2_fibered(g1, g2, rho, rho_prime):
@@ -103,7 +107,7 @@ def z2_fibered(g1, g2, rho, rho_prime):
     G = cyclic(2)
     perms = [(0, 1, 2, 3), (0, 2, 1, 3)]
     return FiberedSpace(G, Subgroup(G, g1), Subgroup(G, g2), 4, perms,
-                        rho, rho_prime, transforms=perms, value_ops=PermOps(4))
+                        rho, rho_prime)
 
 
 @pytest.mark.parametrize("g1, g2, which", [([0, 1], [0], "first"),
@@ -117,10 +121,11 @@ def test_subgroup_leaving_its_fibers_is_named(g1, g2, which):
 
 
 def test_element_that_does_not_descend_is_named():
-    fibered = z2_fibered([0], [0], [0, 0, 1, 1], [0, 1, 2, 3])
-    assert fibered.descend(1, fibered.rho_prime) == (0, 2, 1, 3)
+    fibered = z2_fibered([0], [0], [0, 1, 1, 2], [0, 1, 2, 3])
+    assert fibered.rho_perms == [(0, 1, 2), (0, 1, 2)]
+    assert fibered.rho_prime_perms == [(0, 1, 2, 3), (0, 2, 1, 3)]
     with pytest.raises(ActionIncompatibleWithFibration) as e:
-        fibered.descend(1, fibered.rho)
+        z2_fibered([0], [0], [0, 0, 1, 1], [0, 1, 2, 3])
     assert str(e.value) == "element does not descend to the quotient"
     assert e.value.details == {"element": 1}
 
@@ -128,44 +133,57 @@ def test_element_that_does_not_descend_is_named():
 # -- frame bundle round trip ----------------------------------------------------------
 
 def dvb_cocycle(nerve, values, handle):
-    return Cocycle(nerve, AutOps(SIG, F3, handle), values)
+    """The cocycle ``cocycle frame`` reads from automorphism values."""
+    obj = {"charts": nerve.n,
+           "overlaps": sorted(sorted(p) for p in nerve.pairs),
+           "triples": sorted(sorted(t) for t in nerve.triples),
+           "values": [{"pair": list(p), "terms": dump_terms(F3, a.map)}
+                      for p, a in values.items()]}
+    return load_aut_cocycle(obj, handle)
 
 
 def test_trivial_dvb_frames_to_trivial_principal(f3_handle):
-    from ntpg.autgroups import identity_automorphism
     ident = identity_automorphism(SIG, F3)
-    c = dvb_cocycle(TWO_CHARTS, {(0, 1): ident}, f3_handle)
-    principal = frame_cocycle(c, f3_handle)
+    principal, auts = dvb_cocycle(TWO_CHARTS, {(0, 1): ident}, f3_handle)
+    assert principal.group is f3_handle.group
     assert principal.value(0, 1) == f3_handle.group.identity
+    assert auts == {(0, 1): ident}
 
 
-def test_round_trip_two_charts(f3_handle, f3_model):
+def test_round_trip_two_charts(f3_handle):
     a = example_aut()
-    c = dvb_cocycle(TWO_CHARTS, {(0, 1): a}, f3_handle)
-    principal = frame_cocycle(c, f3_handle)
-    back = associated_cocycle(principal, f3_model)
-    for (i, j) in TWO_CHARTS.ordered_pairs():
-        assert back.fiber_cocycle.value(i, j) == c.value(i, j)
+    principal, _ = dvb_cocycle(TWO_CHARTS, {(0, 1): a}, f3_handle)
+    assert f3_handle.elements[principal.value(0, 1)] == a
+    assert f3_handle.elements[principal.value(1, 0)] == aut_invert(a)
 
 
-def test_round_trip_three_charts(f3_handle, f3_model):
+def test_round_trip_three_charts(f3_handle):
     a = example_aut()
     b = make_automorphism(SIG, F3, [(0, Y, 1), (1, YP, 2), (2, Z, 2)])
-    c = dvb_cocycle(FULL3, {(0, 1): a, (1, 2): b, (0, 2): aut_compose(a, b)},
-                    f3_handle)
-    ok, _ = check_cocycle(c)
+    values = {(0, 1): a, (1, 2): b, (0, 2): aut_compose(a, b)}
+    principal, _ = dvb_cocycle(FULL3, values, f3_handle)
+    ok, _ = check_cocycle(principal)
     assert ok
-    principal = frame_cocycle(c, f3_handle)
-    back = associated_cocycle(principal, f3_model)
     for (i, j) in FULL3.ordered_pairs():
-        assert back.fiber_cocycle.value(i, j) == c.value(i, j)
+        expected = (values[(i, j)] if (i, j) in values
+                    else aut_invert(values[(j, i)]))
+        assert f3_handle.elements[principal.value(i, j)] == expected
+
+
+def test_automorphism_missing_from_the_enumeration_is_a_library_bug(
+        f3_handle):
+    # a handle with an empty index: the lookup that cannot miss misses
+    empty = AutGroupHandle(SIG, F3, f3_handle.group, f3_handle.elements, {},
+                           f3_handle.perms)
+    with pytest.raises(InternalInconsistency):
+        dvb_cocycle(TWO_CHARTS, {(0, 1): example_aut()}, empty)
 
 
 # -- cohomology ------------------------------------------------------------------------
 
 def test_cocycle_is_cohomologous_to_itself():
     G = quaternion_group()
-    c = Cocycle(TWO_CHARTS, FiniteGroupOps(G), {(0, 1): 3})
+    c = Cocycle(TWO_CHARTS, G, {(0, 1): 3})
     res = are_cohomologous(c, c)
     assert res.cohomologous
 
@@ -175,9 +193,8 @@ def test_conjugated_two_chart_cocycles():
     a = next(x for x in range(6) if G.element_order(x) == 3)
     b = next(x for x in range(6) if G.element_order(x) == 2)
     conj = G.mul(G.mul(b, a), G.inverse[b])
-    ops = FiniteGroupOps(G)
-    c1 = Cocycle(TWO_CHARTS, ops, {(0, 1): a})
-    c2 = Cocycle(TWO_CHARTS, ops, {(0, 1): conj})
+    c1 = Cocycle(TWO_CHARTS, G, {(0, 1): a})
+    c2 = Cocycle(TWO_CHARTS, G, {(0, 1): conj})
     res = are_cohomologous(c1, c2)
     assert res.cohomologous
     lam = res.witness
@@ -186,27 +203,30 @@ def test_conjugated_two_chart_cocycles():
 
 def test_abelian_two_chart_cocycles_are_all_cohomologous():
     G = cyclic(4)
-    ops = FiniteGroupOps(G)
-    c1 = Cocycle(TWO_CHARTS, ops, {(0, 1): 1})
-    c2 = Cocycle(TWO_CHARTS, ops, {(0, 1): 2})
+    c1 = Cocycle(TWO_CHARTS, G, {(0, 1): 1})
+    c2 = Cocycle(TWO_CHARTS, G, {(0, 1): 2})
     # oracle: 16-pair exhaustion; lambda = (g' - g, 0) always works
     res = are_cohomologous(c1, c2)
     assert res.cohomologous
 
 
+def test_cocycles_in_different_groups_are_rejected():
+    c1 = Cocycle(TWO_CHARTS, cyclic(3), {(0, 1): 1})
+    c2 = Cocycle(TWO_CHARTS, cyclic(4), {(0, 1): 1})
+    with pytest.raises(InvalidInput, match="different groups"):
+        are_cohomologous(c1, c2)
+
+
 def test_search_cap():
-    G = quaternion_group()
-    ops = FiniteGroupOps(G)
-    c = Cocycle(TWO_CHARTS, ops, {(0, 1): 3})
+    c = Cocycle(TWO_CHARTS, quaternion_group(), {(0, 1): 3})
     with pytest.raises(SearchCapExceeded):
         are_cohomologous(c, c, cap=10)
 
 
 def test_cohomology_is_equivalence_on_small_corpus():
     G = cyclic(3)
-    ops = FiniteGroupOps(G)
-    cocycles = [Cocycle(FULL3, ops, {(0, 1): a, (1, 2): b,
-                                     (0, 2): G.mul(a, b)})
+    cocycles = [Cocycle(FULL3, G, {(0, 1): a, (1, 2): b,
+                                   (0, 2): G.mul(a, b)})
                 for a in range(3) for b in range(3)]
     rel = [[are_cohomologous(x, y).cohomologous for y in cocycles]
            for x in cocycles]

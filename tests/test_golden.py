@@ -19,7 +19,11 @@ passing and a failing map, a shear-conjugated and a multi-signature pair of
 structures, and the input errors whose details spell a weight: a singular
 conjugating map, an axis beyond a simple signature, a negative and a
 duplicate block), and ``aut verify-p54`` on a one-grading model whose G^1
-does not generate.  Further cases pin each verdict error a command reports
+does not generate, and ``cocycle associate``/``frame`` on their
+docs/examples inputs, on inferred orientations and an element outside the
+group, and on frame inputs that break the inverse or triple law, hold an
+illegal slot or a singular linear block, or miss an orientation.  Further
+cases pin each verdict error a command reports
 as a failure (a non-associative table, a fixed point, two actions that are
 not compatible or not free, a singular chart), and a group-axiom error
 under ``dpg verify``, which stays an input error.  Every subcommand has a
@@ -205,6 +209,31 @@ def _z2_on_pairs(kind):
     return obj
 
 
+def _associate(charts, overlaps, values):
+    """A ``cocycle associate`` input on the D111 model over F3; values are
+    (pair, element index)."""
+    return {"model": {"sig": D111, "field": {"Fp": 3}},
+            "cocycle": {"charts": charts, "overlaps": overlaps,
+                        "values": [{"pair": p, "element": k}
+                                   for p, k in values]}}
+
+
+def _frame(charts, overlaps, values, triples=()):
+    """A ``cocycle frame`` input on the D111 model over F3; values are
+    (pair, [(target, exponents, num)])."""
+    return {"model": {"sig": D111, "field": {"Fp": 3}},
+            "cocycle": {"charts": charts, "overlaps": overlaps,
+                        "triples": list(triples),
+                        "values": [{"pair": p, "terms": [
+                            {"target": t, "exponents": e, "num": num}
+                            for t, e, num in terms]} for p, terms in values]}}
+
+
+IDENTITY = [(0, [1, 0, 0], "1"), (1, [0, 1, 0], "1"), (2, [0, 0, 1], "1")]
+AUT_A = [(0, [1, 0, 0], "2"), (1, [0, 1, 0], "1"), (2, [1, 1, 0], "1"),
+         (2, [0, 0, 1], "1")]
+
+
 def _example(name):
     return os.path.join(EXAMPLES, name)
 
@@ -252,20 +281,32 @@ CASES = {
         "terms": [{"target": 0, "exponents": [1], "num": "1"},
                   {"target": 0, "exponents": [2], "num": "3"},
                   {"target": 0, "exponents": [3], "num": "7", "den": "2"}]}}),
-    "cocycle_associate_d111_f3": (["cocycle", "associate", "{assoc}"], {
-        "assoc": {"model": {"sig": D111, "field": {"Fp": 3}},
-                  "cocycle": {"charts": 3, "overlaps": [[0, 1], [1, 2]],
-                              "values": [{"pair": [0, 1], "element": 5},
-                                         {"pair": [1, 2], "element": 23}]}}}),
-    "cocycle_frame_d111_f3": (["cocycle", "frame", "{frame}"], {"frame": {
-        "model": {"sig": D111, "field": {"Fp": 3}},
-        "cocycle": {"charts": 2, "overlaps": [[0, 1]],
-                    "values": [{"pair": [0, 1], "terms": [
-                        {"target": 0, "exponents": [1, 0, 0], "num": "2"},
-                        {"target": 1, "exponents": [0, 1, 0], "num": "1"},
-                        {"target": 2, "exponents": [1, 1, 0], "num": "1"},
-                        {"target": 2, "exponents": [0, 0, 1], "num": "1"},
-                    ]}]}}}),
+    "cocycle_associate_d111_f3": (["cocycle", "associate",
+                                   _example("d111_assoc.json")], {}),
+    # values given on (1, 0) and (2, 1) only: (0, 1) and (1, 2) are inferred
+    "cocycle_associate_inferred_orientations": (
+        ["cocycle", "associate", "{assoc}"], {"assoc": _associate(
+            3, [[0, 1], [1, 2]], [([1, 0], 10), ([2, 1], 17)])}),
+    "cocycle_associate_out_of_range": (["cocycle", "associate", "{assoc}"], {
+        "assoc": _associate(2, [[0, 1]], [([0, 1], 24)])}),
+    "cocycle_frame_d111_f3": (["cocycle", "frame", _example("d111_frame.json")],
+                              {}),
+    # A = (y, y', z) -> (2y, y', yy' + z) is an involution over F3
+    "cocycle_frame_inverse_law": (["cocycle", "frame", "{frame}"], {
+        "frame": _frame(2, [[0, 1]], [([0, 1], IDENTITY), ([1, 0], AUT_A)])}),
+    "cocycle_frame_triple_law": (["cocycle", "frame", "{frame}"], {
+        "frame": _frame(3, TRIANGLE, [([0, 1], AUT_A), ([1, 2], AUT_A),
+                                      ([0, 2], AUT_A)], triples=[[0, 1, 2]])}),
+    # y' in the slot of y
+    "cocycle_frame_illegal_monomial": (["cocycle", "frame", "{frame}"], {
+        "frame": _frame(2, [[0, 1]], [([0, 1], [(0, [0, 1, 0], "1"),
+                                                (1, [0, 1, 0], "1"),
+                                                (2, [0, 0, 1], "1")])])}),
+    # no y term: the linear block of y is singular
+    "cocycle_frame_singular_block": (["cocycle", "frame", "{frame}"], {
+        "frame": _frame(2, [[0, 1]], [([0, 1], IDENTITY[1:])])}),
+    "cocycle_frame_missing_orientation": (["cocycle", "frame", "{frame}"], {
+        "frame": _frame(3, [[0, 1], [1, 2]], [([0, 1], AUT_A)])}),
     "graded_weights_f5": (["graded", "weights",
                            _example("f5_polynomial.json")], {}),
     "graded_check_morphism_shear_q": (["graded", "check-morphism", "{map}"], {

@@ -72,6 +72,21 @@ def test_compose_with_identity():
     assert compose(PolyMap.identity(SIG12, QQ), f) == f
 
 
+def test_maps_over_different_fields_are_rejected():
+    # a constant map substitutes nothing, so only the field check sees
+    # that g is over another field
+    F3, F5 = GF(3), GF(5)
+    const = pmap(SIG12, F3, [Poly.const(F3, 2, 1), Poly.const(F3, 2, 2)])
+    with pytest.raises(InvalidInput, match="different fields") as e:
+        compose(const, PolyMap.identity(SIG12, F5))
+    assert e.value.details == {"fields": ["F3", "F5"]}
+    with pytest.raises(InvalidInput, match="different fields") as e:
+        pmap(SIG12, F3, [Poly.var(F3, 2, 0), Poly.var(F5, 2, 1)])
+    assert e.value.details == {"fields": ["F3", "F5"]}
+    with pytest.raises(InvalidInput, match="different fields"):
+        pmap(SIG12, QQ, shear(F3).components)
+
+
 def test_compose_stays_weight_preserving_over_f3():
     rng = random.Random(7)
     F3 = GF(3)
