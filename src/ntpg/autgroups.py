@@ -10,9 +10,12 @@ n-tuple principal structure of these groups.
 
 With 0/1 weights and no base coordinates every such map is multilinear, so
 over F_p it is fixed by its values on the cube {0,1}^m.  The enumeration
-therefore evaluates each map once on all points of F_p^m and builds the
-group table from these point permutations, keyed by cube values, instead
-of composing polynomials; symbolic composition stays the test oracle.
+therefore builds only the maps with invertible linear blocks, so its work
+grows with |Aut| and not with the coefficient grid, stores each as a
+permutation of the points of F_p^m, and builds the group table from these
+permutations instead of composing polynomials: a few generators' columns
+are looked up by cube values and the rest are read off them.  Symbolic
+composition stays the test oracle.
 
 One class, ``Automorphism``, holds both shapes: model automorphisms
 (weight exactly sigma) and the automorphisms of the trivial double affine
@@ -21,9 +24,10 @@ Composition and inversion check that the result keeps every shape its
 operands share.
 """
 
+from functools import cache
 from itertools import product
 from math import prod
-from operator import eq, itemgetter
+from operator import eq
 
 from . import principal
 from .errors import (EnumerationCapExceeded, IllegalMonomial,
@@ -31,7 +35,8 @@ from .errors import (EnumerationCapExceeded, IllegalMonomial,
 from .fields import mat_inv
 from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
                      monomials_of_weight, triangular_inverse)
-from .groups import Subgroup, intersect, make_group
+from .groups import (Subgroup, _fill_columns, _reader, intersect,
+                     make_group)
 from .poly import Poly
 
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -242,20 +247,23 @@ def _slot_list(sig):
 def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     """Enumerate every automorphism of the model over F_p.
 
-    Fills the full coefficient grid and filters by invertibility of the
-    linear blocks (sufficient, by triangularity).  Each kept map is
-    evaluated once on all p^m points of F_p^m (p^m is at most the grid,
-    since every coordinate has a linear slot) and stored as a point
-    permutation.  The group table is read off these permutations: the
-    composite i after j sends the cube {0,1}^m to perm_i applied to j's
+    The maps are the grid points whose linear blocks are invertible
+    (sufficient, by triangularity).  They are built, not filtered: each
+    block dimension's invertible matrices, listed once, times the values of
+    the free slots, sorted into grid order.  The work grows with |Aut|;
+    ``cap`` still bounds the p^slots grid.  Each map is stored as its
+    permutation of the p^m points of F_p^m, a sum of cached per-coordinate
+    digit columns.  The group table is read off these permutations: the
+    composite i after g sends the cube {0,1}^m to perm_i applied to g's
     cube image, and that image is looked up among the cube images of the
     enumerated maps.  This is exact: the model has no base coordinates and
     0/1 weights, so every weight-preserving map, composites included, is
     multilinear, and a multilinear map over F_p is fixed by its values on
-    the cube (Moebius inversion).  A composite whose cube image is not
-    found, or two maps with one cube image, raise InternalInconsistency.
-    The table goes through the validating group builder, and inverse maps
-    are read off it.
+    the cube (Moebius inversion).  Only greedily chosen generators' columns
+    are looked up; the others are read off them.  A composite whose cube
+    image is not found, or two maps with one cube image, raise
+    InternalInconsistency.  The table goes through the validating group
+    builder, and inverse maps are read off it.
     """
     _require_model_signature(sig)
     if field.char == 0:
@@ -266,56 +274,58 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     if grid > cap:
         raise EnumerationCapExceeded("coefficient grid exceeds cap",
                                      grid=grid, cap=cap)
-    block_coords = [sig.block_coords(w) for w, _ in sig.blocks]
-    linear_pos = {}
-    for k, (c, exps, linear) in enumerate(slots):
-        if linear:
-            b = next(i for i, e in enumerate(exps) if e)
-            linear_pos[(c, b)] = k
+    slots_of = [[k for k, (c, _, _) in enumerate(slots) if c == t]
+                for t in range(m)]
+
+    # choices[k] lists the values of the slots at where[k]: a block's
+    # invertible matrices row by row (all rows list their linear slots in
+    # one column order, so the columns are at most permuted), or one free
+    # slot's values
+    invertible, choices, where = {}, [], []
+    for w, d in sig.blocks:
+        if d not in invertible:
+            invertible[d] = [
+                mat for mat in product(range(p), repeat=d * d)
+                if mat_inv(field, [mat[r:r + d] for r in range(0, d * d, d)])
+                is not None]
+        choices.append(invertible[d])
+        where += [k for c in sig.block_coords(w) for k in slots_of[c]
+                  if slots[k][2]]
+    free = [k for k, slot in enumerate(slots) if not slot[2]]
+    choices += [[(v,) for v in range(p)]] * len(free)
+    where += free
+    to_grid = _reader(sorted(range(len(slots)), key=where.__getitem__))
+    kept = sorted(to_grid(sum(pick, ())) for pick in product(*choices))
 
     # each slot's monomial on every point, points in code order
     points = list(product(range(p), repeat=m))
     monomials = [[prod(x ** e for x, e in zip(pt, exps)) for pt in points]
                  for _, exps, _ in slots]
-    slots_of = [[k for k, (c, _, _) in enumerate(slots) if c == t]
-                for t in range(m)]
 
-    # linear block -> invertible?  The grid repeats the same few blocks.
-    invertible = {}
+    @cache
+    def digits(t, values):
+        # coordinate t's digit column, from the values of its slots
+        col = [0] * len(points)
+        for k, v in zip(slots_of[t], values):
+            if v:
+                col = [a + v * b for a, b in zip(col, monomials[k])]
+        return [a % p * p ** (m - 1 - t) for a in col]
+
+    reads = [_reader(ks) for ks in slots_of]
     maps = []
     perms = []
     index = {}
-    for values in product(range(p), repeat=len(slots)):
-        singular = False
-        for coords in block_coords:
-            mat = tuple(tuple(values[linear_pos[(c, b)]] for b in coords)
-                        for c in coords)
-            ok = invertible.get(mat)
-            if ok is None:
-                ok = invertible[mat] = mat_inv(field, mat) is not None
-            if not ok:
-                singular = True
-                break
-        if singular:
-            continue
+    for values in kept:
         terms = [(c, exps, v) for (c, exps, _), v in zip(slots, values) if v]
         pm = PolyMap.from_terms(sig, sig, field, terms)
         index[pm.key()] = len(maps)
         maps.append(pm)
-        perm = [0] * len(points)
-        for t in range(m):
-            col = [0] * len(points)
-            for k in slots_of[t]:
-                v = values[k]
-                if v:
-                    col = [a + v * b for a, b in zip(col, monomials[k])]
-            place = p ** (m - 1 - t)
-            perm = [q + a % p * place for q, a in zip(perm, col)]
-        perms.append(tuple(perm))
+        perms.append(tuple(map(sum, zip(*(digits(t, read(values))
+                                          for t, read in enumerate(reads))))))
 
     cube = [sum(b * p ** (m - 1 - i) for i, b in enumerate(bits))
             for bits in product((0, 1), repeat=m)]
-    on_cube = itemgetter(*cube)
+    on_cube = _reader(cube)
     by_cube = {}
     for j, perm in enumerate(perms):
         prev = by_cube.setdefault(on_cube(perm), j)
@@ -323,17 +333,24 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
             raise InternalInconsistency(
                 "cube values fail to separate the enumerated maps",
                 pair=(prev, j))
+
     n = len(maps)
-    after = [itemgetter(*on_cube(perm)) for perm in perms]
-    table = []
-    for i, perm in enumerate(perms):
-        row = [by_cube.get(f(perm)) for f in after]
-        if None in row:
-            raise InternalInconsistency(
-                "composition left the enumerated shape",
-                pair=(i, row.index(None)))
-        table.append(row)
-    group = make_group(table)
+    e = by_cube[tuple(cube)]
+    cols = [None] * n
+    cols[e] = tuple(range(n))
+    gens = []
+    for g in range(n):
+        if cols[g] is None:
+            # column g by lookup: i -> i after g, for every i
+            after_g = _reader(on_cube(perms[g]))
+            col = cols[g] = tuple(by_cube.get(after_g(q)) for q in perms)
+            if None in col:
+                raise InternalInconsistency(
+                    "composition left the enumerated shape",
+                    pair=(col.index(None), g))
+            gens.append(g)
+            _fill_columns(cols, e, gens)
+    group = make_group(tuple(zip(*cols)))
     elements = [Automorphism(sig, field, maps[i], maps[group.inverse[i]])
                 for i in range(n)]
     return AutGroupHandle(sig, field, group, elements, index, perms)

@@ -145,6 +145,25 @@ def _reader(keys):
     return lambda row: tuple(row[k] for k in keys)
 
 
+def _fill_columns(cols, e, gens):
+    """Fill in the column x -> x*b of every b that products of gens reach.
+
+    cols[e] and cols[g] for each g in gens are given; every other reached
+    column is a generator's column read through an earlier one,
+    cols[a*g] = cols[g] read through cols[a], since x*(a*g) = (x*a)*g.
+    That is |G| index lookups per column.
+    """
+    reached, seen = [e], {e}
+    for a in reached:
+        for g in gens:
+            c = cols[g][a]
+            if c not in seen:
+                seen.add(c)
+                reached.append(c)
+                if cols[c] is None:
+                    cols[c] = _reader(cols[a])(cols[g])
+
+
 # A partial product in row form: rows[x][pos[s]] is x*s for every s with
 # tgt[s] == src[x], where pos[s] is the index of s among the elements with
 # target tgt[s], in index order.  A groupoid's arrows take this form; a group
@@ -270,17 +289,16 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
             raise InvalidInput("not a permutation of 0..degree-1", perm=list(p))
         gens.append(t)
     # found lists the elements in order of discovery, and the loop also
-    # visits those it appends; products[i][k] = found[i] * gens[k], and
-    # via[c] = (a, k) for the first product a * gens[k] equal to c
+    # visits those it appends; products[i][k] = found[i] * gens[k]
     found = [tuple(range(degree))]
-    via = {found[0]: None}
+    seen = {found[0]}
     products = []
     for a in found:
         row = [_compose_perm(a, g) for g in gens]
         products.append(row)
-        for k, c in enumerate(row):
-            if c not in via:
-                via[c] = (a, k)
+        for c in row:
+            if c not in seen:
+                seen.add(c)
                 found.append(c)
                 if len(found) > cap:
                     raise ClosureCapExceeded("permutation closure exceeds cap",
@@ -288,18 +306,15 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
     elements = sorted(found)
     index = {p: i for i, p in enumerate(elements)}
     n = len(elements)
-    # right[k][x] = x * gens[k], on sorted indices
-    right = [[0] * n for _ in gens]
-    for a, row in zip(found, products):
-        x = index[a]
-        for r, c in zip(right, row):
-            r[x] = index[c]
-    # cols[b][x] = x * b; found[0] is the identity, elements[0]
+    # cols[b][x] = x * b, on sorted indices; elements[0] is the identity
     cols = [None] * n
     cols[0] = tuple(range(n))
-    for c in found[1:]:
-        a, k = via[c]
-        cols[index[c]] = _reader(cols[index[a]])(right[k])
+    for k, g in enumerate(gens):
+        col = [0] * n
+        for a, row in zip(found, products):
+            col[index[a]] = index[row[k]]
+        cols[index[g]] = tuple(col)
+    _fill_columns(cols, 0, [index[g] for g in gens])
     return make_group(tuple(zip(*cols))), elements
 
 

@@ -2,15 +2,15 @@ from itertools import product
 
 import pytest
 
-from ntpg.autgroups import (aut_compose, aut_invert, enumerate_aut,
-                            forget_linear, gi_membership,
+from ntpg.autgroups import (_slot_list, aut_compose, aut_invert,
+                            enumerate_aut, forget_linear, gi_membership,
                             identity_automorphism, is_statomorphism,
                             make_affine_automorphism, make_automorphism,
                             verify_p54)
 from ntpg.cocycles import standard_fibered_space
 from ntpg.errors import (EnumerationCapExceeded, IllegalMonomial,
                          NotInvertible)
-from ntpg.fields import GF
+from ntpg.fields import GF, mat_inv
 from ntpg.graded import GradedSignature, PolyMap, compose
 from ntpg.groups import is_normal
 
@@ -113,8 +113,10 @@ K3_SIX = GradedSignature.multi(3, {
 
 
 @pytest.mark.parametrize("sig, field, order", [
-    (SIG, F3, 24), (SIG, F2, 2), (K3_SIX, F2, 32)],
-    ids=["D111-F3", "D111-F2", "k3-six-F2"])
+    (SIG, F3, 24), (SIG, F2, 2), (K3_SIX, F2, 32),
+    (GradedSignature.double_vector(2, 1, 0), F2, 6),
+    (GradedSignature.double_vector(1, 1, 0), F2, 1)],
+    ids=["D111-F3", "D111-F2", "k3-six-F2", "D210-F2", "D110-F2"])
 def test_table_matches_symbolic_composition(sig, field, order):
     # oracle: the table built from point evaluations agrees with symbolic
     # composition on every pair
@@ -125,6 +127,43 @@ def test_table_matches_symbolic_composition(sig, field, order):
         for j in range(order):
             assert handle.group.table[i][j] == \
                 handle.index[compose(maps[i], maps[j]).key()], (i, j)
+
+
+def grid_order(sig, field):
+    """Keys of the coefficient-grid points whose linear blocks are
+    invertible, in grid order: the whole grid, filtered point by point."""
+    slots = _slot_list(sig)
+    at = {(c, exps.index(1)): k
+          for k, (c, exps, linear) in enumerate(slots) if linear}
+    blocks = [sig.block_coords(w) for w, _ in sig.blocks]
+    keys = []
+    for values in product(range(field.char), repeat=len(slots)):
+        if all(mat_inv(field, [[values[at[(c, b)]] for b in coords]
+                               for c in coords]) is not None
+               for coords in blocks):
+            terms = [(c, exps, v)
+                     for (c, exps, _), v in zip(slots, values) if v]
+            keys.append(PolyMap.from_terms(sig, sig, field, terms).key())
+    return keys
+
+
+@pytest.mark.parametrize("sig, field", [
+    (GradedSignature.double_vector(2, 1, 1), F2),
+    (GradedSignature.double_vector(1, 2, 0), F3), (SIG, F3),
+    (GradedSignature.double_vector(1, 1, 2), F2)],
+    ids=["D211-F2", "D120-F3", "D111-F3", "D112-F2"])
+def test_elements_in_grid_order_with_evaluated_perms(sig, field):
+    # oracle: the enumeration lists exactly the filtered grid, in its
+    # order, and each point permutation is the map evaluated point by point;
+    # in D112 a free slot of the first z coordinate precedes the linear
+    # slots of the second
+    handle = enumerate_aut(sig, field)
+    assert [a.key() for a in handle.elements] == grid_order(sig, field)
+    points = list(product(range(field.char), repeat=sig.ncoords))
+    code = {pt: k for k, pt in enumerate(points)}
+    assert len(handle.perms) == len(handle.elements)
+    for a, perm in zip(handle.elements, handle.perms):
+        assert perm == tuple(code[a.map.eval(pt)] for pt in points)
 
 
 def test_fibered_action_matches_map_evaluation():
