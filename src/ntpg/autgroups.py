@@ -24,7 +24,7 @@ Composition and inversion check that the result keeps every shape its
 operands share.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from math import prod
 from operator import eq
@@ -196,22 +196,38 @@ def gi_membership(a, i):
 
 
 class AutGroupHandle:
-    """An enumerated automorphism group with its index dictionary.
+    """An enumerated automorphism group.
 
-    ``perms[k]`` is element k evaluated on every point of F_p^m, as a
-    permutation of point codes: the point (x_0, ..., x_{m-1}) has code
-    sum x_i p^(m-1-i), its position in ``product(range(p), repeat=m)``.
+    ``values[k]`` holds element k's coefficient on each slot of
+    ``_slot_list(sig)``.  ``perms[k]`` is element k evaluated on every point
+    of F_p^m, as a permutation of point codes: the point (x_0, ..., x_{m-1})
+    has code sum x_i p^(m-1-i), its position in
+    ``product(range(p), repeat=m)``.  ``elements`` (the automorphisms) and
+    ``index`` (automorphism key -> element index) are each built on first
+    read; the distinguished subgroups are read off ``values``.
     """
 
-    __slots__ = ("sig", "field", "group", "elements", "index", "perms")
-
-    def __init__(self, sig, field, group, elements, index, perms):
+    def __init__(self, sig, field, group, values, perms):
         self.sig = sig
         self.field = field
         self.group = group
-        self.elements = elements
-        self.index = index
+        self.values = values
         self.perms = perms
+
+    @cached_property
+    def elements(self):
+        sig, field = self.sig, self.field
+        slots = _slot_list(sig)
+        maps = [PolyMap.from_terms(sig, sig, field,
+                                   [(c, exps, v) for (c, exps, _), v
+                                    in zip(slots, values) if v])
+                for values in self.values]
+        return [Automorphism(sig, field, pm, maps[self.group.inverse[k]])
+                for k, pm in enumerate(maps)]
+
+    @cached_property
+    def index(self):
+        return {a.key(): k for k, a in enumerate(self.elements)}
 
     def index_of(self, aut):
         """aut's element index.  The enumeration lists every map that
@@ -223,13 +239,29 @@ class AutGroupHandle:
                                         "enumerated group")
         return k
 
+    def _fixing(self, targets):
+        """The elements whose linear slots with a target coordinate in
+        targets hold the identity matrix."""
+        slots = _slot_list(self.sig)
+        read = _reader([k for k, (c, _, linear) in enumerate(slots)
+                        if linear and c in targets])
+        ident = read([exps[c] for c, exps, _ in slots])
+        return Subgroup(self.group, [k for k, values in enumerate(self.values)
+                                     if read(values) == ident])
+
     def gi_subgroup(self, i):
-        members = [k for k, a in enumerate(self.elements) if gi_membership(a, i)]
-        return Subgroup(self.group, members)
+        """The elements that ``gi_membership`` accepts.  A component of
+        degree e_i has only the linear slots of block e_i, so it is the
+        identity projection exactly when those slots hold the identity."""
+        sig = self.sig
+        if not 1 <= i <= sig.n:
+            raise InvalidInput("grading index out of range", i=i)
+        eps = tuple(1 if k == i - 1 else 0 for k in range(sig.n))
+        return self._fixing(set(sig.block_coords(eps)))
 
     def statomorphism_subgroup(self):
-        members = [k for k, a in enumerate(self.elements) if is_statomorphism(a)]
-        return Subgroup(self.group, members)
+        """The elements that ``is_statomorphism`` accepts."""
+        return self._fixing(range(self.sig.ncoords))
 
 
 def _slot_list(sig):
@@ -263,7 +295,8 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     are looked up; the others are read off them.  A composite whose cube
     image is not found, or two maps with one cube image, raise
     InternalInconsistency.  The table goes through the validating group
-    builder, and inverse maps are read off it.
+    builder.  The handle keeps each map's slot values; its polynomial maps,
+    with their inverses read off the table, are built only when read.
     """
     _require_model_signature(sig)
     if field.char == 0:
@@ -312,16 +345,9 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
         return [a % p * p ** (m - 1 - t) for a in col]
 
     reads = [_reader(ks) for ks in slots_of]
-    maps = []
-    perms = []
-    index = {}
-    for values in kept:
-        terms = [(c, exps, v) for (c, exps, _), v in zip(slots, values) if v]
-        pm = PolyMap.from_terms(sig, sig, field, terms)
-        index[pm.key()] = len(maps)
-        maps.append(pm)
-        perms.append(tuple(map(sum, zip(*(digits(t, read(values))
-                                          for t, read in enumerate(reads))))))
+    perms = [tuple(map(sum, zip(*(digits(t, read(values))
+                                  for t, read in enumerate(reads)))))
+             for values in kept]
 
     cube = [sum(b * p ** (m - 1 - i) for i, b in enumerate(bits))
             for bits in product((0, 1), repeat=m)]
@@ -334,7 +360,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
                 "cube values fail to separate the enumerated maps",
                 pair=(prev, j))
 
-    n = len(maps)
+    n = len(kept)
     e = by_cube[tuple(cube)]
     cols = [None] * n
     cols[e] = tuple(range(n))
@@ -351,9 +377,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
             gens.append(g)
             _fill_columns(cols, e, gens)
     group = make_group(tuple(zip(*cols)))
-    elements = [Automorphism(sig, field, maps[i], maps[group.inverse[i]])
-                for i in range(n)]
-    return AutGroupHandle(sig, field, group, elements, index, perms)
+    return AutGroupHandle(sig, field, group, kept, perms)
 
 
 class P54Report:

@@ -512,11 +512,15 @@ def subgroup_as_group(H):
     """Reify a subgroup as a standalone FiniteGroup.
 
     Returns (group, to_parent, from_parent): to_parent[i] is the parent
-    element index of the subgroup element i (in member order).
+    element index of the subgroup element i (in member order).  The whole
+    group is returned as the parent itself, with identity index maps: its
+    restricted table would be the parent's, already validated.
     """
     G = H.parent
     to_parent = list(H.members)
     from_parent = {m: i for i, m in enumerate(to_parent)}
+    if len(to_parent) == G.order:
+        return G, to_parent, from_parent
     table = [[from_parent[G.table[a][b]] for b in to_parent] for a in to_parent]
     return make_group(table), to_parent, from_parent
 

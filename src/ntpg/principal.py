@@ -13,6 +13,8 @@ pgg' = pg'g_{g'}, forms the semidirect product, quotients by the joint
 kernel and checks the commuting square of orbit maps.
 """
 
+from functools import cached_property
+
 from . import groupoids
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
@@ -23,17 +25,25 @@ from .groups import (FiniteAction, GroupHom, Subgroup, _closure, action_check,
 
 
 class DoublePrincipalGroup:
-    """(Γ; G, G') with both subgroups normal and jointly generating."""
+    """(Γ; G, G') with both subgroups normal and jointly generating.
 
-    __slots__ = ("gamma", "g1", "g2", "core", "q1", "q2")
+    The quotients [G] = G/core and [G'] = G'/core are built the first time
+    ``q1`` or ``q2`` is read; in the library only ``report`` reads them.
+    """
 
-    def __init__(self, gamma, g1, g2, core, q1, q2):
+    def __init__(self, gamma, g1, g2, core):
         self.gamma = gamma
         self.g1 = g1
         self.g2 = g2
         self.core = core
-        self.q1 = q1   # [G]  = G  / core
-        self.q2 = q2   # [G'] = G' / core
+
+    @cached_property
+    def q1(self):
+        return _quotient_of_subgroup(self.g1, self.core)
+
+    @cached_property
+    def q2(self):
+        return _quotient_of_subgroup(self.g2, self.core)
 
     def report(self):
         return {"gamma_order": self.gamma.order,
@@ -79,19 +89,17 @@ def _failures(gamma, labelled):
 def verify_double(gamma, g1, g2):
     """Check (Γ; G, G'): normality of both and generation by the union.
 
-    On success returns the verified structure with its core G∩G' and the
-    quotients [G], [G']; on failure the result lists each violated
-    condition with a minimal witness.
+    On success returns the verified structure with its core G∩G'; its
+    quotients [G], [G'] are built only when read.  On failure the result
+    lists each violated condition with a minimal witness.
     """
     if g1.parent is not gamma or g2.parent is not gamma:
         raise ParentMismatch("subgroups of a different parent group")
     failures = _failures(gamma, [("g1", g1), ("g2", g2)])
     if failures:
         return VerifyResult(False, None, failures)
-    core = intersect(g1, g2)
-    q1 = _quotient_of_subgroup(g1, core)
-    q2 = _quotient_of_subgroup(g2, core)
-    return VerifyResult(True, DoublePrincipalGroup(gamma, g1, g2, core, q1, q2),
+    return VerifyResult(True, DoublePrincipalGroup(gamma, g1, g2,
+                                                   intersect(g1, g2)),
                         failures)
 
 
@@ -140,7 +148,9 @@ def verify_ntuple(gamma, subgroups):
     into every intersected sub-system.  When the verdict is true, the
     consequence that every pair (Γ; G^i, G^j) is a double principal group
     is asserted as a theory oracle, once per unordered pair since the
-    verdict is symmetric in the two subgroups.
+    verdict is symmetric in the two subgroups.  The oracle decides only
+    normality and generation, so it builds no quotient; a G^i equal to the
+    whole group is recursed into as that group itself, not a rebuilt copy.
     """
     for H in subgroups:
         if H.parent is not gamma:

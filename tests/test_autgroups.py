@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -8,11 +9,11 @@ from ntpg.autgroups import (_slot_list, aut_compose, aut_invert,
                             make_affine_automorphism, make_automorphism,
                             verify_p54)
 from ntpg.cocycles import standard_fibered_space
-from ntpg.errors import (EnumerationCapExceeded, IllegalMonomial,
+from ntpg.errors import (EnumerationCapExceeded, IllegalMonomial, InvalidInput,
                          NotInvertible)
 from ntpg.fields import GF, mat_inv
 from ntpg.graded import GradedSignature, PolyMap, compose
-from ntpg.groups import is_normal
+from ntpg.groups import is_normal, make_group
 
 SIG = GradedSignature.double_vector(1, 1, 1)   # coords y, y', z
 F3 = GF(3)
@@ -216,16 +217,88 @@ def test_p54_k2_p2_degenerate():
     assert rep.orders["gi"] == [2, 2]
 
 
+K3 = GradedSignature.multi(3, {
+    (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+    (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1,
+    (1, 1, 1): 1})
+
+
 def test_p54_k3_p2():
-    sig = GradedSignature.multi(3, {
-        (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
-        (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1,
-        (1, 1, 1): 1})
-    rep = verify_p54(sig, F2)
+    rep = verify_p54(K3, F2)
     # oracle: seven forced linear slots, seven free mixed slots -> 2^7
     assert rep.orders["gamma"] == 128
     assert rep.witness.verdict
     assert rep.witness.trace["children"], "recursion trace must be present"
+
+
+def _count_calls(monkeypatch, name, real):
+    """Count the calls of real through every ntpg module that binds it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname.split(".")[0] == "ntpg"
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("sig, field", [(SIG, GF(5)), (K3, F2)],
+                         ids=["D111-F5", "k3-F2"])
+def test_verify_p54_builds_one_group_and_no_polynomial_map(sig, field,
+                                                          monkeypatch):
+    import ntpg.principal
+    groups = _count_calls(monkeypatch, "make_group", make_group)
+    maps = []
+    from_terms = PolyMap.from_terms.__func__
+
+    def counting_from_terms(cls, *args):
+        maps.append(args)
+        return from_terms(cls, *args)
+
+    def refuse(H, core):
+        raise AssertionError("verify_p54 built a quotient")
+
+    monkeypatch.setattr(PolyMap, "from_terms",
+                        classmethod(counting_from_terms))
+    monkeypatch.setattr(ntpg.principal, "_quotient_of_subgroup", refuse)
+    rep = verify_p54(sig, field)
+    assert rep.witness.verdict
+    assert len(groups) == 1
+    rep.handle.gi_subgroup(1)
+    rep.handle.statomorphism_subgroup()
+    assert maps == []
+    # the maps are built on first read, once
+    assert len(rep.handle.elements) == rep.handle.group.order
+    assert len(maps) == rep.handle.group.order
+    rep.handle.index_of(rep.handle.elements[-1])
+    assert len(maps) == rep.handle.group.order
+
+
+def test_slot_read_subgroups_match_the_map_filters():
+    # D111 over F3 and F5, and every F2 model of the tier-1 aut sweep
+    from test_aut_sweep import GRADINGS, models
+    cases = [(SIG, F3), (SIG, GF(5))]
+    cases += [(GradedSignature.multi(n, blocks), F2)
+              for n in GRADINGS[1] for blocks in models(n, 1)]
+    assert len(cases) == 136
+    for sig, field in cases:
+        handle = enumerate_aut(sig, field)
+        elements = handle.elements
+        for i in range(1, sig.n + 1):
+            assert handle.gi_subgroup(i).members == tuple(
+                k for k, a in enumerate(elements) if gi_membership(a, i))
+        assert handle.statomorphism_subgroup().members == tuple(
+            k for k, a in enumerate(elements) if is_statomorphism(a))
+        for i in (0, sig.n + 1):
+            with pytest.raises(InvalidInput) as expected:
+                gi_membership(elements[0], i)
+            with pytest.raises(InvalidInput) as got:
+                handle.gi_subgroup(i)
+            assert got.value.report() == expected.value.report()
 
 
 # -- double affine automorphisms --------------------------------------------------

@@ -173,8 +173,10 @@ def test_round_trip_three_charts(f3_handle):
 def test_automorphism_missing_from_the_enumeration_is_a_library_bug(
         f3_handle):
     # a handle with an empty index: the lookup that cannot miss misses
-    empty = AutGroupHandle(SIG, F3, f3_handle.group, f3_handle.elements, {},
+    empty = AutGroupHandle(SIG, F3, f3_handle.group, f3_handle.values,
                            f3_handle.perms)
+    empty.index = {}
+    assert empty.elements == f3_handle.elements
     with pytest.raises(InternalInconsistency):
         dvb_cocycle(TWO_CHARTS, {(0, 1): example_aut()}, empty)
 

@@ -78,6 +78,48 @@ def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
     assert len(calls) == k * (k - 1) // 2
 
 
+def test_verify_double_builds_its_quotients_on_first_read(dpg_corpus,
+                                                          monkeypatch):
+    import ntpg.principal
+    real = ntpg.principal._quotient_of_subgroup
+    calls = []
+
+    def counting(H, core):
+        calls.append(H)
+        return real(H, core)
+
+    monkeypatch.setattr(ntpg.principal, "_quotient_of_subgroup", counting)
+    for name, dpg in dpg_corpus:
+        res = verify_double(dpg.gamma, dpg.g1, dpg.g2)
+        assert res.ok and calls == [], name
+        dressing(res.dpg)
+        assert calls == [], name
+        core = len(res.dpg.core)
+        assert res.dpg.report()["quotients"] == [len(dpg.g1) // core,
+                                                 len(dpg.g2) // core], name
+        assert calls == [dpg.g1, dpg.g2], name
+        res.dpg.report()
+        assert len(calls) == 2, name
+        calls.clear()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
+    import ntpg.principal
+
+    def refuse(H, core):
+        raise AssertionError("verify_ntuple built a quotient")
+
+    monkeypatch.setattr(ntpg.principal, "_quotient_of_subgroup", refuse)
+    for name, dpg in dpg_corpus:
+        assert verify_ntuple(dpg.gamma, [dpg.g1, dpg.g2]).verdict, name
+    n = 2 ** k
+    G = make_group([[a ^ b for b in range(n)] for a in range(n)])
+    subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
+            for i in range(k)]
+    assert verify_ntuple(G, subs).verdict
+
+
 def test_single_full_subgroup_is_1_tuple():
     G = symmetric(3)
     w = verify_ntuple(G, [Subgroup(G, range(6))])
