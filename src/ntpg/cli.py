@@ -31,7 +31,7 @@ import time
 from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
                      InvalidInput, NoIdentity, NoInverse, NonAssociative,
                      NotCompatible, NotFree, NotInvertibleChart,
-                     NotLatinSquare)
+                     NotLatinSquare, is_int)
 from .groups import DEFAULT_CLOSURE_CAP, subgroup_closure
 
 
@@ -108,7 +108,7 @@ def _input_subgroups(args, data, G):
 def _points(data, action):
     """The input's point count, the action's when the input gives none."""
     points = data.get("points", action.set_size)
-    if not isinstance(points, int):
+    if not is_int(points):
         raise InvalidInput("points must be an integer", points=points)
     return points
 
@@ -317,12 +317,18 @@ def _model(args, data):
     return autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
 
 
+def _double_model(handle):
+    """The standard fibered space of a double model, its sides y and y'."""
+    if handle.sig.n != 2:
+        raise InvalidInput("standard model needs a double grading")
+    return cocycles.standard_fibered_space(handle)
+
+
 def cmd_cocycle_associate(args, data):
     handle = _model(args, data)
     c, _ = load_group_cocycle(_need(data, "cocycle", "cocycle input"),
                               group=handle.group)
-    fibered = cocycles.standard_fibered_space(handle)
-    assoc = cocycles.associated_cocycle(c, fibered)
+    rho, rho_prime = cocycles.associated_cocycle(c, _double_model(handle))
     pairs = c.nerve.ordered_pairs()
     details = {
         "fiber_transitions": [
@@ -330,12 +336,10 @@ def cmd_cocycle_associate(args, data):
              "terms": dump_terms(handle.field,
                                  handle.elements[c.value(*p)].map)}
             for p in pairs],
-        "rho_transitions": [
-            {"pair": list(p), "perm": list(assoc.rho_transitions[p])}
-            for p in pairs],
-        "rho_prime_transitions": [
-            {"pair": list(p), "perm": list(assoc.rho_prime_transitions[p])}
-            for p in pairs],
+        "rho_transitions": [{"pair": list(p), "perm": list(rho[p])}
+                            for p in pairs],
+        "rho_prime_transitions": [{"pair": list(p), "perm": list(rho_prime[p])}
+                                  for p in pairs],
     }
     return "pass", details, []
 
@@ -346,7 +350,7 @@ def cmd_cocycle_frame(args, data):
                                handle)
     cocycles.require_cocycle(c)
     # the frame bundle lives on the standard double model
-    cocycles.standard_fibered_space(handle)
+    _double_model(handle)
     if any(handle.elements[c.value(*p)] != aut for p, aut in auts.items()):
         raise InternalInconsistency("frame/associated round trip failed")
     details = {"values": [{"pair": list(p), "element": c.value(*p)}

@@ -130,31 +130,30 @@ def require_cocycle(c):
 # -- fibered spaces -------------------------------------------------------------
 
 class FiberedSpace:
-    """A finite model fiber with a structure-group action and two quotients.
+    """A finite model fiber with a structure-group action and one quotient
+    per side.
 
-    ``perms[g]`` is the left-action permutation of the fiber points.  The
-    two projections rho and rho_prime are class maps; the distinguished
-    subgroups must act inside their fibers and every group element must
-    descend along both.  ``rho_perms[g]`` and ``rho_prime_perms[g]`` are
-    the permutations g induces on the classes, proved a left action too.
+    ``perms[g]`` is the left-action permutation of the fiber points.  Each
+    side is a (subgroup, class map) pair, the class map a projection of the
+    points: the subgroup must act inside its fibers and every group element
+    must descend along it.  ``side_perms[i][g]`` is the permutation g
+    induces on the classes of side i, proved a left action too.
     """
 
-    __slots__ = ("gamma", "perms", "rho_perms", "rho_prime_perms")
+    __slots__ = ("gamma", "perms", "side_perms")
 
-    def __init__(self, gamma, g1, g2, npoints, perms, rho, rho_prime):
+    def __init__(self, gamma, npoints, perms, sides):
         self.gamma = gamma
         self.perms = [tuple(p) for p in perms]
         FiniteAction(gamma, npoints, self.perms, side="left")
-        for which, H, classes in (("first", g1, rho),
-                                  ("second", g2, rho_prime)):
+        for i, (H, classes) in enumerate(sides):
             for g in H.members:
                 for x in range(npoints):
                     if classes[self.perms[g][x]] != classes[x]:
                         raise ActionIncompatibleWithFibration(
-                            "%s subgroup leaves its fibers" % which,
+                            "subgroup of side %d leaves its fibers" % i,
                             element=g, point=x)
-        self.rho_perms = self._descend(rho)
-        self.rho_prime_perms = self._descend(rho_prime)
+        self.side_perms = [self._descend(classes) for _, classes in sides]
 
     def _descend(self, classes):
         """Every element's induced permutation of the classes, the least
@@ -176,66 +175,49 @@ class FiberedSpace:
         return out
 
 
-class AssociatedBundle:
-    """The quotient transitions: each ordered pair mapped to the
-    permutation of the rho (rho_prime) classes its value induces.  The
-    fiber transitions are the principal cocycle's values themselves."""
-
-    __slots__ = ("rho_transitions", "rho_prime_transitions")
-
-    def __init__(self, rho_transitions, rho_prime_transitions):
-        self.rho_transitions = rho_transitions
-        self.rho_prime_transitions = rho_prime_transitions
-
-
 def associated_cocycle(c, fibered):
-    """Turn a principal cocycle into fiber transition data.
+    """The quotient transitions of a principal cocycle, one
+    {ordered pair: permutation of the classes} dict per side.
 
     ``c`` is valued in the structure group of the fibered model itself.
-    Its value g on a pair acts on the fiber by ``perms[g]`` and on the two
-    quotients of the double fibration by the permutations g induces there.
-    Both quotient maps are left actions, proved when the fibered space was
-    built, so the quotient transitions satisfy the cocycle laws with c.
+    Its value g on a pair acts on the fiber by ``perms[g]``, so the fiber
+    transitions are c's values themselves, and on side i's quotient by
+    ``side_perms[i][g]``.  Every quotient map is a left action, proved when
+    the fibered space was built, so each side's transitions satisfy the
+    cocycle laws with c.
     """
     if c.group is not fibered.gamma:
         raise InvalidInput("cocycle is not valued in the structure group")
     require_cocycle(c)
     pairs = c.nerve.ordered_pairs()
-    return AssociatedBundle(
-        {p: fibered.rho_perms[c.value(*p)] for p in pairs},
-        {p: fibered.rho_prime_perms[c.value(*p)] for p in pairs})
+    return [{p: perms[c.value(*p)] for p in pairs}
+            for perms in fibered.side_perms]
 
 
 def standard_fibered_space(handle):
-    """The model fiber of an enumerated double-space automorphism group:
-    all coordinate tuples over F_p, with the y and y' projections.
+    """The model fiber of an enumerated automorphism group: all coordinate
+    tuples over F_p, with one quotient fibration per grading.
 
-    The action is the handle's point permutations, which the enumeration
+    Side i projects onto the coordinates of degree e_{i+1} (the unit
+    weight of grading i+1) with subgroup G^{i+1}, which fixes them.  The
+    action is the handle's point permutations, which the enumeration
     computed by evaluating every element on every point; points are
     numbered in ``product(range(p), repeat=m)`` order, as there.
     """
-    sig, field = handle.sig, handle.field
-    if sig.n != 2:
-        raise InvalidInput("standard model needs a double grading")
-    points = list(product(range(field.char), repeat=sig.ncoords))
+    sig = handle.sig
+    points = list(product(range(handle.field.char), repeat=sig.ncoords))
 
-    y_coords = sig.block_coords((1, 0))
-    yp_coords = sig.block_coords((0, 1))
-
-    def classes(coords):
+    def classes(i):
+        """Each point's class: its degree-e_{i+1} coordinates, numbered in
+        order of first appearance."""
+        coords = sig.block_coords(tuple(int(k == i) for k in range(sig.n)))
         seen = {}
-        out = []
-        for p in points:
-            lab = tuple(p[c] for c in coords)
-            if lab not in seen:
-                seen[lab] = len(seen)
-            out.append(seen[lab])
-        return out
+        return [seen.setdefault(tuple(p[c] for c in coords), len(seen))
+                for p in points]
 
-    return FiberedSpace(handle.group,
-                        handle.gi_subgroup(1), handle.gi_subgroup(2),
-                        len(points), handle.perms,
-                        classes(y_coords), classes(yp_coords))
+    return FiberedSpace(handle.group, len(points), handle.perms,
+                        [(handle.gi_subgroup(i + 1), classes(i))
+                         for i in range(sig.n)])
 
 
 class CohomologyResult:

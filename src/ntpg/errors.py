@@ -6,6 +6,12 @@ CLI can serialize failures without string parsing.
 """
 
 
+def is_int(x):
+    """An integer as inputs mean it: int and its subclasses, except bool,
+    which is what JSON true and false load as."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class AlgebraError(Exception):
     """Base class: a structured failure with witness details."""
 

@@ -10,7 +10,7 @@ goes through ``Field.inv`` so that the zero-divisor check lives in one place.
 
 from fractions import Fraction
 
-from .errors import InvalidInput, NotInvertible
+from .errors import InvalidInput, NotInvertible, is_int
 
 PRIME_CAP = 97
 
@@ -136,7 +136,7 @@ def field_from_json(spec):
         return QQ
     if isinstance(spec, dict) and "Fp" in spec:
         p = spec["Fp"]
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not is_int(p):
             raise InvalidInput("field characteristic must be an integer",
                                p=p)
         return GF(p)

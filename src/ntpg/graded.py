@@ -13,7 +13,8 @@ are sound over every field).
 """
 
 from .errors import (InternalDisagreement, InternalInconsistency,
-                     InvalidInput, NotInvertible, SignatureMismatch)
+                     InvalidInput, NotInvertible, SignatureMismatch,
+                     is_int)
 from .fields import mat_inv
 from .poly import Poly
 
@@ -24,7 +25,7 @@ MAX_WEIGHT = 6
 
 def _integer(x, what):
     """x itself if it is an integer; strings, floats and bools are input errors."""
-    if not isinstance(x, int) or isinstance(x, bool):
+    if not is_int(x):
         raise InvalidInput("%s must be an integer" % what, value=x)
     return x
 

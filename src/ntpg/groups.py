@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from .errors import (ClosureCapExceeded, InternalInconsistency, InvalidInput,
                      NoIdentity, NoInverse, NonAssociative, NotAnAction,
-                     NotLatinSquare, NotNormal, ParentMismatch)
+                     NotLatinSquare, NotNormal, ParentMismatch, is_int)
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -89,7 +89,7 @@ class FiniteGroup:
 def _int_rows(table, n):
     """Range-check every entry and return the rows as int tuples.
 
-    Entries must be ``int`` (subclasses included, converted with ``int``)
+    Entries must pass ``is_int`` (subclasses are converted with ``int``)
     in 0..n-1; the first bad row or entry in index order is reported.
     """
     full = frozenset(range(n))
@@ -100,7 +100,7 @@ def _int_rows(table, n):
         r = tuple(row)
         if set(map(type, r)) != {int} or not full.issuperset(r):
             for x in r:
-                if not isinstance(x, int) or not 0 <= x < n:
+                if not is_int(x) or not 0 <= x < n:
                     raise InvalidInput("entry out of range", row=i, value=x)
             r = tuple(map(int, r))
         rows.append(r)

@@ -9,7 +9,7 @@ that contract).
 import json
 
 from . import cocycles, fields, graded, groupoids, poly
-from .errors import InvalidInput
+from .errors import InvalidInput, is_int
 from .groups import (DEFAULT_CLOSURE_CAP, FiniteAction, Subgroup, make_group,
                      make_group_from_permutations)
 
@@ -43,8 +43,10 @@ def _array(value, what):
 
 
 def _is_ints(obj):
-    """A list of integers (int and its subclasses)?"""
-    return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+    """A list of integers (``is_int``: no booleans)?  A list of exact ints,
+    as MB-scale inputs are, skips the per-entry call."""
+    return isinstance(obj, list) and (set(map(type, obj)) <= {int}
+                                      or all(map(is_int, obj)))
 
 
 def _int_rows(value, what):
@@ -61,7 +63,8 @@ def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
         table = _array(obj["table"], "table")
         for row in table:
             _array(row, "table row")
-        if "order" in obj and obj["order"] != len(table):
+        if "order" in obj and not (is_int(obj["order"])
+                                   and obj["order"] == len(table)):
             raise InvalidInput("declared order disagrees with the table")
         return make_group(table)
     if "permutations" in obj:
@@ -69,10 +72,9 @@ def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
         if not all(_is_ints(p) for p in perms):
             raise InvalidInput("permutations must be lists of integers")
         degree = obj.get("degree")
-        if degree is not None:
-            for p in perms:
-                if len(p) != degree:
-                    raise InvalidInput("permutation of wrong degree")
+        if degree is not None and not (
+                is_int(degree) and all(len(p) == degree for p in perms)):
+            raise InvalidInput("permutation of wrong degree")
         G, _ = make_group_from_permutations(perms, cap=cap)
         return G
     raise InvalidInput("group needs 'table' or 'permutations'")
@@ -96,7 +98,7 @@ def load_action(obj, cap=DEFAULT_CLOSURE_CAP):
     """{"group": <group>, "points": m, "act": [[...]], "side": "right"}."""
     group = load_group(_need(obj, "group", "action"), cap=cap)
     points = _need(obj, "points", "action")
-    if not isinstance(points, int):
+    if not is_int(points):
         raise InvalidInput("action points must be an integer", points=points)
     return FiniteAction(group, points,
                         _int_rows(_need(obj, "act", "action"), "action rows"),
@@ -113,7 +115,7 @@ def load_groupoid(obj):
     objects = _need(obj, "objects", "groupoid")
     arrays = [_need(obj, key, "groupoid")
               for key in ("src", "tgt", "id", "inv")]
-    if not (isinstance(objects, int) and all(_is_ints(a) for a in arrays)):
+    if not (is_int(objects) and all(_is_ints(a) for a in arrays)):
         raise InvalidInput("groupoid objects, src, tgt, id and inv must be "
                            "integers and integer lists")
     gpd = groupoids.FiniteGroupoid(objects, *arrays, mul)
@@ -171,7 +173,7 @@ def _exponents(entry, nvars):
     if len(exps) != nvars:
         raise InvalidInput("exponent tuple has wrong length",
                            exponents=list(exps))
-    if not all(isinstance(k, int) and 0 <= k <= MAX_EXPONENT for k in exps):
+    if not all(is_int(k) and 0 <= k <= MAX_EXPONENT for k in exps):
         raise InvalidInput("exponents must be integers in 0..%d"
                            % MAX_EXPONENT, exponents=list(exps))
     return tuple(exps)
@@ -180,7 +182,7 @@ def _exponents(entry, nvars):
 def _coefficient(field, entry):
     """The term's num/den, each an integer or an integer string."""
     num, den = _need(entry, "num", "term"), entry.get("den", "1")
-    if isinstance(num, (int, str)) and isinstance(den, (int, str)):
+    if all(is_int(x) or isinstance(x, str) for x in (num, den)):
         try:
             return field.parse(num, den)
         except (ValueError, ZeroDivisionError):
@@ -194,7 +196,7 @@ def load_terms(field, entries, nvars):
     for e in _array(entries, "terms"):
         exps = _exponents(e, nvars)
         target = e.get("target", 0)
-        if not isinstance(target, int):
+        if not is_int(target):
             raise InvalidInput("term target must be an integer", target=target)
         out.append((target, exps, _coefficient(field, e)))
     return out
@@ -239,7 +241,7 @@ def load_polynomial(obj):
 
 def load_nerve(obj):
     charts = _need(obj, "charts", "cocycle")
-    if not isinstance(charts, int) or not 0 <= charts <= MAX_CHARTS:
+    if not is_int(charts) or not 0 <= charts <= MAX_CHARTS:
         raise InvalidInput("charts must be an integer in 0..%d" % MAX_CHARTS,
                            charts=charts)
     overlaps = _array(obj.get("overlaps", []), "overlaps")
@@ -268,7 +270,7 @@ def load_group_cocycle(obj, group=None, cap=DEFAULT_CLOSURE_CAP):
 
 
 def _is_index(x, n):
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+    return is_int(x) and 0 <= x < n
 
 
 def _pair(value, nerve):

@@ -6,9 +6,11 @@ dimensions 0 or 1 and no base block, over each field F_p given,
 structure of Aut with the subgroups G^i.  Its orders of Aut, of each G^i
 and of each pairwise intersection must equal the closed form of
 ``perfbench/algebra.aut_orders``, which imports nothing from ``ntpg``.
-Models whose closed-form |Aut| exceeds 1,000 are skipped.  The counts of
-checked and skipped models are pinned, so a shrinking sweep cannot hide a
-defect.  F_2 runs here; F_2 and F_3 run from the command line:
+On every model it also builds the standard fibered space and checks its
+n sides (``check_sides``).  Models whose closed-form |Aut| exceeds 1,000
+are skipped.  The counts of checked and skipped models are pinned, so a
+shrinking sweep cannot hide a defect.  F_2 runs here; F_2 and F_3 run
+from the command line:
 
     PYTHONPATH=src python tests/test_aut_sweep.py 2 3
 
@@ -27,6 +29,8 @@ import os
 import sys
 
 from ntpg.autgroups import verify_p54
+from ntpg.cocycles import (Cocycle, CoverNerve, associated_cocycle,
+                           standard_fibered_space)
 from ntpg.fields import GF
 from ntpg.graded import GradedSignature
 
@@ -50,6 +54,27 @@ def models(n, top):
             yield {s: d for s, d in zip(sigmas, dims) if d}
 
 
+def check_sides(handle, case):
+    """The standard fibered space has one side per grading; the kernel of
+    side i's action on its classes is G^{i+1}; and on the full nerve of
+    three charts each side's transitions satisfy
+    side[g_ik] = side[g_ij] o side[g_jk]."""
+    G, n = handle.group, handle.sig.n
+    fibered = standard_fibered_space(handle)
+    assert len(fibered.side_perms) == n, case
+    for i, perms in enumerate(fibered.side_perms):
+        kernel = {g for g, perm in enumerate(perms)
+                  if perm == tuple(range(len(perm)))}
+        assert kernel == set(handle.gi_subgroup(i + 1).members), (case, i)
+    a, b = G.order - 1, G.order // 2
+    nerve = CoverNerve.full(3)
+    c = Cocycle(nerve, G, {(0, 1): a, (1, 2): b, (0, 2): G.table[a][b]})
+    for side in associated_cocycle(c, fibered):
+        for i, j, k in nerve.ordered_triples():
+            assert side[(i, k)] == tuple(side[(i, j)][x]
+                                         for x in side[(j, k)]), case
+
+
 def sweep(primes, top=1):
     """(models checked, models skipped) over GRADINGS[top] and the given
     F_p."""
@@ -67,6 +92,7 @@ def sweep(primes, top=1):
                 assert rep.witness.verdict, case
                 assert rep.orders == {k: want[k] for k in (
                     "gamma", "gi", "intersections")}, case
+                check_sides(rep.handle, case)
                 checked += 1
     return checked, skipped
 

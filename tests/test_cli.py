@@ -653,6 +653,53 @@ def test_non_integer_point_count_exits_2(tmp_path, capsys, command, name):
         write(tmp_path, "in.json", data), "--out", out]), out, capsys)
 
 
+def _example_with(name, path, value):
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        return _mutated(json.load(fh), path, value)
+
+
+# (command, input): a JSON boolean where an integer belongs, one per kind
+# of integer field; each was once read as 0 or 1 and accepted
+_TRIVIAL = {"table": [[0]]}
+_BOOLEANS = [
+    ("group validate", {"table": [[False, True, 2], [True, 2, False],
+                                  [2, False, True]]}),
+    ("group validate", {"order": True, "table": [[0]]}),
+    ("group validate", {"permutations": [[True, False]]}),
+    ("group validate", {"permutations": [[0]], "degree": True}),
+    ("dpg verify", _example_with("q8_dpg.json", ["subgroups", 1, 0], False)),
+    ("groupoid gauge", _mutated(GAUGE, ["action", "act", 0, 1], True)),
+    ("groupoid gauge", {"points": 1, "action": {
+        "group": _TRIVIAL, "points": True, "act": [[0]]}}),
+    ("groupoid gauge", {"points": True, "action": {
+        "group": _TRIVIAL, "points": 1, "act": [[0]]}}),
+    ("groupoid quotient", _mutated(_ONE_ARROW, ["groupoid", "objects"],
+                                   True)),
+    ("groupoid quotient", _mutated(_ONE_ARROW, ["groupoid", "src"],
+                                   [False])),
+    ("groupoid quotient", _mutated(_ONE_ARROW, ["groupoid", "mul"],
+                                   [[False, 0, 0]])),
+    ("cocycle check", {"charts": True, "group": _TRIVIAL, "values": []}),
+    ("cocycle check", _example_with("z3_cocycle.json", ["overlaps", 0],
+                                    [False, True])),
+    ("cocycle check", _example_with("z3_cocycle.json", ["triples", 0],
+                                    [False, True, 2])),
+    ("cocycle t2", _example_with("t2_chart.json", ["terms", 0, "exponents"],
+                                 [True])),
+    ("cocycle t2", _example_with("t2_chart.json", ["terms", 1, "target"],
+                                 False)),
+    ("cocycle t2", _example_with("t2_chart.json", ["terms", 0, "num"],
+                                 True)),
+]
+
+
+@pytest.mark.parametrize("command,data", _BOOLEANS)
+def test_boolean_for_an_integer_exits_2(tmp_path, capsys, command, data):
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(command.split() + [
+        write(tmp_path, "in.json", data), "--out", out]), out, capsys)
+
+
 @pytest.mark.parametrize("entry", [[5, 0, 0], [-1, 0, 0], [0, -1, 0]])
 def test_mul_key_outside_the_arrows_exits_2(tmp_path, capsys, entry):
     data = _mutated(_ONE_ARROW, ["groupoid", "mul"], [[0, 0, 0], entry])

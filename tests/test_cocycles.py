@@ -79,21 +79,34 @@ def f3_model(f3_handle):
 def test_trivial_principal_cocycle_gives_product_bundle(f3_handle, f3_model):
     G = f3_handle.group
     c = Cocycle(TWO_CHARTS, G, {(0, 1): G.identity})
-    assoc = associated_cocycle(c, f3_model)
+    sides = associated_cocycle(c, f3_model)
     assert f3_handle.elements[c.value(0, 1)] == identity_automorphism(SIG, F3)
-    assert assoc.rho_transitions[(0, 1)] == tuple(range(3))
+    assert [side[(0, 1)] for side in sides] == [tuple(range(3))] * 2
 
 
 def test_associated_transition_is_the_acting_map(f3_handle, f3_model):
     G = f3_handle.group
     a = example_aut()
     c = Cocycle(TWO_CHARTS, G, {(0, 1): f3_handle.index_of(a)})
-    assoc = associated_cocycle(c, f3_model)
+    rho, rho_prime = associated_cocycle(c, f3_model)
     assert f3_handle.elements[c.value(0, 1)] == a
     # the rho-quotient transition is y -> 2y, the permutation (0, 2, 1)
-    assert assoc.rho_transitions[(0, 1)] == (0, 2, 1)
+    assert rho[(0, 1)] == (0, 2, 1)
     # y' is untouched
-    assert assoc.rho_prime_transitions[(0, 1)] == (0, 1, 2)
+    assert rho_prime[(0, 1)] == (0, 1, 2)
+
+
+def test_three_gradings_give_three_sides():
+    # (y1, y2, y3) -> (2y1, y2, y3) over F3 moves only the first quotient
+    sig = GradedSignature.multi(3, {(1, 0, 0): 1, (0, 1, 0): 1,
+                                    (0, 0, 1): 1})
+    handle = enumerate_aut(sig, F3)
+    a = make_automorphism(sig, F3, [(0, (1, 0, 0), 2), (1, (0, 1, 0), 1),
+                                    (2, (0, 0, 1), 1)])
+    c = Cocycle(TWO_CHARTS, handle.group, {(0, 1): handle.index_of(a)})
+    sides = associated_cocycle(c, standard_fibered_space(handle))
+    assert [side[(0, 1)] for side in sides] == [(0, 2, 1), (0, 1, 2),
+                                                (0, 1, 2)]
 
 
 def test_cocycle_outside_the_structure_group_is_rejected(f3_model):
@@ -102,30 +115,38 @@ def test_cocycle_outside_the_structure_group_is_rejected(f3_model):
         associated_cocycle(c, f3_model)
 
 
-def z2_fibered(g1, g2, rho, rho_prime):
-    """Z2 on four points, its involution swapping 1 and 2."""
+def z2_fibered(*sides):
+    """Z2 on four points, its involution swapping 1 and 2; each side is
+    (subgroup members, class map)."""
     G = cyclic(2)
     perms = [(0, 1, 2, 3), (0, 2, 1, 3)]
-    return FiberedSpace(G, Subgroup(G, g1), Subgroup(G, g2), 4, perms,
-                        rho, rho_prime)
+    return FiberedSpace(G, 4, perms, [(Subgroup(G, members), classes)
+                                      for members, classes in sides])
 
 
-@pytest.mark.parametrize("g1, g2, which", [([0, 1], [0], "first"),
-                                           ([0], [0, 1], "second")])
-def test_subgroup_leaving_its_fibers_is_named(g1, g2, which):
+@pytest.mark.parametrize("nsides, side", [(2, 0), (2, 1), (3, 2)])
+def test_subgroup_leaving_its_fibers_is_named(nsides, side):
     # point 1 lies over class 0, its image 2 over class 1
+    sides = [([0], [0, 0, 1, 1])] * nsides
+    sides[side] = ([0, 1], [0, 0, 1, 1])
     with pytest.raises(ActionIncompatibleWithFibration) as e:
-        z2_fibered(g1, g2, [0, 0, 1, 1], [0, 0, 1, 1])
-    assert str(e.value) == "%s subgroup leaves its fibers" % which
+        z2_fibered(*sides)
+    assert str(e.value) == "subgroup of side %d leaves its fibers" % side
     assert e.value.details == {"element": 1, "point": 1}
 
 
 def test_element_that_does_not_descend_is_named():
-    fibered = z2_fibered([0], [0], [0, 1, 1, 2], [0, 1, 2, 3])
-    assert fibered.rho_perms == [(0, 1, 2), (0, 1, 2)]
-    assert fibered.rho_prime_perms == [(0, 1, 2, 3), (0, 2, 1, 3)]
+    fibered = z2_fibered(([0], [0, 1, 1, 2]), ([0], [0, 1, 2, 3]))
+    assert fibered.side_perms == [[(0, 1, 2), (0, 1, 2)],
+                                  [(0, 1, 2, 3), (0, 2, 1, 3)]]
     with pytest.raises(ActionIncompatibleWithFibration) as e:
-        z2_fibered([0], [0], [0, 0, 1, 1], [0, 1, 2, 3])
+        z2_fibered(([0], [0, 0, 1, 1]), ([0], [0, 1, 2, 3]))
+    assert str(e.value) == "element does not descend to the quotient"
+    assert e.value.details == {"element": 1}
+    # the two sides above descend; a third side that splits class 0 does not
+    with pytest.raises(ActionIncompatibleWithFibration) as e:
+        z2_fibered(([0], [0, 1, 1, 2]), ([0], [0, 1, 2, 3]),
+                   ([0], [0, 0, 1, 1]))
     assert str(e.value) == "element does not descend to the quotient"
     assert e.value.details == {"element": 1}
 

@@ -22,7 +22,8 @@ duplicate block), and ``aut verify-p54`` on a one-grading model whose G^1
 does not generate, and ``cocycle associate``/``frame`` on their
 docs/examples inputs, on inferred orientations and an element outside the
 group, and on frame inputs that break the inverse or triple law, hold an
-illegal slot or a singular linear block, or miss an orientation.  Further
+illegal slot or a singular linear block, or miss an orientation, and on
+models of three gradings and of one, which they refuse.  Further
 cases pin each verdict error a command reports
 as a failure (a non-associative table, a fixed point, two actions that are
 not compatible or not free, a singular chart), and a group-axiom error
@@ -52,6 +53,12 @@ D111 = {"mode": "multi", "n": 2,
                    {"sigma": [0, 1], "dim": 1},
                    {"sigma": [1, 1], "dim": 1}]}
 LINE = {"mode": "simple", "dims": [], "base": 1}
+# one coordinate of each degree e_i, for three and for one grading
+E3 = {"mode": "multi", "n": 3,
+      "blocks": [{"sigma": [1, 0, 0], "dim": 1},
+                 {"sigma": [0, 1, 0], "dim": 1},
+                 {"sigma": [0, 0, 1], "dim": 1}]}
+E1 = {"mode": "multi", "n": 1, "blocks": [{"sigma": [1], "dim": 1}]}
 S3 = [list(row) for row in symmetric(3).table]
 Z2 = [list(row) for row in cyclic(2).table]
 S4 = [list(row) for row in symmetric(4).table]
@@ -209,19 +216,19 @@ def _z2_on_pairs(kind):
     return obj
 
 
-def _associate(charts, overlaps, values):
-    """A ``cocycle associate`` input on the D111 model over F3; values are
-    (pair, element index)."""
-    return {"model": {"sig": D111, "field": {"Fp": 3}},
+def _associate(charts, overlaps, values, sig=D111):
+    """A ``cocycle associate`` input on a model over F3, D111 unless ``sig``
+    is given; values are (pair, element index)."""
+    return {"model": {"sig": sig, "field": {"Fp": 3}},
             "cocycle": {"charts": charts, "overlaps": overlaps,
                         "values": [{"pair": p, "element": k}
                                    for p, k in values]}}
 
 
-def _frame(charts, overlaps, values, triples=()):
-    """A ``cocycle frame`` input on the D111 model over F3; values are
-    (pair, [(target, exponents, num)])."""
-    return {"model": {"sig": D111, "field": {"Fp": 3}},
+def _frame(charts, overlaps, values, triples=(), sig=D111):
+    """A ``cocycle frame`` input on a model over F3, D111 unless ``sig`` is
+    given; values are (pair, [(target, exponents, num)])."""
+    return {"model": {"sig": sig, "field": {"Fp": 3}},
             "cocycle": {"charts": charts, "overlaps": overlaps,
                         "triples": list(triples),
                         "values": [{"pair": p, "terms": [
@@ -289,6 +296,13 @@ CASES = {
             3, [[0, 1], [1, 2]], [([1, 0], 10), ([2, 1], 17)])}),
     "cocycle_associate_out_of_range": (["cocycle", "associate", "{assoc}"], {
         "assoc": _associate(2, [[0, 1]], [([0, 1], 24)])}),
+    # the CLI builds the standard model of double gradings only
+    "cocycle_associate_three_gradings": (["cocycle", "associate", "{assoc}"], {
+        "assoc": _associate(2, [[0, 1]], [([0, 1], 0)], sig=E3)}),
+    "cocycle_associate_one_grading": (["cocycle", "associate", "{assoc}"], {
+        "assoc": _associate(2, [[0, 1]], [([0, 1], 0)], sig=E1)}),
+    "cocycle_frame_three_gradings": (["cocycle", "frame", "{frame}"], {
+        "frame": _frame(2, [[0, 1]], [([0, 1], IDENTITY)], sig=E3)}),
     "cocycle_frame_d111_f3": (["cocycle", "frame", _example("d111_frame.json")],
                               {}),
     # A = (y, y', z) -> (2y, y', yy' + z) is an involution over F3

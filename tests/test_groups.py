@@ -106,15 +106,19 @@ def test_entry_out_of_range():
         make_group([[0, 1], [1, 7]])
 
 
-@pytest.mark.parametrize("bad", [1.0, "1", None, [1], -1, 2])
+@pytest.mark.parametrize("bad", [1.0, "1", None, [1], -1, 2, True])
 def test_non_integer_or_out_of_range_entry_is_named(bad):
     with pytest.raises(InvalidInput) as e:
         make_group([[0, 1], [bad, 0]])
     assert e.value.details == {"row": 1, "value": bad}
 
 
+class _Int(int):
+    """An int subclass other than bool."""
+
+
 def test_int_subclass_entries_are_accepted_as_ints():
-    G = make_group([[False, True], [True, False]])
+    G = make_group([[_Int(0), _Int(1)], [_Int(1), _Int(0)]])
     assert G.table == ((0, 1), (1, 0))
     assert all(type(x) is int for row in G.table for x in row)
 
