@@ -14,7 +14,9 @@ nerve with triple overlaps), ``group validate`` on a table, on
 permutation inputs (S5, and an abelian set that is not transitive) and on a
 closure over ``--max-order``, ``dpg dressing`` (Q8, and two non-normal S4
 subgroups that do not generate, naming the first conjugator and the least
-missing element), and ``graded check-morphism``/``check-compat`` (a
+missing element), ``ntuple verify`` on Q8 (each child failing) and on a
+Z6 four-tuple failing two levels down, witnesses named by their rank in the
+level, and ``graded check-morphism``/``check-compat`` (a
 passing and a failing map, a shear-conjugated and a multi-signature pair of
 structures, and the input errors whose details spell a weight: a singular
 conjugating map, an axis beyond a simple signature, a negative and a
@@ -61,6 +63,7 @@ E3 = {"mode": "multi", "n": 3,
 E1 = {"mode": "multi", "n": 1, "blocks": [{"sigma": [1], "dim": 1}]}
 S3 = [list(row) for row in symmetric(3).table]
 Z2 = [list(row) for row in cyclic(2).table]
+Z6 = [list(row) for row in cyclic(6).table]
 S4 = [list(row) for row in symmetric(4).table]
 Q8 = [list(row) for row in quaternion_group().table]
 # S5 from a 5-cycle and a transposition
@@ -265,6 +268,11 @@ CASES = {
                                     "1;2"], {"dpg": {"gamma": _group(S4)}}),
     "ntuple_verify_q8": (["ntuple", "verify", _example("q8_dpg.json"),
                           "--subgroups", "2;4;6"], {}),
+    # (Z6; <3>, <2>, Z6, 1) fails only two levels down, where the missing
+    # element is named by its rank in that level: 1 in {0, 3} and {0, 2, 4}
+    "ntuple_verify_z6_depth_2": (["ntuple", "verify", "{nt}"], {
+        "nt": {"gamma": _group(Z6),
+               "subgroups": [[0, 3], [0, 2, 4], list(range(6)), [0]]}}),
     "aut_verify_p54_d111_f3": (["aut", "verify-p54", "--sig",
                                 _example("d111_sig.json"), "--field",
                                 "Fp:3"], {}),

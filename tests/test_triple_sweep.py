@@ -1,5 +1,5 @@
 """The paper's recursive n-tuple definition on every triple of subgroups of
-small groups.
+small groups, and on every 4-tuple from the command line.
 
 For each catalog group Γ every subgroup is enumerated, and ``verify_ntuple``
 runs on every ordered triple (G^1, G^2, G^3).  Its verdict must match
@@ -11,11 +11,19 @@ intersected sub-system (G^i; G^1∩G^i, ..., G^n∩G^i) is again
 no generating set or witness order is used.  On each pass the sweep also
 asserts that every pair (Γ; G^i, G^j) is a double principal group.
 
-The counts of groups, triples, passes and the triples that fail only below
+The whole trace must equal ``reference_trace``, which reifies every
+sub-system as a group of its own with ``subgroup_as_group`` and names each
+witness by its index there.  No level below the top may report NotNormal:
+an intersection of normal subgroups of Γ is normal in Γ, so in every
+subgroup of Γ that holds it.
+
+The counts of groups, tuples, passes and the tuples that fail only below
 the top level are pinned, so a shrinking catalog cannot hide a defect.
-Groups of order at most 8 run here; larger ones run from the command line:
+Triples of groups of order at most 8 run here; larger orders and 4-tuples
+run from the command line, as max order and arity:
 
     PYTHONPATH=src python tests/test_triple_sweep.py 12
+    PYTHONPATH=src python tests/test_triple_sweep.py 8 4
 """
 
 import sys
@@ -24,10 +32,14 @@ from itertools import product
 
 from test_theorem_sweep import all_subgroups, catalog
 
+from ntpg.groups import (Subgroup, normality_witness, subgroup_as_group,
+                         subgroup_closure)
 from ntpg.principal import verify_double, verify_ntuple
 
-# max order -> (groups, ordered triples, passes, failing below the top)
-PINNED = {8: (13, 6_056, 670, 3_231), 12: (19, 10_979, 781, 3_588)}
+# (arity, max order) -> (groups, ordered tuples, passes, failing below the
+# top)
+PINNED = {(3, 8): (13, 6_056, 670, 3_231), (3, 12): (19, 10_979, 781, 3_588),
+          (4, 8): (13, 80_706, 1_573, 63_208)}
 
 
 @cache
@@ -50,39 +62,78 @@ def is_ntuple_principal(G, group, subs):
         for i, H in enumerate(subs))
 
 
-def sweep(max_order):
-    """(groups, triples, passes, failing below the top) over the catalog
-    up to max_order."""
+def reference_trace(G, subs, path=()):
+    """The trace of (G; subs) with every sub-system reified as a group of
+    its own: each level's witnesses are indices of that level's group."""
+    failures = []
+    for i, H in enumerate(subs):
+        w = normality_witness(G, H)
+        if w is not None:
+            failures.append({"kind": "NotNormal", "subgroup": i,
+                             "witness": {"conjugator": w[0], "element": w[1]}})
+    span = subgroup_closure(G, [m for H in subs for m in H.members])
+    if len(span) != G.order:
+        failures.append({"kind": "NotGenerating",
+                         "missing": min(set(G.elements()) - set(span.members))})
+    node = {"path": list(path), "group_order": G.order,
+            "subgroup_orders": [len(H) for H in subs],
+            "failures": failures, "children": []}
+    if failures or len(subs) < 3:
+        return node
+    for i, H in enumerate(subs):
+        Hgrp, _, from_parent = subgroup_as_group(H)
+        children = [Subgroup(Hgrp, [from_parent[m] for m in H.members
+                                    if m in K]) for j, K in enumerate(subs)
+                    if j != i]
+        node["children"].append(reference_trace(Hgrp, children, path + (i,)))
+    return node
+
+
+def _nodes(node):
+    yield node
+    for child in node["children"]:
+        yield from _nodes(child)
+
+
+def sweep(max_order, arity=3):
+    """(groups, tuples, passes, failing below the top) over the catalog up
+    to max_order, on every ordered tuple of the given arity."""
     groups = catalog(max_order)
-    triples = passes = below = 0
+    tuples = passes = below = 0
     for name, G in groups:
         subs = all_subgroups(G)
-        for triple in product(subs, repeat=3):
-            triples += 1
-            w = verify_ntuple(G, list(triple))
-            sets = tuple(frozenset(H.members) for H in triple)
+        for tup in product(subs, repeat=arity):
+            tuples += 1
+            w = verify_ntuple(G, list(tup))
+            sets = tuple(frozenset(H.members) for H in tup)
             expected = is_ntuple_principal(G, frozenset(G.elements()), sets)
-            case = (name, [H.members for H in triple])
+            case = (name, [H.members for H in tup])
             assert w.verdict == expected, case
+            assert w.trace == reference_trace(G, tup), case
+            assert not any(f["kind"] == "NotNormal"
+                           for node in _nodes(w.trace) if node["path"]
+                           for f in node["failures"]), case
             if w.verdict:
                 passes += 1
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        assert verify_double(G, triple[i], triple[j]).ok, case
+                for i in range(arity):
+                    for j in range(i + 1, arity):
+                        assert verify_double(G, tup[i], tup[j]).ok, case
             elif not w.trace["failures"]:
                 below += 1
-    return len(groups), triples, passes, below
+    return len(groups), tuples, passes, below
 
 
 def test_triple_sweep_up_to_order_8():
-    assert sweep(8) == PINNED[8]
+    assert sweep(8) == PINNED[3, 8]
 
 
 if __name__ == "__main__":
     order = int(sys.argv[1])
-    counts = sweep(order)
-    print("groups %d, triples %d, passes %d, failing below the top %d"
+    arity = int(sys.argv[2]) if len(sys.argv) > 2 else 3
+    counts = sweep(order, arity)
+    print("groups %d, tuples %d, passes %d, failing below the top %d"
           % counts, flush=True)
-    if order in PINNED and counts != PINNED[order]:
-        sys.exit("expected groups %d, triples %d, passes %d, failing below "
-                 "the top %d" % PINNED[order])
+    pinned = PINNED.get((arity, order))
+    if pinned and counts != pinned:
+        sys.exit("expected groups %d, tuples %d, passes %d, failing below "
+                 "the top %d" % pinned)
