@@ -100,7 +100,10 @@ def _int_rows(table, n):
         r = tuple(row)
         if set(map(type, r)) != {int} or not full.issuperset(r):
             for x in r:
-                if not is_int(x) or not 0 <= x < n:
+                if not is_int(x):
+                    raise InvalidInput("entry is not an integer", row=i,
+                                       value=x)
+                if not 0 <= x < n:
                     raise InvalidInput("entry out of range", row=i, value=x)
             r = tuple(map(int, r))
         rows.append(r)
@@ -202,7 +205,7 @@ def _product_generators(rows, pos, units, src, tgt, candidates):
                 row = rows[y]
                 nxt.extend(row[pos[s]] for s in ending[src[y]])
             frontier = nxt
-    return gens, reached
+    return tuple(gens), reached
 
 
 def _light_test(rows, pos, leaving, tgt, gens):
@@ -323,11 +326,13 @@ class Subgroup:
 
     Every Subgroup is validated when built, by the library too, at
     |H|*|kept| lookups: the members must equal their closure under
-    products.  Only a subset that is not a subgroup gets the scan of every
-    inverse and every pair in index order, which names the first failure.
+    products, and ``generators`` keeps the members that closure picks by the
+    greedy rule of ``FiniteGroup.generators``.  Only a subset that is not a
+    subgroup gets the scan of every inverse and every pair in index order,
+    which names the first failure.
     """
 
-    __slots__ = ("parent", "members", "_set")
+    __slots__ = ("parent", "members", "_set", "generators")
 
     def __init__(self, parent, members):
         self.parent = parent
@@ -343,7 +348,8 @@ class Subgroup:
         if G.identity not in self._set:
             raise InvalidInput("subgroup misses the identity")
         # the closure holds the members; equal sizes mean they are closed
-        if len(_closure(G, self.members)) == len(self.members):
+        self.generators, reached = _closure(G, self.members)
+        if len(reached) == len(self.members):
             return
         # otherwise name the first failure in index order
         for a in self.members:
@@ -372,17 +378,16 @@ class Subgroup:
 
 
 def _closure(G, gens):
-    """The set of elements of G that products of the in-range ints gens
-    reach, the identity included.
+    """(kept, reached): reached is the set of elements of G that products
+    of the in-range ints gens reach, the identity included.
 
     Cost: |H|*|kept| lookups.  The inputs not yet reached, in index order,
     are kept and extended by right products: in a finite group those hold
     every inverse too.
     """
     zeros = [0] * G.order
-    _, reached = _product_generators(G.table, range(G.order), [G.identity],
-                                     zeros, zeros, sorted(set(gens)))
-    return reached
+    return _product_generators(G.table, range(G.order), [G.identity],
+                               zeros, zeros, sorted(set(gens)))
 
 
 def subgroup_closure(G, generators):
@@ -391,15 +396,7 @@ def subgroup_closure(G, generators):
     for g in generators:
         if not 0 <= int(g) < G.order:
             raise InvalidInput("generator out of range", generator=g)
-    return Subgroup(G, _closure(G, map(int, generators)))
-
-
-def _require_same_parent(*subs):
-    parent = subs[0].parent
-    for s in subs[1:]:
-        if s.parent is not parent:
-            raise ParentMismatch("subgroups of different parent groups")
-    return parent
+    return Subgroup(G, _closure(G, map(int, generators))[1])
 
 
 def is_normal(G, H):
@@ -410,21 +407,24 @@ def is_normal(G, H):
 def normality_witness(G, H):
     """First (g, h) in index order with g h g^-1 outside H, or None.
 
-    Cost: |gens|*|H| conjugations by G's product generators.  The g with
-    gHg^-1 inside H are closed under products, and every element below a
-    generator is a product of earlier ones, so the first g that fails is
-    the first generator that fails.
+    G is a group, or a Subgroup of H's parent standing for the group of
+    its members.  Cost: |gens|*|H| conjugations by G's product generators.
+    The g with gHg^-1 inside H are closed under products, and every
+    element below a generator is a product of earlier ones, so the first g
+    that fails is the first generator that fails.
     """
-    if H.parent is not G:
+    parent = G.parent if isinstance(G, Subgroup) else G
+    if H.parent is not parent:
         raise ParentMismatch("subgroup does not belong to this group")
-    t, inv, members = G.table, G.inverse, H._set
+    t, inv, members = parent.table, parent.inverse, H._set
     return next(((g, h) for g in G.generators for h in H.members
                  if t[t[g][h]][inv[g]] not in members), None)
 
 
 def intersect(H1, H2):
-    parent = _require_same_parent(H1, H2)
-    return Subgroup(parent, H1._set & H2._set)
+    if H1.parent is not H2.parent:
+        raise ParentMismatch("subgroups of different parent groups")
+    return Subgroup(H1.parent, H1._set & H2._set)
 
 
 def generates(G, subgroups):
@@ -434,7 +434,7 @@ def generates(G, subgroups):
         if H.parent is not G:
             raise ParentMismatch("subgroup does not belong to this group")
         gens |= H._set
-    return len(_closure(G, gens)) == G.order
+    return len(_closure(G, gens)[1]) == G.order
 
 
 class GroupHom:

@@ -70,18 +70,22 @@ def _quotient_of_subgroup(H, core):
     return Q
 
 
-def _failures(gamma, labelled):
+def _failures(level, labelled):
     """NotNormal for each (label, subgroup) in order, then NotGenerating if
-    the union falls short of gamma, each with its least witness."""
+    the union falls short of the level, a Subgroup of Γ holding them all;
+    each least witness is named by its rank among the level's members."""
+    rank = level.members.index
     failures = []
     for label, H in labelled:
-        w = normality_witness(gamma, H)
+        w = normality_witness(level, H)
         if w is not None:
             failures.append({"kind": "NotNormal", "subgroup": label,
-                             "witness": {"conjugator": w[0], "element": w[1]}})
-    gen = _closure(gamma, set().union(*(H.members for _, H in labelled)))
-    if len(gen) != gamma.order:
-        missing = min(set(range(gamma.order)) - gen)
+                             "witness": {"conjugator": rank(w[0]),
+                                         "element": rank(w[1])}})
+    _, gen = _closure(level.parent,
+                      set().union(*(H.members for _, H in labelled)))
+    if len(gen) != len(level):
+        missing = next(i for i, m in enumerate(level.members) if m not in gen)
         failures.append({"kind": "NotGenerating", "missing": missing})
     return failures
 
@@ -95,7 +99,8 @@ def verify_double(gamma, g1, g2):
     """
     if g1.parent is not gamma or g2.parent is not gamma:
         raise ParentMismatch("subgroups of a different parent group")
-    failures = _failures(gamma, [("g1", g1), ("g2", g2)])
+    failures = _failures(Subgroup(gamma, range(gamma.order)),
+                         [("g1", g1), ("g2", g2)])
     if failures:
         return VerifyResult(False, None, failures)
     return VerifyResult(True, DoublePrincipalGroup(gamma, g1, g2,
@@ -115,26 +120,18 @@ class NTupleWitness:
         self.trace = trace
 
 
-def _verify_ntuple_level(gamma, subgroups, path):
+def _verify_ntuple_level(level, subgroups, path):
     node = {"path": list(path),
-            "group_order": gamma.order,
+            "group_order": len(level),
             "subgroup_orders": [len(H) for H in subgroups],
-            "failures": _failures(gamma, list(enumerate(subgroups))),
+            "failures": _failures(level, list(enumerate(subgroups))),
             "children": []}
     ok = not node["failures"]
-    n = len(subgroups)
-    if ok and n >= 3:
-        # recurse into each intersected sub-system at level n-1
+    if ok and len(subgroups) >= 3:
+        # recurse into each intersected sub-system at level n-1, in Γ
         for i, H in enumerate(subgroups):
-            Hgrp, to_parent, from_parent = subgroup_as_group(H)
-            subs = []
-            for j, K in enumerate(subgroups):
-                if j == i:
-                    continue
-                inter = intersect(H, K)
-                subs.append(Subgroup(Hgrp,
-                                     [from_parent[m] for m in inter.members]))
-            child_ok, child = _verify_ntuple_level(Hgrp, subs, path + [i])
+            subs = [intersect(H, K) for j, K in enumerate(subgroups) if j != i]
+            child_ok, child = _verify_ntuple_level(H, subs, path + [i])
             node["children"].append(child)
             ok = ok and child_ok
     return ok, node
@@ -145,17 +142,20 @@ def verify_ntuple(gamma, subgroups):
 
     n = 1 asks the single subgroup to be normal and generating (so equal to
     the whole group); n = 2 coincides with `verify_double`; n >= 3 recurses
-    into every intersected sub-system.  When the verdict is true, the
-    consequence that every pair (Γ; G^i, G^j) is a double principal group
-    is asserted as a theory oracle, once per unordered pair since the
-    verdict is symmetric in the two subgroups.  The oracle decides only
-    normality and generation, so it builds no quotient; a G^i equal to the
-    whole group is recursed into as that group itself, not a rebuilt copy.
+    into every intersected sub-system.  Each level is a Subgroup of Γ, the
+    top one all of Γ, read in Γ's table: none is rebuilt as a group of its
+    own, and a witness is named by its rank among the level's members, its
+    index in the level reified.  When the verdict is true, the consequence
+    that every pair (Γ; G^i, G^j) is a double principal group is asserted
+    as a theory oracle, once per unordered pair since the verdict is
+    symmetric in the two subgroups.  The oracle decides only normality and
+    generation, so it builds no quotient.
     """
     for H in subgroups:
         if H.parent is not gamma:
             raise ParentMismatch("subgroups of a different parent group")
-    ok, trace = _verify_ntuple_level(gamma, list(subgroups), [])
+    ok, trace = _verify_ntuple_level(Subgroup(gamma, range(gamma.order)),
+                                     list(subgroups), [])
     if ok and len(subgroups) >= 2:
         for i in range(len(subgroups)):
             for j in range(i + 1, len(subgroups)):

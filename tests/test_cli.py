@@ -700,6 +700,22 @@ def test_boolean_for_an_integer_exits_2(tmp_path, capsys, command, data):
         write(tmp_path, "in.json", data), "--out", out]), out, capsys)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (False, "entry is not an integer"), ("1", "entry is not an integer"),
+    (1.5, "entry is not an integer"), (3, "entry out of range")])
+def test_bad_table_entry_is_named_by_its_check(tmp_path, capsys, bad,
+                                               message):
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    table[1][2] = bad
+    out = str(tmp_path / "rep.json")
+    _assert_input_error(run(["group", "validate",
+                             write(tmp_path, "in.json", {"table": table}),
+                             "--out", out]), out, capsys)
+    details = read_report(out)["details"]
+    assert details["message"] == message
+    assert details["details"] == {"row": 1, "value": bad}
+
+
 @pytest.mark.parametrize("entry", [[5, 0, 0], [-1, 0, 0], [0, -1, 0]])
 def test_mul_key_outside_the_arrows_exits_2(tmp_path, capsys, entry):
     data = _mutated(_ONE_ARROW, ["groupoid", "mul"], [[0, 0, 0], entry])

@@ -111,6 +111,9 @@ def test_non_integer_or_out_of_range_entry_is_named(bad):
     with pytest.raises(InvalidInput) as e:
         make_group([[0, 1], [bad, 0]])
     assert e.value.details == {"row": 1, "value": bad}
+    # only -1 and 2 are integers; a bool is not one
+    assert str(e.value) == ("entry out of range" if type(bad) is int
+                            else "entry is not an integer")
 
 
 class _Int(int):
@@ -613,6 +616,22 @@ def test_subgroup_as_group_roundtrip():
             assert to_parent[Hg.table[a][b]] == G.mul(to_parent[a], to_parent[b])
 
 
+def test_subgroup_reads_as_its_reified_group():
+    # a subgroup keeps the generators its reified group picks, and
+    # normality inside it reads the same through the order-keeping relabel
+    G = symmetric(4)
+    subs = {subgroup_closure(G, {a, b}) for a in range(24) for b in range(a)}
+    for H in subs:
+        Hg, to_parent, from_parent = subgroup_as_group(H)
+        assert tuple(to_parent[g] for g in Hg.generators) == H.generators
+        for K in subs:
+            if set(K.members) <= set(H.members):
+                inner = Subgroup(Hg, [from_parent[m] for m in K.members])
+                w = normality_witness(Hg, inner)
+                assert normality_witness(H, K) == (
+                    w and (to_parent[w[0]], to_parent[w[1]]))
+
+
 def test_subgroup_as_group_reuses_the_whole_group():
     # the restricted table of the whole group is the parent's table, and
     # make_group on it rebuilds the parent field by field
@@ -626,6 +645,7 @@ def test_subgroup_as_group_reuses_the_whole_group():
         assert (rebuilt.table, rebuilt.identity, rebuilt.inverse,
                 rebuilt.generators) == (G.table, G.identity, G.inverse,
                                         G.generators)
+        assert whole.generators == G.generators
     G = quaternion_group()
     Hg, _, _ = subgroup_as_group(subgroup_closure(G, {Q8_K}))
     assert Hg is not G

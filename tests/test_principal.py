@@ -117,7 +117,17 @@ def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
     G = make_group([[a ^ b for b in range(n)] for a in range(n)])
     subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
             for i in range(k)]
-    assert verify_ntuple(G, subs).verdict
+
+    # every child level is a proper subgroup, read in G's own table
+    def rebuild(*args):
+        raise AssertionError("verify_ntuple rebuilt a group")
+
+    for module in (ntpg.principal, ntpg.groups):
+        monkeypatch.setattr(module, "make_group", rebuild)
+        monkeypatch.setattr(module, "subgroup_as_group", rebuild)
+    w = verify_ntuple(G, subs)
+    assert w.verdict
+    assert w.trace["children"][0]["group_order"] == n // 2
 
 
 def test_single_full_subgroup_is_1_tuple():

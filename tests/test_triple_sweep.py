@@ -71,10 +71,11 @@ def reference_trace(G, subs, path=()):
         if w is not None:
             failures.append({"kind": "NotNormal", "subgroup": i,
                              "witness": {"conjugator": w[0], "element": w[1]}})
-    span = subgroup_closure(G, [m for H in subs for m in H.members])
+    span = set(subgroup_closure(G, [m for H in subs for m in H.members])
+               .members)
     if len(span) != G.order:
         failures.append({"kind": "NotGenerating",
-                         "missing": min(set(G.elements()) - set(span.members))})
+                         "missing": min(set(G.elements()) - span)})
     node = {"path": list(path), "group_order": G.order,
             "subgroup_orders": [len(H) for H in subs],
             "failures": failures, "children": []}
