@@ -71,11 +71,10 @@ def reference_trace(G, subs, path=()):
         if w is not None:
             failures.append({"kind": "NotNormal", "subgroup": i,
                              "witness": {"conjugator": w[0], "element": w[1]}})
-    span = set(subgroup_closure(G, [m for H in subs for m in H.members])
-               .members)
+    span = subgroup_closure(G, [m for H in subs for m in H.members])
     if len(span) != G.order:
-        failures.append({"kind": "NotGenerating",
-                         "missing": min(set(G.elements()) - span)})
+        missing = min(set(G.elements()) - set(span.members))
+        failures.append({"kind": "NotGenerating", "missing": missing})
     node = {"path": list(path), "group_order": G.order,
             "subgroup_orders": [len(H) for H in subs],
             "failures": failures, "children": []}
