@@ -13,7 +13,7 @@ over F_p it is fixed by its values on the cube {0,1}^m.  The enumeration
 therefore builds only the maps with invertible linear blocks, so its work
 grows with |Aut| and not with the coefficient grid, stores each as a
 permutation of the points of F_p^m, and builds the group table from these
-permutations instead of composing polynomials: a few generators' columns
+permutations instead of composing polynomials: a few generators' rows
 are looked up by cube values and the rest are read off them.  Symbolic
 composition stays the test oracle.
 
@@ -35,8 +35,7 @@ from .errors import (EnumerationCapExceeded, IllegalMonomial,
 from .fields import mat_inv
 from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
                      monomials_of_weight, triangular_inverse)
-from .groups import (Subgroup, _fill_columns, _reader, intersect,
-                     make_group)
+from .groups import Subgroup, _built_group, _fill_rows, _reader, intersect
 from .poly import Poly
 
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -286,17 +285,18 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     ``cap`` still bounds the p^slots grid.  Each map is stored as its
     permutation of the p^m points of F_p^m, a sum of cached per-coordinate
     digit columns.  The group table is read off these permutations: the
-    composite i after g sends the cube {0,1}^m to perm_i applied to g's
+    composite g after k sends the cube {0,1}^m to perm_g applied to k's
     cube image, and that image is looked up among the cube images of the
     enumerated maps.  This is exact: the model has no base coordinates and
     0/1 weights, so every weight-preserving map, composites included, is
     multilinear, and a multilinear map over F_p is fixed by its values on
-    the cube (Moebius inversion).  Only greedily chosen generators' columns
+    the cube (Moebius inversion).  Only greedily chosen generators' rows
     are looked up; the others are read off them.  A composite whose cube
     image is not found, or two maps with one cube image, raise
-    InternalInconsistency.  The table goes through the validating group
-    builder.  The handle keeps each map's slot values; its polynomial maps,
-    with their inverses read off the table, are built only when read.
+    InternalInconsistency.  The table goes through ``groups._built_group``,
+    which runs Light's test over the looked-up generators.  The handle
+    keeps each map's slot values; its polynomial maps, with their inverses
+    read off the table, are built only when read.
     """
     _require_model_signature(sig)
     if field.char == 0:
@@ -362,22 +362,23 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
 
     n = len(kept)
     e = by_cube[tuple(cube)]
-    cols = [None] * n
-    cols[e] = tuple(range(n))
+    rows = [None] * n
+    rows[e] = tuple(by_cube.values())
+    # row g by lookup: k -> g after k, perm_g read through k's cube image
+    through = [_reader(on_cube(q)) for q in perms]
     gens = []
     for g in range(n):
-        if cols[g] is None:
-            # column g by lookup: i -> i after g, for every i
-            after_g = _reader(on_cube(perms[g]))
-            col = cols[g] = tuple(by_cube.get(after_g(q)) for q in perms)
-            if None in col:
+        if rows[g] is None:
+            row = rows[g] = tuple(by_cube.get(read(perms[g]))
+                                  for read in through)
+            if None in row:
                 raise InternalInconsistency(
                     "composition left the enumerated shape",
-                    pair=(col.index(None), g))
+                    pair=(g, row.index(None)))
             gens.append(g)
-            _fill_columns(cols, e, gens)
-    group = make_group(tuple(zip(*cols)))
-    return AutGroupHandle(sig, field, group, kept, perms)
+            _fill_rows(rows, e, gens)
+    return AutGroupHandle(sig, field, _built_group(tuple(rows), gens), kept,
+                          perms)
 
 
 class P54Report:

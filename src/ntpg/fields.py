@@ -8,7 +8,7 @@ knows how.  ``Field.of`` checks and converts an input scalar, and division
 goes through ``Field.inv`` so that the zero-divisor check lives in one place.
 """
 
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInput, NotInvertible, is_int
 
@@ -29,14 +29,21 @@ def _is_prime(n):
 class RationalField:
     char = 0
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+
+    @cached_property
+    def _fraction(self):
+        # imported on first use, so a run over F_p never loads it
+        from fractions import Fraction
+        return Fraction
+
+    zero = cached_property(lambda self: self._fraction(0))
+    one = cached_property(lambda self: self._fraction(1))
 
     def of(self, x):
-        if isinstance(x, Fraction):
+        if isinstance(x, self._fraction):
             return x
         if isinstance(x, int):
-            return Fraction(x)
+            return self._fraction(x)
         raise InvalidInput("not a rational scalar", value=repr(x))
 
     def norm(self, a):
@@ -48,10 +55,10 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise NotInvertible("division by zero in Q")
-        return 1 / Fraction(a)
+        return 1 / self._fraction(a)
 
     def parse(self, num, den="1"):
-        return Fraction(int(num), int(den))
+        return self._fraction(int(num), int(den))
 
     def unparse(self, a):
         return (str(a.numerator), str(a.denominator))

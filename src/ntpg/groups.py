@@ -3,8 +3,10 @@
 Elements of a group of order n are the indices 0..n-1.  The identity is
 discovered from the table, never assumed to sit at index 0.  All validation
 is exhaustive at every order: a ``FiniteGroup`` that exists has had its
-Latin-square, identity, inverse and associativity axioms checked, the last
-by Light's test over a generating set.
+identity, inverse and associativity axioms checked, the last by Light's
+test over a generating set, so its columns are Latin by theorem.
+``make_group`` takes tables from outside, ``_built_group`` the tables this
+library builds (from permutations, and the Aut tables of ``autgroups``).
 
 This is also the one action toolkit.  ``FiniteAction`` is the only check
 of the action law, proved the same way on the group's product generators;
@@ -17,9 +19,10 @@ quotient by a subgroup of the kernel.
 from collections import defaultdict
 from operator import itemgetter
 
-from .errors import (ClosureCapExceeded, InternalInconsistency, InvalidInput,
-                     NoIdentity, NoInverse, NonAssociative, NotAnAction,
-                     NotLatinSquare, NotNormal, ParentMismatch, is_int)
+from .errors import (AlgebraError, ClosureCapExceeded, InternalInconsistency,
+                     InvalidInput, NoIdentity, NoInverse, NonAssociative,
+                     NotAnAction, NotLatinSquare, NotNormal, ParentMismatch,
+                     is_int)
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -27,20 +30,21 @@ DEFAULT_CLOSURE_CAP = 10_000
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    Immutable after construction; only :func:`make_group` constructs one
-    (the other constructors in this module go through it), so the axioms
-    are actually verified and ``generators`` is always set.  ``table`` is a
-    tuple of int tuples; ``generators`` is the product-generating set the
-    associativity check ran over, ascending, each the least element that
-    products of the earlier ones miss.  A property closed under products
-    holds for the group once it holds for each generator.  These run over
-    ``generators``: Light's associativity test, ``is_abelian`` and
-    ``center``, ``normality_witness``, ``GroupHom`` validation, the
-    ``FiniteAction`` law, the orbits of ``action_check``, and
-    ``semidirect``'s twist check.
+    Immutable after construction; only :func:`make_group`, and
+    ``_built_group`` for tables the library built, construct one, so the
+    axioms are actually verified and ``generators`` is always set.
+    ``table`` is a tuple of int tuples; ``generators`` is a product-generating
+    set, ascending, each the least element that products of the earlier
+    ones miss.  A property closed under products holds for the group once
+    it holds for each generator.  These run over ``generators``: Light's
+    associativity test in ``make_group``, ``is_abelian`` and ``center``,
+    ``normality_witness``, ``GroupHom`` validation, the ``FiniteAction``
+    law, the orbits of ``action_check``, ``check_compatible`` in
+    ``groupoids``, and ``semidirect``'s twist check.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "generators")
+    __slots__ = ("order", "table", "identity", "inverse", "generators",
+                 "_whole")
 
     def __init__(self, table, identity, inverse, generators):
         self.order = len(table)
@@ -48,6 +52,13 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(inverse)
         self.generators = tuple(generators)
+        self._whole = None
+
+    def whole(self):
+        """The group as a Subgroup of itself, built on the first call."""
+        if self._whole is None:
+            self._whole = Subgroup(self, range(self.order))
+        return self._whole
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -86,41 +97,47 @@ class FiniteGroup:
         return "FiniteGroup(order=%d)" % self.order
 
 
-def _int_rows(table, n):
-    """Range-check every entry and return the rows as int tuples.
+def _rows(table, n):
+    """The rows as tuples that share one int object per value.
 
-    Entries must pass ``is_int`` (subclasses are converted with ``int``)
-    in 0..n-1; the first bad row or entry in index order is reported.
+    A row of exact ints that is a permutation of 0..n-1 passes in one
+    set-based sweep; any other is read entry by entry.  The first short
+    row, or entry that is not an int (``is_int``; subclasses are converted
+    with ``int``) or not in 0..n-1, raises InvalidInput; only then does the
+    first row that is not a permutation raise NotLatinSquare.  Shared
+    entries let tuple comparison stop on identity in Light's test.
     """
-    full = frozenset(range(n))
-    rows = []
+    ints, full = tuple(range(n)), set(range(n))
+    rows, not_latin = [], None
     for i, row in enumerate(table):
         if len(row) != n:
             raise InvalidInput("table is not square", row=i)
-        r = tuple(row)
-        if set(map(type, r)) != {int} or not full.issuperset(r):
-            for x in r:
-                if not is_int(x):
-                    raise InvalidInput("entry is not an integer", row=i,
-                                       value=x)
-                if not 0 <= x < n:
-                    raise InvalidInput("entry out of range", row=i, value=x)
-            r = tuple(map(int, r))
-        rows.append(r)
+        if set(map(type, row)) == {int} and set(row) == full:
+            rows.append(_reader(row)(ints))
+            continue
+        for x in row:
+            if not is_int(x):
+                raise InvalidInput("entry is not an integer", row=i, value=x)
+            if not 0 <= x < n:
+                raise InvalidInput("entry out of range", row=i, value=x)
+        rows.append(tuple(map(int, row)))
+        if not_latin is None and set(rows[-1]) != full:
+            not_latin = i
+    if not_latin is not None:
+        raise NotLatinSquare("row %d is not a permutation" % not_latin,
+                             row=not_latin)
     return tuple(rows)
 
 
-def _check_latin(table, n):
-    for i, row in enumerate(table):
-        if len(set(row)) != n:
-            raise NotLatinSquare("row %d is not a permutation" % i, row=i)
+def _check_columns(table, n):
     for j, col in enumerate(zip(*table)):
         if len(set(col)) != n:
             raise NotLatinSquare("column %d is not a permutation" % j, column=j)
 
 
 def _find_identity(table, n):
-    # a Latin square has at most one row equal to the identity row
+    # a row a equal to the identity row has a = a*e = e for a two-sided
+    # identity e, so only the first such row can be one
     ident = tuple(range(n))
     if ident in table:
         e = table.index(ident)
@@ -130,7 +147,7 @@ def _find_identity(table, n):
 
 
 def _find_inverses(table, e):
-    # in a Latin square a*b = e has exactly one solution b per a
+    # each row is a permutation, so a*b = e has exactly one solution b per a
     inverse = []
     for a, row in enumerate(table):
         b = row.index(e)
@@ -148,23 +165,23 @@ def _reader(keys):
     return lambda row: tuple(row[k] for k in keys)
 
 
-def _fill_columns(cols, e, gens):
-    """Fill in the column x -> x*b of every b that products of gens reach.
+def _fill_rows(rows, e, gens):
+    """Fill in the row x -> b*x of every b that products of gens reach.
 
-    cols[e] and cols[g] for each g in gens are given; every other reached
-    column is a generator's column read through an earlier one,
-    cols[a*g] = cols[g] read through cols[a], since x*(a*g) = (x*a)*g.
-    That is |G| index lookups per column.
+    rows[e] and rows[g] for each g in gens are given; every other reached
+    row is a generator's row read through an earlier one,
+    rows[g*a] = rows[g] read through rows[a], since (g*a)*x = g*(a*x).
+    That is |G| index lookups per row.
     """
     reached, seen = [e], {e}
     for a in reached:
         for g in gens:
-            c = cols[g][a]
+            c = rows[g][a]
             if c not in seen:
                 seen.add(c)
                 reached.append(c)
-                if cols[c] is None:
-                    cols[c] = _reader(cols[a])(cols[g])
+                if rows[c] is None:
+                    rows[c] = _reader(rows[a])(rows[g])
 
 
 # A partial product in row form: rows[x][pos[s]] is x*s for every s with
@@ -225,16 +242,16 @@ def _light_test(rows, pos, leaving, tgt, gens):
     return True
 
 
-def _check_associative(table, n, e):
-    """Light's associativity test, exhaustive at every order.
-
-    Returns the product-generating set it checked.  On failure the table is
-    rescanned for the first violating triple in index order.
-    """
+def _check_associative(table, n, e, gens=()):
+    """Light's associativity test, exhaustive at every order, over gens
+    whose products reach every element (default: the greedy product
+    generators, which it returns).  On failure the table is rescanned for
+    the first violating triple in index order."""
     zeros = [0] * n
-    gens, _ = _product_generators(table, range(n), [e], zeros, zeros, range(n))
-    if _light_test(table, range(n), [table], zeros, gens):
-        return gens
+    greedy, _ = _product_generators(table, range(n), [e], zeros, zeros,
+                                    range(n))
+    if _light_test(table, range(n), [table], zeros, gens or greedy):
+        return greedy
     through = [itemgetter(*row) for row in table]
     for a, row in enumerate(table):
         for b, ab in enumerate(row):
@@ -248,18 +265,41 @@ def _check_associative(table, n, e):
 def make_group(table):
     """Validate a multiplication table and return the FiniteGroup.
 
-    Raises NotLatinSquare / NoIdentity / NoInverse / NonAssociative, each
-    naming the first violating element or triple in index order.
+    ``_rows`` checks the rows in one pass, then come the identity, the
+    inverses and Light's test.  With all three the columns are Latin by
+    theorem, so they are read only when one fails, before it reports.
+    Raises InvalidInput / NotLatinSquare / NoIdentity / NoInverse /
+    NonAssociative as checks in that order would, each naming the first
+    violating entry, row, column, element or triple in index order.
     """
     n = len(table)
     if n == 0:
         raise InvalidInput("empty multiplication table")
-    table = _int_rows(table, n)
-    _check_latin(table, n)
-    e = _find_identity(table, n)
-    inverse = _find_inverses(table, e)
-    gens = _check_associative(table, n, e)
-    return FiniteGroup(table, e, inverse, gens)
+    rows = _rows(table, n)
+    try:
+        e = _find_identity(rows, n)
+        inverse = _find_inverses(rows, e)
+        gens = _check_associative(rows, n, e)
+    except (NoIdentity, NoInverse, NonAssociative):
+        _check_columns(rows, n)
+        raise
+    return FiniteGroup(rows, e, inverse, gens)
+
+
+def _built_group(rows, gens):
+    """The FiniteGroup of a table the library built from gens, its other
+    rows filled in by ``_fill_rows``: entries are indices by construction,
+    so the row pass of ``make_group`` is skipped, and Light's test runs
+    over gens.  A failure is a library bug."""
+    n = len(rows)
+    try:
+        if None not in rows:
+            e = _find_identity(rows, n)
+            return FiniteGroup(rows, e, _find_inverses(rows, e),
+                               _check_associative(rows, n, e, gens))
+    except (AlgebraError, ValueError):      # ValueError: a row without e
+        pass
+    raise InternalInconsistency("a table the library built is not a group")
 
 
 def _compose_perm(p, q):
@@ -275,12 +315,12 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
     puts the identity at index 0.  Multiplication is composition in the
     left-to-right order: (p*q)(x) = q(p(x)).
 
-    Cost: the closure composes each element with each generator once,
+    Cost: the closure composes each generator with each element once,
     |G|*|gens| compositions, and those products are all the table needs.
-    Column a*g is generator g's right translation read through column a,
-    since x*(a*g) = (x*a)*g, which is |G|^2 index lookups.  ``make_group``
-    then validates the table; at large orders that check, not the build,
-    is what bounds a useful ``cap``.
+    Row g*a is generator g's row read through row a (``_fill_rows``),
+    which is |G|^2 index lookups.  ``_built_group`` then runs Light's test
+    over the input permutations; at large orders that test, not the
+    build, is what bounds a useful ``cap``.
     """
     if not perms:
         raise InvalidInput("need at least one permutation")
@@ -292,12 +332,12 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
             raise InvalidInput("not a permutation of 0..degree-1", perm=list(p))
         gens.append(t)
     # found lists the elements in order of discovery, and the loop also
-    # visits those it appends; products[i][k] = found[i] * gens[k]
+    # visits those it appends; products[i][k] = gens[k] * found[i]
     found = [tuple(range(degree))]
     seen = {found[0]}
     products = []
     for a in found:
-        row = [_compose_perm(a, g) for g in gens]
+        row = [_compose_perm(g, a) for g in gens]
         products.append(row)
         for c in row:
             if c not in seen:
@@ -307,18 +347,19 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
                     raise ClosureCapExceeded("permutation closure exceeds cap",
                                              cap=cap)
     elements = sorted(found)
-    index = {p: i for i, p in enumerate(elements)}
     n = len(elements)
-    # cols[b][x] = x * b, on sorted indices; elements[0] is the identity
-    cols = [None] * n
-    cols[0] = tuple(range(n))
+    index = {p: i for i, p in enumerate(elements)}
+    # rows[b][x] = b * x, on sorted indices; elements[0] is the identity
+    rows = [None] * n
+    rows[0] = tuple(index.values())
     for k, g in enumerate(gens):
-        col = [0] * n
-        for a, row in zip(found, products):
-            col[index[a]] = index[row[k]]
-        cols[index[g]] = tuple(col)
-    _fill_columns(cols, 0, [index[g] for g in gens])
-    return make_group(tuple(zip(*cols))), elements
+        row = [0] * n
+        for a, products_a in zip(found, products):
+            row[index[a]] = index[products_a[k]]
+        rows[index[g]] = tuple(row)
+    gens = [index[g] for g in gens]
+    _fill_rows(rows, 0, gens)
+    return _built_group(tuple(rows), gens), elements
 
 
 class Subgroup:
@@ -549,7 +590,7 @@ class FiniteAction:
             raise InvalidInput("side must be 'right' or 'left'", side=side)
         self.group = group
         self.set_size = int(set_size)
-        rows = [tuple(int(x) for x in row) for row in act]
+        rows = [tuple(map(int, row)) for row in act]
         # counted before a left action is relabelled through the inverses
         if len(rows) != group.order:
             raise NotAnAction("action table has %d rows, group has order %d"

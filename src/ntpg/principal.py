@@ -99,8 +99,7 @@ def verify_double(gamma, g1, g2):
     """
     if g1.parent is not gamma or g2.parent is not gamma:
         raise ParentMismatch("subgroups of a different parent group")
-    failures = _failures(Subgroup(gamma, range(gamma.order)),
-                         [("g1", g1), ("g2", g2)])
+    failures = _failures(gamma.whole(), [("g1", g1), ("g2", g2)])
     if failures:
         return VerifyResult(False, None, failures)
     return VerifyResult(True, DoublePrincipalGroup(gamma, g1, g2,
@@ -143,19 +142,19 @@ def verify_ntuple(gamma, subgroups):
     n = 1 asks the single subgroup to be normal and generating (so equal to
     the whole group); n = 2 coincides with `verify_double`; n >= 3 recurses
     into every intersected sub-system.  Each level is a Subgroup of Γ, the
-    top one all of Γ, read in Γ's table: none is rebuilt as a group of its
-    own, and a witness is named by its rank among the level's members, its
-    index in the level reified.  When the verdict is true, the consequence
-    that every pair (Γ; G^i, G^j) is a double principal group is asserted
-    as a theory oracle, once per unordered pair since the verdict is
-    symmetric in the two subgroups.  The oracle decides only normality and
-    generation, so it builds no quotient.
+    top one all of Γ (``gamma.whole()``, shared with the pair oracle), read
+    in Γ's table: none is rebuilt as a group of its own, and a witness is
+    named by its rank among the level's members, its index in the level
+    reified.  When the verdict is true, the consequence that every pair
+    (Γ; G^i, G^j) is a double principal group is asserted as a theory
+    oracle, once per unordered pair since the verdict is symmetric in the
+    two subgroups.  The oracle decides only normality and generation, so it
+    builds no quotient.
     """
     for H in subgroups:
         if H.parent is not gamma:
             raise ParentMismatch("subgroups of a different parent group")
-    ok, trace = _verify_ntuple_level(Subgroup(gamma, range(gamma.order)),
-                                     list(subgroups), [])
+    ok, trace = _verify_ntuple_level(gamma.whole(), list(subgroups), [])
     if ok and len(subgroups) >= 2:
         for i in range(len(subgroups)):
             for j in range(i + 1, len(subgroups)):

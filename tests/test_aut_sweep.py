@@ -8,7 +8,8 @@ and of each pairwise intersection must equal the closed form of
 ``perfbench/algebra.aut_orders``, which imports nothing from ``ntpg``.
 On every model it also builds the standard fibered space and checks its
 n sides (``check_sides``).  Models whose closed-form |Aut| exceeds 1,000
-are skipped.  The counts of checked and skipped models are pinned, so a
+are skipped.  The counts of checked and skipped models, and of the models
+where some side tells an element from its inverse, are pinned, so a
 shrinking sweep cannot hide a defect.  F_2 runs here; F_2 and F_3 run
 from the command line:
 
@@ -39,8 +40,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from algebra import aut_orders  # noqa: E402
 
 MAX_AUT = 1000
-# (largest block dimension, primes) -> (models checked, models over MAX_AUT)
-PINNED = {(1, (2,)): (134, 0), (1, (2, 3)): (260, 8), (2, (2, 3)): (27, 11)}
+# (largest block dimension, primes) -> (models checked, models over MAX_AUT,
+# models with a side that tells some element from its inverse)
+PINNED = {(1, (2,)): (134, 0, 0), (1, (2, 3)): (260, 8, 0),
+          (2, (2, 3)): (27, 11, 20)}
 # largest block dimension -> the numbers of gradings swept
 GRADINGS = {1: (2, 3), 2: (2,)}
 
@@ -56,9 +59,16 @@ def models(n, top):
 
 def check_sides(handle, case):
     """The standard fibered space has one side per grading; the kernel of
-    side i's action on its classes is G^{i+1}; and on the full nerve of
-    three charts each side's transitions satisfy
-    side[g_ik] = side[g_ij] o side[g_jk]."""
+    side i's action on its classes is G^{i+1}; on the full nerve of three
+    charts each side's transitions satisfy
+    side[g_ik] = side[g_ij] o side[g_jk]; and side i's transition on
+    (0, 1) is side i's permutation of the cocycle value there.
+
+    That value is the last element that some side tells from its inverse,
+    so a transition read from the inverse element fails.  Where no side
+    does, as when every unit-weight block has dimension at most 1 and each
+    side acts through GL(1, F_p) with p <= 3, it is the last element.
+    Returns whether such an element exists."""
     G, n = handle.group, handle.sig.n
     fibered = standard_fibered_space(handle)
     assert len(fibered.side_perms) == n, case
@@ -66,19 +76,25 @@ def check_sides(handle, case):
         kernel = {g for g, perm in enumerate(perms)
                   if perm == tuple(range(len(perm)))}
         assert kernel == set(handle.gi_subgroup(i + 1).members), (case, i)
-    a, b = G.order - 1, G.order // 2
+    told = [g for g in range(G.order)
+            if any(perms[g] != perms[G.inverse[g]]
+                   for perms in fibered.side_perms)]
+    a, b = (told or [G.order - 1])[-1], G.order // 2
     nerve = CoverNerve.full(3)
     c = Cocycle(nerve, G, {(0, 1): a, (1, 2): b, (0, 2): G.table[a][b]})
-    for side in associated_cocycle(c, fibered):
+    for side, perms in zip(associated_cocycle(c, fibered),
+                           fibered.side_perms):
+        assert side[(0, 1)] == perms[a], case
         for i, j, k in nerve.ordered_triples():
             assert side[(i, k)] == tuple(side[(i, j)][x]
                                          for x in side[(j, k)]), case
+    return bool(told)
 
 
 def sweep(primes, top=1):
-    """(models checked, models skipped) over GRADINGS[top] and the given
-    F_p."""
-    checked = skipped = 0
+    """(models checked, models skipped, models where a side tells some
+    element from its inverse) over GRADINGS[top] and the given F_p."""
+    checked = skipped = told = 0
     for p in primes:
         for n in GRADINGS[top]:
             for blocks in models(n, top):
@@ -92,9 +108,9 @@ def sweep(primes, top=1):
                 assert rep.witness.verdict, case
                 assert rep.orders == {k: want[k] for k in (
                     "gamma", "gi", "intersections")}, case
-                check_sides(rep.handle, case)
+                told += check_sides(rep.handle, case)
                 checked += 1
-    return checked, skipped
+    return checked, skipped, told
 
 
 def test_aut_sweep_over_f2():
@@ -108,6 +124,8 @@ def test_aut_sweep_dim2_over_f2_f3():
 if __name__ == "__main__":
     primes = tuple(int(a) for a in sys.argv[1:])
     counts = sweep(primes)
-    print("models %d, skipped %d" % counts, flush=True)
+    print("models %d, skipped %d, told from inverses %d" % counts,
+          flush=True)
     if (1, primes) in PINNED and counts != PINNED[(1, primes)]:
-        sys.exit("expected models %d, skipped %d" % PINNED[(1, primes)])
+        sys.exit("expected models %d, skipped %d, told from inverses %d"
+                 % PINNED[(1, primes)])

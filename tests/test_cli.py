@@ -454,6 +454,31 @@ def test_cli_runs_only_the_structure_modules_a_command_uses(tmp_path, argv,
     assert ran == sorted(["cli", "errors", "groups", "jsonio", *used])
 
 
+_RUN_AND_CHECK_FRACTIONS = """
+import sys
+from ntpg.cli import main
+rc = main(sys.argv[1:])
+print(rc, "fractions" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["aut", "verify-p54", "--sig", "d111_sig.json", "--field", "Fp:5"],
+     "False"),
+    (["cocycle", "t2", "t2_chart.json"], "True"),
+])
+def test_only_runs_over_q_load_fractions(tmp_path, argv, loaded):
+    argv = [os.path.join(EXAMPLES, a) if a.endswith(".json") else a
+            for a in argv]
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_CHECK_FRACTIONS, *argv,
+         "--out", str(tmp_path / "rep.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.stdout.splitlines()[-1].split()[1] == loaded, proc.stderr
+
+
 def test_cli_reuses_structure_modules_imported_before_it():
     import ntpg.cli
     import ntpg.jsonio

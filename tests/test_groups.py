@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
                         dihedral, direct_product, klein_four,
                         quaternion_group, symmetric)
+from test_validation_oracles import assert_same_group
 
 
 # -- oracle: quaternions as integer 4-vectors under the Hamilton product ----
@@ -121,9 +124,64 @@ class _Int(int):
 
 
 def test_int_subclass_entries_are_accepted_as_ints():
-    G = make_group([[_Int(0), _Int(1)], [_Int(1), _Int(0)]])
+    table = [[_Int(0), _Int(1)], [_Int(1), _Int(0)]]
+    G = make_group(table)
     assert G.table == ((0, 1), (1, 0))
     assert all(type(x) is int for row in G.table for x in row)
+    assert assert_same_group(table) is None
+
+
+# -- make_group against the check order it replaced -----------------------
+
+_NOT_GROUPS = [
+    # the tables above
+    [[0, 0], [1, 1]],
+    [[1, 0, 2], [2, 1, 0], [0, 2, 1]],
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+     [4, 3, 1, 2, 0]],
+    [[0, 1], [1, 7]],
+    *([[0, 1], [bad, 0]] for bad in [1.0, "1", None, [1], -1, 2, True]),
+    # rows Latin, a column not: before a missing identity, a failing
+    # inverse and a failing associativity
+    [[0, 1, 2], [1, 2, 0], [1, 2, 0]],
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]],
+    [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0]],
+    # a row that is not a permutation before a later bad entry or short row
+    [[0, 0], [True, 0]],
+    [[0, 0], [1, 1.0]],
+    [[0, 1, 2], [1, 1, 0], [2, 0, -1]],
+    [[0, 0], [1]],
+    [[0, 1], [1]],
+    # int-subclass entries
+    [[_Int(0), _Int(0)], [1, 0]],
+    [[0, 1, 2], [_Int(1), 2, 0], [2, 0, _Int(3)]],
+    [[_Int(0), _Int(1), 2], [1, 2, 0], [2, 1, 0]],
+]
+
+
+@pytest.mark.parametrize("table", _NOT_GROUPS)
+def test_make_group_gives_the_reference_error(table):
+    assert assert_same_group(table) is not None
+
+
+def _kind(error):
+    return error and error[0]
+
+
+def test_make_group_matches_the_reference_on_every_small_table():
+    # every 3 x 3 table of permutation rows, and every 4 x 4 one whose row
+    # and column 0 are the identity
+    perms = list(itertools.permutations(range(3)))
+    kinds = {_kind(assert_same_group([list(r) for r in rows]))
+             for rows in itertools.product(perms, repeat=3)}
+    rows4 = [[p for p in itertools.permutations(range(4)) if p[0] == a]
+             for a in range(1, 4)]
+    kinds |= {_kind(assert_same_group([[0, 1, 2, 3], *map(list, rows)]))
+              for rows in itertools.product(*rows4)}
+    # a Latin square of order at most 4 with an identity is a group, so a
+    # failing inverse or associativity always meets a column that is not
+    # a permutation first
+    assert kinds == {None, "NotLatinSquare", "NoIdentity"}
 
 
 # -- associativity: Light's test against a brute-force oracle ------------------
@@ -175,6 +233,7 @@ def test_light_matches_oracle_on_every_small_latin_square_with_identity():
             for table in _latin_squares_with_identity(n, e):
                 expected = _first_non_associative(table)
                 assert _light_verdict(table, e) == expected, (table, e)
+                assert_same_group(table)
                 checked += 1
                 failures += expected is not None
     # 56 reduced Latin squares of order 5, of which 6 are groups (Z5)
@@ -232,6 +291,8 @@ def test_light_matches_oracle_on_intercalate_swapped_groups(name):
         table = _swap(G.table, a, b, c, d)
         expected = _first_non_associative(table)
         assert _light_verdict(table, G.identity) == expected
+        # a group again below order 8, with the reference's fields
+        assert (assert_same_group(table) is None) == (expected is None)
         verdicts.append(expected)
     # every loop of order 4 is a group; from order 8 on swaps break it
     assert any(verdicts) == (G.order > 4)
@@ -246,6 +307,7 @@ def test_non_associative_above_old_sampling_limit_is_caught():
         make_group(table)
     assert e.value.details["triple"] == _first_non_associative(table) \
         == (1, 1, 4)
+    assert_same_group(table)
 
 
 # Z2^3 by three disjoint transpositions: abelian, with three orbits

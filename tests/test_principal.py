@@ -130,6 +130,26 @@ def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
     assert w.trace["children"][0]["group_order"] == n // 2
 
 
+def test_verify_ntuple_builds_the_whole_group_once(monkeypatch):
+    # the top level and every pair oracle share G.whole()
+    n = 16
+    G = make_group([[a ^ b for b in range(n)] for a in range(n)])
+    subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
+            for i in range(4)]
+    whole = []
+    validate = Subgroup._validate
+
+    def counting(H):
+        whole.append(len(H) == n)
+        validate(H)
+
+    monkeypatch.setattr(Subgroup, "_validate", counting)
+    assert verify_ntuple(G, subs).verdict
+    assert verify_double(G, subs[0], subs[1]).ok
+    assert whole.count(True) == 1
+    assert G.whole() is G.whole() and G.whole().members == tuple(range(n))
+
+
 def test_single_full_subgroup_is_1_tuple():
     G = symmetric(3)
     w = verify_ntuple(G, [Subgroup(G, range(6))])

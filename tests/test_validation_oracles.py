@@ -15,6 +15,11 @@ per nerve component; its oracle walks the whole |G|^charts grid in
 ``Subgroup`` compares its members with their closure.  Their oracles
 conjugate by every element, check every pair, search from the identity over
 every input and its inverse, and scan every inverse and pair of members.
+``make_group`` proves each row in one pass and reads the columns only when
+a later check fails; its reference is the check order it replaced, and
+both must give the same error or the same group, field by field.
+``check_compatible`` tests the group's product generators alone; its
+oracle tests every element.
 The named groups of order at most 12 run here; a larger order runs the same
 comparison from the command line:
 
@@ -29,12 +34,16 @@ import pytest
 
 from ntpg.autgroups import enumerate_aut
 from ntpg.cocycles import Cocycle, CoverNerve, are_cohomologous, check_cocycle
-from ntpg.errors import AlgebraError, InvalidInput, NotAnAction
+from ntpg.errors import (AlgebraError, InternalInconsistency, InvalidInput,
+                         NoIdentity, NoInverse, NonAssociative, NotAnAction,
+                         NotLatinSquare, is_int)
 from ntpg.fields import GF
 from ntpg.graded import GradedSignature
-from ntpg.groupoids import (FiniteGroupoid, build_from_morphism,
+from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
+                            build_from_morphism, check_compatible,
                             gauge_groupoid, pair_groupoid)
-from ntpg.groups import (FiniteAction, GroupHom, Subgroup, normality_witness,
+from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _light_test,
+                         _product_generators, make_group, normality_witness,
                          quotient, subgroup_closure)
 from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
                         quaternion_group, symmetric, trivial_group)
@@ -451,6 +460,157 @@ def test_first_non_homomorphism_pair_is_the_oracles():
                         {"pair": (1, 2)})
     assert G.generators == (1,)
     assert outcome(GroupHom, G, cyclic(2), images) == expected
+
+
+# -- group tables -----------------------------------------------------------
+
+def reference_make_group(table):
+    """The checks in the order make_group gives its errors: every entry,
+    then the rows, the columns, the identity, the inverses and Light's test
+    over the greedy product generators, with a rescan for the first
+    violating triple."""
+    n = len(table)
+    if n == 0:
+        raise InvalidInput("empty multiplication table")
+    rows = []
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise InvalidInput("table is not square", row=i)
+        for x in row:
+            if not is_int(x):
+                raise InvalidInput("entry is not an integer", row=i, value=x)
+            if not 0 <= x < n:
+                raise InvalidInput("entry out of range", row=i, value=x)
+        rows.append(tuple(map(int, row)))
+    for i, row in enumerate(rows):
+        if len(set(row)) != n:
+            raise NotLatinSquare("row %d is not a permutation" % i, row=i)
+    for j, col in enumerate(zip(*rows)):
+        if len(set(col)) != n:
+            raise NotLatinSquare("column %d is not a permutation" % j,
+                                 column=j)
+    ident = tuple(range(n))
+    e = rows.index(ident) if ident in rows else None
+    if e is None or tuple(row[e] for row in rows) != ident:
+        raise NoIdentity("no two-sided identity element")
+    inverse = []
+    for a, row in enumerate(rows):
+        b = row.index(e)
+        if rows[b][a] != e:
+            raise NoInverse("element %d has no two-sided inverse" % a,
+                            element=a)
+        inverse.append(b)
+    zeros = [0] * n
+    gens, _ = _product_generators(rows, range(n), [e], zeros, zeros,
+                                  range(n))
+    if _light_test(rows, range(n), [rows], zeros, gens):
+        return tuple(rows), e, tuple(inverse), gens
+    for a, b, c in product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            raise NonAssociative("(a*b)*c != a*(b*c)", triple=(a, b, c))
+    raise InternalInconsistency("Light's test failed on an associative table")
+
+
+def assert_same_group(table):
+    """make_group and the reference raise the same error, or build the same
+    table, identity, inverses and generators; returns the error, or None."""
+    expected = outcome(reference_make_group, table)
+    got = outcome(make_group, table)
+    assert got == expected, table
+    if expected is None:
+        G = make_group(table)
+        assert (G.table, G.identity, G.inverse, G.generators) == \
+            reference_make_group(table)
+        assert all(type(x) is int for row in G.table for x in row)
+    return expected
+
+
+def test_make_group_matches_the_reference_on_every_named_group():
+    # each group as built, then relabelled so that the identity is last
+    for name, build in sorted(named_groups(24).items()):
+        table = build().table
+        n = len(table)
+        flip = [[n - 1 - table[n - 1 - a][n - 1 - b] for b in range(n)]
+                for a in range(n)]
+        assert assert_same_group(table) is None, name
+        assert assert_same_group(flip) is None, name
+
+
+# -- groupoid actions -------------------------------------------------------
+
+def brute_force_compat(ga):
+    """Every g in index order: units to units, then endpoints and inverses
+    arrow by arrow, units object by object and products pair by pair."""
+    gpd = ga.groupoid
+    unit_of = {u: x for x, u in enumerate(gpd.id)}
+    for g, row in enumerate(ga.act):
+        omap = []
+        for x, u in enumerate(gpd.id):
+            if row[u] not in unit_of:
+                return "unit", g, x
+            omap.append(unit_of[row[u]])
+        for a, fa in enumerate(row):
+            if gpd.src[fa] != omap[gpd.src[a]] or \
+                    gpd.tgt[fa] != omap[gpd.tgt[a]]:
+                return "endpoints", g, a
+            if gpd.inv[fa] != row[gpd.inv[a]]:
+                return "inverse", g, a
+        for x, u in enumerate(gpd.id):
+            if gpd.id[omap[x]] != row[u]:
+                return "unit", g, x
+        for (a, b), ab in gpd.mul.items():
+            if gpd.mul[(row[a], row[b])] != row[ab]:
+                return "product", g, (a, b)
+    return None
+
+
+def actions_from_generator_images(G, n):
+    """Every action of G on n points, from each assignment of permutations
+    to G's product generators that extends to one."""
+    for images in product(permutations(range(n)), repeat=len(G.generators)):
+        act = [None] * G.order
+        act[G.identity] = tuple(range(n))
+        reached = [G.identity]
+        for a in reached:
+            for g, image in zip(G.generators, images):
+                c = G.table[a][g]
+                if act[c] is None:
+                    act[c] = tuple(image[x] for x in act[a])
+                    reached.append(c)
+        if outcome(FiniteAction, G, n, act) is None:
+            yield act
+
+
+def _one_object(G):
+    return FiniteGroupoid(1, [0] * G.order, [0] * G.order, [G.identity],
+                          G.inverse, {(a, b): G.table[a][b]
+                                      for a in range(G.order)
+                                      for b in range(G.order)})
+
+
+def test_check_compatible_matches_the_scan_of_every_element():
+    kinds, counts = set(), [0, 0, 0]   # actions, incompatible, late
+    four = (klein_four(), cyclic(4), symmetric(3), dihedral(4))
+    for gpd, groups in ((pair_groupoid(2), four),
+                        (_one_object(cyclic(4)), four),
+                        (_one_object(cyclic(5)), (cyclic(2), cyclic(4)))):
+        for G in groups:
+            for act in actions_from_generator_images(G, gpd.n_arrows):
+                ga = GroupoidAction(gpd, G, act)
+                expected = brute_force_compat(ga)
+                counts[0] += 1
+                rep = check_compatible(ga)
+                assert (rep.compatible, rep.witness) == \
+                    (expected is None, expected), (G, act)
+                if expected is not None:
+                    kinds.add(expected[0])
+                    # the first element that fails is always a generator,
+                    # not always the first one
+                    assert expected[1] in G.generators
+                    counts[1] += 1
+                    counts[2] += expected[1] != G.generators[0]
+    assert kinds == {"unit", "endpoints", "inverse", "product"}
+    assert counts == [438, 408, 48]
 
 
 # -- coboundary search -------------------------------------------------------
