@@ -453,7 +453,7 @@ def build_parser():
 
 def main(argv=None):
     workers = os.environ.get("NTPG_WORKERS")
-    if workers is not None and (not workers.isdigit() or int(workers) < 1):
+    if workers is not None and (not workers.isdecimal() or int(workers) < 1):
         print("NTPG_WORKERS must be a positive integer", file=sys.stderr)
         return 2
     ap = build_parser()

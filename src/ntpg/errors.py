@@ -12,6 +12,13 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def all_ints(values):
+    """``is_int`` for every value, read off the set of their types, so
+    MB-scale inputs skip the per-entry call."""
+    return all(issubclass(t, int) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
 class AlgebraError(Exception):
     """Base class: a structured failure with witness details."""
 

@@ -13,8 +13,10 @@ actions in ``groups``.  A failure still names the first witness a scan
 over all pairs or triples would find.
 """
 
+from itertools import chain
+
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
-                     NotCompatible, NotFree, NotMultiplicative)
+                     NotCompatible, NotFree, NotMultiplicative, all_ints)
 from .groups import (FiniteAction, _light_test, _product_generators,
                      action_check, make_group, reduce_action, transporter)
 
@@ -25,13 +27,13 @@ class FiniteGroupoid:
     __slots__ = ("n_objects", "n_arrows", "src", "tgt", "id", "inv", "mul")
 
     def __init__(self, n_objects, src, tgt, id_, inv, mul):
-        self.n_objects = int(n_objects)
-        self.src = tuple(int(x) for x in src)
-        self.tgt = tuple(int(x) for x in tgt)
-        self.n_arrows = len(self.src)
-        self.id = tuple(int(x) for x in id_)
-        self.inv = tuple(int(x) for x in inv)
-        self.mul = {(int(g), int(h)): int(gh) for (g, h), gh in mul.items()}
+        self.src, self.tgt = tuple(src), tuple(tgt)
+        self.id, self.inv, self.mul = tuple(id_), tuple(inv), dict(mul)
+        if not all_ints(chain((n_objects,), self.src, self.tgt, self.id,
+                              self.inv, chain.from_iterable(self.mul),
+                              self.mul.values())):
+            raise InvalidInput("groupoid entries must be integers")
+        self.n_objects, self.n_arrows = n_objects, len(self.src)
         self._validate()
 
     def _validate(self):
@@ -231,17 +233,20 @@ class GroupoidAction:
 
 
 class CompatReport:
+    """``pre_principal``: G/kernel acts freely on the arrows.  For a
+    compatible action that decides the objects too: a g fixing an object
+    fixes its unit arrow, and a g fixing an arrow fixes its source."""
+
     __slots__ = ("compatible", "witness", "kernel", "pre_principal",
-                 "object_action", "object_action_free", "arrow_report")
+                 "object_action", "arrow_report")
 
     def __init__(self, compatible, witness, kernel, pre_principal,
-                 object_action, object_action_free, arrow_report=None):
+                 object_action, arrow_report=None):
         self.compatible = compatible
         self.witness = witness
         self.kernel = kernel
         self.pre_principal = pre_principal
         self.object_action = object_action
-        self.object_action_free = object_action_free
         self.arrow_report = arrow_report    # action_check of the arrows
 
 
@@ -288,30 +293,30 @@ def check_compatible(ga):
     under products (the action law holds and morphisms compose), and every
     element below a generator is a product of earlier ones, so the first
     generator that fails is the first g that fails in index order.  Returns
-    a CompatReport with the action kernel, the induced object action, and
-    the pre-principal verdict (the induced G/kernel action on arrows is
-    free; properness is automatic at finite scale).
+    a CompatReport with the action kernel K, the induced object action, and
+    the pre-principal verdict: G/K acts freely on the arrows (properness is
+    automatic at finite scale).  K fixes every arrow, so an arrow's
+    stabilizer is K exactly when, by orbit-stabilizer, its orbit has
+    |G|/|K| arrows.
     """
     gpd, G = ga.groupoid, ga.group
     for g in G.generators:
         omap, w = _induced_object_map(ga, g)
         if omap is None:
-            return CompatReport(False, w, None, False, None, False)
+            return CompatReport(False, w, None, False, None)
         failure = _morphism_failure(gpd, gpd, ga.act[g], omap)
         if failure is not None:
             kind, where = failure
-            return CompatReport(False, (kind, g, where), None, False, None,
-                                False)
+            return CompatReport(False, (kind, g, where), None, False, None)
     obj_rows = [_induced_object_map(ga, g)[0] for g in range(G.order)]
     object_action = FiniteAction(G, gpd.n_objects, obj_rows)
 
     arrow_report = action_check(ga.arrow_action)
     kernel = arrow_report.kernel
-    pre_principal, object_action_free = (
-        action_check(reduce_action(a, kernel)).is_free
-        for a in (ga.arrow_action, object_action))
+    pre_principal = all(len(o) * len(kernel) == G.order
+                        for o in arrow_report.orbits)
     return CompatReport(True, None, kernel, pre_principal, object_action,
-                        object_action_free, arrow_report)
+                        arrow_report)
 
 
 def reduced_action(ga):

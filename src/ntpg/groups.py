@@ -10,7 +10,8 @@ library builds (from permutations, and the Aut tables of ``autgroups``).
 
 This is also the one action toolkit.  ``FiniteAction`` is the only check
 of the action law, proved the same way on the group's product generators;
-``action_check`` gives the kernel, the orbits and the first fixed point;
+``action_check`` gives the kernel, the orbits and the first fixed point,
+deciding freeness from orbit sizes by the orbit-stabilizer theorem;
 ``descend`` gives the map a function induces on classes, or the first point
 where it does not pass to them; ``reduce_action`` is the action of the
 quotient by a subgroup of the kernel.
@@ -657,53 +658,37 @@ class ActionReport:
         return self.fixed is None
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def action_check(a):
     """Kernel, first fixed point and orbits of a validated action.
 
+    Each orbit is its least unvisited point closed under the product
+    generators, so orbits come out sorted and indexed by least member.
     ``fixed`` is the first (g, x) in index order with g not the identity
-    and x.g = x, or None: free means None.  Kernel and freeness look at
-    every g.  Orbits are joined over the group's product generators only:
-    in a finite group their products reach every element, so the classes
-    are the same.  Orbits come out sorted with deterministic indices
-    (ordered by least member).
+    and x.g = x, or None: free means None.  By the orbit-stabilizer
+    theorem, |orbit of x| * |stabilizer of x| = |G|, so orbits of |G|
+    points each on a nonempty set mean a free action with kernel {e}.  Only
+    a non-free action or an empty point set (kernel G) scans every g.
     """
-    G = a.group
-    ident = tuple(range(a.set_size))
-    kernel = Subgroup(G, [g for g in range(G.order) if a.act[g] == ident])
-    fixed = next(((g, x) for g, row in enumerate(a.act) if g != G.identity
+    G, act, n = a.group, a.act, a.set_size
+    gen_rows = [act[g] for g in G.generators]
+    orbit_of, orbits = [None] * n, []
+    for x in range(n):
+        if orbit_of[x] is None:
+            orbit_of[x], orbit = len(orbits), [x]
+            for y in orbit:
+                for row in gen_rows:
+                    if orbit_of[row[y]] is None:
+                        orbit_of[row[y]] = len(orbits)
+                        orbit.append(row[y])
+            orbits.append(tuple(sorted(orbit)))
+    if n and all(len(o) == G.order for o in orbits):
+        return ActionReport(None, Subgroup(G, [G.identity]), orbits,
+                            tuple(orbit_of))
+    ident = tuple(range(n))
+    kernel = Subgroup(G, [g for g, row in enumerate(act) if row == ident])
+    fixed = next(((g, x) for g, row in enumerate(act) if g != G.identity
                   for x in ident if row[x] == x), None)
-    uf = _UnionFind(a.set_size)
-    for g in G.generators:
-        for x in range(a.set_size):
-            uf.union(x, a.act[g][x])
-    roots = {}
-    orbit_of = [None] * a.set_size
-    orbits = []
-    for x in range(a.set_size):
-        r = uf.find(x)
-        if r not in roots:
-            roots[r] = len(orbits)
-            orbits.append([])
-        orbit_of[x] = roots[r]
-        orbits[roots[r]].append(x)
-    return ActionReport(fixed, kernel, [tuple(o) for o in orbits],
-                        tuple(orbit_of))
+    return ActionReport(fixed, kernel, orbits, tuple(orbit_of))
 
 
 def descend(classes, values, n):

@@ -9,7 +9,7 @@ that contract).
 import json
 
 from . import cocycles, fields, graded, groupoids, poly
-from .errors import InvalidInput, is_int
+from .errors import InvalidInput, all_ints, is_int
 from .groups import (DEFAULT_CLOSURE_CAP, FiniteAction, Subgroup, make_group,
                      make_group_from_permutations)
 
@@ -43,10 +43,8 @@ def _array(value, what):
 
 
 def _is_ints(obj):
-    """A list of integers (``is_int``: no booleans)?  A list of exact ints,
-    as MB-scale inputs are, skips the per-entry call."""
-    return isinstance(obj, list) and (set(map(type, obj)) <= {int}
-                                      or all(map(is_int, obj)))
+    """A list of integers (``is_int``: no booleans)?"""
+    return isinstance(obj, list) and all_ints(obj)
 
 
 def _int_rows(value, what):
@@ -119,7 +117,8 @@ def load_groupoid(obj):
         raise InvalidInput("groupoid objects, src, tgt, id and inv must be "
                            "integers and integer lists")
     gpd = groupoids.FiniteGroupoid(objects, *arrays, mul)
-    if "arrows" in obj and obj["arrows"] != gpd.n_arrows:
+    if "arrows" in obj and not (is_int(obj["arrows"])
+                                and obj["arrows"] == gpd.n_arrows):
         raise InvalidInput("declared arrow count disagrees with src array")
     return gpd
 

@@ -291,7 +291,7 @@ def test_cocycle_t2(tmp_path):
     assert rep["details"]["graded"] is True
 
 
-def test_workers_env_never_changes_results(tmp_path, monkeypatch):
+def test_workers_env_never_changes_results(tmp_path, monkeypatch, capsys):
     f = write(tmp_path, "q8.json",
               {"gamma": q8_json(), "subgroups": [[0, 1, 2, 3], [0, 1, 4, 5]]})
     out1 = str(tmp_path / "rep1.json")
@@ -302,8 +302,13 @@ def test_workers_env_never_changes_results(tmp_path, monkeypatch):
     r1, r2 = read_report(out1), read_report(out2)
     r1.pop("timing_ms"), r2.pop("timing_ms")
     assert r1 == r2
-    monkeypatch.setenv("NTPG_WORKERS", "zero")
-    assert run(["dpg", "verify", f]) == 2
+    capsys.readouterr()
+    # "²" is a digit that int() refuses: an input error, not a crash
+    for bad in ("zero", " 4", "²"):
+        monkeypatch.setenv("NTPG_WORKERS", bad)
+        assert run(["dpg", "verify", f]) == 2
+        assert capsys.readouterr().err == \
+            "NTPG_WORKERS must be a positive integer\n"
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -704,6 +709,8 @@ _BOOLEANS = [
                                    [False])),
     ("groupoid quotient", _mutated(_ONE_ARROW, ["groupoid", "mul"],
                                    [[False, 0, 0]])),
+    ("groupoid quotient", _mutated(_ONE_ARROW, ["groupoid", "arrows"],
+                                   True)),
     ("cocycle check", {"charts": True, "group": _TRIVIAL, "values": []}),
     ("cocycle check", _example_with("z3_cocycle.json", ["overlaps", 0],
                                     [False, True])),
@@ -723,6 +730,19 @@ def test_boolean_for_an_integer_exits_2(tmp_path, capsys, command, data):
     out = str(tmp_path / "rep.json")
     _assert_input_error(run(command.split() + [
         write(tmp_path, "in.json", data), "--out", out]), out, capsys)
+
+
+def test_declared_arrow_count_must_be_an_integer(tmp_path, capsys):
+    out = str(tmp_path / "rep.json")
+    data = _mutated(_ONE_ARROW, ["groupoid", "arrows"], 1.0)
+    _assert_input_error(run(["groupoid", "quotient",
+                             write(tmp_path, "in.json", data),
+                             "--out", out]), out, capsys)
+    assert read_report(out)["details"]["message"] == \
+        "declared arrow count disagrees with src array"
+    data["groupoid"]["arrows"] = 1
+    assert run(["groupoid", "quotient", write(tmp_path, "in.json", data),
+                "--out", out]) == 0
 
 
 @pytest.mark.parametrize("bad,message", [

@@ -1,6 +1,7 @@
 import pytest
 
-from ntpg.errors import ActionNotFree, NotFree, NotMultiplicative
+from ntpg.errors import (ActionNotFree, InvalidInput, NotFree,
+                         NotMultiplicative)
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism,
                             check_compatible, gauge_groupoid,
@@ -98,6 +99,18 @@ def test_q8_gauge_counts():
     assert gpd.n_objects == 2
 
 
+@pytest.mark.parametrize("field,value", [("src", [0.0]),
+                                         ("mul", {(0, 0): True})])
+def test_groupoid_entries_must_be_integers(field, value):
+    # int() would read 0.0 as 0 and True as 1
+    arrays = {"src": [0], "tgt": [0], "id_": [0], "inv": [0],
+              "mul": {(0, 0): 0}}
+    FiniteGroupoid(1, **arrays)
+    arrays[field] = value
+    with pytest.raises(InvalidInput, match="groupoid entries"):
+        FiniteGroupoid(1, **arrays)
+
+
 # -- compatible actions -------------------------------------------------------
 
 def diagonal_translation_action(G, labels, gpd, members):
@@ -125,7 +138,6 @@ def test_q8_gauge_with_j_translation_is_compatible_preprincipal():
     assert len(rep.kernel) == 2
     # the kernel elements act trivially; they correspond to {1,-1}
     assert rep.pre_principal
-    assert rep.object_action_free == rep.pre_principal
 
 
 def test_trivial_action_on_groupoid_is_compatible_kernel_everything():
@@ -282,10 +294,25 @@ def test_quotient_checks_each_action_once(monkeypatch):
 
     monkeypatch.setattr(ntpg.groupoids, "action_check", counting)
     q = quotient_groupoid(ga)
-    # the arrow action, its reduction, the reduced and the plain object
-    # action: one call each
-    assert len({id(a) for a in calls}) == len(calls) == 4
+    # the arrow action, then the object action: one call each
+    assert len({id(a) for a in calls}) == len(calls) == 2
     assert calls[0] is ga.arrow_action and calls[-1] is q.object_action
+
+
+def test_split_builds_no_quotient_group(monkeypatch):
+    # pre-principality is read off the arrow orbit sizes
+    import ntpg.groupoids
+    import ntpg.groups
+    G, H, action, gpd, labels = q8_gauge()
+    Hj = subgroup_closure(G, {Q8_J})
+    ga = reduced_action(diagonal_translation_action(G, labels, gpd, Hj.members))
+
+    def refuse(*args):
+        raise AssertionError("quotient group built")
+
+    monkeypatch.setattr(ntpg.groups, "quotient", refuse)
+    monkeypatch.setattr(ntpg.groupoids, "reduce_action", refuse)
+    assert len(split(ga).fiber) == 16
 
 
 def test_split_with_trivial_group_gives_target_map():

@@ -19,7 +19,10 @@ every input and its inverse, and scan every inverse and pair of members.
 a later check fails; its reference is the check order it replaced, and
 both must give the same error or the same group, field by field.
 ``check_compatible`` tests the group's product generators alone; its
-oracle tests every element.
+oracle tests every element.  ``action_check`` reads freeness off the orbit
+sizes; its reference scans every element and joins orbits through a
+union-find, and ``check_compatible``'s pre-principal verdict is compared
+with the route through the quotient group G/K (``reduce_action``).
 The named groups of order at most 12 run here; a larger order runs the same
 comparison from the command line:
 
@@ -43,8 +46,10 @@ from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, check_compatible,
                             gauge_groupoid, pair_groupoid)
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _light_test,
-                         _product_generators, make_group, normality_witness,
-                         quotient, subgroup_closure)
+                         _product_generators, action_check, make_group,
+                         normality_witness, quotient, reduce_action,
+                         regular_action, right_translation_action,
+                         subgroup_closure, trivial_action)
 from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
                         quaternion_group, symmetric, trivial_group)
 
@@ -147,6 +152,48 @@ def test_every_assignment_of_permutations_for_tiny_groups():
     assert checked == (1 + 1 + 2 + 6) + (1 + 1 + 4 + 36) + (1 + 1 + 8 + 216)
     assert kinds == {None, "identity does not act as the identity",
                      "composition law fails"}
+
+
+def reference_action_check(a):
+    """(fixed, kernel members, orbits, orbit_of) as ``action_check`` gave
+    them when it scanned every element for the kernel and the first fixed
+    point and joined the orbits through a union-find over the product
+    generators."""
+    G = a.group
+    ident = tuple(range(a.set_size))
+    kernel = tuple(g for g in range(G.order) if a.act[g] == ident)
+    fixed = next(((g, x) for g, row in enumerate(a.act) if g != G.identity
+                  for x in ident if row[x] == x), None)
+    parent = list(ident)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in G.generators:
+        for x in ident:
+            ra, rb = find(x), find(a.act[g][x])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    roots, orbit_of, orbits = {}, [], []
+    for x in ident:
+        r = find(x)
+        if r not in roots:
+            roots[r] = len(orbits)
+            orbits.append([])
+        orbit_of.append(roots[r])
+        orbits[roots[r]].append(x)
+    return fixed, kernel, [tuple(o) for o in orbits], tuple(orbit_of)
+
+
+def assert_same_action_report(a):
+    """action_check against its reference, field by field: is a free?"""
+    rep = action_check(a)
+    assert (rep.fixed, rep.kernel.members, rep.orbits, rep.orbit_of) == \
+        reference_action_check(a), (a.group.order, a.act)
+    return rep.is_free
 
 
 def _coset_action(G, H):
@@ -362,16 +409,21 @@ def compare_group_checks(G):
     projection, the projection with one image moved to the next element,
     and the identity map with two images swapped.  Each union of two
     subgroups is also validated as a subgroup.  The first conjugator that
-    moves a subgroup is always a product generator.  Returns how many
-    unions were not subgroups, how many subgroups were not normal and how
-    many maps were not homomorphisms."""
+    moves a subgroup is always a product generator.  The action reports,
+    against the union-find reference: each subgroup acting on G by right
+    translation, G on the right cosets of each subgroup, the trivial
+    action on 3 points, the regular action and the action on no points.
+    Returns how many unions were not subgroups, how many subgroups were
+    not normal, how many maps were not homomorphisms, and how many of
+    those actions were free and not free."""
     subgroups = {}
     for gens in combinations_with_replacement(range(G.order), 2):
         gens = set(gens)
         H = subgroup_closure(G, gens)
         assert H.members == brute_force_closure(G, gens), gens
         subgroups.setdefault(H.members, H)
-    counts = {"not a subgroup": 0, "not normal": 0, "not a homomorphism": 0}
+    counts = {"not a subgroup": 0, "not normal": 0, "not a homomorphism": 0,
+              "free": 0, "not free": 0}
     for H1, H2 in combinations(list(subgroups.values()), 2):
         gens = set(H1.members) | set(H2.members)
         H = subgroup_closure(G, gens)
@@ -386,7 +438,14 @@ def compare_group_checks(G):
         counts["not a homomorphism"] += expected is not None and \
             expected[1] == "map is not a homomorphism"
 
+    def check_action(a):
+        counts["free" if assert_same_action_report(a) else "not free"] += 1
+
+    for a in (trivial_action(G, 3), regular_action(G), trivial_action(G, 0)):
+        check_action(a)
     for members, H in sorted(subgroups.items()):
+        check_action(right_translation_action(G, H))
+        check_action(FiniteAction(G, *_coset_action(G, H)))
         w = normality_witness(G, H)
         assert w == brute_force_normality(G, H), members
         if w is not None:
@@ -414,6 +473,9 @@ def test_group_checks_match_the_oracles(name):
     assert (counts["not normal"] > 0) == (not G.is_abelian()
                                           and name != "Q8")
     assert (counts["not a homomorphism"] > 0) == (G.order > 2)
+    # the trivial group acts freely on anything
+    assert counts["free"] > 0
+    assert (counts["not free"] > 0) == (G.order > 1)
     # two subgroups, neither inside the other, never have a subgroup union
     assert (counts["not a subgroup"] > 0) == (G.order > 1 and
                                               not _is_cyclic_p_group(G))
@@ -588,8 +650,17 @@ def _one_object(G):
                                       for b in range(G.order)})
 
 
+def pre_principal_by_reduction(ga, rep):
+    """Is G/K free on the arrows, and on the objects, with each action
+    reduced through the quotient group G/K and checked by the reference?"""
+    assert rep.kernel.members == reference_action_check(ga.arrow_action)[1]
+    return tuple(reference_action_check(reduce_action(a, rep.kernel))[0]
+                 is None for a in (ga.arrow_action, rep.object_action))
+
+
 def test_check_compatible_matches_the_scan_of_every_element():
     kinds, counts = set(), [0, 0, 0]   # actions, incompatible, late
+    pre = [0, 0]                        # compatible: pre-principal, not
     four = (klein_four(), cyclic(4), symmetric(3), dihedral(4))
     for gpd, groups in ((pair_groupoid(2), four),
                         (_one_object(cyclic(4)), four),
@@ -609,8 +680,22 @@ def test_check_compatible_matches_the_scan_of_every_element():
                     assert expected[1] in G.generators
                     counts[1] += 1
                     counts[2] += expected[1] != G.generators[0]
+                else:
+                    # one verdict for the arrows and the objects
+                    assert pre_principal_by_reduction(ga, rep) == \
+                        (rep.pre_principal,) * 2, (G, act)
+                    pre[not rep.pre_principal] += 1
     assert kinds == {"unit", "endpoints", "inverse", "product"}
     assert counts == [438, 408, 48]
+    assert (counts[0] - counts[1], pre) == (30, [18, 12])
+    # a groupoid with no arrows: each group acts with kernel all of G
+    empty = FiniteGroupoid(0, [], [], [], [], {})
+    for G in four:
+        ga = GroupoidAction(empty, G, [()] * G.order)
+        rep = check_compatible(ga)
+        assert rep.compatible and rep.pre_principal
+        assert len(rep.kernel) == G.order
+        assert pre_principal_by_reduction(ga, rep) == (True, True)
 
 
 # -- coboundary search -------------------------------------------------------
