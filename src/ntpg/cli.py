@@ -139,7 +139,10 @@ def cmd_dpg_verify(args, data):
         return "fail", {"gamma_order": G.order}, res.failures
     dpg = res.dpg
     vac = principal.vacancy(dpg)
-    theory = {"exact_sequence": principal.exact_sequence_check(dpg),
+    if not principal.exact_sequence_check(dpg):
+        raise InternalInconsistency("1 -> G0 -> Gamma -> [G] x [G'] is not "
+                                    "exact")
+    theory = {"exact_sequence": True,
               "vacant_iff_product_bijective": vac.vacant == vac.product_bijective}
     details = dpg.report()
     details.update({"vacant": vac.vacant, "product_fiber_size": vac.fiber_size,

@@ -8,7 +8,7 @@ table[g_ij][g_jk] = g_ik.  Automorphism-valued input is read as a cocycle
 in the enumerated automorphism group, whose table[a][b] is a after b.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from . import fields, graded, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
@@ -55,13 +55,8 @@ class CoverNerve:
         return sorted(out)
 
     def ordered_triples(self):
-        out = []
-        for t in self.triples:
-            a, b, c = sorted(t)
-            for i, j, k in ((a, b, c), (a, c, b), (b, a, c), (b, c, a),
-                            (c, a, b), (c, b, a)):
-                out.append((i, j, k))
-        return out
+        """Every ordering of every triple overlap, in index order."""
+        return sorted(p for t in self.triples for p in permutations(t))
 
     @classmethod
     def full(cls, n):

@@ -18,7 +18,7 @@ from itertools import chain
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative, all_ints)
 from .groups import (FiniteAction, _light_test, _product_generators,
-                     action_check, make_group, reduce_action, transporter)
+                     action_check, make_group, reduce_action)
 
 
 class FiniteGroupoid:
@@ -173,30 +173,26 @@ def gauge_groupoid(set_size, action):
     their lexicographically least representative; objects are the point
     orbits.  src<p,q> = orbit(q), tgt<p,q> = orbit(p) and
     <p,q> . <q,r> = <p,r>.
+
+    In closed form: the action is free, so the least pair of an orbit is
+    the one pair <r_X, q> whose first point is r_X, the least point of its
+    orbit X, and arrow X*|P| + q is <r_X, q>.  With c the coordinates of
+    ``action_check``, r_Y.c[q] = q for the orbit Y of q, so
+    <r_X, q> . <r_Y, s> = <r_X, q> . <q, s.c[q]> = arrow X*|P| + s.c[q].
     """
     if action.set_size != set_size:
         raise InvalidInput("action set size mismatch")
-    G = action.group
     rep = action_check(action)
     if not rep.is_free:
         g, x = rep.fixed
         raise ActionNotFree("point fixed by a non-identity element",
                             element=g, point=x)
-    point_orbit = rep.orbit_of
-    object_rep = [min(o) for o in rep.orbits]
-
-    pair_to_arrow = {}
-    arrow_rep = []
-    for p in range(set_size):
-        for q in range(set_size):
-            if (p, q) in pair_to_arrow:
-                continue
-            a = len(arrow_rep)
-            arrow_rep.append((p, q))
-            for g in range(G.order):
-                pair_to_arrow[(action.act[g][p], action.act[g][q])] = a
-    n_arrows = len(arrow_rep)
-    if n_arrows * G.order != set_size * set_size:
+    act, n, c = action.act, set_size, rep.coordinate
+    point_orbit, object_rep = rep.orbit_of, [o[0] for o in rep.orbits]
+    arrow_rep = [(r, q) for r in object_rep for q in range(n)]
+    pair_to_arrow = {(row[p], row[q]): a
+                     for a, (p, q) in enumerate(arrow_rep) for row in act}
+    if len(pair_to_arrow) != n * n:
         raise InternalInconsistency("pair orbits of a free action are not all "
                                     "of size |G|")
 
@@ -204,15 +200,8 @@ def gauge_groupoid(set_size, action):
     tgt = [point_orbit[p] for (p, q) in arrow_rep]
     id_ = [pair_to_arrow[(r, r)] for r in object_rep]
     inv = [pair_to_arrow[(q, p)] for (p, q) in arrow_rep]
-
-    transport = transporter(action)
-    mul = {}
-    for a, (p, q) in enumerate(arrow_rep):
-        for b, (q2, r) in enumerate(arrow_rep):
-            if point_orbit[q2] != point_orbit[q]:
-                continue
-            g = transport[(q2, q)]
-            mul[(a, b)] = pair_to_arrow[(p, action.act[g][r])]
+    mul = {(a, point_orbit[q] * n + s): a - q + act[c[q]][s]
+           for a, (r, q) in enumerate(arrow_rep) for s in range(n)}
     gpd = FiniteGroupoid(len(object_rep), src, tgt, id_, inv, mul)
     return gpd, GaugeLabels(pair_to_arrow, arrow_rep, point_orbit)
 
@@ -355,7 +344,7 @@ def quotient_groupoid(ga):
 
     gpd = ga.groupoid
     orep = action_check(report.object_action)
-    arrow_map, object_map = arep.orbit_of, orep.orbit_of
+    arrow_map, object_map, c = arep.orbit_of, orep.orbit_of, orep.coordinate
     arrow_reps = [min(o) for o in arep.orbits]
     object_reps = [min(o) for o in orep.orbits]
 
@@ -364,13 +353,14 @@ def quotient_groupoid(ga):
     id0 = [arrow_map[gpd.id[x]] for x in object_reps]
     inv0 = [arrow_map[gpd.inv[a]] for a in arrow_reps]
 
-    obj_transport = transporter(report.object_action)
+    # g takes tgt b to src a: a g fixing an object fixes its unit arrow
+    t, inv = ga.group.table, ga.group.inverse
     mul0 = {}
     for A, a in enumerate(arrow_reps):
         for B, b in enumerate(arrow_reps):
             if src0[A] != tgt0[B]:
                 continue
-            g = obj_transport[(gpd.tgt[b], gpd.src[a])]
+            g = t[inv[c[gpd.tgt[b]]]][c[gpd.src[a]]]
             mul0[(A, B)] = arrow_map[gpd.mul[(a, ga.act[g][b])]]
     gpd0 = FiniteGroupoid(len(object_reps), src0, tgt0, id0, inv0, mul0)
 
@@ -469,28 +459,23 @@ class MultiplicativeFunction:
 def multiplicative_function(split_):
     """Extract the multiplicative function b of the trivialized unit bundle.
 
-    The units are identified with M0 x G through the least-index point of
-    each orbit, x.g -> (orbit of x, g).  The t-action must then take the
+    The units are identified with M0 x G through the least-index point r
+    of each orbit, r.g -> (orbit of r, g): the orbit and the coordinate
+    ``action_check`` gives each unit.  The t-action must then take the
     form (y0, (sigma(y0), g)) -> (tau(y0), b(y0) g); b is read off at the
     section points and the multiplicative law b(y0)b(y0') = b(y0 y0') is
     asserted on all composable pairs.  Both follow from the split, so a
     failure raises InternalInconsistency, a library bug.
     """
-    ua = split_.unit_action
+    ua, base = split_.unit_action, split_.base
     G = ua.group
-    base = split_.base
-    trivialization = [None] * ua.set_size
-    for X in range(base.n_objects):
-        base_pt = min(x for x in range(ua.set_size)
-                      if split_.object_map[x] == X)
-        for g in range(G.order):
-            trivialization[ua.act[g][base_pt]] = (X, g)
-    inverse_triv = {lab: x for x, lab in enumerate(trivialization)}
+    rep = action_check(ua)
+    trivialization = list(zip(rep.orbit_of, rep.coordinate))
+    section = [o[0] for o in rep.orbits]    # (X, g) is act[g][section[X]]
 
     b = [None] * base.n_arrows
     for y0 in range(base.n_arrows):
-        section_pt = inverse_triv[(base.src[y0], G.identity)]
-        X, g = trivialization[split_.t_action[(y0, section_pt)]]
+        X, g = trivialization[split_.t_action[(y0, section[base.src[y0]])]]
         if X != base.tgt[y0]:
             raise InternalInconsistency("t-action leaves the target fiber",
                                         arrow=y0)
@@ -498,8 +483,8 @@ def multiplicative_function(split_):
     # full form of the theorem: t(y0, (sigma(y0), g)) = (tau(y0), b(y0) g)
     for y0 in range(base.n_arrows):
         for g in range(G.order):
-            x = inverse_triv[(base.src[y0], g)]
-            expect = inverse_triv[(base.tgt[y0], G.table[b[y0]][g])]
+            x = ua.act[g][section[base.src[y0]]]
+            expect = ua.act[G.table[b[y0]][g]][section[base.tgt[y0]]]
             if split_.t_action[(y0, x)] != expect:
                 raise InternalInconsistency(
                     "t-action is not a left translation", witness=(y0, g))

@@ -10,20 +10,23 @@ library builds (from permutations, and the Aut tables of ``autgroups``).
 
 This is also the one action toolkit.  ``FiniteAction`` is the only check
 of the action law, proved the same way on the group's product generators;
-``action_check`` gives the kernel, the orbits and the first fixed point,
-deciding freeness from orbit sizes by the orbit-stabilizer theorem;
+``action_check`` gives the kernel, the orbits, the first fixed point and
+the coordinates, deciding freeness from orbit sizes by the orbit-stabilizer
+theorem; x = r.c[x] for c the coordinates and r the least point of the orbit
+of x, so a free action takes x to y in its orbit by c[x]^-1 c[y] alone.
 ``descend`` gives the map a function induces on classes, or the first point
 where it does not pass to them; ``reduce_action`` is the action of the
 quotient by a subgroup of the kernel.
 """
 
 from collections import defaultdict
+from itertools import chain
 from operator import itemgetter
 
 from .errors import (AlgebraError, ClosureCapExceeded, InternalInconsistency,
                      InvalidInput, NoIdentity, NoInverse, NonAssociative,
                      NotAnAction, NotLatinSquare, NotNormal, ParentMismatch,
-                     is_int)
+                     all_ints, is_int)
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -371,14 +374,18 @@ class Subgroup:
     products, and ``generators`` keeps the members that closure picks by the
     greedy rule of ``FiniteGroup.generators``.  Only a subset that is not a
     subgroup gets the scan of every inverse and every pair in index order,
-    which names the first failure.
+    which names the first failure.  A member that is not an integer
+    (``is_int``) is an input error.
     """
 
     __slots__ = ("parent", "members", "_set", "generators")
 
     def __init__(self, parent, members):
+        members = tuple(members)
+        if not all_ints(members):
+            raise InvalidInput("subgroup members must be integers")
         self.parent = parent
-        self.members = tuple(sorted(set(int(m) for m in members)))
+        self.members = tuple(sorted(set(members)))
         self._set = frozenset(self.members)
         self._validate()
 
@@ -434,11 +441,15 @@ def _closure(G, gens):
 
 def subgroup_closure(G, generators):
     """Smallest subgroup H of G containing the generators, validated like
-    every Subgroup; a generator outside 0..|G|-1 is an input error."""
+    every Subgroup; a generator that is not an integer in 0..|G|-1 is an
+    input error."""
+    generators = tuple(generators)
+    if not all_ints(generators):
+        raise InvalidInput("generators must be integers")
     for g in generators:
-        if not 0 <= int(g) < G.order:
+        if not 0 <= g < G.order:
             raise InvalidInput("generator out of range", generator=g)
-    return Subgroup(G, _closure(G, map(int, generators))[1])
+    return Subgroup(G, _closure(G, generators)[1])
 
 
 def is_normal(G, H):
@@ -485,7 +496,8 @@ class GroupHom:
     Cost: |G|*|gens| lookups, map(a*g) = map(a)*map(g) for every a and each
     product generator g of the source: with e -> e, the b that pass for every
     a are closed under products.  On failure every pair is rescanned in
-    index order, so the report names the first.
+    index order, so the report names the first.  An image that is not an
+    integer (``is_int``) is an input error.
     """
 
     __slots__ = ("source", "target", "map")
@@ -493,7 +505,9 @@ class GroupHom:
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.map = tuple(int(x) for x in images)
+        self.map = tuple(images)
+        if not all_ints(self.map):
+            raise InvalidInput("images must be integers")
         self._validate()
 
     def _validate(self):
@@ -581,7 +595,8 @@ class FiniteAction:
     product generators b, which suffices because the b with
     x.(ab) = (x.a).b for all a and x hold the identity and are closed under
     products.  On failure the first violating pair and point in index order
-    is reported, as by a scan of every (a, b, x).
+    is reported, as by a scan of every (a, b, x).  A set size or entry that
+    is not an integer (``is_int``) raises InvalidInput first.
     """
 
     __slots__ = ("group", "set_size", "act")
@@ -589,9 +604,10 @@ class FiniteAction:
     def __init__(self, group, set_size, act, side="right"):
         if side not in ("right", "left"):
             raise InvalidInput("side must be 'right' or 'left'", side=side)
-        self.group = group
-        self.set_size = int(set_size)
-        rows = [tuple(map(int, row)) for row in act]
+        rows = [tuple(row) for row in act]
+        if not all_ints(chain((set_size,), chain.from_iterable(rows))):
+            raise InvalidInput("set size and entries must be integers")
+        self.group, self.set_size = group, set_size
         # counted before a left action is relabelled through the inverses
         if len(rows) != group.order:
             raise NotAnAction("action table has %d rows, group has order %d"
@@ -632,26 +648,19 @@ class FiniteAction:
         return self.act[g][x]
 
 
-def transporter(a):
-    """The division map (x, x.g) -> g of an action.
-
-    For a free action g is unique; otherwise the last g in index order wins.
-    """
-    t = {}
-    for x in range(a.set_size):
-        for g in range(a.group.order):
-            t[(x, a.act[g][x])] = g
-    return t
-
-
 class ActionReport:
-    __slots__ = ("fixed", "kernel", "orbits", "orbit_of")
+    """``fixed``, ``kernel``, ``orbits`` with each point's index in
+    ``orbit_of``, and ``coordinate``: a g with r.g = x for each point x, r
+    the least point of its orbit, the only one when the action is free."""
 
-    def __init__(self, fixed, kernel, orbits, orbit_of):
+    __slots__ = ("fixed", "kernel", "orbits", "orbit_of", "coordinate")
+
+    def __init__(self, fixed, kernel, orbits, orbit_of, coordinate):
         self.fixed = fixed
         self.kernel = kernel
         self.orbits = orbits
         self.orbit_of = orbit_of
+        self.coordinate = coordinate
 
     @property
     def is_free(self):
@@ -659,36 +668,41 @@ class ActionReport:
 
 
 def action_check(a):
-    """Kernel, first fixed point and orbits of a validated action.
+    """Kernel, first fixed point, orbits and coordinates of a validated
+    action, as an ``ActionReport``.
 
-    Each orbit is its least unvisited point closed under the product
-    generators, so orbits come out sorted and indexed by least member.
-    ``fixed`` is the first (g, x) in index order with g not the identity
-    and x.g = x, or None: free means None.  By the orbit-stabilizer
-    theorem, |orbit of x| * |stabilizer of x| = |G|, so orbits of |G|
-    points each on a nonempty set mean a free action with kernel {e}.  Only
-    a non-free action or an empty point set (kernel G) scans every g.
+    Each orbit is its least unvisited point r, with coordinate e, closed
+    under the product generators, so orbits come out sorted and indexed by
+    least member.  A point y first reached as z.s, for a generator s, gets
+    coordinate[y] = coordinate[z] * s, since r.(c s) = (r.c).s = z.s: one
+    table lookup per point.  By the orbit-stabilizer theorem,
+    |orbit of x| * |stabilizer of x| = |G|, so orbits of |G| points each on
+    a nonempty set mean a free action with kernel {e}.  Only a non-free
+    action or an empty point set (kernel G) scans every g.
     """
     G, act, n = a.group, a.act, a.set_size
-    gen_rows = [act[g] for g in G.generators]
-    orbit_of, orbits = [None] * n, []
+    gens = [(s, act[s]) for s in G.generators]
+    orbit_of, orbits, coordinate = [None] * n, [], [None] * n
     for x in range(n):
         if orbit_of[x] is None:
-            orbit_of[x], orbit = len(orbits), [x]
-            for y in orbit:
-                for row in gen_rows:
-                    if orbit_of[row[y]] is None:
-                        orbit_of[row[y]] = len(orbits)
-                        orbit.append(row[y])
+            orbit_of[x], coordinate[x], orbit = len(orbits), G.identity, [x]
+            for z in orbit:
+                times = G.table[coordinate[z]]
+                for s, row in gens:
+                    y = row[z]
+                    if orbit_of[y] is None:
+                        orbit_of[y], coordinate[y] = len(orbits), times[s]
+                        orbit.append(y)
             orbits.append(tuple(sorted(orbit)))
     if n and all(len(o) == G.order for o in orbits):
-        return ActionReport(None, Subgroup(G, [G.identity]), orbits,
-                            tuple(orbit_of))
-    ident = tuple(range(n))
-    kernel = Subgroup(G, [g for g, row in enumerate(act) if row == ident])
-    fixed = next(((g, x) for g, row in enumerate(act) if g != G.identity
-                  for x in ident if row[x] == x), None)
-    return ActionReport(fixed, kernel, orbits, tuple(orbit_of))
+        fixed, kernel = None, Subgroup(G, [G.identity])
+    else:
+        ident = tuple(range(n))
+        kernel = Subgroup(G, [g for g, row in enumerate(act) if row == ident])
+        fixed = next(((g, x) for g, row in enumerate(act) if g != G.identity
+                      for x in ident if row[x] == x), None)
+    return ActionReport(fixed, kernel, orbits, tuple(orbit_of),
+                        tuple(coordinate))
 
 
 def descend(classes, values, n):

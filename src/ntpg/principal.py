@@ -21,7 +21,7 @@ from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
 from .groups import (FiniteAction, GroupHom, Subgroup, _closure, action_check,
                      descend, generates, intersect, make_group,
                      normality_witness, quotient, reduce_action,
-                     subgroup_as_group, transporter)
+                     subgroup_as_group)
 
 
 class DoublePrincipalGroup:
@@ -352,23 +352,25 @@ class PipelineResult:
                 "m0_size": self.m0_size}
 
 
-def derive_twist(set_size, rho, rho_prime):
+def derive_twist(set_size, rho, rho_prime, report):
     """Solve pgg' = pg'g_{g'} for g_{g'}, a single candidate per (g, g').
 
-    Freeness of rho makes the candidate from one base point unique; it is
-    then verified against every point, which is the compatibility proof.
+    Freeness of rho makes the candidate from one base point unique: it is
+    c[base]^-1 c[target] for c the coordinates in rho's ``action_check``
+    report, and there is none across orbits.  It is then verified against
+    every point, which is the compatibility proof.
     """
     if set_size == 0:
         raise NotAnAction("empty point set")
-    transport = transporter(rho)
+    c, t, inv = report.coordinate, rho.group.table, rho.group.inverse
     twist = {}
     for g in range(rho.group.order):
         for gp in range(rho_prime.group.order):
             target = rho_prime.act[gp][rho.act[g][0]]
             base = rho_prime.act[gp][0]
-            cand = transport.get((base, target))
-            if cand is None:
+            if report.orbit_of[base] != report.orbit_of[target]:
                 raise NotCompatible("no twist candidate", pair=(g, gp))
+            cand = t[inv[c[base]]][c[target]]
             for p in range(set_size):
                 if rho_prime.act[gp][rho.act[g][p]] != \
                         rho.act[cand][rho_prime.act[gp][p]]:
@@ -397,7 +399,7 @@ def gamma_from_actions(set_size, rho, rho_prime):
         if not reports[-1].is_free:
             raise NotFree("action is not free", action=name)
 
-    twist = derive_twist(set_size, rho, rho_prime)
+    twist = derive_twist(set_size, rho, rho_prime, reports[0])
     G, Gp = rho.group, rho_prime.group
     act = [[twist[(x, gp)] for x in range(G.order)] for gp in range(Gp.order)]
     sd = semidirect(Gp, G, act)

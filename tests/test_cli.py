@@ -965,3 +965,12 @@ def test_pipeline_square_failure_is_a_theory_failure(tmp_path, capsys,
         ["dpg", "gamma-from-actions",
          os.path.join(EXAMPLES, "z2z3_pipeline.json")],
         tmp_path, capsys)
+
+
+def test_inexact_sequence_is_a_theory_failure(tmp_path, capsys, monkeypatch):
+    import ntpg.principal
+    monkeypatch.setattr(ntpg.principal, "exact_sequence_check",
+                        lambda dpg: False)
+    _assert_theory_failure(
+        ["dpg", "verify", os.path.join(EXAMPLES, "q8_dpg.json")],
+        tmp_path, capsys)

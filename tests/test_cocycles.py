@@ -56,7 +56,15 @@ def test_three_chart_order_three_element():
     ok, w = check_cocycle(bad)
     assert not ok
     assert w["law"] == "triple"
-    assert set(w["triple"]) == {0, 1, 2}
+    assert w["triple"] == (0, 1, 2)
+
+
+def test_first_failing_triple_in_index_order():
+    # every value 1 in Z5 breaks the triple law on every triple of the
+    # full nerve of 6 charts; the first in index order is (0, 1, 2)
+    values = {(i, j): 1 for i in range(6) for j in range(i + 1, 6)}
+    c = Cocycle(CoverNerve.full(6), cyclic(5), values)
+    assert check_cocycle(c) == (False, {"law": "triple", "triple": (0, 1, 2)})
 
 
 def test_triple_without_pair_rejected():

@@ -621,6 +621,31 @@ def test_reduce_action_outside_the_kernel_is_a_library_bug():
     assert e.value.details == {"element": 1}
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FiniteAction(cyclic(2), 2, [[0, 1], [1.9, False]]),
+    lambda: FiniteAction(cyclic(2), 2.0, [[0, 1], [1, 0]]),
+    lambda: Subgroup(cyclic(2), [0.5, True]),
+    lambda: GroupHom(cyclic(2), cyclic(2), ["0", 1.2]),
+    lambda: subgroup_closure(cyclic(4), [2.7])],
+    ids=["action-entries", "set-size", "subgroup", "hom", "closure"])
+def test_library_inputs_must_be_integers(build):
+    # int() would read each of these as an index
+    with pytest.raises(InvalidInput, match="integer"):
+        build()
+
+
+def test_int_subclasses_are_integers():
+    class Index(int):
+        pass
+
+    one, two = Index(1), Index(2)
+    swap = FiniteAction(cyclic(2), two, [[0, one], [one, 0]])
+    assert swap.set_size == 2 and swap.act == ((0, 1), (1, 0))
+    assert Subgroup(cyclic(2), [0, one]).members == (0, 1)
+    assert GroupHom(cyclic(2), cyclic(2), [0, one]).map == (0, 1)
+    assert subgroup_closure(cyclic(4), [two]).members == (0, 2)
+
+
 # -- property tests ------------------------------------------------------------
 
 _CATALOG = [named.trivial_group, named.klein_four, named.quaternion_group,

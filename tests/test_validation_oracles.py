@@ -21,8 +21,13 @@ both must give the same error or the same group, field by field.
 ``check_compatible`` tests the group's product generators alone; its
 oracle tests every element.  ``action_check`` reads freeness off the orbit
 sizes; its reference scans every element and joins orbits through a
-union-find, and ``check_compatible``'s pre-principal verdict is compared
-with the route through the quotient group G/K (``reduce_action``).
+union-find, and each point's coordinate g, with r.g the point for r the
+least point of its orbit, is checked against the action table, and for a
+free action against every element.  ``check_compatible``'s pre-principal
+verdict is compared with the route through the quotient group G/K
+(``reduce_action``).  ``gauge_groupoid`` builds its arrows and products in
+closed form from those coordinates; its reference walks the pair orbits,
+divides through the map (x, x.g) -> g and scans every pair of arrows.
 The named groups of order at most 12 run here; a larger order runs the same
 comparison from the command line:
 
@@ -189,11 +194,56 @@ def reference_action_check(a):
 
 
 def assert_same_action_report(a):
-    """action_check against its reference, field by field: is a free?"""
+    """action_check against its reference, field by field, and each point x
+    as r.coordinate[x], r the least point of its orbit, by the only such
+    element when the action is free: is a free?"""
     rep = action_check(a)
     assert (rep.fixed, rep.kernel.members, rep.orbits, rep.orbit_of) == \
         reference_action_check(a), (a.group.order, a.act)
+    for x, (X, c) in enumerate(zip(rep.orbit_of, rep.coordinate)):
+        r = rep.orbits[X][0]
+        assert a.act[c][r] == x, (a.act, x)
+        if rep.is_free:
+            assert [g for g, row in enumerate(a.act) if row[r] == x] == [c]
     return rep.is_free
+
+
+def reference_gauge_groupoid(set_size, action):
+    """The groupoid fields, products and labels of ``gauge_groupoid`` as it
+    built them before its closed form: each pair orbit walked from its
+    least pair in lexicographic order, the transporter (x, x.g) -> g of
+    every point and element, and a scan of every pair of arrows for the
+    composable ones.  The action must be free."""
+    act = action.act
+    _, _, orbits, point_orbit = reference_action_check(action)
+    object_rep = [min(o) for o in orbits]
+    pair_to_arrow, arrow_rep = {}, []
+    for p in range(set_size):
+        for q in range(set_size):
+            if (p, q) not in pair_to_arrow:
+                for row in act:
+                    pair_to_arrow[(row[p], row[q])] = len(arrow_rep)
+                arrow_rep.append((p, q))
+    transport = {(x, row[x]): g for x in range(set_size)
+                 for g, row in enumerate(act)}
+    mul = {}
+    for a, (p, q) in enumerate(arrow_rep):
+        for b, (q2, r) in enumerate(arrow_rep):
+            if point_orbit[q2] == point_orbit[q]:
+                mul[(a, b)] = pair_to_arrow[(p, act[transport[(q2, q)]][r])]
+    return (len(object_rep), [point_orbit[q] for p, q in arrow_rep],
+            [point_orbit[p] for p, q in arrow_rep],
+            [pair_to_arrow[(r, r)] for r in object_rep],
+            [pair_to_arrow[(q, p)] for p, q in arrow_rep], list(mul.items()),
+            list(pair_to_arrow.items()), arrow_rep, point_orbit)
+
+
+def assert_same_gauge(set_size, action):
+    gpd, labels = gauge_groupoid(set_size, action)
+    assert (gpd.n_objects, list(gpd.src), list(gpd.tgt), list(gpd.id),
+            list(gpd.inv), list(gpd.mul.items()),
+            list(labels.pair_to_arrow.items()), labels.arrow_rep,
+            labels.point_orbit) == reference_gauge_groupoid(set_size, action)
 
 
 def _coset_action(G, H):
@@ -413,9 +463,11 @@ def compare_group_checks(G):
     against the union-find reference: each subgroup acting on G by right
     translation, G on the right cosets of each subgroup, the trivial
     action on 3 points, the regular action and the action on no points.
-    Returns how many unions were not subgroups, how many subgroups were
-    not normal, how many maps were not homomorphisms, and how many of
-    those actions were free and not free."""
+    The gauge groupoid of each subgroup's right translation, against its
+    reference.  Returns how many unions were not subgroups, how many
+    subgroups were not normal, how many maps were not homomorphisms, how
+    many of those actions were free and not free, and how many gauge
+    groupoids were compared."""
     subgroups = {}
     for gens in combinations_with_replacement(range(G.order), 2):
         gens = set(gens)
@@ -423,7 +475,7 @@ def compare_group_checks(G):
         assert H.members == brute_force_closure(G, gens), gens
         subgroups.setdefault(H.members, H)
     counts = {"not a subgroup": 0, "not normal": 0, "not a homomorphism": 0,
-              "free": 0, "not free": 0}
+              "free": 0, "not free": 0, "gauges": 0}
     for H1, H2 in combinations(list(subgroups.values()), 2):
         gens = set(H1.members) | set(H2.members)
         H = subgroup_closure(G, gens)
@@ -444,7 +496,10 @@ def compare_group_checks(G):
     for a in (trivial_action(G, 3), regular_action(G), trivial_action(G, 0)):
         check_action(a)
     for members, H in sorted(subgroups.items()):
-        check_action(right_translation_action(G, H))
+        translation = right_translation_action(G, H)
+        check_action(translation)
+        assert_same_gauge(G.order, translation)
+        counts["gauges"] += 1
         check_action(FiniteAction(G, *_coset_action(G, H)))
         w = normality_witness(G, H)
         assert w == brute_force_normality(G, H), members
