@@ -2,9 +2,10 @@
 
 Arrows and objects are dense indices.  Composition follows the function
 order: mul(g, h) is defined when src(g) == tgt(h) and the product runs
-src(h) -> tgt(g).  The partial multiplication is stored as a dict keyed by
-composable pairs, so composability queries are O(1) during the exhaustive
-verifications.
+src(h) -> tgt(g).  The partial multiplication is kept in the row form of
+``groups``: rows[g][pos[h]] is g*h, where pos[h] is h's place among the
+arrows ending at tgt(h), so a product is two index lookups and every scan
+over the pairs runs in index order, g ascending, then h.
 
 Validation is exhaustive at every size without touching every triple:
 composability is counted per object, and associativity is proved by
@@ -13,30 +14,32 @@ actions in ``groups``.  A failure still names the first witness a scan
 over all pairs or triples would find.
 """
 
-from itertools import chain
+from collections.abc import Mapping
+from itertools import chain, repeat
 
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative, all_ints)
-from .groups import (FiniteAction, _light_test, _product_generators,
-                     action_check, make_group, reduce_action)
+from .groups import (FiniteAction, _check_associative, action_check,
+                     make_group, reduce_action)
 
 
 class FiniteGroupoid:
     """Objects, arrows, src/tgt/id/inv and a partial multiplication."""
 
-    __slots__ = ("n_objects", "n_arrows", "src", "tgt", "id", "inv", "mul")
+    __slots__ = ("n_objects", "n_arrows", "src", "tgt", "id", "inv", "rows",
+                 "pos")
 
     def __init__(self, n_objects, src, tgt, id_, inv, mul):
         self.src, self.tgt = tuple(src), tuple(tgt)
-        self.id, self.inv, self.mul = tuple(id_), tuple(inv), dict(mul)
+        self.id, self.inv = tuple(id_), tuple(inv)
         if not all_ints(chain((n_objects,), self.src, self.tgt, self.id,
-                              self.inv, chain.from_iterable(self.mul),
-                              self.mul.values())):
+                              self.inv, chain.from_iterable(mul),
+                              mul.values())):
             raise InvalidInput("groupoid entries must be integers")
         self.n_objects, self.n_arrows = n_objects, len(self.src)
-        self._validate()
+        self._validate(mul)
 
-    def _validate(self):
+    def _validate(self, mul):
         """Check every groupoid law, exhaustively, at every size.
 
         In order: array lengths and ranges, units, the ``mul`` keys, that
@@ -46,12 +49,12 @@ class FiniteGroupoid:
         test with the middle factor h taken from a product-generating set
         built from the units: the h with (gh)k = g(hk) for all composable g, k
         hold the units and are closed under products.  Each failure names
-        its first witness (pair, arrow or triple) in the order of a plain
-        scan over all arrows.
+        its first witness (pair, arrow or triple) in index order, whatever
+        the order of ``mul``.
         """
         n, m = self.n_objects, self.n_arrows
-        src, tgt, mul = self.src, self.tgt, self.mul
-        if len(tgt) != m or len(self.inv) != m or len(self.id) != n:
+        src, tgt, id_ = self.src, self.tgt, self.id
+        if len(tgt) != m or len(self.inv) != m or len(id_) != n:
             raise InvalidInput("groupoid arrays have inconsistent lengths")
         for a in range(m):
             if not (0 <= src[a] < n and 0 <= tgt[a] < n):
@@ -59,83 +62,96 @@ class FiniteGroupoid:
             if not 0 <= self.inv[a] < m:
                 raise InvalidInput("inv out of range", arrow=a)
         for x in range(n):
-            u = self.id[x]
+            u = id_[x]
             if not 0 <= u < m or src[u] != x or tgt[u] != x:
                 raise InvalidInput("id[x] is not an arrow at x", object=x)
-        for g, h in mul:
-            if not (0 <= g < m and 0 <= h < m):
-                raise InvalidInput("mul key out of range", pair=(g, h))
+        outside = [(g, h) for g, h in mul if not (0 <= g < m and 0 <= h < m)]
+        if outside:
+            raise InvalidInput("mul key out of range", pair=min(outside))
         # multiplication defined exactly on composable pairs: row g lists
-        # g*k for the arrows k ending at src[g], pos[k] is k's place there
-        ending = [[] for _ in range(n)]
+        # g*k for the arrows k ending at src[g]
+        ending, pos = [[] for _ in range(n)], []
         for k in range(m):
+            pos.append(len(ending[tgt[k]]))
             ending[tgt[k]].append(k)
-        pos = [0] * m
-        for arrows in ending:
-            for i, k in enumerate(arrows):
-                pos[k] = i
         try:
             rows = [tuple([mul[g, k] for k in ending[src[g]]])
                     for g in range(m)]
         except KeyError:
             rows = None
         if rows is None or len(mul) != sum(map(len, rows)):
-            self._raise_composability()
-        for (g, h), gh in mul.items():
+            # the first pair in index order on which they disagree
+            g, h = pair = min(set(mul).symmetric_difference(
+                (g, k) for g in range(m) for k in ending[src[g]]))
+            raise InvalidInput("missing product of composable pair"
+                               if src[g] == tgt[h] else
+                               "product defined on non-composable pair",
+                               pair=pair)
+        self.rows, self.pos = tuple(rows), tuple(pos)
+        for (g, h), gh in self.products():
             if not 0 <= gh < m:
                 raise InvalidInput("product out of range", pair=(g, h))
             if src[gh] != src[h] or tgt[gh] != tgt[g]:
                 raise InvalidInput("product has wrong endpoints", pair=(g, h))
-        for g in range(m):
-            if mul[(g, self.id[src[g]])] != g or \
-                    mul[(self.id[tgt[g]], g)] != g:
+        for g, row in enumerate(rows):
+            if row[pos[id_[src[g]]]] != g or rows[id_[tgt[g]]][pos[g]] != g:
                 raise InvalidInput("units are not two-sided", arrow=g)
             gi = self.inv[g]
             if src[gi] != tgt[g] or tgt[gi] != src[g]:
                 raise InvalidInput("inverse has wrong endpoints", arrow=g)
-            if mul[(g, gi)] != self.id[tgt[g]] or \
-                    mul[(gi, g)] != self.id[src[g]]:
+            if row[pos[gi]] != id_[tgt[g]] or rows[gi][pos[g]] != id_[src[g]]:
                 raise InvalidInput("inverse law fails", arrow=g)
-        leaving = [[] for _ in range(n)]
-        for g in range(m):
-            leaving[src[g]].append(rows[g])
-        gens, _ = _product_generators(rows, pos, self.id, src, tgt, range(m))
-        if _light_test(rows, pos, leaving, tgt, gens):
-            return
-        for (g, h), gh in mul.items():
-            for k in ending[src[h]]:
-                if mul[(gh, k)] != mul[(g, mul[(h, k)])]:
-                    raise InvalidInput("associativity fails",
-                                       triple=(g, h, k))
-        raise InternalInconsistency("Light's test failed on an associative "
-                                    "groupoid")
+        _check_associative(rows, pos, id_, src, tgt, InvalidInput,
+                           "associativity fails")
 
-    def _raise_composability(self):
-        """Name the first pair, in index order, where ``mul`` is missing a
-        composable product or defines a non-composable one."""
-        src, tgt, mul = self.src, self.tgt, self.mul
-        for g in range(self.n_arrows):
-            for h in range(self.n_arrows):
-                if src[g] == tgt[h]:
-                    if (g, h) not in mul:
-                        raise InvalidInput("missing product of composable "
-                                           "pair", pair=(g, h))
-                elif (g, h) in mul:
-                    raise InvalidInput("product defined on non-composable "
-                                       "pair", pair=(g, h))
-        raise InternalInconsistency("composable pairs miscounted")
+    @property
+    def mul(self):
+        """The products as a read-only mapping {(g, h): g*h}."""
+        return _Products(self)
+
+    def products(self):
+        """((g, h), g*h) for every composable pair, g ascending, then h."""
+        ending = [[] for _ in range(self.n_objects)]
+        for k, x in enumerate(self.tgt):
+            ending[x].append(k)
+        return chain.from_iterable(
+            zip(zip(repeat(g), ending[self.src[g]]), row)
+            for g, row in enumerate(self.rows))
 
     def vertex_group(self, x):
         """The group of arrows x -> x, as (FiniteGroup, arrow list)."""
         loop = [a for a in range(self.n_arrows)
                 if self.src[a] == x and self.tgt[a] == x]
-        pos = {a: i for i, a in enumerate(loop)}
-        table = [[pos[self.mul[(a, b)]] for b in loop] for a in loop]
+        index = {a: i for i, a in enumerate(loop)}
+        table = [[index[self.rows[a][self.pos[b]]] for b in loop]
+                 for a in loop]
         return make_group(table), loop
 
     def __repr__(self):
         return "FiniteGroupoid(objects=%d, arrows=%d)" % (self.n_objects,
                                                           self.n_arrows)
+
+
+class _Products(Mapping):
+    """``FiniteGroupoid.mul``: a view of the rows, iterated in index order;
+    nothing is copied."""
+
+    def __init__(self, gpd):
+        self._gpd = gpd
+
+    def __getitem__(self, pair):
+        gpd = self._gpd
+        g, h = pair
+        if 0 <= g < gpd.n_arrows and 0 <= h < gpd.n_arrows and \
+                gpd.src[g] == gpd.tgt[h]:
+            return gpd.rows[g][gpd.pos[h]]
+        raise KeyError(pair)
+
+    def __iter__(self):
+        return (pair for pair, _ in self._gpd.products())
+
+    def __len__(self):
+        return sum(map(len, self._gpd.rows))
 
 
 def pair_groupoid(n):
@@ -269,8 +285,9 @@ def _morphism_failure(source, target, arrow_map, object_map):
     for x in range(source.n_objects):
         if target.id[object_map[x]] != arrow_map[source.id[x]]:
             return "unit", x
-    for (a, b), ab in source.mul.items():
-        if target.mul[(arrow_map[a], arrow_map[b])] != arrow_map[ab]:
+    rows, pos = target.rows, target.pos
+    for (a, b), ab in source.products():
+        if rows[arrow_map[a]][pos[arrow_map[b]]] != arrow_map[ab]:
             return "product", (a, b)
     return None
 
@@ -361,7 +378,7 @@ def quotient_groupoid(ga):
             if src0[A] != tgt0[B]:
                 continue
             g = t[inv[c[gpd.tgt[b]]]][c[gpd.src[a]]]
-            mul0[(A, B)] = arrow_map[gpd.mul[(a, ga.act[g][b])]]
+            mul0[(A, B)] = arrow_map[gpd.rows[a][gpd.pos[ga.act[g][b]]]]
     gpd0 = FiniteGroupoid(len(object_reps), src0, tgt0, id0, inv0, mul0)
 
     # the projection must be a groupoid morphism (theory oracle)
@@ -423,8 +440,7 @@ def split(ga):
         if q.object_map[t_action[(y0, x)]] != base.tgt[y0]:
             raise InternalInconsistency("property (i) fails",
                                         witness=(y0, x))
-    for (y0, y0p) in base.mul:
-        prod = base.mul[(y0, y0p)]
+    for (y0, y0p), prod in base.products():
         for x in range(gpd.n_objects):
             if q.object_map[x] != base.src[y0p]:
                 continue
@@ -488,7 +504,7 @@ def multiplicative_function(split_):
             if split_.t_action[(y0, x)] != expect:
                 raise InternalInconsistency(
                     "t-action is not a left translation", witness=(y0, g))
-    for (y0, y0p), prod in base.mul.items():
+    for (y0, y0p), prod in base.products():
         if G.table[b[y0]][b[y0p]] != b[prod]:
             raise InternalInconsistency("b(y0)b(y0') != b(y0 y0')",
                                         witness=(y0, y0p))
@@ -521,7 +537,7 @@ def build_from_morphism(base, group, b):
     """
     if len(b) != base.n_arrows:
         raise InvalidInput("b has wrong length")
-    for (y0, y0p), prod in base.mul.items():
+    for (y0, y0p), prod in base.products():
         if group.table[b[y0]][b[y0p]] != b[prod]:
             raise NotMultiplicative("b is not a groupoid morphism",
                                     witness=(y0, y0p))
@@ -536,7 +552,7 @@ def build_from_morphism(base, group, b):
     id_ = [base.id[x0] * n + g for x0 in range(base.n_objects)
            for g in range(n)]
     mul = {}
-    for (y0, y0p), prod in base.mul.items():
+    for (y0, y0p), prod in base.products():
         for g2 in range(n):
             g1 = group.table[b[y0p]][g2]
             mul[(y0 * n + g1, y0p * n + g2)] = prod * n + g2

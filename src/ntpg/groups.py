@@ -190,9 +190,10 @@ def _fill_rows(rows, e, gens):
 
 # A partial product in row form: rows[x][pos[s]] is x*s for every s with
 # tgt[s] == src[x], where pos[s] is the index of s among the elements with
-# target tgt[s], in index order.  A groupoid's arrows take this form; a group
-# is the one-object case, with its table as rows, pos the identity map and
-# src = tgt = 0 throughout.
+# target tgt[s], in index order.  A groupoid's arrows take this form and a
+# ``FiniteGroupoid`` keeps its products so; a group is the one-object case,
+# with its table as rows, pos the identity map and src = tgt = 0
+# throughout.  ``_check_associative`` serves both.
 
 def _product_generators(rows, pos, units, src, tgt, candidates):
     """(gens, reached): the elements the units and gens reach by products.
@@ -246,24 +247,34 @@ def _light_test(rows, pos, leaving, tgt, gens):
     return True
 
 
-def _check_associative(table, n, e, gens=()):
-    """Light's associativity test, exhaustive at every order, over gens
-    whose products reach every element (default: the greedy product
-    generators, which it returns).  On failure the table is rescanned for
-    the first violating triple in index order."""
-    zeros = [0] * n
-    greedy, _ = _product_generators(table, range(n), [e], zeros, zeros,
-                                    range(n))
-    if _light_test(table, range(n), [table], zeros, gens or greedy):
+def _check_associative(rows, pos, units, src, tgt, error, message,
+                       gens=()):
+    """Light's associativity test on a product in row form, exhaustive at
+    every size, over gens whose products reach every element (default: the
+    greedy product generators, which it returns).  units[x] is the unit at
+    object x.  On failure the rows are rescanned for the first (g, h, k) in
+    index order with (g*h)*k != g*(h*k), raised as error(message,
+    triple=(g, h, k))."""
+    greedy, _ = _product_generators(rows, pos, units, src, tgt,
+                                    range(len(rows)))
+    ending, leaving = [[] for _ in units], [[] for _ in units]
+    for g, row in enumerate(rows):
+        ending[tgt[g]].append(g)
+        leaving[src[g]].append(row)
+    if _light_test(rows, pos, leaving, tgt, gens or greedy):
         return greedy
-    through = [itemgetter(*row) for row in table]
-    for a, row in enumerate(table):
-        for b, ab in enumerate(row):
-            left, right = table[ab], through[b](row)
+    # row g read through row h is k -> g*(h*k), built when first needed
+    through = [None] * len(rows)
+    for g, row in enumerate(rows):
+        for h, gh in zip(ending[src[g]], row):
+            if through[h] is None:
+                through[h] = _reader([pos[y] for y in rows[h]])
+            left, right = rows[gh], through[h](row)
             if left != right:
-                c = next(c for c in range(n) if left[c] != right[c])
-                raise NonAssociative("(a*b)*c != a*(b*c)", triple=(a, b, c))
-    raise InternalInconsistency("Light's test failed on an associative table")
+                c = next(c for c, x in enumerate(left) if x != right[c])
+                raise error(message, triple=(g, h, ending[src[h]][c]))
+    raise InternalInconsistency("Light's test failed on an associative "
+                                "product")
 
 
 def make_group(table):
@@ -283,7 +294,9 @@ def make_group(table):
     try:
         e = _find_identity(rows, n)
         inverse = _find_inverses(rows, e)
-        gens = _check_associative(rows, n, e)
+        zeros = [0] * n
+        gens = _check_associative(rows, range(n), [e], zeros, zeros,
+                                  NonAssociative, "(a*b)*c != a*(b*c)")
     except (NoIdentity, NoInverse, NonAssociative):
         _check_columns(rows, n)
         raise
@@ -298,9 +311,11 @@ def _built_group(rows, gens):
     n = len(rows)
     try:
         if None not in rows:
-            e = _find_identity(rows, n)
-            return FiniteGroup(rows, e, _find_inverses(rows, e),
-                               _check_associative(rows, n, e, gens))
+            e, zeros = _find_identity(rows, n), [0] * n
+            inverse = _find_inverses(rows, e)
+            return FiniteGroup(rows, e, inverse, _check_associative(
+                rows, range(n), [e], zeros, zeros, NonAssociative,
+                "(a*b)*c != a*(b*c)", gens))
     except (AlgebraError, ValueError):      # ValueError: a row without e
         pass
     raise InternalInconsistency("a table the library built is not a group")

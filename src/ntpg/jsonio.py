@@ -127,7 +127,7 @@ def dump_groupoid(gpd):
     return {"objects": gpd.n_objects, "arrows": gpd.n_arrows,
             "src": list(gpd.src), "tgt": list(gpd.tgt),
             "id": list(gpd.id), "inv": list(gpd.inv),
-            "mul": sorted([g, h, gh] for (g, h), gh in gpd.mul.items())}
+            "mul": [[g, h, gh] for (g, h), gh in gpd.products()]}
 
 
 def load_groupoid_action(obj, cap=DEFAULT_CLOSURE_CAP):

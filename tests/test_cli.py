@@ -11,6 +11,7 @@ import ntpg
 from ntpg.graded import PolyMap
 from ntpg.cli import main
 from ntpg.named import quaternion_group
+from test_cli_fuzz import FAILING, RELISTINGS
 
 Q8 = quaternion_group()
 
@@ -637,6 +638,23 @@ def _mutated(base, path, value):
 _ONE_ARROW = {"groupoid": {"objects": 1, "src": [0], "tgt": [0], "id": [0],
                            "inv": [0], "mul": [[0, 0, 0]]},
               "group": {"table": [[0]]}, "act": [[0]]}
+
+
+@pytest.mark.parametrize("listing", ["sorted", "reverse", "rotate"])
+@pytest.mark.parametrize("name,code,witness", [
+    ("loop5", 2, {"triple": [1, 1, 2]}),
+    ("z5-swap", 1, {"witness": ["product", 1, [1, 1]]})])
+def test_groupoid_witnesses_follow_index_order(tmp_path, listing, name, code,
+                                               witness):
+    data = json.loads(json.dumps(FAILING[name]))
+    data["groupoid"]["mul"] = RELISTINGS.get(listing, list)(
+        data["groupoid"]["mul"])
+    out = str(tmp_path / "rep.json")
+    assert run(["groupoid", "quotient", write(tmp_path, "in.json", data),
+                "--out", out]) == code
+    rep = read_report(out)
+    got = rep["witnesses"][0] if code == 1 else rep["details"]
+    assert got["details"] == witness
 
 
 def test_unmutated_loader_inputs_pass(tmp_path):

@@ -7,10 +7,17 @@ the mutation, the exit code is 0, 1 or 2, no traceback reaches stderr, a
 failure carries witnesses, an error carries verdict "error" and is never a
 library bug, and both runs give the same report apart from ``timing_ms``.
 
+The listing-order mode reverses, or rotates by one, each keyed list of
+every example and of the FAILING inputs (groupoid ``mul``, nerve
+``overlaps`` and ``triples``, cocycle ``values``, ``c1`` and ``c2``,
+polynomial ``terms``, signature ``blocks``): the exit code, the report
+apart from ``timing_ms`` and stderr must be those of the input as listed,
+since every witness is the first in index order.
+
 Run as a script, it checks every single-node mutation (every path, op and
 value) of every example under every command once, each run given 10 s,
-and prints each break and the totals; it exits 1 if any run broke the
-contract or timed out:
+then every relisting, and prints each break and the totals; it exits 1 if
+any run broke the contract, timed out or depended on the listing order:
 
     PYTHONPATH=src python tests/test_cli_fuzz.py
 """
@@ -56,6 +63,39 @@ COMMANDS = {
     "d111_assoc.json": [["cocycle", "associate", "{}"]],
     "d111_frame.json": [["cocycle", "frame", "{}"]],
 }
+
+
+def _one_object(table, row):
+    """A group or loop table as a one-object groupoid, acted on by Z2 with
+    the given non-identity row; mul is listed in index order."""
+    n = len(table)
+    return {"groupoid": {"objects": 1, "src": [0] * n, "tgt": [0] * n,
+                         "id": [0], "inv": [r.index(0) for r in table],
+                         "mul": [[a, b, ab] for a, r in enumerate(table)
+                                 for b, ab in enumerate(r)]},
+            "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+            "act": [list(range(n)), row]}
+
+
+# the non-associative loop of order 5: identity 0, each element its own
+# inverse, (1*1)*2 != 1*(1*2) first
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+# inputs whose first failing check has several witnesses, so that a scan
+# in listing order would name another: the loop (first triple (1, 1, 2))
+# and Z5 under a swap that breaks products at several pairs (first pair
+# (1, 1))
+FAILING = {
+    "loop5": _one_object(LOOP5, list(range(5))),
+    "z5-swap": _one_object([[(a + b) % 5 for b in range(5)]
+                            for a in range(5)], [0, 2, 1, 4, 3]),
+}
+
+# lists whose entries carry their own keys, so their order carries nothing
+KEYED = ("mul", "overlaps", "triples", "values", "c1", "c2", "terms",
+         "blocks")
+RELISTINGS = {"reverse": lambda entries: entries[::-1],
+              "rotate": lambda entries: entries[1:] + entries[:1]}
 
 # one value of each JSON type; a swap picks one of a different type
 SWAPS = ["1", 1, 1.5, True, None, [], {}]
@@ -168,6 +208,54 @@ def test_mutated_examples_keep_the_exit_code_contract(tmp_path, case):
     assert (rc2, report2) == (rc, report)
 
 
+def relistings():
+    """(input name, command line, input, where, the input with one keyed
+    list reversed or rotated by one) for every keyed list of two or more
+    entries in every example and every FAILING input."""
+    inputs = [(name, _load(name), COMMANDS[name]) for name in sorted(COMMANDS)]
+    inputs += [(name, obj, [["groupoid", "quotient", "{}"]])
+               for name, obj in sorted(FAILING.items())]
+    for name, obj, commands in inputs:
+        for path in _paths(obj):
+            node = _at(obj, path)
+            if path[-1] not in KEYED or not isinstance(node, list) or \
+                    len(node) < 2:
+                continue
+            for op, relist in RELISTINGS.items():
+                relisted = _mutate(obj, path, op, relist(node))
+                for command in commands:
+                    yield (name, command, obj, "%s %s" % (list(path), op),
+                           relisted)
+
+
+def _report(command, obj, tmp):
+    """(exit code, report without timing_ms, stderr) of one run on obj."""
+    path, out = os.path.join(tmp, "input.json"), os.path.join(tmp, "out")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    rc, report, err = _run([path if a == "{}" else a for a in command], out)
+    report.pop("timing_ms")
+    return rc, report, err
+
+
+def relisting_breaks(tmp):
+    """(runs, labels of the relisted inputs whose exit code, report or
+    stderr differ from the input's as listed)."""
+    listed, runs, breaks = {}, 0, []
+    for name, command, obj, where, relisted in relistings():
+        key = name, tuple(command)
+        if key not in listed:
+            listed[key] = _report(command, obj, tmp)
+        runs += 1
+        if _report(command, relisted, tmp) != listed[key]:
+            breaks.append("%s %s %s" % (name, " ".join(command[:2]), where))
+    return runs, breaks
+
+
+def test_listing_order_leaves_reports_alone(tmp_path):
+    assert relisting_breaks(str(tmp_path)) == (48, [])
+
+
 class Timeout(BaseException):
     """Raised by the alarm; not an Exception, so main cannot catch it."""
 
@@ -201,8 +289,8 @@ def _breaks(argv, out):
 
 
 def scan():
-    """Run every single-node mutation of every example; the number of
-    breaks."""
+    """Run every single-node mutation of every example, then every
+    relisting; the number of breaks."""
     signal.signal(signal.SIGALRM, _alarm)
     runs = broken = 0
     slowest = 0.0
@@ -227,8 +315,12 @@ def scan():
                                 print("BREAK %s %s %s %s %r: %s" % (
                                     name, " ".join(command[:2]),
                                     list(node_path), op, value, why))
+        relisted, breaks = relisting_breaks(tmp)
+    for label in breaks:
+        print("BREAK %s: the report depends on the listing order" % label)
     print("%d runs, %d breaks, slowest run %.2f s" % (runs, broken, slowest))
-    return broken
+    print("%d relisted runs, %d breaks" % (relisted, len(breaks)))
+    return broken + len(breaks)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from ntpg.groups import (FiniteAction, Subgroup, action_check,
                          subgroup_closure, trivial_action)
 from ntpg.named import (Q8_I, Q8_J, cyclic, klein_four, quaternion_group,
                         trivial_group)
+from test_cli_fuzz import LOOP5, RELISTINGS
 from test_validation_oracles import brute_force_compat
 
 
@@ -150,12 +151,16 @@ def test_trivial_action_on_groupoid_is_compatible_kernel_everything():
     assert rep.pre_principal  # quotient by the kernel is the trivial group
 
 
-def one_object_groupoid(G):
-    """The group G as a groupoid with a single object."""
+def one_object_groupoid(G, relist=list):
+    """The group G as a groupoid with a single object, its products listed
+    in index order or in the order relist gives them."""
+    products = [((a, b), ab) for a, row in enumerate(G.table)
+                for b, ab in enumerate(row)]
     return FiniteGroupoid(1, [0] * G.order, [0] * G.order, [G.identity],
-                          G.inverse, {(a, b): G.table[a][b]
-                                      for a in range(G.order)
-                                      for b in range(G.order)})
+                          G.inverse, dict(relist(products)))
+
+
+LISTINGS = {"sorted": list, **RELISTINGS}
 
 
 def _swaps(n, *pairs):
@@ -173,6 +178,9 @@ _INCOMPATIBLE = [
     (one_object_groupoid(cyclic(4)), _swaps(4, (1, 2)), ("inverse", 1, 1)),
     (one_object_groupoid(cyclic(5)), _swaps(5, (1, 2), (3, 4)),
      ("product", 1, (1, 1))),
+    # products listed in reverse: a scan in listing order named (4, 4)
+    (one_object_groupoid(cyclic(5), RELISTINGS["reverse"]),
+     _swaps(5, (1, 2), (3, 4)), ("product", 1, (1, 1))),
 ]
 
 
@@ -182,6 +190,17 @@ def test_check_compatible_names_the_first_failure(gpd, row, witness):
     rep = check_compatible(ga)
     assert not rep.compatible
     assert rep.witness == witness == brute_force_compat(ga)
+
+
+@pytest.mark.parametrize("listing", sorted(LISTINGS))
+def test_first_non_associative_triple_whatever_the_listing(listing):
+    # a scan in listing order named (4, 4, 1) for the reversed listing
+    products = [((a, b), ab) for a, row in enumerate(LOOP5)
+                for b, ab in enumerate(row)]
+    with pytest.raises(InvalidInput, match="associativity fails") as err:
+        FiniteGroupoid(1, [0] * 5, [0] * 5, [0], range(5),
+                       dict(LISTINGS[listing](products)))
+    assert err.value.details["triple"] == (1, 1, 2)
 
 
 def test_swap_action_on_pair_groupoid_is_free():

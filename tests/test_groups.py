@@ -199,7 +199,9 @@ def _first_non_associative(table):
 
 def _light_verdict(table, e):
     try:
-        _check_associative(tuple(map(tuple, table)), len(table), e)
+        n = len(table)
+        _check_associative(tuple(map(tuple, table)), range(n), [e], [0] * n,
+                           [0] * n, NonAssociative, "(a*b)*c != a*(b*c)")
     except NonAssociative as err:
         return err.details["triple"]
     return None

@@ -82,7 +82,7 @@ def brute_force_action(G, set_size, act):
 def brute_force_groupoid(n, src, tgt, id_, inv, mul):
     """Every pair of arrows checked for composability, every product for
     range and endpoints, then units, inverses and every composable
-    triple."""
+    triple, each scan in index order whatever the order of mul."""
     m = len(src)
     if len(tgt) != m or len(inv) != m or len(id_) != n:
         raise InvalidInput("groupoid arrays have inconsistent lengths")
@@ -104,7 +104,9 @@ def brute_force_groupoid(n, src, tgt, id_, inv, mul):
             elif (g, h) in mul:
                 raise InvalidInput("product defined on non-composable pair",
                                    pair=(g, h))
-    for (g, h), gh in mul.items():
+    pairs = [(g, h) for g in range(m) for h in range(m) if src[g] == tgt[h]]
+    for g, h in pairs:
+        gh = mul[(g, h)]
         if not 0 <= gh < m:
             raise InvalidInput("product out of range", pair=(g, h))
         if src[gh] != src[h] or tgt[gh] != tgt[g]:
@@ -117,10 +119,10 @@ def brute_force_groupoid(n, src, tgt, id_, inv, mul):
             raise InvalidInput("inverse has wrong endpoints", arrow=g)
         if mul[(g, gi)] != id_[tgt[g]] or mul[(gi, g)] != id_[src[g]]:
             raise InvalidInput("inverse law fails", arrow=g)
-    for (g, h), gh in mul.items():
+    for g, h in pairs:
         for k in range(m):
             if src[h] == tgt[k]:
-                if mul[(gh, k)] != mul[(g, mul[(h, k)])]:
+                if mul[(mul[(g, h)], k)] != mul[(g, mul[(h, k)])]:
                     raise InvalidInput("associativity fails",
                                        triple=(g, h, k))
 
@@ -318,7 +320,8 @@ def _spread(items, count):
 
 def _variants(fields):
     """The groupoid with one product value swapped, one composable pair
-    dropped or one non-composable pair added, each in several places."""
+    dropped or one non-composable pair added, each in several places, and
+    the swaps again with the products listed in reverse."""
     n, src, tgt, id_, inv, mul = fields
     keys = list(mul)
     # swaps of equal-endpoint products get past the endpoint check
@@ -329,6 +332,7 @@ def _variants(fields):
         swapped = dict(mul)
         swapped[i], swapped[j] = mul[j], mul[i]
         yield swapped
+        yield dict(reversed(swapped.items()))
     for key in _spread(keys, 15):
         dropped = dict(mul)
         del dropped[key]
