@@ -422,6 +422,21 @@ def build_parser():
         ("cocycle", "cohomologous", cmd_cocycle_cohomologous, (), "file"),
         ("cocycle", "t2", cmd_cocycle_t2, (NotInvertibleChart,), "file"),
     ]
+    # the options every command takes, declared once and shared
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None,
+                        help="write the JSON report here")
+    common.add_argument("--seed", type=int, default=0,
+                        help="accepted for compatibility; has no effect "
+                             "(every check is exhaustive)")
+    common.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
+                        help="cap for permutation closures of every input "
+                             "group")
+    common.add_argument("--max-candidates", type=int, default=10 ** 6,
+                        help="cap for enumeration and coboundary search "
+                             "grids")
+    common.add_argument("--subgroups", default=None,
+                        help="generator spec 'a,b;c,...' overriding the file")
     ap = argparse.ArgumentParser(
         prog="ntpg",
         description="Exact finite models of multi-principal structures: "
@@ -432,21 +447,9 @@ def build_parser():
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="action", required=True)
-        p = groups[group].add_parser(name)
+        p = groups[group].add_parser(name, parents=[common])
         if source == "file":
             p.add_argument("file", help="JSON input file")
-        p.add_argument("--out", default=None,
-                       help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted for compatibility; has no effect "
-                            "(every check is exhaustive)")
-        p.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
-                       help="cap for permutation closures of every input "
-                            "group")
-        p.add_argument("--max-candidates", type=int, default=10 ** 6,
-                       help="cap for enumeration and coboundary search grids")
-        p.add_argument("--subgroups", default=None,
-                       help="generator spec 'a,b;c,...' overriding the file")
         if source == "sig":
             p.add_argument("--sig", required=True, help="signature JSON file")
             p.add_argument("--field", required=True, help="'Q' or 'Fp:<p>'")

@@ -8,12 +8,12 @@ table[g_ij][g_jk] = g_ik.  Automorphism-valued input is read as a cocycle
 in the enumerated automorphism group, whose table[a][b] is a after b.
 """
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from . import fields, graded, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
                      InvalidInput, NotAnAction, NotInvertibleChart,
-                     SearchCapExceeded)
+                     SearchCapExceeded, all_ints)
 from .groups import FiniteAction, descend
 
 DEFAULT_SEARCH_CAP = 10 ** 6
@@ -25,7 +25,11 @@ class CoverNerve:
     __slots__ = ("n", "pairs", "triples")
 
     def __init__(self, n, pairs, triples=()):
-        self.n = int(n)
+        pairs, triples = list(pairs), list(triples)
+        if not all_ints(chain((n,), chain.from_iterable(pairs),
+                              chain.from_iterable(triples))):
+            raise InvalidInput("nerve entries must be integers")
+        self.n = n
         norm = set()
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
@@ -35,7 +39,7 @@ class CoverNerve:
         self.pairs = frozenset(norm)
         tri = set()
         for t in triples:
-            t = frozenset(int(x) for x in t)
+            t = frozenset(t)
             if len(t) != 3:
                 raise InvalidInput("triple must have three distinct charts",
                                    triple=sorted(t))

@@ -14,7 +14,7 @@ are sound over every field).
 
 from .errors import (InternalDisagreement, InternalInconsistency,
                      InvalidInput, NotInvertible, SignatureMismatch,
-                     is_int)
+                     all_ints, is_int)
 from .fields import mat_inv
 from .poly import Poly
 
@@ -201,9 +201,12 @@ class PolyMap:
         """terms: iterable of (target index, exponent tuple, coefficient)."""
         data = [{} for _ in range(sig_out.ncoords)]
         for tgt, exps, c in terms:
+            exps = tuple(exps)
+            if not all_ints((tgt, *exps)):
+                raise InvalidInput("target and exponents must be integers",
+                                   target=tgt, exponents=list(exps))
             if not 0 <= tgt < sig_out.ncoords:
                 raise InvalidInput("target coordinate out of range", target=tgt)
-            exps = tuple(int(e) for e in exps)
             if len(exps) != sig_in.ncoords:
                 raise InvalidInput("exponent tuple has wrong length",
                                    target=tgt, exponents=list(exps))

@@ -3,9 +3,10 @@
 Arrows and objects are dense indices.  Composition follows the function
 order: mul(g, h) is defined when src(g) == tgt(h) and the product runs
 src(h) -> tgt(g).  The partial multiplication is kept in the row form of
-``groups``: rows[g][pos[h]] is g*h, where pos[h] is h's place among the
-arrows ending at tgt(h), so a product is two index lookups and every scan
-over the pairs runs in index order, g ascending, then h.
+``groups``: rows[g][pos[h]] is g*h, where pos[h] is h's place in
+ending[tgt(h)], the arrows ending at tgt(h) in index order, so a product is
+two index lookups and every scan over the pairs runs in index order, g
+ascending, then h.
 
 Validation is exhaustive at every size without touching every triple:
 composability is counted per object, and associativity is proved by
@@ -14,7 +15,6 @@ actions in ``groups``.  A failure still names the first witness a scan
 over all pairs or triples would find.
 """
 
-from collections.abc import Mapping
 from itertools import chain, repeat
 
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
@@ -27,7 +27,7 @@ class FiniteGroupoid:
     """Objects, arrows, src/tgt/id/inv and a partial multiplication."""
 
     __slots__ = ("n_objects", "n_arrows", "src", "tgt", "id", "inv", "rows",
-                 "pos")
+                 "pos", "ending")
 
     def __init__(self, n_objects, src, tgt, id_, inv, mul):
         self.src, self.tgt = tuple(src), tuple(tgt)
@@ -88,6 +88,7 @@ class FiniteGroupoid:
                                "product defined on non-composable pair",
                                pair=pair)
         self.rows, self.pos = tuple(rows), tuple(pos)
+        self.ending = tuple(map(tuple, ending))
         for (g, h), gh in self.products():
             if not 0 <= gh < m:
                 raise InvalidInput("product out of range", pair=(g, h))
@@ -106,16 +107,13 @@ class FiniteGroupoid:
 
     @property
     def mul(self):
-        """The products as a read-only mapping {(g, h): g*h}."""
-        return _Products(self)
+        """The products as a new dict {(g, h): g*h}, keys in index order."""
+        return dict(self.products())
 
     def products(self):
         """((g, h), g*h) for every composable pair, g ascending, then h."""
-        ending = [[] for _ in range(self.n_objects)]
-        for k, x in enumerate(self.tgt):
-            ending[x].append(k)
         return chain.from_iterable(
-            zip(zip(repeat(g), ending[self.src[g]]), row)
+            zip(zip(repeat(g), self.ending[self.src[g]]), row)
             for g, row in enumerate(self.rows))
 
     def vertex_group(self, x):
@@ -130,28 +128,6 @@ class FiniteGroupoid:
     def __repr__(self):
         return "FiniteGroupoid(objects=%d, arrows=%d)" % (self.n_objects,
                                                           self.n_arrows)
-
-
-class _Products(Mapping):
-    """``FiniteGroupoid.mul``: a view of the rows, iterated in index order;
-    nothing is copied."""
-
-    def __init__(self, gpd):
-        self._gpd = gpd
-
-    def __getitem__(self, pair):
-        gpd = self._gpd
-        g, h = pair
-        if 0 <= g < gpd.n_arrows and 0 <= h < gpd.n_arrows and \
-                gpd.src[g] == gpd.tgt[h]:
-            return gpd.rows[g][gpd.pos[h]]
-        raise KeyError(pair)
-
-    def __iter__(self):
-        return (pair for pair, _ in self._gpd.products())
-
-    def __len__(self):
-        return sum(map(len, self._gpd.rows))
 
 
 def pair_groupoid(n):
@@ -511,29 +487,13 @@ def multiplicative_function(split_):
     return MultiplicativeFunction(split_, G, b, trivialization)
 
 
-class BuiltGroupoid:
-    """A G-groupoid over the trivial bundle M0 x G built from (base, b)."""
-
-    __slots__ = ("action", "base", "group", "b")
-
-    def __init__(self, action, base, group, b):
-        self.action = action
-        self.base = base
-        self.group = group
-        self.b = b
-
-    def object_code(self, x0, g):
-        return x0 * self.group.order + g
-
-    def arrow_code(self, y0, g):
-        return y0 * self.group.order + g
-
-
 def build_from_morphism(base, group, b):
-    """Build the G-groupoid base x^b G on objects M0 x G.
+    """Build the G-groupoid base x^b G on objects M0 x G, as the
+    GroupoidAction of G on it.
 
     s(y0, g) = (sigma(y0), g), t(y0, g) = (tau(y0), b(y0) g) and
     (y0, g1)(y0', g2) = (y0 y0', g2); the group acts on the second factor.
+    Object (x0, g) is coded x0*|G| + g and arrow (y0, g) is y0*|G| + g.
     """
     if len(b) != base.n_arrows:
         raise InvalidInput("b has wrong length")
@@ -559,8 +519,7 @@ def build_from_morphism(base, group, b):
     gpd = FiniteGroupoid(n_objects, src, tgt, id_, inv, mul)
     act = [[(a // n) * n + group.table[a % n][h] for a in range(gpd.n_arrows)]
            for h in range(n)]
-    ga = GroupoidAction(gpd, group, act)
-    return BuiltGroupoid(ga, base, group, b)
+    return GroupoidAction(gpd, group, act)
 
 
 def reconstruct_and_check(mf):
@@ -579,16 +538,16 @@ def reconstruct_and_check(mf):
         return y0 * n + g
 
     images = [psi(y) for y in range(gpd.n_arrows)]
-    if sorted(images) != list(range(built.action.groupoid.n_arrows)):
+    if sorted(images) != list(range(built.groupoid.n_arrows)):
         raise InternalInconsistency("round trip is not a bijection")
-    failure = _morphism_failure(gpd, built.action.groupoid, images,
+    failure = _morphism_failure(gpd, built.groupoid, images,
                                 [X * n + g for X, g in triv])
     if failure is not None:
         raise InternalInconsistency("round trip is not a groupoid morphism",
                                     witness=failure)
     for g in range(n):
         for y in range(gpd.n_arrows):
-            if images[split_.ga.act[g][y]] != built.action.act[g][images[y]]:
+            if images[split_.ga.act[g][y]] != built.act[g][images[y]]:
                 raise InternalInconsistency("round trip not equivariant",
                                             element=g, arrow=y)
     return built

@@ -343,10 +343,12 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
     """
     if not perms:
         raise InvalidInput("need at least one permutation")
+    if not all_ints(chain.from_iterable(perms)):
+        raise InvalidInput("permutation entries must be integers")
     degree = len(perms[0])
     gens = []
     for p in perms:
-        t = tuple(int(x) for x in p)
+        t = tuple(p)
         if sorted(t) != list(range(degree)):
             raise InvalidInput("not a permutation of 0..degree-1", perm=list(p))
         gens.append(t)

@@ -7,7 +7,9 @@ fields and dicts is equality of polynomials.  Variables are indices
 ordinary extra variables, never sampled.
 """
 
-from .errors import InvalidInput
+from itertools import chain
+
+from .errors import InvalidInput, all_ints
 
 
 def _fold(norm, terms, pairs):
@@ -30,13 +32,15 @@ class Poly:
         self.nvars = nvars
         self.terms = {}
         if terms:
+            if not all_ints(chain.from_iterable(terms)):
+                raise InvalidInput("exponents must be integers")
             for exps, c in terms.items():
                 c = field.of(c)
                 if c:
                     if len(exps) != nvars:
                         raise InvalidInput("exponent tuple has wrong length",
                                            exponents=list(exps))
-                    self.terms[tuple(int(e) for e in exps)] = c
+                    self.terms[tuple(exps)] = c
 
     # -- constructors -------------------------------------------------------
 

@@ -157,7 +157,7 @@ def _splitting_instances():
                      (2, cyclic(4), [1, 3])):
         base = pair_groupoid(n)
         b = [Gf.mul(c[p], Gf.inv(c[q])) for p in range(n) for q in range(n)]
-        out.append(build_from_morphism(base, Gf, b).action)
+        out.append(build_from_morphism(base, Gf, b))
 
     # a one-object base: the cyclic group as a groupoid, b a homomorphism
     Z4 = cyclic(4)
@@ -165,7 +165,7 @@ def _splitting_instances():
                           list(Z4.inverse),
                           {(a, b): Z4.table[a][b] for a in range(4)
                            for b in range(4)})
-    out.append(build_from_morphism(base, cyclic(2), [0, 1, 0, 1]).action)
+    out.append(build_from_morphism(base, cyclic(2), [0, 1, 0, 1]))
     return out
 
 

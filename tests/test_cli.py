@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import ntpg
 # imported before ntpg.cli, which must reuse the module and not define its
 # classes a second time
 from ntpg.graded import PolyMap
-from ntpg.cli import main
+from ntpg.cli import build_parser, main
+from ntpg.groups import DEFAULT_CLOSURE_CAP
 from ntpg.named import quaternion_group
 from test_cli_fuzz import FAILING, RELISTINGS
 
@@ -65,6 +67,48 @@ def test_bad_json_exits_2(tmp_path):
 def test_usage_error_exits_2(capsys):
     assert run(["group"]) == 2
     capsys.readouterr()
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _leaf_parser_the_long_way(prog, source):
+    """A command's parser with each shared option added to it directly."""
+    p = argparse.ArgumentParser(prog=prog)
+    if source == "file":
+        p.add_argument("file", help="JSON input file")
+    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; has no effect "
+                        "(every check is exhaustive)")
+    p.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
+                   help="cap for permutation closures of every input group")
+    p.add_argument("--max-candidates", type=int, default=10 ** 6,
+                   help="cap for enumeration and coboundary search grids")
+    p.add_argument("--subgroups", default=None,
+                   help="generator spec 'a,b;c,...' overriding the file")
+    if source == "sig":
+        p.add_argument("--sig", required=True, help="signature JSON file")
+        p.add_argument("--field", required=True, help="'Q' or 'Fp:<p>'")
+    return p
+
+
+def test_shared_options_keep_every_help_and_usage():
+    # the options declared once on a parent parser print as if each command
+    # declared them itself
+    leaves = [p for g in _subparsers(build_parser()).values()
+              for p in _subparsers(g).values()]
+    assert len(leaves) == 19
+    for p in leaves:
+        q = _leaf_parser_the_long_way(p.prog, p.get_default("source"))
+        assert p.format_help() == q.format_help(), p.prog
+        assert p.format_usage() == q.format_usage(), p.prog
+        # the shared options come first in p._actions; the order in which
+        # argparse stores them changes neither parsing nor its messages
+        assert {a.dest: (a.default, a.type, a.required) for a in p._actions} \
+            == {a.dest: (a.default, a.type, a.required) for a in q._actions}
 
 
 def test_dpg_verify_q8(tmp_path):
@@ -128,10 +172,10 @@ def test_groupoid_split_and_multfunction(tmp_path):
     from ntpg.jsonio import dump_groupoid
     from ntpg.named import cyclic
     built = build_from_morphism(pair_groupoid(2), cyclic(2), [0, 1, 1, 0])
-    gpd = built.action.groupoid
+    gpd = built.groupoid
     data = {"groupoid": dump_groupoid(gpd),
             "group": {"order": 2, "table": [[0, 1], [1, 0]]},
-            "act": [list(r) for r in built.action.act]}
+            "act": [list(r) for r in built.act]}
     f = write(tmp_path, "split.json", data)
     out = str(tmp_path / "rep.json")
     assert run(["groupoid", "split", f, "--out", out]) == 0

@@ -72,6 +72,17 @@ def test_triple_without_pair_rejected():
         CoverNerve(3, [(0, 1)], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("n, pairs, triples", [
+    (2.9, [(0, 1)], []),
+    (3, [(0, 1), (0.5, 2)], []),
+    (3, [(0, 1), (1, 2), (0, 2)], [(0, 1, 2.5)]),
+    (True, [], [])], ids=["charts", "pair", "triple", "bool"])
+def test_nerve_entries_must_be_integers(n, pairs, triples):
+    # int() would read 2.9 charts as 2 and the triple as {0, 1, 2}
+    with pytest.raises(InvalidInput, match="integers"):
+        CoverNerve(n, pairs, triples)
+
+
 # -- associated bundles ------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -110,6 +110,14 @@ def test_signature_rejects_non_integers(mode, args):
         getattr(GradedSignature, mode)(*args)
 
 
+@pytest.mark.parametrize("term", [(0, (1.0, 0), 1), (0.0, (1, 0), 1)],
+                         ids=["exponent", "target"])
+def test_polymap_terms_must_be_integers(term):
+    # int() would read the exponent 1.0 as 1
+    with pytest.raises(InvalidInput, match="must be integers"):
+        PolyMap.from_terms(SIG12, SIG12, QQ, [term])
+
+
 def test_signature_mismatch():
     f = shear(QQ)
     g = PolyMap.identity(SIG111, QQ)

@@ -354,8 +354,7 @@ def _built_instance(n_objects, group, c_values):
 
 def test_build_from_morphism_splits_and_roundtrips():
     G = cyclic(2)
-    built = _built_instance(2, G, [0, 1])
-    sp = split(built.action)
+    sp = split(_built_instance(2, G, [0, 1]))
     mf = multiplicative_function(sp)
     # b extracted from the default trivialization satisfies (zb); rebuild
     reconstruct_and_check(mf)
@@ -365,13 +364,15 @@ def test_multiplicative_function_trivial_b_gives_direct_product():
     G = cyclic(3)
     base = pair_groupoid(2)
     built = build_from_morphism(base, G, [G.identity] * base.n_arrows)
-    gpd = built.action.groupoid
-    # direct product structure: componentwise source and target
+    gpd = built.groupoid
+    assert built.group is G
+    # direct product structure: componentwise source and target, with
+    # arrow (y0, g) coded y0*|G| + g and object (x0, g) coded x0*|G| + g
     for y0 in range(base.n_arrows):
         for g in range(3):
-            a = built.arrow_code(y0, g)
-            assert gpd.src[a] == built.object_code(base.src[y0], g)
-            assert gpd.tgt[a] == built.object_code(base.tgt[y0], g)
+            a = y0 * 3 + g
+            assert gpd.src[a] == base.src[y0] * 3 + g
+            assert gpd.tgt[a] == base.tgt[y0] * 3 + g
 
 
 def test_bad_b_is_rejected():

@@ -628,8 +628,10 @@ def test_reduce_action_outside_the_kernel_is_a_library_bug():
     lambda: FiniteAction(cyclic(2), 2.0, [[0, 1], [1, 0]]),
     lambda: Subgroup(cyclic(2), [0.5, True]),
     lambda: GroupHom(cyclic(2), cyclic(2), ["0", 1.2]),
-    lambda: subgroup_closure(cyclic(4), [2.7])],
-    ids=["action-entries", "set-size", "subgroup", "hom", "closure"])
+    lambda: subgroup_closure(cyclic(4), [2.7]),
+    lambda: make_group_from_permutations([[1, 2, 0], [1.0, 0, 2]])],
+    ids=["action-entries", "set-size", "subgroup", "hom", "closure",
+         "permutations"])
 def test_library_inputs_must_be_integers(build):
     # int() would read each of these as an index
     with pytest.raises(InvalidInput, match="integer"):

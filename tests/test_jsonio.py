@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from ntpg.errors import InvalidInput
@@ -8,6 +11,7 @@ from ntpg.jsonio import (dump_group, dump_groupoid, dump_polymap,
                          dump_signature, load_group, load_groupoid,
                          load_polymap, load_signature)
 from ntpg.named import quaternion_group
+from test_cli_fuzz import EXAMPLES
 
 
 def test_group_roundtrip():
@@ -30,6 +34,16 @@ def test_groupoid_roundtrip():
     gpd = pair_groupoid(3)
     gpd2 = load_groupoid(dump_groupoid(gpd))
     assert gpd2.src == gpd.src and gpd2.mul == gpd.mul
+    # mul is the products as a dict, keyed in index order whatever the
+    # order of the input's listing
+    with open(os.path.join(EXAMPLES, "s3_groupoid_action.json")) as fh:
+        listed = json.load(fh)["groupoid"]
+    pairs = [(g, h) for g, h, _ in listed["mul"]]
+    assert pairs != sorted(pairs)
+    gpd = load_groupoid(listed)
+    assert gpd.mul == dict(gpd.products()) == \
+        {(g, h): gh for g, h, gh in listed["mul"]}
+    assert list(gpd.mul) == sorted(pairs)
 
 
 def test_signature_roundtrip():

@@ -31,6 +31,14 @@ def test_pow_rejects_negative_exponent():
         _sample(QQ) ** -1
 
 
+@pytest.mark.parametrize("exps", [(1.7, 0), (True, 0), ("1", 0)],
+                         ids=["float", "bool", "str"])
+def test_exponents_must_be_integers(exps):
+    # int() would store (1.7, 0) as x^1
+    with pytest.raises(InvalidInput, match="exponents must be integers"):
+        Poly(QQ, 2, {exps: 1})
+
+
 @pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
 def test_subs_matches_hand_expansion(field):
     # f = xy + 2x^2 + 3 at x = a + b, y = a - b:

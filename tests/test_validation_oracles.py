@@ -304,7 +304,7 @@ def _built_s3():
                            for a in range(4) for b in range(4)})
     t = next(a for a in range(6) if G.element_order(a) == 2)
     b = [t if k % 2 else G.identity for k in range(4)]
-    return build_from_morphism(base, G, b).action.groupoid
+    return build_from_morphism(base, G, b).groupoid
 
 
 _GROUPOIDS = {"pair-%d" % k: (lambda k=k: pair_groupoid(k))
