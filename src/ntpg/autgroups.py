@@ -35,7 +35,7 @@ from .errors import (EnumerationCapExceeded, IllegalMonomial,
 from .fields import mat_inv
 from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
                      monomials_of_weight, triangular_inverse)
-from .groups import Subgroup, _built_group, _fill_rows, _reader, intersect
+from .groups import Subgroup, _built_group, _reader, intersect
 from .poly import Poly
 
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -290,11 +290,11 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     enumerated maps.  This is exact: the model has no base coordinates and
     0/1 weights, so every weight-preserving map, composites included, is
     multilinear, and a multilinear map over F_p is fixed by its values on
-    the cube (Moebius inversion).  Only greedily chosen generators' rows
-    are looked up; the others are read off them.  A composite whose cube
-    image is not found, or two maps with one cube image, raise
-    InternalInconsistency.  The table goes through ``groups._built_group``,
-    which runs Light's test over the looked-up generators.  The handle
+    the cube (Moebius inversion).  ``groups._built_group`` looks up only
+    the rows of the least maps that products of earlier ones miss, reads
+    the others off them and runs Light's test over the looked-up rows.  A
+    composite whose cube image is not found, or two maps with one cube
+    image, raise InternalInconsistency.  The handle
     keeps each map's slot values; its polynomial maps, with their inverses
     read off the table, are built only when read.
     """
@@ -360,25 +360,19 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
                 "cube values fail to separate the enumerated maps",
                 pair=(prev, j))
 
-    n = len(kept)
-    e = by_cube[tuple(cube)]
-    rows = [None] * n
-    rows[e] = tuple(by_cube.values())
     # row g by lookup: k -> g after k, perm_g read through k's cube image
     through = [_reader(on_cube(q)) for q in perms]
-    gens = []
-    for g in range(n):
-        if rows[g] is None:
-            row = rows[g] = tuple(by_cube.get(read(perms[g]))
-                                  for read in through)
-            if None in row:
-                raise InternalInconsistency(
-                    "composition left the enumerated shape",
-                    pair=(g, row.index(None)))
-            gens.append(g)
-            _fill_rows(rows, e, gens)
-    return AutGroupHandle(sig, field, _built_group(tuple(rows), gens), kept,
-                          perms)
+
+    def row_of(g):
+        row = tuple(by_cube.get(read(perms[g])) for read in through)
+        if None in row:
+            raise InternalInconsistency(
+                "composition left the enumerated shape",
+                pair=(g, row.index(None)))
+        return row
+
+    group = _built_group(len(kept), by_cube[tuple(cube)], row_of)
+    return AutGroupHandle(sig, field, group, kept, perms)
 
 
 class P54Report:

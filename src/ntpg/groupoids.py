@@ -19,8 +19,8 @@ from itertools import chain, repeat
 
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative, all_ints)
-from .groups import (FiniteAction, _check_associative, action_check,
-                     make_group, reduce_action)
+from .groups import (FiniteAction, _built_group, _check_associative,
+                     action_check, reduce_action)
 
 
 class FiniteGroupoid:
@@ -118,12 +118,14 @@ class FiniteGroupoid:
 
     def vertex_group(self, x):
         """The group of arrows x -> x, as (FiniteGroup, arrow list)."""
+        if not 0 <= x < self.n_objects:
+            raise InvalidInput("object out of range", object=x)
         loop = [a for a in range(self.n_arrows)
                 if self.src[a] == x and self.tgt[a] == x]
         index = {a: i for i, a in enumerate(loop)}
-        table = [[index[self.rows[a][self.pos[b]]] for b in loop]
-                 for a in loop]
-        return make_group(table), loop
+        at = [self.pos[b] for b in loop]
+        return _built_group(len(loop), index[self.id[x]], lambda i: tuple(
+            index[self.rows[loop[i]][p]] for p in at)), loop
 
     def __repr__(self):
         return "FiniteGroupoid(objects=%d, arrows=%d)" % (self.n_objects,
@@ -147,12 +149,11 @@ def pair_groupoid(n):
 class GaugeLabels:
     """Arrow labels of a gauge groupoid: pair (p, q) <-> arrow index."""
 
-    __slots__ = ("pair_to_arrow", "arrow_rep", "point_orbit")
+    __slots__ = ("pair_to_arrow", "arrow_rep")
 
-    def __init__(self, pair_to_arrow, arrow_rep, point_orbit):
+    def __init__(self, pair_to_arrow, arrow_rep):
         self.pair_to_arrow = pair_to_arrow
         self.arrow_rep = arrow_rep
-        self.point_orbit = point_orbit
 
     def arrow(self, p, q):
         return self.pair_to_arrow[(p, q)]
@@ -195,7 +196,7 @@ def gauge_groupoid(set_size, action):
     mul = {(a, point_orbit[q] * n + s): a - q + act[c[q]][s]
            for a, (r, q) in enumerate(arrow_rep) for s in range(n)}
     gpd = FiniteGroupoid(len(object_rep), src, tgt, id_, inv, mul)
-    return gpd, GaugeLabels(pair_to_arrow, arrow_rep, point_orbit)
+    return gpd, GaugeLabels(pair_to_arrow, arrow_rep)
 
 
 class GroupoidAction:

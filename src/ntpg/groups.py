@@ -5,8 +5,8 @@ discovered from the table, never assumed to sit at index 0.  All validation
 is exhaustive at every order: a ``FiniteGroup`` that exists has had its
 identity, inverse and associativity axioms checked, the last by Light's
 test over a generating set, so its columns are Latin by theorem.
-``make_group`` takes tables from outside, ``_built_group`` the tables this
-library builds (from permutations, and the Aut tables of ``autgroups``).
+``make_group`` validates tables from outside; ``_built_group`` builds
+every table the library derives, and one that is not a group is a bug.
 
 This is also the one action toolkit.  ``FiniteAction`` is the only check
 of the action law, proved the same way on the group's product generators;
@@ -34,9 +34,10 @@ DEFAULT_CLOSURE_CAP = 10_000
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    Immutable after construction; only :func:`make_group`, and
-    ``_built_group`` for tables the library built, construct one, so the
-    axioms are actually verified and ``generators`` is always set.
+    Immutable after construction; only :func:`make_group`, for tables from
+    outside, and ``_built_group``, for every table the library derives,
+    construct one, so the axioms are actually verified and ``generators``
+    is always set.
     ``table`` is a tuple of int tuples; ``generators`` is a product-generating
     set, ascending, each the least element that products of the earlier
     ones miss.  A property closed under products holds for the group once
@@ -303,19 +304,27 @@ def make_group(table):
     return FiniteGroup(rows, e, inverse, gens)
 
 
-def _built_group(rows, gens):
-    """The FiniteGroup of a table the library built from gens, its other
-    rows filled in by ``_fill_rows``: entries are indices by construction,
-    so the row pass of ``make_group`` is skipped, and Light's test runs
-    over gens.  A failure is a library bug."""
-    n = len(rows)
+def _built_group(n, e, row_of, gens=()):
+    """The FiniteGroup of order n and identity e whose row x -> g*x is
+    row_of(g), asked for the seeds in gens, then for each least element
+    their products miss; ``_fill_rows`` reads off every other row.  The
+    identity, the inverses and Light's test over the asked rows are proved;
+    a failure raises InternalInconsistency, as the table is the library's.
+    """
+    rows = [None] * n
+    rows[e] = tuple(range(n))
+    asked = []
+    for g in chain(gens, range(n)):
+        if rows[g] is None:
+            rows[g] = row_of(g)
+            asked.append(g)
+            _fill_rows(rows, e, asked)
     try:
-        if None not in rows:
-            e, zeros = _find_identity(rows, n), [0] * n
-            inverse = _find_inverses(rows, e)
-            return FiniteGroup(rows, e, inverse, _check_associative(
+        if _find_identity(rows, n) == e:
+            inverse, zeros = _find_inverses(rows, e), [0] * n
+            return FiniteGroup(tuple(rows), e, inverse, _check_associative(
                 rows, range(n), [e], zeros, zeros, NonAssociative,
-                "(a*b)*c != a*(b*c)", gens))
+                "(a*b)*c != a*(b*c)", asked))
     except (AlgebraError, ValueError):      # ValueError: a row without e
         pass
     raise InternalInconsistency("a table the library built is not a group")
@@ -335,11 +344,11 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
     left-to-right order: (p*q)(x) = q(p(x)).
 
     Cost: the closure composes each generator with each element once,
-    |G|*|gens| compositions, and those products are all the table needs.
-    Row g*a is generator g's row read through row a (``_fill_rows``),
-    which is |G|^2 index lookups.  ``_built_group`` then runs Light's test
-    over the input permutations; at large orders that test, not the
-    build, is what bounds a useful ``cap``.
+    |G|*|gens| compositions, and those products are all the table needs:
+    they are the rows of the input permutations, the seeds of
+    ``_built_group``, which reads every other row off them (|G|^2 index
+    lookups) and runs Light's test over the seeds; at large orders that
+    test, not the build, is what bounds a useful ``cap``.
     """
     if not perms:
         raise InvalidInput("need at least one permutation")
@@ -367,20 +376,13 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
                 if len(found) > cap:
                     raise ClosureCapExceeded("permutation closure exceeds cap",
                                              cap=cap)
-    elements = sorted(found)
-    n = len(elements)
+    ascending = sorted(range(len(found)), key=found.__getitem__)
+    elements = [found[i] for i in ascending]
     index = {p: i for i, p in enumerate(elements)}
-    # rows[b][x] = b * x, on sorted indices; elements[0] is the identity
-    rows = [None] * n
-    rows[0] = tuple(index.values())
-    for k, g in enumerate(gens):
-        row = [0] * n
-        for a, products_a in zip(found, products):
-            row[index[a]] = index[products_a[k]]
-        rows[index[g]] = tuple(row)
-    gens = [index[g] for g in gens]
-    _fill_rows(rows, 0, gens)
-    return _built_group(tuple(rows), gens), elements
+    # row x -> g * x of each input g, read off the products in sorted order
+    seeded = {index[g]: tuple(index[products[i][k]] for i in ascending)
+              for k, g in enumerate(gens)}
+    return _built_group(len(elements), 0, seeded.__getitem__, seeded), elements
 
 
 class Subgroup:
@@ -573,10 +575,9 @@ def quotient(G, N):
             reps.append(members[0])
             for m in members:
                 coset_of[m] = rep_index
-    k = len(reps)
-    table = [[coset_of[G.table[reps[i]][reps[j]]] for j in range(k)]
-             for i in range(k)]
-    Q = make_group(table)
+    Q = _built_group(len(reps), coset_of[G.identity], lambda i: tuple(
+        coset_of[G.table[reps[i]][r]] for r in reps),
+        [coset_of[g] for g in G.generators])
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
 
@@ -585,17 +586,16 @@ def subgroup_as_group(H):
     """Reify a subgroup as a standalone FiniteGroup.
 
     Returns (group, to_parent, from_parent): to_parent[i] is the parent
-    element index of the subgroup element i (in member order).  The whole
-    group is returned as the parent itself, with identity index maps: its
-    restricted table would be the parent's, already validated.
+    element index of the subgroup element i (in member order).
     """
     G = H.parent
     to_parent = list(H.members)
     from_parent = {m: i for i, m in enumerate(to_parent)}
-    if len(to_parent) == G.order:
-        return G, to_parent, from_parent
-    table = [[from_parent[G.table[a][b]] for b in to_parent] for a in to_parent]
-    return make_group(table), to_parent, from_parent
+    e = from_parent[G.identity]
+    group = _built_group(len(to_parent), e, lambda i: tuple(
+        from_parent[G.table[to_parent[i]][b]] for b in to_parent),
+        [from_parent[g] for g in H.generators])
+    return group, to_parent, from_parent
 
 
 # -- finite actions ----------------------------------------------------------

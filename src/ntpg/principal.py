@@ -10,7 +10,8 @@ G^1 = Γ).
 The pipeline `gamma_from_actions` rebuilds the structure group of a pair of
 compatible free actions from scratch: it derives the twist g_{g'} from
 pgg' = pg'g_{g'}, forms the semidirect product, quotients by the joint
-kernel and checks the commuting square of orbit maps.
+kernel, derives the reverse twist g'_g from pg'g = pgg'_g and checks the
+commuting square of orbit maps.
 """
 
 from functools import cached_property
@@ -18,8 +19,8 @@ from functools import cached_property
 from . import groupoids
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
-from .groups import (FiniteAction, GroupHom, Subgroup, _closure, action_check,
-                     descend, generates, intersect, make_group,
+from .groups import (FiniteAction, GroupHom, Subgroup, _built_group, _closure,
+                     action_check, descend, generates, intersect,
                      normality_witness, quotient, reduce_action,
                      subgroup_as_group)
 
@@ -295,16 +296,14 @@ def semidirect(gprime, g, act):
     for h in gprime.generators:
         GroupHom(g, g, act[h])
 
-    size = np_ * n
-    table = [[0] * size for _ in range(size)]
-    for gp in range(np_):
-        for x in range(n):
-            left = gp * n + x
-            for gp1 in range(np_):
-                for x1 in range(n):
-                    table[left][gp1 * n + x1] = \
-                        gprime.table[gp][gp1] * n + g.table[act[gp1][x]][x1]
-    S = make_group(table)
+    def row_of(left):
+        gp, x = divmod(left, n)
+        return tuple(c * n + y for c, twisted in zip(gprime.table[gp], act)
+                     for y in g.table[twisted[x]])
+
+    S = _built_group(np_ * n, gprime.identity * n + g.identity, row_of,
+                     [gprime.identity * n + x for x in g.generators] +
+                     [gp * n + g.identity for gp in gprime.generators])
 
     for gp in range(np_):
         for x in range(n):
@@ -352,13 +351,14 @@ class PipelineResult:
                 "m0_size": self.m0_size}
 
 
-def derive_twist(set_size, rho, rho_prime, report):
+def derive_twist(set_size, rho, rho_prime, report, **where):
     """Solve pgg' = pg'g_{g'} for g_{g'}, a single candidate per (g, g').
 
     Freeness of rho makes the candidate from one base point unique: it is
     c[base]^-1 c[target] for c the coordinates in rho's ``action_check``
     report, and there is none across orbits.  It is then verified against
-    every point, which is the compatibility proof.
+    every point, which is the compatibility proof.  ``where`` is added to
+    the details of a NotCompatible witness.
     """
     if set_size == 0:
         raise NotAnAction("empty point set")
@@ -369,13 +369,14 @@ def derive_twist(set_size, rho, rho_prime, report):
             target = rho_prime.act[gp][rho.act[g][0]]
             base = rho_prime.act[gp][0]
             if report.orbit_of[base] != report.orbit_of[target]:
-                raise NotCompatible("no twist candidate", pair=(g, gp))
+                raise NotCompatible("no twist candidate", pair=(g, gp),
+                                    **where)
             cand = t[inv[c[base]]][c[target]]
             for p in range(set_size):
                 if rho_prime.act[gp][rho.act[g][p]] != \
                         rho.act[cand][rho_prime.act[gp][p]]:
                     raise NotCompatible("twist fails at a point",
-                                        pair=(g, gp), point=p)
+                                        pair=(g, gp), point=p, **where)
             twist[(g, gp)] = cand
     return twist
 
@@ -387,9 +388,10 @@ def gamma_from_actions(set_size, rho, rho_prime):
     and reduces that action through ``reduce_action`` by its kernel
     G0 = {(g', g) : rho'_{g'} rho_g = id}, so Γ = (G' ⋉ G)/G0.  A non-free
     rho, rho' or induced Γ-action raises NotFree, a missing twist
-    NotCompatible.  That the orbit maps descend, that the square commutes
-    and that both projections are equivariant follow from the orbit maps,
-    so a failure there raises InternalInconsistency, a library bug.
+    NotCompatible, the reverse one with ``"direction": "reverse"``.  That
+    the orbit maps descend, that the square commutes and that both
+    projections are equivariant follow from the orbit maps, so a failure
+    there raises InternalInconsistency, a library bug.
     """
     reports = []
     for name, a in (("rho", rho), ("rho_prime", rho_prime)):
@@ -417,6 +419,8 @@ def gamma_from_actions(set_size, rho, rho_prime):
     gamma_report = action_check(gamma_action)
     if not gamma_report.is_free:
         raise NotFree("induced gamma action is not free")
+    # the reverse twist g'_g of pg'g = pgg'_g; its pairs are (g', g)
+    derive_twist(set_size, rho_prime, rho, reports[1], direction="reverse")
 
     pi, pi_prime = (r.orbit_of for r in reports)
     pi_zero = gamma_report.orbit_of

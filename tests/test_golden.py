@@ -28,8 +28,12 @@ illegal slot or a singular linear block, or miss an orientation, and on
 models of three gradings and of one, which they refuse.  Further
 cases pin each verdict error a command reports
 as a failure (a non-associative table, a fixed point, two actions that are
-not compatible or not free, a singular chart), and a group-axiom error
-under ``dpg verify``, which stays an input error.  Every subcommand has a
+not compatible or not free, a singular chart), the other failures of ``dpg
+gamma-from-actions`` (an induced Γ-action that is not free, a twist that
+fails at a point, and a pair compatible in one direction only), a passing
+``ntuple verify`` (Z2^3 and its coordinate hyperplanes), ``dpg verify`` on
+subgroups spelled ``{"members": [...]}``, and a group-axiom error under
+``dpg verify``, which stays an input error.  Every subcommand has a
 case.
 Regenerate the files only for an intended change of report content:
 
@@ -207,6 +211,17 @@ def _pair_of_actions(rho, rho_prime):
             "rho": {"group": _group(Z2), "points": 6, "act": rho},
             "rho_prime": {"group": _group(Z3), "points": 6,
                           "act": rho_prime}}
+
+
+def _cyclic_pair(act_prime):
+    """A ``dpg gamma-from-actions`` input on four points: Z4 by the cycle
+    (0 1 2 3) and a cyclic group by the rows act_prime."""
+    def cyc(n):
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
+    return {"points": 4,
+            "rho": {"group": _group(cyc(4)), "points": 4, "act": cyc(4)},
+            "rho_prime": {"group": _group(cyc(len(act_prime))), "points": 4,
+                          "act": act_prime}}
 
 
 def _z2_on_pairs(kind):
@@ -422,6 +437,37 @@ CASES = {
         ["dpg", "gamma-from-actions", "{pair}"], {"pair": _pair_of_actions(
             [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 4, 5]],
             [[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 0, 1], [4, 5, 0, 1, 2, 3]])}),
+    # the induced action of (Z2 ⋉ Z4)/G0 fixes a point
+    "dpg_gamma_from_actions_gamma_not_free": (
+        ["dpg", "gamma-from-actions", "{pair}"], {"pair": _cyclic_pair(
+            [[0, 1, 2, 3], [3, 2, 1, 0]])}),
+    # a twist candidate exists for every pair but fails at a point
+    "dpg_gamma_from_actions_twist_fails": (
+        ["dpg", "gamma-from-actions", "{pair}"], {"pair": _cyclic_pair(
+            [[0, 1, 2, 3], [2, 0, 3, 1], [3, 2, 1, 0], [1, 3, 0, 2]])}),
+    # pgg' = pg'g_{g'} holds but pg'g = pgg'_g does not: Z3 by
+    # (0 1 2)(3 4 5) and Z2 by (0 3)(1 5)(2 4)
+    "dpg_gamma_from_actions_reverse_not_compatible": (
+        ["dpg", "gamma-from-actions", "{pair}"], {"pair": {
+            "points": 6,
+            "rho": {"group": _group([[(a + b) % 3 for b in range(3)]
+                                     for a in range(3)]),
+                    "points": 6, "act": [[0, 1, 2, 3, 4, 5],
+                                         [1, 2, 0, 4, 5, 3],
+                                         [2, 0, 1, 5, 3, 4]]},
+            "rho_prime": {"group": _group(Z2), "points": 6,
+                          "act": [[0, 1, 2, 3, 4, 5],
+                                  [3, 5, 4, 0, 2, 1]]}}}),
+    # Z2^3 with its three coordinate hyperplanes is 3-tuple principal
+    "ntuple_verify_z2cubed_hyperplanes": (["ntuple", "verify", "{nt}"], {
+        "nt": {"gamma": _group([[a ^ b for b in range(8)] for a in range(8)]),
+               "subgroups": [[x for x in range(8) if not x >> i & 1]
+                             for i in range(3)]}}),
+    # the README's {"members": [...]} spelling of dpg_verify_q8's subgroups
+    "dpg_verify_q8_members": (["dpg", "verify", "{dpg}"], {
+        "dpg": {"gamma": _group(Q8),
+                "subgroups": [{"members": [0, 1, 2, 3]},
+                              {"members": [0, 1, 4, 5]}]}}),
     "cocycle_t2_singular_q": (["cocycle", "t2", "{chart}"], {"chart": {
         "field": "Q", "sig_in": LINE, "sig_out": LINE,
         "terms": [{"target": 0, "exponents": [2], "num": "1"}]}}),
@@ -481,6 +527,15 @@ def test_every_subcommand_has_a_golden_case():
                 for name in choices(p)}
     assert len(commands) == 19
     assert commands <= {tuple(argv[:2]) for argv, _ in CASES.values()}
+
+
+def test_members_spelling_gives_the_bare_list_report(tmp_path):
+    with open(_example("q8_dpg.json")) as fh:
+        subgroups = json.load(fh)["subgroups"]
+    assert CASES["dpg_verify_q8_members"][1]["dpg"]["subgroups"] == [
+        {"members": m} for m in subgroups]
+    assert (render("dpg_verify_q8_members", str(tmp_path))
+            == render("dpg_verify_q8", str(tmp_path)))
 
 
 def test_groupoid_action_example_is_the_built_groupoid():

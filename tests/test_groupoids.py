@@ -230,6 +230,13 @@ def test_quotient_of_q8_gauge_by_reduced_j_action():
     assert vg.order == 8
 
 
+@pytest.mark.parametrize("x", [2, -1])
+def test_vertex_group_refuses_an_object_out_of_range(x):
+    with pytest.raises(InvalidInput) as e:
+        pair_groupoid(2).vertex_group(x)
+    assert e.value.details == {"object": x}
+
+
 def test_quotient_by_trivial_group_is_identity():
     gpd = pair_groupoid(3)
     T = trivial_group()
@@ -437,9 +444,10 @@ def test_gauge_quotient_objects_match_joint_orbits(subgroups):
     joint_orbits = {tuple(sorted(G.mul(x, h) for h in joint.members))
                     for x in range(8)}
     assert q.groupoid.n_objects == len(joint_orbits)
-    # the composite orbit map separates exactly the joint orbits
+    # the composite orbit map separates exactly the joint orbits; the
+    # orbit of p is the object of the unit arrow <p, p>
     composite = {}
     for p in range(8):
-        composite.setdefault(q.object_map[labels.point_orbit[p]],
+        composite.setdefault(q.object_map[gpd.src[labels.arrow(p, p)]],
                              set()).add(p)
     assert {tuple(sorted(v)) for v in composite.values()} == joint_orbits

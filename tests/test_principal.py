@@ -123,7 +123,7 @@ def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
         raise AssertionError("verify_ntuple rebuilt a group")
 
     for module in (ntpg.principal, ntpg.groups):
-        monkeypatch.setattr(module, "make_group", rebuild)
+        monkeypatch.setattr(module, "_built_group", rebuild)
         monkeypatch.setattr(module, "subgroup_as_group", rebuild)
     w = verify_ntuple(G, subs)
     assert w.verdict

@@ -237,15 +237,15 @@ def reference_gauge_groupoid(set_size, action):
             [point_orbit[p] for p, q in arrow_rep],
             [pair_to_arrow[(r, r)] for r in object_rep],
             [pair_to_arrow[(q, p)] for p, q in arrow_rep], list(mul.items()),
-            list(pair_to_arrow.items()), arrow_rep, point_orbit)
+            list(pair_to_arrow.items()), arrow_rep)
 
 
 def assert_same_gauge(set_size, action):
     gpd, labels = gauge_groupoid(set_size, action)
     assert (gpd.n_objects, list(gpd.src), list(gpd.tgt), list(gpd.id),
             list(gpd.inv), list(gpd.mul.items()),
-            list(labels.pair_to_arrow.items()), labels.arrow_rep,
-            labels.point_orbit) == reference_gauge_groupoid(set_size, action)
+            list(labels.pair_to_arrow.items()),
+            labels.arrow_rep) == reference_gauge_groupoid(set_size, action)
 
 
 def _coset_action(G, H):
