@@ -7,6 +7,10 @@ that contract).
 """
 
 import json
+import math
+from collections import Counter
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quoted
 
 from . import cocycles, fields, graded, groupoids, poly
 from .errors import InvalidInput, all_ints, is_int
@@ -103,13 +107,22 @@ def load_action(obj, cap=DEFAULT_CLOSURE_CAP):
                         side=obj.get("side", "right"))
 
 
+def _least_repeat(keys):
+    """The least key that ``keys`` lists more than once."""
+    return min(key for key, n in Counter(keys).items() if n > 1)
+
+
 def load_groupoid(obj):
     mul = {}
-    for entry in _int_rows(_need(obj, "mul", "groupoid"), "mul entries"):
+    entries = _int_rows(_need(obj, "mul", "groupoid"), "mul entries")
+    for entry in entries:
         if len(entry) != 3:
             raise InvalidInput("mul entries must be [g, h, gh]", entry=entry)
         g, h, gh = entry
         mul[(g, h)] = gh
+    if len(mul) < len(entries):
+        raise InvalidInput("repeated mul pair", pair=list(
+            _least_repeat((g, h) for g, h, _ in entries)))
     objects = _need(obj, "objects", "groupoid")
     arrays = [_need(obj, key, "groupoid")
               for key in ("src", "tgt", "id", "inv")]
@@ -258,18 +271,28 @@ def load_group_cocycle(obj, group=None, cap=DEFAULT_CLOSURE_CAP):
     if group is None:
         group = load_group(_need(obj, "group", "cocycle"), cap=cap)
     values = {}
-    for v in _array(_need(obj, "values", "cocycle"), "values"):
+    entries = _array(_need(obj, "values", "cocycle"), "values")
+    for v in entries:
         pair = _pair(v, nerve)
         element = _need(v, "element", "cocycle value")
         if not _is_index(element, group.order):
             raise InvalidInput("cocycle value outside the group",
                                element=element, order=group.order)
         values[pair] = element
+    _no_repeated_pair(values, entries)
     return cocycles.Cocycle(nerve, group, values), group
 
 
 def _is_index(x, n):
     return is_int(x) and 0 <= x < n
+
+
+def _no_repeated_pair(values, entries):
+    """An input error naming the least pair that two of the cocycle's
+    ``entries`` give, whatever their order; ``values`` is keyed by pair."""
+    if len(values) < len(entries):
+        raise InvalidInput("repeated cocycle pair", pair=list(
+            _least_repeat(tuple(v["pair"]) for v in entries)))
 
 
 def _pair(value, nerve):
@@ -290,12 +313,14 @@ def load_aut_cocycle(obj, handle):
     nerve = load_nerve(obj)
     sig, field = handle.sig, handle.field
     values, auts = {}, {}
-    for v in _array(_need(obj, "values", "cocycle"), "values"):
+    entries = _array(_need(obj, "values", "cocycle"), "values")
+    for v in entries:
         pair = _pair(v, nerve)
         terms = load_terms(field, _need(v, "terms", "cocycle value"),
                            sig.ncoords)
         auts[pair] = make_automorphism(sig, field, terms)
         values[pair] = handle.index_of(auts[pair])
+    _no_repeated_pair(values, entries)
     return cocycles.Cocycle(nerve, handle.group, values), auts
 
 
@@ -315,8 +340,72 @@ def read_json(path):
         raise InvalidInput("invalid JSON input", path=path, error=str(e))
 
 
+class _Fallback(Exception):
+    """A value the indent-2 writer leaves to ``json.dumps``."""
+
+
+def _indented(value, nl):
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the exact types
+    reports hold, the value starting at indent ``nl``; raises _Fallback on
+    any other type, a non-finite float or a key that is not a str.
+    ``indent`` puts ``json`` on its pure-Python encoder, which writes one
+    value at a time; here a list of ints is one C join, and a list of int
+    rows of one length, such as ``mul`` triples, is one ``%d`` format."""
+    t = type(value)
+    if t is str:
+        return _quoted(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is float and math.isfinite(value):
+        return float.__repr__(value)
+    if t is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = nl + "  "
+    if t is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise _Fallback
+        body = ("," + inner).join([
+            _quoted(k) + ": " + _indented(value[k], inner)
+            for k in sorted(value)])
+        return "{" + inner + body + nl + "}"
+    if t is not list and t is not tuple:
+        raise _Fallback
+    if not value:
+        return "[]"
+    sep = "," + inner
+    types = set(map(type, value))
+    cells = ()
+    if types <= {list, tuple} and len(set(map(len, value))) == 1:
+        cells = tuple(chain.from_iterable(value))
+    if types == {int}:
+        body = sep.join(map(int.__repr__, value))
+    elif set(map(type, cells)) == {int}:
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * len(value[0])) \
+            + inner + "]"
+        body = sep.join([row] * len(value)) % cells
+    else:
+        body = sep.join([_indented(v, inner) for v in value])
+    return "[" + inner + body + nl + "]"
+
+
+def _report_text(report):
+    """The report as ``json.dumps(report, sort_keys=True, indent=2,
+    default=str)`` writes it; ``json`` itself writes any report holding a
+    value ``_indented`` leaves to it, or nested deeper than ``_indented``
+    recurses (an error's details can echo a deeply nested input)."""
+    try:
+        return _indented(report, "\n")
+    except (_Fallback, RecursionError):
+        return json.dumps(report, sort_keys=True, indent=2, default=str)
+
+
 def write_report(report, path=None):
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    text = _report_text(report)
     if path in (None, "-"):
         print(text)
     else:

@@ -44,6 +44,14 @@ def test_group_validate_trivial(tmp_path, capsys):
     assert out["verdict"] == "pass"
 
 
+def test_stdout_report_is_jsons_indent_2_dump(capsys):
+    gauge = os.path.join(EXAMPLES, "z3_gauge.json")
+    assert run(["groupoid", "gauge", gauge, "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=2) + "\n"
+
+
 def test_group_validate_bad_table_exits_1(tmp_path):
     f = write(tmp_path, "bad.json", {"order": 2, "table": [[0, 0], [1, 1]]})
     out = str(tmp_path / "rep.json")
@@ -834,6 +842,48 @@ def test_mul_key_outside_the_arrows_exits_2(tmp_path, capsys, entry):
     details = read_report(out)["details"]
     assert details["message"] == "mul key out of range"
     assert details["details"]["pair"] == entry[:2]
+
+
+# (command, example, path to a keyed list, entries appended to it or None
+# for a copy of its first, the least pair they repeat): the loaders kept the
+# last entry of a repeated pair, so the verdict hung on the listing order
+_REPEATED = [
+    ("groupoid quotient", "s3_groupoid_action.json", ["groupoid", "mul"],
+     [[4, 4, 0], [1, 1, 4]], [1, 1]),
+    ("cocycle check", "z3_cocycle.json", ["values"],
+     [{"pair": [1, 2], "element": 0}, {"pair": [0, 1], "element": 0}],
+     [0, 1]),
+    ("cocycle cohomologous", "s3_coh.json", ["c2"],
+     [{"pair": [1, 2], "element": 0}, {"pair": [0, 2], "element": 0}],
+     [0, 2]),
+    ("cocycle associate", "d111_assoc.json", ["cocycle", "values"],
+     [{"pair": [1, 2], "element": 0}], [1, 2]),
+    ("cocycle frame", "d111_frame.json", ["cocycle", "values"], None,
+     [0, 1]),
+]
+
+
+@pytest.mark.parametrize("command,name,path,extra,pair", _REPEATED)
+def test_repeated_pair_exits_2_in_either_listing(tmp_path, capsys, command,
+                                                  name, path, extra, pair):
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        obj = json.load(fh)
+    node = obj
+    for key in path:
+        node = node[key]
+    node += extra or node[:1]
+    out = str(tmp_path / "rep.json")
+    reports = []
+    for listing in (list, lambda entries: entries[::-1]):
+        data = _mutated(obj, path, listing(node))
+        _assert_input_error(run(command.split() + [
+            write(tmp_path, "in.json", data), "--out", out]), out, capsys)
+        report = read_report(out)
+        del report["timing_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["details"]["message"].startswith("repeated ")
+    assert reports[0]["details"]["details"] == {"pair": pair}
 
 
 @pytest.mark.parametrize("spec", ["a;1", "2,x", "1.5"])

@@ -502,7 +502,10 @@ def render(name, workdir):
     code = main([a.format(**paths) if a.startswith("{") else a
                  for a in argv] + ["--out", out])
     with open(out) as fh:
-        report = json.load(fh)
+        written = fh.read()
+    report = json.loads(written)
+    # the CLI writes json's own indent-2 dump, byte for byte
+    assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
     del report["timing_ms"]
     return code, json.dumps(report, sort_keys=True, indent=2) + "\n"
 
