@@ -78,11 +78,12 @@ class PrimeField:
     one = 1
 
     def __init__(self, p):
-        if not _is_prime(p):
-            raise InvalidInput("characteristic must be prime", p=p)
+        # the cap first: trial division of a large p would not end
         if p > PRIME_CAP:
             raise InvalidInput("prime exceeds configured cap", p=p,
                                cap=PRIME_CAP)
+        if not _is_prime(p):
+            raise InvalidInput("characteristic must be prime", p=p)
         self.p = p
         self.char = p
         self.name = "F%d" % p

@@ -9,9 +9,9 @@ G^1 = Γ).
 
 The pipeline `gamma_from_actions` rebuilds the structure group of a pair of
 compatible free actions from scratch: it derives the twist g_{g'} from
-pgg' = pg'g_{g'}, forms the semidirect product, quotients by the joint
-kernel, derives the reverse twist g'_g from pg'g = pgg'_g and checks the
-commuting square of orbit maps.
+pgg' = pg'g_{g'}, builds Γ = (G' ⋉ G)/G0 as the group of the permutations
+p -> (p.g').g, derives the reverse twist g'_g from pg'g = pgg'_g and checks
+the commuting square of orbit maps.
 """
 
 from functools import cached_property
@@ -21,8 +21,7 @@ from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
 from .groups import (FiniteAction, GroupHom, Subgroup, _built_group, _closure,
                      action_check, descend, generates, intersect,
-                     normality_witness, quotient, reduce_action,
-                     subgroup_as_group)
+                     normality_witness, quotient, subgroup_as_group)
 
 
 class DoublePrincipalGroup:
@@ -270,17 +269,6 @@ def dressing(dpg):
     return DressingAction(dpg, g_on, gp_on)
 
 
-class SemidirectProduct:
-    __slots__ = ("group", "g")
-
-    def __init__(self, group, g):
-        self.group = group
-        self.g = g
-
-    def unpair(self, idx):
-        return divmod(idx, self.g.order)
-
-
 def semidirect(gprime, g, act):
     """G' ⋉ G for a right action of G' on G by automorphisms.
 
@@ -319,7 +307,7 @@ def semidirect(gprime, g, act):
         raise InternalInconsistency("G does not embed normally")
     if not generates(S, [embed_g, embed_gp]):
         raise InternalInconsistency("factors do not generate")
-    return SemidirectProduct(S, g)
+    return S
 
 
 def semidirect_from_dressing(dpg):
@@ -384,14 +372,15 @@ def derive_twist(set_size, rho, rho_prime, report, **where):
 def gamma_from_actions(set_size, rho, rho_prime):
     """Rebuild the joint structure group of two compatible free actions.
 
-    Builds G' ⋉ G from the derived twist, lets it act jointly on the points,
-    and reduces that action through ``reduce_action`` by its kernel
-    G0 = {(g', g) : rho'_{g'} rho_g = id}, so Γ = (G' ⋉ G)/G0.  A non-free
-    rho, rho' or induced Γ-action raises NotFree, a missing twist
-    NotCompatible, the reverse one with ``"direction": "reverse"``.  That
-    the orbit maps descend, that the square commutes and that both
-    projections are equivariant follow from the orbit maps, so a failure
-    there raises InternalInconsistency, a library bug.
+    Once the twist is derived, Γ = (G' ⋉ G)/G0 is the group of the
+    permutations p -> (p.g').g of the pairs (g', g), taken in the order
+    g'·|G| + g and labelled by first appearance; the kernel G0 lists the
+    pairs acting trivially.  A non-free rho, rho' or induced Γ-action raises
+    NotFree, a missing twist NotCompatible, the reverse one with
+    ``"direction": "reverse"``.  That the permutations are closed, that the
+    orbit maps descend, that the square commutes and that both projections
+    are equivariant follow from the theory, so a failure there raises
+    InternalInconsistency, a library bug.
     """
     reports = []
     for name, a in (("rho", rho), ("rho_prime", rho_prime)):
@@ -401,21 +390,24 @@ def gamma_from_actions(set_size, rho, rho_prime):
         if not reports[-1].is_free:
             raise NotFree("action is not free", action=name)
 
-    twist = derive_twist(set_size, rho, rho_prime, reports[0])
+    derive_twist(set_size, rho, rho_prime, reports[0])
     G, Gp = rho.group, rho_prime.group
-    act = [[twist[(x, gp)] for x in range(G.order)] for gp in range(Gp.order)]
-    sd = semidirect(Gp, G, act)
-    S = sd.group
-
-    def pair_acts(idx):
-        gp, g = sd.unpair(idx)
-        return tuple(rho.act[g][rho_prime.act[gp][p]] for p in range(set_size))
-
-    perms = [pair_acts(i) for i in range(S.order)]
+    pair_perms = [tuple(rho.act[g][x] for x in rho_prime.act[gp])
+                  for gp in range(Gp.order) for g in range(G.order)]
+    label = {q: i for i, q in enumerate(dict.fromkeys(pair_perms))}
+    perms = list(label)
     ident = tuple(range(set_size))
-    kernel = Subgroup(S, [i for i in range(S.order) if perms[i] == ident])
-    gamma_action = reduce_action(FiniteAction(S, set_size, perms), kernel)
-    gamma = gamma_action.group
+    kernel = [i for i, q in enumerate(pair_perms) if q == ident]
+
+    def row_of(a):
+        try:
+            return tuple(label[tuple(q[x] for x in perms[a])] for q in perms)
+        except KeyError:
+            raise InternalInconsistency("pair permutations are not closed",
+                                        element=a) from None
+
+    gamma = _built_group(len(perms), label[ident], row_of)
+    gamma_action = FiniteAction(gamma, set_size, perms)
     gamma_report = action_check(gamma_action)
     if not gamma_report.is_free:
         raise NotFree("induced gamma action is not free")
@@ -440,18 +432,17 @@ def gamma_from_actions(set_size, rho, rho_prime):
             raise InternalInconsistency("square does not commute", point=p)
 
     # equivariance of the projections: pi(p.[g',g]) = pi(p.g')
-    for i in range(S.order):
-        gp, g = sd.unpair(i)
+    for i, q in enumerate(pair_perms):
+        gp, g = divmod(i, G.order)
         for p in range(set_size):
-            if pi[perms[i][p]] != pi[rho_prime.act[gp][p]]:
+            if pi[q[p]] != pi[rho_prime.act[gp][p]]:
                 raise InternalInconsistency("pi is not a bundle morphism",
                                             element=i, point=p)
-            if pi_prime[perms[i][p]] != pi_prime[rho.act[g][p]]:
+            if pi_prime[q[p]] != pi_prime[rho.act[g][p]]:
                 raise InternalInconsistency("pi' is not a bundle morphism",
                                             element=i, point=p)
 
-    expected = (G.order * Gp.order) // len(kernel)
-    if gamma.order != expected:
+    if gamma.order * len(kernel) != G.order * Gp.order:
         raise InternalInconsistency("order bookkeeping failed")
     return PipelineResult(gamma=gamma, gamma_action=gamma_action,
                           kernel=kernel, m_size=m_size,

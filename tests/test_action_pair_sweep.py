@@ -11,7 +11,11 @@ asserts that:
 - the pipeline raises no ``InternalInconsistency``: each pair passes, or
   fails with ``NotFree`` (the induced Γ-action) or ``NotCompatible``;
 - it passes exactly when ``check_compatibility`` holds, the paper's
-  groupoid form of the condition, which checks both directions.
+  groupoid form of the condition, which checks both directions;
+- on a pass, Γ equals the paper's (G' ⋉ G)/G0: ``semidirect`` of the
+  derived twist, acting on the points, reduced by the pairs that act
+  trivially.  Table, identity, generators, kernel size and the Γ-action
+  rows all agree.
 
 The counts of pairs, passes and each failure are pinned, so a shrinking
 sweep cannot hide a defect.  Up to 6 points run here; up to 8 run from the
@@ -24,9 +28,10 @@ import sys
 from itertools import permutations
 
 from ntpg.errors import NotCompatible, NotFree
-from ntpg.groups import FiniteAction
+from ntpg.groups import FiniteAction, Subgroup, action_check, reduce_action
 from ntpg.named import cyclic, klein_four, symmetric
-from ntpg.principal import check_compatibility, gamma_from_actions
+from ntpg.principal import (check_compatibility, derive_twist,
+                            gamma_from_actions, semidirect)
 
 # max points -> (pairs, passes, NotFree, NotCompatible)
 PINNED = {6: (1_228, 73, 90, 1_065), 8: (9_103, 378, 384, 8_341)}
@@ -59,13 +64,33 @@ def relabellings(rows, n):
             yield relabelled
 
 
+def reference_gamma(n, rho, rho_prime):
+    """The action of (G' ⋉ G)/G0 on the points and |G0|, built the paper's
+    way from the derived twist."""
+    G, Gp = rho.group, rho_prime.group
+    twist = derive_twist(n, rho, rho_prime, action_check(rho))
+    S = semidirect(Gp, G, [[twist[(x, gp)] for x in range(G.order)]
+                           for gp in range(Gp.order)])
+    # (g', g), at index g'·|G| + g, acts by p -> (p.g').g
+    perms = [tuple(rho.act[g][x] for x in rho_prime.act[gp])
+             for gp in range(Gp.order) for g in range(G.order)]
+    kernel = Subgroup(S, [i for i, q in enumerate(perms)
+                          if q == tuple(range(n))])
+    return reduce_action(FiniteAction(S, n, perms), kernel), len(kernel)
+
+
 def outcome(n, rho, rho_prime):
     try:
-        gamma_from_actions(n, rho, rho_prime)
+        res = gamma_from_actions(n, rho, rho_prime)
     except NotFree:
         return "NotFree"
     except NotCompatible:
         return "NotCompatible"
+    ref, kernel_order = reference_gamma(n, rho, rho_prime)
+    got, want = res.gamma, ref.group
+    assert (got.table, got.identity, got.generators, len(res.kernel),
+            res.gamma_action.act) == \
+        (want.table, want.identity, want.generators, kernel_order, ref.act)
     return "pass"
 
 

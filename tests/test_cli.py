@@ -927,6 +927,39 @@ def test_non_integer_characteristic_in_a_file_exits_2(tmp_path, capsys, p):
                              "--out", out]), out, capsys)
 
 
+def test_composite_characteristic_over_the_cap_reports_the_cap(
+        tmp_path, capsys):
+    out = str(tmp_path / "rep.json")
+    code = run(["aut", "enumerate", "--sig", write(tmp_path, "s.json", D111),
+                "--field", "Fp:100", "--out", out])
+    _assert_input_error(code, out, capsys)
+    assert read_report(out)["details"] == {
+        "details": {"cap": 97, "p": 100}, "error": "InvalidInput",
+        "message": "prime exceeds configured cap"}
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_large_prime_characteristic_exits_2_at_once(tmp_path, where):
+    # 2^61 - 1 is prime: trial division up to its square root would not end
+    p = 2 ** 61 - 1
+    out = str(tmp_path / "rep.json")
+    if where == "flag":
+        argv = ["aut", "enumerate", "--sig", write(tmp_path, "s.json", D111),
+                "--field", "Fp:%d" % p]
+    else:
+        chart = json.load(open(os.path.join(EXAMPLES, "t2_chart.json")))
+        chart["field"] = {"Fp": p}
+        argv = ["cocycle", "t2", write(tmp_path, "t2.json", chart)]
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ntpg.cli", *argv, "--out", out],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert read_report(out)["details"]["message"] == \
+        "prime exceeds configured cap"
+
+
 Z3 = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
 _MULTI_COMPAT = {"structures": [{"sig": D111, "axis": 0},
                                 {"sig": D111, "axis": 1}]}

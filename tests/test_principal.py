@@ -1,9 +1,14 @@
+import json
+import os
+
 import pytest
 
-from ntpg.errors import InvalidInput, NotAnAction, NotFree
+from ntpg.errors import (InternalInconsistency, InvalidInput, NotAnAction,
+                         NotCompatible, NotFree)
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, make_group, quotient,
                          regular_action, restrict_action,
                          right_translation_action, subgroup_closure)
+from ntpg.jsonio import load_action
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_I, Q8_MINUS_ONE, Q8_ONE,
                         cyclic, quaternion_group, symmetric)
 from ntpg.principal import (check_compatibility, dpg_morphism_check, dressing,
@@ -225,8 +230,8 @@ def test_dressing_laws_over_corpus(dpg_corpus):
 def test_trivial_action_gives_direct_product():
     A, B = cyclic(2), cyclic(3)
     sd = semidirect(A, B, [list(range(3)), list(range(3))])
-    assert sd.group.order == 6
-    assert sd.group.is_abelian()
+    assert sd.order == 6
+    assert sd.is_abelian()
 
 
 def test_inversion_action_gives_s3():
@@ -234,8 +239,8 @@ def test_inversion_action_gives_s3():
     act = [[0, 1, 2], [0, 2, 1]]  # the involution inverts Z3
     sd = semidirect(A, B, act)
     # oracle: the unique nonabelian group of order 6
-    assert sd.group.order == 6
-    assert not sd.group.is_abelian()
+    assert sd.order == 6
+    assert not sd.is_abelian()
 
 
 def test_twists_breaking_the_action_law_are_not_an_action():
@@ -257,7 +262,7 @@ def test_twist_that_is_not_an_automorphism_is_invalid():
 def test_semidirect_from_q8_dressing_has_order_16():
     _, dpg = q8_dpg()
     sd = semidirect_from_dressing(dpg)
-    assert sd.group.order == 16
+    assert sd.order == 16
 
 
 # -- gamma_from_actions ---------------------------------------------------------------
@@ -320,6 +325,43 @@ def test_pipeline_on_z4_with_equal_subgroups():
     # oracle: direct enumeration of rho'_{g'} rho_g; kernel {(0,0),(2,2)}
     assert len(res.kernel) == 2
     assert res.gamma.order == 2
+
+
+def test_pipeline_builds_gamma_without_the_semidirect_product(monkeypatch):
+    import ntpg.principal
+
+    def refuse(*args):
+        raise AssertionError("the pipeline builds only Γ")
+
+    monkeypatch.setattr(ntpg.principal, "semidirect", refuse)
+    monkeypatch.setattr(ntpg.principal, "quotient", refuse)
+    _, rho, rho_prime = q8_translation_actions()
+    assert gamma_from_actions(8, rho, rho_prime).gamma.order == 8
+    with open(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "docs", "examples",
+            "z2z3_pipeline.json")) as fh:
+        data = json.load(fh)
+    res = gamma_from_actions(data["points"], load_action(data["rho"]),
+                             load_action(data["rho_prime"]))
+    assert res.gamma.order == 6
+
+
+def test_pipeline_on_unclosed_pair_permutations_is_a_library_bug(
+        monkeypatch):
+    import ntpg.principal
+    # two fixed-point-free involutions of 6 points whose product has order
+    # 3: no twist exists, and with the check bypassed the pair
+    # permutations {e, a, b, b then a} miss a then b
+    a = (1, 0, 3, 2, 5, 4)
+    b = (5, 2, 1, 4, 3, 0)
+    rho = FiniteAction(cyclic(2), 6, [tuple(range(6)), a])
+    rho_prime = FiniteAction(cyclic(2), 6, [tuple(range(6)), b])
+    with pytest.raises(NotCompatible):
+        gamma_from_actions(6, rho, rho_prime)
+    monkeypatch.setattr(ntpg.principal, "derive_twist",
+                        lambda *args, **kw: {})
+    with pytest.raises(InternalInconsistency, match="not closed"):
+        gamma_from_actions(6, rho, rho_prime)
 
 
 # -- check_compatibility -----------------------------------------------------------------
@@ -413,14 +455,13 @@ def test_vacant_semidirect_is_isomorphic_to_gamma(dpg_corpus):
     for name, dpg in dpg_corpus:
         if len(dpg.core) != 1:
             continue
-        sd = semidirect_from_dressing(dpg)
+        S = semidirect_from_dressing(dpg)
         G = dpg.gamma
         to1 = list(dpg.g1.members)
         to2 = list(dpg.g2.members)
         phi = [G.mul(to2[gp], to1[g])
                for gp in range(len(to2)) for g in range(len(to1))]
         assert sorted(phi) == list(range(G.order)), name
-        S = sd.group
         for a in range(S.order):
             for b in range(S.order):
                 assert phi[S.table[a][b]] == G.mul(phi[a], phi[b]), name
