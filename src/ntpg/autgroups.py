@@ -198,20 +198,22 @@ class AutGroupHandle:
     """An enumerated automorphism group.
 
     ``values[k]`` holds element k's coefficient on each slot of
-    ``_slot_list(sig)``.  ``perms[k]`` is element k evaluated on every point
-    of F_p^m, as a permutation of point codes: the point (x_0, ..., x_{m-1})
-    has code sum x_i p^(m-1-i), its position in
-    ``product(range(p), repeat=m)``.  ``elements`` (the automorphisms) and
-    ``index`` (automorphism key -> element index) are each built on first
-    read; the distinguished subgroups are read off ``values``.
+    ``_slot_list(sig)``.  ``points`` lists F_p^m in code order: the point
+    (x_0, ..., x_{m-1}) has code sum x_i p^(m-1-i), its position in
+    ``product(range(p), repeat=m)``.  ``perms[k]`` is element k evaluated on
+    every point, as a permutation of point codes.  ``elements`` (the
+    automorphisms) and ``index`` (automorphism key -> element index) are
+    each built on first read; the distinguished subgroups are read off
+    ``values``.
     """
 
-    def __init__(self, sig, field, group, values, perms):
+    def __init__(self, sig, field, group, values, perms, points):
         self.sig = sig
         self.field = field
         self.group = group
         self.values = values
         self.perms = perms
+        self.points = points
 
     @cached_property
     def elements(self):
@@ -372,7 +374,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
         return row
 
     group = _built_group(len(kept), by_cube[tuple(cube)], row_of)
-    return AutGroupHandle(sig, field, group, kept, perms)
+    return AutGroupHandle(sig, field, group, kept, perms, points)
 
 
 class P54Report:

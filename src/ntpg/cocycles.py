@@ -8,7 +8,7 @@ table[g_ij][g_jk] = g_ik.  Automorphism-valued input is read as a cocycle
 in the enumerated automorphism group, whose table[a][b] is a after b.
 """
 
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 
 from . import fields, graded, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
@@ -200,11 +200,9 @@ def standard_fibered_space(handle):
     Side i projects onto the coordinates of degree e_{i+1} (the unit
     weight of grading i+1) with subgroup G^{i+1}, which fixes them.  The
     action is the handle's point permutations, which the enumeration
-    computed by evaluating every element on every point; points are
-    numbered in ``product(range(p), repeat=m)`` order, as there.
+    computed by evaluating every element on the handle's ``points``.
     """
-    sig = handle.sig
-    points = list(product(range(handle.field.char), repeat=sig.ncoords))
+    sig, points = handle.sig, handle.points
 
     def classes(i):
         """Each point's class: its degree-e_{i+1} coordinates, numbered in

@@ -2,9 +2,10 @@
 
 Elements of a group of order n are the indices 0..n-1.  The identity is
 discovered from the table, never assumed to sit at index 0.  All validation
-is exhaustive at every order: a ``FiniteGroup`` that exists has had its
-identity, inverse and associativity axioms checked, the last by Light's
-test over a generating set, so its columns are Latin by theorem.
+is exhaustive at every order: ``_proved_group``, the one place a
+``FiniteGroup`` is built, proves the identity, inverse and associativity
+axioms, the last by Light's test over a generating set, so the rows and
+columns are Latin by theorem; a Latin scan only names a failure.
 ``make_group`` validates tables from outside; ``_built_group`` builds
 every table the library derives, and one that is not a group is a bug.
 
@@ -34,10 +35,9 @@ DEFAULT_CLOSURE_CAP = 10_000
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    Immutable after construction; only :func:`make_group`, for tables from
-    outside, and ``_built_group``, for every table the library derives,
-    construct one, so the axioms are actually verified and ``generators``
-    is always set.
+    Immutable after construction; only ``_proved_group`` constructs one,
+    so the axioms are actually verified, the rows and columns are Latin by
+    theorem and ``generators`` is always set.
     ``table`` is a tuple of int tuples; ``generators`` is a product-generating
     set, ascending, each the least element that products of the earlier
     ones miss.  A property closed under products holds for the group once
@@ -105,19 +105,18 @@ class FiniteGroup:
 def _rows(table, n):
     """The rows as tuples that share one int object per value.
 
-    A row of exact ints that is a permutation of 0..n-1 passes in one
-    set-based sweep; any other is read entry by entry.  The first short
-    row, or entry that is not an int (``is_int``; subclasses are converted
-    with ``int``) or not in 0..n-1, raises InvalidInput; only then does the
-    first row that is not a permutation raise NotLatinSquare.  Shared
-    entries let tuple comparison stop on identity in Light's test.
+    A row of exact ints in 0..n-1 is read in one lookup; any other is read
+    entry by entry.  The first short row, or entry that is not an int
+    (``is_int``; subclasses are converted with ``int``) or not in 0..n-1,
+    raises InvalidInput.  No permutation test: a group's rows and columns
+    are Latin by theorem.  Shared entries let tuple comparison stop on
+    identity in Light's test.
     """
-    ints, full = tuple(range(n)), set(range(n))
-    rows, not_latin = [], None
+    ints, rows = tuple(range(n)), []
     for i, row in enumerate(table):
         if len(row) != n:
             raise InvalidInput("table is not square", row=i)
-        if set(map(type, row)) == {int} and set(row) == full:
+        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
             rows.append(_reader(row)(ints))
             continue
         for x in row:
@@ -126,40 +125,17 @@ def _rows(table, n):
             if not 0 <= x < n:
                 raise InvalidInput("entry out of range", row=i, value=x)
         rows.append(tuple(map(int, row)))
-        if not_latin is None and set(rows[-1]) != full:
-            not_latin = i
-    if not_latin is not None:
-        raise NotLatinSquare("row %d is not a permutation" % not_latin,
-                             row=not_latin)
     return tuple(rows)
 
 
-def _check_columns(table, n):
-    for j, col in enumerate(zip(*table)):
-        if len(set(col)) != n:
-            raise NotLatinSquare("column %d is not a permutation" % j, column=j)
-
-
-def _find_identity(table, n):
-    # a row a equal to the identity row has a = a*e = e for a two-sided
-    # identity e, so only the first such row can be one
-    ident = tuple(range(n))
-    if ident in table:
-        e = table.index(ident)
-        if tuple(row[e] for row in table) == ident:
-            return e
-    raise NoIdentity("no two-sided identity element")
-
-
-def _find_inverses(table, e):
-    # each row is a permutation, so a*b = e has exactly one solution b per a
-    inverse = []
-    for a, row in enumerate(table):
-        b = row.index(e)
-        if table[b][a] != e:
-            raise NoInverse("element %d has no two-sided inverse" % a, element=a)
-        inverse.append(b)
-    return inverse
+def _check_latin(rows, n):
+    """Raise NotLatinSquare for the first row, then the first column, that
+    is not a permutation of 0..n-1."""
+    for line, lines in (("row", rows), ("column", zip(*rows))):
+        for i, values in enumerate(lines):
+            if len(set(values)) != n:
+                raise NotLatinSquare("%s %d is not a permutation" % (line, i),
+                                     **{line: i})
 
 
 def _reader(keys):
@@ -278,12 +254,38 @@ def _check_associative(rows, pos, units, src, tgt, error, message,
                                 "product")
 
 
+def _proved_group(rows, gens=()):
+    """The FiniteGroup of a square table of in-range int rows: the
+    identity, the inverses, then Light's test over gens, whose products
+    reach every element (default: the greedy product generators).  Raises
+    NoIdentity, NoInverse or NonAssociative, naming the first failing
+    element or triple in index order."""
+    n = len(rows)
+    ident = tuple(range(n))
+    # a row a equal to the identity row has a = a*e = e for a two-sided
+    # identity e, so only the first such row can be one
+    e = rows.index(ident) if ident in rows else None
+    if e is None or tuple(row[e] for row in rows) != ident:
+        raise NoIdentity("no two-sided identity element")
+    inverse, zeros = [], [0] * n
+    for a, row in enumerate(rows):
+        # a row without e fails; in a group, a*b = e has one solution b
+        b = row.index(e) if e in row else None
+        if b is None or rows[b][a] != e:
+            raise NoInverse("element %d has no two-sided inverse" % a, element=a)
+        inverse.append(b)
+    return FiniteGroup(rows, e, inverse, _check_associative(
+        rows, range(n), [e], zeros, zeros, NonAssociative,
+        "(a*b)*c != a*(b*c)", gens))
+
+
 def make_group(table):
     """Validate a multiplication table and return the FiniteGroup.
 
-    ``_rows`` checks the rows in one pass, then come the identity, the
-    inverses and Light's test.  With all three the columns are Latin by
-    theorem, so they are read only when one fails, before it reports.
+    ``_rows`` checks the shape and the entries, then ``_proved_group``
+    the identity, the inverses and associativity.  A group's rows and
+    columns are Latin by theorem, so a table that is not Latin fails a
+    proof, and only then are its rows and columns scanned, to name it.
     Raises InvalidInput / NotLatinSquare / NoIdentity / NoInverse /
     NonAssociative as checks in that order would, each naming the first
     violating entry, row, column, element or triple in index order.
@@ -293,23 +295,18 @@ def make_group(table):
         raise InvalidInput("empty multiplication table")
     rows = _rows(table, n)
     try:
-        e = _find_identity(rows, n)
-        inverse = _find_inverses(rows, e)
-        zeros = [0] * n
-        gens = _check_associative(rows, range(n), [e], zeros, zeros,
-                                  NonAssociative, "(a*b)*c != a*(b*c)")
+        return _proved_group(rows)
     except (NoIdentity, NoInverse, NonAssociative):
-        _check_columns(rows, n)
+        _check_latin(rows, n)
         raise
-    return FiniteGroup(rows, e, inverse, gens)
 
 
 def _built_group(n, e, row_of, gens=()):
     """The FiniteGroup of order n and identity e whose row x -> g*x is
     row_of(g), asked for the seeds in gens, then for each least element
-    their products miss; ``_fill_rows`` reads off every other row.  The
-    identity, the inverses and Light's test over the asked rows are proved;
-    a failure raises InternalInconsistency, as the table is the library's.
+    their products miss; ``_fill_rows`` reads off every other row.  It is
+    proved over the asked rows; a failure, or an identity other than e,
+    raises InternalInconsistency, as the table is the library's.
     """
     rows = [None] * n
     rows[e] = tuple(range(n))
@@ -320,12 +317,10 @@ def _built_group(n, e, row_of, gens=()):
             asked.append(g)
             _fill_rows(rows, e, asked)
     try:
-        if _find_identity(rows, n) == e:
-            inverse, zeros = _find_inverses(rows, e), [0] * n
-            return FiniteGroup(tuple(rows), e, inverse, _check_associative(
-                rows, range(n), [e], zeros, zeros, NonAssociative,
-                "(a*b)*c != a*(b*c)", asked))
-    except (AlgebraError, ValueError):      # ValueError: a row without e
+        group = _proved_group(tuple(rows), asked)
+        if group.identity == e:
+            return group
+    except AlgebraError:
         pass
     raise InternalInconsistency("a table the library built is not a group")
 

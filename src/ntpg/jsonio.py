@@ -325,10 +325,11 @@ def load_aut_cocycle(obj, handle):
 
 
 def read_json(path):
-    """The parsed file; a file that cannot be read or decoded, nested too
-    deep or holding an integer too long to convert is an input error."""
+    """The parsed file, read as UTF-8 (RFC 8259) whatever the locale; a
+    file that cannot be read or decoded, nested too deep or holding an
+    integer too long to convert is an input error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InvalidInput("input file not found", path=path)

@@ -471,6 +471,28 @@ def test_cli_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259): a non-ASCII string in the input must not
+    # depend on the locale's encoding, which is ASCII under LC_ALL=C
+    f = tmp_path / "z2.json"
+    f.write_bytes(json.dumps({"comment": "Γ", "table": [[0, 1], [1, 0]]},
+                             ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    reports = []
+    for extra in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0",
+                       "PYTHONCOERCECLOCALE": "0"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ntpg.cli", "group", "validate", str(f),
+             "--out", "-"], env=dict(os.environ, PYTHONPATH=src, **extra),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout
+        report = json.loads(proc.stdout)
+        del report["timing_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] == "pass"
+
+
 EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "docs", "examples")
 

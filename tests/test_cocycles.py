@@ -214,7 +214,7 @@ def test_automorphism_missing_from_the_enumeration_is_a_library_bug(
         f3_handle):
     # a handle with an empty index: the lookup that cannot miss misses
     empty = AutGroupHandle(SIG, F3, f3_handle.group, f3_handle.values,
-                           f3_handle.perms)
+                           f3_handle.perms, f3_handle.points)
     empty.index = {}
     assert empty.elements == f3_handle.elements
     with pytest.raises(InternalInconsistency):

@@ -15,9 +15,12 @@ per nerve component; its oracle walks the whole |G|^charts grid in
 ``Subgroup`` compares its members with their closure.  Their oracles
 conjugate by every element, check every pair, search from the identity over
 every input and its inverse, and scan every inverse and pair of members.
-``make_group`` proves each row in one pass and reads the columns only when
-a later check fails; its reference is the check order it replaced, and
-both must give the same error or the same group, field by field.
+``make_group`` proves the identity, the inverses and associativity and
+scans the rows and columns only when a proof fails; its reference checks
+the rows and columns first, and both must give the same error or the same
+group, field by field, on the named groups and on every table one entry,
+one swap of two rows or columns, or one principal isotope away from a
+named group of order at most 8 or from a non-associative loop.
 ``check_compatible`` tests the group's product generators alone; its
 oracle tests every element.  ``action_check`` reads freeness off the orbit
 sizes; its reference scans every element and joins orbits through a
@@ -28,15 +31,16 @@ verdict is compared with the route through the quotient group G/K
 (``reduce_action``).  ``gauge_groupoid`` builds its arrows and products in
 closed form from those coordinates; its reference walks the pair orbits,
 divides through the map (x, x.g) -> g and scans every pair of arrows.
-The named groups of order at most 12 run here; a larger order runs the same
-comparison from the command line:
+The named groups of order at most 12 run here; larger orders run the same
+comparisons from the command line, the group checks up to the first order
+and the changed tables up to the second, whose counts are pinned:
 
-    PYTHONPATH=src python tests/test_validation_oracles.py 24
+    PYTHONPATH=src python tests/test_validation_oracles.py 24 12
 """
 
 import sys
-from itertools import (combinations, combinations_with_replacement, product,
-                       permutations)
+from itertools import (chain, combinations, combinations_with_replacement,
+                       product, permutations)
 
 import pytest
 
@@ -57,6 +61,7 @@ from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _light_test,
                          subgroup_closure, trivial_action)
 from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
                         quaternion_group, symmetric, trivial_group)
+from test_cli_fuzz import LOOP5
 
 
 def brute_force_action(G, set_size, act):
@@ -159,6 +164,25 @@ def test_every_assignment_of_permutations_for_tiny_groups():
     assert checked == (1 + 1 + 2 + 6) + (1 + 1 + 4 + 36) + (1 + 1 + 8 + 216)
     assert kinds == {None, "identity does not act as the identity",
                      "composition law fails"}
+
+
+def test_every_assignment_of_rows_with_one_value_out_of_range():
+    # every row in {0..k}^k, so rows repeat a point or name the point k
+    kinds = set()
+    checked = 0
+    for G, most in ((trivial_group(), 3), (cyclic(2), 3), (cyclic(3), 2)):
+        for points in range(most + 1):
+            rows = list(product(range(points + 1), repeat=points))
+            for act in product(rows, repeat=G.order):
+                verdict = assert_same_action(G, points, act)
+                kinds.add(verdict and verdict[1])
+                checked += 1
+    # (k+1)^(k|G|) assignments
+    assert checked == (1 + 2 + 9 + 64) + (1 + 4 + 81 + 4096) + (1 + 8 + 729)
+    assert kinds == {None, "identity does not act as the identity",
+                     "composition law fails",
+                     *("element %d does not act bijectively" % g
+                       for g in range(3))}
 
 
 def reference_action_check(a):
@@ -657,6 +681,71 @@ def test_make_group_matches_the_reference_on_every_named_group():
         assert assert_same_group(flip) is None, name
 
 
+def table_changes(table):
+    """Every table one entry away, then every table with two rows or two
+    columns swapped."""
+    n = len(table)
+    for a, b, v in product(range(n), repeat=3):
+        if v != table[a][b]:
+            changed = [list(row) for row in table]
+            changed[a][b] = v
+            yield changed
+    for i, j in combinations(range(n), 2):
+        rows, cols = [list(row) for row in table], [list(row) for row in table]
+        rows[i], rows[j] = rows[j], rows[i]
+        for row in cols:
+            row[i], row[j] = row[j], row[i]
+        yield rows
+        yield cols
+
+
+def principal_isotopes(table):
+    """For every u and v, the rows and columns relabelled to
+    x o y = R_v^-1(x) * L_u^-1(y), which has the identity u*v: a Latin
+    square with an identity gives a loop, a group gives a group isomorphic
+    to it, and a loop may give one without two-sided inverses."""
+    n = len(table)
+    for u, v in product(range(n), repeat=2):
+        rho, lam = [None] * n, [None] * n
+        for x in range(n):
+            rho[table[x][v]], lam[table[u][x]] = x, x
+        yield [[table[rho[a]][lam[b]] for b in range(n)] for a in range(n)]
+
+
+# two non-associative loops: LOOP5, and Z2^3 with the intercalate in rows
+# 1, 3 and columns 4, 6 swapped
+_LOOP8 = [[a ^ b for b in range(8)] for a in range(8)]
+for _row in (1, 3):
+    _LOOP8[_row][4], _LOOP8[_row][6] = _LOOP8[_row][6], _LOOP8[_row][4]
+_LOOPS = [LOOP5, _LOOP8]
+
+# largest group order -> error class (None for a group) -> tables
+PINNED = {
+    8: {"NotLatinSquare": 3_840, "NoIdentity": 538, "NoInverse": 24,
+        "NonAssociative": 67, None: 550},
+    12: {"NotLatinSquare": 16_066, "NoIdentity": 1_632, "NoInverse": 24,
+         "NonAssociative": 67, None: 1_753},
+}
+
+
+def sweep_make_group(max_order):
+    """make_group against its reference on both loops, and on the changes
+    and principal isotopes of both loops and of every named group up to
+    max_order; returns how many tables gave each error class."""
+    bases = [build().table for _, build in sorted(
+        named_groups(max_order).items())] + _LOOPS
+    counts = {}
+    for table in chain(_LOOPS, *(chain(table_changes(t), principal_isotopes(t))
+                                 for t in bases)):
+        kind = (assert_same_group(table) or [None])[0]
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
+
+
+def test_make_group_matches_the_reference_on_every_changed_table():
+    assert sweep_make_group(8) == PINNED[8]
+
+
 # -- groupoid actions -------------------------------------------------------
 
 def brute_force_compat(ga):
@@ -832,3 +921,9 @@ if __name__ == "__main__":
     for name, build in sorted(named_groups(int(sys.argv[1])).items()):
         G = build()
         print(name, G.order, compare_group_checks(G), flush=True)
+    if len(sys.argv) > 2:
+        order = int(sys.argv[2])
+        counts = sweep_make_group(order)
+        print("changed tables up to order", order, counts, flush=True)
+        if order in PINNED and counts != PINNED[order]:
+            sys.exit("expected %s" % PINNED[order])
