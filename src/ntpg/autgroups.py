@@ -17,14 +17,18 @@ permutations instead of composing polynomials: a few generators' rows
 are looked up by cube values and the rest are read off them.  Symbolic
 composition stays the test oracle.
 
-One class, ``Automorphism``, holds both shapes: model automorphisms
-(weight exactly sigma) and the automorphisms of the trivial double affine
-space from ``make_affine_automorphism`` (weight <= sigma componentwise).
+A validated automorphism is a plain ``graded.PolyMap`` of one of two
+shapes: a model automorphism (weight exactly sigma) or an automorphism of
+the trivial double affine space from ``make_affine_automorphism`` (weight
+<= sigma componentwise).  The shape is read off the map, never stored.
 Composition and inversion check that the result keeps every shape its
-operands share.
+operands share.  The enumerated group addresses its elements by their
+slot values only: ``AutGroupHandle.map_of`` builds one element's map and
+``index_of`` finds a map by its coefficients on the slots.
 """
 
-from functools import cache, cached_property
+from bisect import bisect_left
+from functools import cache
 from itertools import product
 from math import prod
 from operator import eq
@@ -48,43 +52,13 @@ def _require_model_signature(sig):
         raise InvalidInput("model signature must have no base coordinates")
 
 
-class Automorphism:
-    """A validated automorphism of a graded model space.
-
-    Two shapes share this class: model automorphisms, whose components of
-    degree sigma carry only monomials of weight exactly sigma, and double
-    affine automorphisms, whose monomials have weight <= sigma
-    componentwise.  The shape is read off the map, never stored.
-    """
-
-    __slots__ = ("sig", "field", "map", "inverse")
-
-    def __init__(self, sig, field, pmap, inverse):
-        self.sig = sig
-        self.field = field
-        self.map = pmap
-        self.inverse = inverse
-
-    def key(self):
-        return self.map.key()
-
-    def __eq__(self, other):
-        return isinstance(other, Automorphism) and self.map == other.map
-
-    def __hash__(self):
-        return hash(self.map)
-
-    def __repr__(self):
-        return "Automorphism(%r)" % (self.map,)
-
-
 def _weight_le(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
 def _validated(sig, field, terms, legal, message):
     """Check every slot against legal(monomial weight, target degree), then
-    build the map and its triangular inverse."""
+    build the map; its triangular inverse proves it invertible."""
     terms = list(terms)
     for tgt, exps, _ in terms:
         if not 0 <= tgt < sig.ncoords:
@@ -95,11 +69,13 @@ def _validated(sig, field, terms, legal, message):
         if not legal(sig.monomial_weight(exps), sig.weights[tgt]):
             raise IllegalMonomial(message, target=tgt, exponents=tuple(exps))
     pm = PolyMap.from_terms(sig, sig, field, terms)
-    return Automorphism(sig, field, pm, triangular_inverse(pm))
+    triangular_inverse(pm)
+    return pm
 
 
 def make_automorphism(sig, field, terms):
-    """Validate coefficients against the degree decomposition and invert.
+    """Validate coefficients against the degree decomposition and prove
+    the map invertible.
 
     ``terms`` is an iterable of (target coordinate, exponent tuple,
     coefficient); a slot whose monomial weight differs from its target
@@ -122,10 +98,12 @@ def make_affine_automorphism(dims, field, terms):
                       "slot outside the affine shape")
 
 
-def aut_from_polymap(sig, field, pm):
+def aut_from_polymap(pm):
+    """pm itself, once shown weight-preserving and invertible."""
     if not is_graded_morphism(pm):
         raise IllegalMonomial("map is not weight-preserving")
-    return Automorphism(sig, field, pm, triangular_inverse(pm))
+    triangular_inverse(pm)
+    return pm
 
 
 def _left_shape(pm, *operands):
@@ -145,33 +123,29 @@ def _left_shape(pm, *operands):
 
 def aut_compose(a, b):
     """a after b; the composite keeps every shape both operands have."""
-    pm = compose(a.map, b.map)
-    if _left_shape(pm, a.map, b.map):
+    pm = compose(a, b)
+    if _left_shape(pm, a, b):
         raise InternalInconsistency("composite left the automorphism shape")
-    return Automorphism(a.sig, a.field, pm, compose(b.inverse, a.inverse))
+    return pm
 
 
 def aut_invert(a):
-    if _left_shape(a.inverse, a.map):
+    inverse = triangular_inverse(a)
+    if _left_shape(inverse, a):
         raise InternalInconsistency("inverse left the automorphism shape")
-    return Automorphism(a.sig, a.field, a.inverse, a.map)
-
-
-def identity_automorphism(sig, field):
-    ident = PolyMap.identity(sig, field)
-    return Automorphism(sig, field, ident, ident)
+    return inverse
 
 
 def is_statomorphism(a):
     """All linear parts equal to the identity; only mixed terms remain."""
-    sig, field = a.sig, a.field
+    sig, field = a.sig_in, a.field
     nv = sig.ncoords
     for c in range(nv):
         w = sig.weights[c]
         coords = sig.block_coords(w)
         for b in coords:
             unit = tuple(1 if j == b else 0 for j in range(nv))
-            coeff = a.map.components[c].terms.get(unit, field.zero)
+            coeff = a.components[c].terms.get(unit, field.zero)
             expect = field.one if b == c else field.zero
             if coeff != expect:
                 return False
@@ -184,58 +158,55 @@ def gi_membership(a, i):
     i is 1-based; the condition is that the degree-e_i component is the
     identity projection.
     """
-    sig, field = a.sig, a.field
+    sig, field = a.sig_in, a.field
     if not 1 <= i <= sig.n:
         raise InvalidInput("grading index out of range", i=i)
     eps = tuple(1 if k == i - 1 else 0 for k in range(sig.n))
     for c in sig.block_coords(eps):
-        if a.map.components[c] != Poly.var(field, sig.ncoords, c):
+        if a.components[c] != Poly.var(field, sig.ncoords, c):
             return False
     return True
 
 
 class AutGroupHandle:
-    """An enumerated automorphism group.
+    """An enumerated automorphism group, addressed by slot values.
 
-    ``values[k]`` holds element k's coefficient on each slot of
-    ``_slot_list(sig)``.  ``points`` lists F_p^m in code order: the point
-    (x_0, ..., x_{m-1}) has code sum x_i p^(m-1-i), its position in
-    ``product(range(p), repeat=m)``.  ``perms[k]`` is element k evaluated on
-    every point, as a permutation of point codes.  ``elements`` (the
-    automorphisms) and ``index`` (automorphism key -> element index) are
-    each built on first read; the distinguished subgroups are read off
-    ``values``.
+    ``slots`` is ``_slot_list(sig)``; ``values[k]`` holds element k's
+    coefficient on each slot, and ``values`` is sorted, so element k is the
+    k-th invertible point of the coefficient grid.  ``points`` lists F_p^m
+    in code order: the point (x_0, ..., x_{m-1}) has code
+    sum x_i p^(m-1-i), its position in ``product(range(p), repeat=m)``.
+    ``perms[k]`` is element k evaluated on every point, as a permutation of
+    point codes.  ``map_of`` builds one element's polynomial map and
+    ``index_of`` finds a map's element; the distinguished subgroups are
+    read off ``values``.
     """
 
-    def __init__(self, sig, field, group, values, perms, points):
+    def __init__(self, sig, field, group, slots, values, perms, points):
         self.sig = sig
         self.field = field
         self.group = group
+        self.slots = slots
         self.values = values
         self.perms = perms
         self.points = points
 
-    @cached_property
-    def elements(self):
-        sig, field = self.sig, self.field
-        slots = _slot_list(sig)
-        maps = [PolyMap.from_terms(sig, sig, field,
-                                   [(c, exps, v) for (c, exps, _), v
-                                    in zip(slots, values) if v])
-                for values in self.values]
-        return [Automorphism(sig, field, pm, maps[self.group.inverse[k]])
-                for k, pm in enumerate(maps)]
+    def map_of(self, k):
+        """Element k's polynomial map."""
+        return PolyMap.from_terms(self.sig, self.sig, self.field,
+                                  [(c, exps, v) for (c, exps, _), v
+                                   in zip(self.slots, self.values[k]) if v])
 
-    @cached_property
-    def index(self):
-        return {a.key(): k for k, a in enumerate(self.elements)}
-
-    def index_of(self, aut):
-        """aut's element index.  The enumeration lists every map that
-        make_automorphism accepts: both fill the same slots and test the
-        same linear blocks."""
-        k = self.index.get(aut.key())
-        if k is None:
+    def index_of(self, pm):
+        """pm's element index, found by its coefficients on the slots.  The
+        enumeration lists every map that make_automorphism accepts: both
+        fill the same slots and test the same linear blocks.  A map with a
+        term off the slots matches no element."""
+        terms = [f.terms for f in pm.components]
+        values = tuple(terms[c].get(exps, 0) for c, exps, _ in self.slots)
+        k = bisect_left(self.values, values)
+        if (k == len(self.values) or self.values[k] != values
+                or sum(map(len, terms)) != len(values) - values.count(0)):
             raise InternalInconsistency("automorphism missing from the "
                                         "enumerated group")
         return k
@@ -243,7 +214,7 @@ class AutGroupHandle:
     def _fixing(self, targets):
         """The elements whose linear slots with a target coordinate in
         targets hold the identity matrix."""
-        slots = _slot_list(self.sig)
+        slots = self.slots
         read = _reader([k for k, (c, _, linear) in enumerate(slots)
                         if linear and c in targets])
         ident = read([exps[c] for c, exps, _ in slots])
@@ -297,8 +268,8 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     the others off them and runs Light's test over the looked-up rows.  A
     composite whose cube image is not found, or two maps with one cube
     image, raise InternalInconsistency.  The handle
-    keeps each map's slot values; its polynomial maps, with their inverses
-    read off the table, are built only when read.
+    keeps the slots and each map's slot values; a polynomial map is built
+    only for an element that is asked for.
     """
     _require_model_signature(sig)
     if field.char == 0:
@@ -374,7 +345,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
         return row
 
     group = _built_group(len(kept), by_cube[tuple(cube)], row_of)
-    return AutGroupHandle(sig, field, group, kept, perms, points)
+    return AutGroupHandle(sig, field, group, slots, kept, perms, points)
 
 
 class P54Report:
@@ -410,9 +381,9 @@ def forget_linear(a):
     The result is an automorphism of the underlying double vector space and
     the assignment is a group homomorphism.
     """
-    sig, field = a.sig, a.field
+    sig, field = a.sig_in, a.field
     kept = []
-    for c, f in enumerate(a.map.components):
+    for c, f in enumerate(a.components):
         target = sig.weights[c]
         for exps, coeff in f.terms.items():
             if sig.monomial_weight(exps) == target:

@@ -336,8 +336,7 @@ def cmd_cocycle_associate(args, data):
     details = {
         "fiber_transitions": [
             {"pair": list(p),
-             "terms": dump_terms(handle.field,
-                                 handle.elements[c.value(*p)].map)}
+             "terms": dump_terms(handle.field, handle.map_of(c.value(*p)))}
             for p in pairs],
         "rho_transitions": [{"pair": list(p), "perm": list(rho[p])}
                             for p in pairs],
@@ -354,7 +353,7 @@ def cmd_cocycle_frame(args, data):
     cocycles.require_cocycle(c)
     # the frame bundle lives on the standard double model
     _double_model(handle)
-    if any(handle.elements[c.value(*p)] != aut for p, aut in auts.items()):
+    if any(handle.map_of(c.value(*p)) != aut for p, aut in auts.items()):
         raise InternalInconsistency("frame/associated round trip failed")
     details = {"values": [{"pair": list(p), "element": c.value(*p)}
                           for p in c.nerve.ordered_pairs()],

@@ -53,6 +53,10 @@ class GradedSignature:
         self.n = n
         blocks = [(tuple(_integer(x, "weight") for x in s),
                    _integer(d, "block dimension")) for s, d in blocks]
+        # ascending total weight; within a level, earlier gradings first,
+        # so the (d, d', d0) double space orders as y, y', z; the checks
+        # below name the first bad block in this order, not the listing's
+        blocks.sort(key=lambda bd: (sum(bd[0]), [-x for x in bd[0]]))
         if mode == "multi":
             for s, _ in blocks:
                 if len(s) != n or any(x not in (0, 1) for x in s):
@@ -63,9 +67,6 @@ class GradedSignature:
                 raise InvalidInput("negative block dimension",
                                    weight=self.spell_weight(s))
         blocks = [(s, d) for s, d in blocks if d > 0]
-        # ascending total weight; within a level, earlier gradings first,
-        # so the (d, d', d0) double space orders as y, y', z
-        blocks.sort(key=lambda bd: (sum(bd[0]), [-x for x in bd[0]]))
         seen = set()
         for s, d in blocks:
             if s in seen:
@@ -91,16 +92,17 @@ class GradedSignature:
 
     @classmethod
     def multi(cls, n, block_dims, base=0):
+        """block_dims: (sigma, dim) pairs; a sigma given twice is an
+        input error."""
         n = _integer(n, "number of gradings")
         if not 1 <= n <= MAX_GRADINGS:
             raise InvalidInput("number of gradings out of range", n=n)
-        blocks = [((0,) * n, base)] + list(block_dims.items())
-        return cls("multi", blocks, n=n)
+        return cls("multi", [((0,) * n, base), *block_dims], n=n)
 
     @classmethod
     def double_vector(cls, d, d_prime, d_core):
         """The (d, d', d0) double space signature: blocks (1,0), (0,1), (1,1)."""
-        return cls.multi(2, {(1, 0): d, (0, 1): d_prime, (1, 1): d_core})
+        return cls.multi(2, [((1, 0), d), ((0, 1), d_prime), ((1, 1), d_core)])
 
     def spell_weight(self, w):
         """A weight as the input spelled it: an integer for simple

@@ -17,8 +17,9 @@ over all pairs or triples would find.
 
 from itertools import chain, repeat
 
-from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
-                     NotCompatible, NotFree, NotMultiplicative, all_ints)
+from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
+                     InvalidInput, NotCompatible, NotFree, NotMultiplicative,
+                     all_ints)
 from .groups import (FiniteAction, _built_group, _check_associative,
                      action_check, reduce_action)
 
@@ -146,6 +147,17 @@ def pair_groupoid(n):
     return FiniteGroupoid(n, src, tgt, id_, inv, mul)
 
 
+def _built(make, *args):
+    """make(*args) for a structure the theory guarantees: a failed check is
+    a library bug, raised as InternalInconsistency, as in
+    ``groups._built_group``."""
+    try:
+        return make(*args)
+    except AlgebraError as e:
+        raise InternalInconsistency("a structure the library built fails "
+                                    "its checks", check=e.report()) from e
+
+
 class GaugeLabels:
     """Arrow labels of a gauge groupoid: pair (p, q) <-> arrow index."""
 
@@ -195,7 +207,7 @@ def gauge_groupoid(set_size, action):
     inv = [pair_to_arrow[(q, p)] for (p, q) in arrow_rep]
     mul = {(a, point_orbit[q] * n + s): a - q + act[c[q]][s]
            for a, (r, q) in enumerate(arrow_rep) for s in range(n)}
-    gpd = FiniteGroupoid(len(object_rep), src, tgt, id_, inv, mul)
+    gpd = _built(FiniteGroupoid, len(object_rep), src, tgt, id_, inv, mul)
     return gpd, GaugeLabels(pair_to_arrow, arrow_rep)
 
 
@@ -356,7 +368,8 @@ def quotient_groupoid(ga):
                 continue
             g = t[inv[c[gpd.tgt[b]]]][c[gpd.src[a]]]
             mul0[(A, B)] = arrow_map[gpd.rows[a][gpd.pos[ga.act[g][b]]]]
-    gpd0 = FiniteGroupoid(len(object_reps), src0, tgt0, id0, inv0, mul0)
+    gpd0 = _built(FiniteGroupoid, len(object_reps), src0, tgt0, id0, inv0,
+                  mul0)
 
     # the projection must be a groupoid morphism (theory oracle)
     failure = _morphism_failure(gpd, gpd0, arrow_map, object_map)
@@ -517,10 +530,10 @@ def build_from_morphism(base, group, b):
         for g2 in range(n):
             g1 = group.table[b[y0p]][g2]
             mul[(y0 * n + g1, y0p * n + g2)] = prod * n + g2
-    gpd = FiniteGroupoid(n_objects, src, tgt, id_, inv, mul)
+    gpd = _built(FiniteGroupoid, n_objects, src, tgt, id_, inv, mul)
     act = [[(a // n) * n + group.table[a % n][h] for a in range(gpd.n_arrows)]
            for h in range(n)]
-    return GroupoidAction(gpd, group, act)
+    return _built(GroupoidAction, gpd, group, act)
 
 
 def reconstruct_and_check(mf):

@@ -156,13 +156,13 @@ def load_signature(obj):
         return graded.GradedSignature.simple(
             _array(obj.get("dims", []), "dims"), base=obj.get("base", 0))
     if mode == "multi":
-        blocks = {}
+        blocks = []
         for b in _array(_need(obj, "blocks", "signature"), "blocks"):
             sigma = _array(_need(b, "sigma", "block"), "sigma")
             if any(isinstance(x, (list, dict)) for x in sigma):
                 raise InvalidInput("sigma entries must be integers",
                                    sigma=sigma)
-            blocks[tuple(sigma)] = _need(b, "dim", "block")
+            blocks.append((tuple(sigma), _need(b, "dim", "block")))
         return graded.GradedSignature.multi(
             _need(obj, "n", "signature"), blocks, base=obj.get("base", 0))
     raise InvalidInput("unknown signature mode", mode=mode)

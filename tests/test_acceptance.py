@@ -298,11 +298,11 @@ def test_criterion_10_cocycle_roundtrip():
     cocycles_corpus = []
     for k in range(20):
         if k % 2 == 0:
-            a = handle.elements[rng.randrange(len(handle.elements))]
+            a = handle.map_of(rng.randrange(handle.group.order))
             nerve, auts = two, {(0, 1): a}
         else:
-            a = handle.elements[rng.randrange(len(handle.elements))]
-            b = handle.elements[rng.randrange(len(handle.elements))]
+            a = handle.map_of(rng.randrange(handle.group.order))
+            b = handle.map_of(rng.randrange(handle.group.order))
             nerve = three
             auts = {(0, 1): a, (1, 2): b, (0, 2): aut_compose(a, b)}
         # frame: each automorphism as its index in the enumerated group
@@ -314,7 +314,7 @@ def test_criterion_10_cocycle_roundtrip():
         for (i, j) in nerve.ordered_pairs():
             aut = (auts[(i, j)] if (i, j) in auts
                    else aut_invert(auts[(j, i)]))
-            assert handle.elements[principal_c.value(i, j)] == aut
+            assert handle.map_of(principal_c.value(i, j)) == aut
         cocycles_corpus.append(principal_c)
 
     # equivalence relation, per nerve

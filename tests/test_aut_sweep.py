@@ -7,11 +7,12 @@ structure of Aut with the subgroups G^i.  Its orders of Aut, of each G^i
 and of each pairwise intersection must equal the closed form of
 ``perfbench/algebra.aut_orders``, which imports nothing from ``ntpg``.
 On every model it also builds the standard fibered space and checks its
-n sides (``check_sides``).  Models whose closed-form |Aut| exceeds 1,000
-are skipped.  The counts of checked and skipped models, and of the models
-where some side tells an element from its inverse, are pinned, so a
-shrinking sweep cannot hide a defect.  F_2 runs here; F_2 and F_3 run
-from the command line:
+n sides (``check_sides``), and checks the handle's element lookup against
+symbolic composition (``check_lookup``).  Models whose closed-form |Aut|
+exceeds 1,000 are skipped.  The counts of checked and skipped models, and
+of the models where some side tells an element from its inverse, are
+pinned, so a shrinking sweep cannot hide a defect.  F_2 runs here; F_2
+and F_3 run from the command line:
 
     PYTHONPATH=src python tests/test_aut_sweep.py 2 3
 
@@ -33,7 +34,7 @@ from ntpg.autgroups import verify_p54
 from ntpg.cocycles import (Cocycle, CoverNerve, associated_cocycle,
                            standard_fibered_space)
 from ntpg.fields import GF
-from ntpg.graded import GradedSignature
+from ntpg.graded import GradedSignature, PolyMap, compose
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -91,6 +92,19 @@ def check_sides(handle, case):
     return bool(told)
 
 
+def check_lookup(handle, case):
+    """Every element's map is found at its own index, and each generator's
+    map composed with its table inverse's is the identity: the table's
+    inverses agree with symbolic composition."""
+    G = handle.group
+    for k in range(G.order):
+        assert handle.index_of(handle.map_of(k)) == k, (case, k)
+    identity = PolyMap.identity(handle.sig, handle.field)
+    for g in G.generators:
+        assert compose(handle.map_of(g), handle.map_of(G.inverse[g])) == \
+            identity, (case, g)
+
+
 def sweep(primes, top=1):
     """(models checked, models skipped, models where a side tells some
     element from its inverse) over GRADINGS[top] and the given F_p."""
@@ -102,13 +116,14 @@ def sweep(primes, top=1):
                 if want["gamma"] > MAX_AUT:
                     skipped += 1
                     continue
-                sig = GradedSignature.multi(n, blocks)
+                sig = GradedSignature.multi(n, blocks.items())
                 rep = verify_p54(sig, GF(p))
                 case = (p, sorted(blocks.items()))
                 assert rep.witness.verdict, case
                 assert rep.orders == {k: want[k] for k in (
                     "gamma", "gi", "intersections")}, case
                 told += check_sides(rep.handle, case)
+                check_lookup(rep.handle, case)
                 checked += 1
     return checked, skipped, told
 

@@ -908,6 +908,64 @@ def test_repeated_pair_exits_2_in_either_listing(tmp_path, capsys, command,
     assert reports[0]["details"]["details"] == {"pair": pair}
 
 
+# (blocks, the error message, its details): a dict keyed by sigma kept the
+# last of a repeated block, so on F2 one listing gave order 24 and the other
+# 2; the negative dimension was named in listing order
+_BAD_BLOCKS = [
+    ([{"sigma": [1, 0], "dim": 1}, {"sigma": [0, 1], "dim": 1},
+      {"sigma": [1, 1], "dim": 1}, {"sigma": [1, 0], "dim": 2}],
+     "duplicate weight block", {"weight": [1, 0]}),
+    ([{"sigma": [0, 1], "dim": -1}, {"sigma": [1, 1], "dim": 1},
+      {"sigma": [1, 0], "dim": -2}],
+     "negative block dimension", {"weight": [1, 0]}),
+]
+
+
+@pytest.mark.parametrize("blocks,message,details", _BAD_BLOCKS)
+def test_bad_signature_blocks_exit_2_in_either_listing(tmp_path, capsys,
+                                                        blocks, message,
+                                                        details):
+    out = str(tmp_path / "rep.json")
+    reports = []
+    for listing in (blocks, blocks[::-1]):
+        sig = write(tmp_path, "sig.json",
+                    {"mode": "multi", "n": 2, "blocks": listing})
+        _assert_input_error(run(["aut", "enumerate", "--sig", sig, "--field",
+                                 "Fp:2", "--out", out]), out, capsys)
+        report = read_report(out)
+        del report["timing_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["details"]["message"] == message
+    assert reports[0]["details"]["details"] == details
+
+
+@pytest.mark.parametrize("command,name", [("cocycle frame", "d111_frame.json"),
+                                          ("cocycle associate",
+                                           "d111_assoc.json")])
+def test_cocycle_commands_build_a_map_only_per_value_and_pair(
+        tmp_path, monkeypatch, command, name):
+    # over F5 the group has 320 elements; the maps read and written are
+    # built one by one, never the whole group's
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        data = json.load(fh)
+    data["model"]["field"] = {"Fp": 5}
+    built = []
+    from_terms = PolyMap.from_terms.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return from_terms(cls, *args)
+
+    monkeypatch.setattr(PolyMap, "from_terms", classmethod(counting))
+    out = str(tmp_path / "rep.json")
+    assert run(command.split() + [write(tmp_path, "in.json", data),
+                                  "--out", out]) == 0
+    values = data["cocycle"]["values"]
+    pairs = 2 * len(data["cocycle"]["overlaps"])
+    assert 0 < len(built) <= len(values) + pairs
+
+
 @pytest.mark.parametrize("spec", ["a;1", "2,x", "1.5"])
 def test_non_integer_subgroup_generator_exits_2(tmp_path, capsys, spec):
     out = str(tmp_path / "rep.json")
@@ -1131,6 +1189,26 @@ def test_pipeline_square_failure_is_a_theory_failure(tmp_path, capsys,
     _assert_theory_failure(
         ["dpg", "gamma-from-actions",
          os.path.join(EXAMPLES, "z2z3_pipeline.json")],
+        tmp_path, capsys)
+
+
+def test_bad_derived_groupoid_is_a_theory_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    import ntpg.groupoids
+    action_check = ntpg.groupoids.action_check
+
+    def swapped(action):
+        # the coordinates of points 0 and 1 swapped: the gauge groupoid's
+        # products no longer fit its units
+        rep = action_check(action)
+        c = list(rep.coordinate)
+        c[0], c[1] = c[1], c[0]
+        rep.coordinate = c
+        return rep
+
+    monkeypatch.setattr(ntpg.groupoids, "action_check", swapped)
+    _assert_theory_failure(
+        ["groupoid", "gauge", os.path.join(EXAMPLES, "z3_gauge.json")],
         tmp_path, capsys)
 
 

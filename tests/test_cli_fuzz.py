@@ -14,10 +14,18 @@ polynomial ``terms``, signature ``blocks``): the exit code, the report
 apart from ``timing_ms`` and stderr must be those of the input as listed,
 since every witness is the first in index order.
 
+The repeat mode copies the first entry of each keyed list that carries a
+value under its key, changes the value (``dim`` + 1, another arrow as the
+product, another element or terms, another coefficient) and places the
+copy once at the end and once at the front: both runs must give the same
+exit code, report and stderr, as repeated terms are summed and every other
+repeat is refused.
+
 Run as a script, it checks every single-node mutation (every path, op and
 value) of every example under every command once, each run given 10 s,
-then every relisting, and prints each break and the totals; it exits 1 if
-any run broke the contract, timed out or depended on the listing order:
+then every relisting and repeat, and prints each break and the totals; it
+exits 1 if any run broke the contract, timed out or depended on the
+listing order, or if a mode ran other than its pinned number of runs:
 
     PYTHONPATH=src python tests/test_cli_fuzz.py
 """
@@ -96,6 +104,8 @@ KEYED = ("mul", "overlaps", "triples", "values", "c1", "c2", "terms",
          "blocks")
 RELISTINGS = {"reverse": lambda entries: entries[::-1],
               "rotate": lambda entries: entries[1:] + entries[:1]}
+# the pinned runs of the listing-order and repeat modes
+RELISTED_RUNS, REPEATED_RUNS = 48, 44
 
 # one value of each JSON type; a swap picks one of a different type
 SWAPS = ["1", 1, 1.5, True, None, [], {}]
@@ -208,24 +218,62 @@ def test_mutated_examples_keep_the_exit_code_contract(tmp_path, case):
     assert (rc2, report2) == (rc, report)
 
 
-def relistings():
-    """(input name, command line, input, where, the input with one keyed
-    list reversed or rotated by one) for every keyed list of two or more
-    entries in every example and every FAILING input."""
+def _keyed_lists():
+    """(input name, its command lines, input, path, list) for every
+    non-empty keyed list in every example and every FAILING input."""
     inputs = [(name, _load(name), COMMANDS[name]) for name in sorted(COMMANDS)]
     inputs += [(name, obj, [["groupoid", "quotient", "{}"]])
                for name, obj in sorted(FAILING.items())]
     for name, obj, commands in inputs:
         for path in _paths(obj):
             node = _at(obj, path)
-            if path[-1] not in KEYED or not isinstance(node, list) or \
-                    len(node) < 2:
-                continue
-            for op, relist in RELISTINGS.items():
-                relisted = _mutate(obj, path, op, relist(node))
-                for command in commands:
-                    yield (name, command, obj, "%s %s" % (list(path), op),
-                           relisted)
+            if path[-1] in KEYED and isinstance(node, list) and node:
+                yield name, commands, obj, path, node
+
+
+def relistings():
+    """(input name, command line, input, where, the input with one keyed
+    list reversed or rotated by one) for every keyed list of two or more
+    entries."""
+    for name, commands, obj, path, node in _keyed_lists():
+        if len(node) < 2:
+            continue
+        for op, relist in RELISTINGS.items():
+            relisted = _mutate(obj, path, op, relist(node))
+            for command in commands:
+                yield (name, command, obj, "%s %s" % (list(path), op),
+                       relisted)
+
+
+def _repeat(key, entries):
+    """A copy of the first entry, under its key, with another value."""
+    entry = copy.deepcopy(entries[0])
+    if key == "blocks":
+        entry["dim"] += 1
+    elif key == "mul":
+        entry[2] = next(e[2] for e in entries if e[2] != entry[2])
+    elif key == "terms":
+        entry["num"] = str(int(entry["num"]) + 1)
+    elif "element" in entry:
+        entry["element"] = 0 if entry["element"] else 1
+    else:
+        # the first term twice: its coefficient doubled
+        entry["terms"] += entry["terms"][:1]
+    return entry
+
+
+def repeats():
+    """(input name, command line, where, the input with one keyed list's
+    first entry repeated with another value at its end, and at its front)
+    for every keyed list whose entries carry a value."""
+    for name, commands, obj, path, node in _keyed_lists():
+        if path[-1] in ("overlaps", "triples"):
+            continue
+        copied = _repeat(path[-1], node)
+        ends = [_mutate(obj, path, "repeat", entries) for entries in
+                (node + [copied], [copied] + node)]
+        for command in commands:
+            yield (name, command, "%s repeat" % list(path), *ends)
 
 
 def _report(command, obj, tmp):
@@ -252,8 +300,23 @@ def relisting_breaks(tmp):
     return runs, breaks
 
 
+def repeat_breaks(tmp):
+    """(runs, labels of the keyed lists whose repeated entry gives another
+    exit code, report or stderr at the front than at the end)."""
+    runs, breaks = 0, []
+    for name, command, where, at_end, at_front in repeats():
+        runs += 2
+        if _report(command, at_end, tmp) != _report(command, at_front, tmp):
+            breaks.append("%s %s %s" % (name, " ".join(command[:2]), where))
+    return runs, breaks
+
+
 def test_listing_order_leaves_reports_alone(tmp_path):
-    assert relisting_breaks(str(tmp_path)) == (48, [])
+    assert relisting_breaks(str(tmp_path)) == (RELISTED_RUNS, [])
+
+
+def test_repeated_entries_give_one_report_wherever_placed(tmp_path):
+    assert repeat_breaks(str(tmp_path)) == (REPEATED_RUNS, [])
 
 
 class Timeout(BaseException):
@@ -316,11 +379,19 @@ def scan():
                                     name, " ".join(command[:2]),
                                     list(node_path), op, value, why))
         relisted, breaks = relisting_breaks(tmp)
+        repeated, moved = repeat_breaks(tmp)
     for label in breaks:
         print("BREAK %s: the report depends on the listing order" % label)
+    for label in moved:
+        print("BREAK %s: the report depends on where the repeat is" % label)
     print("%d runs, %d breaks, slowest run %.2f s" % (runs, broken, slowest))
     print("%d relisted runs, %d breaks" % (relisted, len(breaks)))
-    return broken + len(breaks)
+    print("%d repeated runs, %d breaks" % (repeated, len(moved)))
+    pinned = (relisted, repeated) == (RELISTED_RUNS, REPEATED_RUNS)
+    if not pinned:
+        print("expected %d relisted and %d repeated runs"
+              % (RELISTED_RUNS, REPEATED_RUNS))
+    return broken + len(breaks) + len(moved) + (not pinned)
 
 
 if __name__ == "__main__":

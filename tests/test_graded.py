@@ -103,8 +103,8 @@ def test_compose_stays_weight_preserving_over_f3():
 
 @pytest.mark.parametrize("mode, args", [
     ("simple", (["1"],)), ("simple", ([1.0],)), ("simple", ([1], True)),
-    ("multi", (2, {(1, 0): "1"})), ("multi", (2, {("1", 0): 1})),
-    ("multi", ("2", {(1, 0): 1}))])
+    ("multi", (2, [((1, 0), "1")])), ("multi", (2, [(("1", 0), 1)])),
+    ("multi", ("2", [((1, 0), 1)]))])
 def test_signature_rejects_non_integers(mode, args):
     with pytest.raises(InvalidInput, match="must be an integer"):
         getattr(GradedSignature, mode)(*args)
@@ -389,7 +389,7 @@ def test_monomials_leave_base_coordinates_out():
         [(0, 0, 0, 1), (0, 0, 2, 0)],
         [(0, 0, 1, 1), (0, 0, 3, 0)],
         [(0, 0, 0, 2), (0, 0, 2, 1), (0, 0, 4, 0)]]
-    multi = GradedSignature.multi(2, {(1, 0): 1, (0, 1): 2, (1, 1): 1},
+    multi = GradedSignature.multi(2, [((1, 0), 1), ((0, 1), 2), ((1, 1), 1)],
                                   base=1)
     assert multi.weights == ((0, 0), (1, 0), (0, 1), (0, 1), (1, 1))
     assert [monomials_of_weight(multi, t)
@@ -405,8 +405,8 @@ def test_oversized_signature_is_rejected_before_allocating():
     import tracemalloc
     tracemalloc.start()
     try:
-        for build in (lambda: GradedSignature.multi(2, {(1, 0): 10 ** 7}),
-                      lambda: GradedSignature.multi(10 ** 7, {}),
+        for build in (lambda: GradedSignature.multi(2, [((1, 0), 10 ** 7)]),
+                      lambda: GradedSignature.multi(10 ** 7, []),
                       lambda: GradedSignature.simple([], base=10 ** 7)):
             with pytest.raises(InvalidInput):
                 build()
