@@ -28,6 +28,7 @@ slot values only: ``AutGroupHandle.map_of`` builds one element's map and
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cache
 from itertools import product
 from math import prod
@@ -348,13 +349,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     return AutGroupHandle(sig, field, group, slots, kept, perms, points)
 
 
-class P54Report:
-    __slots__ = ("handle", "witness", "orders")
-
-    def __init__(self, handle, witness, orders):
-        self.handle = handle
-        self.witness = witness
-        self.orders = orders
+P54Report = namedtuple("P54Report", "handle witness orders")
 
 
 def verify_p54(sig, field, cap=DEFAULT_ENUM_CAP):

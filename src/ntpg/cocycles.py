@@ -8,6 +8,7 @@ table[g_ij][g_jk] = g_ik.  Automorphism-valued input is read as a cocycle
 in the enumerated automorphism group, whose table[a][b] is a after b.
 """
 
+from collections import namedtuple
 from itertools import chain, permutations
 
 from . import fields, graded, poly
@@ -217,13 +218,8 @@ def standard_fibered_space(handle):
                          for i in range(sig.n)])
 
 
-class CohomologyResult:
-    __slots__ = ("cohomologous", "witness", "searched")
-
-    def __init__(self, cohomologous, witness, searched):
-        self.cohomologous = cohomologous
-        self.witness = witness
-        self.searched = searched
+CohomologyResult = namedtuple("CohomologyResult",
+                              "cohomologous witness searched")
 
 
 def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):

@@ -12,6 +12,8 @@ parameters are extra polynomial variables, never sampled, so the checks
 are sound over every field).
 """
 
+from collections import namedtuple
+
 from .errors import (InternalDisagreement, InternalInconsistency,
                      InvalidInput, NotInvertible, SignatureMismatch,
                      all_ints, is_int)
@@ -51,6 +53,10 @@ class GradedSignature:
             raise InvalidInput("unknown signature mode", mode=mode)
         self.mode = mode
         self.n = n
+        if mode == "multi":
+            # a multi listing's order is arbitrary: the first non-integer
+            # is named in repr order, which no relisting changes
+            blocks = sorted(blocks, key=repr)
         blocks = [(tuple(_integer(x, "weight") for x in s),
                    _integer(d, "block dimension")) for s, d in blocks]
         # ascending total weight; within a level, earlier gradings first,
@@ -552,15 +558,12 @@ def conjugate_structure(h, phi, phi_inv=None):
     return HomogeneityStructure(nc, field, outer)
 
 
-class StructureCompatReport:
+class StructureCompatReport(namedtuple(
+        "StructureCompatReport",
+        "commute bracket_commute agreement_enforced")):
     """Two independent verdicts for pairwise compatibility of dilations."""
 
-    __slots__ = ("commute", "bracket_commute", "agreement_enforced")
-
-    def __init__(self, commute, bracket_commute, agreement_enforced):
-        self.commute = commute
-        self.bracket_commute = bracket_commute
-        self.agreement_enforced = agreement_enforced
+    __slots__ = ()
 
     def __bool__(self):
         return self.commute

@@ -15,6 +15,7 @@ actions in ``groups``.  A failure still names the first witness a scan
 over all pairs or triples would find.
 """
 
+from collections import namedtuple
 from itertools import chain, repeat
 
 from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
@@ -158,14 +159,10 @@ def _built(make, *args):
                                     "its checks", check=e.report()) from e
 
 
-class GaugeLabels:
+class GaugeLabels(namedtuple("GaugeLabels", "pair_to_arrow arrow_rep")):
     """Arrow labels of a gauge groupoid: pair (p, q) <-> arrow index."""
 
-    __slots__ = ("pair_to_arrow", "arrow_rep")
-
-    def __init__(self, pair_to_arrow, arrow_rep):
-        self.pair_to_arrow = pair_to_arrow
-        self.arrow_rep = arrow_rep
+    __slots__ = ()
 
     def arrow(self, p, q):
         return self.pair_to_arrow[(p, q)]
@@ -226,22 +223,13 @@ class GroupoidAction:
         return self.arrow_action.act
 
 
-class CompatReport:
-    """``pre_principal``: G/kernel acts freely on the arrows.  For a
-    compatible action that decides the objects too: a g fixing an object
-    fixes its unit arrow, and a g fixing an arrow fixes its source."""
-
-    __slots__ = ("compatible", "witness", "kernel", "pre_principal",
-                 "object_action", "arrow_report")
-
-    def __init__(self, compatible, witness, kernel, pre_principal,
-                 object_action, arrow_report=None):
-        self.compatible = compatible
-        self.witness = witness
-        self.kernel = kernel
-        self.pre_principal = pre_principal
-        self.object_action = object_action
-        self.arrow_report = arrow_report    # action_check of the arrows
+CompatReport = namedtuple("CompatReport",
+                          "compatible witness kernel pre_principal "
+                          "object_action arrow_report", defaults=(None,))
+CompatReport.__doc__ = """``pre_principal``: G/kernel acts freely on the
+arrows.  For a compatible action that decides the objects too: a g fixing
+an object fixes its unit arrow, and a g fixing an arrow fixes its source.
+``arrow_report`` is the ``action_check`` of the arrows."""
 
 
 def _induced_object_map(ga, g):
@@ -322,14 +310,8 @@ def reduced_action(ga):
     return GroupoidAction(ga.groupoid, reduced.group, reduced.act)
 
 
-class QuotientResult:
-    __slots__ = ("groupoid", "arrow_map", "object_map", "object_action")
-
-    def __init__(self, groupoid, arrow_map, object_map, object_action):
-        self.groupoid = groupoid
-        self.arrow_map = arrow_map
-        self.object_map = object_map
-        self.object_action = object_action
+QuotientResult = namedtuple("QuotientResult",
+                            "groupoid arrow_map object_map object_action")
 
 
 def quotient_groupoid(ga):
@@ -379,23 +361,12 @@ def quotient_groupoid(ga):
     return QuotientResult(gpd0, arrow_map, object_map, report.object_action)
 
 
-class SplitPresentation:
-    """The fiber-product presentation of a groupoid with a free compatible
-    action: base quotient groupoid, unit bundle and the extracted t-action."""
-
-    __slots__ = ("ga", "base", "arrow_map", "object_map", "unit_action",
-                 "fiber", "s_map", "t_action")
-
-    def __init__(self, ga, base, arrow_map, object_map, unit_action, fiber,
-                 s_map, t_action):
-        self.ga = ga
-        self.base = base
-        self.arrow_map = arrow_map
-        self.object_map = object_map
-        self.unit_action = unit_action
-        self.fiber = fiber
-        self.s_map = s_map
-        self.t_action = t_action
+SplitPresentation = namedtuple("SplitPresentation",
+                               "ga base arrow_map object_map unit_action "
+                               "fiber s_map t_action")
+SplitPresentation.__doc__ = """The fiber-product presentation of a groupoid
+with a free compatible action: base quotient groupoid, unit bundle and the
+extracted t-action."""
 
 
 def split(ga):
@@ -450,16 +421,10 @@ def split(ga):
                              fiber, s_map, t_action)
 
 
-class MultiplicativeFunction:
-    """b : base groupoid -> G extracted from a trivialized split."""
-
-    __slots__ = ("split", "group", "b", "trivialization")
-
-    def __init__(self, split_, group, b, trivialization):
-        self.split = split_
-        self.group = group
-        self.b = b
-        self.trivialization = trivialization
+MultiplicativeFunction = namedtuple("MultiplicativeFunction",
+                                    "split group b trivialization")
+MultiplicativeFunction.__doc__ = """b : base groupoid -> G extracted from a
+trivialized split."""
 
 
 def multiplicative_function(split_):

@@ -20,7 +20,7 @@ where it does not pass to them; ``reduce_action`` is the action of the
 quotient by a subgroup of the kernel.
 """
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from itertools import chain
 from operator import itemgetter
 
@@ -660,19 +660,13 @@ class FiniteAction:
         return self.act[g][x]
 
 
-class ActionReport:
+class ActionReport(namedtuple("ActionReport",
+                              "fixed kernel orbits orbit_of coordinate")):
     """``fixed``, ``kernel``, ``orbits`` with each point's index in
     ``orbit_of``, and ``coordinate``: a g with r.g = x for each point x, r
     the least point of its orbit, the only one when the action is free."""
 
-    __slots__ = ("fixed", "kernel", "orbits", "orbit_of", "coordinate")
-
-    def __init__(self, fixed, kernel, orbits, orbit_of, coordinate):
-        self.fixed = fixed
-        self.kernel = kernel
-        self.orbits = orbits
-        self.orbit_of = orbit_of
-        self.coordinate = coordinate
+    __slots__ = ()
 
     @property
     def is_free(self):

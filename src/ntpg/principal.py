@@ -14,6 +14,7 @@ p -> (p.g').g, derives the reverse twist g'_g from pg'g = pgg'_g and checks
 the commuting square of orbit maps.
 """
 
+from collections import namedtuple
 from functools import cached_property
 
 from . import groupoids
@@ -53,13 +54,7 @@ class DoublePrincipalGroup:
                 "quotients": [self.q1.order, self.q2.order]}
 
 
-class VerifyResult:
-    __slots__ = ("ok", "dpg", "failures")
-
-    def __init__(self, ok, dpg, failures):
-        self.ok = ok
-        self.dpg = dpg
-        self.failures = failures
+VerifyResult = namedtuple("VerifyResult", "ok dpg failures")
 
 
 def _quotient_of_subgroup(H, core):
@@ -107,16 +102,9 @@ def verify_double(gamma, g1, g2):
                         failures)
 
 
-class NTupleWitness:
-    """Recursive verification record of an n-tuple principal group."""
-
-    __slots__ = ("gamma", "subgroups", "verdict", "trace")
-
-    def __init__(self, gamma, subgroups, verdict, trace):
-        self.gamma = gamma
-        self.subgroups = subgroups
-        self.verdict = verdict
-        self.trace = trace
+NTupleWitness = namedtuple("NTupleWitness", "gamma subgroups verdict trace")
+NTupleWitness.__doc__ = """Recursive verification record of an n-tuple
+principal group."""
 
 
 def _verify_ntuple_level(level, subgroups, path):
@@ -165,13 +153,8 @@ def verify_ntuple(gamma, subgroups):
     return NTupleWitness(gamma, list(subgroups), ok, trace)
 
 
-class VacancyReport:
-    __slots__ = ("vacant", "product_bijective", "fiber_size")
-
-    def __init__(self, vacant, product_bijective, fiber_size):
-        self.vacant = vacant
-        self.product_bijective = product_bijective
-        self.fiber_size = fiber_size
+VacancyReport = namedtuple("VacancyReport",
+                           "vacant product_bijective fiber_size")
 
 
 def vacancy(dpg):
@@ -198,15 +181,10 @@ def vacancy(dpg):
     return VacancyReport(vacant, bijective, len(dpg.core))
 
 
-class DressingAction:
-    """The conjugation dressings g_{g'} = (g')^-1 g g' and g'_g = g^-1 g' g."""
-
-    __slots__ = ("dpg", "g_on", "gp_on")
-
-    def __init__(self, dpg, g_on, gp_on):
-        self.dpg = dpg
-        self.g_on = g_on    # (g, g')  -> g_{g'}  in G
-        self.gp_on = gp_on  # (g', g)  -> g'_g    in G'
+DressingAction = namedtuple("DressingAction", "dpg g_on gp_on")
+DressingAction.__doc__ = """The conjugation dressings: ``g_on`` takes
+(g, g') to g_{g'} = (g')^-1 g g' in G, ``gp_on`` takes (g', g) to
+g'_g = g^-1 g' g in G'."""
 
 
 def dressing(dpg):
@@ -323,13 +301,10 @@ def semidirect_from_dressing(dpg):
 
 # -- the two-action pipeline --------------------------------------------------
 
-class PipelineResult:
-    __slots__ = ("gamma", "gamma_action", "kernel", "m_size", "m_prime_size",
-                 "m0_size")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+class PipelineResult(namedtuple("PipelineResult",
+                                "gamma gamma_action kernel m_size "
+                                "m_prime_size m0_size")):
+    __slots__ = ()
 
     def report(self):
         return {"gamma_order": self.gamma.order,
@@ -449,13 +424,7 @@ def gamma_from_actions(set_size, rho, rho_prime):
                           m_prime_size=m_prime_size, m0_size=m0_size)
 
 
-class CompatibilityResult:
-    __slots__ = ("ok", "forward", "backward")
-
-    def __init__(self, ok, forward, backward):
-        self.ok = ok
-        self.forward = forward
-        self.backward = backward
+CompatibilityResult = namedtuple("CompatibilityResult", "ok forward backward")
 
 
 def _one_direction(set_size, rho, rho_prime):

@@ -246,6 +246,43 @@ def test_graded_check_compat_rejects_an_unknown_kind(tmp_path, capsys, kind):
         "details": {"kind": kind}}
 
 
+def _conjugated_structures():
+    """(field spec, structure) for each conjugated structure of the
+    check-compat inputs in docs/examples and in the golden cases."""
+    from test_golden import CASES
+    with open(os.path.join(EXAMPLES, "d111_structures.json")) as fh:
+        inputs = [json.load(fh)]
+    inputs += [files["st"] for argv, files in CASES.values()
+               if argv[:2] == ["graded", "check-compat"]]
+    return [(st.get("field", "Q"), s) for st in inputs
+            for s in st["structures"] if s.get("kind") == "conjugated"]
+
+
+def test_check_compat_conjugates_to_the_dilation_itself():
+    # invert accepts only a weight-preserving phi, which intertwines every
+    # dilation of its signature: phi ∘ h_t ∘ phi^-1 is h_t, so check-compat
+    # only ever compares diagonal families, and its fail verdict is never
+    # reached through the CLI
+    from ntpg.errors import AlgebraError
+    from ntpg.fields import field_from_json
+    from ntpg.graded import conjugate_structure, dilation
+    from ntpg.jsonio import load_polymap, load_signature
+    kept = refused = 0
+    for spec, s in _conjugated_structures():
+        h = dilation(load_signature(s["sig"]), field_from_json(spec),
+                     axis=s.get("axis", 0))
+        phi, _ = load_polymap({"field": spec, "sig_in": s["sig"],
+                               "sig_out": s["sig"], "terms": s["phi"]})
+        try:
+            conjugate = conjugate_structure(h, phi)
+        except AlgebraError:
+            refused += 1
+            continue
+        assert conjugate.components == h.components
+        kept += 1
+    assert (kept, refused) == (2, 1)
+
+
 def test_graded_weights(tmp_path):
     data = {"field": "Q", "sig": {"mode": "simple", "dims": [1, 1]},
             "terms": [{"exponents": [2, 0], "num": "1"},
@@ -910,7 +947,8 @@ def test_repeated_pair_exits_2_in_either_listing(tmp_path, capsys, command,
 
 # (blocks, the error message, its details): a dict keyed by sigma kept the
 # last of a repeated block, so on F2 one listing gave order 24 and the other
-# 2; the negative dimension was named in listing order
+# 2; the negative dimension and the non-integer weight were named in listing
+# order
 _BAD_BLOCKS = [
     ([{"sigma": [1, 0], "dim": 1}, {"sigma": [0, 1], "dim": 1},
       {"sigma": [1, 1], "dim": 1}, {"sigma": [1, 0], "dim": 2}],
@@ -918,6 +956,8 @@ _BAD_BLOCKS = [
     ([{"sigma": [0, 1], "dim": -1}, {"sigma": [1, 1], "dim": 1},
       {"sigma": [1, 0], "dim": -2}],
      "negative block dimension", {"weight": [1, 0]}),
+    ([{"sigma": [1, "a"], "dim": 1}, {"sigma": ["b", 1], "dim": 1}],
+     "weight must be an integer", {"value": "b"}),
 ]
 
 
@@ -1119,6 +1159,90 @@ def test_max_order_caps_every_input_group(tmp_path, capsys, command, data):
     assert read_report(out)["details"].get("error") != "ClosureCapExceeded"
 
 
+_EMPTY_PIPELINE = {"points": 0,
+                   "rho": {"group": Z2, "points": 0, "act": [[], []]},
+                   "rho_prime": {"group": Z3, "points": 0,
+                                 "act": [[], [], []]}}
+
+# (argv, input, error class, message): input errors that only this test
+# reaches; IN is the input file, never written when the input is None
+_INPUT_ERRORS = [
+    pytest.param("aut enumerate --sig IN --field F5", D111, "InvalidInput",
+                 "field must be 'Q' or 'Fp:<p>'", id="field-spelling"),
+    pytest.param("aut enumerate --sig IN --field Q", D111, "InvalidInput",
+                 "enumeration needs a finite field", id="infinite-field"),
+    pytest.param("aut enumerate --sig IN --field Fp:3",
+                 {"mode": "simple", "dims": [1]}, "InvalidInput",
+                 "model signature must be multi-graded", id="simple-model"),
+    pytest.param("aut enumerate --sig IN --field Fp:3", {**D111, "base": 1},
+                 "InvalidInput",
+                 "model signature must have no base coordinates",
+                 id="model-base"),
+    pytest.param("aut enumerate --sig IN --field Fp:3",
+                 {"mode": "simple", "dims": []}, "InvalidInput",
+                 "signature has no coordinates", id="no-coordinates"),
+    pytest.param("aut enumerate --sig IN --field Fp:3",
+                 {"mode": "simple", "dims": [0] * 6 + [1]}, "InvalidInput",
+                 "weight exceeds cap", id="seven-weights"),
+    pytest.param("aut enumerate --sig IN --field Fp:3", {"mode": "other"},
+                 "InvalidInput", "unknown signature mode", id="mode"),
+    pytest.param("group validate IN", None, "InvalidInput",
+                 "input file not found", id="missing-file"),
+    pytest.param("group validate IN", {"permutations": [], "degree": 3},
+                 "InvalidInput", "need at least one permutation",
+                 id="no-permutations"),
+    pytest.param("groupoid gauge IN",
+                 _example_with("z3_gauge.json", ["action", "side"], "up"),
+                 "InvalidInput", "side must be 'right' or 'left'",
+                 id="side"),
+    pytest.param("dpg verify IN", {"gamma": q8_json()}, "InvalidInput",
+                 "no subgroups given (file field or --subgroups)",
+                 id="no-subgroups"),
+    pytest.param("dpg verify IN --subgroups 99;0", {"gamma": q8_json()},
+                 "InvalidInput", "generator out of range",
+                 id="subgroup-generator"),
+    pytest.param("cocycle check IN",
+                 _example_with("z3_cocycle.json", ["values", 0, "pair"],
+                               [0, 0]),
+                 "InvalidInput", "diagonal values are implicitly identity",
+                 id="diagonal-value"),
+    pytest.param("cocycle check IN",
+                 {**_example_with("z3_cocycle.json", ["triples"], []),
+                  "overlaps": [[0, 1], [1, 2]]},
+                 "InvalidInput", "value on a non-overlapping pair",
+                 id="value-off-overlaps"),
+    pytest.param("cocycle check IN",
+                 _example_with("z3_cocycle.json", ["triples", 0], [0, 0, 1]),
+                 "InvalidInput", "triple must have three distinct charts",
+                 id="repeated-chart-triple"),
+    pytest.param("graded check-compat IN",
+                 _mutated(_MULTI_COMPAT, ["structures", 1, "axis"], 5),
+                 "InvalidInput", "grading axis out of range", id="axis"),
+    pytest.param("dpg gamma-from-actions IN", _EMPTY_PIPELINE,
+                 "NotAnAction", "empty point set", id="no-points"),
+    pytest.param("dpg gamma-from-actions IN",
+                 _example_with("z2z3_pipeline.json", ["points"], 5),
+                 "NotAnAction", "action on wrong point set",
+                 id="pipeline-points"),
+    pytest.param("dpg gamma-from-actions IN",
+                 _example_with("z2z3_pipeline.json", ["rho", "act", 1],
+                               [3, 4, 5, 0, 1]),
+                 "NotAnAction", "row 1 has wrong length", id="short-row"),
+]
+
+
+@pytest.mark.parametrize("argv,data,error,message", _INPUT_ERRORS)
+def test_input_error_is_named(tmp_path, capsys, argv, data, error, message):
+    f = str(tmp_path / "in.json")
+    if data is not None:
+        write(tmp_path, "in.json", data)
+    out = str(tmp_path / "rep.json")
+    code = run([f if a == "IN" else a for a in argv.split()] + ["--out", out])
+    _assert_input_error(code, out, capsys)
+    details = read_report(out)["details"]
+    assert (details["error"], details["message"]) == (error, message)
+
+
 # -- checks the theory guarantees: a failure is a library bug, exit 2 ---------
 
 def _assert_theory_failure(argv, tmp_path, capsys):
@@ -1136,8 +1260,7 @@ def test_split_bijection_failure_is_a_theory_failure(tmp_path, capsys,
     def collapsed(ga):
         # every arrow projected to one base arrow: S is not injective
         q = quotient_groupoid(ga)
-        q.arrow_map = [0] * len(q.arrow_map)
-        return q
+        return q._replace(arrow_map=[0] * len(q.arrow_map))
 
     monkeypatch.setattr(ntpg.groupoids, "quotient_groupoid", collapsed)
     _assert_theory_failure(
@@ -1182,7 +1305,7 @@ def test_pipeline_square_failure_is_a_theory_failure(tmp_path, capsys,
         calls.append(a)
         rep = action_check(a)
         if len(calls) == 3:
-            rep.orbit_of = tuple(range(a.set_size))
+            rep = rep._replace(orbit_of=tuple(range(a.set_size)))
         return rep
 
     monkeypatch.setattr(ntpg.principal, "action_check", split_gamma_orbits)
@@ -1203,8 +1326,7 @@ def test_bad_derived_groupoid_is_a_theory_failure(tmp_path, capsys,
         rep = action_check(action)
         c = list(rep.coordinate)
         c[0], c[1] = c[1], c[0]
-        rep.coordinate = c
-        return rep
+        return rep._replace(coordinate=c)
 
     monkeypatch.setattr(ntpg.groupoids, "action_check", swapped)
     _assert_theory_failure(
