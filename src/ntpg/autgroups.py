@@ -13,9 +13,8 @@ over F_p it is fixed by its values on the cube {0,1}^m.  The enumeration
 therefore builds only the maps with invertible linear blocks, so its work
 grows with |Aut| and not with the coefficient grid, stores each as a
 permutation of the points of F_p^m, and builds the group table from these
-permutations instead of composing polynomials: a few generators' rows
-are looked up by cube values and the rest are read off them.  Symbolic
-composition stays the test oracle.
+permutations instead of composing polynomials.  Symbolic composition
+stays the test oracle.
 
 A validated automorphism is a plain ``graded.PolyMap`` of one of two
 shapes: a model automorphism (weight exactly sigma) or an automorphism of
@@ -40,7 +39,7 @@ from .errors import (EnumerationCapExceeded, IllegalMonomial,
 from .fields import mat_inv
 from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
                      monomials_of_weight, triangular_inverse)
-from .groups import Subgroup, _built_group, _reader, intersect
+from .groups import Subgroup, _perm_group, _reader, intersect
 from .poly import Poly
 
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -258,17 +257,11 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
     the free slots, sorted into grid order.  The work grows with |Aut|;
     ``cap`` still bounds the p^slots grid.  Each map is stored as its
     permutation of the p^m points of F_p^m, a sum of cached per-coordinate
-    digit columns.  The group table is read off these permutations: the
-    composite g after k sends the cube {0,1}^m to perm_g applied to k's
-    cube image, and that image is looked up among the cube images of the
-    enumerated maps.  This is exact: the model has no base coordinates and
-    0/1 weights, so every weight-preserving map, composites included, is
-    multilinear, and a multilinear map over F_p is fixed by its values on
-    the cube (Moebius inversion).  ``groups._built_group`` looks up only
-    the rows of the least maps that products of earlier ones miss, reads
-    the others off them and runs Light's test over the looked-up rows.  A
-    composite whose cube image is not found, or two maps with one cube
-    image, raise InternalInconsistency.  The handle
+    digit columns.  ``groups._perm_group`` builds the table from them,
+    keyed on the cube {0,1}^m.  The cube tells the maps apart, composites
+    included: the model has no base coordinates and 0/1 weights, so every
+    weight-preserving map is multilinear, and a multilinear map over F_p is
+    fixed by its values on the cube (Moebius inversion).  The handle
     keeps the slots and each map's slot values; a polynomial map is built
     only for an element that is asked for.
     """
@@ -325,27 +318,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
 
     cube = [sum(b * p ** (m - 1 - i) for i, b in enumerate(bits))
             for bits in product((0, 1), repeat=m)]
-    on_cube = _reader(cube)
-    by_cube = {}
-    for j, perm in enumerate(perms):
-        prev = by_cube.setdefault(on_cube(perm), j)
-        if prev != j:
-            raise InternalInconsistency(
-                "cube values fail to separate the enumerated maps",
-                pair=(prev, j))
-
-    # row g by lookup: k -> g after k, perm_g read through k's cube image
-    through = [_reader(on_cube(q)) for q in perms]
-
-    def row_of(g):
-        row = tuple(by_cube.get(read(perms[g])) for read in through)
-        if None in row:
-            raise InternalInconsistency(
-                "composition left the enumerated shape",
-                pair=(g, row.index(None)))
-        return row
-
-    group = _built_group(len(kept), by_cube[tuple(cube)], row_of)
+    group = _perm_group(perms, cube)
     return AutGroupHandle(sig, field, group, slots, kept, perms, points)
 
 

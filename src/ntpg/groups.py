@@ -7,7 +7,8 @@ is exhaustive at every order: ``_proved_group``, the one place a
 axioms, the last by Light's test over a generating set, so the rows and
 columns are Latin by theorem; a Latin scan only names a failure.
 ``make_group`` validates tables from outside; ``_built_group`` builds
-every table the library derives, and one that is not a group is a bug.
+every table the library derives, and one that is not a group is a bug;
+``_perm_group``, on it, is the one builder of permutation groups.
 
 This is also the one action toolkit.  ``FiniteAction`` is the only check
 of the action law, proved the same way on the group's product generators;
@@ -20,6 +21,7 @@ where it does not pass to them; ``reduce_action`` is the action of the
 quotient by a subgroup of the kernel.
 """
 
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from itertools import chain
 from operator import itemgetter
@@ -325,9 +327,43 @@ def _built_group(n, e, row_of, gens=()):
     raise InternalInconsistency("a table the library built is not a group")
 
 
+def _perm_group(perms, keys, gens=()):
+    """The FiniteGroup of a closed list of permutations (images tuples)
+    with g*k = g after k: x -> perms[g][perms[k][x]].
+
+    keys are points whose images tell the permutations apart.  Row g is
+    looked up, not composed: g after k sends the keys to perms[g] read
+    through k's key images.  ``_built_group`` asks for the rows of the
+    seeds in gens and of each least element their products miss, and runs
+    Light's test over them.  Two permutations with one key image, or a
+    composite not in the list, raise InternalInconsistency.
+    """
+    images = list(map(_reader(keys), perms))
+    index = dict(zip(images, range(len(perms))))
+    if len(index) < len(perms):
+        raise InternalInconsistency("keys fail to separate the permutations")
+    through = [_reader(image) for image in images]
+
+    def row_of(g):
+        row = tuple(index.get(read(perms[g])) for read in through)
+        if None in row:
+            raise InternalInconsistency("permutations are not closed",
+                                        pair=(g, row.index(None)))
+        return row
+
+    e = index.get(tuple(keys))
+    if e is None:
+        raise InternalInconsistency("permutations are not closed")
+    return _built_group(len(perms), e, row_of, gens)
+
+
 def _compose_perm(p, q):
     # (p then q) as images: x -> q[p[x]]
     return tuple(q[i] for i in p)
+
+
+def _inverse_perm(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
@@ -339,11 +375,11 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
     left-to-right order: (p*q)(x) = q(p(x)).
 
     Cost: the closure composes each generator with each element once,
-    |G|*|gens| compositions, and those products are all the table needs:
-    they are the rows of the input permutations, the seeds of
-    ``_built_group``, which reads every other row off them (|G|^2 index
-    lookups) and runs Light's test over the seeds; at large orders that
-    test, not the build, is what bounds a useful ``cap``.
+    |G|*|gens| compositions, and sorts the elements.  ``_perm_group``
+    builds the table from their inverses, as (p*q)^-1 = p^-1 after q^-1,
+    with the input permutations as seeds: it looks up their rows and runs
+    Light's test over them; at large orders that test, not the build, is
+    what bounds a useful ``cap``.
     """
     if not perms:
         raise InvalidInput("need at least one permutation")
@@ -357,27 +393,22 @@ def make_group_from_permutations(perms, cap=DEFAULT_CLOSURE_CAP):
             raise InvalidInput("not a permutation of 0..degree-1", perm=list(p))
         gens.append(t)
     # found lists the elements in order of discovery, and the loop also
-    # visits those it appends; products[i][k] = gens[k] * found[i]
+    # visits those it appends
     found = [tuple(range(degree))]
     seen = {found[0]}
-    products = []
     for a in found:
-        row = [_compose_perm(g, a) for g in gens]
-        products.append(row)
-        for c in row:
+        for g in gens:
+            c = _compose_perm(g, a)
             if c not in seen:
                 seen.add(c)
                 found.append(c)
                 if len(found) > cap:
                     raise ClosureCapExceeded("permutation closure exceeds cap",
                                              cap=cap)
-    ascending = sorted(range(len(found)), key=found.__getitem__)
-    elements = [found[i] for i in ascending]
-    index = {p: i for i, p in enumerate(elements)}
-    # row x -> g * x of each input g, read off the products in sorted order
-    seeded = {index[g]: tuple(index[products[i][k]] for i in ascending)
-              for k, g in enumerate(gens)}
-    return _built_group(len(elements), 0, seeded.__getitem__, seeded), elements
+    elements = sorted(found)
+    group = _perm_group(list(map(_inverse_perm, elements)), range(degree),
+                        [bisect_left(elements, g) for g in gens])
+    return group, elements
 
 
 class Subgroup:

@@ -21,8 +21,9 @@ from . import groupoids
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
 from .groups import (FiniteAction, GroupHom, Subgroup, _built_group, _closure,
-                     action_check, descend, generates, intersect,
-                     normality_witness, quotient, subgroup_as_group)
+                     _inverse_perm, _perm_group, action_check, descend,
+                     generates, intersect, normality_witness, quotient,
+                     subgroup_as_group)
 
 
 class DoublePrincipalGroup:
@@ -369,19 +370,11 @@ def gamma_from_actions(set_size, rho, rho_prime):
     G, Gp = rho.group, rho_prime.group
     pair_perms = [tuple(rho.act[g][x] for x in rho_prime.act[gp])
                   for gp in range(Gp.order) for g in range(G.order)]
-    label = {q: i for i, q in enumerate(dict.fromkeys(pair_perms))}
-    perms = list(label)
+    perms = list(dict.fromkeys(pair_perms))
     ident = tuple(range(set_size))
     kernel = [i for i, q in enumerate(pair_perms) if q == ident]
-
-    def row_of(a):
-        try:
-            return tuple(label[tuple(q[x] for x in perms[a])] for q in perms)
-        except KeyError:
-            raise InternalInconsistency("pair permutations are not closed",
-                                        element=a) from None
-
-    gamma = _built_group(len(perms), label[ident], row_of)
+    # (p then q)^-1 = p^-1 after q^-1: the map rule on the inverses
+    gamma = _perm_group(list(map(_inverse_perm, perms)), range(set_size))
     gamma_action = FiniteAction(gamma, set_size, perms)
     gamma_report = action_check(gamma_action)
     if not gamma_report.is_free:

@@ -1228,6 +1228,24 @@ _INPUT_ERRORS = [
                  _example_with("z2z3_pipeline.json", ["rho", "act", 1],
                                [3, 4, 5, 0, 1]),
                  "NotAnAction", "row 1 has wrong length", id="short-row"),
+    pytest.param("group validate IN", {"table": []}, "InvalidInput",
+                 "empty multiplication table", id="empty-table"),
+    pytest.param("dpg verify IN",
+                 _example_with("q8_dpg.json", ["subgroups", 0], [1, 2]),
+                 "InvalidInput", "subgroup misses the identity",
+                 id="subgroup-identity"),
+    pytest.param("dpg verify IN",
+                 _example_with("q8_dpg.json", ["subgroups", 0], [0, 9]),
+                 "InvalidInput", "subgroup member out of range",
+                 id="subgroup-member"),
+    pytest.param("groupoid quotient IN",
+                 _example_with("s3_groupoid_action.json",
+                               ["groupoid", "src", 0], 99),
+                 "InvalidInput", "src/tgt out of range", id="groupoid-src"),
+    pytest.param("groupoid quotient IN",
+                 _example_with("s3_groupoid_action.json",
+                               ["groupoid", "inv", 0], 99),
+                 "InvalidInput", "inv out of range", id="groupoid-inv"),
 ]
 
 

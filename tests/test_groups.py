@@ -13,11 +13,13 @@ from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
                          intersect, is_normal, make_group,
                          make_group_from_permutations,
                          normality_witness, quotient, reduce_action,
-                         regular_action, right_translation_action,
-                         subgroup_as_group, subgroup_closure, trivial_action)
+                         regular_action, restrict_action,
+                         right_translation_action, subgroup_as_group,
+                         subgroup_closure, trivial_action)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
                         dihedral, direct_product, klein_four,
                         quaternion_group, symmetric)
+from ntpg.principal import dpg_morphism_check, verify_double, verify_ntuple
 from test_validation_oracles import assert_same_group
 
 
@@ -405,6 +407,20 @@ def test_permutation_closure_composes_each_element_with_each_generator_once(
     assert len(calls) == G.order * len(perms)
 
 
+def test_perm_group_composes_as_maps_and_refuses_a_bad_list():
+    s3 = sorted(itertools.permutations(range(3)))
+    G = groups._perm_group(s3, range(3))
+    assert all(s3[G.table[g][k]] == tuple(s3[g][x] for x in s3[k])
+               for g in range(6) for k in range(6))
+    # (0 1 2) without its square; a transposition without the identity
+    for perms in ([(0, 1, 2), (1, 2, 0)], [(1, 0, 2)]):
+        with pytest.raises(InternalInconsistency, match="not closed"):
+            groups._perm_group(perms, range(3))
+    # three pairs of S3 agree on the point 0
+    with pytest.raises(InternalInconsistency, match="fail to separate"):
+        groups._perm_group(s3, [0])
+
+
 def test_permutation_closure_cap_boundary():
     with pytest.raises(ClosureCapExceeded) as e:
         make_group_from_permutations(_S5_PERMS, cap=119)
@@ -506,10 +522,35 @@ def test_single_factor_does_not_generate_klein():
     assert not generates(G, [first])
 
 
-def test_parent_mismatch():
-    G1, G2 = cyclic(4), cyclic(4)
-    with pytest.raises(ParentMismatch):
-        intersect(Subgroup(G1, [0]), Subgroup(G2, [0]))
+def _foreign_dpg_morphism(G1, G2):
+    dpg = verify_double(G1, G1.whole(), G1.whole()).dpg
+    return dpg_morphism_check(GroupHom(G2, G1, range(G1.order)), dpg, dpg)
+
+
+# (call on two copies of Z4, error class, message)
+@pytest.mark.parametrize("call, error, message", [
+    (lambda G1, G2: intersect(G1.whole(), G2.whole()), ParentMismatch,
+     "subgroups of different parent groups"),
+    (lambda G1, G2: generates(G1, [G2.whole()]), ParentMismatch,
+     "subgroup does not belong to this group"),
+    (lambda G1, G2: restrict_action(regular_action(G1), G2.whole()),
+     ParentMismatch, "subgroup does not belong to the acting group"),
+    (lambda G1, G2: verify_double(G1, G1.whole(), G2.whole()),
+     ParentMismatch, "subgroups of a different parent group"),
+    (lambda G1, G2: verify_ntuple(G1, [G1.whole(), G2.whole()]),
+     ParentMismatch, "subgroups of a different parent group"),
+    (_foreign_dpg_morphism, ParentMismatch,
+     "homomorphism endpoints do not match"),
+    (lambda G1, G2: GroupHom(G1, G2, [0, 1, 2]), InvalidInput,
+     "image array has wrong length"),
+    (lambda G1, G2: GroupHom(G1, G2, [0, 1, 2, 4]), InvalidInput,
+     "image out of range")],
+    ids=["intersect", "generates", "restrict_action", "verify_double",
+         "verify_ntuple", "dpg_morphism_check", "hom-length", "hom-range"])
+def test_parent_mismatch(call, error, message):
+    with pytest.raises(error) as e:
+        call(cyclic(4), cyclic(4))
+    assert str(e.value) == message
 
 
 # -- quotient -----------------------------------------------------------------
