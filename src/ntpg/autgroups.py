@@ -106,34 +106,29 @@ def aut_from_polymap(pm):
     return pm
 
 
-def _left_shape(pm, *operands):
-    """Closure oracle: does pm lose a shape that all operands have?
+def _kept_shape(pm, operands, what):
+    """Closure oracle: pm, which keeps every shape all operands have.
 
     Weight <= degree always holds; weight-exactness holds when every
     operand is weight-exact.
     """
     if is_graded_morphism(pm):
-        return False
-    if all(is_graded_morphism(o) for o in operands):
-        return True
+        return pm
     sig = pm.sig_in
-    return not all(_weight_le(sig.monomial_weight(exps), pm.sig_out.weights[c])
-                   for c, f in enumerate(pm.components) for exps in f.terms)
+    if all(is_graded_morphism(o) for o in operands) or not all(
+            _weight_le(sig.monomial_weight(exps), pm.sig_out.weights[c])
+            for c, f in enumerate(pm.components) for exps in f.terms):
+        raise InternalInconsistency("%s left the automorphism shape" % what)
+    return pm
 
 
 def aut_compose(a, b):
     """a after b; the composite keeps every shape both operands have."""
-    pm = compose(a, b)
-    if _left_shape(pm, a, b):
-        raise InternalInconsistency("composite left the automorphism shape")
-    return pm
+    return _kept_shape(compose(a, b), (a, b), "composite")
 
 
 def aut_invert(a):
-    inverse = triangular_inverse(a)
-    if _left_shape(inverse, a):
-        raise InternalInconsistency("inverse left the automorphism shape")
-    return inverse
+    return _kept_shape(triangular_inverse(a), (a,), "inverse")
 
 
 def is_statomorphism(a):

@@ -13,9 +13,9 @@ from itertools import chain, permutations
 
 from . import fields, graded, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
-                     InvalidInput, NotAnAction, NotInvertibleChart,
-                     SearchCapExceeded, all_ints)
-from .groups import FiniteAction, descend
+                     InvalidInput, NotInvertibleChart, SearchCapExceeded,
+                     all_ints)
+from .groups import FiniteAction, _built, descend
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -167,11 +167,7 @@ class FiberedSpace:
                     "element does not descend to the quotient", element=g)
             out.append(tuple(row))
         # a left action that descends induces a left action on the classes
-        try:
-            FiniteAction(self.gamma, n, out, side="left")
-        except NotAnAction as e:
-            raise InternalInconsistency(
-                "quotient maps are not a left action", error=str(e))
+        _built(FiniteAction, self.gamma, n, out, "left")
         return out
 
 

@@ -6,6 +6,10 @@ operators and pass every result through ``Field.norm``, which reduces mod p
 over F_p and is the identity over Q; this module is the only place that
 knows how.  ``Field.of`` checks and converts an input scalar, and division
 goes through ``Field.inv`` so that the zero-divisor check lives in one place.
+
+Fields are singletons: ``QQ`` and the cached ``GF(p)`` are the only
+instances, so two fields are equal exactly when they are the same object,
+and every check compares them with ``is``.
 """
 
 from functools import cached_property
@@ -63,15 +67,6 @@ class RationalField:
     def unparse(self, a):
         return (str(a.numerator), str(a.denominator))
 
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 class PrimeField:
     zero = 0
@@ -113,15 +108,6 @@ class PrimeField:
 
     def elements(self):
         return list(range(self.p))
-
-    def __repr__(self):
-        return "GF(%d)" % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
 
 QQ = RationalField()

@@ -133,12 +133,6 @@ class GradedSignature:
         return (isinstance(other, GradedSignature) and self.mode == other.mode
                 and self.n == other.n and self.blocks == other.blocks)
 
-    def __hash__(self):
-        return hash((self.mode, self.n, self.blocks))
-
-    def __repr__(self):
-        return "GradedSignature(%s, %s)" % (self.mode, list(self.blocks))
-
 
 def monomials_of_weight(sig, target):
     """All exponent tuples of the given weight, an n-tuple.
@@ -173,7 +167,7 @@ def monomials_of_weight(sig, target):
 
 
 def _require_field(field, other):
-    if other is not field and other != field:
+    if other is not field:
         raise InvalidInput("polynomials over different fields",
                            fields=[field.name, other.name])
 
@@ -230,14 +224,8 @@ class PolyMap:
                 and self.sig_out == other.sig_out
                 and self.components == other.components)
 
-    def __hash__(self):
-        return hash((self.sig_in, self.sig_out, self.key()))
-
     def eval(self, point):
         return tuple(f.eval(point) for f in self.components)
-
-    def __repr__(self):
-        return "PolyMap(%s)" % (", ".join(repr(f) for f in self.components))
 
 
 def compose(f, g):
@@ -422,9 +410,6 @@ class Derivation:
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, Derivation) and self.coeffs == other.coeffs
-
 
 def weight_vector_field(sig, field, axis=0):
     """The derivation sum w y d/dy detecting homogeneity (Euler field in
@@ -558,15 +543,10 @@ def conjugate_structure(h, phi, phi_inv=None):
     return HomogeneityStructure(nc, field, outer)
 
 
-class StructureCompatReport(namedtuple(
-        "StructureCompatReport",
-        "commute bracket_commute agreement_enforced")):
-    """Two independent verdicts for pairwise compatibility of dilations."""
-
-    __slots__ = ()
-
-    def __bool__(self):
-        return self.commute
+StructureCompatReport = namedtuple(
+    "StructureCompatReport", "commute bracket_commute agreement_enforced")
+StructureCompatReport.__doc__ = """Two independent verdicts for pairwise
+compatibility of dilations."""
 
 
 def check_compatible_structures(structures):

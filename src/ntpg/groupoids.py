@@ -18,10 +18,9 @@ over all pairs or triples would find.
 from collections import namedtuple
 from itertools import chain, repeat
 
-from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
-                     InvalidInput, NotCompatible, NotFree, NotMultiplicative,
-                     all_ints)
-from .groups import (FiniteAction, _built_group, _check_associative,
+from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
+                     NotCompatible, NotFree, NotMultiplicative, all_ints)
+from .groups import (FiniteAction, _built, _built_group, _check_associative,
                      action_check, reduce_action)
 
 
@@ -129,10 +128,6 @@ class FiniteGroupoid:
         return _built_group(len(loop), index[self.id[x]], lambda i: tuple(
             index[self.rows[loop[i]][p]] for p in at)), loop
 
-    def __repr__(self):
-        return "FiniteGroupoid(objects=%d, arrows=%d)" % (self.n_objects,
-                                                          self.n_arrows)
-
 
 def pair_groupoid(n):
     """The pair groupoid on n objects; arrow (p, q): q -> p coded p*n+q."""
@@ -146,17 +141,6 @@ def pair_groupoid(n):
             for r in range(n):
                 mul[(p * n + q, q * n + r)] = p * n + r
     return FiniteGroupoid(n, src, tgt, id_, inv, mul)
-
-
-def _built(make, *args):
-    """make(*args) for a structure the theory guarantees: a failed check is
-    a library bug, raised as InternalInconsistency, as in
-    ``groups._built_group``."""
-    try:
-        return make(*args)
-    except AlgebraError as e:
-        raise InternalInconsistency("a structure the library built fails "
-                                    "its checks", check=e.report()) from e
 
 
 class GaugeLabels(namedtuple("GaugeLabels", "pair_to_arrow arrow_rep")):
@@ -248,9 +232,11 @@ def _induced_object_map(ga, g):
 def _morphism_failure(source, target, arrow_map, object_map):
     """The first way the two maps fail to form a groupoid morphism, or None.
 
-    Checked in this order: endpoints and inverses arrow by arrow, units
-    object by object, then products pair by pair.  Returns ("endpoints", a),
-    ("inverse", a), ("unit", x) or ("product", (a, b)).
+    Checked in this order: endpoints and inverses arrow by arrow, then
+    products pair by pair.  Returns ("endpoints", a), ("inverse", a) or
+    ("product", (a, b)).  Units need no check of their own: a map that
+    keeps endpoints and products sends the unit at x to an idempotent loop
+    at the image of x, and a groupoid's only idempotents are its units.
     """
     for a in range(source.n_arrows):
         fa = arrow_map[a]
@@ -259,9 +245,6 @@ def _morphism_failure(source, target, arrow_map, object_map):
             return "endpoints", a
         if target.inv[fa] != arrow_map[source.inv[a]]:
             return "inverse", a
-    for x in range(source.n_objects):
-        if target.id[object_map[x]] != arrow_map[source.id[x]]:
-            return "unit", x
     rows, pos = target.rows, target.pos
     for (a, b), ab in source.products():
         if rows[arrow_map[a]][pos[arrow_map[b]]] != arrow_map[ab]:

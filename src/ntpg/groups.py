@@ -100,9 +100,6 @@ class FiniteGroup:
         """Cheap report data: order + abelianness (no isomorphism testing)."""
         return {"order": self.order, "abelian": self.is_abelian()}
 
-    def __repr__(self):
-        return "FiniteGroup(order=%d)" % self.order
-
 
 def _rows(table, n):
     """The rows as tuples that share one int object per value.
@@ -318,13 +315,20 @@ def _built_group(n, e, row_of, gens=()):
             rows[g] = row_of(g)
             asked.append(g)
             _fill_rows(rows, e, asked)
+    group = _built(_proved_group, tuple(rows), asked)
+    if group.identity != e:
+        raise InternalInconsistency("a table the library built is not a group")
+    return group
+
+
+def _built(make, *args):
+    """make(*args) for a structure the theory guarantees: a failed check is
+    a library bug, raised as InternalInconsistency."""
     try:
-        group = _proved_group(tuple(rows), asked)
-        if group.identity == e:
-            return group
-    except AlgebraError:
-        pass
-    raise InternalInconsistency("a table the library built is not a group")
+        return make(*args)
+    except AlgebraError as e:
+        raise InternalInconsistency("a structure the library built fails "
+                                    "its checks", check=e.report()) from e
 
 
 def _perm_group(perms, keys, gens=()):
@@ -466,9 +470,6 @@ class Subgroup:
 
     def __hash__(self):
         return hash((id(self.parent), self._set))
-
-    def __repr__(self):
-        return "Subgroup(order=%d of %d)" % (len(self.members), self.parent.order)
 
 
 def _closure(G, gens):
@@ -685,10 +686,6 @@ class FiniteAction:
                     raise NotAnAction("composition law fails",
                                       pair=(a, b), point=x)
         raise InternalInconsistency("Light's test failed on an action")
-
-    def apply(self, x, g):
-        """x.g in the internal (right) convention."""
-        return self.act[g][x]
 
 
 class ActionReport(namedtuple("ActionReport",

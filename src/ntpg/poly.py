@@ -71,7 +71,7 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.field, self.nvars, other)
-        elif other.field is not self.field and other.field != self.field:
+        elif other.field is not self.field:
             raise InvalidInput("polynomials over different fields",
                                fields=[self.field.name, other.field.name])
         if other.nvars != self.nvars:
@@ -129,10 +129,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return (self.nvars == other.nvars and self.terms == other.terms
-                and (self.field is other.field or self.field == other.field))
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+                and self.field is other.field)
 
     def key(self):
         return frozenset(self.terms.items())
@@ -191,14 +188,3 @@ class Poly:
         pad = (0,) * (nvars - self.nvars)
         return Poly._of(self.field, nvars,
                         {e + pad: c for e, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = "*".join("y%d^%d" % (i, k) if k > 1 else "y%d" % i
-                            for i, k in enumerate(e) if k)
-            c = self.terms[e]
-            bits.append("%s%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(bits)

@@ -20,10 +20,10 @@ from functools import cached_property
 from . import groupoids
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
-from .groups import (FiniteAction, GroupHom, Subgroup, _built_group, _closure,
-                     _inverse_perm, _perm_group, action_check, descend,
-                     generates, intersect, normality_witness, quotient,
-                     subgroup_as_group)
+from .groups import (FiniteAction, GroupHom, Subgroup, _built, _built_group,
+                     _closure, _inverse_perm, _perm_group, action_check,
+                     descend, generates, intersect, normality_witness,
+                     quotient, subgroup_as_group)
 
 
 class DoublePrincipalGroup:
@@ -435,13 +435,15 @@ def _one_direction(set_size, rho, rho_prime):
             return False, {"reason": "action not well-defined on orbits",
                            "element": gp, "arrow": arrows[k]}
         rows.append(row)
-    try:
-        ga = groupoids.GroupoidAction(gpd, Gp, rows)
-    except NotAnAction as e:
-        return False, {"reason": "not an action on arrows", **e.details}
+    # once rho' descends it is an action by groupoid automorphisms: each
+    # row is a bijection, as g'^-1 descends too; the action law comes from
+    # P x P; and (p, q) -> (p.g', q.g') is an automorphism of the pair
+    # groupoid whose descent keeps the units and <p,q><q,r> = <p,r>
+    ga = _built(groupoids.GroupoidAction, gpd, Gp, rows)
     rep = groupoids.check_compatible(ga)
     if not rep.compatible:
-        return False, {"reason": "not compatible", "witness": rep.witness}
+        raise InternalInconsistency("a descended action is not compatible",
+                                    witness=rep.witness)
     if not rep.pre_principal:
         return False, {"reason": "not pre-principal"}
     return True, {"kernel_order": len(rep.kernel),

@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
-from ntpg.autgroups import (_slot_list, aut_compose, aut_invert,
-                            enumerate_aut, forget_linear, gi_membership,
-                            is_statomorphism, make_affine_automorphism,
-                            make_automorphism, verify_p54)
+from ntpg.autgroups import (_slot_list, aut_compose, aut_from_polymap,
+                            aut_invert, enumerate_aut, forget_linear,
+                            gi_membership, is_statomorphism,
+                            make_affine_automorphism, make_automorphism,
+                            verify_p54)
 from ntpg.cocycles import standard_fibered_space
 from ntpg.errors import (EnumerationCapExceeded, IllegalMonomial, InvalidInput,
                          NotInvertible)
@@ -408,3 +409,19 @@ def test_leaving_every_shape_is_a_theory_failure(monkeypatch):
     monkeypatch.setattr(ntpg.autgroups, "triangular_inverse", lambda pm: bad)
     with pytest.raises(InternalInconsistency):
         aut_invert(a)
+
+
+# (call, error class, message): refusals a library caller reaches that no
+# other tier-1 test does
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_automorphism(SIG, F3, [(0, (1, 0), 1)]), InvalidInput,
+     "exponent tuple has wrong length"),
+    # z -> y: the weight-(1,1) target carries a weight-(1,0) monomial
+    (lambda: aut_from_polymap(PolyMap.from_terms(
+        SIG, SIG, F3, [(0, Y, 1), (1, YP, 1), (2, Y, 1)])),
+     IllegalMonomial, "map is not weight-preserving")],
+    ids=["exponents", "not-weight-preserving"])
+def test_autgroups_refusals(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

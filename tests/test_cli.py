@@ -554,6 +554,9 @@ print(rc, *sorted(name[5:] for name, m in sys.modules.items()
     (["cocycle", "check", "z3_cocycle.json"], ["cocycles"]),
     (["cocycle", "t2", "t2_chart.json"], ["cocycles", "fields", "graded",
                                           "poly"]),
+    # the n-tuple recursion of principal, without groupoids or cocycles
+    (["aut", "verify-p54", "--sig", "d111_sig.json", "--field", "Fp:2"],
+     ["autgroups", "fields", "graded", "poly", "principal"]),
 ])
 def test_cli_runs_only_the_structure_modules_a_command_uses(tmp_path, argv,
                                                             used):
@@ -815,6 +818,14 @@ def test_non_integer_point_count_exits_2(tmp_path, capsys, command, name):
 def _example_with(name, path, value):
     with open(os.path.join(EXAMPLES, name)) as fh:
         return _mutated(json.load(fh), path, value)
+
+
+def _s3_groupoid_with(key, change):
+    """s3_groupoid_action.json with groupoid[key] replaced by change(it)."""
+    with open(os.path.join(EXAMPLES, "s3_groupoid_action.json")) as fh:
+        data = json.load(fh)
+    data["groupoid"][key] = change(data["groupoid"][key])
+    return data
 
 
 # (command, input): a JSON boolean where an integer belongs, one per kind
@@ -1246,6 +1257,35 @@ _INPUT_ERRORS = [
                  _example_with("s3_groupoid_action.json",
                                ["groupoid", "inv", 0], 99),
                  "InvalidInput", "inv out of range", id="groupoid-inv"),
+    pytest.param("groupoid quotient IN",
+                 _s3_groupoid_with("src", lambda src: src[:-1]),
+                 "InvalidInput", "groupoid arrays have inconsistent lengths",
+                 id="groupoid-lengths"),
+    pytest.param("groupoid quotient IN",
+                 _s3_groupoid_with("id", lambda ids: ids[1:] + ids[:1]),
+                 "InvalidInput", "id[x] is not an arrow at x",
+                 id="groupoid-unit"),
+    pytest.param("groupoid quotient IN",
+                 _example_with("s3_groupoid_action.json",
+                               ["groupoid", "mul", 0, 2], 999),
+                 "InvalidInput", "product out of range",
+                 id="groupoid-product"),
+    pytest.param("groupoid quotient IN",
+                 _s3_groupoid_with("inv", lambda inv: list(range(len(inv)))),
+                 "InvalidInput", "inverse has wrong endpoints",
+                 id="groupoid-inverse"),
+    pytest.param("groupoid gauge IN",
+                 _example_with("z3_gauge.json", ["points"], 9),
+                 "InvalidInput", "action set size mismatch",
+                 id="gauge-points"),
+    pytest.param("aut enumerate --sig IN --field Fp:0", D111, "InvalidInput",
+                 "characteristic must be prime", id="characteristic-0"),
+    pytest.param("aut enumerate --sig IN --field Fp:1", D111, "InvalidInput",
+                 "characteristic must be prime", id="characteristic-1"),
+    pytest.param("graded weights IN",
+                 _example_with("f5_polynomial.json", ["terms", 0, "den"], "5"),
+                 "NotInvertible", "division by zero in F5",
+                 id="zero-denominator"),
 ]
 
 

@@ -341,3 +341,17 @@ def test_t2_multidimensional():
     assert out.components[4] == Poly(QQ, 6, {
         (0, 0, 0, 0, 1, 0): 1, (0, 0, 0, 2, 0, 0): 2,
         (0, 1, 0, 0, 0, 1): 2})
+
+
+def test_cocycles_over_different_nerves_are_refused():
+    Z2 = cyclic(2)
+    c1 = Cocycle(TWO_CHARTS, Z2, {(0, 1): 1})
+    c2 = Cocycle(CoverNerve(3, [(0, 1)]), Z2, {(0, 1): 1})
+    with pytest.raises(InvalidInput) as e:
+        are_cohomologous(c1, c2)
+    assert str(e.value) == "cocycles over different nerves"
+
+
+def test_a_cocycle_is_the_identity_on_the_diagonal():
+    c = Cocycle(TWO_CHARTS, cyclic(2), {(0, 1): 1})
+    assert [c.value(i, i) for i in range(2)] == [0, 0]

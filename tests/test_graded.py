@@ -4,12 +4,12 @@ import pytest
 
 from ntpg.errors import InvalidInput, NotInvertible, SignatureMismatch
 from ntpg.fields import GF, QQ
-from ntpg.graded import (GradedSignature, PolyMap,
-                         check_compatible_structures, compose,
+from ntpg.graded import (Derivation, GradedSignature, HomogeneityStructure,
+                         PolyMap, check_compatible_structures, compose,
                          conjugate_structure, dilation, dilation_families,
                          invert, is_graded_morphism, is_homogeneous,
-                         monomials_of_weight, weight_components,
-                         weight_vector_field)
+                         monomials_of_weight, triangular_inverse,
+                         weight_components, weight_vector_field)
 from ntpg.poly import Poly
 from sample import (random_graded_automorphism, random_homogeneous,
                     random_polynomial, random_scalar,
@@ -414,3 +414,71 @@ def test_oversized_signature_is_rejected_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+SIG1 = GradedSignature.simple([1])                 # weight (1)
+SIG1_BASE = GradedSignature.simple([1], base=1)   # weights (0, 1)
+D11 = GradedSignature.multi(2, [((1, 0), 1), ((0, 1), 1)])
+
+
+def _y(i, nvars=2):
+    return Poly.var(QQ, nvars, i)
+
+
+# (call, error class, message): refusals a library caller reaches that no
+# other tier-1 test does
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GradedSignature("other", []), InvalidInput,
+     "unknown signature mode"),
+    (lambda: PolyMap(SIG12, SIG12, QQ, [_y(0)]), InvalidInput,
+     "wrong number of components"),
+    (lambda: PolyMap(SIG12, SIG12, QQ, [_y(0, 3), _y(1, 3)]), InvalidInput,
+     "component over wrong variable count"),
+    (lambda: PolyMap.from_terms(SIG12, SIG12, QQ, [(0, (1,), 1)]),
+     InvalidInput, "exponent tuple has wrong length"),
+    (lambda: is_graded_morphism(PolyMap(SIG12, D11, QQ, [_y(0), _y(1)])),
+     SignatureMismatch, "mixed signature modes"),
+    (lambda: triangular_inverse(PolyMap(SIG12, GradedSignature.simple([2]),
+                                        QQ, [_y(0), _y(1)])),
+     NotInvertible, "signatures have different block dimensions"),
+    (lambda: triangular_inverse(pmap(SIG1_BASE, QQ, [_y(0) * _y(0), _y(1)])),
+     NotInvertible, "base block is not affine"),
+    (lambda: triangular_inverse(pmap(SIG12, QQ, [_y(0) + _y(1) * _y(1),
+                                                 _y(1)])),
+     NotInvertible, "block is not triangular"),
+    (lambda: weight_components(_y(0, 3), D11), SignatureMismatch,
+     "weight decomposition needs a simple signature"),
+    (lambda: weight_components(_y(0, 3), SIG12), InvalidInput,
+     "polynomial over wrong variable count"),
+    (lambda: Derivation(QQ, 2, [_y(0)]), InvalidInput,
+     "need one coefficient per variable"),
+    (lambda: HomogeneityStructure(2, QQ, [_y(0, 3)]), InvalidInput,
+     "wrong number of components"),
+    (lambda: HomogeneityStructure(2, QQ, [_y(0), _y(1)]), InvalidInput,
+     "component must use coords plus parameter"),
+    (lambda: dilation(SIG12, QQ).commutes_with(dilation(SIG1, QQ)),
+     SignatureMismatch, "structures on different coordinate sets"),
+    (lambda: conjugate_structure(dilation(SIG12, QQ), PolyMap(
+        SIG12, GradedSignature.simple([2]), QQ, [_y(0), _y(1)])),
+     SignatureMismatch, "conjugation needs an endo-map"),
+    (lambda: conjugate_structure(dilation(SIG1, QQ),
+                                 PolyMap.identity(SIG12, QQ)),
+     SignatureMismatch, "structure and map coordinate counts differ"),
+    (lambda: conjugate_structure(dilation(SIG12, QQ),
+                                 PolyMap.identity(SIG12, QQ),
+                                 pmap(SIG12, QQ, [_y(0).scale(2), _y(1)])),
+     NotInvertible, "supplied inverse fails the round trip"),
+    (lambda: check_compatible_structures([]), InvalidInput,
+     "need at least one structure"),
+    (lambda: check_compatible_structures([dilation(SIG12, QQ),
+                                          dilation(SIG1, QQ)]),
+     SignatureMismatch, "structures on different coordinate sets")],
+    ids=["mode", "components", "component-vars", "exponents", "mixed-modes",
+         "block-dims", "affine", "triangular", "weights-mode",
+         "weights-vars", "derivation", "family-components", "family-vars",
+         "commutes-with", "endo-map", "conjugate-counts", "supplied-inverse",
+         "no-structures", "structure-counts"])
+def test_graded_refusals(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

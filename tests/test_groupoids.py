@@ -451,3 +451,9 @@ def test_gauge_quotient_objects_match_joint_orbits(subgroups):
         composite.setdefault(q.object_map[gpd.src[labels.arrow(p, p)]],
                              set()).add(p)
     assert {tuple(sorted(v)) for v in composite.values()} == joint_orbits
+
+
+def test_build_from_morphism_refuses_a_short_b():
+    with pytest.raises(InvalidInput) as e:
+        build_from_morphism(pair_groupoid(2), cyclic(2), [0])
+    assert str(e.value) == "b has wrong length"

@@ -340,6 +340,10 @@ def test_is_abelian(build, abelian):
         if all(t[a][b] == t[b][a] for b in range(G.order)))
 
 
+def test_s1_is_the_trivial_group():
+    assert symmetric(1).table == named.trivial_group().table == ((0,),)
+
+
 def test_permutation_input_builds_regular_group():
     # Z4 generated by the 4-cycle
     G, els = make_group_from_permutations([[1, 2, 3, 0]])

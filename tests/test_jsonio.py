@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ntpg.errors import InvalidInput
+from ntpg.errors import InvalidInput, NotInvertible
 from ntpg.fields import GF, QQ, field_from_json, field_to_json
 from ntpg.graded import GradedSignature
 from ntpg.groupoids import pair_groupoid
@@ -83,5 +83,21 @@ def test_polymap_roundtrip_fp():
 def test_field_json():
     assert field_to_json(field_from_json("Q")) == "Q"
     assert field_to_json(field_from_json({"Fp": 5})) == {"Fp": 5}
+    # the nested spelling reads the same singletons
+    assert field_from_json({"field": "Q"}) is QQ
+    assert field_from_json({"field": {"Fp": 5}}) is GF(5)
     with pytest.raises(InvalidInput):
         field_from_json({"Fp": 4})
+
+
+# (call, error class, message): scalar refusals a library caller reaches
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QQ.of(0.5), InvalidInput, "not a rational scalar"),
+    (lambda: QQ.inv(QQ.zero), NotInvertible, "division by zero in Q"),
+    (lambda: GF(3).of(0.5), InvalidInput, "not an F_p scalar"),
+    (lambda: GF(3).inv(3), NotInvertible, "division by zero in F3")],
+    ids=["q-of", "q-inv", "fp-of", "fp-inv"])
+def test_field_refusals(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

@@ -127,3 +127,26 @@ def test_polys_over_different_prime_fields_do_not_mix():
                lambda a, b: a * b, lambda a, b: a.subs([b, b])):
         with pytest.raises(InvalidInput):
             op(f3, f5)
+
+
+# (call, error class, message): refusals a library caller reaches
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Poly(QQ, 2, {(1,): 1}), InvalidInput,
+     "exponent tuple has wrong length"),
+    (lambda: Poly.var(QQ, 2, 0) + Poly.var(QQ, 3, 0), InvalidInput,
+     "polynomials over different variable sets"),
+    (lambda: Poly.var(QQ, 2, 0).subs([Poly.var(QQ, 2, 0)]), InvalidInput,
+     "wrong number of substitution values"),
+    (lambda: Poly.var(QQ, 2, 0).lift(1), InvalidInput,
+     "cannot drop variables")],
+    ids=["exponents", "variable-sets", "subs", "lift"])
+def test_poly_refusals(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_a_polynomial_never_equals_a_scalar():
+    # no coercion on comparison: == with a non-Poly is NotImplemented
+    assert (Poly.const(QQ, 1, 0) == 0) is False
+    assert (Poly.const(F3, 1, 1) == 1) is False
