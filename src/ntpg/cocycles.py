@@ -136,8 +136,11 @@ class FiberedSpace:
     ``perms[g]`` is the left-action permutation of the fiber points.  Each
     side is a (subgroup, class map) pair, the class map a projection of the
     points: the subgroup must act inside its fibers and every group element
-    must descend along it.  ``side_perms[i][g]`` is the permutation g
-    induces on the classes of side i, proved a left action too.
+    must descend along it.  The first is proved on the subgroup's product
+    generators: the members that keep every fiber form a subgroup, so the
+    first member that leaves one is a generator.  ``side_perms[i][g]`` is
+    the permutation g induces on the classes of side i, proved a left
+    action too.
     """
 
     __slots__ = ("gamma", "perms", "side_perms")
@@ -147,7 +150,7 @@ class FiberedSpace:
         self.perms = [tuple(p) for p in perms]
         FiniteAction(gamma, npoints, self.perms, side="left")
         for i, (H, classes) in enumerate(sides):
-            for g in H.members:
+            for g in H.generators:
                 for x in range(npoints):
                     if classes[self.perms[g][x]] != classes[x]:
                         raise ActionIncompatibleWithFibration(
@@ -209,9 +212,9 @@ def standard_fibered_space(handle):
         return [seen.setdefault(tuple(p[c] for c in coords), len(seen))
                 for p in points]
 
-    return FiberedSpace(handle.group, len(points), handle.perms,
-                        [(handle.gi_subgroup(i + 1), classes(i))
-                         for i in range(sig.n)])
+    return _built(FiberedSpace, handle.group, len(points), handle.perms,
+                  [(handle.gi_subgroup(i + 1), classes(i))
+                   for i in range(sig.n)])
 
 
 CohomologyResult = namedtuple("CohomologyResult",

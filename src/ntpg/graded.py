@@ -411,17 +411,6 @@ class Derivation:
         return all(c.is_zero() for c in self.coeffs)
 
 
-def weight_vector_field(sig, field, axis=0):
-    """The derivation sum w y d/dy detecting homogeneity (Euler field in
-    degree 1).  Over F_p it sees weights mod p only; the formal dilation
-    test is the characteristic-independent criterion."""
-    coeffs = []
-    for i in range(sig.ncoords):
-        w = sig.weights[i][axis]
-        coeffs.append(Poly.var(field, sig.ncoords, i, w))
-    return Derivation(field, sig.ncoords, coeffs)
-
-
 # -- dilations as formal families ---------------------------------------------
 
 class HomogeneityStructure:
@@ -481,7 +470,10 @@ class HomogeneityStructure:
                 raise InternalInconsistency("h_t∘h_s != h_{ts}", coordinate=i)
 
     def weight_vector_field(self):
-        """d/dt at t = 1, the infinitesimal generator of the family."""
+        """d/dt at t = 1, the infinitesimal generator of the family.  For a
+        ``dilation`` it is the Euler field sum w y d/dy, which detects
+        homogeneity; over F_p it sees weights mod p only, and the formal
+        dilation test is the characteristic-independent criterion."""
         field, nc = self.field, self.ncoords
         one = Poly.const(field, nc, field.one)
         vals = [Poly.var(field, nc, i) for i in range(nc)]

@@ -275,7 +275,7 @@ def check_compatible(ga):
             kind, where = failure
             return CompatReport(False, (kind, g, where), None, False, None)
     obj_rows = [_induced_object_map(ga, g)[0] for g in range(G.order)]
-    object_action = FiniteAction(G, gpd.n_objects, obj_rows)
+    object_action = _built(FiniteAction, G, gpd.n_objects, obj_rows)
 
     arrow_report = action_check(ga.arrow_action)
     kernel = arrow_report.kernel

@@ -47,11 +47,11 @@ class FiniteGroup:
     associativity test in ``make_group``, ``is_abelian`` and ``center``,
     ``normality_witness``, ``GroupHom`` validation, the ``FiniteAction``
     law, the orbits of ``action_check``, ``check_compatible`` in
-    ``groupoids``, and ``semidirect``'s twist check.
+    ``groupoids``, ``semidirect``'s twist check, and a ``FiberedSpace``'s
+    fiber check on a side's subgroup in ``cocycles``.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "generators",
-                 "_whole")
+    __slots__ = ("order", "table", "identity", "inverse", "generators")
 
     def __init__(self, table, identity, inverse, generators):
         self.order = len(table)
@@ -59,13 +59,10 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(inverse)
         self.generators = tuple(generators)
-        self._whole = None
 
     def whole(self):
-        """The group as a Subgroup of itself, built on the first call."""
-        if self._whole is None:
-            self._whole = Subgroup(self, range(self.order))
-        return self._whole
+        """The group as a Subgroup of itself, a fresh one on each call."""
+        return Subgroup(self, range(self.order))
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -759,7 +756,7 @@ def reduce_action(a, kernel):
     if rows is None:
         raise InternalInconsistency("kernel cosets act inconsistently",
                                     element=g)
-    return FiniteAction(Q, a.set_size, rows)
+    return _built(FiniteAction, Q, a.set_size, rows)
 
 
 def right_translation_action(G, H):

@@ -62,9 +62,9 @@ class Poly:
         return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def var(cls, field, nvars, i, coeff=None):
+    def var(cls, field, nvars, i):
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(field, nvars, {exps: coeff if coeff is not None else field.one})
+        return cls(field, nvars, {exps: field.one})
 
     # -- arithmetic ----------------------------------------------------------
 

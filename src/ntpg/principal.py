@@ -15,7 +15,6 @@ the commuting square of orbit maps.
 """
 
 from collections import namedtuple
-from functools import cached_property
 
 from . import groupoids
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
@@ -26,44 +25,37 @@ from .groups import (FiniteAction, GroupHom, Subgroup, _built, _built_group,
                      quotient, subgroup_as_group)
 
 
-class DoublePrincipalGroup:
-    """(Γ; G, G') with both subgroups normal and jointly generating.
+class DoublePrincipalGroup(namedtuple("DoublePrincipalGroup",
+                                      "gamma g1 g2 core")):
+    """(Γ; G, G') with both subgroups normal and jointly generating, and
+    its core G∩G'.
 
-    The quotients [G] = G/core and [G'] = G'/core are built the first time
-    ``q1`` or ``q2`` is read; in the library only ``report`` reads them.
+    The quotients [G] = G/core and [G'] = G'/core are isomorphic to Γ/G'
+    and Γ/G by the second isomorphism theorem, as Γ = GG'.  ``report``
+    gives their orders by Lagrange; ``q1`` and ``q2`` build Γ/G' and Γ/G
+    on each read, and nothing in the library reads them.
     """
 
-    def __init__(self, gamma, g1, g2, core):
-        self.gamma = gamma
-        self.g1 = g1
-        self.g2 = g2
-        self.core = core
+    __slots__ = ()
 
-    @cached_property
+    @property
     def q1(self):
-        return _quotient_of_subgroup(self.g1, self.core)
+        return quotient(self.gamma, self.g2)[0]
 
-    @cached_property
+    @property
     def q2(self):
-        return _quotient_of_subgroup(self.g2, self.core)
+        return quotient(self.gamma, self.g1)[0]
 
     def report(self):
+        core = len(self.core)
         return {"gamma_order": self.gamma.order,
                 "g1_order": len(self.g1),
                 "g2_order": len(self.g2),
-                "core_order": len(self.core),
-                "quotients": [self.q1.order, self.q2.order]}
+                "core_order": core,
+                "quotients": [len(self.g1) // core, len(self.g2) // core]}
 
 
 VerifyResult = namedtuple("VerifyResult", "ok dpg failures")
-
-
-def _quotient_of_subgroup(H, core):
-    """[H] = H / (core ∩ H), both given as subgroups of the same parent."""
-    Hgrp, to_parent, from_parent = subgroup_as_group(H)
-    inner = Subgroup(Hgrp, [from_parent[m] for m in core.members if m in H])
-    Q, _ = quotient(Hgrp, inner)
-    return Q
 
 
 def _failures(level, labelled):
@@ -89,9 +81,9 @@ def _failures(level, labelled):
 def verify_double(gamma, g1, g2):
     """Check (Γ; G, G'): normality of both and generation by the union.
 
-    On success returns the verified structure with its core G∩G'; its
-    quotients [G], [G'] are built only when read.  On failure the result
-    lists each violated condition with a minimal witness.
+    On success returns the verified structure with its core G∩G'; it
+    builds no quotient.  On failure the result lists each violated
+    condition with a minimal witness.
     """
     if g1.parent is not gamma or g2.parent is not gamma:
         raise ParentMismatch("subgroups of a different parent group")
@@ -131,14 +123,14 @@ def verify_ntuple(gamma, subgroups):
     n = 1 asks the single subgroup to be normal and generating (so equal to
     the whole group); n = 2 coincides with `verify_double`; n >= 3 recurses
     into every intersected sub-system.  Each level is a Subgroup of Γ, the
-    top one all of Γ (``gamma.whole()``, shared with the pair oracle), read
-    in Γ's table: none is rebuilt as a group of its own, and a witness is
-    named by its rank among the level's members, its index in the level
-    reified.  When the verdict is true, the consequence that every pair
-    (Γ; G^i, G^j) is a double principal group is asserted as a theory
-    oracle, once per unordered pair since the verdict is symmetric in the
-    two subgroups.  The oracle decides only normality and generation, so it
-    builds no quotient.
+    top one all of Γ (``gamma.whole()``), read in Γ's table: none is
+    rebuilt as a group of its own, and a witness is named by its rank among
+    the level's members, its index in the level reified.  When the verdict
+    is true, the consequence that every pair (Γ; G^i, G^j) is a double
+    principal group is asserted as a theory oracle, once per unordered
+    pair.  The top level has already found every G^i normal in Γ, so the
+    oracle asks only whether G^i ∪ G^j generates Γ; it builds no
+    DoublePrincipalGroup and no quotient.
     """
     for H in subgroups:
         if H.parent is not gamma:
@@ -147,7 +139,7 @@ def verify_ntuple(gamma, subgroups):
     if ok and len(subgroups) >= 2:
         for i in range(len(subgroups)):
             for j in range(i + 1, len(subgroups)):
-                if not verify_double(gamma, subgroups[i], subgroups[j]).ok:
+                if not generates(gamma, [subgroups[i], subgroups[j]]):
                     raise InternalInconsistency(
                         "pair is not double principal despite n-tuple verdict",
                         pair=(i, j))
@@ -375,7 +367,7 @@ def gamma_from_actions(set_size, rho, rho_prime):
     kernel = [i for i, q in enumerate(pair_perms) if q == ident]
     # (p then q)^-1 = p^-1 after q^-1: the map rule on the inverses
     gamma = _perm_group(list(map(_inverse_perm, perms)), range(set_size))
-    gamma_action = FiniteAction(gamma, set_size, perms)
+    gamma_action = _built(FiniteAction, gamma, set_size, perms)
     gamma_report = action_check(gamma_action)
     if not gamma_report.is_free:
         raise NotFree("induced gamma action is not free")

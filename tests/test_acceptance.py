@@ -17,7 +17,7 @@ from ntpg.fields import GF, QQ
 from ntpg.graded import (GradedSignature, PolyMap, check_compatible_structures,
                          compose, conjugate_structure, dilation,
                          dilation_families, invert, is_graded_morphism,
-                         weight_components, weight_vector_field)
+                         weight_components)
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, gauge_groupoid,
                             multiplicative_function, pair_groupoid,
@@ -188,8 +188,8 @@ def _random_pairs(rng, field, sig, count):
 @criterion(8, 60, "graded algebra property battery, 500 pairs per property")
 def test_criterion_08_graded_properties():
     rng = random.Random(2024)
-    nabla = {QQ: weight_vector_field(SIG111, QQ),
-             F3: weight_vector_field(SIG111, F3)}
+    nabla = {field: dilation(SIG111, field).weight_vector_field()
+             for field in (QQ, F3)}
     for field in (QQ, F3):
         # compose associativity
         for _ in range(500):

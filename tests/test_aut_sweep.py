@@ -24,11 +24,20 @@ checked, 1,099 skipped) on a shared 2-core machine.
 The one-grading model is not in the sweep: over F_3 its Aut is Z2 and G^1
 is trivial, so the structure fails with ``NotGenerating``.  The golden
 case ``aut_verify_p54_one_grading_f3`` pins that report.
+
+The mode ``large-f3`` runs ``aut verify-p54`` as a fresh CLI process on
+two larger F_3 models with dimension-2 blocks, at orders the sweep skips
+(|Aut| 1,728 and 4,608), against the same closed form:
+
+    PYTHONPATH=src python tests/test_aut_sweep.py large-f3
 """
 
 import itertools
+import json
 import os
+import subprocess
 import sys
+import tempfile
 
 from ntpg.autgroups import verify_p54
 from ntpg.cocycles import (Cocycle, CoverNerve, associated_cocycle,
@@ -47,6 +56,9 @@ PINNED = {(1, (2,)): (134, 0, 0), (1, (2, 3)): (260, 8, 0),
           (2, (2, 3)): (27, 11, 20)}
 # largest block dimension -> the numbers of gradings swept
 GRADINGS = {1: (2, 3), 2: (2,)}
+# (n, blocks) of the large-f3 mode: |Aut| 1,728 and 4,608 over F_3
+LARGE_F3 = [(2, {(1, 0): 2, (0, 1): 1, (1, 1): 1}),
+            (3, {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 2})]
 
 
 def models(n, top):
@@ -128,6 +140,31 @@ def sweep(primes, top=1):
     return checked, skipped, told
 
 
+def check_large_f3(tmp):
+    """Each LARGE_F3 model through ``aut verify-p54 --field Fp:3``, its
+    signature and report files in tmp: the verdict must be pass, and the
+    report's orders of Aut, of each G^i and of each intersection must equal
+    aut_orders."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    for k, (n, blocks) in enumerate(LARGE_F3):
+        sig = os.path.join(tmp, "sig%d.json" % k)
+        out = os.path.join(tmp, "rep%d.json" % k)
+        with open(sig, "w") as fh:
+            json.dump({"mode": "multi", "n": n, "blocks": [
+                {"sigma": list(s), "dim": d} for s, d in blocks.items()]}, fh)
+        subprocess.run([sys.executable, "-m", "ntpg.cli", "aut", "verify-p54",
+                        "--sig", sig, "--field", "Fp:3", "--out", out],
+                       env=env, check=True)
+        with open(out) as fh:
+            report = json.load(fh)
+        want = aut_orders(n, blocks, 3)
+        del want["statomorphisms"]
+        print(n, blocks, report["verdict"], report["details"]["orders"],
+              flush=True)
+        assert report["verdict"] == "pass", report
+        assert report["details"]["orders"] == want, (report, want)
+
+
 def test_aut_sweep_over_f2():
     assert sweep((2,)) == PINNED[(1, (2,))]
 
@@ -137,6 +174,10 @@ def test_aut_sweep_dim2_over_f2_f3():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["large-f3"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            check_large_f3(tmp)
+        sys.exit()
     primes = tuple(int(a) for a in sys.argv[1:])
     counts = sweep(primes)
     print("models %d, skipped %d, told from inverses %d" % counts,

@@ -261,12 +261,12 @@ def test_verify_p54_builds_one_group_and_no_polynomial_map(sig, field,
         maps.append(args)
         return from_terms(cls, *args)
 
-    def refuse(H, core):
+    def refuse(G, N):
         raise AssertionError("verify_p54 built a quotient")
 
     monkeypatch.setattr(PolyMap, "from_terms",
                         classmethod(counting_from_terms))
-    monkeypatch.setattr(ntpg.principal, "_quotient_of_subgroup", refuse)
+    monkeypatch.setattr(ntpg.principal, "quotient", refuse)
     rep = verify_p54(sig, field)
     assert rep.witness.verdict
     # the one group is the enumerated table, built by the library itself

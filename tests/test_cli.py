@@ -1399,3 +1399,49 @@ def test_inexact_sequence_is_a_theory_failure(tmp_path, capsys, monkeypatch):
     _assert_theory_failure(
         ["dpg", "verify", os.path.join(EXAMPLES, "q8_dpg.json")],
         tmp_path, capsys)
+
+
+def test_bad_gamma_action_is_a_theory_failure(tmp_path, capsys, monkeypatch):
+    import ntpg.principal
+    perm_group = ntpg.principal._perm_group
+
+    def rotated(perms, keys):
+        # Γ's labels shifted by one against the permutations that act
+        return perm_group(perms[1:] + perms[:1], keys)
+
+    monkeypatch.setattr(ntpg.principal, "_perm_group", rotated)
+    _assert_theory_failure(
+        ["dpg", "gamma-from-actions",
+         os.path.join(EXAMPLES, "z2z3_pipeline.json")],
+        tmp_path, capsys)
+
+
+def test_bad_object_action_is_a_theory_failure(tmp_path, capsys,
+                                               monkeypatch):
+    import ntpg.groupoids
+    induced = ntpg.groupoids._induced_object_map
+
+    def moved_identity(ga, g):
+        # the identity moves the objects: not an action
+        omap, w = induced(ga, g)
+        if g == ga.group.identity:
+            omap = omap[1:] + omap[:1]
+        return omap, w
+
+    monkeypatch.setattr(ntpg.groupoids, "_induced_object_map", moved_identity)
+    _assert_theory_failure(
+        ["groupoid", "quotient",
+         os.path.join(EXAMPLES, "s3_groupoid_action.json")],
+        tmp_path, capsys)
+
+
+def test_bad_standard_fibered_space_is_a_theory_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    from ntpg.autgroups import AutGroupHandle
+
+    # the whole group as a side's subgroup leaves that side's fibers
+    monkeypatch.setattr(AutGroupHandle, "gi_subgroup",
+                        lambda handle, i: handle.group.whole())
+    _assert_theory_failure(
+        ["cocycle", "associate", os.path.join(EXAMPLES, "d111_assoc.json")],
+        tmp_path, capsys)

@@ -13,7 +13,7 @@ from ntpg.groups import Subgroup
 from ntpg.fields import GF, QQ
 from ntpg.graded import GradedSignature, PolyMap, is_graded_morphism
 from ntpg.jsonio import dump_terms, load_aut_cocycle
-from ntpg.named import cyclic, quaternion_group, symmetric
+from ntpg.named import cyclic, klein_four, quaternion_group, symmetric
 from ntpg.poly import Poly
 
 F3 = GF(3)
@@ -133,24 +133,41 @@ def test_cocycle_outside_the_structure_group_is_rejected(f3_model):
         associated_cocycle(c, f3_model)
 
 
-def z2_fibered(*sides):
-    """Z2 on four points, its involution swapping 1 and 2; each side is
-    (subgroup members, class map)."""
-    G = cyclic(2)
-    perms = [(0, 1, 2, 3), (0, 2, 1, 3)]
+def _fibered(G, perms, sides):
     return FiberedSpace(G, 4, perms, [(Subgroup(G, members), classes)
                                       for members, classes in sides])
 
 
-@pytest.mark.parametrize("nsides, side", [(2, 0), (2, 1), (3, 2)])
-def test_subgroup_leaving_its_fibers_is_named(nsides, side):
+def z2_fibered(*sides):
+    """Z2 on four points, its involution swapping 1 and 2; each side is
+    (subgroup members, class map)."""
+    return _fibered(cyclic(2), [(0, 1, 2, 3), (0, 2, 1, 3)], sides)
+
+
+def k4_fibered(*sides):
+    """The Klein four group on itself, 1 swapping within {0, 1} and {2, 3}
+    and 2 swapping the two halves; the whole group's product generators
+    are 1 and 2."""
+    G = klein_four()
+    return _fibered(G, G.table, sides)
+
+
+@pytest.mark.parametrize("fibered, nsides, side, members, witness", [
     # point 1 lies over class 0, its image 2 over class 1
+    (z2_fibered, 2, 0, [0, 1], {"element": 1, "point": 1}),
+    (z2_fibered, 2, 1, [0, 1], {"element": 1, "point": 1}),
+    (z2_fibered, 3, 2, [0, 1], {"element": 1, "point": 1}),
+    # generator 1 keeps the classes; generator 2 takes point 0 to class 1
+    (k4_fibered, 2, 1, [0, 1, 2, 3], {"element": 2, "point": 0})],
+    ids=["2-0", "2-1", "3-2", "k4-second-generator"])
+def test_subgroup_leaving_its_fibers_is_named(fibered, nsides, side, members,
+                                              witness):
     sides = [([0], [0, 0, 1, 1])] * nsides
-    sides[side] = ([0, 1], [0, 0, 1, 1])
+    sides[side] = (members, [0, 0, 1, 1])
     with pytest.raises(ActionIncompatibleWithFibration) as e:
-        z2_fibered(*sides)
+        fibered(*sides)
     assert str(e.value) == "subgroup of side %d leaves its fibers" % side
-    assert e.value.details == {"element": 1, "point": 1}
+    assert e.value.details == witness
 
 
 def test_element_that_does_not_descend_is_named():

@@ -9,7 +9,7 @@ from ntpg.graded import (Derivation, GradedSignature, HomogeneityStructure,
                          conjugate_structure, dilation, dilation_families,
                          invert, is_graded_morphism, is_homogeneous,
                          monomials_of_weight, triangular_inverse,
-                         weight_components, weight_vector_field)
+                         weight_components)
 from ntpg.poly import Poly
 from sample import (random_graded_automorphism, random_homogeneous,
                     random_polynomial, random_scalar,
@@ -200,26 +200,26 @@ def test_weight_components_agree_with_formal_dilation():
 
 def test_nabla_detects_degree_2():
     f = Poly(QQ, 2, {(0, 1): 1, (2, 0): 1})  # z + y^2
-    nabla = weight_vector_field(SIG12, QQ)
+    nabla = dilation(SIG12, QQ).weight_vector_field()
     assert nabla.apply(f) == f.scale(2)
 
 
 def test_nabla_kills_constants():
     c = Poly.const(QQ, 2, 5)
-    nabla = weight_vector_field(SIG12, QQ)
+    nabla = dilation(SIG12, QQ).weight_vector_field()
     assert nabla.apply(c).is_zero()
 
 
 def test_euler_field_on_degree_one():
     sig = GradedSignature.simple([2])  # two coordinates of weight 1
-    nabla = weight_vector_field(sig, QQ)
+    nabla = dilation(sig, QQ).weight_vector_field()
     f = Poly(QQ, 2, {(1, 1): 1})
     assert nabla.apply(f) == f.scale(2)
 
 
 def test_nabla_eigenvalue_matches_homogeneity_over_q():
     rng = random.Random(11)
-    nabla = weight_vector_field(SIG111, QQ)
+    nabla = dilation(SIG111, QQ).weight_vector_field()
     for w in (1, 2, 3, 4):
         f = random_homogeneous(rng, QQ, SIG111, (w,))
         assert nabla.apply(f) == f.scale(w)
@@ -229,7 +229,7 @@ def test_nabla_eigenvalue_matches_homogeneity_over_q():
 
 def test_derivation_law():
     rng = random.Random(13)
-    nabla = weight_vector_field(SIG111, QQ)
+    nabla = dilation(SIG111, QQ).weight_vector_field()
     for _ in range(30):
         f = random_polynomial(rng, QQ, 3)
         g = random_polynomial(rng, QQ, 3)

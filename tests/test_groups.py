@@ -668,6 +668,22 @@ def test_reduce_action_outside_the_kernel_is_a_library_bug():
     assert e.value.details == {"element": 1}
 
 
+def test_reduce_action_that_fails_its_checks_is_a_library_bug(monkeypatch):
+    real = groups.descend
+
+    def rotated(classes, values, n):
+        # the identity coset takes the next coset's row
+        rows, k = real(classes, values, n)
+        return rows[1:] + rows[:1], k
+
+    monkeypatch.setattr(groups, "descend", rotated)
+    # Z4 on 4 points through Z4 -> Z2: the kernel {0, 2} acts trivially
+    a = FiniteAction(cyclic(4), 4, [[0, 1, 2, 3], [1, 0, 3, 2]] * 2)
+    with pytest.raises(InternalInconsistency) as e:
+        reduce_action(a, Subgroup(a.group, [0, 2]))
+    assert e.value.details["check"]["error"] == "NotAnAction"
+
+
 @pytest.mark.parametrize("build", [
     lambda: FiniteAction(cyclic(2), 2, [[0, 1], [1.9, False]]),
     lambda: FiniteAction(cyclic(2), 2.0, [[0, 1], [1, 0]]),

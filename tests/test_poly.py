@@ -12,8 +12,8 @@ F3 = GF(3)
 def _sample(field):
     # 2x + y/3 - 1 over Q; 2x + 2y + 2 over F3 (1/3 has no image there)
     y_coeff = Fraction(1, 3) if field is QQ else 2
-    return (Poly.var(field, 2, 0, field.of(2))
-            + Poly.var(field, 2, 1, field.of(y_coeff))
+    return (Poly.var(field, 2, 0).scale(2)
+            + Poly.var(field, 2, 1).scale(y_coeff)
             - Poly.const(field, 2, 1))
 
 

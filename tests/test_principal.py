@@ -64,47 +64,76 @@ def test_q8_triple_fails_with_named_trace():
     assert any(f["kind"] == "NotGenerating" for f in child["failures"])
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
-    import ntpg.principal
+def _hyperplanes(k):
     # Z2^k with the k coordinate hyperplanes is k-tuple principal
     n = 2 ** k
     G = make_group([[a ^ b for b in range(n)] for a in range(n)])
-    subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
-            for i in range(k)]
-    calls = []
-
-    def counting(gamma, g1, g2):
-        calls.append((g1, g2))
-        return verify_double(gamma, g1, g2)
-
-    monkeypatch.setattr(ntpg.principal, "verify_double", counting)
-    assert verify_ntuple(G, subs).verdict
-    assert len(calls) == k * (k - 1) // 2
+    return G, [Subgroup(G, [x for x in range(n) if not x >> i & 1])
+               for i in range(k)]
 
 
-def test_verify_double_builds_its_quotients_on_first_read(dpg_corpus,
-                                                          monkeypatch):
+@pytest.mark.parametrize("k", [3, 4])
+def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
     import ntpg.principal
-    real = ntpg.principal._quotient_of_subgroup
+    G, subs = _hyperplanes(k)
+    real = ntpg.principal.generates
     calls = []
 
-    def counting(H, core):
-        calls.append(H)
-        return real(H, core)
+    def counting(gamma, pair):
+        calls.append(tuple(pair))
+        return real(gamma, pair)
 
-    monkeypatch.setattr(ntpg.principal, "_quotient_of_subgroup", counting)
+    def refuse(*args):
+        raise AssertionError("the pair oracle called verify_double")
+
+    monkeypatch.setattr(ntpg.principal, "generates", counting)
+    monkeypatch.setattr(ntpg.principal, "verify_double", refuse)
+    assert verify_ntuple(G, subs).verdict
+    # k(k-1)/2 calls, one per unordered pair
+    assert [tuple(map(subs.index, pair)) for pair in calls] == \
+        [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def test_pair_oracle_names_the_pair_it_refuses(monkeypatch):
+    import ntpg.principal
+    G, subs = _hyperplanes(3)
+    real = ntpg.principal.generates
+
+    def refuse_1_2(gamma, pair):
+        if list(pair) == [subs[1], subs[2]]:
+            return False
+        return real(gamma, pair)
+
+    monkeypatch.setattr(ntpg.principal, "generates", refuse_1_2)
+    with pytest.raises(InternalInconsistency) as e:
+        verify_ntuple(G, subs)
+    assert e.value.report() == {
+        "error": "InternalInconsistency",
+        "message": "pair is not double principal despite n-tuple verdict",
+        "details": {"pair": (1, 2)}}
+
+
+def test_verify_double_builds_no_quotient(dpg_corpus, monkeypatch):
+    import ntpg.principal
+    real = ntpg.principal.quotient
+    calls = []
+
+    def counting(G, N):
+        calls.append(N)
+        return real(G, N)
+
+    monkeypatch.setattr(ntpg.principal, "quotient", counting)
     for name, dpg in dpg_corpus:
         res = verify_double(dpg.gamma, dpg.g1, dpg.g2)
-        assert res.ok and calls == [], name
+        assert res.ok, name
         dressing(res.dpg)
+        quotients = res.dpg.report()["quotients"]
         assert calls == [], name
         core = len(res.dpg.core)
-        assert res.dpg.report()["quotients"] == [len(dpg.g1) // core,
-                                                 len(dpg.g2) // core], name
-        assert calls == [dpg.g1, dpg.g2], name
-        res.dpg.report()
-        assert len(calls) == 2, name
+        assert quotients == [len(dpg.g1) // core, len(dpg.g2) // core], name
+        # [G] = G/core is Γ/G' and [G'] = G'/core is Γ/G
+        assert quotients == [res.dpg.q1.order, res.dpg.q2.order], name
+        assert calls == [dpg.g2, dpg.g1], name
         calls.clear()
 
 
@@ -112,16 +141,13 @@ def test_verify_double_builds_its_quotients_on_first_read(dpg_corpus,
 def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
     import ntpg.principal
 
-    def refuse(H, core):
+    def refuse(G, N):
         raise AssertionError("verify_ntuple built a quotient")
 
-    monkeypatch.setattr(ntpg.principal, "_quotient_of_subgroup", refuse)
+    monkeypatch.setattr(ntpg.principal, "quotient", refuse)
     for name, dpg in dpg_corpus:
         assert verify_ntuple(dpg.gamma, [dpg.g1, dpg.g2]).verdict, name
-    n = 2 ** k
-    G = make_group([[a ^ b for b in range(n)] for a in range(n)])
-    subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
-            for i in range(k)]
+    G, subs = _hyperplanes(k)
 
     # every child level is a proper subgroup, read in G's own table
     def rebuild(*args):
@@ -132,27 +158,25 @@ def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
         monkeypatch.setattr(module, "subgroup_as_group", rebuild)
     w = verify_ntuple(G, subs)
     assert w.verdict
-    assert w.trace["children"][0]["group_order"] == n // 2
+    assert w.trace["children"][0]["group_order"] == 2 ** k // 2
 
 
 def test_verify_ntuple_builds_the_whole_group_once(monkeypatch):
-    # the top level and every pair oracle share G.whole()
-    n = 16
-    G = make_group([[a ^ b for b in range(n)] for a in range(n)])
-    subs = [Subgroup(G, [x for x in range(n) if not x >> i & 1])
-            for i in range(4)]
+    # one whole group per call, at the top level; the pair oracle needs none
+    G, subs = _hyperplanes(4)
     whole = []
     validate = Subgroup._validate
 
     def counting(H):
-        whole.append(len(H) == n)
+        whole.append(len(H) == G.order)
         validate(H)
 
     monkeypatch.setattr(Subgroup, "_validate", counting)
     assert verify_ntuple(G, subs).verdict
-    assert verify_double(G, subs[0], subs[1]).ok
     assert whole.count(True) == 1
-    assert G.whole() is G.whole() and G.whole().members == tuple(range(n))
+    assert verify_double(G, subs[0], subs[1]).ok
+    assert whole.count(True) == 2
+    assert G.whole().members == tuple(range(G.order))
 
 
 def test_single_full_subgroup_is_1_tuple():

@@ -10,6 +10,9 @@ each pass the sweep asserts:
 - the vacancy identities: a trivial core iff the product map G x G' -> Γ is
   bijective, every fiber of size |G ∩ G'| (``vacancy``);
 - the dressing laws (``dressing``);
+- the second isomorphism theorem: the reported orders |G|/|G ∩ G'| and
+  |G'|/|G ∩ G'| of [G] and [G'] are those of the built quotients Γ/G' and
+  Γ/G (``q1`` and ``q2``);
 - that ``gamma_from_actions`` on the right translations of Γ by G and by G'
   rebuilds Γ: the same order, and the induced action is Γ's right
   translations.
@@ -82,12 +85,13 @@ def _is_normal(G, H):
 
 
 def check_pass(G, dpg):
-    """Assert the four statements on a verified double principal group."""
+    """Assert the five statements on a verified double principal group."""
     assert exact_sequence_check(dpg)
     v = vacancy(dpg)
     assert v.fiber_size == len(dpg.core)
     assert v.vacant == v.product_bijective == (len(dpg.core) == 1)
     dressing(dpg)
+    assert dpg.report()["quotients"] == [dpg.q1.order, dpg.q2.order]
     res = gamma_from_actions(G.order, right_translation_action(G, dpg.g1),
                              right_translation_action(G, dpg.g2))
     assert res.gamma.order == G.order
