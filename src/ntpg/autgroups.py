@@ -163,7 +163,8 @@ def gi_membership(a, i):
     return True
 
 
-class AutGroupHandle:
+class AutGroupHandle(namedtuple("AutGroupHandle",
+                                "sig field group slots values perms points")):
     """An enumerated automorphism group, addressed by slot values.
 
     ``slots`` is ``_slot_list(sig)``; ``values[k]`` holds element k's
@@ -177,14 +178,7 @@ class AutGroupHandle:
     read off ``values``.
     """
 
-    def __init__(self, sig, field, group, slots, values, perms, points):
-        self.sig = sig
-        self.field = field
-        self.group = group
-        self.slots = slots
-        self.values = values
-        self.perms = perms
-        self.points = points
+    __slots__ = ()
 
     def map_of(self, k):
         """Element k's polynomial map."""

@@ -13,6 +13,9 @@ composability is counted per object, and associativity is proved by
 Light's test on a product-generating set of arrows, as for groups and
 actions in ``groups``.  A failure still names the first witness a scan
 over all pairs or triples would find.
+
+A ``GroupoidAction`` is a groupoid plus an arrow action its builder has
+proved; nothing here proves an arrow action again.
 """
 
 from collections import namedtuple
@@ -192,15 +195,23 @@ def gauge_groupoid(set_size, action):
     return gpd, GaugeLabels(pair_to_arrow, arrow_rep)
 
 
-class GroupoidAction:
-    """A right action of a group on the arrows of a groupoid."""
+class GroupoidAction(namedtuple("GroupoidAction", "groupoid arrow_action")):
+    """A right action of a group on the arrows of a groupoid: the groupoid
+    and a proved ``FiniteAction``, which ``group`` and ``act`` read through.
+    Building one checks only the action's set size against the arrows."""
 
-    __slots__ = ("groupoid", "group", "arrow_action")
+    __slots__ = ()
 
-    def __init__(self, groupoid, group, act):
-        self.groupoid = groupoid
-        self.group = group
-        self.arrow_action = FiniteAction(group, groupoid.n_arrows, act)
+    def __new__(cls, groupoid, arrow_action):
+        if arrow_action.set_size != groupoid.n_arrows:
+            raise InvalidInput("action set size is not the arrow count",
+                               set_size=arrow_action.set_size,
+                               arrows=groupoid.n_arrows)
+        return super().__new__(cls, groupoid, arrow_action)
+
+    @property
+    def group(self):
+        return self.arrow_action.group
 
     @property
     def act(self):
@@ -214,19 +225,6 @@ CompatReport.__doc__ = """``pre_principal``: G/kernel acts freely on the
 arrows.  For a compatible action that decides the objects too: a g fixing
 an object fixes its unit arrow, and a g fixing an arrow fixes its source.
 ``arrow_report`` is the ``action_check`` of the arrows."""
-
-
-def _induced_object_map(ga, g):
-    """Object permutation covered by act(., g), from its effect on units."""
-    gpd = ga.groupoid
-    unit_set = {gpd.id[x]: x for x in range(gpd.n_objects)}
-    out = [None] * gpd.n_objects
-    for x in range(gpd.n_objects):
-        img = ga.act[g][gpd.id[x]]
-        if img not in unit_set:
-            return None, ("unit", g, x)
-        out[x] = unit_set[img]
-    return out, None
 
 
 def _morphism_failure(source, target, arrow_map, object_map):
@@ -266,15 +264,17 @@ def check_compatible(ga):
     |G|/|K| arrows.
     """
     gpd, G = ga.groupoid, ga.group
+    # the object map act(., g) covers, read off the units; None: no unit
+    unit_of = {u: x for x, u in enumerate(gpd.id)}
+    obj_rows = [[unit_of.get(row[u]) for u in gpd.id] for row in ga.act]
     for g in G.generators:
-        omap, w = _induced_object_map(ga, g)
-        if omap is None:
-            return CompatReport(False, w, None, False, None)
-        failure = _morphism_failure(gpd, gpd, ga.act[g], omap)
+        if None in obj_rows[g]:
+            return CompatReport(False, ("unit", g, obj_rows[g].index(None)),
+                                None, False, None)
+        failure = _morphism_failure(gpd, gpd, ga.act[g], obj_rows[g])
         if failure is not None:
             kind, where = failure
             return CompatReport(False, (kind, g, where), None, False, None)
-    obj_rows = [_induced_object_map(ga, g)[0] for g in range(G.order)]
     object_action = _built(FiniteAction, G, gpd.n_objects, obj_rows)
 
     arrow_report = action_check(ga.arrow_action)
@@ -290,7 +290,7 @@ def reduced_action(ga):
     action (the elements that fix every arrow)."""
     reduced = reduce_action(ga.arrow_action,
                             action_check(ga.arrow_action).kernel)
-    return GroupoidAction(ga.groupoid, reduced.group, reduced.act)
+    return GroupoidAction(ga.groupoid, reduced)
 
 
 QuotientResult = namedtuple("QuotientResult",
@@ -481,7 +481,7 @@ def build_from_morphism(base, group, b):
     gpd = _built(FiniteGroupoid, n_objects, src, tgt, id_, inv, mul)
     act = [[(a // n) * n + group.table[a % n][h] for a in range(gpd.n_arrows)]
            for h in range(n)]
-    return _built(GroupoidAction, gpd, group, act)
+    return GroupoidAction(gpd, _built(FiniteAction, group, gpd.n_arrows, act))
 
 
 def reconstruct_and_check(mf):

@@ -144,10 +144,13 @@ def dump_groupoid(gpd):
 
 
 def load_groupoid_action(obj, cap=DEFAULT_CLOSURE_CAP):
+    """{"groupoid": <groupoid>, "group": <group>, "act": [[...]]}; the rows
+    are proved once, here, as the right ``FiniteAction`` on the arrows."""
     gpd = load_groupoid(_need(obj, "groupoid", "groupoid action"))
     group = load_group(_need(obj, "group", "groupoid action"), cap=cap)
-    return groupoids.GroupoidAction(gpd, group, _int_rows(
-        _need(obj, "act", "groupoid action"), "action rows"))
+    rows = _int_rows(_need(obj, "act", "groupoid action"), "action rows")
+    return groupoids.GroupoidAction(gpd, FiniteAction(group, gpd.n_arrows,
+                                                      rows))
 
 
 def load_signature(obj):

@@ -431,7 +431,8 @@ def _one_direction(set_size, rho, rho_prime):
     # row is a bijection, as g'^-1 descends too; the action law comes from
     # P x P; and (p, q) -> (p.g', q.g') is an automorphism of the pair
     # groupoid whose descent keeps the units and <p,q><q,r> = <p,r>
-    ga = _built(groupoids.GroupoidAction, gpd, Gp, rows)
+    ga = groupoids.GroupoidAction(gpd, _built(FiniteAction, Gp, gpd.n_arrows,
+                                              rows))
     rep = groupoids.check_compatible(ga)
     if not rep.compatible:
         raise InternalInconsistency("a descended action is not compatible",

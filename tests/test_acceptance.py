@@ -22,7 +22,7 @@ from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, gauge_groupoid,
                             multiplicative_function, pair_groupoid,
                             reconstruct_and_check, reduced_action, split)
-from ntpg.groups import (Subgroup, action_check,
+from ntpg.groups import (FiniteAction, Subgroup, action_check,
                          right_translation_action, subgroup_as_group,
                          subgroup_closure)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, cyclic, klein_four,
@@ -140,7 +140,8 @@ def _splitting_instances():
     Kgrp, to_parent, _ = subgroup_as_group(K)
     rows = [[labels.arrow(G.mul(p, to_parent[h]), G.mul(q, to_parent[h]))
              for (p, q) in labels.arrow_rep] for h in range(Kgrp.order)]
-    out.append(reduced_action(GroupoidAction(gpd, Kgrp, rows)))
+    out.append(reduced_action(GroupoidAction(
+        gpd, FiniteAction(Kgrp, gpd.n_arrows, rows))))
 
     # gauge groupoid of the Klein group over one factor, translated by the other
     K4 = klein_four()
@@ -150,7 +151,7 @@ def _splitting_instances():
     Ggrp, to_p, _ = subgroup_as_group(g_fac)
     rows2 = [[labels2.arrow(K4.mul(p, to_p[h]), K4.mul(q, to_p[h]))
               for (p, q) in labels2.arrow_rep] for h in range(Ggrp.order)]
-    out.append(GroupoidAction(gpd2, Ggrp, rows2))
+    out.append(GroupoidAction(gpd2, FiniteAction(Ggrp, gpd2.n_arrows, rows2)))
 
     # built instances over pair groupoids: b(x, y) = c(x) c(y)^-1
     for n, Gf, c in ((2, cyclic(2), [0, 1]), (3, cyclic(3), [0, 2, 1]),

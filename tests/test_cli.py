@@ -1419,16 +1419,18 @@ def test_bad_gamma_action_is_a_theory_failure(tmp_path, capsys, monkeypatch):
 def test_bad_object_action_is_a_theory_failure(tmp_path, capsys,
                                                monkeypatch):
     import ntpg.groupoids
-    induced = ntpg.groupoids._induced_object_map
+    built = ntpg.groupoids._built
 
-    def moved_identity(ga, g):
-        # the identity moves the objects: not an action
-        omap, w = induced(ga, g)
-        if g == ga.group.identity:
-            omap = omap[1:] + omap[:1]
-        return omap, w
+    def moved_identity(make, *args):
+        # the identity moves the objects: the object rows are no action
+        if make is ntpg.groupoids.FiniteAction:
+            G, n_objects, rows = args
+            e = G.identity
+            rows = rows[:e] + [rows[e][1:] + rows[e][:1]] + rows[e + 1:]
+            args = G, n_objects, rows
+        return built(make, *args)
 
-    monkeypatch.setattr(ntpg.groupoids, "_induced_object_map", moved_identity)
+    monkeypatch.setattr(ntpg.groupoids, "_built", moved_identity)
     _assert_theory_failure(
         ["groupoid", "quotient",
          os.path.join(EXAMPLES, "s3_groupoid_action.json")],

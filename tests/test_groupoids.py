@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from ntpg.errors import (ActionNotFree, InvalidInput, NotFree,
@@ -13,7 +16,8 @@ from ntpg.groups import (FiniteAction, Subgroup, action_check,
                          subgroup_closure, trivial_action)
 from ntpg.named import (Q8_I, Q8_J, cyclic, klein_four, quaternion_group,
                         trivial_group)
-from test_cli_fuzz import LOOP5, RELISTINGS
+from ntpg.jsonio import load_groupoid_action
+from test_cli_fuzz import EXAMPLES, LOOP5, RELISTINGS
 from test_validation_oracles import brute_force_compat
 
 
@@ -89,8 +93,10 @@ def test_quotient_names_the_first_element_fixing_an_arrow():
     G, rows = z4_with_a_swapped_pair()
     arrows = [[r[p] * 6 + r[q] for p in range(6) for q in range(6)]
               for r in rows]
+    gpd = pair_groupoid(6)
     with pytest.raises(NotFree) as e:
-        quotient_groupoid(GroupoidAction(pair_groupoid(6), G, arrows))
+        quotient_groupoid(GroupoidAction(
+            gpd, FiniteAction(G, gpd.n_arrows, arrows)))
     assert e.value.details == {"element": 2}
 
 
@@ -125,7 +131,7 @@ def diagonal_translation_action(G, labels, gpd, members):
         row = [labels.arrow(G.mul(p, gp), G.mul(q, gp))
                for (p, q) in labels.arrow_rep]
         rows.append(row)
-    return GroupoidAction(gpd, Hgrp, rows)
+    return GroupoidAction(gpd, FiniteAction(Hgrp, gpd.n_arrows, rows))
 
 
 def test_q8_gauge_with_j_translation_is_compatible_preprincipal():
@@ -145,7 +151,8 @@ def test_trivial_action_on_groupoid_is_compatible_kernel_everything():
     gpd = pair_groupoid(3)
     G = cyclic(4)
     rows = [list(range(gpd.n_arrows)) for _ in range(4)]
-    rep = check_compatible(GroupoidAction(gpd, G, rows))
+    rep = check_compatible(GroupoidAction(
+        gpd, FiniteAction(G, gpd.n_arrows, rows)))
     assert rep.compatible
     assert len(rep.kernel) == 4
     assert rep.pre_principal  # quotient by the kernel is the trivial group
@@ -186,7 +193,8 @@ _INCOMPATIBLE = [
 
 @pytest.mark.parametrize("gpd,row,witness", _INCOMPATIBLE)
 def test_check_compatible_names_the_first_failure(gpd, row, witness):
-    ga = GroupoidAction(gpd, cyclic(2), [list(range(gpd.n_arrows)), row])
+    ga = GroupoidAction(gpd, FiniteAction(
+        cyclic(2), gpd.n_arrows, [list(range(gpd.n_arrows)), row]))
     rep = check_compatible(ga)
     assert not rep.compatible
     assert rep.witness == witness == brute_force_compat(ga)
@@ -208,7 +216,8 @@ def test_swap_action_on_pair_groupoid_is_free():
     G = cyclic(2)
     swap = {0: 3, 3: 0, 1: 2, 2: 1}  # arrows (p,q) coded p*2+q
     rows = [list(range(4)), [swap[a] for a in range(4)]]
-    rep = check_compatible(GroupoidAction(gpd, G, rows))
+    rep = check_compatible(GroupoidAction(
+        gpd, FiniteAction(G, gpd.n_arrows, rows)))
     assert rep.compatible
     assert rep.kernel.members == (0,)
     assert rep.pre_principal
@@ -240,7 +249,8 @@ def test_vertex_group_refuses_an_object_out_of_range(x):
 def test_quotient_by_trivial_group_is_identity():
     gpd = pair_groupoid(3)
     T = trivial_group()
-    ga = GroupoidAction(gpd, T, [list(range(gpd.n_arrows))])
+    ga = GroupoidAction(gpd, FiniteAction(T, gpd.n_arrows,
+                                          [list(range(gpd.n_arrows))]))
     q = quotient_groupoid(ga)
     assert q.groupoid.n_arrows == gpd.n_arrows
     assert q.arrow_map == tuple(range(gpd.n_arrows))
@@ -259,14 +269,14 @@ def test_quotient_of_klein_pair_groupoid_by_factor():
         row = [G.mul(p, gp) * 4 + G.mul(q, gp)
                for p in range(4) for q in range(4)]
         rows.append(row)
-    ga = GroupoidAction(gpd, Hgrp, rows)
+    ga = GroupoidAction(gpd, FiniteAction(Hgrp, gpd.n_arrows, rows))
     q = quotient_groupoid(ga)
     # oracle: direct orbit computation -> pair groupoid of 2 objects
     assert q.groupoid.n_objects == 2
     assert q.groupoid.n_arrows == 8
     with pytest.raises(NotFree):
         quotient_groupoid(GroupoidAction(
-            gpd, Hgrp, [rows[0], rows[0]]))
+            gpd, FiniteAction(Hgrp, gpd.n_arrows, [rows[0], rows[0]])))
 
 
 def test_arrow_count_divides():
@@ -325,6 +335,28 @@ def test_quotient_checks_each_action_once(monkeypatch):
     assert calls[0] is ga.arrow_action and calls[-1] is q.object_action
 
 
+def test_reduced_action_proves_its_action_once(monkeypatch):
+    # reduce_action's proved action is handed over, not proved again
+    with open(os.path.join(EXAMPLES, "s3_groupoid_action.json")) as fh:
+        ga = load_groupoid_action(json.load(fh))
+    validate = FiniteAction._validate
+    calls = []
+
+    def counting(action):
+        calls.append(action)
+        return validate(action)
+
+    monkeypatch.setattr(FiniteAction, "_validate", counting)
+    reduced = reduced_action(ga)
+    assert len(calls) == 1 and calls[0] is reduced.arrow_action
+
+
+def test_groupoid_action_refuses_another_point_count():
+    with pytest.raises(InvalidInput) as e:
+        GroupoidAction(pair_groupoid(2), trivial_action(cyclic(2), 3))
+    assert e.value.details == {"set_size": 3, "arrows": 4}
+
+
 def test_split_builds_no_quotient_group(monkeypatch):
     # pre-principality is read off the arrow orbit sizes
     import ntpg.groupoids
@@ -344,7 +376,8 @@ def test_split_builds_no_quotient_group(monkeypatch):
 def test_split_with_trivial_group_gives_target_map():
     gpd = pair_groupoid(3)
     T = trivial_group()
-    ga = GroupoidAction(gpd, T, [list(range(gpd.n_arrows))])
+    ga = GroupoidAction(gpd, FiniteAction(T, gpd.n_arrows,
+                                          [list(range(gpd.n_arrows))]))
     sp = split(ga)
     for y in range(gpd.n_arrows):
         y0, x = sp.s_map[y]
@@ -405,7 +438,7 @@ def test_extracted_b_from_gauge_example():
         gp = to_parent[h]
         rows.append([labels.arrow(G.mul(p, gp), G.mul(q, gp))
                      for (p, q) in labels.arrow_rep])
-    ga = GroupoidAction(gpd, Kgrp, rows)
+    ga = GroupoidAction(gpd, FiniteAction(Kgrp, gpd.n_arrows, rows))
     rep = check_compatible(ga)
     assert rep.compatible
     sp = split(ga)

@@ -815,7 +815,7 @@ def test_check_compatible_matches_the_scan_of_every_element():
                         (_one_object(cyclic(5)), (cyclic(2), cyclic(4)))):
         for G in groups:
             for act in actions_from_generator_images(G, gpd.n_arrows):
-                ga = GroupoidAction(gpd, G, act)
+                ga = GroupoidAction(gpd, FiniteAction(G, gpd.n_arrows, act))
                 expected = brute_force_compat(ga)
                 counts[0] += 1
                 rep = check_compatible(ga)
@@ -839,7 +839,8 @@ def test_check_compatible_matches_the_scan_of_every_element():
     # a groupoid with no arrows: each group acts with kernel all of G
     empty = FiniteGroupoid(0, [], [], [], [], {})
     for G in four:
-        ga = GroupoidAction(empty, G, [()] * G.order)
+        ga = GroupoidAction(empty, FiniteAction(G, empty.n_arrows,
+                                                [()] * G.order))
         rep = check_compatible(ga)
         assert rep.compatible and rep.pre_principal
         assert len(rep.kernel) == G.order
