@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 = verified pass, 1 = verified fail (report carries at least
-one witness), 2 = input or usage error.  A theory-assertion failure (a
-consequence of the theory that must always hold) also exits 2, with the
-report marking it as a library bug rather than an input verdict; so does
-any other exception escaping a handler, reported in one stderr line
-without a traceback.
+Exit codes: 0 = verified pass, 1 = verified fail (the verdict is "fail"
+exactly when the report has a witness), 2 = input or usage error.  A failed
+theory assertion (a consequence of the theory that must always hold) also
+exits 2, its report marking a library bug rather than an input verdict; so
+does any other exception.  One guard stands around the report and the
+verdict line: what cannot be built or written exits 2 with one stderr line
+and no traceback, after a library-bug report where one can be written.
 
 The NTPG_WORKERS environment variable is accepted for compatibility with
 parallel runners; it never changes results (the current implementation is
@@ -124,13 +125,14 @@ def _subgroup_pair(args, data, G):
     return subs[0], subs[1]
 
 
-# -- command handlers: (args, data) -> (verdict, details, witnesses), where
-# data is the parsed input file; a verdict error that a command's row in
-# build_parser names is reported as a failure with its witness ---------------
+# -- command handlers: (args, data) -> (details, witnesses), where data is
+# the parsed input file; the verdict is "fail" exactly when there is a
+# witness, and a verdict error that a command's row in build_parser names
+# is reported as a failure with its witness ----------------------------------
 
 def cmd_group_validate(args, data):
     G = load_group(data, cap=args.max_order)
-    return "pass", {"fingerprint": G.fingerprint()}, []
+    return {"fingerprint": G.fingerprint()}, []
 
 
 def cmd_dpg_verify(args, data):
@@ -138,7 +140,7 @@ def cmd_dpg_verify(args, data):
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
-        return "fail", {"gamma_order": G.order}, res.failures
+        return {"gamma_order": G.order}, res.failures
     dpg = res.dpg
     vac = principal.vacancy(dpg)
     if not principal.exact_sequence_check(dpg):
@@ -149,7 +151,7 @@ def cmd_dpg_verify(args, data):
     details = dpg.report()
     details.update({"vacant": vac.vacant, "product_fiber_size": vac.fiber_size,
                     "theory_checks": theory})
-    return "pass", details, []
+    return details, []
 
 
 def cmd_dpg_dressing(args, data):
@@ -157,12 +159,12 @@ def cmd_dpg_dressing(args, data):
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
-        return "fail", {}, res.failures
+        return {}, res.failures
     dr = principal.dressing(res.dpg)
     details = {"g_on_gprime": sorted([g, gp, v] for (g, gp), v in dr.g_on.items()),
                "gprime_on_g": sorted([gp, g, v] for (gp, g), v in dr.gp_on.items()),
                "theory_checks": {"dressing_laws": True}}
-    return "pass", details, []
+    return details, []
 
 
 def cmd_dpg_pipeline(args, data):
@@ -173,7 +175,7 @@ def cmd_dpg_pipeline(args, data):
     res = principal.gamma_from_actions(points, rho, rho_prime)
     details = res.report()
     details["gamma"] = dump_group(res.gamma)
-    return "pass", details, []
+    return details, []
 
 
 def cmd_ntuple_verify(args, data):
@@ -183,18 +185,12 @@ def cmd_ntuple_verify(args, data):
     details = {"gamma_order": G.order, "n": len(subs),
                "subgroup_orders": [len(s) for s in subs],
                "trace": w.trace}
-    if not w.verdict:
-        return "fail", details, _collect_trace_failures(w.trace)
-    return "pass", details, []
+    return details, _trace_failures(w.trace)
 
 
-def _collect_trace_failures(node, acc=None):
-    acc = [] if acc is None else acc
-    for f in node["failures"]:
-        acc.append({"path": node["path"], **f})
-    for child in node["children"]:
-        _collect_trace_failures(child, acc)
-    return acc
+def _trace_failures(node):
+    return [{"path": node["path"], **f} for f in node["failures"]] + [
+        f for child in node["children"] for f in _trace_failures(child)]
 
 
 def cmd_groupoid_gauge(args, data):
@@ -203,7 +199,7 @@ def cmd_groupoid_gauge(args, data):
     gpd, labels = groupoids.gauge_groupoid(points, action)
     details = {"groupoid": dump_groupoid(gpd),
                "arrow_reps": [list(pq) for pq in labels.arrow_rep]}
-    return "pass", details, []
+    return details, []
 
 
 def cmd_groupoid_quotient(args, data):
@@ -211,8 +207,8 @@ def cmd_groupoid_quotient(args, data):
     q = groupoids.quotient_groupoid(ga)
     details = {"groupoid": dump_groupoid(q.groupoid),
                "arrow_map": list(q.arrow_map),
-               "object_map": list(q.object_map)}
-    return "pass", details, []
+               "object_map": list(q.object_report.orbit_of)}
+    return details, []
 
 
 def cmd_groupoid_split(args, data):
@@ -221,7 +217,7 @@ def cmd_groupoid_split(args, data):
     details = {"base": dump_groupoid(sp.base),
                "fiber_product_size": len(sp.fiber),
                "properties": ["bijection", "i", "ii", "iii", "iv"]}
-    return "pass", details, []
+    return details, []
 
 
 def cmd_groupoid_multfunction(args, data):
@@ -233,16 +229,16 @@ def cmd_groupoid_multfunction(args, data):
                "base": dump_groupoid(sp.base),
                "theory_checks": {"multiplicative_law": True,
                                  "reconstruction_isomorphic": True}}
-    return "pass", details, []
+    return details, []
 
 
 def cmd_graded_check_morphism(args, data):
     pm, _ = load_polymap(data)
     if graded.is_graded_morphism(pm):
-        return "pass", {"weight_preserving": True}, []
+        return {"weight_preserving": True}, []
     c, exps = graded.graded_violation(pm)
-    return "fail", {"weight_preserving": False}, \
-        [{"target": c, "exponents": list(exps)}]
+    return {"weight_preserving": False}, [{"target": c,
+                                           "exponents": list(exps)}]
 
 
 def cmd_graded_check_compat(args, data):
@@ -270,8 +266,8 @@ def cmd_graded_check_compat(args, data):
     # the dilations, so accepted structures commute; tests/test_cli.py's
     # test_check_compat_conjugates_to_the_dilation_itself pins that
     if not rep.commute:  # pragma: no cover — accepted structures commute
-        return "fail", details, [{"reason": "structures do not commute"}]
-    return "pass", details, []
+        return details, [{"reason": "structures do not commute"}]
+    return details, []
 
 
 def cmd_graded_weights(args, data):
@@ -283,8 +279,7 @@ def cmd_graded_weights(args, data):
                         "num": field.unparse(c)[0],
                         "den": field.unparse(c)[1]}
                        for e, c in sorted(p.terms.items())]
-    return "pass", {"components": out,
-                    "homogeneous": len(comps) <= 1}, []
+    return {"components": out, "homogeneous": len(comps) <= 1}, []
 
 
 def cmd_aut_enumerate(args, data):
@@ -295,7 +290,7 @@ def cmd_aut_enumerate(args, data):
                "gi_orders": [len(handle.gi_subgroup(i))
                              for i in range(1, sig.n + 1)],
                "statomorphisms": len(handle.statomorphism_subgroup())}
-    return "pass", details, []
+    return details, []
 
 
 def cmd_aut_verify_p54(args, data):
@@ -303,18 +298,16 @@ def cmd_aut_verify_p54(args, data):
     field = _parse_field(args.field)
     rep = autgroups.verify_p54(sig, field, cap=args.max_candidates)
     details = {"orders": rep.orders, "trace": rep.witness.trace}
-    if not rep.witness.verdict:
-        return "fail", details, _collect_trace_failures(rep.witness.trace)
-    return "pass", details, []
+    return details, _trace_failures(rep.witness.trace)
 
 
 def cmd_cocycle_check(args, data):
     c, _ = load_group_cocycle(data, cap=args.max_order)
     ok, witness = cocycles.check_cocycle(c)
     if not ok:
-        return "fail", {}, [witness]
-    return "pass", {"charts": c.nerve.n,
-                    "pairs": sorted(sorted(p) for p in c.nerve.pairs)}, []
+        return {}, [witness]
+    return {"charts": c.nerve.n,
+            "pairs": sorted(sorted(p) for p in c.nerve.pairs)}, []
 
 
 def _model(args, data):
@@ -348,7 +341,7 @@ def cmd_cocycle_associate(args, data):
         "rho_prime_transitions": [{"pair": list(p), "perm": list(rho_prime[p])}
                                   for p in pairs],
     }
-    return "pass", details, []
+    return details, []
 
 
 def cmd_cocycle_frame(args, data):
@@ -364,7 +357,7 @@ def cmd_cocycle_frame(args, data):
                           for p in c.nerve.ordered_pairs()],
                "group_order": handle.group.order,
                "theory_checks": {"round_trip_exact": True}}
-    return "pass", details, []
+    return details, []
 
 
 def cmd_cocycle_cohomologous(args, data):
@@ -378,12 +371,11 @@ def cmd_cocycle_cohomologous(args, data):
     c2, _ = load_group_cocycle(
         {**base, "values": _need(data, "c2", "cohomologous input")}, group=G)
     res = cocycles.are_cohomologous(c1, c2, cap=args.max_candidates)
-    details = {"searched": res.searched}
     if res.cohomologous:
-        details["lambda"] = res.witness
-        return "pass", details, []
-    return "fail", details, [{"reason": "exhausted the coboundary family grid",
-                              "searched": res.searched}]
+        return {"searched": res.searched, "lambda": res.witness}, []
+    return {"searched": res.searched}, [
+        {"reason": "exhausted the coboundary family grid",
+         "searched": res.searched}]
 
 
 def cmd_cocycle_t2(args, data):
@@ -392,7 +384,7 @@ def cmd_cocycle_t2(args, data):
     details = {"transition": dump_polymap(out),
                "graded": graded.is_graded_morphism(out),
                "quadratic_velocity_term": cocycles.t2_has_quadratic_term(out)}
-    return "pass", details, []
+    return details, []
 
 
 # -- dispatcher ----------------------------------------------------------------
@@ -461,6 +453,35 @@ def build_parser():
     return ap
 
 
+def _bug(e):
+    """The outcome of a library bug, naming the innermost frame of e."""
+    import traceback
+    f = traceback.extract_tb(e.__traceback__)[-1]
+    where = "%s:%d in %s" % (os.path.basename(f.filename), f.lineno, f.name)
+    return ({"error": type(e).__name__, "message": str(e),
+             "details": {"where": where}}, [], {"library_bug": True},
+            "unexpected exception at %s; this is a library bug: %r"
+            % (where, e))
+
+
+def _outcome(args):
+    """The run as (details, witnesses, flags, error text or None)."""
+    try:
+        data = read_json(getattr(args, args.source))
+        try:
+            return (*args.handler(args, data), {}, None)
+        except args.verdicts as e:
+            return {}, [e.report()], {}, None
+    except InternalInconsistency as e:
+        return (e.report(), [], {"theory_failure": True},
+                "theory assertion failed; this is a library bug: %s" % e)
+    except AlgebraError as e:
+        return e.report(), [], {}, str(e)
+    except Exception as e:
+        # last resort: an escaped exception is a library bug, never rc 1
+        return _bug(e)
+
+
 def main(argv=None):
     workers = os.environ.get("NTPG_WORKERS")
     if workers is not None and (not workers.isdecimal() or int(workers) < 1):
@@ -475,57 +496,36 @@ def main(argv=None):
     command = [args.command, getattr(args, "action", None)]
     name = " ".join(filter(None, command))
 
-    def emit(report):
-        """Write the report; an unwritable --out path is a usage error."""
-        try:
-            write_report(report, args.out)
-        except OSError as e:
-            print("ERROR %s: cannot write the report: %s" % (name, e),
-                  file=sys.stderr)
-            return False
-        return True
-
-    def error(details, message, **flags):
-        report = {"command": command, "verdict": "error", **flags,
-                  "details": details, "witnesses": [],
+    def finish(details, witnesses, flags, error):
+        """Write the report, then the stderr error or stdout verdict line."""
+        verdict = "fail" if witnesses else "pass" if error is None else "error"
+        report = {"command": command, "verdict": verdict, **flags,
+                  "details": details, "witnesses": witnesses,
                   "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-        emit(report)
-        print("ERROR %s: %s" % (name, message), file=sys.stderr)
-        return 2
+        write_report(report, args.out)
+        if verdict != "error" and args.out not in (None, "-"):
+            print("%s %s" % (verdict.upper(), name)
+                  + (" (witnesses: %d)" % len(witnesses) if witnesses else ""))
+        # a full or closed stdout fails here, under the guard, not at exit
+        sys.stdout.flush()
+        if verdict == "error":
+            print("ERROR %s: %s" % (name, error), file=sys.stderr)
+        return {"pass": 0, "fail": 1, "error": 2}[verdict]
 
+    # the one guard: an unwritable --out path or stdout is a usage error;
+    # any other failure is a library bug, reported through finish in turn
     try:
-        data = read_json(getattr(args, args.source))
-        try:
-            verdict, details, witnesses = args.handler(args, data)
-        except args.verdicts as e:
-            verdict, details, witnesses = "fail", {}, [e.report()]
-    except InternalInconsistency as e:
-        return error(e.report(), "theory assertion failed; this is a library "
-                     "bug: %s" % e, theory_failure=True)
-    except AlgebraError as e:
-        return error(e.report(), e)
+        return finish(*_outcome(args))
+    except OSError as e:
+        print("ERROR %s: cannot write the report: %s" % (name, e),
+              file=sys.stderr)
     except Exception as e:
-        # last resort: an escaped exception is a library bug, never rc 1;
-        # the report names the innermost frame in place of a traceback
-        import traceback
-        frame = traceback.extract_tb(e.__traceback__)[-1]
-        where = "%s:%d in %s" % (os.path.basename(frame.filename),
-                                 frame.lineno, frame.name)
-        return error({"error": type(e).__name__, "message": str(e),
-                      "details": {"where": where}},
-                     "unexpected exception at %s; this is a library bug: %r"
-                     % (where, e), library_bug=True)
-    report = {"command": command, "verdict": verdict, "details": details,
-              "witnesses": witnesses,
-              "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-    if not emit(report):
-        return 2
-    if args.out not in (None, "-"):
-        line = "%s %s" % (verdict.upper(), name)
-        if witnesses:
-            line += " (witnesses: %d)" % len(witnesses)
-        print(line)
-    return 0 if verdict == "pass" else 1
+        try:
+            return finish(*_bug(e))
+        except Exception as again:
+            print("ERROR %s: cannot write the report: %r" % (name, again),
+                  file=sys.stderr)
+    return 2
 
 
 # run by ``python -m ntpg.cli``, as in tests/test_cli.py's

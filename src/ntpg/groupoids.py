@@ -294,16 +294,16 @@ def reduced_action(ga):
 
 
 QuotientResult = namedtuple("QuotientResult",
-                            "groupoid arrow_map object_map object_action")
+                            "groupoid arrow_map object_action object_report")
 
 
 def quotient_groupoid(ga):
     """Quotient a groupoid by a free compatible action.
 
-    Arrows and objects of the result are the G-orbits; the returned maps
-    (arrow_map, object_map) form the projection morphism, verified to
+    Arrows and objects of the result are the G-orbits; arrow_map and the
+    object report's orbit_of form the projection morphism, verified to
     intertwine src, tgt, units, inverses and products.  The induced action
-    on objects comes with them.
+    on objects comes with its ``action_check`` report.
     """
     report = check_compatible(ga)
     if not report.compatible:
@@ -341,15 +341,14 @@ def quotient_groupoid(ga):
     if failure is not None:
         raise InternalInconsistency("projection is not a groupoid morphism",
                                     witness=failure)
-    return QuotientResult(gpd0, arrow_map, object_map, report.object_action)
+    return QuotientResult(gpd0, arrow_map, report.object_action, orep)
 
 
 SplitPresentation = namedtuple("SplitPresentation",
-                               "ga base arrow_map object_map unit_action "
-                               "fiber s_map t_action")
+                               "ga quotient base fiber s_map t_action")
 SplitPresentation.__doc__ = """The fiber-product presentation of a groupoid
-with a free compatible action: base quotient groupoid, unit bundle and the
-extracted t-action."""
+with a free compatible action: its quotient, whose groupoid is the base and
+whose object action is the unit bundle, and the extracted t-action."""
 
 
 def split(ga):
@@ -365,12 +364,12 @@ def split(ga):
     """
     q = quotient_groupoid(ga)
     gpd, G = ga.groupoid, ga.group
-    unit_action = q.object_action
-    base = q.groupoid
+    unit_action, object_map, base = (q.object_action,
+                                     q.object_report.orbit_of, q.groupoid)
 
     fiber = [(y0, x) for y0 in range(base.n_arrows)
              for x in range(gpd.n_objects)
-             if q.object_map[x] == base.src[y0]]
+             if object_map[x] == base.src[y0]]
     s_map = {y: (q.arrow_map[y], gpd.src[y]) for y in range(gpd.n_arrows)}
     if len(set(s_map.values())) != gpd.n_arrows:
         raise InternalInconsistency("S is not injective")
@@ -381,18 +380,18 @@ def split(ga):
     t_action = {pair: gpd.tgt[s_inv[pair]] for pair in fiber}
 
     for (y0, x) in fiber:
-        if q.object_map[t_action[(y0, x)]] != base.tgt[y0]:
+        if object_map[t_action[(y0, x)]] != base.tgt[y0]:
             raise InternalInconsistency("property (i) fails",
                                         witness=(y0, x))
     for (y0, y0p), prod in base.products():
         for x in range(gpd.n_objects):
-            if q.object_map[x] != base.src[y0p]:
+            if object_map[x] != base.src[y0p]:
                 continue
             if t_action[(y0, t_action[(y0p, x)])] != t_action[(prod, x)]:
                 raise InternalInconsistency("property (ii) fails",
                                             witness=(y0, y0p, x))
     for x in range(gpd.n_objects):
-        if t_action[(base.id[q.object_map[x]], x)] != x:
+        if t_action[(base.id[object_map[x]], x)] != x:
             raise InternalInconsistency("property (iii) fails", witness=x)
     for (y0, x) in fiber:
         for g in range(G.order):
@@ -400,8 +399,7 @@ def split(ga):
             if t_action[(y0, xg)] != unit_action.act[g][t_action[(y0, x)]]:
                 raise InternalInconsistency("property (iv) fails",
                                             witness=(y0, x, g))
-    return SplitPresentation(ga, base, q.arrow_map, q.object_map, unit_action,
-                             fiber, s_map, t_action)
+    return SplitPresentation(ga, q, base, fiber, s_map, t_action)
 
 
 MultiplicativeFunction = namedtuple("MultiplicativeFunction",
@@ -415,15 +413,16 @@ def multiplicative_function(split_):
 
     The units are identified with M0 x G through the least-index point r
     of each orbit, r.g -> (orbit of r, g): the orbit and the coordinate
-    ``action_check`` gives each unit.  The t-action must then take the
-    form (y0, (sigma(y0), g)) -> (tau(y0), b(y0) g); b is read off at the
-    section points and the multiplicative law b(y0)b(y0') = b(y0 y0') is
-    asserted on all composable pairs.  Both follow from the split, so a
-    failure raises InternalInconsistency, a library bug.
+    the quotient's ``action_check`` gives each unit.  The t-action must
+    then take the form (y0, (sigma(y0), g)) -> (tau(y0), b(y0) g); b is
+    read off at the section points and the multiplicative law
+    b(y0)b(y0') = b(y0 y0') is asserted on all composable pairs.  Both
+    follow from the split, so a failure raises InternalInconsistency, a
+    library bug.
     """
-    ua, base = split_.unit_action, split_.base
+    ua, rep, base = (split_.quotient.object_action,
+                     split_.quotient.object_report, split_.base)
     G = ua.group
-    rep = action_check(ua)
     trivialization = list(zip(rep.orbit_of, rep.coordinate))
     section = [o[0] for o in rep.orbits]    # (X, g) is act[g][section[X]]
 
@@ -495,7 +494,7 @@ def reconstruct_and_check(mf):
     triv = mf.trivialization
 
     def psi(y):
-        y0 = split_.arrow_map[y]
+        y0 = split_.quotient.arrow_map[y]
         _, g = triv[gpd.src[y]]
         return y0 * n + g
 

@@ -478,11 +478,101 @@ def test_out_in_missing_directory_exits_2_without_traceback(tmp_path,
     f = write(tmp_path, "q8.json", {"gamma": q8_json(),
                                     "subgroups": [[0, 1, 2, 3],
                                                   [0, 1, 4, 5]]})
+    one = write(tmp_path, "q8_one.json", {"gamma": q8_json(),
+                                          "subgroups": [[0, 1, 2, 3]]})
     out = str(tmp_path / "no" / "such" / "dir" / "rep.json")
-    assert run(["dpg", "verify", f, "--out", out]) == 2
+    # a verdict, then an input error: the report is lost either way, and
+    # the one stderr line says so
+    for argv in (["dpg", "verify", f], ["dpg", "verify", one]):
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "cannot write the report" in err
+        assert "Traceback" not in err
+
+
+# -- nothing escapes main: a fault at any stage ends in rc 2 and one line ----
+
+# one command per command group, on its docs/examples input
+INJECTED_COMMANDS = [
+    ["group", "validate", "s4_perms.json"],
+    ["dpg", "verify", "q8_dpg.json"],
+    ["ntuple", "verify", "q8_dpg.json"],
+    ["groupoid", "gauge", "z3_gauge.json"],
+    ["graded", "weights", "f5_polynomial.json"],
+    ["aut", "verify-p54", "--field", "Fp:2", "--sig", "d111_sig.json"],
+    ["cocycle", "cohomologous", "s3_coh.json"],
+]
+INJECTED = (MemoryError, RecursionError, RuntimeError, OSError)
+
+
+def _fault(exc, real, when=None):
+    """real, raising exc("injected") on its first call that when accepts."""
+    fired = []
+
+    def faulty(*args, **kwargs):
+        if not fired and (when is None or when(*args, **kwargs)):
+            fired.append(exc)
+            raise exc("injected")
+        return real(*args, **kwargs)
+    return faulty
+
+
+def _stages(argv):
+    """stage -> (object, attribute, fault filter) for the stages of a run:
+    the input read, the handler, the report text, the report file's open
+    and the stdout verdict line."""
+    import builtins
+    import ntpg.cli
+    import ntpg.jsonio
+    handler = build_parser().parse_args(argv).handler.__name__
+    return {"read_json": (ntpg.cli, "read_json", None),
+            "handler": (ntpg.cli, handler, None),
+            "_report_text": (ntpg.jsonio, "_report_text", None),
+            # the input is opened for reading first
+            "open": (builtins, "open",
+                     lambda path, mode="r", **kwargs: mode == "w"),
+            "stdout": (sys.stdout, "write", None)}
+
+
+@pytest.mark.parametrize("command", INJECTED_COMMANDS,
+                         ids=[" ".join(c[:2]) for c in INJECTED_COMMANDS])
+def test_injected_fault_exits_2_with_one_stderr_line(command, tmp_path,
+                                                     capsys, monkeypatch):
+    out = str(tmp_path / "rep.json")
+    argv = [a if not a.endswith(".json") else os.path.join(EXAMPLES, a)
+            for a in command] + ["--out", out]
+    broken = []
+    for stage, (obj, attr, when) in _stages(argv).items():
+        for exc in INJECTED:
+            if os.path.exists(out):
+                os.remove(out)
+            with monkeypatch.context() as m:
+                m.setattr(obj, attr, _fault(exc, getattr(obj, attr), when))
+                code = run(argv)
+            err = capsys.readouterr().err
+            # an OSError while the report is written is a usage error; any
+            # other fault is a library bug, and its report is written
+            bug = stage in ("read_json", "handler") or exc is not OSError
+            if (code, len(err.splitlines())) != (2, 1) or "Traceback" in err \
+                    or bug and read_report(out).get("library_bug") is not True:
+                broken.append((stage, exc.__name__, code, err))
+    assert broken == []
+
+
+def test_library_bug_report_that_cannot_be_written_exits_2(tmp_path, capsys,
+                                                           monkeypatch):
+    import ntpg.jsonio
+
+    def no_memory(report):
+        raise MemoryError
+
+    monkeypatch.setattr(ntpg.jsonio, "_report_text", no_memory)
+    out = str(tmp_path / "rep.json")
+    assert run(["group", "validate", os.path.join(EXAMPLES, "s4_perms.json"),
+                "--out", out]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "cannot write the report" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and not os.path.exists(out)
 
 
 def test_string_block_dimension_exits_2(tmp_path, capsys):
@@ -1335,10 +1425,10 @@ def test_mult_function_law_failure_is_a_theory_failure(tmp_path, capsys,
         # move one unit off a section point within its fiber: the t-action
         # is no longer a left translation
         sp = split(ga)
-        ua = sp.unit_action
-        section = {min(x for x in range(ua.set_size)
-                       if sp.object_map[x] == X)
-                   for X in set(sp.object_map)}
+        ua, object_map = sp.quotient.object_action, \
+            sp.quotient.object_report.orbit_of
+        section = {min(x for x in range(ua.set_size) if object_map[x] == X)
+                   for X in set(object_map)}
         pair = next(p for p in sp.fiber if p[1] not in section)
         h = next(g for g in range(ua.group.order) if g != ua.group.identity)
         sp.t_action[pair] = ua.act[h][sp.t_action[pair]]

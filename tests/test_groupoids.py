@@ -335,6 +335,23 @@ def test_quotient_checks_each_action_once(monkeypatch):
     assert calls[0] is ga.arrow_action and calls[-1] is q.object_action
 
 
+def test_split_hands_its_reports_down_to_the_round_trip(monkeypatch):
+    # the quotient checks the arrow and the object action; the
+    # multiplicative function reads the object report off the split
+    import ntpg.groupoids
+    with open(os.path.join(EXAMPLES, "s3_groupoid_action.json")) as fh:
+        ga = load_groupoid_action(json.load(fh))
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return action_check(a)
+
+    monkeypatch.setattr(ntpg.groupoids, "action_check", counting)
+    reconstruct_and_check(multiplicative_function(split(ga)))
+    assert len(calls) == 2
+
+
 def test_reduced_action_proves_its_action_once(monkeypatch):
     # reduce_action's proved action is handed over, not proved again
     with open(os.path.join(EXAMPLES, "s3_groupoid_action.json")) as fh:
@@ -481,8 +498,9 @@ def test_gauge_quotient_objects_match_joint_orbits(subgroups):
     # orbit of p is the object of the unit arrow <p, p>
     composite = {}
     for p in range(8):
-        composite.setdefault(q.object_map[gpd.src[labels.arrow(p, p)]],
-                             set()).add(p)
+        composite.setdefault(
+            q.object_report.orbit_of[gpd.src[labels.arrow(p, p)]],
+            set()).add(p)
     assert {tuple(sorted(v)) for v in composite.values()} == joint_orbits
 
 
