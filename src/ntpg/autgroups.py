@@ -39,7 +39,7 @@ from .errors import (EnumerationCapExceeded, IllegalMonomial,
 from .fields import mat_inv
 from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
                      monomials_of_weight, triangular_inverse)
-from .groups import Subgroup, _perm_group, _reader, intersect
+from .groups import Subgroup, _built, _perm_group, _reader, intersect
 from .poly import Poly
 
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -207,8 +207,9 @@ class AutGroupHandle(namedtuple("AutGroupHandle",
         read = _reader([k for k, (c, _, linear) in enumerate(slots)
                         if linear and c in targets])
         ident = read([exps[c] for c, exps, _ in slots])
-        return Subgroup(self.group, [k for k, values in enumerate(self.values)
-                                     if read(values) == ident])
+        return _built(Subgroup, self.group,
+                      [k for k, values in enumerate(self.values)
+                       if read(values) == ident])
 
     def gi_subgroup(self, i):
         """The elements that ``gi_membership`` accepts.  A component of

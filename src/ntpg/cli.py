@@ -64,7 +64,7 @@ from .jsonio import (_array, _need, _object, dump_group, dump_groupoid,
                      dump_polymap, dump_terms, load_action, load_aut_cocycle,
                      load_group, load_group_cocycle, load_groupoid_action,
                      load_polymap, load_polynomial, load_signature,
-                     load_subgroup, read_json, write_report)
+                     load_subgroup, load_terms, read_json, write_report)
 
 
 def _parse_field(text):
@@ -214,7 +214,7 @@ def cmd_groupoid_quotient(args, data):
 def cmd_groupoid_split(args, data):
     ga = load_groupoid_action(data, cap=args.max_order)
     sp = groupoids.split(ga)
-    details = {"base": dump_groupoid(sp.base),
+    details = {"base": dump_groupoid(sp.quotient.groupoid),
                "fiber_product_size": len(sp.fiber),
                "properties": ["bijection", "i", "ii", "iii", "iv"]}
     return details, []
@@ -226,7 +226,7 @@ def cmd_groupoid_multfunction(args, data):
     mf = groupoids.multiplicative_function(sp)
     groupoids.reconstruct_and_check(mf)
     details = {"b": list(mf.b),
-               "base": dump_groupoid(sp.base),
+               "base": dump_groupoid(sp.quotient.groupoid),
                "theory_checks": {"multiplicative_law": True,
                                  "reconstruction_isomorphic": True}}
     return details, []
@@ -253,9 +253,8 @@ def cmd_graded_check_compat(args, data):
             raise InvalidInput("unknown structure kind", kind=kind)
         h = graded.dilation(sig, field, axis=s.get("axis", 0))
         if kind == "conjugated":
-            phi, _ = load_polymap({"field": field_spec,
-                                   "sig_in": s["sig"], "sig_out": s["sig"],
-                                   "terms": _need(s, "phi", "structure")})
+            phi = graded.PolyMap.from_terms(sig, sig, field, load_terms(
+                field, _need(s, "phi", "structure"), sig.ncoords))
             h = graded.conjugate_structure(h, phi)
         structures.append(h)
     rep = graded.check_compatible_structures(structures)

@@ -293,8 +293,9 @@ def t2_transition(chart):
                            "coordinates")
     d = sig0.ncoords
     field = chart.field
-    jac0 = [[chart.components[a].diff(b).eval((field.zero,) * d)
-             for b in range(d)] for a in range(d)]
+    # partials[a][b] is the derivative of component a along coordinate b
+    partials = [[f.diff(b) for b in range(d)] for f in chart.components]
+    jac0 = [[df.eval((field.zero,) * d) for df in row] for row in partials]
     if fields.mat_inv(field, jac0) is None:
         raise NotInvertibleChart("Jacobian at the origin is singular")
 
@@ -302,22 +303,21 @@ def t2_transition(chart):
     nv = 3 * d
     x = [poly.Poly.var(field, nv, b) for b in range(nv)]
     lift = x[:d]
+    jac = [[df.subs(lift) for df in row] for row in partials]
 
-    comps = []
-    for a in range(d):
-        comps.append(chart.components[a].subs(lift))
+    comps = [f.subs(lift) for f in chart.components]
     for a in range(d):
         acc = poly.Poly.zero(field, nv)
         for b in range(d):
-            acc = acc + chart.components[a].diff(b).subs(lift) * x[d + b]
+            acc = acc + jac[a][b] * x[d + b]
         comps.append(acc)
     for a in range(d):
         acc = poly.Poly.zero(field, nv)
         for b in range(d):
-            acc = acc + chart.components[a].diff(b).subs(lift) * x[2 * d + b]
+            acc = acc + jac[a][b] * x[2 * d + b]
         for b in range(d):
             for cc in range(d):
-                acc = acc + chart.components[a].diff(b).diff(cc).subs(lift) * \
+                acc = acc + partials[a][b].diff(cc).subs(lift) * \
                     x[d + b] * x[d + cc]
         comps.append(acc)
     out = graded.PolyMap(sig, sig, field, comps)

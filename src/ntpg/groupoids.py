@@ -345,7 +345,7 @@ def quotient_groupoid(ga):
 
 
 SplitPresentation = namedtuple("SplitPresentation",
-                               "ga quotient base fiber s_map t_action")
+                               "ga quotient fiber s_map t_action")
 SplitPresentation.__doc__ = """The fiber-product presentation of a groupoid
 with a free compatible action: its quotient, whose groupoid is the base and
 whose object action is the unit bundle, and the extracted t-action."""
@@ -399,7 +399,7 @@ def split(ga):
             if t_action[(y0, xg)] != unit_action.act[g][t_action[(y0, x)]]:
                 raise InternalInconsistency("property (iv) fails",
                                             witness=(y0, x, g))
-    return SplitPresentation(ga, q, base, fiber, s_map, t_action)
+    return SplitPresentation(ga, q, fiber, s_map, t_action)
 
 
 MultiplicativeFunction = namedtuple("MultiplicativeFunction",
@@ -420,8 +420,8 @@ def multiplicative_function(split_):
     follow from the split, so a failure raises InternalInconsistency, a
     library bug.
     """
-    ua, rep, base = (split_.quotient.object_action,
-                     split_.quotient.object_report, split_.base)
+    q = split_.quotient
+    ua, rep, base = q.object_action, q.object_report, q.groupoid
     G = ua.group
     trivialization = list(zip(rep.orbit_of, rep.coordinate))
     section = [o[0] for o in rep.orbits]    # (X, g) is act[g][section[X]]
@@ -487,7 +487,7 @@ def reconstruct_and_check(mf):
     """Round trip: rebuild from (base, b) and check the canonical map
     y -> (pi(y), g-part of s(y)) is an equivariant groupoid isomorphism."""
     split_ = mf.split
-    built = build_from_morphism(split_.base, mf.group, mf.b)
+    built = build_from_morphism(split_.quotient.groupoid, mf.group, mf.b)
     gpd = split_.ga.groupoid
     G = mf.group
     n = G.order

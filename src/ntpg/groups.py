@@ -47,8 +47,9 @@ class FiniteGroup:
     associativity test in ``make_group``, ``is_abelian`` and ``center``,
     ``normality_witness``, ``GroupHom`` validation, the ``FiniteAction``
     law, the orbits of ``action_check``, ``check_compatible`` in
-    ``groupoids``, ``semidirect``'s twist check, and a ``FiberedSpace``'s
-    fiber check on a side's subgroup in ``cocycles``.
+    ``groupoids``, the twist checks of ``semidirect`` and of the dressings
+    in ``principal``, and a ``FiberedSpace``'s fiber check on a side's
+    subgroup in ``cocycles``.
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "generators")
@@ -62,7 +63,7 @@ class FiniteGroup:
 
     def whole(self):
         """The group as a Subgroup of itself, a fresh one on each call."""
-        return Subgroup(self, range(self.order))
+        return _built(Subgroup, self, range(self.order))
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -90,8 +91,8 @@ class FiniteGroup:
 
     def center(self):
         t, gens = self.table, self.generators
-        return Subgroup(self, [a for a in range(self.order)
-                               if all(t[a][g] == t[g][a] for g in gens)])
+        return _built(Subgroup, self, [a for a, row in enumerate(t) if all(
+            row[g] == t[g][a] for g in gens)])
 
     def fingerprint(self):
         """Cheap report data: order + abelianness (no isomorphism testing)."""
@@ -320,7 +321,10 @@ def _built_group(n, e, row_of, gens=()):
 
 def _built(make, *args):
     """make(*args) for a structure the theory guarantees: a failed check is
-    a library bug, raised as InternalInconsistency."""
+    a library bug, raised as InternalInconsistency.  Every table, subgroup,
+    homomorphism and action the library derives is checked through here;
+    the validating classes are called bare only on values a caller passed
+    in."""
     try:
         return make(*args)
     except AlgebraError as e:
@@ -492,7 +496,7 @@ def subgroup_closure(G, generators):
     for g in generators:
         if not 0 <= g < G.order:
             raise InvalidInput("generator out of range", generator=g)
-    return Subgroup(G, _closure(G, generators)[1])
+    return _built(Subgroup, G, _closure(G, generators)[1])
 
 
 def is_normal(G, H):
@@ -520,7 +524,7 @@ def normality_witness(G, H):
 def intersect(H1, H2):
     if H1.parent is not H2.parent:
         raise ParentMismatch("subgroups of different parent groups")
-    return Subgroup(H1.parent, H1._set & H2._set)
+    return _built(Subgroup, H1.parent, H1._set & H2._set)
 
 
 def generates(G, subgroups):
@@ -574,8 +578,8 @@ class GroupHom:
 
     def kernel(self):
         e = self.target.identity
-        return Subgroup(self.source,
-                        [a for a in range(self.source.order) if self.map[a] == e])
+        return _built(Subgroup, self.source,
+                      [a for a, x in enumerate(self.map) if x == e])
 
     def is_surjective(self):
         return len(set(self.map)) == self.target.order
@@ -602,8 +606,7 @@ def quotient(G, N):
     Q = _built_group(len(reps), coset_of[G.identity], lambda i: tuple(
         coset_of[G.table[reps[i]][r]] for r in reps),
         [coset_of[g] for g in G.generators])
-    proj = GroupHom(G, Q, coset_of)
-    return Q, proj
+    return Q, _built(GroupHom, G, Q, coset_of)
 
 
 def subgroup_as_group(H):
@@ -726,10 +729,11 @@ def action_check(a):
                         orbit.append(y)
             orbits.append(tuple(sorted(orbit)))
     if n and all(len(o) == G.order for o in orbits):
-        fixed, kernel = None, Subgroup(G, [G.identity])
+        fixed, kernel = None, _built(Subgroup, G, [G.identity])
     else:
         ident = tuple(range(n))
-        kernel = Subgroup(G, [g for g, row in enumerate(act) if row == ident])
+        kernel = _built(Subgroup, G, [g for g, row in enumerate(act)
+                                      if row == ident])
         fixed = next(((g, x) for g, row in enumerate(act) if g != G.identity
                       for x in ident if row[x] == x), None)
     return ActionReport(fixed, kernel, orbits, tuple(orbit_of),
@@ -761,16 +765,18 @@ def reduce_action(a, kernel):
 
 def right_translation_action(G, H):
     """H <= G acting on the elements of G by right multiplication."""
+    if H.parent is not G:
+        raise ParentMismatch("subgroup does not belong to this group")
     Hgrp, to_parent, _ = subgroup_as_group(H)
     act = [[G.table[x][to_parent[h]] for x in range(G.order)]
            for h in range(Hgrp.order)]
-    return FiniteAction(Hgrp, G.order, act)
+    return _built(FiniteAction, Hgrp, G.order, act)
 
 
 def regular_action(G):
     """G acting on itself by right translation."""
     act = [[G.table[x][g] for x in range(G.order)] for g in range(G.order)]
-    return FiniteAction(G, G.order, act)
+    return _built(FiniteAction, G, G.order, act)
 
 
 def trivial_action(G, set_size):
@@ -784,4 +790,4 @@ def restrict_action(a, H):
         raise ParentMismatch("subgroup does not belong to the acting group")
     Hgrp, to_parent, _ = subgroup_as_group(H)
     act = [a.act[to_parent[h]] for h in range(Hgrp.order)]
-    return FiniteAction(Hgrp, a.set_size, act)
+    return _built(FiniteAction, Hgrp, a.set_size, act)

@@ -32,19 +32,10 @@ class DoublePrincipalGroup(namedtuple("DoublePrincipalGroup",
 
     The quotients [G] = G/core and [G'] = G'/core are isomorphic to Γ/G'
     and Γ/G by the second isomorphism theorem, as Γ = GG'.  ``report``
-    gives their orders by Lagrange; ``q1`` and ``q2`` build Γ/G' and Γ/G
-    on each read, and nothing in the library reads them.
+    gives their orders by Lagrange and builds neither.
     """
 
     __slots__ = ()
-
-    @property
-    def q1(self):
-        return quotient(self.gamma, self.g2)[0]
-
-    @property
-    def q2(self):
-        return quotient(self.gamma, self.g1)[0]
 
     def report(self):
         core = len(self.core)
@@ -95,7 +86,7 @@ def verify_double(gamma, g1, g2):
                         failures)
 
 
-NTupleWitness = namedtuple("NTupleWitness", "gamma subgroups verdict trace")
+NTupleWitness = namedtuple("NTupleWitness", "verdict trace")
 NTupleWitness.__doc__ = """Recursive verification record of an n-tuple
 principal group."""
 
@@ -143,7 +134,7 @@ def verify_ntuple(gamma, subgroups):
                     raise InternalInconsistency(
                         "pair is not double principal despite n-tuple verdict",
                         pair=(i, j))
-    return NTupleWitness(gamma, list(subgroups), ok, trace)
+    return NTupleWitness(ok, trace)
 
 
 VacancyReport = namedtuple("VacancyReport",
@@ -174,55 +165,52 @@ def vacancy(dpg):
     return VacancyReport(vacant, bijective, len(dpg.core))
 
 
-DressingAction = namedtuple("DressingAction", "dpg g_on gp_on")
+DressingAction = namedtuple("DressingAction", "g_on gp_on")
 DressingAction.__doc__ = """The conjugation dressings: ``g_on`` takes
 (g, g') to g_{g'} = (g')^-1 g g' in G, ``gp_on`` takes (g', g) to
 g'_g = g^-1 g' g in G'."""
 
 
+def _conjugation_action(H, K):
+    """{(h, k): k^-1 h k} for normal subgroups H and K of one group: K
+    acting on H on the right by automorphisms.
+
+    The rows are built on H and K reified (``subgroup_as_group``).
+    ``FiniteAction`` proves the action law and ``GroupHom`` the twist of
+    each product generator of K; automorphisms compose, so every twist is
+    one.
+    """
+    t, inv = H.parent.table, H.parent.inverse
+    Hgrp, to_h, from_h = subgroup_as_group(H)
+    Kgrp, to_k, _ = subgroup_as_group(K)
+    rows = [[from_h.get(t[t[inv[k]][h]][k]) for h in to_h] for k in to_k]
+    for k, row in zip(to_k, rows):
+        if None in row:
+            raise InternalInconsistency("dressing leaves the subgroup",
+                                        pair=(to_h[row.index(None)], k))
+    _built(FiniteAction, Kgrp, Hgrp.order, rows)
+    for k in Kgrp.generators:
+        _built(GroupHom, Hgrp, Hgrp, rows[k])
+    return {(h, k): to_h[x] for k, row in zip(to_k, rows)
+            for h, x in zip(to_h, row)}
+
+
 def dressing(dpg):
     """Compute both dressing actions and verify all their laws.
 
-    Checked exhaustively: both action laws, both refactorizations
-    gg' = g'g_{g'} = g'_{g^-1}g and g'g = gg'_g = g_{(g')^-1}g', and the
-    mixed identity (g')_{g^-1}(g')^-1 = g (g_{(g')^-1})^-1.  These are
-    consequences of normality, so a failure flags a library bug.
+    Each dressing is proved a right action by automorphisms
+    (``_conjugation_action``).  Checked on every pair: the
+    refactorizations gg' = g'g_{g'} = g'_{g^-1}g and
+    g'g = gg'_g = g_{(g')^-1}g', and the mixed identity
+    (g')_{g^-1}(g')^-1 = g (g_{(g')^-1})^-1.  These are consequences of
+    normality, so a failure flags a library bug.
     """
     G = dpg.gamma
     t, inv = G.table, G.inverse
-    g1m, g2m = dpg.g1.members, dpg.g2.members
-
-    g_on = {}
-    for g in g1m:
-        for gp in g2m:
-            val = t[t[inv[gp]][g]][gp]
-            if val not in dpg.g1:
-                raise InternalInconsistency("dressing leaves the subgroup",
-                                            pair=(g, gp))
-            g_on[(g, gp)] = val
-    gp_on = {}
-    for gp in g2m:
-        for g in g1m:
-            val = t[t[inv[g]][gp]][g]
-            if val not in dpg.g2:
-                raise InternalInconsistency("dressing leaves the subgroup",
-                                            pair=(gp, g))
-            gp_on[(gp, g)] = val
-
-    for g in g1m:
-        for a in g2m:
-            for b in g2m:
-                if g_on[(g, t[a][b])] != g_on[(g_on[(g, a)], b)]:
-                    raise InternalInconsistency("action law fails",
-                                                triple=(g, a, b))
-    for a in g1m:
-        for b in g1m:
-            for gp in g2m:
-                if g_on[(t[a][b], gp)] != t[g_on[(a, gp)]][g_on[(b, gp)]]:
-                    raise InternalInconsistency("homomorphism law fails",
-                                                triple=(a, b, gp))
-    for g in g1m:
-        for gp in g2m:
+    g_on = _conjugation_action(dpg.g1, dpg.g2)
+    gp_on = _conjugation_action(dpg.g2, dpg.g1)
+    for g in dpg.g1.members:
+        for gp in dpg.g2.members:
             if t[g][gp] != t[gp][g_on[(g, gp)]]:
                 raise InternalInconsistency("gg' != g' g_{g'}", pair=(g, gp))
             if t[g][gp] != t[gp_on[(gp, inv[g])]][g]:
@@ -237,7 +225,7 @@ def dressing(dpg):
             if lhs != rhs:
                 raise InternalInconsistency("mixed dressing identity fails",
                                             pair=(g, gp))
-    return DressingAction(dpg, g_on, gp_on)
+    return DressingAction(g_on, gp_on)
 
 
 def semidirect(gprime, g, act):
@@ -272,8 +260,10 @@ def semidirect(gprime, g, act):
             if S.inverse[idx] != expect:
                 raise InternalInconsistency("inverse formula fails", pair=(gp, x))
 
-    embed_g = Subgroup(S, [gprime.identity * n + x for x in range(n)])
-    embed_gp = Subgroup(S, [gp * n + g.identity for gp in range(np_)])
+    embed_g = _built(Subgroup, S,
+                     [gprime.identity * n + x for x in range(n)])
+    embed_gp = _built(Subgroup, S,
+                      [gp * n + g.identity for gp in range(np_)])
     if normality_witness(S, embed_g) is not None:
         raise InternalInconsistency("G does not embed normally")
     if not generates(S, [embed_g, embed_gp]):

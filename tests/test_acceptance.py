@@ -22,7 +22,7 @@ from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, gauge_groupoid,
                             multiplicative_function, pair_groupoid,
                             reconstruct_and_check, reduced_action, split)
-from ntpg.groups import (FiniteAction, Subgroup, action_check,
+from ntpg.groups import (FiniteAction, Subgroup, action_check, quotient,
                          right_translation_action, subgroup_as_group,
                          subgroup_closure)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, cyclic, klein_four,
@@ -66,7 +66,7 @@ def test_criterion_01_q8_suite():
     res = verify_double(G, hi, hj)
     assert res.ok
     assert len(res.dpg.core) == 2
-    assert res.dpg.q1.order == 2 and res.dpg.q2.order == 2
+    assert quotient(G, hj)[0].order == 2 and quotient(G, hi)[0].order == 2
 
     w = verify_ntuple(G, [hi, hj, hk])
     assert not w.verdict

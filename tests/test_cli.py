@@ -246,6 +246,57 @@ def test_graded_check_compat_rejects_an_unknown_kind(tmp_path, capsys, kind):
         "details": {"kind": kind}}
 
 
+def test_check_compat_reads_each_structure_once(tmp_path, monkeypatch):
+    # d111_structures.json has two structures, one conjugated: its phi is
+    # built on the signature already read, in the field already read
+    import ntpg.cli
+    import ntpg.jsonio
+    from ntpg import fields
+    reads = []
+
+    def counting(read, what):
+        def spy(*args):
+            reads.append(what)
+            return read(*args)
+        return spy
+
+    for module in (ntpg.cli, ntpg.jsonio):
+        monkeypatch.setattr(module, "load_signature", counting(
+            ntpg.jsonio.load_signature, "signature"))
+    monkeypatch.setattr(fields, "field_from_json", counting(
+        fields.field_from_json, "field"))
+    out = str(tmp_path / "rep.json")
+    assert run(["graded", "check-compat",
+                os.path.join(EXAMPLES, "d111_structures.json"),
+                "--out", out]) == 0
+    assert sorted(reads) == ["field", "signature", "signature"]
+
+
+def test_check_compat_names_sig_then_kind_then_axis_then_phi(tmp_path,
+                                                            capsys):
+    # every part of the conjugated structure is bad; mending them one at
+    # a time names the next
+    sig = {"mode": "simple", "dims": [1, 1]}
+    phi = [{"target": 0, "exponents": [1, 0], "num": "1"},
+           {"target": 1, "exponents": [0, 1], "num": "1"}]
+    structure = {"sig": {"mode": "affine"}, "kind": "conjugate", "axis": 1,
+                 "phi": [{"target": 0, "exponents": [1], "num": "1"}]}
+    out = str(tmp_path / "rep.json")
+    for key, mended, message in [
+            ("sig", sig, "unknown signature mode"),
+            ("kind", "conjugated", "unknown structure kind"),
+            ("axis", 0, "simple signatures have a single grading"),
+            ("phi", phi, "exponent tuple has wrong length")]:
+        data = {"field": "Q", "structures": [{"sig": sig}, structure]}
+        _assert_input_error(run(["graded", "check-compat",
+                                 write(tmp_path, "compat.json", data),
+                                 "--out", out]), out, capsys)
+        assert read_report(out)["details"]["message"] == message
+        structure[key] = mended
+    assert run(["graded", "check-compat", write(tmp_path, "compat.json", {
+        "field": "Q", "structures": [{"sig": sig}, structure]})]) == 0
+
+
 def _conjugated_structures():
     """(field spec, structure) for each conjugated structure of the
     check-compat inputs in docs/examples and in the golden cases."""
@@ -1486,6 +1537,25 @@ def test_inexact_sequence_is_a_theory_failure(tmp_path, capsys, monkeypatch):
     import ntpg.principal
     monkeypatch.setattr(ntpg.principal, "exact_sequence_check",
                         lambda dpg: False)
+    _assert_theory_failure(
+        ["dpg", "verify", os.path.join(EXAMPLES, "q8_dpg.json")],
+        tmp_path, capsys)
+
+
+def test_derived_subgroup_failure_is_a_theory_failure(tmp_path, capsys,
+                                                     monkeypatch):
+    import ntpg.cli
+    subgroup_pair = ntpg.cli._subgroup_pair
+
+    def widened(args, data, G):
+        # G's member set made to hold an element of G' outside the core:
+        # the normality and generation checks still pass, and G ∩ G' is
+        # the core with that one element, not closed under inverses
+        g1, g2 = subgroup_pair(args, data, G)
+        g1._set |= {next(x for x in g2.members if x not in g1)}
+        return g1, g2
+
+    monkeypatch.setattr(ntpg.cli, "_subgroup_pair", widened)
     _assert_theory_failure(
         ["dpg", "verify", os.path.join(EXAMPLES, "q8_dpg.json")],
         tmp_path, capsys)

@@ -461,7 +461,7 @@ def test_extracted_b_from_gauge_example():
     sp = split(ga)
     mf = multiplicative_function(sp)
     reconstruct_and_check(mf)
-    base = sp.base
+    base = sp.quotient.groupoid
     for (a, b), ab in base.mul.items():
         assert mf.group.table[mf.b[a]][mf.b[b]] == mf.b[ab]
 

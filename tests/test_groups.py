@@ -539,6 +539,8 @@ def _foreign_dpg_morphism(G1, G2):
      "subgroup does not belong to this group"),
     (lambda G1, G2: restrict_action(regular_action(G1), G2.whole()),
      ParentMismatch, "subgroup does not belong to the acting group"),
+    (lambda G1, G2: right_translation_action(G1, G2.whole()),
+     ParentMismatch, "subgroup does not belong to this group"),
     (lambda G1, G2: verify_double(G1, G1.whole(), G2.whole()),
      ParentMismatch, "subgroups of a different parent group"),
     (lambda G1, G2: verify_ntuple(G1, [G1.whole(), G2.whole()]),
@@ -549,12 +551,53 @@ def _foreign_dpg_morphism(G1, G2):
      "image array has wrong length"),
     (lambda G1, G2: GroupHom(G1, G2, [0, 1, 2, 4]), InvalidInput,
      "image out of range")],
-    ids=["intersect", "generates", "restrict_action", "verify_double",
+    ids=["intersect", "generates", "restrict_action",
+         "right_translation_action", "verify_double",
          "verify_ntuple", "dpg_morphism_check", "hom-length", "hom-range"])
 def test_parent_mismatch(call, error, message):
     with pytest.raises(error) as e:
         call(cyclic(4), cyclic(4))
     assert str(e.value) == message
+
+
+# -- derived structures: a failed check is a library bug ---------------------
+
+def _unchecked(H, members):
+    """H made to hold members, as if it had skipped its closure check."""
+    H.members, H._set = tuple(sorted(members)), frozenset(members)
+    return H
+
+
+def _intersect_unclosed():
+    # <i> ∪ {j} meets <j> in {1, -1, j}, which misses -j = j^-1
+    G = quaternion_group()
+    hi, hj = subgroup_closure(G, {Q8_I}), subgroup_closure(G, {Q8_J})
+    return intersect(_unchecked(hi, hi._set | {Q8_J}), hj)
+
+
+def _kernel_unclosed():
+    # the generator 1 of Z4 made to act trivially: the rows that fix every
+    # point are those of {0, 1}, which misses 1 + 1 = 2
+    a = regular_action(cyclic(4))
+    a.act = tuple(a.act[0] if g == 1 else row for g, row in enumerate(a.act))
+    return action_check(a)
+
+
+def _quotient_unclosed():
+    # {0, 1} in Z4: its cosets give a group of order 2, but x -> coset of x
+    # is not a homomorphism
+    G = cyclic(4)
+    return quotient(G, _unchecked(Subgroup(G, [0, 2]), {0, 1}))
+
+
+@pytest.mark.parametrize("derive", [_intersect_unclosed, _kernel_unclosed,
+                                    _quotient_unclosed],
+                         ids=["intersect", "action_check", "quotient"])
+def test_derived_structure_failing_its_check_is_a_library_bug(derive):
+    with pytest.raises(InternalInconsistency) as e:
+        derive()
+    assert str(e.value) == "a structure the library built fails its checks"
+    assert e.value.details["check"]["error"] == "InvalidInput"
 
 
 # -- quotient -----------------------------------------------------------------

@@ -8,7 +8,7 @@ from ntpg.errors import (InternalInconsistency, InvalidInput, NotAnAction,
 from ntpg.groups import (FiniteAction, GroupHom, Subgroup, make_group, quotient,
                          regular_action, restrict_action,
                          right_translation_action, subgroup_closure)
-from ntpg.jsonio import load_action
+from ntpg.jsonio import load_action, load_group, load_subgroup
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_I, Q8_MINUS_ONE, Q8_ONE,
                         cyclic, quaternion_group, symmetric)
 from ntpg.principal import (check_compatibility, dpg_morphism_check, dressing,
@@ -28,7 +28,8 @@ def q8_dpg():
 def test_q8_ij_is_double_principal():
     G, dpg = q8_dpg()
     assert dpg.core.members == (Q8_ONE, Q8_MINUS_ONE)
-    assert dpg.q1.order == 2 and dpg.q2.order == 2
+    assert quotient(G, dpg.g2)[0].order == 2
+    assert quotient(G, dpg.g1)[0].order == 2
 
 
 def test_z6_is_vacant_double_principal():
@@ -132,9 +133,8 @@ def test_verify_double_builds_no_quotient(dpg_corpus, monkeypatch):
         core = len(res.dpg.core)
         assert quotients == [len(dpg.g1) // core, len(dpg.g2) // core], name
         # [G] = G/core is Γ/G' and [G'] = G'/core is Γ/G
-        assert quotients == [res.dpg.q1.order, res.dpg.q2.order], name
-        assert calls == [dpg.g2, dpg.g1], name
-        calls.clear()
+        assert quotients == [quotient(dpg.gamma, dpg.g2)[0].order,
+                             quotient(dpg.gamma, dpg.g1)[0].order], name
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -247,6 +247,27 @@ def test_abelian_dressing_is_trivial():
 def test_dressing_laws_over_corpus(dpg_corpus):
     for name, dpg in dpg_corpus:
         dressing(dpg)  # raises on any law violation
+
+
+def test_dressing_proves_both_actions_by_automorphisms(monkeypatch):
+    # each dressing is one action proof, and one homomorphism proof per
+    # product generator of the acting group; both factors are cyclic of
+    # order 4, whose greedy generators are -1 and a square root of it
+    with open(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "docs", "examples",
+            "q8_dpg.json")) as fh:
+        data = json.load(fh)
+    G = load_group(data["gamma"])
+    dpg = verify_double(G, *(load_subgroup(G, s)
+                             for s in data["subgroups"])).dpg
+    proofs = []
+    for cls in (FiniteAction, GroupHom):
+        def counting(self, validate=cls._validate):
+            proofs.append(type(self).__name__)
+            validate(self)
+        monkeypatch.setattr(cls, "_validate", counting)
+    dressing(dpg)
+    assert sorted(proofs) == ["FiniteAction"] * 2 + ["GroupHom"] * 4
 
 
 # -- semidirect --------------------------------------------------------------------

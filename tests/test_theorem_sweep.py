@@ -11,8 +11,8 @@ each pass the sweep asserts:
   bijective, every fiber of size |G ∩ G'| (``vacancy``);
 - the dressing laws (``dressing``);
 - the second isomorphism theorem: the reported orders |G|/|G ∩ G'| and
-  |G'|/|G ∩ G'| of [G] and [G'] are those of the built quotients Γ/G' and
-  Γ/G (``q1`` and ``q2``);
+  |G'|/|G ∩ G'| of [G] and [G'] are those of the quotients Γ/G' and Γ/G
+  that ``quotient`` builds;
 - that ``gamma_from_actions`` on the right translations of Γ by G and by G'
   rebuilds Γ: the same order, and the induced action is Γ's right
   translations.
@@ -26,7 +26,7 @@ here; the catalog up to order 24 runs from the command line:
 
 import sys
 
-from ntpg.groups import right_translation_action, subgroup_closure
+from ntpg.groups import quotient, right_translation_action, subgroup_closure
 from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
                         quaternion_group, symmetric)
 from ntpg.principal import (dressing, exact_sequence_check,
@@ -91,7 +91,8 @@ def check_pass(G, dpg):
     assert v.fiber_size == len(dpg.core)
     assert v.vacant == v.product_bijective == (len(dpg.core) == 1)
     dressing(dpg)
-    assert dpg.report()["quotients"] == [dpg.q1.order, dpg.q2.order]
+    assert dpg.report()["quotients"] == [quotient(G, dpg.g2)[0].order,
+                                         quotient(G, dpg.g1)[0].order]
     res = gamma_from_actions(G.order, right_translation_action(G, dpg.g1),
                              right_translation_action(G, dpg.g2))
     assert res.gamma.order == G.order
