@@ -12,15 +12,16 @@ The NTPG_WORKERS environment variable is accepted for compatibility with
 parallel runners; it never changes results (the current implementation is
 sequential).
 
-Start-up: importing this module defers the structure modules (autgroups,
-cocycles, fields, graded, groupoids, poly, principal) through
-``importlib.util.LazyLoader``, so each one runs on the first access to one
-of its names and a command loads only what it uses; ``group validate``
-loads none of them.  ``python -X importtime -m ntpg.cli ...`` shows what
-start-up still imports; a deferred module runs outside the import system
-and is not listed there.  A module imported before this one is used as it
-is, and importing any module of the library directly still loads it at
-once.
+Start-up: importing this module defers every other module of the library
+but ``errors`` (autgroups, cocycles, fields, graded, groupoids, groups,
+jsonio, poly, principal) through ``importlib.util.LazyLoader``, so each one
+runs on the first access to one of its names and a command loads only what
+it uses: ``--help`` and usage errors load none of them, ``group validate``
+only groups and jsonio, and the graded commands and ``cocycle t2`` no
+groups.  ``python -X importtime -m ntpg.cli ...`` shows what start-up still
+imports; a deferred module runs outside the import system and is not
+listed there.  A module imported before this one is used as it is, and
+importing any module of the library directly still loads it at once.
 """
 
 import argparse
@@ -29,11 +30,10 @@ import os
 import sys
 import time
 
-from .errors import (ActionNotFree, AlgebraError, InternalInconsistency,
-                     InvalidInput, NoIdentity, NoInverse, NonAssociative,
-                     NotCompatible, NotFree, NotInvertibleChart,
-                     NotLatinSquare, is_int)
-from .groups import DEFAULT_CLOSURE_CAP, subgroup_closure
+from .errors import (DEFAULT_CLOSURE_CAP, ActionNotFree, AlgebraError,
+                     InternalInconsistency, InvalidInput, NoIdentity,
+                     NoInverse, NonAssociative, NotCompatible, NotFree,
+                     NotInvertibleChart, NotLatinSquare, is_int)
 
 
 def _defer(name):
@@ -43,10 +43,9 @@ def _defer(name):
     package too, so that ``from . import <name>`` finds it without loading
     it."""
     full = __package__ + "." + name
-    # in-process tests import the modules first, so this body runs in a
-    # fresh process only; pinned by tests/test_cli.py's
+    # pinned in a fresh process by tests/test_cli.py's
     # test_cli_runs_only_the_structure_modules_a_command_uses
-    if full not in sys.modules:  # pragma: no cover — fresh process only
+    if full not in sys.modules:
         spec = importlib.util.find_spec(full)
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
@@ -55,16 +54,13 @@ def _defer(name):
         setattr(sys.modules[__package__], name, module)
 
 
-# before jsonio, which imports five of them
+# jsonio and cocycles read the names of groups at call time, so the graded
+# commands and cocycle t2 never run it
 for _name in ("autgroups", "cocycles", "fields", "graded", "groupoids",
-              "poly", "principal"):
+              "groups", "jsonio", "poly", "principal"):
     _defer(_name)
-from . import autgroups, cocycles, fields, graded, groupoids, principal
-from .jsonio import (_array, _need, _object, dump_group, dump_groupoid,
-                     dump_polymap, dump_terms, load_action, load_aut_cocycle,
-                     load_group, load_group_cocycle, load_groupoid_action,
-                     load_polymap, load_polynomial, load_signature,
-                     load_subgroup, load_terms, read_json, write_report)
+from . import (autgroups, cocycles, fields, graded, groupoids, groups, jsonio,
+               principal)
 
 
 def _parse_field(text):
@@ -89,7 +85,7 @@ def _parse_subgroup_spec(G, spec):
         except ValueError:
             raise InvalidInput("--subgroups entries must be integers",
                                subgroups=spec) from None
-        subs.append(subgroup_closure(G, gens))
+        subs.append(groups.subgroup_closure(G, gens))
     return subs
 
 
@@ -105,7 +101,7 @@ def _input_subgroups(args, data, G):
         raise InvalidInput("no subgroups given (file field or --subgroups)")
     if not isinstance(data["subgroups"], list):
         raise InvalidInput("subgroups must be a list")
-    return [load_subgroup(G, s) for s in data["subgroups"]]
+    return [jsonio.load_subgroup(G, s) for s in data["subgroups"]]
 
 
 def _points(data, action):
@@ -131,12 +127,12 @@ def _subgroup_pair(args, data, G):
 # is reported as a failure with its witness ----------------------------------
 
 def cmd_group_validate(args, data):
-    G = load_group(data, cap=args.max_order)
+    G = jsonio.load_group(data, cap=args.max_order)
     return {"fingerprint": G.fingerprint()}, []
 
 
 def cmd_dpg_verify(args, data):
-    G = load_group(_nested(data, "gamma"), cap=args.max_order)
+    G = jsonio.load_group(_nested(data, "gamma"), cap=args.max_order)
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -155,7 +151,7 @@ def cmd_dpg_verify(args, data):
 
 
 def cmd_dpg_dressing(args, data):
-    G = load_group(_nested(data, "gamma"), cap=args.max_order)
+    G = jsonio.load_group(_nested(data, "gamma"), cap=args.max_order)
     g1, g2 = _subgroup_pair(args, data, G)
     res = principal.verify_double(G, g1, g2)
     if not res.ok:
@@ -168,18 +164,19 @@ def cmd_dpg_dressing(args, data):
 
 
 def cmd_dpg_pipeline(args, data):
-    rho = load_action(_need(data, "rho", "pipeline"), cap=args.max_order)
-    rho_prime = load_action(_need(data, "rho_prime", "pipeline"),
-                            cap=args.max_order)
+    rho = jsonio.load_action(jsonio._need(data, "rho", "pipeline"),
+                             cap=args.max_order)
+    rho_prime = jsonio.load_action(
+        jsonio._need(data, "rho_prime", "pipeline"), cap=args.max_order)
     points = _points(data, rho)
     res = principal.gamma_from_actions(points, rho, rho_prime)
     details = res.report()
-    details["gamma"] = dump_group(res.gamma)
+    details["gamma"] = jsonio.dump_group(res.gamma)
     return details, []
 
 
 def cmd_ntuple_verify(args, data):
-    G = load_group(_nested(data, "gamma"), cap=args.max_order)
+    G = jsonio.load_group(_nested(data, "gamma"), cap=args.max_order)
     subs = _input_subgroups(args, data, G)
     w = principal.verify_ntuple(G, subs)
     details = {"gamma_order": G.order, "n": len(subs),
@@ -194,46 +191,47 @@ def _trace_failures(node):
 
 
 def cmd_groupoid_gauge(args, data):
-    action = load_action(_need(data, "action", "gauge"), cap=args.max_order)
+    action = jsonio.load_action(jsonio._need(data, "action", "gauge"),
+                                cap=args.max_order)
     points = _points(data, action)
     gpd, labels = groupoids.gauge_groupoid(points, action)
-    details = {"groupoid": dump_groupoid(gpd),
+    details = {"groupoid": jsonio.dump_groupoid(gpd),
                "arrow_reps": [list(pq) for pq in labels.arrow_rep]}
     return details, []
 
 
 def cmd_groupoid_quotient(args, data):
-    ga = load_groupoid_action(data, cap=args.max_order)
+    ga = jsonio.load_groupoid_action(data, cap=args.max_order)
     q = groupoids.quotient_groupoid(ga)
-    details = {"groupoid": dump_groupoid(q.groupoid),
+    details = {"groupoid": jsonio.dump_groupoid(q.groupoid),
                "arrow_map": list(q.arrow_map),
                "object_map": list(q.object_report.orbit_of)}
     return details, []
 
 
 def cmd_groupoid_split(args, data):
-    ga = load_groupoid_action(data, cap=args.max_order)
+    ga = jsonio.load_groupoid_action(data, cap=args.max_order)
     sp = groupoids.split(ga)
-    details = {"base": dump_groupoid(sp.quotient.groupoid),
+    details = {"base": jsonio.dump_groupoid(sp.quotient.groupoid),
                "fiber_product_size": len(sp.fiber),
                "properties": ["bijection", "i", "ii", "iii", "iv"]}
     return details, []
 
 
 def cmd_groupoid_multfunction(args, data):
-    ga = load_groupoid_action(data, cap=args.max_order)
+    ga = jsonio.load_groupoid_action(data, cap=args.max_order)
     sp = groupoids.split(ga)
     mf = groupoids.multiplicative_function(sp)
     groupoids.reconstruct_and_check(mf)
     details = {"b": list(mf.b),
-               "base": dump_groupoid(sp.quotient.groupoid),
+               "base": jsonio.dump_groupoid(sp.quotient.groupoid),
                "theory_checks": {"multiplicative_law": True,
                                  "reconstruction_isomorphic": True}}
     return details, []
 
 
 def cmd_graded_check_morphism(args, data):
-    pm, _ = load_polymap(data)
+    pm, _ = jsonio.load_polymap(data)
     if graded.is_graded_morphism(pm):
         return {"weight_preserving": True}, []
     c, exps = graded.graded_violation(pm)
@@ -242,19 +240,20 @@ def cmd_graded_check_morphism(args, data):
 
 
 def cmd_graded_check_compat(args, data):
-    field_spec = _object(data, "structures input").get("field", "Q")
+    field_spec = jsonio._object(data, "structures input").get("field", "Q")
     field = fields.field_from_json(field_spec)
     structures = []
-    for s in _array(_need(data, "structures", "structures input"),
-                    "structures"):
-        sig = load_signature(_need(s, "sig", "structure"))
+    for s in jsonio._array(jsonio._need(data, "structures",
+                                        "structures input"), "structures"):
+        sig = jsonio.load_signature(jsonio._need(s, "sig", "structure"))
         kind = s.get("kind", "diagonal")
         if kind not in ("diagonal", "conjugated"):
             raise InvalidInput("unknown structure kind", kind=kind)
         h = graded.dilation(sig, field, axis=s.get("axis", 0))
         if kind == "conjugated":
-            phi = graded.PolyMap.from_terms(sig, sig, field, load_terms(
-                field, _need(s, "phi", "structure"), sig.ncoords))
+            phi = graded.PolyMap.from_terms(
+                sig, sig, field, jsonio.load_terms(
+                    field, jsonio._need(s, "phi", "structure"), sig.ncoords))
             h = graded.conjugate_structure(h, phi)
         structures.append(h)
     rep = graded.check_compatible_structures(structures)
@@ -270,7 +269,7 @@ def cmd_graded_check_compat(args, data):
 
 
 def cmd_graded_weights(args, data):
-    f, sig, field = load_polynomial(data)
+    f, sig, field = jsonio.load_polynomial(data)
     comps = graded.weight_components(f, sig)
     out = {}
     for w, p in comps.items():
@@ -282,7 +281,7 @@ def cmd_graded_weights(args, data):
 
 
 def cmd_aut_enumerate(args, data):
-    sig = load_signature(data)
+    sig = jsonio.load_signature(data)
     field = _parse_field(args.field)
     handle = autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
     details = {"order": handle.group.order,
@@ -293,7 +292,7 @@ def cmd_aut_enumerate(args, data):
 
 
 def cmd_aut_verify_p54(args, data):
-    sig = load_signature(data)
+    sig = jsonio.load_signature(data)
     field = _parse_field(args.field)
     rep = autgroups.verify_p54(sig, field, cap=args.max_candidates)
     details = {"orders": rep.orders, "trace": rep.witness.trace}
@@ -301,7 +300,7 @@ def cmd_aut_verify_p54(args, data):
 
 
 def cmd_cocycle_check(args, data):
-    c, _ = load_group_cocycle(data, cap=args.max_order)
+    c, _ = jsonio.load_group_cocycle(data, cap=args.max_order)
     ok, witness = cocycles.check_cocycle(c)
     if not ok:
         return {}, [witness]
@@ -311,8 +310,8 @@ def cmd_cocycle_check(args, data):
 
 def _model(args, data):
     """The enumerated automorphism group of the input's model."""
-    model = _need(data, "model", "cocycle input")
-    sig = load_signature(_need(model, "sig", "model"))
+    model = jsonio._need(data, "model", "cocycle input")
+    sig = jsonio.load_signature(jsonio._need(model, "sig", "model"))
     field = fields.field_from_json(model.get("field", {"Fp": 3}))
     return autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
 
@@ -326,14 +325,15 @@ def _double_model(handle):
 
 def cmd_cocycle_associate(args, data):
     handle = _model(args, data)
-    c, _ = load_group_cocycle(_need(data, "cocycle", "cocycle input"),
-                              group=handle.group)
+    c, _ = jsonio.load_group_cocycle(
+        jsonio._need(data, "cocycle", "cocycle input"), group=handle.group)
     rho, rho_prime = cocycles.associated_cocycle(c, _double_model(handle))
     pairs = c.nerve.ordered_pairs()
     details = {
         "fiber_transitions": [
             {"pair": list(p),
-             "terms": dump_terms(handle.field, handle.map_of(c.value(*p)))}
+             "terms": jsonio.dump_terms(handle.field,
+                                        handle.map_of(c.value(*p)))}
             for p in pairs],
         "rho_transitions": [{"pair": list(p), "perm": list(rho[p])}
                             for p in pairs],
@@ -345,8 +345,8 @@ def cmd_cocycle_associate(args, data):
 
 def cmd_cocycle_frame(args, data):
     handle = _model(args, data)
-    c, auts = load_aut_cocycle(_need(data, "cocycle", "cocycle input"),
-                               handle)
+    c, auts = jsonio.load_aut_cocycle(
+        jsonio._need(data, "cocycle", "cocycle input"), handle)
     cocycles.require_cocycle(c)
     # the frame bundle lives on the standard double model
     _double_model(handle)
@@ -360,15 +360,17 @@ def cmd_cocycle_frame(args, data):
 
 
 def cmd_cocycle_cohomologous(args, data):
-    G = load_group(_need(data, "group", "cohomologous input"),
-                   cap=args.max_order)
-    base = {"charts": _need(data, "charts", "cohomologous input"),
+    G = jsonio.load_group(jsonio._need(data, "group", "cohomologous input"),
+                          cap=args.max_order)
+    base = {"charts": jsonio._need(data, "charts", "cohomologous input"),
             "overlaps": data.get("overlaps", []),
             "triples": data.get("triples", [])}
-    c1, _ = load_group_cocycle(
-        {**base, "values": _need(data, "c1", "cohomologous input")}, group=G)
-    c2, _ = load_group_cocycle(
-        {**base, "values": _need(data, "c2", "cohomologous input")}, group=G)
+    c1, _ = jsonio.load_group_cocycle(
+        {**base, "values": jsonio._need(data, "c1", "cohomologous input")},
+        group=G)
+    c2, _ = jsonio.load_group_cocycle(
+        {**base, "values": jsonio._need(data, "c2", "cohomologous input")},
+        group=G)
     res = cocycles.are_cohomologous(c1, c2, cap=args.max_candidates)
     if res.cohomologous:
         return {"searched": res.searched, "lambda": res.witness}, []
@@ -378,9 +380,9 @@ def cmd_cocycle_cohomologous(args, data):
 
 
 def cmd_cocycle_t2(args, data):
-    chart, _ = load_polymap(_nested(data, "chart"))
+    chart, _ = jsonio.load_polymap(_nested(data, "chart"))
     out = cocycles.t2_transition(chart)
-    details = {"transition": dump_polymap(out),
+    details = {"transition": jsonio.dump_polymap(out),
                "graded": graded.is_graded_morphism(out),
                "quadratic_velocity_term": cocycles.t2_has_quadratic_term(out)}
     return details, []
@@ -437,12 +439,12 @@ def build_parser():
         description="Exact finite models of multi-principal structures: "
                     "verification reports with witnesses.")
     sub = ap.add_subparsers(dest="command", required=True)
-    groups = {}
+    menus = {}
     for group, name, handler, verdicts, source in commands:
-        if group not in groups:
-            groups[group] = sub.add_parser(group).add_subparsers(
+        if group not in menus:
+            menus[group] = sub.add_parser(group).add_subparsers(
                 dest="action", required=True)
-        p = groups[group].add_parser(name, parents=[common])
+        p = menus[group].add_parser(name, parents=[common])
         if source == "file":
             p.add_argument("file", help="JSON input file")
         if source == "sig":
@@ -466,7 +468,7 @@ def _bug(e):
 def _outcome(args):
     """The run as (details, witnesses, flags, error text or None)."""
     try:
-        data = read_json(getattr(args, args.source))
+        data = jsonio.read_json(getattr(args, args.source))
         try:
             return (*args.handler(args, data), {}, None)
         except args.verdicts as e:
@@ -501,7 +503,7 @@ def main(argv=None):
         report = {"command": command, "verdict": verdict, **flags,
                   "details": details, "witnesses": witnesses,
                   "timing_ms": round(1000 * (time.monotonic() - started), 3)}
-        write_report(report, args.out)
+        jsonio.write_report(report, args.out)
         if verdict != "error" and args.out not in (None, "-"):
             print("%s %s" % (verdict.upper(), name)
                   + (" (witnesses: %d)" % len(witnesses) if witnesses else ""))

@@ -11,11 +11,10 @@ in the enumerated automorphism group, whose table[a][b] is a after b.
 from collections import namedtuple
 from itertools import chain, permutations
 
-from . import fields, graded, poly
+from . import fields, graded, groups, poly
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
                      InvalidInput, NotInvertibleChart, SearchCapExceeded,
                      all_ints)
-from .groups import FiniteAction, _built, descend
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -148,7 +147,7 @@ class FiberedSpace:
     def __init__(self, gamma, npoints, perms, sides):
         self.gamma = gamma
         self.perms = [tuple(p) for p in perms]
-        FiniteAction(gamma, npoints, self.perms, side="left")
+        groups.FiniteAction(gamma, npoints, self.perms, side="left")
         for i, (H, classes) in enumerate(sides):
             for g in H.generators:
                 for x in range(npoints):
@@ -164,13 +163,13 @@ class FiberedSpace:
         n = max(classes) + 1
         out = []
         for g, perm in enumerate(self.perms):
-            row, _ = descend(classes, [classes[y] for y in perm], n)
+            row, _ = groups.descend(classes, [classes[y] for y in perm], n)
             if row is None:
                 raise ActionIncompatibleWithFibration(
                     "element does not descend to the quotient", element=g)
             out.append(tuple(row))
         # a left action that descends induces a left action on the classes
-        _built(FiniteAction, self.gamma, n, out, "left")
+        groups._built(groups.FiniteAction, self.gamma, n, out, "left")
         return out
 
 
@@ -212,9 +211,9 @@ def standard_fibered_space(handle):
         return [seen.setdefault(tuple(p[c] for c in coords), len(seen))
                 for p in points]
 
-    return _built(FiberedSpace, handle.group, len(points), handle.perms,
-                  [(handle.gi_subgroup(i + 1), classes(i))
-                   for i in range(sig.n)])
+    sides = [(handle.gi_subgroup(i + 1), classes(i)) for i in range(sig.n)]
+    return groups._built(FiberedSpace, handle.group, len(points),
+                         handle.perms, sides)
 
 
 CohomologyResult = namedtuple("CohomologyResult",

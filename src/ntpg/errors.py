@@ -70,6 +70,10 @@ class ClosureCapExceeded(AlgebraError):
     pass
 
 
+# the closure cap of every input group, also the CLI's --max-order default
+DEFAULT_CLOSURE_CAP = 10_000
+
+
 # -- groupoids -------------------------------------------------------------
 
 class ActionNotFree(AlgebraError):

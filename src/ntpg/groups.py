@@ -26,12 +26,10 @@ from collections import defaultdict, namedtuple
 from itertools import chain
 from operator import itemgetter
 
-from .errors import (AlgebraError, ClosureCapExceeded, InternalInconsistency,
-                     InvalidInput, NoIdentity, NoInverse, NonAssociative,
-                     NotAnAction, NotLatinSquare, NotNormal, ParentMismatch,
-                     all_ints, is_int)
-
-DEFAULT_CLOSURE_CAP = 10_000
+from .errors import (DEFAULT_CLOSURE_CAP, AlgebraError, ClosureCapExceeded,
+                     InternalInconsistency, InvalidInput, NoIdentity,
+                     NoInverse, NonAssociative, NotAnAction, NotLatinSquare,
+                     NotNormal, ParentMismatch, all_ints, is_int)
 
 
 class FiniteGroup:

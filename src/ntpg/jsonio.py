@@ -12,10 +12,8 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quoted
 
-from . import cocycles, fields, graded, groupoids, poly
-from .errors import InvalidInput, all_ints, is_int
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteAction, Subgroup, make_group,
-                     make_group_from_permutations)
+from . import cocycles, fields, graded, groupoids, groups, poly
+from .errors import DEFAULT_CLOSURE_CAP, InvalidInput, all_ints, is_int
 
 # Input caps: Poly.subs raises polynomials to the exponents of the map it
 # substitutes into, and the coboundary search forms |G|^charts before it
@@ -68,7 +66,7 @@ def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
         if "order" in obj and not (is_int(obj["order"])
                                    and obj["order"] == len(table)):
             raise InvalidInput("declared order disagrees with the table")
-        return make_group(table)
+        return groups.make_group(table)
     if "permutations" in obj:
         perms = _array(obj["permutations"], "permutations")
         if not all(_is_ints(p) for p in perms):
@@ -77,7 +75,7 @@ def load_group(obj, cap=DEFAULT_CLOSURE_CAP):
         if degree is not None and not (
                 is_int(degree) and all(len(p) == degree for p in perms)):
             raise InvalidInput("permutation of wrong degree")
-        G, _ = make_group_from_permutations(perms, cap=cap)
+        G, _ = groups.make_group_from_permutations(perms, cap=cap)
         return G
     raise InvalidInput("group needs 'table' or 'permutations'")
 
@@ -93,7 +91,7 @@ def load_subgroup(G, obj):
     if not _is_ints(obj):
         raise InvalidInput("subgroup members must be a list of integers",
                            members=obj)
-    return Subgroup(G, obj)
+    return groups.Subgroup(G, obj)
 
 
 def load_action(obj, cap=DEFAULT_CLOSURE_CAP):
@@ -102,9 +100,9 @@ def load_action(obj, cap=DEFAULT_CLOSURE_CAP):
     points = _need(obj, "points", "action")
     if not is_int(points):
         raise InvalidInput("action points must be an integer", points=points)
-    return FiniteAction(group, points,
-                        _int_rows(_need(obj, "act", "action"), "action rows"),
-                        side=obj.get("side", "right"))
+    return groups.FiniteAction(
+        group, points, _int_rows(_need(obj, "act", "action"), "action rows"),
+        side=obj.get("side", "right"))
 
 
 def _least_repeat(keys):
@@ -149,8 +147,8 @@ def load_groupoid_action(obj, cap=DEFAULT_CLOSURE_CAP):
     gpd = load_groupoid(_need(obj, "groupoid", "groupoid action"))
     group = load_group(_need(obj, "group", "groupoid action"), cap=cap)
     rows = _int_rows(_need(obj, "act", "groupoid action"), "action rows")
-    return groupoids.GroupoidAction(gpd, FiniteAction(group, gpd.n_arrows,
-                                                      rows))
+    return groupoids.GroupoidAction(
+        gpd, groups.FiniteAction(group, gpd.n_arrows, rows))
 
 
 def load_signature(obj):

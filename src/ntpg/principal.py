@@ -171,15 +171,10 @@ DressingAction.__doc__ = """The conjugation dressings: ``g_on`` takes
 g'_g = g^-1 g' g in G'."""
 
 
-def _conjugation_action(H, K):
-    """{(h, k): k^-1 h k} for normal subgroups H and K of one group: K
-    acting on H on the right by automorphisms.
-
-    The rows are built on H and K reified (``subgroup_as_group``).
-    ``FiniteAction`` proves the action law and ``GroupHom`` the twist of
-    each product generator of K; automorphisms compose, so every twist is
-    one.
-    """
+def _conjugation_rows(H, K):
+    """Hgrp, to_h, Kgrp, to_k, rows: H and K reified
+    (``subgroup_as_group``), and the rows of K acting on H by conjugation,
+    k^-1 h k, in their indices; the rows are not yet proved an action."""
     t, inv = H.parent.table, H.parent.inverse
     Hgrp, to_h, from_h = subgroup_as_group(H)
     Kgrp, to_k, _ = subgroup_as_group(K)
@@ -188,6 +183,18 @@ def _conjugation_action(H, K):
         if None in row:
             raise InternalInconsistency("dressing leaves the subgroup",
                                         pair=(to_h[row.index(None)], k))
+    return Hgrp, to_h, Kgrp, to_k, rows
+
+
+def _conjugation_action(H, K):
+    """{(h, k): k^-1 h k} for normal subgroups H and K of one group: K
+    acting on H on the right by automorphisms.
+
+    ``FiniteAction`` proves the action law of ``_conjugation_rows`` and
+    ``GroupHom`` the twist of each product generator of K; automorphisms
+    compose, so every twist is one.
+    """
+    Hgrp, to_h, Kgrp, to_k, rows = _conjugation_rows(H, K)
     _built(FiniteAction, Kgrp, Hgrp.order, rows)
     for k in Kgrp.generators:
         _built(GroupHom, Hgrp, Hgrp, rows[k])
@@ -272,14 +279,10 @@ def semidirect(gprime, g, act):
 
 
 def semidirect_from_dressing(dpg):
-    """G' ⋉ G built from the dressing action of a double principal group."""
-    dr = dressing(dpg)
-    G1, to1, _ = subgroup_as_group(dpg.g1)
-    G2, to2, _ = subgroup_as_group(dpg.g2)
-    pos1 = {m: i for i, m in enumerate(to1)}
-    act = [[pos1[dr.g_on[(to1[x], to2[gp])]] for x in range(G1.order)]
-           for gp in range(G2.order)]
-    return semidirect(G2, G1, act)
+    """G' ⋉ G built from the dressing action of a double principal group,
+    which ``semidirect`` proves an action by automorphisms."""
+    G1, _, G2, _, act = _conjugation_rows(dpg.g1, dpg.g2)
+    return _built(semidirect, G2, G1, act)
 
 
 # -- the two-action pipeline --------------------------------------------------

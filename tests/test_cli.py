@@ -249,7 +249,6 @@ def test_graded_check_compat_rejects_an_unknown_kind(tmp_path, capsys, kind):
 def test_check_compat_reads_each_structure_once(tmp_path, monkeypatch):
     # d111_structures.json has two structures, one conjugated: its phi is
     # built on the signature already read, in the field already read
-    import ntpg.cli
     import ntpg.jsonio
     from ntpg import fields
     reads = []
@@ -260,9 +259,8 @@ def test_check_compat_reads_each_structure_once(tmp_path, monkeypatch):
             return read(*args)
         return spy
 
-    for module in (ntpg.cli, ntpg.jsonio):
-        monkeypatch.setattr(module, "load_signature", counting(
-            ntpg.jsonio.load_signature, "signature"))
+    monkeypatch.setattr(ntpg.jsonio, "load_signature", counting(
+        ntpg.jsonio.load_signature, "signature"))
     monkeypatch.setattr(fields, "field_from_json", counting(
         fields.field_from_json, "field"))
     out = str(tmp_path / "rep.json")
@@ -576,7 +574,7 @@ def _stages(argv):
     import ntpg.cli
     import ntpg.jsonio
     handler = build_parser().parse_args(argv).handler.__name__
-    return {"read_json": (ntpg.cli, "read_json", None),
+    return {"read_json": (ntpg.jsonio, "read_json", None),
             "handler": (ntpg.cli, handler, None),
             "_report_text": (ntpg.jsonio, "_report_text", None),
             # the input is opened for reading first
@@ -685,34 +683,72 @@ print(rc, *sorted(name[5:] for name, m in sys.modules.items()
 """
 
 
+def _modules_ran(argv):
+    """main's rc and the ntpg modules whose bodies ran, in a fresh
+    process."""
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, *ran = proc.stdout.splitlines()[-1].split()
+    return rc, ran
+
+
 @pytest.mark.parametrize("argv,used", [
-    (["group", "validate", "s4_perms.json"], []),
-    (["dpg", "verify", "q8_dpg.json"], ["principal"]),
-    (["groupoid", "gauge", "z3_gauge.json"], ["groupoids"]),
-    (["graded", "weights", "f5_polynomial.json"], ["fields", "graded", "poly"]),
+    (["group", "validate", "s4_perms.json"], ["groups", "jsonio"]),
+    (["dpg", "verify", "q8_dpg.json"], ["groups", "jsonio", "principal"]),
+    (["groupoid", "gauge", "z3_gauge.json"], ["groupoids", "groups",
+                                              "jsonio"]),
+    # the graded commands and t2 read no group
+    (["graded", "weights", "f5_polynomial.json"], ["fields", "graded",
+                                                   "jsonio", "poly"]),
     (["aut", "enumerate", "--sig", "d111_sig.json", "--field", "Fp:2"],
-     ["autgroups", "fields", "graded", "poly"]),
-    (["cocycle", "check", "z3_cocycle.json"], ["cocycles"]),
+     ["autgroups", "fields", "graded", "groups", "jsonio", "poly"]),
+    (["cocycle", "check", "z3_cocycle.json"], ["cocycles", "groups",
+                                               "jsonio"]),
     (["cocycle", "t2", "t2_chart.json"], ["cocycles", "fields", "graded",
-                                          "poly"]),
+                                          "jsonio", "poly"]),
     # the n-tuple recursion of principal, without groupoids or cocycles
     (["aut", "verify-p54", "--sig", "d111_sig.json", "--field", "Fp:2"],
-     ["autgroups", "fields", "graded", "poly", "principal"]),
+     ["autgroups", "fields", "graded", "groups", "jsonio", "poly",
+      "principal"]),
+    (["graded", "check-morphism", "d111_morphism.json"],
+     ["fields", "graded", "jsonio", "poly"]),
 ])
 def test_cli_runs_only_the_structure_modules_a_command_uses(tmp_path, argv,
                                                             used):
     argv = [os.path.join(EXAMPLES, a) if a.endswith(".json") else a
             for a in argv]
+    assert _modules_ran([*argv, "--out", str(tmp_path / "rep.json")]) == \
+        ("0", sorted(["cli", "errors", *used]))
+
+
+@pytest.mark.parametrize("argv,rc", [(["--help"], "0"),
+                                     (["dpg", "--help"], "0"),
+                                     (["group"], "2")])
+def test_help_and_usage_errors_run_no_module_but_cli_and_errors(argv, rc):
+    assert _modules_ran(argv) == (rc, ["cli", "errors"])
+
+
+@pytest.mark.parametrize("group", ["group", "dpg", "ntuple", "groupoid",
+                                   "graded", "aut", "cocycle", None])
+def test_help_in_a_fresh_process_is_the_parser_text(group, monkeypatch,
+                                                    capsys):
+    # deferring the library leaves each --help as build_parser writes it in
+    # process, at one terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [group, "--help"] if group else ["--help"]
     src = os.path.dirname(os.path.dirname(ntpg.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv,
-         "--out", str(tmp_path / "rep.json")],
+        [sys.executable, "-m", "ntpg.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    rc, *ran = proc.stdout.splitlines()[-1].split()
-    assert rc == "0"
-    assert ran == sorted(["cli", "errors", "groups", "jsonio", *used])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, capsys.readouterr().out, "")
 
 
 _RUN_AND_CHECK_FRACTIONS = """

@@ -310,6 +310,27 @@ def test_semidirect_from_q8_dressing_has_order_16():
     assert sd.order == 16
 
 
+def test_semidirect_from_dressing_reifies_once_and_proves_once(monkeypatch):
+    # G and G' are reified once each, and semidirect is the one proof of
+    # the dressing of G by G', cyclic of order 4 with 2 product generators
+    import ntpg.principal
+    _, dpg = q8_dpg()
+    calls = []
+    for cls in (FiniteAction, GroupHom):
+        def counting(self, validate=cls._validate):
+            calls.append(type(self).__name__)
+            validate(self)
+        monkeypatch.setattr(cls, "_validate", counting)
+
+    def reifying(H, reify=ntpg.principal.subgroup_as_group):
+        calls.append("subgroup_as_group")
+        return reify(H)
+    monkeypatch.setattr(ntpg.principal, "subgroup_as_group", reifying)
+    assert semidirect_from_dressing(dpg).order == 16
+    assert sorted(calls) == ["FiniteAction"] + ["GroupHom"] * 2 + \
+        ["subgroup_as_group"] * 2
+
+
 # -- gamma_from_actions ---------------------------------------------------------------
 
 def q8_translation_actions():
