@@ -33,14 +33,13 @@ from itertools import product
 from math import prod
 from operator import eq
 
-from . import principal
+# read at call time, so that the aut commands run neither graded nor poly
+from . import graded, ntuple, poly
 from .errors import (EnumerationCapExceeded, IllegalMonomial,
                      InternalInconsistency, InvalidInput)
 from .fields import mat_inv
-from .graded import (GradedSignature, PolyMap, compose, is_graded_morphism,
-                     monomials_of_weight, triangular_inverse)
 from .groups import Subgroup, _built, _perm_group, _reader, intersect
-from .poly import Poly
+from .signature import GradedSignature, monomials_of_weight
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -68,8 +67,8 @@ def _validated(sig, field, terms, legal, message):
                                target=tgt, exponents=list(exps))
         if not legal(sig.monomial_weight(exps), sig.weights[tgt]):
             raise IllegalMonomial(message, target=tgt, exponents=tuple(exps))
-    pm = PolyMap.from_terms(sig, sig, field, terms)
-    triangular_inverse(pm)
+    pm = graded.PolyMap.from_terms(sig, sig, field, terms)
+    graded.triangular_inverse(pm)
     return pm
 
 
@@ -100,9 +99,9 @@ def make_affine_automorphism(dims, field, terms):
 
 def aut_from_polymap(pm):
     """pm itself, once shown weight-preserving and invertible."""
-    if not is_graded_morphism(pm):
+    if not graded.is_graded_morphism(pm):
         raise IllegalMonomial("map is not weight-preserving")
-    triangular_inverse(pm)
+    graded.triangular_inverse(pm)
     return pm
 
 
@@ -112,10 +111,10 @@ def _kept_shape(pm, operands, what):
     Weight <= degree always holds; weight-exactness holds when every
     operand is weight-exact.
     """
-    if is_graded_morphism(pm):
+    if graded.is_graded_morphism(pm):
         return pm
     sig = pm.sig_in
-    if all(is_graded_morphism(o) for o in operands) or not all(
+    if all(graded.is_graded_morphism(o) for o in operands) or not all(
             _weight_le(sig.monomial_weight(exps), pm.sig_out.weights[c])
             for c, f in enumerate(pm.components) for exps in f.terms):
         raise InternalInconsistency("%s left the automorphism shape" % what)
@@ -124,11 +123,11 @@ def _kept_shape(pm, operands, what):
 
 def aut_compose(a, b):
     """a after b; the composite keeps every shape both operands have."""
-    return _kept_shape(compose(a, b), (a, b), "composite")
+    return _kept_shape(graded.compose(a, b), (a, b), "composite")
 
 
 def aut_invert(a):
-    return _kept_shape(triangular_inverse(a), (a,), "inverse")
+    return _kept_shape(graded.triangular_inverse(a), (a,), "inverse")
 
 
 def is_statomorphism(a):
@@ -158,7 +157,7 @@ def gi_membership(a, i):
         raise InvalidInput("grading index out of range", i=i)
     eps = tuple(1 if k == i - 1 else 0 for k in range(sig.n))
     for c in sig.block_coords(eps):
-        if a.components[c] != Poly.var(field, sig.ncoords, c):
+        if a.components[c] != poly.Poly.var(field, sig.ncoords, c):
             return False
     return True
 
@@ -182,9 +181,9 @@ class AutGroupHandle(namedtuple("AutGroupHandle",
 
     def map_of(self, k):
         """Element k's polynomial map."""
-        return PolyMap.from_terms(self.sig, self.sig, self.field,
-                                  [(c, exps, v) for (c, exps, _), v
-                                   in zip(self.slots, self.values[k]) if v])
+        terms = [(c, exps, v) for (c, exps, _), v
+                 in zip(self.slots, self.values[k]) if v]
+        return graded.PolyMap.from_terms(self.sig, self.sig, self.field, terms)
 
     def index_of(self, pm):
         """pm's element index, found by its coefficients on the slots.  The
@@ -322,7 +321,7 @@ def verify_p54(sig, field, cap=DEFAULT_ENUM_CAP):
     handle = enumerate_aut(sig, field, cap)
     G = handle.group
     subs = [handle.gi_subgroup(i) for i in range(1, sig.n + 1)]
-    witness = principal.verify_ntuple(G, subs)
+    witness = ntuple.verify_ntuple(G, subs)
     orders = {"gamma": G.order,
               "gi": [len(s) for s in subs],
               "intersections": {}}

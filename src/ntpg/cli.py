@@ -4,27 +4,28 @@ Exit codes: 0 = verified pass, 1 = verified fail (the verdict is "fail"
 exactly when the report has a witness), 2 = input or usage error.  A failed
 theory assertion (a consequence of the theory that must always hold) also
 exits 2, its report marking a library bug rather than an input verdict; so
-does any other exception.  One guard stands around the report and the
-verdict line: what cannot be built or written exits 2 with one stderr line
-and no traceback, after a library-bug report where one can be written.
+does any other exception.  One guard stands around the report, the verdict
+line and the help: what cannot be built or written exits 2 with one stderr
+line and no traceback, after a library-bug report where one can be written.
 
 The NTPG_WORKERS environment variable is accepted for compatibility with
 parallel runners; it never changes results (the current implementation is
 sequential).
 
-Start-up: importing this module defers every other module of the library
-but ``errors`` (autgroups, cocycles, fields, graded, groupoids, groups,
-jsonio, poly, principal) through ``importlib.util.LazyLoader``, so each one
-runs on the first access to one of its names and a command loads only what
-it uses: ``--help`` and usage errors load none of them, ``group validate``
-only groups and jsonio, and the graded commands and ``cocycle t2`` no
-groups.  ``python -X importtime -m ntpg.cli ...`` shows what start-up still
-imports; a deferred module runs outside the import system and is not
-listed there.  A module imported before this one is used as it is, and
-importing any module of the library directly still loads it at once.
+Start-up: importing this module defers every module of the library but
+``errors`` (actions, autgroups, cocycles, fields, graded, groupoids, groups,
+jsonio, ntuple, poly, principal, signature) through ``importlib.util``'s
+``LazyLoader``: each runs on the first access to one of its names, so
+``--help`` and usage errors load none of them, ``group validate`` only
+groups and jsonio, the graded commands and ``cocycle t2`` no groups, and
+the aut commands none of actions, graded, poly and principal.
+``python -X importtime`` lists what start-up still imports, not a deferred
+module, which runs outside the import system.  A module imported before
+this one is used as it is; importing one directly still loads it at once.
 """
 
 import argparse
+import errno
 import importlib.util
 import os
 import sys
@@ -54,13 +55,13 @@ def _defer(name):
         setattr(sys.modules[__package__], name, module)
 
 
-# jsonio and cocycles read the names of groups at call time, so the graded
-# commands and cocycle t2 never run it
-for _name in ("autgroups", "cocycles", "fields", "graded", "groupoids",
-              "groups", "jsonio", "poly", "principal"):
+# jsonio and cocycles read groups, and autgroups graded, ntuple and poly, at
+# call time, so a command never runs one of them that it does not call
+for _name in ("actions autgroups cocycles fields graded groupoids groups "
+              "jsonio ntuple poly principal signature").split():
     _defer(_name)
 from . import (autgroups, cocycles, fields, graded, groupoids, groups, jsonio,
-               principal)
+               ntuple, principal)
 
 
 def _parse_field(text):
@@ -178,7 +179,7 @@ def cmd_dpg_pipeline(args, data):
 def cmd_ntuple_verify(args, data):
     G = jsonio.load_group(_nested(data, "gamma"), cap=args.max_order)
     subs = _input_subgroups(args, data, G)
-    w = principal.verify_ntuple(G, subs)
+    w = ntuple.verify_ntuple(G, subs)
     details = {"gamma_order": G.order, "n": len(subs),
                "subgroup_orders": [len(s) for s in subs],
                "trace": w.trace}
@@ -483,6 +484,20 @@ def _outcome(args):
         return _bug(e)
 
 
+def _stdout_error(wrote=False):
+    """The OSError of flushing stdout, or None; on one, fd 1 is pointed at
+    os.devnull ("Note on SIGPIPE", Python's signal docs), or buffered bytes
+    fail again at exit (rc 120).  A stdout closed at start-up (None) fails
+    only if print wrote to it."""
+    if sys.stdout is None:
+        return OSError(errno.EBADF, "stdout is closed") if wrote else None
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return e
+
+
 def main(argv=None):
     workers = os.environ.get("NTPG_WORKERS")
     if workers is not None and (not workers.isdecimal() or int(workers) < 1):
@@ -491,8 +506,11 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+    except SystemExit as e:  # a full or closed stdout fails here, not at exit
+        failed = _stdout_error()
+        if failed:
+            print("ERROR: cannot write the help: %s" % failed, file=sys.stderr)
+        return 2 if failed or e.code not in (0, None) else 0
     started = time.monotonic()
     command = [args.command, getattr(args, "action", None)]
     name = " ".join(filter(None, command))
@@ -508,7 +526,9 @@ def main(argv=None):
             print("%s %s" % (verdict.upper(), name)
                   + (" (witnesses: %d)" % len(witnesses) if witnesses else ""))
         # a full or closed stdout fails here, under the guard, not at exit
-        sys.stdout.flush()
+        failed = _stdout_error(verdict != "error" or args.out in (None, "-"))
+        if failed:
+            raise failed
         if verdict == "error":
             print("ERROR %s: %s" % (name, error), file=sys.stderr)
         return {"pass": 0, "fail": 1, "error": 2}[verdict]
@@ -526,6 +546,7 @@ def main(argv=None):
         except Exception as again:
             print("ERROR %s: cannot write the report: %r" % (name, again),
                   file=sys.stderr)
+    _stdout_error()
     return 2
 
 

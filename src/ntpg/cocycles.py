@@ -11,7 +11,7 @@ in the enumerated automorphism group, whose table[a][b] is a after b.
 from collections import namedtuple
 from itertools import chain, permutations
 
-from . import fields, graded, groups, poly
+from . import actions, fields, graded, groups, poly, signature
 from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
                      InvalidInput, NotInvertibleChart, SearchCapExceeded,
                      all_ints)
@@ -147,7 +147,7 @@ class FiberedSpace:
     def __init__(self, gamma, npoints, perms, sides):
         self.gamma = gamma
         self.perms = [tuple(p) for p in perms]
-        groups.FiniteAction(gamma, npoints, self.perms, side="left")
+        actions.FiniteAction(gamma, npoints, self.perms, side="left")
         for i, (H, classes) in enumerate(sides):
             for g in H.generators:
                 for x in range(npoints):
@@ -163,13 +163,13 @@ class FiberedSpace:
         n = max(classes) + 1
         out = []
         for g, perm in enumerate(self.perms):
-            row, _ = groups.descend(classes, [classes[y] for y in perm], n)
+            row, _ = actions.descend(classes, [classes[y] for y in perm], n)
             if row is None:
                 raise ActionIncompatibleWithFibration(
                     "element does not descend to the quotient", element=g)
             out.append(tuple(row))
         # a left action that descends induces a left action on the classes
-        groups._built(groups.FiniteAction, self.gamma, n, out, "left")
+        groups._built(actions.FiniteAction, self.gamma, n, out, "left")
         return out
 
 
@@ -286,7 +286,7 @@ def t2_transition(chart):
     the second derivative.
     """
     sig0 = chart.sig_in
-    if chart.sig_out != sig0 or sig0 != graded.GradedSignature.simple(
+    if chart.sig_out != sig0 or sig0 != signature.GradedSignature.simple(
             [], base=sig0.ncoords):
         raise InvalidInput("chart change must be a self-map of weight-0 "
                            "coordinates")
@@ -298,7 +298,7 @@ def t2_transition(chart):
     if fields.mat_inv(field, jac0) is None:
         raise NotInvertibleChart("Jacobian at the origin is singular")
 
-    sig = graded.GradedSignature.simple([d, d], base=d)
+    sig = signature.GradedSignature.simple([d, d], base=d)
     nv = 3 * d
     x = [poly.Poly.var(field, nv, b) for b in range(nv)]
     lift = x[:d]

@@ -21,10 +21,10 @@ proved; nothing here proves an arrow action again.
 from collections import namedtuple
 from itertools import chain, repeat
 
+from .actions import FiniteAction, action_check, reduce_action
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative, all_ints)
-from .groups import (FiniteAction, _built, _built_group, _check_associative,
-                     action_check, reduce_action)
+from .groups import _built, _built_group, _check_associative
 
 
 class FiniteGroupoid:

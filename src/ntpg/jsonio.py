@@ -12,7 +12,8 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quoted
 
-from . import cocycles, fields, graded, groupoids, groups, poly
+from . import (actions, cocycles, fields, graded, groupoids, groups, poly,
+               signature)
 from .errors import DEFAULT_CLOSURE_CAP, InvalidInput, all_ints, is_int
 
 # Input caps: Poly.subs raises polynomials to the exponents of the map it
@@ -100,7 +101,7 @@ def load_action(obj, cap=DEFAULT_CLOSURE_CAP):
     points = _need(obj, "points", "action")
     if not is_int(points):
         raise InvalidInput("action points must be an integer", points=points)
-    return groups.FiniteAction(
+    return actions.FiniteAction(
         group, points, _int_rows(_need(obj, "act", "action"), "action rows"),
         side=obj.get("side", "right"))
 
@@ -148,13 +149,13 @@ def load_groupoid_action(obj, cap=DEFAULT_CLOSURE_CAP):
     group = load_group(_need(obj, "group", "groupoid action"), cap=cap)
     rows = _int_rows(_need(obj, "act", "groupoid action"), "action rows")
     return groupoids.GroupoidAction(
-        gpd, groups.FiniteAction(group, gpd.n_arrows, rows))
+        gpd, actions.FiniteAction(group, gpd.n_arrows, rows))
 
 
 def load_signature(obj):
     mode = _need(obj, "mode", "signature")
     if mode == "simple":
-        return graded.GradedSignature.simple(
+        return signature.GradedSignature.simple(
             _array(obj.get("dims", []), "dims"), base=obj.get("base", 0))
     if mode == "multi":
         blocks = []
@@ -164,7 +165,7 @@ def load_signature(obj):
                 raise InvalidInput("sigma entries must be integers",
                                    sigma=sigma)
             blocks.append((tuple(sigma), _need(b, "dim", "block")))
-        return graded.GradedSignature.multi(
+        return signature.GradedSignature.multi(
             _need(obj, "n", "signature"), blocks, base=obj.get("base", 0))
     raise InvalidInput("unknown signature mode", mode=mode)
 

@@ -1,11 +1,7 @@
-"""Double and n-tuple principal groups and the bundle pipeline.
+"""Double principal groups and the bundle pipeline.
 
 A double principal group is a group with two normal subgroups whose union
-generates it.  The n-tuple notion is recursive: every intersected
-sub-system (G^i; G^1∩G^i, ..., G^n∩G^i) must again be (n-1)-tuple
-principal.  The recursion bottoms out at n = 2; a direct 1-tuple input is
-accepted when its single subgroup is normal and generates (forcing
-G^1 = Γ).
+generates it; ``ntuple`` holds the recursion to n of them.
 
 The pipeline `gamma_from_actions` rebuilds the structure group of a pair of
 compatible free actions from scratch: it derives the twist g_{g'} from
@@ -17,12 +13,13 @@ the commuting square of orbit maps.
 from collections import namedtuple
 
 from . import groupoids
+from .actions import (FiniteAction, GroupHom, action_check, descend, quotient,
+                      subgroup_as_group)
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
-from .groups import (FiniteAction, GroupHom, Subgroup, _built, _built_group,
-                     _closure, _inverse_perm, _perm_group, action_check,
-                     descend, generates, intersect, normality_witness,
-                     quotient, subgroup_as_group)
+from .groups import (Subgroup, _built, _built_group, _inverse_perm,
+                     _perm_group, generates, intersect, normality_witness)
+from .ntuple import _failures, verify_ntuple  # noqa: F401, perfbench traces
 
 
 class DoublePrincipalGroup(namedtuple("DoublePrincipalGroup",
@@ -49,26 +46,6 @@ class DoublePrincipalGroup(namedtuple("DoublePrincipalGroup",
 VerifyResult = namedtuple("VerifyResult", "ok dpg failures")
 
 
-def _failures(level, labelled):
-    """NotNormal for each (label, subgroup) in order, then NotGenerating if
-    the union falls short of the level, a Subgroup of Γ holding them all;
-    each least witness is named by its rank among the level's members."""
-    rank = level.members.index
-    failures = []
-    for label, H in labelled:
-        w = normality_witness(level, H)
-        if w is not None:
-            failures.append({"kind": "NotNormal", "subgroup": label,
-                             "witness": {"conjugator": rank(w[0]),
-                                         "element": rank(w[1])}})
-    _, gen = _closure(level.parent,
-                      set().union(*(H.members for _, H in labelled)))
-    if len(gen) != len(level):
-        missing = next(i for i, m in enumerate(level.members) if m not in gen)
-        failures.append({"kind": "NotGenerating", "missing": missing})
-    return failures
-
-
 def verify_double(gamma, g1, g2):
     """Check (Γ; G, G'): normality of both and generation by the union.
 
@@ -84,57 +61,6 @@ def verify_double(gamma, g1, g2):
     return VerifyResult(True, DoublePrincipalGroup(gamma, g1, g2,
                                                    intersect(g1, g2)),
                         failures)
-
-
-NTupleWitness = namedtuple("NTupleWitness", "verdict trace")
-NTupleWitness.__doc__ = """Recursive verification record of an n-tuple
-principal group."""
-
-
-def _verify_ntuple_level(level, subgroups, path):
-    node = {"path": list(path),
-            "group_order": len(level),
-            "subgroup_orders": [len(H) for H in subgroups],
-            "failures": _failures(level, list(enumerate(subgroups))),
-            "children": []}
-    ok = not node["failures"]
-    if ok and len(subgroups) >= 3:
-        # recurse into each intersected sub-system at level n-1, in Γ
-        for i, H in enumerate(subgroups):
-            subs = [intersect(H, K) for j, K in enumerate(subgroups) if j != i]
-            child_ok, child = _verify_ntuple_level(H, subs, path + [i])
-            node["children"].append(child)
-            ok = ok and child_ok
-    return ok, node
-
-
-def verify_ntuple(gamma, subgroups):
-    """Recursive n-tuple verification with a full trace.
-
-    n = 1 asks the single subgroup to be normal and generating (so equal to
-    the whole group); n = 2 coincides with `verify_double`; n >= 3 recurses
-    into every intersected sub-system.  Each level is a Subgroup of Γ, the
-    top one all of Γ (``gamma.whole()``), read in Γ's table: none is
-    rebuilt as a group of its own, and a witness is named by its rank among
-    the level's members, its index in the level reified.  When the verdict
-    is true, the consequence that every pair (Γ; G^i, G^j) is a double
-    principal group is asserted as a theory oracle, once per unordered
-    pair.  The top level has already found every G^i normal in Γ, so the
-    oracle asks only whether G^i ∪ G^j generates Γ; it builds no
-    DoublePrincipalGroup and no quotient.
-    """
-    for H in subgroups:
-        if H.parent is not gamma:
-            raise ParentMismatch("subgroups of a different parent group")
-    ok, trace = _verify_ntuple_level(gamma.whole(), list(subgroups), [])
-    if ok and len(subgroups) >= 2:
-        for i in range(len(subgroups)):
-            for j in range(i + 1, len(subgroups)):
-                if not generates(gamma, [subgroups[i], subgroups[j]]):
-                    raise InternalInconsistency(
-                        "pair is not double principal despite n-tuple verdict",
-                        pair=(i, j))
-    return NTupleWitness(ok, trace)
 
 
 VacancyReport = namedtuple("VacancyReport",

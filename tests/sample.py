@@ -7,8 +7,9 @@ random.Random instance so runs are reproducible from one seed.
 from fractions import Fraction
 
 from ntpg.fields import mat_inv
-from ntpg.graded import PolyMap, monomials_of_weight
+from ntpg.graded import PolyMap
 from ntpg.poly import Poly
+from ntpg.signature import monomials_of_weight
 
 
 def random_scalar(rng, field):

@@ -8,29 +8,29 @@ import time
 from itertools import product
 
 from conftest import build_dpg_corpus
+from ntpg.actions import (FiniteAction, action_check, quotient,
+                          right_translation_action, subgroup_as_group)
 from ntpg.autgroups import aut_compose, aut_invert, enumerate_aut, verify_p54
 from ntpg.cocycles import (Cocycle, CoverNerve, are_cohomologous,
                            associated_cocycle, check_cocycle,
                            standard_fibered_space, t2_has_quadratic_term,
                            t2_transition)
 from ntpg.fields import GF, QQ
-from ntpg.graded import (GradedSignature, PolyMap, check_compatible_structures,
-                         compose, conjugate_structure, dilation,
-                         dilation_families, invert, is_graded_morphism,
-                         weight_components)
+from ntpg.graded import (PolyMap, check_compatible_structures, compose,
+                         conjugate_structure, dilation, dilation_families,
+                         invert, is_graded_morphism, weight_components)
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, gauge_groupoid,
                             multiplicative_function, pair_groupoid,
                             reconstruct_and_check, reduced_action, split)
-from ntpg.groups import (FiniteAction, Subgroup, action_check, quotient,
-                         right_translation_action, subgroup_as_group,
-                         subgroup_closure)
+from ntpg.groups import Subgroup, subgroup_closure
 from ntpg.named import (Q8_I, Q8_J, Q8_K, cyclic, klein_four,
                         quaternion_group)
+from ntpg.ntuple import verify_ntuple
 from ntpg.poly import Poly
-from ntpg.principal import (dressing, exact_sequence_check,
-                            gamma_from_actions, vacancy, verify_double,
-                            verify_ntuple)
+from ntpg.principal import (dressing, exact_sequence_check, gamma_from_actions,
+                            vacancy, verify_double)
+from ntpg.signature import GradedSignature
 from sample import (random_graded_automorphism, random_polynomial,
                     random_scalar, random_weight_preserving_map)
 

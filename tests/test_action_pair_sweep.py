@@ -27,8 +27,9 @@ command line:
 import sys
 from itertools import permutations
 
+from ntpg.actions import FiniteAction, action_check, reduce_action
 from ntpg.errors import NotCompatible, NotFree
-from ntpg.groups import FiniteAction, Subgroup, action_check, reduce_action
+from ntpg.groups import Subgroup
 from ntpg.named import cyclic, klein_four, symmetric
 from ntpg.principal import (check_compatibility, derive_twist,
                             gamma_from_actions, semidirect)

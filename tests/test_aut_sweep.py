@@ -43,7 +43,8 @@ from ntpg.autgroups import verify_p54
 from ntpg.cocycles import (Cocycle, CoverNerve, associated_cocycle,
                            standard_fibered_space)
 from ntpg.fields import GF
-from ntpg.graded import GradedSignature, PolyMap, compose
+from ntpg.graded import PolyMap, compose
+from ntpg.signature import GradedSignature
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))

@@ -12,8 +12,9 @@ from ntpg.cocycles import standard_fibered_space
 from ntpg.errors import (EnumerationCapExceeded, IllegalMonomial, InvalidInput,
                          NotInvertible)
 from ntpg.fields import GF, mat_inv
-from ntpg.graded import GradedSignature, PolyMap, compose
+from ntpg.graded import PolyMap, compose
 from ntpg.groups import _built_group, is_normal, make_group
+from ntpg.signature import GradedSignature
 
 SIG = GradedSignature.double_vector(1, 1, 1)   # coords y, y', z
 F3 = GF(3)
@@ -251,7 +252,7 @@ def _count_calls(monkeypatch, name, real):
                          ids=["D111-F5", "k3-F2"])
 def test_verify_p54_builds_one_group_and_no_polynomial_map(sig, field,
                                                           monkeypatch):
-    import ntpg.principal
+    import ntpg.actions
     validated = _count_calls(monkeypatch, "make_group", make_group)
     built = _count_calls(monkeypatch, "_built_group", _built_group)
     maps = []
@@ -266,7 +267,7 @@ def test_verify_p54_builds_one_group_and_no_polynomial_map(sig, field,
 
     monkeypatch.setattr(PolyMap, "from_terms",
                         classmethod(counting_from_terms))
-    monkeypatch.setattr(ntpg.principal, "quotient", refuse)
+    monkeypatch.setattr(ntpg.actions, "quotient", refuse)
     rep = verify_p54(sig, field)
     assert rep.witness.verdict
     # the one group is the enumerated table, built by the library itself
@@ -394,7 +395,7 @@ def test_symbolic_mode_over_q():
 
 
 def test_leaving_every_shape_is_a_theory_failure(monkeypatch):
-    import ntpg.autgroups
+    import ntpg.graded
     from ntpg.errors import InternalInconsistency
     CONST = (0, 0, 0)
     a = make_affine_automorphism((1, 1, 1), F3,
@@ -406,7 +407,7 @@ def test_leaving_every_shape_is_a_theory_failure(monkeypatch):
     with pytest.raises(InternalInconsistency):
         aut_compose(bad, a)
     # an inversion that returns bad for a
-    monkeypatch.setattr(ntpg.autgroups, "triangular_inverse", lambda pm: bad)
+    monkeypatch.setattr(ntpg.graded, "triangular_inverse", lambda pm: bad)
     with pytest.raises(InternalInconsistency):
         aut_invert(a)
 

@@ -22,7 +22,7 @@ ALLOWED = {
     ("principal", "semidirect", "FiniteAction"): 1,      # its act
     ("principal", "semidirect", "GroupHom"): 1,          # each twist
     ("cocycles", "FiberedSpace.__init__", "FiniteAction"): 1,   # its perms
-    ("groups", "trivial_action", "FiniteAction"): 1,     # its set_size
+    ("actions", "trivial_action", "FiniteAction"): 1,    # its set_size
 }
 
 

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import subprocess
@@ -698,24 +700,46 @@ def _modules_ran(argv):
 
 @pytest.mark.parametrize("argv,used", [
     (["group", "validate", "s4_perms.json"], ["groups", "jsonio"]),
-    (["dpg", "verify", "q8_dpg.json"], ["groups", "jsonio", "principal"]),
-    (["groupoid", "gauge", "z3_gauge.json"], ["groupoids", "groups",
-                                              "jsonio"]),
+    (["dpg", "verify", "q8_dpg.json"], ["actions", "groups", "jsonio",
+                                        "ntuple", "principal"]),
+    (["dpg", "dressing", "q8_dpg.json"], ["actions", "groups", "jsonio",
+                                          "ntuple", "principal"]),
+    (["dpg", "gamma-from-actions", "z2z3_pipeline.json"],
+     ["actions", "groups", "jsonio", "ntuple", "principal"]),
+    # the n-tuple recursion, without principal's pipeline or its actions
+    (["ntuple", "verify", "q8_dpg.json"], ["groups", "jsonio", "ntuple"]),
+    (["groupoid", "gauge", "z3_gauge.json"], ["actions", "groupoids",
+                                              "groups", "jsonio"]),
+    (["groupoid", "quotient", "s3_groupoid_action.json"],
+     ["actions", "groupoids", "groups", "jsonio"]),
+    (["groupoid", "split", "s3_groupoid_action.json"],
+     ["actions", "groupoids", "groups", "jsonio"]),
+    (["groupoid", "mult-function", "s3_groupoid_action.json"],
+     ["actions", "groupoids", "groups", "jsonio"]),
     # the graded commands and t2 read no group
-    (["graded", "weights", "f5_polynomial.json"], ["fields", "graded",
-                                                   "jsonio", "poly"]),
+    (["graded", "check-morphism", "d111_morphism.json"],
+     ["fields", "graded", "jsonio", "poly", "signature"]),
+    (["graded", "check-compat", "d111_structures.json"],
+     ["fields", "graded", "jsonio", "poly", "signature"]),
+    (["graded", "weights", "f5_polynomial.json"],
+     ["fields", "graded", "jsonio", "poly", "signature"]),
+    # the enumeration builds no polynomial map and no action
     (["aut", "enumerate", "--sig", "d111_sig.json", "--field", "Fp:2"],
-     ["autgroups", "fields", "graded", "groups", "jsonio", "poly"]),
+     ["autgroups", "fields", "groups", "jsonio", "signature"]),
+    (["aut", "verify-p54", "--sig", "d111_sig.json", "--field", "Fp:2"],
+     ["autgroups", "fields", "groups", "jsonio", "ntuple", "signature"]),
     (["cocycle", "check", "z3_cocycle.json"], ["cocycles", "groups",
                                                "jsonio"]),
+    (["cocycle", "associate", "d111_assoc.json"],
+     ["actions", "autgroups", "cocycles", "fields", "graded", "groups",
+      "jsonio", "poly", "signature"]),
+    (["cocycle", "frame", "d111_frame.json"],
+     ["actions", "autgroups", "cocycles", "fields", "graded", "groups",
+      "jsonio", "poly", "signature"]),
+    (["cocycle", "cohomologous", "s3_coh.json"], ["cocycles", "groups",
+                                                  "jsonio"]),
     (["cocycle", "t2", "t2_chart.json"], ["cocycles", "fields", "graded",
-                                          "jsonio", "poly"]),
-    # the n-tuple recursion of principal, without groupoids or cocycles
-    (["aut", "verify-p54", "--sig", "d111_sig.json", "--field", "Fp:2"],
-     ["autgroups", "fields", "graded", "groups", "jsonio", "poly",
-      "principal"]),
-    (["graded", "check-morphism", "d111_morphism.json"],
-     ["fields", "graded", "jsonio", "poly"]),
+                                          "jsonio", "poly", "signature"]),
 ])
 def test_cli_runs_only_the_structure_modules_a_command_uses(tmp_path, argv,
                                                             used):
@@ -749,6 +773,123 @@ def test_help_in_a_fresh_process_is_the_parser_text(group, monkeypatch,
         build_parser().parse_args(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, capsys.readouterr().out, "")
+
+
+# a buffered stdout: a full device or a closed pipe fails at the flush, and
+# the bytes still buffered must not fail again at the interpreter's exit
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["dpg", "--help"],
+    ["group", "validate", "s4_perms.json", "--out", "rep.json"],
+    ["group", "validate", "s4_perms.json", "--out", "-"],
+], ids=["help", "dpg help", "out file", "out stdout"])
+@pytest.mark.parametrize("sink", [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full here")),
+    "closed pipe"])
+def test_unwritable_buffered_stdout_exits_2_with_one_line(argv, sink,
+                                                         tmp_path):
+    argv = [os.path.join(EXAMPLES, a) if a == "s4_perms.json"
+            else str(tmp_path / a) if a == "rep.json" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if sink == "closed pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ntpg.cli", *argv], stdout=stdout,
+            stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=src), text=True,
+            timeout=60)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, len(proc.stderr.splitlines())) == (2, 1), \
+        proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("ERROR")
+
+
+@pytest.mark.parametrize("argv, rc, first", [
+    (["--help"], 0, "usage: ntpg [-h]"),
+    (["group"], 2, "usage: ntpg group"),
+    (["group", "validate", "s4_perms.json", "--out", "rep.json"], 2,
+     "ERROR group validate: cannot write the report: [Errno 9]"),
+    (["group", "validate", "s4_perms.json"], 2,
+     "ERROR group validate: cannot write the report: [Errno 9]"),
+    (["group", "validate", "missing.json", "--out", "rep.json"], 2,
+     "ERROR group validate: input file not found"),
+], ids=["help", "usage error", "out file", "out stdout", "error out file"])
+def test_stdout_closed_at_start_up_exits_without_a_traceback(argv, rc, first,
+                                                              tmp_path):
+    # with fd 1 closed the interpreter sets sys.stdout to None: argparse
+    # writes its help to stderr, and a report or verdict line that print
+    # dropped is a closed stdout, rc 2 with one line
+    argv = [os.path.join(EXAMPLES, a) if a == "s4_perms.json"
+            else str(tmp_path / a) if a == "rep.json" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(ntpg.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ntpg.cli",
+         *argv], stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=src),
+        text=True, timeout=60)
+    assert proc.returncode == rc, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith(first)
+    if rc and first.startswith("ERROR"):
+        assert len(proc.stderr.splitlines()) == 1
+
+
+class _FullStdout(io.StringIO):
+    """A stdout whose flush fails as a full device's does; its file
+    descriptor is a file of the test's own."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["group", "validate",
+                                               "s4_perms.json", "--out", "-"]],
+                         ids=["help", "report"])
+def test_failed_stdout_flush_points_stdout_at_devnull(argv, tmp_path, capsys,
+                                                       monkeypatch):
+    # in process, the same path as the fresh-process runs above: one
+    # stderr line, rc 2, and stdout's descriptor now on os.devnull, where
+    # the interpreter's final flush cannot fail
+    argv = [os.path.join(EXAMPLES, a) if a.endswith(".json") else a
+            for a in argv]
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
+        assert main(argv) == 2
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "No space left on device" in err
+
+
+@pytest.mark.parametrize("argv, rc, first", [
+    (["--help"], 0, "usage: ntpg [-h]"),
+    (["group", "validate", "s4_perms.json"], 2,
+     "ERROR group validate: cannot write the report: [Errno 9]")],
+    ids=["help", "report"])
+def test_stdout_none_is_a_closed_stdout_in_process(argv, rc, first, capsys,
+                                                   monkeypatch):
+    # in process, the path of a stdout closed at start-up above
+    argv = [os.path.join(EXAMPLES, a) if a.endswith(".json") else a
+            for a in argv]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == rc
+    assert capsys.readouterr().err.startswith(first)
 
 
 _RUN_AND_CHECK_FRACTIONS = """
@@ -1531,7 +1672,7 @@ def test_mult_function_law_failure_is_a_theory_failure(tmp_path, capsys,
 def test_pipeline_square_failure_is_a_theory_failure(tmp_path, capsys,
                                                      monkeypatch):
     import ntpg.principal
-    from ntpg.groups import action_check
+    from ntpg.actions import action_check
     calls = []
 
     def split_gamma_orbits(a):

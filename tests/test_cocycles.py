@@ -11,10 +11,11 @@ from ntpg.errors import (ActionIncompatibleWithFibration,
                          NotInvertibleChart, SearchCapExceeded)
 from ntpg.groups import Subgroup
 from ntpg.fields import GF, QQ
-from ntpg.graded import GradedSignature, PolyMap, is_graded_morphism
+from ntpg.graded import PolyMap, is_graded_morphism
 from ntpg.jsonio import dump_terms, load_aut_cocycle
 from ntpg.named import cyclic, klein_four, quaternion_group, symmetric
 from ntpg.poly import Poly
+from ntpg.signature import GradedSignature
 
 F3 = GF(3)
 SIG = GradedSignature.double_vector(1, 1, 1)

@@ -4,13 +4,13 @@ import pytest
 
 from ntpg.errors import InvalidInput, NotInvertible, SignatureMismatch
 from ntpg.fields import GF, QQ
-from ntpg.graded import (Derivation, GradedSignature, HomogeneityStructure,
-                         PolyMap, check_compatible_structures, compose,
+from ntpg.graded import (Derivation, HomogeneityStructure, PolyMap,
+                         check_compatible_structures, compose,
                          conjugate_structure, dilation, dilation_families,
                          invert, is_graded_morphism, is_homogeneous,
-                         monomials_of_weight, triangular_inverse,
-                         weight_components)
+                         triangular_inverse, weight_components)
 from ntpg.poly import Poly
+from ntpg.signature import GradedSignature, monomials_of_weight
 from sample import (random_graded_automorphism, random_homogeneous,
                     random_polynomial, random_scalar,
                     random_weight_preserving_map)

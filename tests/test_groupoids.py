@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from ntpg.actions import (FiniteAction, action_check, regular_action,
+                          right_translation_action, trivial_action)
 from ntpg.errors import (ActionNotFree, InvalidInput, NotFree,
                          NotMultiplicative)
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
@@ -11,9 +13,7 @@ from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             multiplicative_function, pair_groupoid,
                             quotient_groupoid, reconstruct_and_check,
                             reduced_action, split)
-from ntpg.groups import (FiniteAction, Subgroup, action_check,
-                         regular_action, right_translation_action,
-                         subgroup_closure, trivial_action)
+from ntpg.groups import Subgroup, subgroup_closure
 from ntpg.named import (Q8_I, Q8_J, cyclic, klein_four, quaternion_group,
                         trivial_group)
 from ntpg.jsonio import load_groupoid_action
@@ -122,7 +122,7 @@ def test_groupoid_entries_must_be_integers(field, value):
 
 def diagonal_translation_action(G, labels, gpd, members):
     """<p,q>.g' = <pg', qg'> for g' ranging over a subgroup of G."""
-    from ntpg.groups import subgroup_as_group
+    from ntpg.actions import subgroup_as_group
     H = Subgroup(G, members)
     Hgrp, to_parent, _ = subgroup_as_group(H)
     rows = []
@@ -261,7 +261,7 @@ def test_quotient_of_klein_pair_groupoid_by_factor():
     G = klein_four()
     gpd = pair_groupoid(4)
     H = Subgroup(G, [0, 1])  # {(0,0), (0,1)} under the g*2+h coding
-    from ntpg.groups import subgroup_as_group
+    from ntpg.actions import subgroup_as_group
     Hgrp, to_parent, _ = subgroup_as_group(H)
     rows = []
     for h in range(Hgrp.order):
@@ -376,8 +376,8 @@ def test_groupoid_action_refuses_another_point_count():
 
 def test_split_builds_no_quotient_group(monkeypatch):
     # pre-principality is read off the arrow orbit sizes
+    import ntpg.actions
     import ntpg.groupoids
-    import ntpg.groups
     G, H, action, gpd, labels = q8_gauge()
     Hj = subgroup_closure(G, {Q8_J})
     ga = reduced_action(diagonal_translation_action(G, labels, gpd, Hj.members))
@@ -385,7 +385,7 @@ def test_split_builds_no_quotient_group(monkeypatch):
     def refuse(*args):
         raise AssertionError("quotient group built")
 
-    monkeypatch.setattr(ntpg.groups, "quotient", refuse)
+    monkeypatch.setattr(ntpg.actions, "quotient", refuse)
     monkeypatch.setattr(ntpg.groupoids, "reduce_action", refuse)
     assert len(split(ga).fiber) == 16
 
@@ -449,7 +449,7 @@ def test_extracted_b_from_gauge_example():
     # the second factor acts diagonally on arrows
     rows = []
     K = Subgroup(G, [0, 2])
-    from ntpg.groups import subgroup_as_group
+    from ntpg.actions import subgroup_as_group
     Kgrp, to_parent, _ = subgroup_as_group(K)
     for h in range(Kgrp.order):
         gp = to_parent[h]

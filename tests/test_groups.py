@@ -3,23 +3,24 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntpg import groups, named
+from ntpg import actions, groups, named
+from ntpg.actions import (FiniteAction, GroupHom, action_check, descend,
+                          quotient, reduce_action, regular_action,
+                          restrict_action, right_translation_action,
+                          subgroup_as_group, trivial_action)
 from ntpg.errors import (ClosureCapExceeded, InternalInconsistency,
                          InvalidInput, NoIdentity, NoInverse, NonAssociative,
                          NotAnAction, NotLatinSquare, NotNormal,
                          ParentMismatch)
-from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _check_associative,
-                         _compose_perm, action_check, descend, generates,
-                         intersect, is_normal, make_group,
-                         make_group_from_permutations,
-                         normality_witness, quotient, reduce_action,
-                         regular_action, restrict_action,
-                         right_translation_action, subgroup_as_group,
-                         subgroup_closure, trivial_action)
+from ntpg.groups import (Subgroup, _check_associative, _compose_perm,
+                         generates, intersect, is_normal, make_group,
+                         make_group_from_permutations, normality_witness,
+                         subgroup_closure)
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
                         dihedral, direct_product, klein_four,
                         quaternion_group, symmetric)
-from ntpg.principal import dpg_morphism_check, verify_double, verify_ntuple
+from ntpg.ntuple import verify_ntuple
+from ntpg.principal import dpg_morphism_check, verify_double
 from test_validation_oracles import assert_same_group
 
 
@@ -473,7 +474,7 @@ def test_every_subgroup_the_library_builds_is_validated(monkeypatch):
     from inspect import signature
     from ntpg.autgroups import enumerate_aut
     from ntpg.fields import GF
-    from ntpg.graded import GradedSignature
+    from ntpg.signature import GradedSignature
     assert list(signature(Subgroup.__init__).parameters) == \
         ["self", "parent", "members"]
     validated = []
@@ -712,14 +713,14 @@ def test_reduce_action_outside_the_kernel_is_a_library_bug():
 
 
 def test_reduce_action_that_fails_its_checks_is_a_library_bug(monkeypatch):
-    real = groups.descend
+    real = actions.descend
 
     def rotated(classes, values, n):
         # the identity coset takes the next coset's row
         rows, k = real(classes, values, n)
         return rows[1:] + rows[:1], k
 
-    monkeypatch.setattr(groups, "descend", rotated)
+    monkeypatch.setattr(actions, "descend", rotated)
     # Z4 on 4 points through Z4 -> Z2: the kernel {0, 2} acts trivially
     a = FiniteAction(cyclic(4), 4, [[0, 1, 2, 3], [1, 0, 3, 2]] * 2)
     with pytest.raises(InternalInconsistency) as e:

@@ -5,12 +5,12 @@ import pytest
 
 from ntpg.errors import InvalidInput, NotInvertible
 from ntpg.fields import GF, QQ, field_from_json, field_to_json
-from ntpg.graded import GradedSignature
 from ntpg.groupoids import pair_groupoid
 from ntpg.jsonio import (dump_group, dump_groupoid, dump_polymap,
                          dump_signature, load_group, load_groupoid,
                          load_polymap, load_signature)
 from ntpg.named import quaternion_group
+from ntpg.signature import GradedSignature
 from test_cli_fuzz import EXAMPLES
 
 

@@ -3,18 +3,19 @@ import os
 
 import pytest
 
+from ntpg.actions import (FiniteAction, GroupHom, quotient, regular_action,
+                          restrict_action, right_translation_action)
 from ntpg.errors import (InternalInconsistency, InvalidInput, NotAnAction,
                          NotCompatible, NotFree)
-from ntpg.groups import (FiniteAction, GroupHom, Subgroup, make_group, quotient,
-                         regular_action, restrict_action,
-                         right_translation_action, subgroup_closure)
+from ntpg.groups import Subgroup, make_group, subgroup_closure
 from ntpg.jsonio import load_action, load_group, load_subgroup
 from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_I, Q8_MINUS_ONE, Q8_ONE,
                         cyclic, quaternion_group, symmetric)
+from ntpg.ntuple import verify_ntuple
 from ntpg.principal import (check_compatibility, dpg_morphism_check, dressing,
                             exact_sequence_check, gamma_from_actions,
                             semidirect, semidirect_from_dressing, vacancy,
-                            verify_double, verify_ntuple)
+                            verify_double)
 
 
 def q8_dpg():
@@ -75,9 +76,10 @@ def _hyperplanes(k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
+    import ntpg.ntuple
     import ntpg.principal
     G, subs = _hyperplanes(k)
-    real = ntpg.principal.generates
+    real = ntpg.ntuple.generates
     calls = []
 
     def counting(gamma, pair):
@@ -87,7 +89,7 @@ def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
     def refuse(*args):
         raise AssertionError("the pair oracle called verify_double")
 
-    monkeypatch.setattr(ntpg.principal, "generates", counting)
+    monkeypatch.setattr(ntpg.ntuple, "generates", counting)
     monkeypatch.setattr(ntpg.principal, "verify_double", refuse)
     assert verify_ntuple(G, subs).verdict
     # k(k-1)/2 calls, one per unordered pair
@@ -96,16 +98,16 @@ def test_pairwise_oracle_runs_each_unordered_pair_once(k, monkeypatch):
 
 
 def test_pair_oracle_names_the_pair_it_refuses(monkeypatch):
-    import ntpg.principal
+    import ntpg.ntuple
     G, subs = _hyperplanes(3)
-    real = ntpg.principal.generates
+    real = ntpg.ntuple.generates
 
     def refuse_1_2(gamma, pair):
         if list(pair) == [subs[1], subs[2]]:
             return False
         return real(gamma, pair)
 
-    monkeypatch.setattr(ntpg.principal, "generates", refuse_1_2)
+    monkeypatch.setattr(ntpg.ntuple, "generates", refuse_1_2)
     with pytest.raises(InternalInconsistency) as e:
         verify_ntuple(G, subs)
     assert e.value.report() == {
@@ -139,12 +141,13 @@ def test_verify_double_builds_no_quotient(dpg_corpus, monkeypatch):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
-    import ntpg.principal
+    import ntpg.actions
+    import ntpg.groups
 
     def refuse(G, N):
         raise AssertionError("verify_ntuple built a quotient")
 
-    monkeypatch.setattr(ntpg.principal, "quotient", refuse)
+    monkeypatch.setattr(ntpg.actions, "quotient", refuse)
     for name, dpg in dpg_corpus:
         assert verify_ntuple(dpg.gamma, [dpg.g1, dpg.g2]).verdict, name
     G, subs = _hyperplanes(k)
@@ -153,9 +156,9 @@ def test_verify_ntuple_builds_no_quotient(k, dpg_corpus, monkeypatch):
     def rebuild(*args):
         raise AssertionError("verify_ntuple rebuilt a group")
 
-    for module in (ntpg.principal, ntpg.groups):
+    for module in (ntpg.actions, ntpg.groups):
         monkeypatch.setattr(module, "_built_group", rebuild)
-        monkeypatch.setattr(module, "subgroup_as_group", rebuild)
+    monkeypatch.setattr(ntpg.actions, "subgroup_as_group", rebuild)
     w = verify_ntuple(G, subs)
     assert w.verdict
     assert w.trace["children"][0]["group_order"] == 2 ** k // 2
@@ -356,7 +359,7 @@ def test_pipeline_on_q8():
 
 def test_pipeline_checks_each_action_once(monkeypatch):
     import ntpg.principal
-    from ntpg.groups import action_check
+    from ntpg.actions import action_check
     G, rho, rho_prime = q8_translation_actions()
     calls = []
 

@@ -26,7 +26,8 @@ here; the catalog up to order 24 runs from the command line:
 
 import sys
 
-from ntpg.groups import quotient, right_translation_action, subgroup_closure
+from ntpg.actions import quotient, right_translation_action
+from ntpg.groups import subgroup_closure
 from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
                         quaternion_group, symmetric)
 from ntpg.principal import (dressing, exact_sequence_check,

@@ -14,7 +14,11 @@ run in a fresh namespace, so nothing is written under ``perfbench``.
 import importlib
 import json
 import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRIVER = os.path.join(ROOT, "perfbench", "trace_driver.py")
@@ -57,7 +61,7 @@ def test_every_counter_reads_a_real_call():
     # renamed field fails here, and not only in the perfbench trace check
     from ntpg import autgroups, cocycles, groups
     from ntpg.fields import field_from_json
-    from ntpg.graded import GradedSignature
+    from ntpg.signature import GradedSignature
     from ntpg.groupoids import FiniteGroupoid
     from ntpg.jsonio import load_group, load_group_cocycle
     from ntpg.poly import Poly
@@ -94,3 +98,52 @@ def test_every_counter_reads_a_real_call():
         "groupoids.composable_pairs": len(gpd["mul"]),
         "poly.mul.term_pairs": 2 * 3 + 2,
     }
+
+
+# runs the driver's main, compiled from its source, in a fresh process:
+# python -c _RUN_DRIVER DRIVER TRACE_JSON ARG...
+_RUN_DRIVER = """
+import sys, types
+driver = types.ModuleType("trace_driver")
+driver.__file__ = sys.argv[1]
+with open(sys.argv[1], encoding="utf-8") as fh:
+    exec(compile(fh.read(), sys.argv[1], "exec"), driver.__dict__)
+sys.argv = sys.argv[1:]
+driver.main()
+"""
+
+# Z2^3 with its three coordinate hyperplanes, 3-tuple principal, and a model
+# with three gradings; the n-tuple recursion reads normality_witness at
+# every level of both
+Z2_3 = {"gamma": {"order": 8, "table": [[i ^ j for j in range(8)]
+                                        for i in range(8)]},
+        "subgroups": [[x for x in range(8) if not x >> k & 1]
+                      for k in range(3)]}
+K3 = {"mode": "multi", "n": 3, "blocks": [
+    {"sigma": sigma, "dim": 1} for sigma in
+    ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1])]}
+
+
+@pytest.mark.parametrize("argv,data", [
+    (["ntuple", "verify"], Z2_3),
+    (["aut", "verify-p54", "--field", "Fp:2", "--sig"], K3),
+], ids=["ntuple verify", "aut verify-p54"])
+def test_traced_counts_reach_the_recursion_in_its_own_module(argv, data,
+                                                             tmp_path):
+    # the driver wraps only the modules registered when it installs, so the
+    # deferred ntuple module must be one of them: its calls of
+    # normality_witness count as they did while the recursion lived in
+    # principal
+    src = os.path.join(ROOT, "src")
+    path, trace = tmp_path / "input.json", tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_DRIVER, DRIVER, str(trace), *argv,
+         str(path), "--out", str(tmp_path / "rep.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert {name: spans[name][0] for name in (
+        "principal.verify_ntuple", "groups.normality_witness")} == {
+        "principal.verify_ntuple": 1, "groups.normality_witness": 9}

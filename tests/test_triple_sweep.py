@@ -32,9 +32,10 @@ from itertools import product
 
 from test_theorem_sweep import all_subgroups, catalog
 
-from ntpg.groups import (Subgroup, normality_witness, subgroup_as_group,
-                         subgroup_closure)
-from ntpg.principal import verify_double, verify_ntuple
+from ntpg.actions import subgroup_as_group
+from ntpg.groups import Subgroup, normality_witness, subgroup_closure
+from ntpg.ntuple import verify_ntuple
+from ntpg.principal import verify_double
 
 # (arity, max order) -> (groups, ordered tuples, passes, failing below the
 # top)

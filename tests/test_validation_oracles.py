@@ -44,23 +44,23 @@ from itertools import (chain, combinations, combinations_with_replacement,
 
 import pytest
 
+from ntpg.actions import (FiniteAction, GroupHom, action_check, quotient,
+                          reduce_action, regular_action,
+                          right_translation_action, trivial_action)
 from ntpg.autgroups import enumerate_aut
 from ntpg.cocycles import Cocycle, CoverNerve, are_cohomologous, check_cocycle
 from ntpg.errors import (AlgebraError, InternalInconsistency, InvalidInput,
                          NoIdentity, NoInverse, NonAssociative, NotAnAction,
                          NotLatinSquare, is_int)
 from ntpg.fields import GF
-from ntpg.graded import GradedSignature
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, check_compatible,
                             gauge_groupoid, pair_groupoid)
-from ntpg.groups import (FiniteAction, GroupHom, Subgroup, _light_test,
-                         _product_generators, action_check, make_group,
-                         normality_witness, quotient, reduce_action,
-                         regular_action, right_translation_action,
-                         subgroup_closure, trivial_action)
+from ntpg.groups import (Subgroup, _light_test, _product_generators,
+                         make_group, normality_witness, subgroup_closure)
 from ntpg.named import (cyclic, dihedral, direct_product, klein_four,
                         quaternion_group, symmetric, trivial_group)
+from ntpg.signature import GradedSignature
 from test_cli_fuzz import LOOP5
 
 
