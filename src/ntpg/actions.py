@@ -242,14 +242,22 @@ def reduce_action(a, kernel):
     return _built(FiniteAction, Q, a.set_size, rows)
 
 
+def automorphism_action(K, H, rows):
+    """K acting on the right on H by the automorphisms ``rows[k]``:
+    ``FiniteAction`` proves the action law and ``GroupHom`` the twist of
+    each product generator of K; automorphisms compose, so every twist is
+    one."""
+    action = FiniteAction(K, H.order, rows)
+    for k in K.generators:
+        GroupHom(H, H, rows[k])
+    return action
+
+
 def right_translation_action(G, H):
     """H <= G acting on the elements of G by right multiplication."""
     if H.parent is not G:
         raise ParentMismatch("subgroup does not belong to this group")
-    Hgrp, to_parent, _ = subgroup_as_group(H)
-    act = [[G.table[x][to_parent[h]] for x in range(G.order)]
-           for h in range(Hgrp.order)]
-    return _built(FiniteAction, Hgrp, G.order, act)
+    return restrict_action(regular_action(G), H)
 
 
 def regular_action(G):

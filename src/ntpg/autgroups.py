@@ -35,13 +35,11 @@ from operator import eq
 
 # read at call time, so that the aut commands run neither graded nor poly
 from . import graded, ntuple, poly
-from .errors import (EnumerationCapExceeded, IllegalMonomial,
-                     InternalInconsistency, InvalidInput)
+from .errors import (DEFAULT_CANDIDATE_CAP, EnumerationCapExceeded,
+                     IllegalMonomial, InternalInconsistency, InvalidInput)
 from .fields import mat_inv
 from .groups import Subgroup, _built, _perm_group, _reader, intersect
 from .signature import GradedSignature, monomials_of_weight
-
-DEFAULT_ENUM_CAP = 10 ** 6
 
 
 def _require_model_signature(sig):
@@ -237,7 +235,7 @@ def _slot_list(sig):
     return slots
 
 
-def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
+def enumerate_aut(sig, field, cap=DEFAULT_CANDIDATE_CAP):
     """Enumerate every automorphism of the model over F_p.
 
     The maps are the grid points whose linear blocks are invertible
@@ -314,7 +312,7 @@ def enumerate_aut(sig, field, cap=DEFAULT_ENUM_CAP):
 P54Report = namedtuple("P54Report", "handle witness orders")
 
 
-def verify_p54(sig, field, cap=DEFAULT_ENUM_CAP):
+def verify_p54(sig, field, cap=DEFAULT_CANDIDATE_CAP):
     """Enumerate Aut over F_p and verify the n-tuple principal structure
     with the distinguished subgroups G^i (identical on the degree-e_i
     factor).  Reports every order, including pairwise intersections."""

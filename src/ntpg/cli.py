@@ -31,10 +31,10 @@ import os
 import sys
 import time
 
-from .errors import (DEFAULT_CLOSURE_CAP, ActionNotFree, AlgebraError,
-                     InternalInconsistency, InvalidInput, NoIdentity,
-                     NoInverse, NonAssociative, NotCompatible, NotFree,
-                     NotInvertibleChart, NotLatinSquare, is_int)
+from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_CLOSURE_CAP, ActionNotFree,
+                     AlgebraError, InternalInconsistency, InvalidInput,
+                     NoIdentity, NoInverse, NonAssociative, NotCompatible,
+                     NotFree, NotInvertibleChart, NotLatinSquare, is_int)
 
 
 def _defer(name):
@@ -317,18 +317,19 @@ def _model(args, data):
     return autgroups.enumerate_aut(sig, field, cap=args.max_candidates)
 
 
-def _double_model(handle):
-    """The standard fibered space of a double model, its sides y and y'."""
+def _double(handle):
+    """handle, refused unless its model is double (sides y and y')."""
     if handle.sig.n != 2:
         raise InvalidInput("standard model needs a double grading")
-    return cocycles.standard_fibered_space(handle)
+    return handle
 
 
 def cmd_cocycle_associate(args, data):
     handle = _model(args, data)
     c, _ = jsonio.load_group_cocycle(
         jsonio._need(data, "cocycle", "cocycle input"), group=handle.group)
-    rho, rho_prime = cocycles.associated_cocycle(c, _double_model(handle))
+    rho, rho_prime = cocycles.associated_cocycle(
+        c, cocycles.standard_fibered_space(_double(handle)))
     pairs = c.nerve.ordered_pairs()
     details = {
         "fiber_transitions": [
@@ -350,7 +351,7 @@ def cmd_cocycle_frame(args, data):
         jsonio._need(data, "cocycle", "cocycle input"), handle)
     cocycles.require_cocycle(c)
     # the frame bundle lives on the standard double model
-    _double_model(handle)
+    _double(handle)
     if any(handle.map_of(c.value(*p)) != aut for p, aut in auts.items()):
         raise InternalInconsistency("frame/associated round trip failed")
     details = {"values": [{"pair": list(p), "element": c.value(*p)}
@@ -430,7 +431,8 @@ def build_parser():
     common.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP,
                         help="cap for permutation closures of every input "
                              "group")
-    common.add_argument("--max-candidates", type=int, default=10 ** 6,
+    common.add_argument("--max-candidates", type=int,
+                        default=DEFAULT_CANDIDATE_CAP,
                         help="cap for enumeration and coboundary search "
                              "grids")
     common.add_argument("--subgroups", default=None,
@@ -514,15 +516,18 @@ def main(argv=None):
     started = time.monotonic()
     command = [args.command, getattr(args, "action", None)]
     name = " ".join(filter(None, command))
+    lost = "the report"  # what an OSError under the guard failed to write
 
     def finish(details, witnesses, flags, error):
         """Write the report, then the stderr error or stdout verdict line."""
+        nonlocal lost
         verdict = "fail" if witnesses else "pass" if error is None else "error"
         report = {"command": command, "verdict": verdict, **flags,
                   "details": details, "witnesses": witnesses,
                   "timing_ms": round(1000 * (time.monotonic() - started), 3)}
         jsonio.write_report(report, args.out)
         if verdict != "error" and args.out not in (None, "-"):
+            lost = "the verdict line"  # the report is in its file
             print("%s %s" % (verdict.upper(), name)
                   + (" (witnesses: %d)" % len(witnesses) if witnesses else ""))
         # a full or closed stdout fails here, under the guard, not at exit
@@ -538,7 +543,7 @@ def main(argv=None):
     try:
         return finish(*_outcome(args))
     except OSError as e:
-        print("ERROR %s: cannot write the report: %s" % (name, e),
+        print("ERROR %s: cannot write %s: %s" % (name, lost, e),
               file=sys.stderr)
     except Exception as e:
         try:

@@ -12,11 +12,9 @@ from collections import namedtuple
 from itertools import chain, permutations
 
 from . import actions, fields, graded, groups, poly, signature
-from .errors import (ActionIncompatibleWithFibration, InternalInconsistency,
-                     InvalidInput, NotInvertibleChart, SearchCapExceeded,
-                     all_ints)
-
-DEFAULT_SEARCH_CAP = 10 ** 6
+from .errors import (DEFAULT_CANDIDATE_CAP, ActionIncompatibleWithFibration,
+                     InternalInconsistency, InvalidInput, NotInvertibleChart,
+                     SearchCapExceeded, all_ints)
 
 
 class CoverNerve:
@@ -220,7 +218,7 @@ CohomologyResult = namedtuple("CohomologyResult",
                               "cohomologous witness searched")
 
 
-def are_cohomologous(c1, c2, cap=DEFAULT_SEARCH_CAP):
+def are_cohomologous(c1, c2, cap=DEFAULT_CANDIDATE_CAP):
     """Search for a family (λ_i) with g'_ij = λ_i g_ij λ_j^-1.
 
     As λ_j = g'_ji λ_i g_ij (g'_ji = g'_ij^-1), λ at the least chart of a

@@ -72,6 +72,8 @@ class ClosureCapExceeded(AlgebraError):
 
 # the closure cap of every input group, also the CLI's --max-order default
 DEFAULT_CLOSURE_CAP = 10_000
+# the cap of every search grid, also the CLI's --max-candidates default
+DEFAULT_CANDIDATE_CAP = 10 ** 6
 
 
 # -- groupoids -------------------------------------------------------------

@@ -143,7 +143,7 @@ def pair_groupoid(n):
         for q in range(n):
             for r in range(n):
                 mul[(p * n + q, q * n + r)] = p * n + r
-    return FiniteGroupoid(n, src, tgt, id_, inv, mul)
+    return _built(FiniteGroupoid, n, src, tgt, id_, inv, mul)
 
 
 class GaugeLabels(namedtuple("GaugeLabels", "pair_to_arrow arrow_rep")):

@@ -36,9 +36,9 @@ class FiniteGroup:
     associativity test in ``make_group``, ``is_abelian`` and ``center``,
     ``normality_witness``, ``GroupHom`` validation, the ``FiniteAction``
     law, the orbits of ``action_check``, ``check_compatible`` in
-    ``groupoids``, the twist checks of ``semidirect`` and of the dressings
-    in ``principal``, and a ``FiberedSpace``'s fiber check on a side's
-    subgroup in ``cocycles``.
+    ``groupoids``, the twist checks of ``automorphism_action`` in
+    ``actions``, and a ``FiberedSpace``'s fiber check on a side's subgroup
+    in ``cocycles``.
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "generators")

@@ -13,8 +13,8 @@ the commuting square of orbit maps.
 from collections import namedtuple
 
 from . import groupoids
-from .actions import (FiniteAction, GroupHom, action_check, descend, quotient,
-                      subgroup_as_group)
+from .actions import (FiniteAction, action_check, automorphism_action,
+                      descend, quotient, subgroup_as_group)
 from .errors import (InternalInconsistency, NotAnAction, NotCompatible,
                      NotFree, ParentMismatch)
 from .groups import (Subgroup, _built, _built_group, _inverse_perm,
@@ -97,51 +97,41 @@ DressingAction.__doc__ = """The conjugation dressings: ``g_on`` takes
 g'_g = g^-1 g' g in G'."""
 
 
-def _conjugation_rows(H, K):
-    """Hgrp, to_h, Kgrp, to_k, rows: H and K reified
-    (``subgroup_as_group``), and the rows of K acting on H by conjugation,
-    k^-1 h k, in their indices; the rows are not yet proved an action."""
-    t, inv = H.parent.table, H.parent.inverse
-    Hgrp, to_h, from_h = subgroup_as_group(H)
-    Kgrp, to_k, _ = subgroup_as_group(K)
+def _conjugation_rows(G, H, K):
+    """The rows of K acting on H by conjugation, k^-1 h k in G, for H and
+    K reified (``subgroup_as_group``), in their indices; the rows are not
+    yet proved an action."""
+    t, inv = G.table, G.inverse
+    (_, to_h, from_h), (_, to_k, _) = H, K
     rows = [[from_h.get(t[t[inv[k]][h]][k]) for h in to_h] for k in to_k]
     for k, row in zip(to_k, rows):
         if None in row:
             raise InternalInconsistency("dressing leaves the subgroup",
                                         pair=(to_h[row.index(None)], k))
-    return Hgrp, to_h, Kgrp, to_k, rows
-
-
-def _conjugation_action(H, K):
-    """{(h, k): k^-1 h k} for normal subgroups H and K of one group: K
-    acting on H on the right by automorphisms.
-
-    ``FiniteAction`` proves the action law of ``_conjugation_rows`` and
-    ``GroupHom`` the twist of each product generator of K; automorphisms
-    compose, so every twist is one.
-    """
-    Hgrp, to_h, Kgrp, to_k, rows = _conjugation_rows(H, K)
-    _built(FiniteAction, Kgrp, Hgrp.order, rows)
-    for k in Kgrp.generators:
-        _built(GroupHom, Hgrp, Hgrp, rows[k])
-    return {(h, k): to_h[x] for k, row in zip(to_k, rows)
-            for h, x in zip(to_h, row)}
+    return rows
 
 
 def dressing(dpg):
     """Compute both dressing actions and verify all their laws.
 
-    Each dressing is proved a right action by automorphisms
-    (``_conjugation_action``).  Checked on every pair: the
-    refactorizations gg' = g'g_{g'} = g'_{g^-1}g and
+    G and G' are reified once each, and each dressing, k^-1 h k, is proved
+    a right action by automorphisms (``automorphism_action``).  Checked on
+    every pair: the refactorizations gg' = g'g_{g'} = g'_{g^-1}g and
     g'g = gg'_g = g_{(g')^-1}g', and the mixed identity
     (g')_{g^-1}(g')^-1 = g (g_{(g')^-1})^-1.  These are consequences of
     normality, so a failure flags a library bug.
     """
     G = dpg.gamma
     t, inv = G.table, G.inverse
-    g_on = _conjugation_action(dpg.g1, dpg.g2)
-    gp_on = _conjugation_action(dpg.g2, dpg.g1)
+    pair = subgroup_as_group(dpg.g1), subgroup_as_group(dpg.g2)
+    ons = []
+    for H, K in (pair, pair[::-1]):
+        (Hgrp, to_h, _), (Kgrp, to_k, _) = H, K
+        rows = _conjugation_rows(G, H, K)
+        _built(automorphism_action, Kgrp, Hgrp, rows)
+        ons.append({(h, k): to_h[x] for k, row in zip(to_k, rows)
+                    for h, x in zip(to_h, row)})
+    g_on, gp_on = ons
     for g in dpg.g1.members:
         for gp in dpg.g2.members:
             if t[g][gp] != t[gp][g_on[(g, gp)]]:
@@ -164,17 +154,14 @@ def dressing(dpg):
 def semidirect(gprime, g, act):
     """G' ⋉ G for a right action of G' on G by automorphisms.
 
-    ``act[g'][x]`` is x twisted by g'.  FiniteAction checks the action law
-    and GroupHom the twist of each product generator; automorphisms compose,
-    so every twist is one.  Multiplication follows
+    ``act[g'][x]`` is x twisted by g', proved an action by automorphisms
+    (``automorphism_action``).  Multiplication follows
     (g', g)(g1', g1) = (g'g1', g_{g1'} g1); the stated inverse formula
     ((g')^-1, (g^-1)_{(g')^-1}) is verified, G embeds normally and G'
     embeds as a subgroup.
     """
     np_, n = gprime.order, g.order
-    FiniteAction(gprime, n, act)
-    for h in gprime.generators:
-        GroupHom(g, g, act[h])
+    automorphism_action(gprime, g, act)
 
     def row_of(left):
         gp, x = divmod(left, n)
@@ -207,8 +194,9 @@ def semidirect(gprime, g, act):
 def semidirect_from_dressing(dpg):
     """G' ⋉ G built from the dressing action of a double principal group,
     which ``semidirect`` proves an action by automorphisms."""
-    G1, _, G2, _, act = _conjugation_rows(dpg.g1, dpg.g2)
-    return _built(semidirect, G2, G1, act)
+    G1, G2 = subgroup_as_group(dpg.g1), subgroup_as_group(dpg.g2)
+    return _built(semidirect, G2[0], G1[0],
+                  _conjugation_rows(dpg.gamma, G1, G2))
 
 
 # -- the two-action pipeline --------------------------------------------------

@@ -25,9 +25,14 @@ The one-grading model is not in the sweep: over F_3 its Aut is Z2 and G^1
 is trivial, so the structure fails with ``NotGenerating``.  The golden
 case ``aut_verify_p54_one_grading_f3`` pins that report.
 
+Three n = 4 models (``FOUR_GRADINGS``), the most gradings a signature
+takes, are checked here as each sweep model is: |Aut| 4 and 8 over F_2 and
+576 over F_3.
+
 The mode ``large-f3`` runs ``aut verify-p54`` as a fresh CLI process on
-two larger F_3 models with dimension-2 blocks, at orders the sweep skips
-(|Aut| 1,728 and 4,608), against the same closed form:
+three larger F_3 models at orders the sweep skips, against the same closed
+form: two with dimension-2 blocks (|Aut| 1,728 and 4,608) and the n = 4
+model with three pair blocks (|Aut| 3,456):
 
     PYTHONPATH=src python tests/test_aut_sweep.py large-f3
 """
@@ -38,6 +43,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import pytest
 
 from ntpg.autgroups import verify_p54
 from ntpg.cocycles import (Cocycle, CoverNerve, associated_cocycle,
@@ -57,9 +64,18 @@ PINNED = {(1, (2,)): (134, 0, 0), (1, (2, 3)): (260, 8, 0),
           (2, (2, 3)): (27, 11, 20)}
 # largest block dimension -> the numbers of gradings swept
 GRADINGS = {1: (2, 3), 2: (2,)}
-# (n, blocks) of the large-f3 mode: |Aut| 1,728 and 4,608 over F_3
+# n = 4, the most gradings a signature takes: the four unit blocks and the
+# pair blocks (1,1,0,0) and (0,0,1,1), all of dimension 1, and with the pair
+# block (1,0,1,0) as well
+FOUR_UNITS = {tuple(int(k == i) for k in range(4)): 1 for i in range(4)}
+TWO_PAIRS = {**FOUR_UNITS, (1, 1, 0, 0): 1, (0, 0, 1, 1): 1}
+THREE_PAIRS = {**TWO_PAIRS, (1, 0, 1, 0): 1}
+# (p, blocks) of the n = 4 models checked here: |Aut| 4, 8 and 576
+FOUR_GRADINGS = [(2, TWO_PAIRS), (2, THREE_PAIRS), (3, TWO_PAIRS)]
+# (n, blocks) of the large-f3 mode: |Aut| 1,728, 4,608 and 3,456 over F_3
 LARGE_F3 = [(2, {(1, 0): 2, (0, 1): 1, (1, 1): 1}),
-            (3, {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 2})]
+            (3, {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 2}),
+            (4, THREE_PAIRS)]
 
 
 def models(n, top):
@@ -125,20 +141,26 @@ def sweep(primes, top=1):
     for p in primes:
         for n in GRADINGS[top]:
             for blocks in models(n, top):
-                want = aut_orders(n, blocks, p)
-                if want["gamma"] > MAX_AUT:
+                if aut_orders(n, blocks, p)["gamma"] > MAX_AUT:
                     skipped += 1
                     continue
-                sig = GradedSignature.multi(n, blocks.items())
-                rep = verify_p54(sig, GF(p))
-                case = (p, sorted(blocks.items()))
-                assert rep.witness.verdict, case
-                assert rep.orders == {k: want[k] for k in (
-                    "gamma", "gi", "intersections")}, case
-                told += check_sides(rep.handle, case)
-                check_lookup(rep.handle, case)
+                told += check_model(n, blocks, p)
                 checked += 1
     return checked, skipped, told
+
+
+def check_model(n, blocks, p):
+    """``verify_p54`` on one model over F_p against ``aut_orders``, then
+    ``check_sides`` and ``check_lookup``; returns ``check_sides``' answer."""
+    want = aut_orders(n, blocks, p)
+    rep = verify_p54(GradedSignature.multi(n, blocks.items()), GF(p))
+    case = (p, sorted(blocks.items()))
+    assert rep.witness.verdict, case
+    assert rep.orders == {k: want[k] for k in (
+        "gamma", "gi", "intersections")}, case
+    told = check_sides(rep.handle, case)
+    check_lookup(rep.handle, case)
+    return told
 
 
 def check_large_f3(tmp):
@@ -172,6 +194,13 @@ def test_aut_sweep_over_f2():
 
 def test_aut_sweep_dim2_over_f2_f3():
     assert sweep((2, 3), top=2) == PINNED[(2, (2, 3))]
+
+
+@pytest.mark.parametrize("p, blocks", FOUR_GRADINGS,
+                         ids=["two pairs F2", "three pairs F2",
+                              "two pairs F3"])
+def test_four_gradings(p, blocks):
+    check_model(4, blocks, p)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """The library checks what it derives through ``groups._built``.
 
-A ``Subgroup``, ``GroupHom`` or ``FiniteAction`` built bare reports a
-failed check as an input error; through ``_built`` the same failure is an
-``InternalInconsistency``, a library bug.  Bare calls stay only where the
-values checked are ones a caller passed in.
+A ``Subgroup``, ``GroupHom``, ``FiniteAction`` or ``FiniteGroupoid`` built
+bare reports a failed check as an input error; through ``_built`` the same
+failure is an ``InternalInconsistency``, a library bug.  Bare calls stay
+only where the values checked are ones a caller passed in.
 """
 
 import ast
@@ -12,15 +12,16 @@ from collections import Counter
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "ntpg")
-CLASSES = {"Subgroup", "GroupHom", "FiniteAction"}
+CLASSES = {"Subgroup", "GroupHom", "FiniteAction", "FiniteGroupoid"}
 
 # (module, enclosing function, class): the bare calls allowed there
 ALLOWED = {
     ("jsonio", "load_subgroup", "Subgroup"): 1,
     ("jsonio", "load_action", "FiniteAction"): 1,
     ("jsonio", "load_groupoid_action", "FiniteAction"): 1,
-    ("principal", "semidirect", "FiniteAction"): 1,      # its act
-    ("principal", "semidirect", "GroupHom"): 1,          # each twist
+    ("jsonio", "load_groupoid", "FiniteGroupoid"): 1,
+    ("actions", "automorphism_action", "FiniteAction"): 1,  # its rows
+    ("actions", "automorphism_action", "GroupHom"): 1,      # each twist
     ("cocycles", "FiberedSpace.__init__", "FiniteAction"): 1,   # its perms
     ("actions", "trivial_action", "FiniteAction"): 1,    # its set_size
 }

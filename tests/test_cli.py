@@ -121,6 +121,20 @@ def test_shared_options_keep_every_help_and_usage():
             == {a.dest: (a.default, a.type, a.required) for a in q._actions}
 
 
+def test_max_candidates_default_is_one_constant():
+    # the parser's default and the library's enumeration and coboundary
+    # search caps are one object
+    import inspect
+    from ntpg import autgroups, cocycles
+    from ntpg.errors import DEFAULT_CANDIDATE_CAP
+    args = build_parser().parse_args(["cocycle", "cohomologous", "in.json"])
+    defaults = [args.max_candidates] + [
+        inspect.signature(f).parameters["cap"].default
+        for f in (autgroups.enumerate_aut, autgroups.verify_p54,
+                  cocycles.are_cohomologous)]
+    assert [d is DEFAULT_CANDIDATE_CAP for d in defaults] == [True] * 4
+
+
 def test_dpg_verify_q8(tmp_path):
     f = write(tmp_path, "q8.json",
               {"gamma": q8_json(), "subgroups": [[0, 1, 2, 3], [0, 1, 4, 5]]})
@@ -408,6 +422,24 @@ def test_cocycle_frame_roundtrip(tmp_path):
     assert run(["cocycle", "frame", f, "--out", out]) == 0
     rep = read_report(out)
     assert rep["details"]["theory_checks"]["round_trip_exact"]
+
+
+def test_cocycle_frame_proves_no_action_and_no_subgroup(tmp_path,
+                                                        monkeypatch):
+    # frame reads only the model's grading count: it builds no standard
+    # fibered space, whose sides it would never read
+    from ntpg.actions import FiniteAction
+    from ntpg.groups import Subgroup
+    proofs = []
+    for cls in (FiniteAction, Subgroup):
+        def counting(self, validate=cls._validate):
+            proofs.append(type(self).__name__)
+            validate(self)
+        monkeypatch.setattr(cls, "_validate", counting)
+    out = str(tmp_path / "rep.json")
+    assert run(["cocycle", "frame", os.path.join(EXAMPLES, "d111_frame.json"),
+                "--out", out]) == 0
+    assert proofs == []
 
 
 def test_cocycle_associate(tmp_path):
@@ -733,9 +765,10 @@ def _modules_ran(argv):
     (["cocycle", "associate", "d111_assoc.json"],
      ["actions", "autgroups", "cocycles", "fields", "graded", "groups",
       "jsonio", "poly", "signature"]),
+    # frame refuses a model that is not double, and builds no fibered space
     (["cocycle", "frame", "d111_frame.json"],
-     ["actions", "autgroups", "cocycles", "fields", "graded", "groups",
-      "jsonio", "poly", "signature"]),
+     ["autgroups", "cocycles", "fields", "graded", "groups", "jsonio", "poly",
+      "signature"]),
     (["cocycle", "cohomologous", "s3_coh.json"], ["cocycles", "groups",
                                                   "jsonio"]),
     (["cocycle", "t2", "t2_chart.json"], ["cocycles", "fields", "graded",
@@ -776,17 +809,19 @@ def test_help_in_a_fresh_process_is_the_parser_text(group, monkeypatch,
 
 
 # a buffered stdout: a full device or a closed pipe fails at the flush, and
-# the bytes still buffered must not fail again at the interpreter's exit
-@pytest.mark.parametrize("argv", [
-    ["--help"], ["dpg", "--help"],
-    ["group", "validate", "s4_perms.json", "--out", "rep.json"],
-    ["group", "validate", "s4_perms.json", "--out", "-"],
+# the bytes still buffered must not fail again at the interpreter's exit;
+# with --out FILE the report is complete and only the verdict line is lost
+@pytest.mark.parametrize("argv, lost", [
+    (["--help"], "the help"), (["dpg", "--help"], "the help"),
+    (["group", "validate", "s4_perms.json", "--out", "rep.json"],
+     "the verdict line"),
+    (["group", "validate", "s4_perms.json", "--out", "-"], "the report"),
 ], ids=["help", "dpg help", "out file", "out stdout"])
 @pytest.mark.parametrize("sink", [
     pytest.param("/dev/full", marks=pytest.mark.skipif(
         not os.path.exists("/dev/full"), reason="no /dev/full here")),
     "closed pipe"])
-def test_unwritable_buffered_stdout_exits_2_with_one_line(argv, sink,
+def test_unwritable_buffered_stdout_exits_2_with_one_line(argv, lost, sink,
                                                          tmp_path):
     argv = [os.path.join(EXAMPLES, a) if a == "s4_perms.json"
             else str(tmp_path / a) if a == "rep.json" else a for a in argv]
@@ -807,14 +842,26 @@ def test_unwritable_buffered_stdout_exits_2_with_one_line(argv, sink,
     assert (proc.returncode, len(proc.stderr.splitlines())) == (2, 1), \
         proc.stderr
     assert "Exception ignored" not in proc.stderr
-    assert proc.stderr.startswith("ERROR")
+    assert proc.stderr.startswith("ERROR") and \
+        ": cannot write %s: " % lost in proc.stderr
+    if lost == "the verdict line":
+        _assert_complete_validate_report(tmp_path / "rep.json")
+
+
+def _assert_complete_validate_report(path):
+    """path holds the whole pass report of ``group validate`` on S4."""
+    report = read_report(path)
+    assert (report["command"], report["verdict"], report["witnesses"]) == \
+        (["group", "validate"], "pass", [])
+    assert report["details"] == {"fingerprint": {"order": 24,
+                                                 "abelian": False}}
 
 
 @pytest.mark.parametrize("argv, rc, first", [
     (["--help"], 0, "usage: ntpg [-h]"),
     (["group"], 2, "usage: ntpg group"),
     (["group", "validate", "s4_perms.json", "--out", "rep.json"], 2,
-     "ERROR group validate: cannot write the report: [Errno 9]"),
+     "ERROR group validate: cannot write the verdict line: [Errno 9]"),
     (["group", "validate", "s4_perms.json"], 2,
      "ERROR group validate: cannot write the report: [Errno 9]"),
     (["group", "validate", "missing.json", "--out", "rep.json"], 2,
@@ -839,6 +886,8 @@ def test_stdout_closed_at_start_up_exits_without_a_traceback(argv, rc, first,
     assert proc.stderr.startswith(first)
     if rc and first.startswith("ERROR"):
         assert len(proc.stderr.splitlines()) == 1
+    if "verdict line" in first:
+        _assert_complete_validate_report(tmp_path / "rep.json")
 
 
 class _FullStdout(io.StringIO):

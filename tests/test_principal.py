@@ -253,9 +253,11 @@ def test_dressing_laws_over_corpus(dpg_corpus):
 
 
 def test_dressing_proves_both_actions_by_automorphisms(monkeypatch):
-    # each dressing is one action proof, and one homomorphism proof per
-    # product generator of the acting group; both factors are cyclic of
-    # order 4, whose greedy generators are -1 and a square root of it
+    # G and G' are reified once each; each dressing is one action proof,
+    # and one homomorphism proof per product generator of the acting group;
+    # both factors are cyclic of order 4, whose greedy generators are -1
+    # and a square root of it
+    import ntpg.principal
     with open(os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "docs", "examples",
             "q8_dpg.json")) as fh:
@@ -269,8 +271,14 @@ def test_dressing_proves_both_actions_by_automorphisms(monkeypatch):
             proofs.append(type(self).__name__)
             validate(self)
         monkeypatch.setattr(cls, "_validate", counting)
+
+    def reifying(H, reify=ntpg.principal.subgroup_as_group):
+        proofs.append("subgroup_as_group")
+        return reify(H)
+    monkeypatch.setattr(ntpg.principal, "subgroup_as_group", reifying)
     dressing(dpg)
-    assert sorted(proofs) == ["FiniteAction"] * 2 + ["GroupHom"] * 4
+    assert sorted(proofs) == ["FiniteAction"] * 2 + ["GroupHom"] * 4 + \
+        ["subgroup_as_group"] * 2
 
 
 # -- semidirect --------------------------------------------------------------------
