@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import chain
 
 from .errors import (InternalInconsistency, InvalidInput, NotAnAction,
-                     NotNormal, ParentMismatch, all_ints)
+                     NotNormal, ParentMismatch, all_ints, is_int)
 from .groups import Subgroup, _built, _built_group, _reader, normality_witness
 
 
@@ -253,22 +253,30 @@ def automorphism_action(K, H, rows):
     return action
 
 
+def _translations(G, elements):
+    """The rows x -> x.g of G's right translations, for g in elements:
+    |G| lookups a row."""
+    return [[row[g] for row in G.table] for g in elements]
+
+
 def right_translation_action(G, H):
-    """H <= G acting on the elements of G by right multiplication."""
+    """H <= G acting on the elements of G by right multiplication: only
+    the rows of H's members are built."""
     if H.parent is not G:
         raise ParentMismatch("subgroup does not belong to this group")
-    return restrict_action(regular_action(G), H)
+    Hgrp, to_parent, _ = subgroup_as_group(H)
+    return _built(FiniteAction, Hgrp, G.order, _translations(G, to_parent))
 
 
 def regular_action(G):
     """G acting on itself by right translation."""
-    act = [[G.table[x][g] for x in range(G.order)] for g in range(G.order)]
-    return _built(FiniteAction, G, G.order, act)
+    return _built(FiniteAction, G, G.order, _translations(G, range(G.order)))
 
 
 def trivial_action(G, set_size):
-    row = list(range(set_size))
-    return FiniteAction(G, set_size, [row for _ in range(G.order)])
+    """G fixing set_size points; ``FiniteAction`` checks the set size."""
+    row = range(set_size) if is_int(set_size) else ()
+    return FiniteAction(G, set_size, [row] * G.order)
 
 
 def restrict_action(a, H):

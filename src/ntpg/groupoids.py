@@ -21,7 +21,8 @@ proved; nothing here proves an arrow action again.
 from collections import namedtuple
 from itertools import chain, repeat
 
-from .actions import FiniteAction, action_check, reduce_action
+from .actions import (FiniteAction, action_check, reduce_action,
+                      trivial_action)
 from .errors import (ActionNotFree, InternalInconsistency, InvalidInput,
                      NotCompatible, NotFree, NotMultiplicative, all_ints)
 from .groups import _built, _built_group, _check_associative
@@ -133,17 +134,10 @@ class FiniteGroupoid:
 
 
 def pair_groupoid(n):
-    """The pair groupoid on n objects; arrow (p, q): q -> p coded p*n+q."""
-    src = [q for p in range(n) for q in range(n)]
-    tgt = [p for p in range(n) for q in range(n)]
-    id_ = [p * n + p for p in range(n)]
-    inv = [q * n + p for p in range(n) for q in range(n)]
-    mul = {}
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                mul[(p * n + q, q * n + r)] = p * n + r
-    return _built(FiniteGroupoid, n, src, tgt, id_, inv, mul)
+    """The pair groupoid on n objects, the gauge groupoid of the trivial
+    group acting on n points; arrow (p, q): q -> p coded p*n+q."""
+    return gauge_groupoid(n, trivial_action(_built_group(
+        1, 0, lambda g: (0,)), n))[0]
 
 
 class GaugeLabels(namedtuple("GaugeLabels", "pair_to_arrow arrow_rep")):

@@ -6,7 +6,8 @@ elements r^a s^b are coded a + n*b.
 
 from itertools import permutations
 
-from .groups import make_group, make_group_from_permutations
+from .groups import _built, make_group, make_group_from_permutations
+from .principal import product_factor_members, semidirect  # noqa: F401
 
 # Q8 element indices, in catalog order.
 Q8_NAMES = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -46,7 +47,7 @@ def quaternion_group():
 
 
 def trivial_group():
-    return make_group([[0]])
+    return cyclic(1)
 
 
 def cyclic(n):
@@ -88,21 +89,7 @@ def symmetric(n):
 
 
 def direct_product(G, H):
-    """G x H with element (g, h) coded g*|H| + h."""
-    n, m = G.order, H.order
-    table = []
-    for x in range(n * m):
-        g1, h1 = divmod(x, m)
-        row = []
-        for y in range(n * m):
-            g2, h2 = divmod(y, m)
-            row.append(G.table[g1][g2] * m + H.table[h1][h2])
-        table.append(row)
-    return make_group(table)
-
-
-def product_factor_members(G, H, which):
-    """Member indices of the embedded factor in direct_product(G, H)."""
-    if which == 0:
-        return [g * H.order + H.identity for g in range(G.order)]
-    return [G.identity * H.order + h for h in range(H.order)]
+    """G x H with element (g, h) coded g*|H| + h: the semidirect product
+    by the trivial action, whose embedded factors are
+    ``product_factor_members``."""
+    return _built(semidirect, G, H, [range(H.order)] * G.order)

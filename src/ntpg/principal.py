@@ -180,15 +180,21 @@ def semidirect(gprime, g, act):
             if S.inverse[idx] != expect:
                 raise InternalInconsistency("inverse formula fails", pair=(gp, x))
 
-    embed_g = _built(Subgroup, S,
-                     [gprime.identity * n + x for x in range(n)])
-    embed_gp = _built(Subgroup, S,
-                      [gp * n + g.identity for gp in range(np_)])
+    embed_gp, embed_g = (_built(Subgroup, S, product_factor_members(
+        gprime, g, which)) for which in (0, 1))
     if normality_witness(S, embed_g) is not None:
         raise InternalInconsistency("G does not embed normally")
     if not generates(S, [embed_g, embed_gp]):
         raise InternalInconsistency("factors do not generate")
     return S
+
+
+def product_factor_members(G, H, which):
+    """Member indices of the embedded factor G (which 0) or H (which 1)
+    of a product of G and H coded g*|H| + h."""
+    if which == 0:
+        return [g * H.order + H.identity for g in range(G.order)]
+    return [G.identity * H.order + h for h in range(H.order)]
 
 
 def semidirect_from_dressing(dpg):

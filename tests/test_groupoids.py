@@ -5,7 +5,7 @@ import pytest
 
 from ntpg.actions import (FiniteAction, action_check, regular_action,
                           right_translation_action, trivial_action)
-from ntpg.errors import (ActionNotFree, InvalidInput, NotFree,
+from ntpg.errors import (ActionNotFree, InvalidInput, NotAnAction, NotFree,
                          NotMultiplicative)
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism,
@@ -56,15 +56,27 @@ def test_gauge_klein_by_first_factor():
 
 
 def test_gauge_by_trivial_group_is_pair_groupoid():
-    T = trivial_group()
-    gpd, labels = gauge_groupoid(3, trivial_action(T, 3))
-    pg = pair_groupoid(3)
-    assert gpd.n_arrows == pg.n_arrows == 9
-    assert gpd.n_objects == 3
-    # identical structure under the pair labeling
-    relabel = [labels.arrow(p, q) for p in range(3) for q in range(3)]
-    for (a, b), ab in pg.mul.items():
-        assert gpd.mul[(relabel[a], relabel[b])] == relabel[ab]
+    # reference: arrow (p, q): q -> p is p*n + q, and (p, q)(q, r) = (p, r)
+    for n in range(7):
+        pairs = [(p, q) for p in range(n) for q in range(n)]
+        _, labels = gauge_groupoid(n, trivial_action(trivial_group(), n))
+        assert labels.arrow_rep == pairs
+        pg = pair_groupoid(n)
+        assert (pg.n_objects, pg.n_arrows) == (n, n * n)
+        assert pg.src == tuple(q for p, q in pairs)
+        assert pg.tgt == tuple(p for p, q in pairs)
+        assert pg.id == tuple(p * n + p for p in range(n))
+        assert pg.inv == tuple(q * n + p for p, q in pairs)
+        assert pg.mul == {(p * n + q, q * n + r): p * n + r
+                          for p, q in pairs for r in range(n)}
+
+
+def test_pair_groupoid_refuses_a_bad_size():
+    with pytest.raises(InvalidInput, match="set size and entries must be "
+                                           "integers"):
+        pair_groupoid(2.0)
+    with pytest.raises(NotAnAction, match="row 0 has wrong length"):
+        pair_groupoid(-1)
 
 
 def test_gauge_requires_free_action():

@@ -21,6 +21,7 @@ from ntpg.named import (Q8_I, Q8_J, Q8_K, Q8_MINUS_ONE, Q8_ONE, cyclic,
                         quaternion_group, symmetric)
 from ntpg.ntuple import verify_ntuple
 from ntpg.principal import dpg_morphism_check, verify_double
+from test_theorem_sweep import all_subgroups, catalog
 from test_validation_oracles import assert_same_group
 
 
@@ -655,6 +656,46 @@ def test_trivial_action_kernel_is_whole_group():
     assert not rep.is_free
     assert len(rep.kernel) == 2
     assert len(rep.orbits) == 3
+
+
+@pytest.mark.parametrize("size", [2.0, "2", None])
+def test_trivial_action_refuses_a_set_size_that_is_not_an_integer(size):
+    with pytest.raises(InvalidInput, match="set size and entries must be "
+                                           "integers"):
+        trivial_action(cyclic(2), size)
+
+
+def test_right_translation_never_builds_the_regular_action(monkeypatch):
+    cases = []
+    for _, G in catalog(12):
+        regular = regular_action(G)
+        cases += [(G, H, restrict_action(regular, H))
+                  for H in all_subgroups(G)]
+
+    def refuse(G):
+        raise AssertionError("the regular action was built")
+
+    monkeypatch.setattr(actions, "regular_action", refuse)
+    for G, H, expected in cases:
+        got = right_translation_action(G, H)
+        assert got.group.table == expected.group.table, H.members
+        assert got.act == expected.act, H.members
+
+
+def test_direct_product_multiplies_componentwise():
+    # reference: (g1, h1)(g2, h2) = (g1 g2, h1 h2), (g, h) coded g*|H| + h
+    groups_ = [named.trivial_group(), cyclic(3), klein_four(),
+               symmetric(3), quaternion_group()]
+    for G, H in itertools.product(groups_, repeat=2):
+        m = H.order
+        pairs = list(itertools.product(range(G.order), range(m)))
+        P = direct_product(G, H)
+        assert [list(row) for row in P.table] == [
+            [G.table[g1][g2] * m + H.table[h1][h2] for g2, h2 in pairs]
+            for g1, h1 in pairs]
+        assert P.identity == G.identity * m + H.identity
+        assert P.inverse == tuple(G.inverse[g] * m + H.inverse[h]
+                                  for g, h in pairs)
 
 
 def test_subgroup_translation_orbits_are_cosets():
