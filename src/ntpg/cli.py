@@ -17,8 +17,9 @@ Start-up: importing this module defers every module of the library but
 jsonio, ntuple, poly, principal, signature) through ``importlib.util``'s
 ``LazyLoader``: each runs on the first access to one of its names, so
 ``--help`` and usage errors load none of them, ``group validate`` only
-groups and jsonio, the graded commands and ``cocycle t2`` no groups, and
-the aut commands none of actions, graded, poly and principal.
+groups and jsonio, the graded commands and ``cocycle t2`` neither groups
+nor cocycles, and the aut commands none of actions, graded, poly and
+principal.
 ``python -X importtime`` lists what start-up still imports, not a deferred
 module, which runs outside the import system.  A module imported before
 this one is used as it is; importing one directly still loads it at once.
@@ -383,10 +384,10 @@ def cmd_cocycle_cohomologous(args, data):
 
 def cmd_cocycle_t2(args, data):
     chart, _ = jsonio.load_polymap(_nested(data, "chart"))
-    out = cocycles.t2_transition(chart)
+    out = graded.t2_transition(chart)
     details = {"transition": jsonio.dump_polymap(out),
                "graded": graded.is_graded_morphism(out),
-               "quadratic_velocity_term": cocycles.t2_has_quadratic_term(out)}
+               "quadratic_velocity_term": graded.t2_has_quadratic_term(out)}
     return details, []
 
 

@@ -11,10 +11,9 @@ in the enumerated automorphism group, whose table[a][b] is a after b.
 from collections import namedtuple
 from itertools import chain, permutations
 
-from . import actions, fields, graded, groups, poly, signature
+from . import actions, groups
 from .errors import (DEFAULT_CANDIDATE_CAP, ActionIncompatibleWithFibration,
-                     InternalInconsistency, InvalidInput, NotInvertibleChart,
-                     SearchCapExceeded, all_ints)
+                     InvalidInput, SearchCapExceeded, all_ints)
 
 
 class CoverNerve:
@@ -36,9 +35,9 @@ class CoverNerve:
                 norm.add(frozenset((i, j)))
         self.pairs = frozenset(norm)
         tri = set()
-        for t in triples:
-            t = frozenset(t)
-            if len(t) != 3:
+        for listed in triples:
+            t = frozenset(listed)
+            if len(t) != 3 or len(listed) != 3:
                 raise InvalidInput("triple must have three distinct charts",
                                    triple=sorted(t))
             for pair in (frozenset(p) for p in
@@ -273,63 +272,3 @@ def are_cohomologous(c1, c2, cap=DEFAULT_CANDIDATE_CAP):
     rank = sum(lam[i] * order ** (n - 1 - i) for i in range(n))
     return CohomologyResult(True, [lam[i] for i in range(n)], rank + 1)
 
-
-def t2_transition(chart):
-    """The second-order prolongation of a chart change.
-
-    Input: a polynomial self-map of weight-0 coordinates with an invertible
-    linear part at the origin.  Output: the graded transition on
-    (x, xdot, xddot) with weights (0, 1, 2): velocities transform by the
-    Jacobian, accelerations pick up the quadratic velocity correction from
-    the second derivative.
-    """
-    sig0 = chart.sig_in
-    if chart.sig_out != sig0 or sig0 != signature.GradedSignature.simple(
-            [], base=sig0.ncoords):
-        raise InvalidInput("chart change must be a self-map of weight-0 "
-                           "coordinates")
-    d = sig0.ncoords
-    field = chart.field
-    # partials[a][b] is the derivative of component a along coordinate b
-    partials = [[f.diff(b) for b in range(d)] for f in chart.components]
-    jac0 = [[df.eval((field.zero,) * d) for df in row] for row in partials]
-    if fields.mat_inv(field, jac0) is None:
-        raise NotInvertibleChart("Jacobian at the origin is singular")
-
-    sig = signature.GradedSignature.simple([d, d], base=d)
-    nv = 3 * d
-    x = [poly.Poly.var(field, nv, b) for b in range(nv)]
-    lift = x[:d]
-    jac = [[df.subs(lift) for df in row] for row in partials]
-
-    comps = [f.subs(lift) for f in chart.components]
-    for a in range(d):
-        acc = poly.Poly.zero(field, nv)
-        for b in range(d):
-            acc = acc + jac[a][b] * x[d + b]
-        comps.append(acc)
-    for a in range(d):
-        acc = poly.Poly.zero(field, nv)
-        for b in range(d):
-            acc = acc + jac[a][b] * x[2 * d + b]
-        for b in range(d):
-            for cc in range(d):
-                acc = acc + partials[a][b].diff(cc).subs(lift) * \
-                    x[d + b] * x[d + cc]
-        comps.append(acc)
-    out = graded.PolyMap(sig, sig, field, comps)
-    if not graded.is_graded_morphism(out):
-        raise InternalInconsistency("prolongation is not weight-graded")
-    return out
-
-
-def t2_has_quadratic_term(pm):
-    """Does any acceleration component carry a velocity-quadratic term?"""
-    sig = pm.sig_in
-    d = sig.ncoords // 3
-    for a in range(d):
-        comp = pm.components[2 * d + a]
-        for exps in comp.terms:
-            if sum(exps[d:2 * d]) == 2:
-                return True
-    return False

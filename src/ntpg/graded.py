@@ -1,4 +1,5 @@
-"""Weight-graded polynomial maps, dilations and homogeneity structures.
+"""Weight-graded polynomial maps, dilations, homogeneity structures and the
+second-order tangent prolongation of a chart change.
 
 The coordinates carry the weights of a ``signature``.  A polynomial map is
 a graded morphism exactly when every monomial of every component has
@@ -11,10 +12,11 @@ so the checks are sound over every field).
 from collections import namedtuple
 
 from .errors import (InternalDisagreement, InternalInconsistency,
-                     InvalidInput, NotInvertible, SignatureMismatch, all_ints)
+                     InvalidInput, NotInvertible, NotInvertibleChart,
+                     SignatureMismatch, all_ints)
 from .fields import mat_inv
 from .poly import Poly
-from .signature import _integer
+from .signature import GradedSignature, _integer
 
 
 def _require_field(field, other):
@@ -209,6 +211,69 @@ def invert(pm):
     return triangular_inverse(pm)
 
 
+# -- the second-order tangent prolongation ------------------------------------
+
+def t2_transition(chart):
+    """The second-order prolongation of a chart change.
+
+    Input: a polynomial self-map of weight-0 coordinates with an invertible
+    linear part at the origin.  Output: the graded transition on
+    (x, xdot, xddot) with weights (0, 1, 2): velocities transform by the
+    Jacobian, accelerations pick up the quadratic velocity correction from
+    the second derivative.
+    """
+    sig0 = chart.sig_in
+    if chart.sig_out != sig0 or sig0 != GradedSignature.simple(
+            [], base=sig0.ncoords):
+        raise InvalidInput("chart change must be a self-map of weight-0 "
+                           "coordinates")
+    d = sig0.ncoords
+    field = chart.field
+    # partials[a][b] is the derivative of component a along coordinate b
+    partials = [[f.diff(b) for b in range(d)] for f in chart.components]
+    jac0 = [[df.eval((field.zero,) * d) for df in row] for row in partials]
+    if mat_inv(field, jac0) is None:
+        raise NotInvertibleChart("Jacobian at the origin is singular")
+
+    sig = GradedSignature.simple([d, d], base=d)
+    nv = 3 * d
+    x = [Poly.var(field, nv, b) for b in range(nv)]
+    lift = x[:d]
+    jac = [[df.subs(lift) for df in row] for row in partials]
+
+    comps = [f.subs(lift) for f in chart.components]
+    for a in range(d):
+        acc = Poly.zero(field, nv)
+        for b in range(d):
+            acc = acc + jac[a][b] * x[d + b]
+        comps.append(acc)
+    for a in range(d):
+        acc = Poly.zero(field, nv)
+        for b in range(d):
+            acc = acc + jac[a][b] * x[2 * d + b]
+        for b in range(d):
+            for cc in range(d):
+                acc = acc + partials[a][b].diff(cc).subs(lift) * \
+                    x[d + b] * x[d + cc]
+        comps.append(acc)
+    out = PolyMap(sig, sig, field, comps)
+    if not is_graded_morphism(out):
+        raise InternalInconsistency("prolongation is not weight-graded")
+    return out
+
+
+def t2_has_quadratic_term(pm):
+    """Does any acceleration component carry a velocity-quadratic term?"""
+    sig = pm.sig_in
+    d = sig.ncoords // 3
+    for a in range(d):
+        comp = pm.components[2 * d + a]
+        for exps in comp.terms:
+            if sum(exps[d:2 * d]) == 2:
+                return True
+    return False
+
+
 # -- homogeneity / weight decomposition --------------------------------------
 
 def weight_components(f, sig):
@@ -285,18 +350,6 @@ class HomogeneityStructure:
         self.components = tuple(components)
         self._check_laws()
 
-    @classmethod
-    def diagonal(cls, sig, field, axis=0):
-        m = sig.ncoords
-        comps = []
-        for i in range(m):
-            w = sig.weights[i][axis]
-            exps = [0] * (m + 1)
-            exps[i] = 1
-            exps[m] = w
-            comps.append(Poly(field, m + 1, {tuple(exps): field.one}))
-        return cls(m, field, comps)
-
     def at_one(self):
         one = Poly.const(self.field, self.ncoords, self.field.one)
         vals = [Poly.var(self.field, self.ncoords, i) for i in range(self.ncoords)]
@@ -360,7 +413,14 @@ def dilation(sig, field, axis=0):
         if sig.mode == "simple":
             raise InvalidInput("simple signatures have a single grading")
         raise InvalidInput("grading axis out of range", axis=axis)
-    return HomogeneityStructure.diagonal(sig, field, axis)
+    m = sig.ncoords
+    comps = []
+    for i in range(m):
+        exps = [0] * (m + 1)
+        exps[i] = 1
+        exps[m] = sig.weights[i][axis]
+        comps.append(Poly(field, m + 1, {tuple(exps): field.one}))
+    return HomogeneityStructure(m, field, comps)
 
 
 def dilation_families(sig, field):

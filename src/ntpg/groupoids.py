@@ -140,13 +140,9 @@ def pair_groupoid(n):
         1, 0, lambda g: (0,)), n))[0]
 
 
-class GaugeLabels(namedtuple("GaugeLabels", "pair_to_arrow arrow_rep")):
-    """Arrow labels of a gauge groupoid: pair (p, q) <-> arrow index."""
-
-    __slots__ = ()
-
-    def arrow(self, p, q):
-        return self.pair_to_arrow[(p, q)]
+GaugeLabels = namedtuple("GaugeLabels", "pair_to_arrow arrow_rep")
+GaugeLabels.__doc__ = """Arrow labels of a gauge groupoid: pair_to_arrow[p, q]
+is the arrow of pair (p, q), arrow_rep[a] the least pair of arrow a."""
 
 
 def gauge_groupoid(set_size, action):
@@ -370,8 +366,7 @@ def split(ga):
     if set(s_map.values()) != set(fiber):
         raise InternalInconsistency("S is not onto the fiber product",
                                     expected=len(fiber), got=gpd.n_arrows)
-    s_inv = {v: y for y, v in s_map.items()}
-    t_action = {pair: gpd.tgt[s_inv[pair]] for pair in fiber}
+    t_action = {pair: gpd.tgt[y] for y, pair in s_map.items()}
 
     for (y0, x) in fiber:
         if object_map[t_action[(y0, x)]] != base.tgt[y0]:

@@ -13,12 +13,12 @@ from ntpg.actions import (FiniteAction, action_check, quotient,
 from ntpg.autgroups import aut_compose, aut_invert, enumerate_aut, verify_p54
 from ntpg.cocycles import (Cocycle, CoverNerve, are_cohomologous,
                            associated_cocycle, check_cocycle,
-                           standard_fibered_space, t2_has_quadratic_term,
-                           t2_transition)
+                           standard_fibered_space)
 from ntpg.fields import GF, QQ
 from ntpg.graded import (PolyMap, check_compatible_structures, compose,
                          conjugate_structure, dilation, dilation_families,
-                         invert, is_graded_morphism, weight_components)
+                         invert, is_graded_morphism, t2_has_quadratic_term,
+                         t2_transition, weight_components)
 from ntpg.groupoids import (FiniteGroupoid, GroupoidAction,
                             build_from_morphism, gauge_groupoid,
                             multiplicative_function, pair_groupoid,
@@ -138,7 +138,8 @@ def _splitting_instances():
     gpd, labels = gauge_groupoid(8, action)
     K = subgroup_closure(G, {Q8_J})
     Kgrp, to_parent, _ = subgroup_as_group(K)
-    rows = [[labels.arrow(G.mul(p, to_parent[h]), G.mul(q, to_parent[h]))
+    rows = [[labels.pair_to_arrow[G.mul(p, to_parent[h]),
+                                  G.mul(q, to_parent[h])]
              for (p, q) in labels.arrow_rep] for h in range(Kgrp.order)]
     out.append(reduced_action(GroupoidAction(
         gpd, FiniteAction(Kgrp, gpd.n_arrows, rows))))
@@ -149,7 +150,7 @@ def _splitting_instances():
     gpd2, labels2 = gauge_groupoid(4, right_translation_action(K4, h_fac))
     g_fac = Subgroup(K4, [0, 2])
     Ggrp, to_p, _ = subgroup_as_group(g_fac)
-    rows2 = [[labels2.arrow(K4.mul(p, to_p[h]), K4.mul(q, to_p[h]))
+    rows2 = [[labels2.pair_to_arrow[K4.mul(p, to_p[h]), K4.mul(q, to_p[h])]
               for (p, q) in labels2.arrow_rep] for h in range(Ggrp.order)]
     out.append(GroupoidAction(gpd2, FiniteAction(Ggrp, gpd2.n_arrows, rows2)))
 

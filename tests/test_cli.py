@@ -748,7 +748,7 @@ def _modules_ran(argv):
      ["actions", "groupoids", "groups", "jsonio"]),
     (["groupoid", "mult-function", "s3_groupoid_action.json"],
      ["actions", "groupoids", "groups", "jsonio"]),
-    # the graded commands and t2 read no group
+    # the graded commands and t2 read no group, and t2 no cocycle
     (["graded", "check-morphism", "d111_morphism.json"],
      ["fields", "graded", "jsonio", "poly", "signature"]),
     (["graded", "check-compat", "d111_structures.json"],
@@ -771,8 +771,8 @@ def _modules_ran(argv):
       "signature"]),
     (["cocycle", "cohomologous", "s3_coh.json"], ["cocycles", "groups",
                                                   "jsonio"]),
-    (["cocycle", "t2", "t2_chart.json"], ["cocycles", "fields", "graded",
-                                          "jsonio", "poly", "signature"]),
+    (["cocycle", "t2", "t2_chart.json"], ["fields", "graded", "jsonio",
+                                          "poly", "signature"]),
 ])
 def test_cli_runs_only_the_structure_modules_a_command_uses(tmp_path, argv,
                                                             used):
@@ -1593,6 +1593,12 @@ _INPUT_ERRORS = [
                  _example_with("z3_cocycle.json", ["triples", 0], [0, 0, 1]),
                  "InvalidInput", "triple must have three distinct charts",
                  id="repeated-chart-triple"),
+    # a fourth entry repeating a chart once read as the triple {0, 1, 2}
+    pytest.param("cocycle check IN",
+                 _example_with("z3_cocycle.json", ["triples", 0],
+                               [0, 1, 2, 2]),
+                 "InvalidInput", "triple must have three distinct charts",
+                 id="four-entry-triple"),
     pytest.param("graded check-compat IN",
                  _mutated(_MULTI_COMPAT, ["structures", 1, "axis"], 5),
                  "InvalidInput", "grading axis out of range", id="axis"),

@@ -21,11 +21,20 @@ copy once at the end and once at the front: both runs must give the same
 exit code, report and stderr, as repeated terms are summed and every other
 repeat is refused.
 
+The lengthening mode, run by the script only, appends a copy of the last
+entry to each list whose length the input fixes (nerve ``triples`` and
+``overlaps`` entries, cocycle ``pair``s, groupoid ``mul`` entries,
+``sigma``, ``exponents``, ``permutations``, ``table`` rows and ``act``
+rows) in every example and every FAILING input: each run must exit 2 with
+verdict "error" and no library bug, as the single-node mutations only
+ever shorten a list.
+
 Run as a script, it checks every single-node mutation (every path, op and
 value) of every example under every command once, each run given 10 s,
-then every relisting and repeat, and prints each break and the totals; it
-exits 1 if any run broke the contract, timed out or depended on the
-listing order, or if a mode ran other than its pinned number of runs:
+then every relisting, repeat and lengthening, and prints each break and
+the totals; it exits 1 if any run broke the contract, timed out, depended
+on the listing order or accepted a lengthened list, or if a mode ran other
+than its pinned number of runs:
 
     PYTHONPATH=src python tests/test_cli_fuzz.py
 """
@@ -104,8 +113,12 @@ KEYED = ("mul", "overlaps", "triples", "values", "c1", "c2", "terms",
          "blocks")
 RELISTINGS = {"reverse": lambda entries: entries[::-1],
               "rotate": lambda entries: entries[1:] + entries[:1]}
-# the pinned runs of the listing-order and repeat modes
-RELISTED_RUNS, REPEATED_RUNS = 48, 44
+# lists whose length the input fixes: the list under one of the first
+# keys, and each entry of a list under one of the second
+FIXED = ("pair", "sigma", "exponents")
+FIXED_ENTRIES = ("triples", "overlaps", "mul", "permutations", "table", "act")
+# the pinned runs of the listing-order, repeat and lengthening modes
+RELISTED_RUNS, REPEATED_RUNS, LENGTHENED_RUNS = 48, 44, 354
 
 # one value of each JSON type; a swap picks one of a different type
 SWAPS = ["1", 1, 1.5, True, None, [], {}]
@@ -218,17 +231,22 @@ def test_mutated_examples_keep_the_exit_code_contract(tmp_path, case):
     assert (rc2, report2) == (rc, report)
 
 
-def _keyed_lists():
+def _lists(wanted):
     """(input name, its command lines, input, path, list) for every
-    non-empty keyed list in every example and every FAILING input."""
+    non-empty list at a path that ``wanted`` accepts, in every example and
+    every FAILING input."""
     inputs = [(name, _load(name), COMMANDS[name]) for name in sorted(COMMANDS)]
     inputs += [(name, obj, [["groupoid", "quotient", "{}"]])
                for name, obj in sorted(FAILING.items())]
     for name, obj, commands in inputs:
         for path in _paths(obj):
             node = _at(obj, path)
-            if path[-1] in KEYED and isinstance(node, list) and node:
+            if wanted(path) and isinstance(node, list) and node:
                 yield name, commands, obj, path, node
+
+
+def _keyed_lists():
+    return _lists(lambda path: path[-1] in KEYED)
 
 
 def relistings():
@@ -276,6 +294,17 @@ def repeats():
             yield (name, command, "%s repeat" % list(path), *ends)
 
 
+def lengthenings():
+    """(input name, command line, where, the input with one fixed-length
+    list lengthened by a copy of its last entry)."""
+    for name, commands, obj, path, node in _lists(
+            lambda path: path[-1] in FIXED or
+            len(path) > 1 and path[-2] in FIXED_ENTRIES):
+        longer = _mutate(obj, path, "lengthen", node + node[-1:])
+        for command in commands:
+            yield name, command, "%s lengthen" % list(path), longer
+
+
 def _report(command, obj, tmp):
     """(exit code, report without timing_ms, stderr) of one run on obj."""
     path, out = os.path.join(tmp, "input.json"), os.path.join(tmp, "out")
@@ -307,6 +336,18 @@ def repeat_breaks(tmp):
     for name, command, where, at_end, at_front in repeats():
         runs += 2
         if _report(command, at_end, tmp) != _report(command, at_front, tmp):
+            breaks.append("%s %s %s" % (name, " ".join(command[:2]), where))
+    return runs, breaks
+
+
+def lengthening_breaks(tmp):
+    """(runs, labels of the lengthened inputs that do not end in an input
+    error)."""
+    runs, breaks = 0, []
+    for name, command, where, longer in lengthenings():
+        runs += 1
+        rc, report, _ = _report(command, longer, tmp)
+        if rc != 2 or report["verdict"] != "error" or "library_bug" in report:
             breaks.append("%s %s %s" % (name, " ".join(command[:2]), where))
     return runs, breaks
 
@@ -353,7 +394,7 @@ def _breaks(argv, out):
 
 def scan():
     """Run every single-node mutation of every example, then every
-    relisting; the number of breaks."""
+    relisting, repeat and lengthening; the number of breaks."""
     signal.signal(signal.SIGALRM, _alarm)
     runs = broken = 0
     slowest = 0.0
@@ -380,18 +421,23 @@ def scan():
                                     list(node_path), op, value, why))
         relisted, breaks = relisting_breaks(tmp)
         repeated, moved = repeat_breaks(tmp)
+        lengthened, accepted = lengthening_breaks(tmp)
     for label in breaks:
         print("BREAK %s: the report depends on the listing order" % label)
     for label in moved:
         print("BREAK %s: the report depends on where the repeat is" % label)
+    for label in accepted:
+        print("BREAK %s: the lengthened list is not refused" % label)
     print("%d runs, %d breaks, slowest run %.2f s" % (runs, broken, slowest))
     print("%d relisted runs, %d breaks" % (relisted, len(breaks)))
     print("%d repeated runs, %d breaks" % (repeated, len(moved)))
-    pinned = (relisted, repeated) == (RELISTED_RUNS, REPEATED_RUNS)
+    print("%d lengthened runs, %d breaks" % (lengthened, len(accepted)))
+    pinned = (relisted, repeated, lengthened) == (
+        RELISTED_RUNS, REPEATED_RUNS, LENGTHENED_RUNS)
     if not pinned:
-        print("expected %d relisted and %d repeated runs"
-              % (RELISTED_RUNS, REPEATED_RUNS))
-    return broken + len(breaks) + len(moved) + (not pinned)
+        print("expected %d relisted, %d repeated and %d lengthened runs"
+              % (RELISTED_RUNS, REPEATED_RUNS, LENGTHENED_RUNS))
+    return broken + len(breaks) + len(moved) + len(accepted) + (not pinned)
 
 
 if __name__ == "__main__":

@@ -4,14 +4,14 @@ from ntpg.autgroups import (AutGroupHandle, aut_compose, aut_invert,
                             enumerate_aut, make_automorphism)
 from ntpg.cocycles import (Cocycle, CoverNerve, FiberedSpace,
                            are_cohomologous, associated_cocycle, check_cocycle,
-                           standard_fibered_space, t2_has_quadratic_term,
-                           t2_transition)
+                           standard_fibered_space)
 from ntpg.errors import (ActionIncompatibleWithFibration,
                          InternalInconsistency, InvalidInput,
                          NotInvertibleChart, SearchCapExceeded)
 from ntpg.groups import Subgroup
 from ntpg.fields import GF, QQ
-from ntpg.graded import PolyMap, is_graded_morphism
+from ntpg.graded import (PolyMap, is_graded_morphism, t2_has_quadratic_term,
+                         t2_transition)
 from ntpg.jsonio import dump_terms, load_aut_cocycle
 from ntpg.named import cyclic, klein_four, quaternion_group, symmetric
 from ntpg.poly import Poly

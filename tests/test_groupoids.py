@@ -140,7 +140,7 @@ def diagonal_translation_action(G, labels, gpd, members):
     rows = []
     for h in range(Hgrp.order):
         gp = to_parent[h]
-        row = [labels.arrow(G.mul(p, gp), G.mul(q, gp))
+        row = [labels.pair_to_arrow[G.mul(p, gp), G.mul(q, gp)]
                for (p, q) in labels.arrow_rep]
         rows.append(row)
     return GroupoidAction(gpd, FiniteAction(Hgrp, gpd.n_arrows, rows))
@@ -465,7 +465,7 @@ def test_extracted_b_from_gauge_example():
     Kgrp, to_parent, _ = subgroup_as_group(K)
     for h in range(Kgrp.order):
         gp = to_parent[h]
-        rows.append([labels.arrow(G.mul(p, gp), G.mul(q, gp))
+        rows.append([labels.pair_to_arrow[G.mul(p, gp), G.mul(q, gp)]
                      for (p, q) in labels.arrow_rep])
     ga = GroupoidAction(gpd, FiniteAction(Kgrp, gpd.n_arrows, rows))
     rep = check_compatible(ga)
@@ -511,7 +511,7 @@ def test_gauge_quotient_objects_match_joint_orbits(subgroups):
     composite = {}
     for p in range(8):
         composite.setdefault(
-            q.object_report.orbit_of[gpd.src[labels.arrow(p, p)]],
+            q.object_report.orbit_of[gpd.src[labels.pair_to_arrow[p, p]]],
             set()).add(p)
     assert {tuple(sorted(v)) for v in composite.values()} == joint_orbits
 
