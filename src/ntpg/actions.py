@@ -254,9 +254,9 @@ def automorphism_action(K, H, rows):
 
 
 def _translations(G, elements):
-    """The rows x -> x.g of G's right translations, for g in elements:
-    |G| lookups a row."""
-    return [[row[g] for row in G.table] for g in elements]
+    """The rows x -> x.g of G's right translations, for g in elements, as
+    the tuples ``FiniteAction`` keeps without a copy: |G| lookups a row."""
+    return [tuple([row[g] for row in G.table]) for g in elements]
 
 
 def right_translation_action(G, H):

@@ -187,7 +187,7 @@ def gauge_groupoid(set_size, action):
 
 class GroupoidAction(namedtuple("GroupoidAction", "groupoid arrow_action")):
     """A right action of a group on the arrows of a groupoid: the groupoid
-    and a proved ``FiniteAction``, which ``group`` and ``act`` read through.
+    and a proved ``FiniteAction``, the one way to the group and its rows.
     Building one checks only the action's set size against the arrows."""
 
     __slots__ = ()
@@ -198,14 +198,6 @@ class GroupoidAction(namedtuple("GroupoidAction", "groupoid arrow_action")):
                                set_size=arrow_action.set_size,
                                arrows=groupoid.n_arrows)
         return super().__new__(cls, groupoid, arrow_action)
-
-    @property
-    def group(self):
-        return self.arrow_action.group
-
-    @property
-    def act(self):
-        return self.arrow_action.act
 
 
 CompatReport = namedtuple("CompatReport",
@@ -253,21 +245,22 @@ def check_compatible(ga):
     stabilizer is K exactly when, by orbit-stabilizer, its orbit has
     |G|/|K| arrows.
     """
-    gpd, G = ga.groupoid, ga.group
+    gpd, action = ga
+    G, act = action.group, action.act
     # the object map act(., g) covers, read off the units; None: no unit
     unit_of = {u: x for x, u in enumerate(gpd.id)}
-    obj_rows = [[unit_of.get(row[u]) for u in gpd.id] for row in ga.act]
+    obj_rows = [[unit_of.get(row[u]) for u in gpd.id] for row in act]
     for g in G.generators:
         if None in obj_rows[g]:
             return CompatReport(False, ("unit", g, obj_rows[g].index(None)),
                                 None, False, None)
-        failure = _morphism_failure(gpd, gpd, ga.act[g], obj_rows[g])
+        failure = _morphism_failure(gpd, gpd, act[g], obj_rows[g])
         if failure is not None:
             kind, where = failure
             return CompatReport(False, (kind, g, where), None, False, None)
     object_action = _built(FiniteAction, G, gpd.n_objects, obj_rows)
 
-    arrow_report = action_check(ga.arrow_action)
+    arrow_report = action_check(action)
     kernel = arrow_report.kernel
     pre_principal = all(len(o) * len(kernel) == G.order
                         for o in arrow_report.orbits)
@@ -303,7 +296,7 @@ def quotient_groupoid(ga):
     if not arep.is_free:
         raise NotFree("arrow action is not free", element=arep.fixed[0])
 
-    gpd = ga.groupoid
+    gpd, action = ga
     orep = action_check(report.object_action)
     arrow_map, object_map, c = arep.orbit_of, orep.orbit_of, orep.coordinate
     arrow_reps = [min(o) for o in arep.orbits]
@@ -315,14 +308,14 @@ def quotient_groupoid(ga):
     inv0 = [arrow_map[gpd.inv[a]] for a in arrow_reps]
 
     # g takes tgt b to src a: a g fixing an object fixes its unit arrow
-    t, inv = ga.group.table, ga.group.inverse
+    t, inv, act = action.group.table, action.group.inverse, action.act
     mul0 = {}
     for A, a in enumerate(arrow_reps):
         for B, b in enumerate(arrow_reps):
             if src0[A] != tgt0[B]:
                 continue
             g = t[inv[c[gpd.tgt[b]]]][c[gpd.src[a]]]
-            mul0[(A, B)] = arrow_map[gpd.rows[a][gpd.pos[ga.act[g][b]]]]
+            mul0[(A, B)] = arrow_map[gpd.rows[a][gpd.pos[act[g][b]]]]
     gpd0 = _built(FiniteGroupoid, len(object_reps), src0, tgt0, id0, inv0,
                   mul0)
 
@@ -353,7 +346,7 @@ def split(ga):
     InternalInconsistency, a library bug.
     """
     q = quotient_groupoid(ga)
-    gpd, G = ga.groupoid, ga.group
+    gpd, G = ga.groupoid, ga.arrow_action.group
     unit_action, object_map, base = (q.object_action,
                                      q.object_report.orbit_of, q.groupoid)
 
@@ -467,8 +460,8 @@ def build_from_morphism(base, group, b):
             g1 = group.table[b[y0p]][g2]
             mul[(y0 * n + g1, y0p * n + g2)] = prod * n + g2
     gpd = _built(FiniteGroupoid, n_objects, src, tgt, id_, inv, mul)
-    act = [[(a // n) * n + group.table[a % n][h] for a in range(gpd.n_arrows)]
-           for h in range(n)]
+    act = [tuple([(a // n) * n + group.table[a % n][h]
+                  for a in range(gpd.n_arrows)]) for h in range(n)]
     return GroupoidAction(gpd, _built(FiniteAction, group, gpd.n_arrows, act))
 
 
@@ -478,8 +471,7 @@ def reconstruct_and_check(mf):
     split_ = mf.split
     built = build_from_morphism(split_.quotient.groupoid, mf.group, mf.b)
     gpd = split_.ga.groupoid
-    G = mf.group
-    n = G.order
+    n = mf.group.order
     triv = mf.trivialization
 
     def psi(y):
@@ -495,9 +487,10 @@ def reconstruct_and_check(mf):
     if failure is not None:
         raise InternalInconsistency("round trip is not a groupoid morphism",
                                     witness=failure)
-    for g in range(n):
+    for g, (row, built_row) in enumerate(zip(split_.ga.arrow_action.act,
+                                             built.arrow_action.act)):
         for y in range(gpd.n_arrows):
-            if images[split_.ga.act[g][y]] != built.act[g][images[y]]:
+            if images[row[y]] != built_row[images[y]]:
                 raise InternalInconsistency("round trip not equivariant",
                                             element=g, arrow=y)
     return built

@@ -1,12 +1,14 @@
 """A small catalog of concrete groups used by tests, reports and the docs.
 
 Quaternion elements are ordered (1, -1, i, -i, j, -j, k, -k); dihedral
-elements r^a s^b are coded a + n*b.
+elements r^a s^b are coded a + n*b.  ``groups._built_group`` builds each
+table from its row rule, so a rule that gives no group is a library bug.
 """
 
-from itertools import permutations
+from math import factorial
 
-from .groups import _built, make_group, make_group_from_permutations
+from .errors import InternalInconsistency, InvalidInput, is_int
+from .groups import _built, _built_group, make_group_from_permutations
 from .principal import product_factor_members, semidirect  # noqa: F401
 
 # Q8 element indices, in catalog order.
@@ -34,16 +36,19 @@ def _q8_encode(sign, axis):
 
 def quaternion_group():
     """Q8 with elements (1, -1, i, -i, j, -j, k, -k)."""
-    table = []
-    for a in range(8):
-        sa, ua = _q8_decode(a)
-        row = []
-        for b in range(8):
-            sb, ub = _q8_decode(b)
+    def row_of(a):
+        (sa, ua), row = _q8_decode(a), []
+        for sb, ub in map(_q8_decode, range(8)):
             s, u = _UNIT[(ua, ub)]
             row.append(_q8_encode(sa * sb * s, u))
-        table.append(row)
-    return make_group(table)
+        return tuple(row)
+
+    return _built_group(8, Q8_ONE, row_of)
+
+
+def _check_n(n):
+    if not is_int(n) or n < 1:
+        raise InvalidInput("n must be a positive integer", n=n)
 
 
 def trivial_group():
@@ -51,7 +56,9 @@ def trivial_group():
 
 
 def cyclic(n):
-    return make_group([[(a + b) % n for b in range(n)] for a in range(n)])
+    _check_n(n)
+    ints = tuple(range(n))
+    return _built_group(n, 0, lambda a: ints[a:] + ints[:a])
 
 
 def klein_four():
@@ -60,31 +67,27 @@ def klein_four():
 
 def dihedral(n):
     """Dihedral group of order 2n; r^a s^b coded as a + n*b."""
-    def code(a, b):
-        return a % n + n * (b % 2)
+    _check_n(n)
 
-    table = []
-    for x in range(2 * n):
+    def row_of(x):
         a1, b1 = x % n, x // n
-        row = []
-        for y in range(2 * n):
-            a2, b2 = y % n, y // n
-            # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + (-1)^b1 a2) s^(b1+b2)
-            a = a1 + (a2 if b1 == 0 else -a2)
-            row.append(code(a, b1 + b2))
-        table.append(row)
-    return make_group(table)
+        # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + (-1)^b1 a2) s^(b1+b2)
+        return tuple((a1 + (-1) ** b1 * y) % n + n * ((b1 + y // n) % 2)
+                     for y in range(2 * n))
+
+    return _built_group(2 * n, 0, row_of)
 
 
 def symmetric(n):
     """S_n via permutation closure; elements are the lex-sorted permutations."""
-    if n == 1:
-        return trivial_group()
-    gens = [tuple([1, 0] + list(range(2, n)))]
+    _check_n(n)
+    # an n-cycle, and from n = 3 on a transposition
+    gens = [list(range(1, n)) + [0]]
     if n > 2:
-        gens.append(tuple(list(range(1, n)) + [0]))
-    G, elements = make_group_from_permutations([list(g) for g in gens])
-    assert len(elements) == len(list(permutations(range(n))))
+        gens.append([1, 0] + list(range(2, n)))
+    G, _ = make_group_from_permutations(gens)
+    if G.order != factorial(n):
+        raise InternalInconsistency("the closure is not S_n", order=G.order)
     return G
 
 

@@ -103,7 +103,8 @@ def _conjugation_rows(G, H, K):
     yet proved an action."""
     t, inv = G.table, G.inverse
     (_, to_h, from_h), (_, to_k, _) = H, K
-    rows = [[from_h.get(t[t[inv[k]][h]][k]) for h in to_h] for k in to_k]
+    rows = [tuple([from_h.get(t[t[inv[k]][h]][k]) for h in to_h])
+            for k in to_k]
     for k, row in zip(to_k, rows):
         if None in row:
             raise InternalInconsistency("dressing leaves the subgroup",

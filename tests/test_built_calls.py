@@ -3,7 +3,9 @@
 A ``Subgroup``, ``GroupHom``, ``FiniteAction`` or ``FiniteGroupoid`` built
 bare reports a failed check as an input error; through ``_built`` the same
 failure is an ``InternalInconsistency``, a library bug.  Bare calls stay
-only where the values checked are ones a caller passed in.
+only where the values checked are ones a caller passed in.  Likewise
+``make_group`` validates only a table read from input: every table the
+library derives comes from ``groups._built_group``.
 """
 
 import ast
@@ -27,9 +29,9 @@ ALLOWED = {
 }
 
 
-def _bare_calls(tree):
-    """(qualified enclosing name, class) for each call of a class in
-    CLASSES, by name or as a module attribute."""
+def _bare_calls(tree, names=CLASSES):
+    """(qualified enclosing name, callee) for each call of a name in names,
+    by name or as a module attribute."""
     found = []
 
     def walk(node, scope):
@@ -42,7 +44,7 @@ def _bare_calls(tree):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else \
                     f.attr if isinstance(f, ast.Attribute) else None
-                if name in CLASSES:
+                if name in names:
                     found.append((".".join(scope), name))
             walk(child, scope)
 
@@ -50,14 +52,25 @@ def _bare_calls(tree):
     return found
 
 
-def test_derived_structures_are_checked_through_built():
+def _src_calls(names):
+    """Counter of (module, enclosing name, callee) over src/ntpg."""
     calls = Counter()
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             with open(os.path.join(SRC, name)) as fh:
                 tree = ast.parse(fh.read(), filename=name)
-            calls.update((name[:-3],) + call for call in _bare_calls(tree))
-    assert dict(calls) == ALLOWED
+            calls.update((name[:-3],) + call
+                         for call in _bare_calls(tree, names))
+    return calls
+
+
+def test_derived_structures_are_checked_through_built():
+    assert dict(_src_calls(CLASSES)) == ALLOWED
+
+
+def test_make_group_validates_only_a_loaded_table():
+    assert dict(_src_calls({"make_group"})) == {
+        ("jsonio", "load_group", "make_group"): 1}
 
 
 def test_a_bare_call_is_found_by_name_and_by_attribute():

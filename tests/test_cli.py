@@ -199,7 +199,7 @@ def test_groupoid_split_and_multfunction(tmp_path):
     gpd = built.groupoid
     data = {"groupoid": dump_groupoid(gpd),
             "group": {"order": 2, "table": [[0, 1], [1, 0]]},
-            "act": [list(r) for r in built.act]}
+            "act": [list(r) for r in built.arrow_action.act]}
     f = write(tmp_path, "split.json", data)
     out = str(tmp_path / "rep.json")
     assert run(["groupoid", "split", f, "--out", out]) == 0

@@ -297,7 +297,7 @@ def test_arrow_count_divides():
     ga = diagonal_translation_action(G, labels, gpd, Hj.members)
     free = reduced_action(ga)
     q = quotient_groupoid(free)
-    assert q.groupoid.n_arrows * free.group.order == gpd.n_arrows
+    assert q.groupoid.n_arrows * free.arrow_action.group.order == gpd.n_arrows
 
 
 # -- splitting ----------------------------------------------------------------
@@ -434,7 +434,7 @@ def test_multiplicative_function_trivial_b_gives_direct_product():
     base = pair_groupoid(2)
     built = build_from_morphism(base, G, [G.identity] * base.n_arrows)
     gpd = built.groupoid
-    assert built.group is G
+    assert built.arrow_action.group is G
     # direct product structure: componentwise source and target, with
     # arrow (y0, g) coded y0*|G| + g and object (x0, g) coded x0*|G| + g
     for y0 in range(base.n_arrows):

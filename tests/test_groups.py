@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,6 +347,28 @@ def test_s1_is_the_trivial_group():
     assert symmetric(1).table == named.trivial_group().table == ((0,),)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_group_has_factorial_order(n):
+    assert symmetric(n).order == math.factorial(n)
+
+
+@pytest.mark.parametrize("build, n", [(cyclic, 0), (dihedral, 0),
+                                      (cyclic, 2.0), (symmetric, 0)])
+def test_catalog_refuses_n_that_is_not_a_positive_integer(build, n):
+    with pytest.raises(InvalidInput, match="n must be a positive integer"):
+        build(n)
+
+
+def test_a_wrong_catalog_rule_is_a_library_bug(monkeypatch):
+    # i*j = -k in place of k: the table is the library's own, so its
+    # failed associativity proof is an InternalInconsistency
+    monkeypatch.setitem(named._UNIT, (1, 2), (-1, 3))
+    with pytest.raises(InternalInconsistency) as info:
+        quaternion_group()
+    assert info.value.report()["details"]["check"]["error"] == \
+        "NonAssociative"
+
+
 def test_permutation_input_builds_regular_group():
     # Z4 generated by the 4-cycle
     G, els = make_group_from_permutations([[1, 2, 3, 0]])
@@ -663,6 +686,16 @@ def test_trivial_action_refuses_a_set_size_that_is_not_an_integer(size):
     with pytest.raises(InvalidInput, match="set size and entries must be "
                                            "integers"):
         trivial_action(cyclic(2), size)
+
+
+def test_translation_rows_are_kept_without_a_copy():
+    G = quaternion_group()
+    rows = actions._translations(G, G.elements())
+    assert all(type(row) is tuple for row in rows)
+    assert rows == [tuple(G.mul(x, g) for x in G.elements())
+                    for g in G.elements()]
+    kept = FiniteAction(G, G.order, rows).act
+    assert all(a is b for a, b in zip(kept, rows))
 
 
 def test_right_translation_never_builds_the_regular_action(monkeypatch):

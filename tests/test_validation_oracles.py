@@ -753,7 +753,7 @@ def brute_force_compat(ga):
     arrow by arrow, units object by object and products pair by pair."""
     gpd = ga.groupoid
     unit_of = {u: x for x, u in enumerate(gpd.id)}
-    for g, row in enumerate(ga.act):
+    for g, row in enumerate(ga.arrow_action.act):
         omap = []
         for x, u in enumerate(gpd.id):
             if row[u] not in unit_of:
