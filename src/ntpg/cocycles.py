@@ -9,7 +9,7 @@ in the enumerated automorphism group, whose table[a][b] is a after b.
 """
 
 from collections import namedtuple
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 
 from . import actions, groups
 from .errors import (DEFAULT_CANDIDATE_CAP, ActionIncompatibleWithFibration,
@@ -27,26 +27,22 @@ class CoverNerve:
                               chain.from_iterable(triples))):
             raise InvalidInput("nerve entries must be integers")
         self.n = n
-        norm = set()
-        for i, j in pairs:
+        # each check names the least offender in index order, whatever
+        # the listing order
+        for i, j in sorted(map(tuple, pairs)):
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInput("chart index out of range", pair=(i, j))
-            if i != j:
-                norm.add(frozenset((i, j)))
-        self.pairs = frozenset(norm)
-        tri = set()
-        for listed in triples:
-            t = frozenset(listed)
+        self.pairs = frozenset(frozenset(p) for p in pairs if p[0] != p[1])
+        for listed in sorted(triples, key=sorted):
+            t = sorted(set(listed))
             if len(t) != 3 or len(listed) != 3:
                 raise InvalidInput("triple must have three distinct charts",
-                                   triple=sorted(t))
-            for pair in (frozenset(p) for p in
-                         [(a, b) for a in t for b in t if a < b]):
-                if pair not in self.pairs:
+                                   triple=t)
+            for pair in combinations(t, 2):
+                if frozenset(pair) not in self.pairs:
                     raise InvalidInput("triple overlap without pair overlap",
-                                       triple=sorted(t), pair=sorted(pair))
-            tri.add(t)
-        self.triples = frozenset(tri)
+                                       triple=t, pair=pair)
+        self.triples = frozenset(map(frozenset, triples))
 
     def ordered_pairs(self):
         out = []
@@ -81,7 +77,7 @@ class Cocycle:
         self.nerve = nerve
         self.group = group
         vals = {}
-        for (i, j), v in values.items():
+        for (i, j), v in sorted(values.items()):
             if i == j:
                 raise InvalidInput("diagonal values are implicitly identity",
                                    pair=(i, j))

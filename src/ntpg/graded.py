@@ -1,5 +1,5 @@
 """Weight-graded polynomial maps, dilations, homogeneity structures and the
-second-order tangent prolongation of a chart change.
+tangent prolongations of a chart change.
 
 The coordinates carry the weights of a ``signature``.  A polynomial map is
 a graded morphism exactly when every monomial of every component has
@@ -10,13 +10,16 @@ so the checks are sound over every field).
 """
 
 from collections import namedtuple
+from functools import cache, reduce
+from itertools import combinations, product
+from math import prod
 
 from .errors import (InternalDisagreement, InternalInconsistency,
                      InvalidInput, NotInvertible, NotInvertibleChart,
                      SignatureMismatch, all_ints)
 from .fields import mat_inv
 from .poly import Poly
-from .signature import GradedSignature, _integer
+from .signature import MAX_GRADINGS, GradedSignature, _integer
 
 
 def _require_field(field, other):
@@ -211,55 +214,72 @@ def invert(pm):
     return triangular_inverse(pm)
 
 
-# -- the second-order tangent prolongation ------------------------------------
+# -- tangent prolongations ---------------------------------------------------
 
-def t2_transition(chart):
-    """The second-order prolongation of a chart change.
+def _set_partitions(s):
+    """The partitions of the sorted tuple s into sorted blocks."""
+    if not s:
+        return [[]]
+    return [part[:i] + [s[:1] + block] + part[i + 1:]
+            for part in _set_partitions(s[1:])
+            for i, block in enumerate(part + [()])]
 
-    Input: a polynomial self-map of weight-0 coordinates with an invertible
-    linear part at the origin.  Output: the graded transition on
-    (x, xdot, xddot) with weights (0, 1, 2): velocities transform by the
-    Jacobian, accelerations pick up the quadratic velocity correction from
-    the second derivative.
-    """
-    sig0 = chart.sig_in
+
+def _prolongation(chart, mode, n, keep, weight):
+    """The prolongation of a chart change φ, a self-map of d weight-0
+    coordinates with an invertible Jacobian at 0, on the signature with a
+    block of weight(S) for each S in keep, in coordinate order: x_S reads
+    the block of weight(S), and x'_S is Faà di Bruno's sum over the set
+    partitions {B_1, ..., B_k} of S of D^kφ(x_∅)(x_{B_1}, ..., x_{B_k})."""
+    sig0, field = chart.sig_in, chart.field
     if chart.sig_out != sig0 or sig0 != GradedSignature.simple(
             [], base=sig0.ncoords):
         raise InvalidInput("chart change must be a self-map of weight-0 "
                            "coordinates")
-    d = sig0.ncoords
-    field = chart.field
-    # partials[a][b] is the derivative of component a along coordinate b
-    partials = [[f.diff(b) for b in range(d)] for f in chart.components]
-    jac0 = [[df.eval((field.zero,) * d) for df in row] for row in partials]
-    if mat_inv(field, jac0) is None:
+    d, zero = sig0.ncoords, (field.zero,) * sig0.ncoords
+    if mat_inv(field, [[f.diff(b).eval(zero) for b in range(d)]
+                       for f in chart.components]) is None:
         raise NotInvertibleChart("Jacobian at the origin is singular")
+    sig = GradedSignature(mode, [(weight(s), d) for s in keep], n)
+    v = [Poly.var(field, sig.ncoords, c) for c in range(sig.ncoords)]
+    x = {B: [v[c] for c in sig.block_coords(weight(B))] for s in keep
+         for k in range(len(s) + 1) for B in combinations(s, k)}
 
-    sig = GradedSignature.simple([d, d], base=d)
-    nv = 3 * d
-    x = [Poly.var(field, nv, b) for b in range(nv)]
-    lift = x[:d]
-    jac = [[df.subs(lift) for df in row] for row in partials]
+    @cache
+    def at_base(idx):
+        # φ's partial derivatives along the sorted index tuple idx, at x_∅
+        return [reduce(Poly.diff, idx, f).subs(x[()])
+                for f in chart.components]
 
-    comps = [f.subs(lift) for f in chart.components]
-    for a in range(d):
-        acc = Poly.zero(field, nv)
-        for b in range(d):
-            acc = acc + jac[a][b] * x[d + b]
-        comps.append(acc)
-    for a in range(d):
-        acc = Poly.zero(field, nv)
-        for b in range(d):
-            acc = acc + jac[a][b] * x[2 * d + b]
-        for b in range(d):
-            for cc in range(d):
-                acc = acc + partials[a][b].diff(cc).subs(lift) * \
-                    x[d + b] * x[d + cc]
-        comps.append(acc)
+    comps = [reduce(Poly.__add__, (
+                 prod([x[B][i] for B, i in zip(blocks, b)],
+                      start=at_base(tuple(sorted(b)))[a])
+                 for blocks in _set_partitions(s)
+                 for b in product(range(d), repeat=len(blocks))))
+             for s in keep for a in range(d)]
     out = PolyMap(sig, sig, field, comps)
     if not is_graded_morphism(out):
         raise InternalInconsistency("prolongation is not weight-graded")
     return out
+
+
+def tangent(chart, n):
+    """T^nφ of a chart change φ, for the iterated tangent bundle T^nM, the
+    standard n-fold vector bundle: a base block x_∅ and, for each nonempty
+    S ⊆ {0, ..., n-1}, a block x_S of weight the 0/1 vector of S."""
+    if not 1 <= _integer(n, "tangent order") <= MAX_GRADINGS:
+        raise InvalidInput("tangent order out of range", n=n)
+    subsets = [s for k in range(n + 1) for s in combinations(range(n), k)]
+    return _prolongation(chart, "multi", n, subsets, lambda s: tuple(
+        1 if i in s else 0 for i in range(n)))
+
+
+def t2_transition(chart):
+    """The second-order prolongation of a chart change, T^2 on its diagonal
+    (x, xdot, xddot) of weights (0, 1, 2): x_{0} and x_{1} both read xdot,
+    x_{0,1} reads xddot, and the blocks ∅, {0} and {0,1} are kept."""
+    return _prolongation(chart, "simple", 1, [(), (0,), (0, 1)],
+                         lambda s: (len(s),))
 
 
 def t2_has_quadratic_term(pm):

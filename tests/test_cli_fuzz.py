@@ -101,12 +101,30 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
 # inputs whose first failing check has several witnesses, so that a scan
 # in listing order would name another: the loop (first triple (1, 1, 2))
 # and Z5 under a swap that breaks products at several pairs (first pair
-# (1, 1))
+# (1, 1)); a nerve whose two triples both lack a pair overlap (least pair
+# (0, 3), of the triple listed second); and a cocycle with values on two
+# non-overlapping pairs (least pair (1, 3), listed last)
+Z2 = {"order": 2, "table": [[0, 1], [1, 0]]}
 FAILING = {
     "loop5": _one_object(LOOP5, list(range(5))),
     "z5-swap": _one_object([[(a + b) % 5 for b in range(5)]
                             for a in range(5)], [0, 2, 1, 4, 3]),
+    "two-triples": {"charts": 4, "overlaps": [[0, 1], [1, 2], [2, 3]],
+                    "triples": [[1, 2, 3], [0, 1, 3]], "group": Z2,
+                    "values": [{"pair": [0, 1], "element": 1},
+                               {"pair": [1, 2], "element": 0},
+                               {"pair": [2, 3], "element": 1}]},
+    "two-strays": {"charts": 4, "overlaps": [[0, 1], [1, 2]], "group": Z2,
+                   "values": [{"pair": [0, 1], "element": 1},
+                              {"pair": [2, 3], "element": 0},
+                              {"pair": [1, 2], "element": 1},
+                              {"pair": [1, 3], "element": 0}]},
 }
+# the command lines that read each FAILING input
+FAILING_COMMANDS = {"loop5": [["groupoid", "quotient", "{}"]],
+                    "z5-swap": [["groupoid", "quotient", "{}"]],
+                    "two-triples": [["cocycle", "check", "{}"]],
+                    "two-strays": [["cocycle", "check", "{}"]]}
 
 # lists whose entries carry their own keys, so their order carries nothing
 KEYED = ("mul", "overlaps", "triples", "values", "c1", "c2", "terms",
@@ -118,7 +136,7 @@ RELISTINGS = {"reverse": lambda entries: entries[::-1],
 FIXED = ("pair", "sigma", "exponents")
 FIXED_ENTRIES = ("triples", "overlaps", "mul", "permutations", "table", "act")
 # the pinned runs of the listing-order, repeat and lengthening modes
-RELISTED_RUNS, REPEATED_RUNS, LENGTHENED_RUNS = 48, 44, 354
+RELISTED_RUNS, REPEATED_RUNS, LENGTHENED_RUNS = 58, 48, 372
 
 # one value of each JSON type; a swap picks one of a different type
 SWAPS = ["1", 1, 1.5, True, None, [], {}]
@@ -236,7 +254,7 @@ def _lists(wanted):
     non-empty list at a path that ``wanted`` accepts, in every example and
     every FAILING input."""
     inputs = [(name, _load(name), COMMANDS[name]) for name in sorted(COMMANDS)]
-    inputs += [(name, obj, [["groupoid", "quotient", "{}"]])
+    inputs += [(name, obj, FAILING_COMMANDS[name])
                for name, obj in sorted(FAILING.items())]
     for name, obj, commands in inputs:
         for path in _paths(obj):

@@ -72,6 +72,32 @@ def test_triple_without_pair_rejected():
         CoverNerve(3, [(0, 1)], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("pairs, triples, details", [
+    ([(0, 1), (1, 2), (2, 3)], [(1, 2, 3), (0, 1, 3)],
+     {"triple": [0, 1, 3], "pair": (0, 3)}),
+    ([], [(2, 9, 10)], {"triple": [2, 9, 10], "pair": (2, 9)}),
+    ([(0, 12), (0, -1)], [], {"pair": (0, -1)})],
+    ids=["two-triples", "one-triple", "range"])
+def test_nerve_names_the_least_witness_whatever_the_listing(
+        order, pairs, triples, details):
+    with pytest.raises(InvalidInput) as e:
+        CoverNerve(11, pairs[::order], triples[::order])
+    assert e.value.details == details
+
+
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("values, pair", [
+    ({(0, 1): 1, (2, 3): 0, (1, 2): 1, (1, 3): 0}, (1, 3)),
+    ({(2, 2): 1, (0, 1): 1, (1, 1): 0}, (1, 1))], ids=["stray", "diagonal"])
+def test_cocycle_names_the_least_bad_pair_whatever_the_listing(
+        order, values, pair):
+    nerve = CoverNerve(4, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidInput) as e:
+        Cocycle(nerve, cyclic(2), dict(list(values.items())[::order]))
+    assert e.value.details == {"pair": pair}
+
+
 @pytest.mark.parametrize("n, pairs, triples", [
     (2.9, [(0, 1)], []),
     (3, [(0, 1), (0.5, 2)], []),
